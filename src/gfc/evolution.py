@@ -118,6 +118,18 @@ class SolverConfig:
                     f"dt = {self.dt} violates the advective CFL limit {self.cfl_safety * limit:.3e}")
         if self.positivity_policy == "guaranteed":
             x = grid.centers
+            if ks.k.kind == "table":
+                # beta below is derived from the declared class bound, which a
+                # table need not respect (k0 defaults to 0)
+                xx, yy = x[:, None], x[None, :]
+                over = ks.k(xx, yy) - ks.k.class_bound(xx, yy)
+                i, j = np.unravel_index(np.argmax(over), over.shape)
+                if over[i, j] > 1e-12 * max(1.0, ks.k.k0):
+                    raise ConfigError(
+                        "positivity cannot be guaranteed: the table coagulation kernel "
+                        f"exceeds its {ks.k.bound_class!r} class bound with k0 = {ks.k.k0} "
+                        f"by {over[i, j]:.3e} at (x_{i}, x_{j}) = ({x[i]:.4g}, {x[j]:.4g}); "
+                        "raise k0 or disable the policy")
             beta = compute_beta(ks.k.k0, self.ball_radius) if not ks.k.is_zero else 0.0
             shield = ks.a(x) + beta * (1.0 + np.power(x, ks.k.alpha))
             worst = float(np.max(shield)) if shield.size else 0.0
@@ -144,9 +156,6 @@ class Trajectory:
     escaped_mass: np.ndarray
     growth_mass: np.ndarray
     outcome: str = "completed"
-
-    def observable(self, name: str) -> np.ndarray:
-        return getattr(self, name)
 
     def moments_at(self, order: float) -> np.ndarray:
         return np.array([moment(f, order) for f in self.fields])
@@ -260,9 +269,10 @@ def solve(f0: DensityField, cfg: SolverConfig, ks: KernelSet,
           ct: Optional[CoagTables] = None) -> Trajectory:
     """March the splitting scheme to t_end, recording observables.
 
-    A blow-up monitor halts with outcome 'blowup' once the weighted norm
-    exceeds the configured ceiling over its initial value; that is a result
-    variant, not an error.  NaN/Inf raises NumericalFailureError.
+    A blow-up monitor halts with outcome 'blowup' once the weighted norm of
+    |f| exceeds the configured ceiling over its initial value, so a negative
+    runaway trips it too; that is a result variant, not an error.  NaN/Inf
+    raises NumericalFailureError.
     """
     cfg.validate(ks, f0.grid)
     stepper = SplitStepper(ks, f0.grid, cfg, dm=dm, ct=ct)
@@ -274,7 +284,12 @@ def solve(f0: DensityField, cfg: SolverConfig, ks: KernelSet,
     rows = {k: [] for k in ("times", "fields", "M0", "M1", "M2", "Mm",
                             "norm0m", "min_density", "escaped_mass", "growth_mass")}
     _observe(rows, 0.0, f0, cfg.m, stepper.growth_mass)
-    ceiling = cfg.blowup_ceiling * max(rows["norm0m"][0], 1e-300)
+    wm = WeightSpec(cfg.m, "shifted")
+
+    def abs_norm(f: DensityField) -> float:
+        return weighted_integral(DensityField(f.grid, np.abs(f.values)), wm)
+
+    ceiling = cfg.blowup_ceiling * max(abs_norm(f0), 1e-300)
     f = f0
     outcome = "completed"
     for step in range(1, n_steps + 1):
@@ -285,7 +300,7 @@ def solve(f0: DensityField, cfg: SolverConfig, ks: KernelSet,
                 f"min = {np.nanmin(f.values):.3e}, max = {np.nanmax(f.values):.3e}")
         if step % every == 0 or step == n_steps:
             _observe(rows, step * cfg.dt, f, cfg.m, stepper.growth_mass)
-            if rows["norm0m"][-1] > ceiling:
+            if abs_norm(f) > ceiling:
                 outcome = "blowup"
                 break
     return _finalize(rows, f0.grid, cfg.m, outcome)

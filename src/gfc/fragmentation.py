@@ -38,7 +38,6 @@ class DaughterMatrix:
 
     grid: SizeGrid
     w: np.ndarray
-    renorm: np.ndarray
     lumped_fraction: np.ndarray
     flagged: np.ndarray
 
@@ -79,7 +78,7 @@ def build_daughter_matrix(b: DaughterDistribution, grid: SizeGrid) -> DaughterMa
     # to the smallest cell
     for j in np.nonzero(flagged)[0]:
         w[0, j] = x[j] / x[0]
-    return DaughterMatrix(grid, w, renorm, lumped_fraction, flagged)
+    return DaughterMatrix(grid, w, lumped_fraction, flagged)
 
 
 def neglected_gain_estimate(ks: KernelSet, grid: SizeGrid, escaped_mass: float) -> float:

@@ -476,7 +476,6 @@ class SamplePlan:
     m0: float = 2.0
     liminf_threshold: float = 0.01
     y_probe: float = 10.0
-    seed: int = 0
 
     def sizes(self) -> np.ndarray:
         return np.geomspace(self.xmin, self.xmax, self.n_sizes)

@@ -156,8 +156,7 @@ class ScenarioContext:
 
 
 def _suite_kernel_validation(ctx: ScenarioContext) -> list[ReportRow]:
-    plan = SamplePlan(xmin=ctx.grid.xmin, xmax=ctx.grid.xmax, m=ctx.cfg.m,
-                      seed=ctx.sc.seed)
+    plan = SamplePlan(xmin=ctx.grid.xmin, xmax=ctx.grid.xmax, m=ctx.cfg.m)
     rep = validate_kernel_set(ctx.ks, plan)
     return [ReportRow("kernel-validation", c.name, c.status, c.worst, c.bound, c.detail)
             for c in rep.checks]

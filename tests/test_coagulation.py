@@ -1,5 +1,9 @@
+import bisect
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_kernels
 from gfc.coagulation import (apply_coag, apply_coag_beta, build_coag_tables,
@@ -25,11 +29,12 @@ def box_field(grid):
 
 class TestTables:
     def test_interior_split_weights(self, grid, ct_const):
+        # the pair tables list the pairs i <= j in row-major order
         interior = ct_const.interior
         w_sum = ct_const.w_lo[interior] + ct_const.w_hi[interior]
         assert np.allclose(w_sum, 1.0, atol=1e-12)
         x = grid.centers
-        s = (x[:, None] + x[None, :]).ravel()[interior]
+        s = (x[:, None] + x[None, :])[np.triu_indices(grid.cells)][interior]
         placed = (ct_const.w_lo[interior] * x[ct_const.idx_lo[interior]]
                   + ct_const.w_hi[interior] * x[ct_const.idx_hi[interior]])
         assert np.max(np.abs(placed - s) / s) < 1e-12
@@ -93,6 +98,73 @@ class TestApplyCoag:
         assert out.escaped_mass > 0
         scale = moment(DensityField(grid, np.abs(out.values)), 1.0) + out.escaped_mass
         assert abs(moment(out, 1.0) + out.escaped_mass) <= 1e-12 * scale
+
+
+def reference_coag(f, kernel):
+    """Coagulation rate by a plain loop over all ordered pairs (i, j): each
+    event 0.5*k_ij*a_i*a_j (a = f*dx) removes one particle from i and one
+    from j and places its merged number on the centers bracketing x_i + x_j,
+    or on the last center and a virtual node at xmax, or past xmax."""
+    grid = f.grid
+    x, n = grid.centers.tolist(), grid.cells
+    a = (f.values * grid.widths).tolist()
+    gain, loss, esc = [0.0] * n, [0.0] * n, 0.0
+    for i in range(n):
+        for j in range(n):
+            rate = 0.5 * kernel[i, j] * a[i] * a[j]
+            loss[i] += rate
+            loss[j] += rate
+            s = x[i] + x[j]
+            if s <= x[-1]:
+                lo = min(bisect.bisect_right(x, s) - 1, n - 2)
+                wl = (x[lo + 1] - s) / (x[lo + 1] - x[lo])
+                gain[lo] += wl * rate
+                gain[lo + 1] += (1.0 - wl) * rate
+            elif s <= grid.xmax:
+                wl = (grid.xmax - s) / (grid.xmax - x[-1])
+                gain[-1] += wl * rate
+                esc += (1.0 - wl) * grid.xmax * rate
+            else:
+                esc += s * rate
+    return np.array(gain) / grid.widths, np.array(loss) / grid.widths, esc
+
+
+@st.composite
+def coag_cases(draw):
+    cells = draw(st.integers(8, 96))
+    xmin = 10.0 ** draw(st.floats(-4.0, -1.0))
+    # xmax/xmin >= 100 keeps x_0 below half the last cell width, so some
+    # pairs straddle the last center; pairs beyond xmax always occur
+    grid = SizeGrid.geometric(xmin, xmin * 10.0 ** draw(st.floats(2.0, 5.0)), cells)
+    kind = draw(st.sampled_from(["constant", "sum", "product", "table"]))
+    k0, alpha = draw(st.floats(0.1, 5.0)), draw(st.floats(0.1, 1.0))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    if kind == "table":
+        tx = np.geomspace(grid.xmin * 2.0, grid.xmax / 2.0, int(rng.integers(2, 12)))
+        tk = rng.random((tx.size, tx.size)) * k0
+        k = CoagulationKernel("table", k0=k0, alpha=alpha, table_x=tx, table_k=tk + tk.T)
+    else:
+        k = CoagulationKernel(kind, k0=k0, alpha=alpha)
+    vals = rng.random(cells) * (rng.random(cells) < draw(st.floats(0.2, 1.0)))
+    return grid, k, DensityField(grid, vals * np.exp(-grid.centers / grid.xmax))
+
+
+class TestAgainstPairLoop:
+    @settings(max_examples=40, deadline=None)
+    @given(coag_cases())
+    def test_operator_matches_pair_loop(self, case):
+        grid, k, f = case
+        ct = build_coag_tables(k, grid)
+        straddle = ~ct.interior & (ct.idx_lo >= 0)
+        assert straddle.any() and (ct.idx_lo < 0).any()
+        gain, loss, esc = reference_coag(f, ct.kernel)
+        out = apply_coag(f, ct)
+        scale = np.max(gain + loss)
+        assert np.max(np.abs(out.values - (gain - loss))) <= 1e-13 * scale
+        assert abs(out.escaped_mass - esc) <= 1e-13 * esc
+        mass_scale = moment(DensityField(grid, gain + loss), 1.0) + esc
+        assert abs(moment(out, 1.0) + out.escaped_mass) <= 1e-12 * mass_scale
 
 
 class TestShiftedOperator:

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from conftest import make_kernels
+from gfc.config import load_scenario
 from gfc.evolution import (ConfigError, NumericalFailureError, SetupError,
                            SolverConfig, duhamel_solve, pde_residual,
                            regularization_probe, solve, step_split)
 from gfc.fragmentation import build_daughter_matrix
 from gfc.grid import DensityField, SizeGrid, WeightSpec, moment, project, weighted_integral
+from gfc.presets import get_preset
 from gfc.transport import transport_apply
 
 
@@ -48,6 +50,20 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="positivity"):
             mk_cfg(dt=0.05, ball_radius=4.0).validate(ks, grid)
         mk_cfg(dt=0.05, ball_radius=4.0, positivity_policy="off").validate(ks, grid)
+
+    def test_table_kernel_over_class_bound_rejected(self):
+        # k0 omitted reads as 0, so beta = 0 shields nothing and the
+        # explicit coagulation step undershoots below zero
+        raw = get_preset("gfc-global-ii")
+        raw["grid"]["cells"] = 64
+        raw["time"].update(dt=0.01, t_end=0.2)
+        raw["kernels"]["coagulation"] = {"kind": "table", "alpha": 0.5,
+                                         "table_x": [1e-4, 1.0, 400.0],
+                                         "table_k": [[2000.0] * 3] * 3}
+        with pytest.raises(ConfigError, match=r"class bound .* at \(x_\d+, x_\d+\)"):
+            load_scenario(raw)
+        raw["solver"]["positivity_policy"] = "off"
+        load_scenario(raw)
 
 
 class TestStepSplit:
@@ -106,6 +122,17 @@ class TestStepSplit:
         traj = solve(f, cfg, ks)
         assert traj.outcome == "blowup"
         assert traj.times[-1] < 1.0
+
+    def test_blowup_monitor_sees_negative_runaway(self):
+        ks = make_kernels(k0=50.0, coag_kind="constant", growth="constant", r0=0.0)
+        grid = SizeGrid.geometric(0.05, 8.0, 64)
+        f = project(lambda x: 3.0 * np.exp(-x), grid)
+        cfg = mk_cfg(dt=0.25, t_end=1.0, output_every=0.25, scheme="lie-split",
+                     reaction="naive", positivity_policy="off", use_beta_shift=False)
+        traj = solve(f, cfg, ks)
+        assert traj.outcome == "blowup"
+        assert traj.times[-1] < 1.0
+        assert traj.norm0m[-1] < 0.0    # the signed norm stays below any ceiling
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_numerical_failure_raises_with_diagnostics(self):
