@@ -13,7 +13,7 @@ from .fragmentation import apply_frag, build_daughter_matrix, frag_moment_identi
 from .coagulation import (apply_coag, apply_coag_beta, build_coag_tables,
                           coag_moment_identity)
 from .evolution import (SolverConfig, Trajectory, duhamel_solve, pde_residual,
-                        regularization_probe, solve, step_split)
+                        regularization_probe, solve)
 from .moment_bounds import (assemble_bound_params, bound_system, check_domination,
                             global_conditions)
 from .config import ScenarioConfig, load_scenario

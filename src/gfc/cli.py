@@ -11,8 +11,7 @@ from pathlib import Path
 
 from . import moment_bounds as mb
 from .config import ConfigFileError, ScenarioConfig, load_scenario
-from .evolution import (ConfigError, NumericalFailureError, SetupError,
-                        duhamel_solve, solve)
+from .evolution import ConfigError, NumericalFailureError, SetupError
 from .kernels import KernelConfigError, QuadratureError
 from .presets import preset_description, preset_names
 from .report import ScenarioContext, run_suites, write_trajectory_csv
@@ -43,49 +42,37 @@ def _scenario_name(sc: ScenarioConfig) -> str:
     return Path(src).stem if src != "<dict>" else "scenario"
 
 
-def _compute_bounds(ctx: ScenarioContext):
-    cond = mb.global_conditions(ctx.ks, ctx.grid.xmax)
-    if not cond.any_holds:
-        raise mb.InfeasibleParamsError(
-            "neither global-existence condition holds; no bound system available")
-    traj = ctx.trajectory
-    bp = ctx.sc.bounds_params()
-    env_max = mb.m1_envelope_max(cond, ctx.ks, traj.M0[0], traj.M1[0], ctx.cfg.t_end)
-    par = mb.assemble_bound_params(ctx.ks, ctx.cfg.m, env_max, cond,
-                                   sample_hi=10 * ctx.grid.xmax,
-                                   mode=bp["mode"], phi_order=bp["phi_order"],
-                                   eps_margin=bp["eps_margin"])
-    from .grid import moment
-    init = {0: traj.M0[0], 1: traj.M1[0], 2: traj.M2[0],
-            **{i: moment(traj.fields[0], float(i)) for i in par.orders}}
-    return mb.bound_system(par, init, traj.times, ctx.cfg.dt), cond
+def _context(args) -> ScenarioContext:
+    return ScenarioContext(_apply_overrides(load_scenario(args.config), args))
+
+
+def _csv_path(ctx: ScenarioContext, args) -> Path:
+    return Path(args.out) / f"{_scenario_name(ctx.sc)}_trajectory.csv"
+
+
+def _write_csv(ctx: ScenarioContext, args) -> Path:
+    """Write the trajectory CSV; it carries the bound columns when the
+    moment-domination suite is enabled and a bound system exists."""
+    bounds = None
+    if "moment-domination" in ctx.sc.check_suites:
+        try:
+            bounds = ctx.bounds
+        except mb.InfeasibleParamsError as exc:
+            print(f"bounds unavailable: {exc}", file=sys.stderr)
+    return write_trajectory_csv(_csv_path(ctx, args), ctx.trajectory, bounds)
 
 
 def cmd_run(args) -> int:
-    sc = _apply_overrides(load_scenario(args.config), args)
-    ctx = ScenarioContext(sc)
-    out_dir = Path(args.out)
-    name = _scenario_name(sc)
-
-    if ctx.cfg.scheme == "duhamel":
-        traj, rep = duhamel_solve(ctx.f0, ctx.cfg, ctx.ks)
-        ctx._traj = traj
-        print(f"duhamel: {rep.iterations} iterations, converged={rep.converged}, "
-              f"contraction window {rep.contraction_window:g}")
-    else:
-        traj = ctx.trajectory
-
-    bounds = None
-    if "moment-domination" in sc.check_suites:
-        try:
-            bounds, _ = _compute_bounds(ctx)
-        except mb.InfeasibleParamsError as exc:
-            print(f"bounds unavailable: {exc}", file=sys.stderr)
-    path = write_trajectory_csv(out_dir / f"{name}_trajectory.csv", traj, bounds)
+    ctx = _context(args)
+    traj, drep = ctx.solution
+    if drep is not None:
+        print(f"duhamel: {drep.iterations} iterations, converged={drep.converged}, "
+              f"contraction window {drep.contraction_window:g}")
+    path = _write_csv(ctx, args)
     print(f"trajectory: {path}  (outcome: {traj.outcome})")
 
-    if sc.check_suites:
-        report, _ = run_suites(sc)
+    if ctx.sc.check_suites:
+        report, _ = run_suites(ctx)
         report.csv_paths.append(str(path))
         print(report.render(), end="")
         return report.exit_code
@@ -93,36 +80,30 @@ def cmd_run(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    sc = _apply_overrides(load_scenario(args.config), args)
-    report, ctx = run_suites(sc)
-    out_dir = Path(args.out)
-    name = _scenario_name(sc)
-    path = write_trajectory_csv(out_dir / f"{name}_trajectory.csv", ctx.trajectory,
-                                getattr(ctx, "_bounds", None))
+    ctx = _context(args)
+    report, _ = run_suites(ctx)
+    path = _write_csv(ctx, args)
     report.csv_paths.append(str(path))
-    print(f"scenario: {sc.source}")
+    print(f"scenario: {ctx.sc.source}")
     print(report.render(), end="")
     print(f"trajectory: {path}")
     return report.exit_code
 
 
 def cmd_probe(args) -> int:
-    sc = _apply_overrides(load_scenario(args.config), args)
-    report, _ = run_suites(sc, suites=["regularization-probe"])
+    ctx = _context(args)
+    report, _ = run_suites(ctx, suites=["regularization-probe"])
     print(report.render(), end="")
     return report.exit_code
 
 
 def cmd_bounds(args) -> int:
-    sc = _apply_overrides(load_scenario(args.config), args)
-    ctx = ScenarioContext(sc)
-    bounds, cond = _compute_bounds(ctx)
+    ctx = _context(args)
+    bounds = ctx.bounds
     dom = mb.check_domination(ctx.trajectory, bounds, ctx.ks,
-                              tol=sc.tolerance("domination", 0.05))
-    out_dir = Path(args.out)
-    path = write_trajectory_csv(out_dir / f"{_scenario_name(sc)}_trajectory.csv",
-                                ctx.trajectory, bounds)
-    print(f"certified condition: ({cond.certified})")
+                              tol=ctx.sc.tolerance("domination", 0.05))
+    path = write_trajectory_csv(_csv_path(ctx, args), ctx.trajectory, bounds)
+    print(f"certified condition: ({ctx.conditions.certified})")
     for row in dom.rows:
         print(f"{'PASS' if row.ok else 'FAIL'}  domination/{row.name} "
               f"max-ratio={row.max_ratio:.6g}")

@@ -1,6 +1,6 @@
 """Time advance of the growth-fragmentation-coagulation system.
 
-Two independent solvers:
+Two solvers:
 
 * operator splitting (`solve`): exact characteristic transport composed with
   a reaction substep that integrates the linear sink exactly and redistributes
@@ -11,12 +11,15 @@ Two independent solvers:
   linear growth-fragmentation propagator and K_beta the shifted coagulation
   operator, which keeps every iterate nonnegative on the configured ball.
 
-The two solvers share no discretization beyond the grid, which makes their
-agreement a genuine cross-validation.
+Both solvers share the spatial discretization: the grid, the exact
+characteristic transport (`transport_apply`), the daughter matrix, the
+coagulation operator and the exact linear-sink step.  They differ in time
+integration (operator splitting against Picard iteration on the mild
+formulation), so their agreement cross-validates the time integration.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -24,7 +27,7 @@ import numpy as np
 from .coagulation import CoagTables, apply_coag, apply_coag_beta, build_coag_tables
 from .fragmentation import DaughterMatrix, apply_frag, build_daughter_matrix, daughter_gain
 from .grid import DensityField, SizeGrid, WeightSpec, moment, project, weighted_integral
-from .kernels import KernelSet, compute_beta
+from .kernels import CoagulationKernel, KernelSet, compute_beta
 from .transport import make_antiderivatives, transport_apply
 
 __all__ = [
@@ -37,7 +40,6 @@ __all__ = [
     "NumericalFailureError",
     "SetupError",
     "SplitStepper",
-    "step_split",
     "solve",
     "duhamel_solve",
     "regularization_probe",
@@ -193,7 +195,9 @@ class SplitStepper:
     fragmentation share through the daughter matrix, returns the absorbed
     shift share pointwise, and advances coagulation explicitly.  Every
     circuit is mass-neutral to rounding; growth is the only mass source and
-    is accounted in a running ledger.
+    is accounted in a running ledger.  `linear_step` advances only the
+    linear growth-fragmentation part on the same set-up, with the absorbed
+    shift share removed.
     """
 
     def __init__(self, ks: KernelSet, grid: SizeGrid, cfg: SolverConfig,
@@ -221,6 +225,26 @@ class SplitStepper:
         self.growth_mass += moment(out, 1.0) + out.escaped_mass - before
         return out
 
+    def _linear_sink(self, g: np.ndarray, dt: float, keep_shift: bool) -> np.ndarray:
+        """Exact per-cell decay of the total linear sink a + a1 over dt.
+
+        Exactly the fragmentation share of the absorbed amount re-enters
+        through the daughter matrix.  The shift share is returned in place
+        when keep_shift (the mass-neutral split reaction) and removed
+        otherwise (the absorption semigroup the Duhamel formula is built on).
+        """
+        c = self.a + self.a1
+        decay = np.exp(-c * dt)
+        absorbed = g * (1.0 - decay)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            to_frag = np.where(c > 0, absorbed * self.a / c, 0.0)
+        out = decay * g
+        if keep_shift:
+            out = out + (absorbed - to_frag)
+        if self.has_frag:
+            out = out + daughter_gain(self.dm, to_frag * self.grid.widths)
+        return out
+
     def _reaction(self, f: DensityField, dt: float) -> DensityField:
         g = f.values
         esc = f.escaped_mass
@@ -229,21 +253,8 @@ class SplitStepper:
             if self.has_frag:
                 ff = apply_frag(f, self.ks, self.dm)
                 out = out + dt * ff.values
-            if self.has_coag:
-                kf = apply_coag(f, self.ct)
-                out = out + dt * kf.values
-                esc += dt * kf.escaped_mass
-            return DensityField(self.grid, out, esc)
-
-        c = self.a + self.a1
-        decay = np.exp(-c * dt)
-        absorbed = g * (1.0 - decay)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            to_frag = np.where(c > 0, absorbed * self.a / c, 0.0)
-        to_shift = absorbed - to_frag
-        out = decay * g + to_shift
-        if self.has_frag:
-            out = out + daughter_gain(self.dm, to_frag * self.grid.widths)
+        else:
+            out = self._linear_sink(g, dt, keep_shift=True)
         if self.has_coag:
             kf = apply_coag(f, self.ct)
             out = out + dt * kf.values
@@ -256,18 +267,26 @@ class SplitStepper:
         half = 0.5 * dt
         return self._transport(self._reaction(self._transport(f, half), dt), half)
 
+    def linear_step(self, f: DensityField, dt: float) -> DensityField:
+        """Transport, then the linear sink with the shift share removed."""
+        if not self.ks.r.is_zero:
+            f = transport_apply(f, dt, self.ks, self.cfg.m, antid=self.antid,
+                                include_absorption=False)
+        return DensityField(self.grid, self._linear_sink(f.values, dt, keep_shift=False),
+                            f.escaped_mass)
 
-def step_split(f: DensityField, dt: float, ks: KernelSet, dm: Optional[DaughterMatrix],
-               ct: Optional[CoagTables], cfg: SolverConfig) -> DensityField:
-    """Single splitting step (convenience wrapper around SplitStepper)."""
-    cfg.validate(ks, f.grid)
-    return SplitStepper(ks, f.grid, cfg, dm=dm, ct=ct).step(f, dt)
+    def advance_linear(self, f: DensityField, tau: float, n_sub: int) -> DensityField:
+        h = tau / n_sub
+        for _ in range(n_sub):
+            f = self.linear_step(f, h)
+        return f
 
 
 def solve(f0: DensityField, cfg: SolverConfig, ks: KernelSet,
           dm: Optional[DaughterMatrix] = None,
           ct: Optional[CoagTables] = None) -> Trajectory:
-    """March the splitting scheme to t_end, recording observables.
+    """March the splitting scheme (lie-split or strang-split) to t_end,
+    recording observables.
 
     A blow-up monitor halts with outcome 'blowup' once the weighted norm of
     |f| exceeds the configured ceiling over its initial value, so a negative
@@ -275,6 +294,9 @@ def solve(f0: DensityField, cfg: SolverConfig, ks: KernelSet,
     raises NumericalFailureError.
     """
     cfg.validate(ks, f0.grid)
+    if cfg.scheme == "duhamel":
+        raise ConfigError("solve marches the splitting schemes; "
+                          "scheme 'duhamel' is solved by duhamel_solve")
     stepper = SplitStepper(ks, f0.grid, cfg, dm=dm, ct=ct)
     n_steps = int(round(cfg.t_end / cfg.dt))
     if abs(n_steps * cfg.dt - cfg.t_end) > 1e-9 * max(1.0, cfg.t_end):
@@ -325,47 +347,6 @@ class DuhamelReport:
         return bool(self.contraction_factors) and self.contraction_factors[-1] < 1.0
 
 
-class _LinearPropagator:
-    """Fine split stepping of the shifted linear growth-fragmentation part.
-
-    Transport is exact along characteristics; the fragmentation sink and the
-    shift absorption decay exactly per cell, and exactly the fragmentation
-    share of the absorbed amount re-enters through the daughter matrix.  The
-    shift share is genuinely removed: this is the absorption semigroup the
-    Duhamel formula is built on.
-    """
-
-    def __init__(self, ks: KernelSet, grid: SizeGrid, cfg: SolverConfig, beta: float,
-                 dm: Optional[DaughterMatrix] = None):
-        self.ks, self.grid, self.cfg = ks, grid, cfg
-        x = grid.centers
-        self.a = ks.a(x)
-        self.has_frag = not ks.a.is_zero
-        self.dm = dm if dm is not None else (build_daughter_matrix(ks.b, grid) if self.has_frag else None)
-        self.a1 = beta * (1.0 + np.power(x, ks.k.alpha))
-        self.antid = None if ks.r.is_zero else make_antiderivatives(ks, grid)
-
-    def step(self, f: DensityField, dt: float) -> DensityField:
-        if not self.ks.r.is_zero:
-            f = transport_apply(f, dt, self.ks, self.cfg.m, antid=self.antid,
-                                include_absorption=False)
-        g = f.values
-        c = self.a + self.a1
-        decay = np.exp(-c * dt)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            to_frag = np.where(c > 0, g * (1.0 - decay) * self.a / c, 0.0)
-        out = decay * g
-        if self.has_frag:
-            out = out + daughter_gain(self.dm, to_frag * self.grid.widths)
-        return DensityField(self.grid, out, f.escaped_mass)
-
-    def advance(self, f: DensityField, tau: float, n_sub: int) -> DensityField:
-        h = tau / n_sub
-        for _ in range(n_sub):
-            f = self.step(f, h)
-        return f
-
-
 def duhamel_solve(f0: DensityField, cfg: SolverConfig, ks: KernelSet
                   ) -> tuple[Trajectory, DuhamelReport]:
     """Picard iteration on the mild formulation.
@@ -383,9 +364,9 @@ def duhamel_solve(f0: DensityField, cfg: SolverConfig, ks: KernelSet
     if weighted_integral(f0, wm) > cfg.ball_radius * (1 + 1e-12):
         raise ConfigError("duhamel solver needs the initial state inside the ball")
 
-    beta = compute_beta(ks.k.k0, cfg.ball_radius)
-    prop = _LinearPropagator(ks, grid, cfg, beta)
-    ct = build_coag_tables(ks.k, grid) if not ks.k.is_zero else None
+    # the mild formulation is built on the shifted operators whatever
+    # use_beta_shift says for the splitting scheme
+    prop = SplitStepper(ks, grid, replace(cfg, use_beta_shift=True))
     n_out = int(round(cfg.t_end / cfg.output_every))
     d_out = cfg.t_end / n_out
     n_sub = max(1, int(round(d_out / cfg.dt)))
@@ -394,12 +375,12 @@ def duhamel_solve(f0: DensityField, cfg: SolverConfig, ks: KernelSet
     # linear part S(t_k) f0, iterate independent
     lin = [f0.copy()]
     for _ in range(n_out):
-        lin.append(prop.advance(lin[-1], d_out, n_sub))
+        lin.append(prop.advance_linear(lin[-1], d_out, n_sub))
 
     def k_beta(f: DensityField) -> DensityField:
-        if ct is None:
-            return DensityField(grid, beta * (1.0 + np.power(grid.centers, ks.k.alpha)) * f.values)
-        return apply_coag_beta(f, ct, beta, ks.k.alpha)
+        if prop.ct is None:
+            return DensityField(grid, prop.a1 * f.values)
+        return apply_coag_beta(f, prop.ct, prop.beta, ks.k.alpha)
 
     iterates = [fld.copy() for fld in lin]
     prev_err: Optional[np.ndarray] = None
@@ -414,7 +395,7 @@ def duhamel_solve(f0: DensityField, cfg: SolverConfig, ks: KernelSet
         for k in range(1, n_out + 1):
             carry = DensityField(grid, G.values + 0.5 * d_out * sources[k - 1].values,
                                  G.escaped_mass + 0.5 * d_out * sources[k - 1].escaped_mass)
-            G = prop.advance(carry, d_out, n_sub)
+            G = prop.advance_linear(carry, d_out, n_sub)
             G = DensityField(grid, G.values + 0.5 * d_out * sources[k].values,
                              G.escaped_mass + 0.5 * d_out * sources[k].escaped_mass)
             new.append(DensityField(grid, lin[k].values + G.values,
@@ -470,7 +451,8 @@ def _linear_norm_curve(ks: KernelSet, grid: SizeGrid, m: float, f0: DensityField
                        t_list: np.ndarray, dt: float) -> np.ndarray:
     cfg = SolverConfig(dt=dt, t_end=float(t_list[-1]), m=m, scheme="lie-split",
                        positivity_policy="off", use_beta_shift=False)
-    prop = _LinearPropagator(ks, grid, cfg, beta=0.0)
+    # the unshifted linear semigroup needs no coagulation tables
+    prop = SplitStepper(replace(ks, k=CoagulationKernel(k0=0.0)), grid, cfg)
     wm = WeightSpec(m, "shifted")
     norms = []
     f = f0.copy()
@@ -478,7 +460,7 @@ def _linear_norm_curve(ks: KernelSet, grid: SizeGrid, m: float, f0: DensityField
     for target in t_list:
         n_sub = max(1, int(round((target - t) / dt)))
         if target > t:
-            f = prop.advance(f, target - t, n_sub)
+            f = prop.advance_linear(f, target - t, n_sub)
             t = target
         norms.append(weighted_integral(f, wm))
     return np.array(norms)
@@ -516,19 +498,17 @@ def regularization_probe(ks: KernelSet, grid: SizeGrid, m: float, n: float, p: f
 
     kappa = (m - n) / ks.a.gamma0
 
-    def run(g: SizeGrid) -> tuple[float, float]:
-        f = project(profile, g)
-        norms = _linear_norm_curve(ks, g, m, f, t_list, dt)
+    def run(g: SizeGrid) -> tuple[float, float, np.ndarray]:
+        norms = _linear_norm_curve(ks, g, m, project(profile, g), t_list, dt)
         tail = t_list >= t_list[-1] / 3.0
         theta = max(0.0, float(np.polyfit(t_list[tail], np.log(norms[tail]), 1)[0]))
         product = np.power(t_list, kappa) * np.exp(-theta * t_list) * norms
-        return float(np.max(product)), theta
+        return float(np.max(product)), theta, norms
 
-    sup1, theta1 = run(grid)
+    sup1, theta1, norms = run(grid)
     refined = SizeGrid.geometric(grid.xmin, grid.xmax * 2.0, grid.cells * 2)
-    sup2, _ = run(refined)
+    sup2, _, _ = run(refined)
     variation = abs(sup2 - sup1) / sup1
-    norms = _linear_norm_curve(ks, grid, m, f0, t_list, dt)
     return ProbeReport(theta1, sup1, sup2, variation, variation < stability_tol,
                        norms, t_list)
 

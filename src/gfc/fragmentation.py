@@ -48,36 +48,26 @@ class DaughterMatrix:
 
 
 def build_daughter_matrix(b: DaughterDistribution, grid: SizeGrid) -> DaughterMatrix:
-    x, widths = grid.centers, grid.widths
-    n = grid.cells
+    x = grid.centers
     # exact per-cell daughter counts: w_ij = int over cell i of b(., x_j);
     # the integral saturates at the parent size, so cells above it get nothing
-    z = np.minimum(grid.edges[:, None], x[None, :])   # (n+1, n)
-    if b.kind == "uniform-binary":
-        counts = 2.0 * z / x[None, :]
-    elif b.kind == "power-law":
-        counts = (b.nu + 2.0) / (b.nu + 1.0) * np.power(z / x[None, :], b.nu + 1.0)
-    else:
-        counts = np.array([[b.partial_number(float(y), float(e)) for y in x]
-                           for e in grid.edges])
-    w = np.diff(counts, axis=0)
+    w = np.diff(b.partial_number(x[None, :], grid.edges[:, None]), axis=0)
 
     # fragment mass below the grid is lumped into the smallest cell, which
     # keeps the mass budget closed; the lumped share is reported
-    below = np.array([b.partial_mass(float(xj), grid.xmin) for xj in x])
+    below = b.partial_mass(x, grid.xmin)
     lumped_fraction = below / x
     w[0, :] += below / x[0]
 
     colmass = x @ w
     flagged = colmass <= 0.0
-    renorm = np.ones(n)
+    renorm = np.ones(grid.cells)
     ok = ~flagged
     renorm[ok] = x[ok] / colmass[ok]
     w *= renorm[None, :]
     # a parent whose daughters all fall outside the grid routes everything
     # to the smallest cell
-    for j in np.nonzero(flagged)[0]:
-        w[0, j] = x[j] / x[0]
+    w[0, flagged] = x[flagged] / x[0]
     return DaughterMatrix(grid, w, lumped_fraction, flagged)
 
 

@@ -104,6 +104,28 @@ class FragmentationRate:
         return self.a0 * np.power(x, self.gamma0)
 
 
+def _pl_integral(u: np.ndarray, phi: np.ndarray, up_to, p: int):
+    """Exact int_0^up_to s^p phi(s) ds, p in {0, 1}, for the piecewise-linear
+    phi on the increasing knots u; elementwise over an array of up_to.
+
+    Whole segments come from a cumulative sum of their closed-form
+    integrals, the segment holding up_to (clipped to [u[0], u[-1]]) from the
+    same closed form on its part below up_to.
+    """
+    c1 = np.diff(phi) / np.diff(u)
+    c0 = phi[:-1] - c1 * u[:-1]
+
+    def segment(k, lo, hi):
+        # int_lo^hi s^p (c0 + c1 s) ds on segment k
+        return (c0[k] * (hi ** (p + 1) - lo ** (p + 1)) / (p + 1)
+                + c1[k] * (hi ** (p + 2) - lo ** (p + 2)) / (p + 2))
+
+    whole = np.concatenate(([0.0], np.cumsum(segment(slice(None), u[:-1], u[1:]))))
+    s = np.clip(up_to, u[0], u[-1])
+    k = np.clip(np.searchsorted(u, s, side="right") - 1, 0, len(u) - 2)
+    return whole[k] + segment(k, u[k], s)
+
+
 @dataclass(frozen=True)
 class DaughterDistribution:
     """Fragment size distribution b(x, y) for a parent of size y.
@@ -139,28 +161,12 @@ class DaughterDistribution:
                 raise KernelConfigError("table_phi must be nonnegative")
             object.__setattr__(self, "table_u", u)
             object.__setattr__(self, "table_phi", phi)
-            # exact first moment of the piecewise-linear phi: per-segment
-            # int u*(c0 + c1 u) du has a closed form; renormalize so that
-            # the discrete mass-conservation identity holds exactly.
-            m1 = self._pl_moment(1.0)
+            # exact first moment of the piecewise-linear phi; renormalize so
+            # that the discrete mass-conservation identity holds exactly
+            m1 = _pl_integral(u, phi, 1.0, 1)
             if m1 <= 0:
                 raise KernelConfigError("table daughter carries no mass")
             object.__setattr__(self, "_scale", 1.0 / m1)
-
-    def _pl_moment(self, m: float) -> float:
-        """Exact int_0^1 u^m * phi(u) du for the raw piecewise-linear table."""
-        u, phi = self.table_u, self.table_phi
-        total = 0.0
-        for i in range(len(u) - 1):
-            ua, ub = u[i], u[i + 1]
-            pa, pb = phi[i], phi[i + 1]
-            if ub == ua:
-                continue
-            c1 = (pb - pa) / (ub - ua)
-            c0 = pa - c1 * ua
-            total += c0 * (ub ** (m + 1) - ua ** (m + 1)) / (m + 1)
-            total += c1 * (ub ** (m + 2) - ua ** (m + 2)) / (m + 2)
-        return total
 
     @property
     def n0_bound_amplitude(self) -> float:
@@ -178,7 +184,7 @@ class DaughterDistribution:
             return 2.0
         if self.kind == "power-law":
             return (self.nu + 2.0) / (self.nu + 1.0)
-        return self._scale * self._pl_moment(0.0)
+        return self._scale * _pl_integral(self.table_u, self.table_phi, 1.0, 0)
 
     def __call__(self, x, y):
         x = np.asarray(x, dtype=float)
@@ -193,50 +199,25 @@ class DaughterDistribution:
                 out = self._scale * np.interp(u, self.table_u, self.table_phi) / y
         return np.where(x > y, 0.0, out)
 
-    def partial_mass(self, y: float, up_to: float) -> float:
-        """int_0^min(up_to, y) x b(x, y) dx, exact for the built-in kinds."""
-        z = min(up_to, y)
-        if z <= 0:
-            return 0.0
+    def partial_mass(self, y, up_to):
+        """int_0^min(up_to, y) x b(x, y) dx, exact for every kind; elementwise
+        over broadcast arrays of y and up_to."""
+        z = np.maximum(np.minimum(up_to, y), 0.0)
         if self.kind == "uniform-binary":
             return z * z / y
         if self.kind == "power-law":
             return (z / y) ** (self.nu + 1.0) * z
-        u = z / y
-        # exact piecewise-linear integral of s*u*phi(u) up to u, rescaled by y
-        total = 0.0
-        for i in range(len(self.table_u) - 1):
-            ua, ub = self.table_u[i], min(self.table_u[i + 1], u)
-            if ub <= ua:
-                break
-            pa = np.interp(ua, self.table_u, self.table_phi)
-            pb = np.interp(ub, self.table_u, self.table_phi)
-            c1 = (pb - pa) / (ub - ua)
-            c0 = pa - c1 * ua
-            total += c0 * (ub**2 - ua**2) / 2 + c1 * (ub**3 - ua**3) / 3
-        return self._scale * total * y
+        return self._scale * _pl_integral(self.table_u, self.table_phi, z / y, 1) * y
 
-    def partial_number(self, y: float, up_to: float) -> float:
-        """int_0^min(up_to, y) b(x, y) dx, exact for the built-in kinds."""
-        z = min(up_to, y)
-        if z <= 0:
-            return 0.0
+    def partial_number(self, y, up_to):
+        """int_0^min(up_to, y) b(x, y) dx, exact for every kind; elementwise
+        over broadcast arrays of y and up_to."""
+        z = np.maximum(np.minimum(up_to, y), 0.0)
         if self.kind == "uniform-binary":
             return 2.0 * z / y
         if self.kind == "power-law":
             return (self.nu + 2.0) / (self.nu + 1.0) * (z / y) ** (self.nu + 1.0)
-        u = z / y
-        total = 0.0
-        for i in range(len(self.table_u) - 1):
-            ua, ub = self.table_u[i], min(self.table_u[i + 1], u)
-            if ub <= ua:
-                break
-            pa = np.interp(ua, self.table_u, self.table_phi)
-            pb = np.interp(ub, self.table_u, self.table_phi)
-            c1 = (pb - pa) / (ub - ua)
-            c0 = pa - c1 * ua
-            total += c0 * (ub - ua) + c1 * (ub**2 - ua**2) / 2
-        return self._scale * total
+        return self._scale * _pl_integral(self.table_u, self.table_phi, z / y, 0)
 
 
 @dataclass(frozen=True)

@@ -1,17 +1,21 @@
 """Verification suites, run reports and CSV emission.
 
 Each suite turns one analytically testable property into pass/fail rows with measured
-values and bounds.  Suites share a single lazily computed trajectory, so a
-full verify pass costs one solve plus the checks that need extra runs
-(cross-validation, determinism, the regularization probe).
+values and bounds.  Suites and the CSV writer share one `ScenarioContext`,
+which solves the scenario once with its configured scheme and assembles the
+moment-bound cascade once on that trajectory.  A `gfc run` or `gfc verify`
+pass therefore costs one solve plus the runs a check needs of its own: one
+fresh solve for determinism, a Duhamel solve for cross-validation (and a
+splitting solve when the scenario itself is Duhamel), and the linear runs of
+the regularization probe.
 """
 from __future__ import annotations
 
-import hashlib
 import io
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -20,8 +24,8 @@ import numpy as np
 from . import moment_bounds as mb
 from .coagulation import build_coag_tables, coag_moment_identity
 from .config import ScenarioConfig
-from .evolution import (ConfigError, SolverConfig, Trajectory, duhamel_solve,
-                        pde_residual, regularization_probe, solve)
+from .evolution import (ConfigError, DuhamelReport, SolverConfig, Trajectory,
+                        duhamel_solve, pde_residual, regularization_probe, solve)
 from .fragmentation import (apply_frag, build_daughter_matrix,
                             frag_moment_identity, neglected_gain_estimate)
 from .grid import DensityField, SizeGrid, WeightSpec, moment, project, weighted_integral
@@ -121,27 +125,55 @@ class ScenarioContext:
         self.cfg: SolverConfig = sc.solver_config()
         self.f0: DensityField = sc.initial_field(self.grid)
         self.rng = np.random.default_rng(sc.seed)
-        self._traj: Optional[Trajectory] = None
-        self._dm = None
-        self._ct = None
 
-    @property
+    @cached_property
     def dm(self):
-        if self._dm is None and not self.ks.a.is_zero:
-            self._dm = build_daughter_matrix(self.ks.b, self.grid)
-        return self._dm
+        return None if self.ks.a.is_zero else build_daughter_matrix(self.ks.b, self.grid)
 
-    @property
+    @cached_property
     def ct(self):
-        if self._ct is None and not self.ks.k.is_zero:
-            self._ct = build_coag_tables(self.ks.k, self.grid)
-        return self._ct
+        return None if self.ks.k.is_zero else build_coag_tables(self.ks.k, self.grid)
+
+    def fresh_solve(self) -> tuple[Trajectory, Optional[DuhamelReport]]:
+        """Solve the scenario with its configured scheme, bypassing the cache."""
+        if self.cfg.scheme == "duhamel":
+            return duhamel_solve(self.f0, self.cfg, self.ks)
+        return solve(self.f0, self.cfg, self.ks, dm=self.dm, ct=self.ct), None
+
+    @cached_property
+    def solution(self) -> tuple[Trajectory, Optional[DuhamelReport]]:
+        """The scenario's one solve; the Picard report is None for splitting."""
+        return self.fresh_solve()
 
     @property
     def trajectory(self) -> Trajectory:
-        if self._traj is None:
-            self._traj = solve(self.f0, self.cfg, self.ks, dm=self.dm, ct=self.ct)
-        return self._traj
+        return self.solution[0]
+
+    @cached_property
+    def conditions(self) -> mb.ConditionReport:
+        return mb.global_conditions(self.ks, self.grid.xmax)
+
+    @cached_property
+    def bounds(self) -> mb.BoundTrajectory:
+        """The a priori moment bounds at the trajectory's output times.
+
+        Raises InfeasibleParamsError when neither global-existence
+        condition holds, or when the bound parameters cannot be assembled.
+        """
+        cond = self.conditions
+        if not cond.any_holds:
+            raise mb.InfeasibleParamsError(
+                "neither global-existence condition holds; no bound system available")
+        traj = self.trajectory
+        bp = self.sc.bounds_params()
+        env_max = mb.m1_envelope_max(cond, self.ks, traj.M0[0], traj.M1[0], self.cfg.t_end)
+        par = mb.assemble_bound_params(self.ks, self.cfg.m, env_max, cond,
+                                       sample_hi=10 * self.grid.xmax,
+                                       mode=bp["mode"], phi_order=bp["phi_order"],
+                                       eps_margin=bp["eps_margin"])
+        init = {0: traj.M0[0], 1: traj.M1[0], 2: traj.M2[0],
+                **{i: moment(traj.fields[0], float(i)) for i in par.orders}}
+        return mb.bound_system(par, init, traj.times, self.cfg.dt)
 
     def random_fields(self, count: int) -> list[DensityField]:
         out = []
@@ -300,6 +332,9 @@ def _suite_negative_control(ctx: ScenarioContext) -> list[ReportRow]:
 
 
 def _suite_mass_budget(ctx: ScenarioContext) -> list[ReportRow]:
+    if ctx.cfg.scheme == "duhamel":
+        return [ReportRow("mass-budget", "closure", "n/a",
+                          detail="Duhamel trajectories record no growth ledger")]
     tol = ctx.sc.tolerance("mass_budget", 1e-8)
     traj = ctx.trajectory
     scale = max(float(np.max(np.abs(traj.M1))), 1e-300)
@@ -368,10 +403,14 @@ def _suite_cross_validation(ctx: ScenarioContext) -> list[ReportRow]:
     tol = ctx.sc.tolerance("cross_validation", 0.02)
     # convolution nodes at half the output cadence keep the product-trapezoid
     # error comfortably inside the agreement tolerance
-    dcfg = SolverConfig(**{**ctx.cfg.__dict__, "scheme": "duhamel",
-                           "output_every": 0.5 * ctx.cfg.output_every})
+    dcfg = replace(ctx.cfg, scheme="duhamel", output_every=0.5 * ctx.cfg.output_every)
     dtraj, drep = duhamel_solve(ctx.f0, dcfg, ctx.ks)
-    traj = ctx.trajectory
+    if ctx.cfg.scheme == "duhamel":
+        # the scenario's own trajectory is a Duhamel one: compare a splitting solve
+        traj = solve(ctx.f0, replace(ctx.cfg, scheme="strang-split"), ctx.ks,
+                     dm=ctx.dm, ct=ctx.ct)
+    else:
+        traj = ctx.trajectory
     w = WeightSpec(ctx.cfg.m, "shifted")
     worst = 0.0
     for k, t in enumerate(dtraj.times):
@@ -410,7 +449,7 @@ def _suite_regularization_probe(ctx: ScenarioContext) -> list[ReportRow]:
 
 
 def _suite_moment_domination(ctx: ScenarioContext) -> list[ReportRow]:
-    cond = mb.global_conditions(ctx.ks, ctx.grid.xmax)
+    cond = ctx.conditions
     rows = [ReportRow("moment-domination", "condition",
                       "pass" if cond.any_holds else "fail",
                       detail=f"certified ({cond.certified}); "
@@ -418,17 +457,8 @@ def _suite_moment_domination(ctx: ScenarioContext) -> list[ReportRow]:
     if not cond.any_holds:
         return rows
     traj = ctx.trajectory
-    bp = ctx.sc.bounds_params()
-    env_max = mb.m1_envelope_max(cond, ctx.ks, traj.M0[0], traj.M1[0], ctx.cfg.t_end)
-    par = mb.assemble_bound_params(ctx.ks, ctx.cfg.m, env_max, cond,
-                                   sample_hi=10 * ctx.grid.xmax,
-                                   mode=bp["mode"], phi_order=bp["phi_order"],
-                                   eps_margin=bp["eps_margin"])
-    bounds = mb.bound_system(par, {0: traj.M0[0], 1: traj.M1[0], 2: traj.M2[0],
-                                   **{i: moment(traj.fields[0], float(i)) for i in par.orders}},
-                             traj.times, ctx.cfg.dt)
     tol = ctx.sc.tolerance("domination", 0.05)
-    dom = mb.check_domination(traj, bounds, ctx.ks, tol=tol)
+    dom = mb.check_domination(traj, ctx.bounds, ctx.ks, tol=tol)
     for r in dom.rows:
         rows.append(ReportRow("moment-domination", r.name,
                               "pass" if r.ok else "fail", r.max_ratio, 1.0 + tol, r.detail))
@@ -439,7 +469,6 @@ def _suite_moment_domination(ctx: ScenarioContext) -> list[ReportRow]:
         rows.append(ReportRow("moment-domination", "M1-envelope-tight",
                               "pass" if dev <= tight else "fail", dev, tight,
                               "linear growth makes the envelope an identity"))
-    ctx._bounds = bounds  # stash for CSV emission
     return rows
 
 
@@ -460,13 +489,9 @@ def _suite_pde_residual(ctx: ScenarioContext) -> list[ReportRow]:
 
 
 def _suite_determinism(ctx: ScenarioContext) -> list[ReportRow]:
-    traj1 = solve(ctx.f0, ctx.cfg, ctx.ks, dm=ctx.dm, ct=ctx.ct)
-    traj2 = solve(ctx.f0, ctx.cfg, ctx.ks, dm=ctx.dm, ct=ctx.ct)
-    t1 = trajectory_csv_text(traj1)
-    t2 = trajectory_csv_text(traj2)
-    same = hashlib.sha256(t1.encode()).hexdigest() == hashlib.sha256(t2.encode()).hexdigest()
+    same = trajectory_csv_text(ctx.fresh_solve()[0]) == trajectory_csv_text(ctx.trajectory)
     return [ReportRow("determinism", "bit-identical-csv", "pass" if same else "fail",
-                      detail="two fresh solves, identical seed")]
+                      detail="fresh solve against the shipped trajectory, identical seed")]
 
 
 SUITES: dict[str, Callable[[ScenarioContext], list]] = {
@@ -489,11 +514,10 @@ SUITES: dict[str, Callable[[ScenarioContext], list]] = {
 }
 
 
-def run_suites(sc: ScenarioConfig, suites: Optional[list[str]] = None) -> tuple[RunReport, ScenarioContext]:
-    """Execute the scenario's enabled verification suites."""
-    ctx = ScenarioContext(sc)
-    names = sc.check_suites if suites is None else suites
-    report = RunReport(scenario=sc.echo())
+def run_suites(ctx: ScenarioContext, suites: Optional[list[str]] = None) -> tuple[RunReport, ScenarioContext]:
+    """Execute the scenario's enabled verification suites on its context."""
+    names = ctx.sc.check_suites if suites is None else suites
+    report = RunReport(scenario=ctx.sc.echo())
     start = time.perf_counter()
     for name in names:
         if name not in SUITES:

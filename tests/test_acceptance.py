@@ -232,7 +232,7 @@ def test_c10_solver_cross_validation(contexts):
 
 
 def test_c11_regularization_probe(contexts):
-    report, _ = run_suites(contexts["regularization-probe"].sc,
+    report, _ = run_suites(contexts["regularization-probe"],
                            suites=["regularization-probe"])
     rows = {r.name: r for r in report.rows}
     assert np.isfinite(rows["bounded-product"].measured)

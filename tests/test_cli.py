@@ -177,3 +177,58 @@ class TestCommands:
         assert "certified condition: (ii)" in out
         header = (tmp_path / "out" / "scenario_trajectory.csv").read_text().splitlines()[0]
         assert "bound_0" in header and "bound_m" in header
+
+
+class TestOneSolvePerScenario:
+    @staticmethod
+    def counting(monkeypatch, module, name):
+        calls = []
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
+    def test_run_solves_twice_and_bounds_once(self, tmp_path, monkeypatch):
+        import gfc.moment_bounds
+        import gfc.report
+        raw = get_preset("gfc-global-i")
+        raw["grid"]["cells"] = 64
+        raw["time"].update(t_end=0.05, output_every=0.025)
+        raw["checks"] = {"suites": ["moment-domination", "determinism"]}
+        cfg = write_cfg(tmp_path, raw)
+        solves = self.counting(monkeypatch, gfc.report, "solve")
+        cascades = self.counting(monkeypatch, gfc.moment_bounds, "bound_system")
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+        # the shipped trajectory plus the determinism suite's fresh solve
+        assert len(solves) == 2
+        assert len(cascades) == 1
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "verify")]) == 0
+        header = (tmp_path / "verify" / "scenario_trajectory.csv").read_text().splitlines()[0]
+        assert header.split(",")[-4:] == ["bound_0", "bound_1", "bound_2", "bound_m"]
+
+    def test_duhamel_scenario_ships_the_duhamel_trajectory(self, tmp_path, capsys):
+        import numpy as np
+        from gfc.evolution import duhamel_solve
+        from gfc.report import trajectory_csv_text
+        raw = get_preset("gfc-global-ii")
+        raw["grid"]["cells"] = 64
+        raw["solver"]["scheme"] = "duhamel"
+        raw["time"].update(t_end=0.1, output_every=0.025)
+        raw["checks"] = {"suites": ["positivity", "mass-budget"]}
+        cfg = write_cfg(tmp_path, raw)
+        sc = load_scenario(raw)
+        traj, _ = duhamel_solve(sc.initial_field(sc.grid()), sc.solver_config(), sc.kernel_set())
+        for command in ("run", "verify"):
+            assert main([command, "--config", cfg, "--out", str(tmp_path / command)]) == 0
+            out = capsys.readouterr().out
+            assert ("duhamel:" in out) == (command == "run")
+            # the suites check the Duhamel trajectory, and the CSV ships it
+            row = next(line for line in out.splitlines() if "positivity/min-cell" in line)
+            assert f"measured={np.min(traj.min_density):.6g} " in row
+            assert "n/a  mass-budget/closure" in out
+            written = (tmp_path / command / "scenario_trajectory.csv").read_text()
+            assert written == trajectory_csv_text(traj)

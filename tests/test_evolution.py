@@ -4,8 +4,8 @@ import pytest
 from conftest import make_kernels
 from gfc.config import load_scenario
 from gfc.evolution import (ConfigError, NumericalFailureError, SetupError,
-                           SolverConfig, duhamel_solve, pde_residual,
-                           regularization_probe, solve, step_split)
+                           SolverConfig, SplitStepper, duhamel_solve, pde_residual,
+                           regularization_probe, solve)
 from gfc.fragmentation import build_daughter_matrix
 from gfc.grid import DensityField, SizeGrid, WeightSpec, moment, project, weighted_integral
 from gfc.presets import get_preset
@@ -72,12 +72,20 @@ class TestStepSplit:
         grid = SizeGrid.geometric(0.1, 30.0, 256)
         f = project(lambda x: x * np.exp(-x), grid)
         cfg = mk_cfg(dt=1e-3)
-        stepped = step_split(f, 1e-3, ks, None, None, cfg)
+        cfg.validate(ks, grid)
+        stepped = SplitStepper(ks, grid, cfg).step(f, 1e-3)
         direct = transport_apply(f, 1e-3, ks, 2.0, include_absorption=False)
         w = WeightSpec(2.0, "shifted")
         # two half-step remaps against one: only interpolation noise remains
         gap = weighted_integral(DensityField(grid, np.abs(stepped.values - direct.values)), w)
         assert gap / weighted_integral(direct, w) < 1e-5
+
+    def test_solve_rejects_duhamel_scheme(self):
+        ks = make_kernels(a0=1.0, k0=0.5, coag_kind="sum", growth="linear", r0=0.0, r1=0.2)
+        grid = SizeGrid.geometric(1e-2, 30.0, 64)
+        f = project(lambda x: 0.1 * x * np.exp(-x), grid)
+        with pytest.raises(ConfigError, match="duhamel_solve"):
+            solve(f, mk_cfg(scheme="duhamel", n=1.25, p=1.5), ks)
 
     def test_zero_initial_state_stays_zero(self):
         ks = make_kernels(a0=1.0, k0=0.5, coag_kind="sum", growth="linear", r0=0.0, r1=0.2)
@@ -221,6 +229,25 @@ class TestRegularizationProbe:
         t_list = np.geomspace(1e-2, 1.0, 9)
         rep = regularization_probe(probe_ks, grid, 3.5, 1.25, 2.0, t_list, dt=2e-3)
         assert np.isfinite(rep.sup_product) and rep.passed
+
+    def test_norms_come_from_the_two_probe_curves(self, probe_ks, monkeypatch):
+        import gfc.evolution
+        curves = []
+        original = gfc.evolution._linear_norm_curve
+
+        def counted(*args, **kwargs):
+            curves.append(args[1].cells)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(gfc.evolution, "_linear_norm_curve", counted)
+        grid = SizeGrid.geometric(1e-4, 128.0, 64)
+        t_list = np.geomspace(1e-2, 0.5, 5)
+        rep = regularization_probe(probe_ks, grid, 3.5, 1.5, 2.0, t_list, dt=5e-3)
+        # one curve on the grid, one on the refined grid
+        assert curves == [64, 128]
+        f0 = project(lambda x: np.power(1.0 + x, -(2.0 + 1.0 + 0.25)), grid)
+        direct = original(probe_ks, grid, 3.5, f0, t_list, 5e-3)
+        assert np.array_equal(rep.norms, direct)
 
     def test_integrable_profile_rejected(self, probe_ks):
         grid = SizeGrid.geometric(1e-4, 128.0, 128)

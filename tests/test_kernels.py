@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from conftest import make_kernels
+from gfc.fragmentation import build_daughter_matrix
+from gfc.grid import SizeGrid
 from gfc.kernels import (REACHABLE, UNREACHABLE, CoagulationKernel,
                          DaughterDistribution, GrowthRate,
                          SamplePlan, compute_beta, daughter_moment,
@@ -64,6 +66,31 @@ class TestDaughterMoments:
         num = b.partial_number(4.0, 1.5)
         oracle_n, _ = quad(lambda x: b(x, 4.0), 0, 1.5, limit=100)
         assert num == pytest.approx(oracle_n, rel=1e-9)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_table_kind_random_tables(self, data):
+        knots = data.draw(st.integers(2, 20))
+        inner = data.draw(st.lists(st.floats(0.01, 0.99), min_size=knots - 2,
+                                   max_size=knots - 2, unique=True))
+        u = np.array([0.0, *sorted(inner), 1.0])
+        assume(np.all(np.diff(u) > 1e-3))
+        phi = np.array(data.draw(st.lists(st.floats(0.0, 10.0), min_size=knots,
+                                          max_size=knots)))
+        assume(np.any(phi > 0.01))
+        b = DaughterDistribution("table", table_u=u, table_phi=phi)
+        y = data.draw(st.floats(0.01, 50.0))
+        up_to = data.draw(st.one_of(st.just(0.0), st.floats(1e-3, 60.0)))
+        z = min(up_to, y)
+        points = [float(k * y) for k in u if 0.0 < k * y < z]
+        for p, value in ((0, b.partial_number(y, up_to)), (1, b.partial_mass(y, up_to))):
+            oracle, _ = quad(lambda x: b(x, y) * x**p, 0.0, z, points=points or None,
+                             limit=100, epsabs=0.0, epsrel=1e-13)
+            assert value == pytest.approx(oracle, rel=1e-9, abs=1e-300)
+        grid = SizeGrid.geometric(data.draw(st.floats(1e-4, 0.1)), 40.0,
+                                  data.draw(st.integers(4, 96)))
+        dm = build_daughter_matrix(b, grid)
+        np.testing.assert_allclose(dm.column_moment(1.0), grid.centers, rtol=1e-12)
 
     def test_tail_diagnostics(self):
         b = DaughterDistribution("uniform-binary")
