@@ -100,15 +100,14 @@ def cmd_probe(args) -> int:
 def cmd_bounds(args) -> int:
     ctx = _context(args)
     bounds = ctx.bounds
-    dom = mb.check_domination(ctx.trajectory, bounds, ctx.ks,
-                              tol=ctx.sc.tolerance("domination", 0.05))
+    rows = mb.check_domination(ctx.trajectory, bounds, ctx.ks,
+                               tol=ctx.sc.tolerance("domination", 0.05))
     path = write_trajectory_csv(_csv_path(ctx, args), ctx.trajectory, bounds)
     print(f"certified condition: ({ctx.conditions.certified})")
-    for row in dom.rows:
-        print(f"{'PASS' if row.ok else 'FAIL'}  domination/{row.name} "
-              f"max-ratio={row.max_ratio:.6g}")
+    for row in rows:
+        print(f"{row.status.upper()}  domination/{row.name} max-ratio={row.measured:.6g}")
     print(f"trajectory: {path}")
-    return 0 if dom.ok else 2
+    return 0 if all(r.passed for r in rows) else 2
 
 
 def cmd_list_presets(_args) -> int:
@@ -123,10 +122,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="growth-fragmentation-coagulation solver and verification harness")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_config=True):
-        if needs_config:
-            p.add_argument("--config", required=True,
-                           help="YAML scenario file or built-in preset name")
+    def common(p):
+        p.add_argument("--config", required=True,
+                       help="YAML scenario file or built-in preset name")
         p.add_argument("--out", default="out", help="output directory for CSV files")
         p.add_argument("--cells", type=int, default=None, help="override grid cells")
         p.add_argument("--dt", type=float, default=None, help="override time step")

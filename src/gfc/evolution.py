@@ -141,49 +141,35 @@ class SolverConfig:
                     f"{self.dt * worst:.3f} exceeds 1; lower dt or disable the policy")
 
 
-@dataclass
 class Trajectory:
-    """Snapshots plus scalar observables of one run."""
+    """Snapshots of one run plus the scalar observables of each.
 
-    grid: SizeGrid
-    m_order: float
-    times: np.ndarray
-    fields: list
-    M0: np.ndarray
-    M1: np.ndarray
-    M2: np.ndarray
-    Mm: np.ndarray
-    norm0m: np.ndarray
-    min_density: np.ndarray
-    escaped_mass: np.ndarray
-    growth_mass: np.ndarray
-    outcome: str = "completed"
+    The trajectory keeps the snapshots it is given and computes every column
+    from them; growth_mass is the solver's running growth ledger at the
+    snapshot times (zero for a Duhamel solve, which keeps none).
+    """
+
+    def __init__(self, grid: SizeGrid, m_order: float, times, snapshots: list,
+                 growth_mass, outcome: str = "completed"):
+        self.grid, self.m_order, self.outcome = grid, m_order, outcome
+        self.times = np.asarray(times, dtype=float)
+        self.fields = snapshots
+        self.growth_mass = np.asarray(growth_mass, dtype=float)
+        wm = WeightSpec(m_order, "shifted")
+
+        def column(observable) -> np.ndarray:
+            return np.array([observable(f) for f in snapshots])
+
+        self.M0 = column(lambda f: moment(f, 0.0))
+        self.M1 = column(lambda f: moment(f, 1.0))
+        self.M2 = column(lambda f: moment(f, 2.0))
+        self.Mm = column(lambda f: moment(f, m_order))
+        self.norm0m = column(lambda f: weighted_integral(f, wm))
+        self.min_density = column(DensityField.min_value)
+        self.escaped_mass = column(lambda f: f.escaped_mass)
 
     def moments_at(self, order: float) -> np.ndarray:
         return np.array([moment(f, order) for f in self.fields])
-
-
-def _observe(traj_rows: dict, t: float, f: DensityField, m: float, growth: float) -> None:
-    traj_rows["times"].append(t)
-    traj_rows["fields"].append(f.copy())
-    traj_rows["M0"].append(moment(f, 0.0))
-    traj_rows["M1"].append(moment(f, 1.0))
-    traj_rows["M2"].append(moment(f, 2.0))
-    traj_rows["Mm"].append(moment(f, m))
-    traj_rows["norm0m"].append(weighted_integral(f, WeightSpec(m, "shifted")))
-    traj_rows["min_density"].append(f.min_value())
-    traj_rows["escaped_mass"].append(f.escaped_mass)
-    traj_rows["growth_mass"].append(growth)
-
-
-def _finalize(traj_rows: dict, grid: SizeGrid, m: float, outcome: str) -> Trajectory:
-    return Trajectory(
-        grid, m, np.array(traj_rows["times"]), traj_rows["fields"],
-        np.array(traj_rows["M0"]), np.array(traj_rows["M1"]),
-        np.array(traj_rows["M2"]), np.array(traj_rows["Mm"]),
-        np.array(traj_rows["norm0m"]), np.array(traj_rows["min_density"]),
-        np.array(traj_rows["escaped_mass"]), np.array(traj_rows["growth_mass"]),
-        outcome)
 
 
 class SplitStepper:
@@ -303,9 +289,7 @@ def solve(f0: DensityField, cfg: SolverConfig, ks: KernelSet,
         raise ConfigError("t_end must be an integer number of steps")
     every = max(1, int(round(cfg.output_every / cfg.dt)))
 
-    rows = {k: [] for k in ("times", "fields", "M0", "M1", "M2", "Mm",
-                            "norm0m", "min_density", "escaped_mass", "growth_mass")}
-    _observe(rows, 0.0, f0, cfg.m, stepper.growth_mass)
+    times, snapshots, growth = [0.0], [f0.copy()], [stepper.growth_mass]
     wm = WeightSpec(cfg.m, "shifted")
 
     def abs_norm(f: DensityField) -> float:
@@ -321,11 +305,13 @@ def solve(f0: DensityField, cfg: SolverConfig, ks: KernelSet,
                 f"non-finite density at t = {step * cfg.dt:.6g} (step {step}); "
                 f"min = {np.nanmin(f.values):.3e}, max = {np.nanmax(f.values):.3e}")
         if step % every == 0 or step == n_steps:
-            _observe(rows, step * cfg.dt, f, cfg.m, stepper.growth_mass)
+            times.append(step * cfg.dt)
+            snapshots.append(f.copy())
+            growth.append(stepper.growth_mass)
             if abs_norm(f) > ceiling:
                 outcome = "blowup"
                 break
-    return _finalize(rows, f0.grid, cfg.m, outcome)
+    return Trajectory(f0.grid, cfg.m, times, snapshots, growth, outcome)
 
 
 # ---------------------------------------------------------------------------
@@ -342,13 +328,10 @@ class DuhamelReport:
     ball_radius: float
     max_norm: float
 
-    @property
-    def contracted(self) -> bool:
-        return bool(self.contraction_factors) and self.contraction_factors[-1] < 1.0
 
-
-def duhamel_solve(f0: DensityField, cfg: SolverConfig, ks: KernelSet
-                  ) -> tuple[Trajectory, DuhamelReport]:
+def duhamel_solve(f0: DensityField, cfg: SolverConfig, ks: KernelSet,
+                  dm: Optional[DaughterMatrix] = None,
+                  ct: Optional[CoagTables] = None) -> tuple[Trajectory, DuhamelReport]:
     """Picard iteration on the mild formulation.
 
     Requires the initial state inside the configured ball; every iterate then
@@ -357,6 +340,8 @@ def duhamel_solve(f0: DensityField, cfg: SolverConfig, ks: KernelSet
     G_k = S(dt_out)[G_{k-1} + (dt_out/2) K f_{k-1}] + (dt_out/2) K f_k with
     the propagator resolved by fine substeps, and reports the empirical
     contraction factor plus the largest time window on which contraction held.
+    A daughter matrix dm and coagulation tables ct built for (ks, f0.grid)
+    are used as given instead of being rebuilt.
     """
     grid = f0.grid
     cfg.validate(ks, grid)
@@ -366,7 +351,7 @@ def duhamel_solve(f0: DensityField, cfg: SolverConfig, ks: KernelSet
 
     # the mild formulation is built on the shifted operators whatever
     # use_beta_shift says for the splitting scheme
-    prop = SplitStepper(ks, grid, replace(cfg, use_beta_shift=True))
+    prop = SplitStepper(ks, grid, replace(cfg, use_beta_shift=True), dm=dm, ct=ct)
     n_out = int(round(cfg.t_end / cfg.output_every))
     d_out = cfg.t_end / n_out
     n_sub = max(1, int(round(d_out / cfg.dt)))
@@ -421,11 +406,7 @@ def duhamel_solve(f0: DensityField, cfg: SolverConfig, ks: KernelSet
         idx = np.nonzero(ok)[0]
         window = float(times[idx[-1]]) if idx.size else 0.0
 
-    rows = {k: [] for k in ("times", "fields", "M0", "M1", "M2", "Mm",
-                            "norm0m", "min_density", "escaped_mass", "growth_mass")}
-    for k, fld in enumerate(iterates):
-        _observe(rows, float(times[k]), fld, cfg.m, 0.0)
-    traj = _finalize(rows, grid, cfg.m, "completed")
+    traj = Trajectory(grid, cfg.m, times, iterates, np.zeros(n_out + 1))
     max_norm = float(np.max(traj.norm0m))
     report = DuhamelReport(converged, it, float(np.max(prev_err)) if prev_err is not None else 0.0,
                            factors, window, cfg.ball_radius, max_norm)

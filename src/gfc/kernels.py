@@ -6,7 +6,9 @@ speed r(x) and the binary coagulation kernel k(x, y), plus an auxiliary
 absorption rate a1(x) = beta*(1 + x^alpha) used by the positive-splitting
 machinery.  Each coefficient carries the structural hypotheses it is supposed
 to satisfy; `validate_kernel_set` probes all of them on a sampling plan and
-returns a pass/fail report instead of raising.
+returns check rows instead of raising.  Their type, `ReportRow`, is defined
+here, at the bottom of the import graph, because every check in the package
+reports its results as ReportRows.
 """
 from __future__ import annotations
 
@@ -24,8 +26,7 @@ __all__ = [
     "AbsorptionRate",
     "KernelSet",
     "SamplePlan",
-    "CheckResult",
-    "ValidationReport",
+    "ReportRow",
     "QuadratureError",
     "daughter_moment",
     "moment_deficit",
@@ -54,15 +55,6 @@ def _quad(fun, lo, hi, points=None, epsabs=1e-10, epsrel=1e-8) -> float:
             f"quadrature on [{lo}, {hi}] reported error {err:.2e} for value {val:.6e}"
         )
     return val
-
-
-def _interp1d_flat(xs: np.ndarray, ys: np.ndarray):
-    """Piecewise-linear interpolant with constant extension outside the table."""
-
-    def f(x):
-        return np.interp(np.asarray(x, dtype=float), xs, ys)
-
-    return f
 
 
 @dataclass(frozen=True)
@@ -466,10 +458,14 @@ class SamplePlan:
 
 
 @dataclass
-class CheckResult:
+class ReportRow:
+    """One check result: what was measured against which bound, and whether
+    it held.  Every check the harness runs reports rows of this type."""
+
+    suite: str
     name: str
-    status: str  # 'pass' | 'fail' | 'n/a'
-    worst: float = float("nan")
+    status: str            # 'pass' | 'fail' | 'n/a'
+    measured: float = float("nan")
     bound: float = float("nan")
     detail: str = ""
 
@@ -478,58 +474,39 @@ class CheckResult:
         return self.status != "fail"
 
 
-@dataclass
-class ValidationReport:
-    checks: list[CheckResult] = field(default_factory=list)
-
-    def add(self, *args, **kwargs) -> CheckResult:
-        res = CheckResult(*args, **kwargs)
-        self.checks.append(res)
-        return res
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def failed_names(self) -> list[str]:
-        return [c.name for c in self.checks if not c.passed]
-
-    def __getitem__(self, name: str) -> CheckResult:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
-
-def validate_kernel_set(ks: KernelSet, plan: SamplePlan) -> ValidationReport:
+def validate_kernel_set(ks: KernelSet, plan: SamplePlan) -> list[ReportRow]:
     """Probe every structural hypothesis of the coefficient bundle.
 
-    Failures are report rows, never exceptions.  Checks that do not apply to
-    the scenario (for instance growth positivity with growth switched off)
-    are reported 'n/a'.
+    Failures are 'kernel-validation' rows, never exceptions.  Checks that do
+    not apply to the scenario (for instance growth positivity with growth
+    switched off) are reported 'n/a'.
     """
-    rep = ValidationReport()
+    rows: list[ReportRow] = []
+
+    def add(*args, **kwargs) -> None:
+        rows.append(ReportRow("kernel-validation", *args, **kwargs))
+
     xs = plan.sizes()
 
     a_vals = ks.a(xs)
-    rep.add("frag-nonnegative", "pass" if np.all(a_vals >= 0) else "fail",
-            float(np.min(a_vals)), 0.0)
+    add("frag-nonnegative", "pass" if np.all(a_vals >= 0) else "fail",
+        float(np.min(a_vals)), 0.0)
 
     mask = xs >= ks.a.x0
     if np.any(mask):
         lower = ks.a.a0 * np.power(xs[mask], ks.a.gamma0)
         resid = float(np.min(a_vals[mask] - lower))
-        rep.add("frag-lower-bound", "pass" if resid >= -1e-12 * max(1.0, ks.a.a0) else "fail",
-                resid, 0.0, f"a(x) >= a0*x^gamma0 for x >= {ks.a.x0}")
+        add("frag-lower-bound", "pass" if resid >= -1e-12 * max(1.0, ks.a.a0) else "fail",
+            resid, 0.0, f"a(x) >= a0*x^gamma0 for x >= {ks.a.x0}")
 
     bvals = ks.b(xs[:, None], xs[None, :])
-    rep.add("daughter-nonnegative", "pass" if np.all(bvals >= 0) else "fail",
-            float(np.min(bvals)), 0.0)
+    add("daughter-nonnegative", "pass" if np.all(bvals >= 0) else "fail",
+        float(np.min(bvals)), 0.0)
     il, jl = np.tril_indices(len(xs), k=-1)
     above = bvals[il, jl]  # rows are x, columns are y: i > j means x > y
-    rep.add("daughter-support", "pass" if np.all(above == 0) else "fail",
-            float(np.max(above)) if above.size else 0.0, 0.0,
-            "b(x, y) = 0 for x > y")
+    add("daughter-support", "pass" if np.all(above == 0) else "fail",
+        float(np.max(above)) if above.size else 0.0, 0.0,
+        "b(x, y) = 0 for x > y")
 
     worst = 0.0
     status = "pass"
@@ -543,34 +520,34 @@ def validate_kernel_set(ks: KernelSet, plan: SamplePlan) -> ValidationReport:
         worst = max(worst, abs(mass - y) / y)
         if worst > 1e-8:
             status = "fail"
-    rep.add("daughter-mass-conservation", status, worst, 1e-8,
-            "relative residual of int x*b(x,y) dx = y")
+    add("daughter-mass-conservation", status, worst, 1e-8,
+        "relative residual of int x*b(x,y) dx = y")
 
     b0, ell = ks.b.n0_bound_amplitude, ks.b.n0_bound_exponent
     n0 = np.array([daughter_moment(ks.b, 0.0, float(y)) for y in xs])
     excess = float(np.max(n0 - b0 * (1.0 + xs**ell)))
-    rep.add("daughter-number-bound", "pass" if excess <= 1e-8 * b0 else "fail",
-            excess, 0.0, f"n0(y) <= {b0}*(1 + y^{ell})")
+    add("daughter-number-bound", "pass" if excess <= 1e-8 * b0 else "fail",
+        excess, 0.0, f"n0(y) <= {b0}*(1 + y^{ell})")
 
     ratios = np.array([moment_deficit(ks.b, plan.m0, float(y)) / y**plan.m0
                        for y in plan.liminf_sizes()])
-    rep.add("daughter-liminf", "pass" if np.min(ratios) >= plan.liminf_threshold else "fail",
-            float(np.min(ratios)), plan.liminf_threshold,
-            f"N_m0(y)/y^m0 at m0 = {plan.m0} over [{plan.y_probe}, {100 * plan.y_probe}]")
+    add("daughter-liminf", "pass" if np.min(ratios) >= plan.liminf_threshold else "fail",
+        float(np.min(ratios)), plan.liminf_threshold,
+        f"N_m0(y)/y^m0 at m0 = {plan.m0} over [{plan.y_probe}, {100 * plan.y_probe}]")
 
     if ks.r.is_zero:
-        rep.add("growth-positive", "n/a", detail="growth disabled")
-        rep.add("growth-origin-class", "n/a", detail="growth disabled")
+        add("growth-positive", "n/a", detail="growth disabled")
+        add("growth-origin-class", "n/a", detail="growth disabled")
     else:
         r_vals = ks.r(xs)
-        rep.add("growth-positive", "pass" if np.all(r_vals > 0) else "fail",
-                float(np.min(r_vals)), 0.0)
+        add("growth-positive", "pass" if np.all(r_vals > 0) else "fail",
+            float(np.min(r_vals)), 0.0)
         affine = ks.r.r0 + ks.r.r1 * xs
         cap = ks.r.rtilde * (1.0 + xs)
         ok = np.all(r_vals <= affine * (1 + 1e-12) + 1e-300) and np.all(affine <= cap * (1 + 1e-12))
-        rep.add("growth-affine-bound", "pass" if ok else "fail",
-                float(np.max(r_vals - affine)), 0.0,
-                f"r <= {ks.r.r0} + {ks.r.r1}*x <= rtilde*(1+x)")
+        add("growth-affine-bound", "pass" if ok else "fail",
+            float(np.max(r_vals - affine)), 0.0,
+            f"r <= {ks.r.r0} + {ks.r.r1}*x <= rtilde*(1+x)")
         # 1/r integrability at the origin, probed on a shrinking bracket
         eps = np.geomspace(1e-2, 1e-8, 7)
         tails = np.array([_quad(lambda s: 1.0 / ks.r(s), float(e), 1.0, epsabs=1e-9, epsrel=1e-7)
@@ -578,32 +555,32 @@ def validate_kernel_set(ks: KernelSet, plan: SamplePlan) -> ValidationReport:
         growth_factor = tails[-1] / tails[0]
         bounded = growth_factor < 1.5
         consistent = bounded == (ks.r.origin_class == REACHABLE)
-        rep.add("growth-origin-class", "pass" if consistent else "fail",
-                float(growth_factor), 1.5,
-                f"declared {ks.r.origin_class}; int_eps^1 dx/r growth factor over eps sweep")
+        add("growth-origin-class", "pass" if consistent else "fail",
+            float(growth_factor), 1.5,
+            f"declared {ks.r.origin_class}; int_eps^1 dx/r growth factor over eps sweep")
 
     kxy = ks.k(xs[:, None], xs[None, :])
     sym = float(np.max(np.abs(kxy - kxy.T)))
-    rep.add("coag-symmetric", "pass" if sym <= 1e-12 * max(1.0, ks.k.k0) else "fail", sym, 0.0)
-    rep.add("coag-nonnegative", "pass" if np.all(kxy >= 0) else "fail", float(np.min(kxy)), 0.0)
+    add("coag-symmetric", "pass" if sym <= 1e-12 * max(1.0, ks.k.k0) else "fail", sym, 0.0)
+    add("coag-nonnegative", "pass" if np.all(kxy >= 0) else "fail", float(np.min(kxy)), 0.0)
     over = float(np.max(kxy - ks.k.class_bound(xs[:, None], xs[None, :])))
-    rep.add("coag-class-bound", "pass" if over <= 1e-12 * max(1.0, ks.k.k0) else "fail",
-            over, 0.0, f"declared class {ks.k.bound_class!r}")
+    add("coag-class-bound", "pass" if over <= 1e-12 * max(1.0, ks.k.k0) else "fail",
+        over, 0.0, f"declared class {ks.k.bound_class!r}")
 
-    rep.add("absorption-nonnegative", "pass" if ks.a1.beta >= 0 else "fail", ks.a1.beta, 0.0)
+    add("absorption-nonnegative", "pass" if ks.a1.beta >= 0 else "fail", ks.a1.beta, 0.0)
     if ks.k.is_zero and ks.a1.beta == 0.0:
-        rep.add("absorption-exponent", "n/a", detail="no coagulation, no absorption")
+        add("absorption-exponent", "n/a", detail="no coagulation, no absorption")
     else:
         ok = ks.k.alpha < ks.a.gamma0
-        rep.add("absorption-exponent", "pass" if ok else "fail",
-                ks.k.alpha, ks.a.gamma0, "alpha < gamma0 keeps a1/a bounded at infinity")
+        add("absorption-exponent", "pass" if ok else "fail",
+            ks.k.alpha, ks.a.gamma0, "alpha < gamma0 keeps a1/a bounded at infinity")
 
     if plan.m is not None:
         lmax = max(1.0, ell)
-        rep.add("weight-order", "pass" if plan.m > lmax else "fail",
-                plan.m, lmax, "m > max{1, l}")
+        add("weight-order", "pass" if plan.m > lmax else "fail",
+            plan.m, lmax, "m > max{1, l}")
         if not ks.k.is_zero:
             need = ks.k.alpha + lmax
-            rep.add("weight-order-coagulation", "pass" if plan.m > need else "fail",
-                    plan.m, need, "m > alpha + max{1, l}")
-    return rep
+            add("weight-order-coagulation", "pass" if plan.m > need else "fail",
+                plan.m, need, "m > alpha + max{1, l}")
+    return rows

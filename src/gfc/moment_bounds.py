@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Optional
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
@@ -27,13 +28,12 @@ from scipy.integrate import cumulative_trapezoid
 from .evolution import Trajectory
 from .fragmentation import fragmentation_constants
 from .grid import DensityField
-from .kernels import KernelSet
+from .kernels import KernelSet, ReportRow
 
 __all__ = [
     "ConditionReport",
     "MomentBoundParams",
     "BoundTrajectory",
-    "DominationReport",
     "InfeasibleParamsError",
     "binary_expansion_constant",
     "global_conditions",
@@ -236,6 +236,16 @@ class BoundTrajectory:
     def column(self, key) -> np.ndarray:
         return self.columns[key]
 
+    def order_bound(self, m: float) -> Optional[np.ndarray]:
+        """The bound on M_m: its own column at an integer order, otherwise
+        M1 + M_(floor(m)+1); None when the needed columns are missing."""
+        if float(m).is_integer() and int(m) in self.columns:
+            return self.columns[int(m)]
+        top = int(math.floor(m)) + 1
+        if 1 in self.columns and top in self.columns:
+            return self.columns[1] + self.columns[top]
+        return None
+
 
 def _rk4(rhs, y0: np.ndarray, times: np.ndarray, dt: float) -> np.ndarray:
     """Dense fixed-step RK4 sampled at `times` (which must be multiples of dt)."""
@@ -312,24 +322,6 @@ def bound_system(par: MomentBoundParams, initial_moments: dict, times: np.ndarra
     return BoundTrajectory(times, cols, par)
 
 
-@dataclass
-class DominationRow:
-    name: str
-    ok: bool
-    max_ratio: float
-    detail: str = ""
-
-
-@dataclass
-class DominationReport:
-    rows: list
-    tolerance: float
-
-    @property
-    def ok(self) -> bool:
-        return all(r.ok for r in self.rows)
-
-
 def _frag_flux(f: DensityField, ks: KernelSet, i: int) -> float:
     """int_{x >= x0} a(x) x^i f(x) dx on the grid."""
     x = f.grid.centers
@@ -339,38 +331,41 @@ def _frag_flux(f: DensityField, ks: KernelSet, i: int) -> float:
 
 
 def check_domination(traj: Trajectory, bounds: BoundTrajectory, ks: KernelSet,
-                     tol: float = 0.05) -> DominationReport:
+                     tol: float = 0.05) -> list[ReportRow]:
     """Assert simulated moments stay below their bound trajectories.
 
     Orders 0, 1, 2 and the trajectory's weight order are compared pointwise
     in time; under condition (ii) the zeroth moment is additionally checked
-    through the Phi functional assembled from the snapshots.
+    through the Phi functional assembled from the snapshots.  One
+    'moment-domination' row per comparison, measuring the largest ratio of
+    the simulated value to its bound against 1 + tol.
     """
     par = bounds.params
     if traj.times.shape != bounds.times.shape or np.max(np.abs(traj.times - bounds.times)) > 1e-9:
         raise ValueError("trajectory and bound system must share output times")
+    m = traj.m_order
+    bound_m = bounds.order_bound(m)
+    if bound_m is None:
+        raise KeyError(f"bound system has no bound for order {m:g}")
     rows = []
 
+    def add(name: str, ratio: np.ndarray, detail: str = "") -> None:
+        rows.append(ReportRow("moment-domination", name,
+                              "pass" if np.all(ratio <= 1 + tol) else "fail",
+                              float(np.max(ratio)), 1.0 + tol, detail))
+
     measured = {0: traj.M0, 1: traj.M1, 2: traj.M2}
-    m = traj.m_order
-    if float(m).is_integer() and int(m) in bounds.columns:
-        bound_m = bounds.column(int(m))
-    else:
-        top = int(math.floor(m)) + 1
-        bound_m = bounds.column(1) + bounds.column(top)
-    targets = [(0, "M0"), (1, "M1"), (2, "M2")]
-    for key, name in targets:
+    for key, name in ((0, "M0"), (1, "M1"), (2, "M2")):
         if key not in bounds.columns:
             continue
         b = bounds.column(key)
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(b > 0, measured[key] / b, np.where(measured[key] <= 0, 0.0, np.inf))
-        rows.append(DominationRow(name, bool(np.all(ratio <= 1 + tol)), float(np.max(ratio))))
+        add(name, ratio)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(bound_m > 0, traj.Mm / bound_m,
                          np.where(traj.Mm <= 0, 0.0, np.inf))
-    rows.append(DominationRow("Mm", bool(np.all(ratio <= 1 + tol)), float(np.max(ratio)),
-                              f"weight order {m:g}"))
+    add("Mm", ratio, f"weight order {m:g}")
 
     if par.condition == "ii" and "phi_env" in bounds.columns:
         i = par.phi_order
@@ -380,9 +375,8 @@ def check_domination(traj: Trajectory, bounds: BoundTrajectory, ks: KernelSet,
         env = bounds.column("phi_env")
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(env > 0, phi / env, np.inf)
-        rows.append(DominationRow("Phi", bool(np.all(ratio <= 1 + tol)), float(np.max(ratio)),
-                                  f"functional order {i}"))
-    return DominationReport(rows, tol)
+        add("Phi", ratio, f"functional order {i}")
+    return rows
 
 
 def comparison_principle_residual(traj: Trajectory, par: MomentBoundParams) -> float:

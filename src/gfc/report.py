@@ -29,26 +29,12 @@ from .evolution import (ConfigError, DuhamelReport, SolverConfig, Trajectory,
 from .fragmentation import (apply_frag, build_daughter_matrix,
                             frag_moment_identity, neglected_gain_estimate)
 from .grid import DensityField, SizeGrid, WeightSpec, moment, project, weighted_integral
-from .kernels import KernelSet, SamplePlan, validate_kernel_set
+from .kernels import KernelSet, ReportRow, SamplePlan, validate_kernel_set
 from .transport import (SpectralParams, resolvent_integral_bounds, laplace_consistency,
                         resolvent_apply, resolvent_residual, transport_apply)
 
 __all__ = ["ReportRow", "RunReport", "ScenarioContext", "run_suites",
            "write_trajectory_csv", "trajectory_csv_text", "SUITES"]
-
-
-@dataclass
-class ReportRow:
-    suite: str
-    name: str
-    status: str            # 'pass' | 'fail' | 'n/a'
-    measured: float = float("nan")
-    bound: float = float("nan")
-    detail: str = ""
-
-    @property
-    def passed(self) -> bool:
-        return self.status != "fail"
 
 
 @dataclass
@@ -93,15 +79,10 @@ def trajectory_csv_text(traj: Trajectory, bounds: Optional[mb.BoundTrajectory] =
             if key in bounds.columns:
                 cols.append(f"bound_{key}")
                 arrays.append(bounds.column(key))
-        m = traj.m_order
-        if float(m).is_integer() and int(m) in bounds.columns:
+        bound_m = bounds.order_bound(traj.m_order)
+        if bound_m is not None:
             cols.append("bound_m")
-            arrays.append(bounds.column(int(m)))
-        elif 1 in bounds.columns:
-            top = int(math.floor(m)) + 1
-            if top in bounds.columns:
-                cols.append("bound_m")
-                arrays.append(bounds.column(1) + bounds.column(top))
+            arrays.append(bound_m)
     lines = [",".join(cols)]
     for k in range(len(traj.times)):
         lines.append(",".join(_fmt(float(a[k])) for a in arrays))
@@ -137,7 +118,7 @@ class ScenarioContext:
     def fresh_solve(self) -> tuple[Trajectory, Optional[DuhamelReport]]:
         """Solve the scenario with its configured scheme, bypassing the cache."""
         if self.cfg.scheme == "duhamel":
-            return duhamel_solve(self.f0, self.cfg, self.ks)
+            return duhamel_solve(self.f0, self.cfg, self.ks, dm=self.dm, ct=self.ct)
         return solve(self.f0, self.cfg, self.ks, dm=self.dm, ct=self.ct), None
 
     @cached_property
@@ -189,9 +170,7 @@ class ScenarioContext:
 
 def _suite_kernel_validation(ctx: ScenarioContext) -> list[ReportRow]:
     plan = SamplePlan(xmin=ctx.grid.xmin, xmax=ctx.grid.xmax, m=ctx.cfg.m)
-    rep = validate_kernel_set(ctx.ks, plan)
-    return [ReportRow("kernel-validation", c.name, c.status, c.worst, c.bound, c.detail)
-            for c in rep.checks]
+    return validate_kernel_set(ctx.ks, plan)
 
 
 def _suite_quasi_contractivity(ctx: ScenarioContext) -> list[ReportRow]:
@@ -248,10 +227,8 @@ def _suite_integral_bounds(ctx: ScenarioContext) -> list[ReportRow]:
     for alpha in (0.5, 1.0, 5.0):
         for lam_f in (1.5, 3.0):
             lam = lam_f * omega if omega > 0 else lam_f
-            for rep in resolvent_integral_bounds(alpha, lam, ctx.cfg.m, ctx.ks):
-                rows.append(ReportRow("integral-bounds", f"{rep.name}(a={alpha:g},l={lam:g})",
-                                      "pass" if rep.passed else "fail",
-                                      rep.value, rep.bound))
+            rows += [replace(r, name=f"{r.name}(a={alpha:g},l={lam:g})")
+                     for r in resolvent_integral_bounds(alpha, lam, ctx.cfg.m, ctx.ks)]
     return rows
 
 
@@ -404,7 +381,7 @@ def _suite_cross_validation(ctx: ScenarioContext) -> list[ReportRow]:
     # convolution nodes at half the output cadence keep the product-trapezoid
     # error comfortably inside the agreement tolerance
     dcfg = replace(ctx.cfg, scheme="duhamel", output_every=0.5 * ctx.cfg.output_every)
-    dtraj, drep = duhamel_solve(ctx.f0, dcfg, ctx.ks)
+    dtraj, drep = duhamel_solve(ctx.f0, dcfg, ctx.ks, dm=ctx.dm, ct=ctx.ct)
     if ctx.cfg.scheme == "duhamel":
         # the scenario's own trajectory is a Duhamel one: compare a splitting solve
         traj = solve(ctx.f0, replace(ctx.cfg, scheme="strang-split"), ctx.ks,
@@ -458,10 +435,7 @@ def _suite_moment_domination(ctx: ScenarioContext) -> list[ReportRow]:
         return rows
     traj = ctx.trajectory
     tol = ctx.sc.tolerance("domination", 0.05)
-    dom = mb.check_domination(traj, ctx.bounds, ctx.ks, tol=tol)
-    for r in dom.rows:
-        rows.append(ReportRow("moment-domination", r.name,
-                              "pass" if r.ok else "fail", r.max_ratio, 1.0 + tol, r.detail))
+    rows += mb.check_domination(traj, ctx.bounds, ctx.ks, tol=tol)
     if cond.certified == "ii":
         env = traj.M1[0] * np.exp(ctx.ks.r.rtilde * traj.times)
         dev = float(np.max(np.abs(traj.M1 - env) / env))

@@ -28,7 +28,7 @@ from scipy import integrate
 from scipy.interpolate import PchipInterpolator
 
 from .grid import DensityField, SizeGrid, WeightSpec, weighted_integral
-from .kernels import REACHABLE, UNREACHABLE, GrowthRate, KernelSet
+from .kernels import REACHABLE, UNREACHABLE, GrowthRate, KernelSet, ReportRow
 
 __all__ = [
     "Antiderivatives",
@@ -41,7 +41,6 @@ __all__ = [
     "resolvent_integral_bounds",
     "v_lambda_diagnostics",
     "laplace_consistency",
-    "BoundReport",
     "DivergenceReport",
 ]
 
@@ -76,11 +75,16 @@ class Antiderivatives:
         self._q = ks.q
 
         if self.mode == "tabulated-quadrature":
-            self._R_interp, self._Rinv_interp = self._tabulate(lambda s: 1.0 / r(s))
+            t, R = self._tabulate(lambda s: 1.0 / r(s))
+            self._R_interp = PchipInterpolator(t, R, extrapolate=True)
+            self._Rinv_interp = (PchipInterpolator(R, t, extrapolate=True)
+                                 if np.all(np.diff(R) > 0) else None)
         if not self._q_is_zero:
-            self._Q_interp, _ = self._tabulate(lambda s: ks.q(s) / r(s))
+            t, Q = self._tabulate(lambda s: ks.q(s) / r(s))
+            self._Q_interp = PchipInterpolator(t, Q, extrapolate=True)
 
-    def _tabulate(self, integrand) -> tuple[PchipInterpolator, PchipInterpolator]:
+    def _tabulate(self, integrand) -> tuple[np.ndarray, np.ndarray]:
+        """log x at the anchors and the antiderivative of integrand there."""
         anchors = np.unique(np.concatenate([
             np.geomspace(self.x_lo, self.x_hi, self._anchors), [1.0]]))
         nodes, weights = np.polynomial.legendre.leggauss(10)
@@ -90,10 +94,7 @@ class Antiderivatives:
         seg = (integrand(pts) @ weights) * half
         cum = np.concatenate([[0.0], np.cumsum(seg)])
         cum -= cum[np.searchsorted(anchors, 1.0)]
-        t = np.log(anchors)
-        fwd = PchipInterpolator(t, cum, extrapolate=True)
-        inv = PchipInterpolator(cum, t, extrapolate=True) if np.all(np.diff(cum) > 0) else None
-        return fwd, inv
+        return np.log(anchors), cum
 
     # -- R ------------------------------------------------------------
     def R(self, x):
@@ -352,15 +353,6 @@ def resolvent_residual(f: DensityField, g: DensityField, sp: SpectralParams,
 # integral inequalities for the resolvent bound
 
 
-@dataclass
-class BoundReport:
-    name: str
-    value: float
-    bound: float
-    passed: bool
-    detail: str = ""
-
-
 def _integrand_I(antid: Antiderivatives, ks: KernelSet, sp: SpectralParams):
     w = WeightSpec(sp.m, "shifted")
 
@@ -381,14 +373,15 @@ def _integrand_J(antid: Antiderivatives, ks: KernelSet, sp: SpectralParams):
     return fun
 
 
-def resolvent_integral_bounds(alpha: float, lam: float, m: float, ks: KernelSet) -> list[BoundReport]:
+def resolvent_integral_bounds(alpha: float, lam: float, m: float, ks: KernelSet) -> list[ReportRow]:
     """Check the weighted tail integrals behind the resolvent estimate.
 
     I(alpha, inf) <= exp(-lambda R(alpha)) w_m(alpha) / (lambda - omega) and
     the analogous bound for J with the extra exp(-Q) factor and a factor
-    lambda.  The infinite upper limit is truncated where the integrand falls
-    below 1e-14 of its peak; the exponential tail estimate of the truncated
-    part is added so the check stays conservative.
+    lambda; one 'integral-bounds' row each, named I and J.  The infinite
+    upper limit is truncated where the integrand falls below 1e-14 of its
+    peak; the exponential tail estimate of the truncated part is added so
+    the check stays conservative.
     """
     if alpha <= 0:
         raise ParameterDomainError("lower limit alpha must be positive")
@@ -396,7 +389,6 @@ def resolvent_integral_bounds(alpha: float, lam: float, m: float, ks: KernelSet)
     if ks.r.is_zero:
         raise ParameterDomainError("bound check needs a positive growth rate")
 
-    hi = alpha
     antid = Antiderivatives(ks, x_lo=min(alpha, 1.0) * 1e-3, x_hi=alpha * 1e6)
     f_I = _integrand_I(antid, ks, sp)
     f_J = _integrand_J(antid, ks, sp)
@@ -436,12 +428,9 @@ def resolvent_integral_bounds(alpha: float, lam: float, m: float, ks: KernelSet)
     J_val = adaptive(f_J, alpha, hi) + sp.lam * math.exp(-sp.lam * R_hi - Q_hi) * w_hi / gap
     J_bound = sp.lam * math.exp(-sp.lam * R_a - Q_a) * w_a / gap
 
-    return [
-        BoundReport("I", I_val, I_bound, I_val <= I_bound * (1 + 1e-9),
-                    f"alpha={alpha}, lambda={lam}, m={m}"),
-        BoundReport("J", J_val, J_bound, J_val <= J_bound * (1 + 1e-9),
-                    f"alpha={alpha}, lambda={lam}, m={m}"),
-    ]
+    return [ReportRow("integral-bounds", name, "pass" if val <= bnd * (1 + 1e-9) else "fail",
+                      val, bnd)
+            for name, val, bnd in (("I", I_val, I_bound), ("J", J_val, J_bound))]
 
 
 # ---------------------------------------------------------------------------

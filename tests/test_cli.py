@@ -210,6 +210,23 @@ class TestOneSolvePerScenario:
         header = (tmp_path / "verify" / "scenario_trajectory.csv").read_text().splitlines()[0]
         assert header.split(",")[-4:] == ["bound_0", "bound_1", "bound_2", "bound_m"]
 
+    @pytest.mark.parametrize("scheme", ["strang-split", "duhamel"])
+    def test_coagulation_tables_built_once(self, tmp_path, monkeypatch, scheme):
+        import gfc.evolution
+        import gfc.report
+        raw = get_preset("gfc-global-ii")
+        raw["grid"]["cells"] = 64
+        raw["solver"]["scheme"] = scheme
+        raw["time"].update(t_end=0.05, output_every=0.025)
+        raw["checks"] = {"suites": ["positivity", "solver-cross-validation", "determinism"]}
+        cfg = write_cfg(tmp_path, raw)
+        builds = [self.counting(monkeypatch, module, "build_coag_tables")
+                  for module in (gfc.report, gfc.evolution)]
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        # the context's tables serve the shipped solve, the cross-validation
+        # solves and the determinism suite's fresh solve
+        assert [len(b) for b in builds] == [1, 0]
+
     def test_duhamel_scenario_ships_the_duhamel_trajectory(self, tmp_path, capsys):
         import numpy as np
         from gfc.evolution import duhamel_solve

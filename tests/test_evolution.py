@@ -211,6 +211,33 @@ class TestDuhamel:
             assert gap / traj.norm0m[j] < 0.02
 
 
+class TestTrajectoryColumns:
+    @pytest.mark.parametrize("scheme", ["strang-split", "duhamel"])
+    def test_columns_are_the_observables_of_the_snapshots(self, scheme):
+        ks = make_kernels(a0=1.0, k0=0.5, coag_kind="sum", growth="linear",
+                          r0=0.0, r1=0.25)
+        grid = SizeGrid.geometric(1e-2, 30.0, 64)
+        f = project(lambda x: 0.1 * x * np.exp(-x), grid)
+        cfg = mk_cfg(t_end=0.05, output_every=0.025, scheme=scheme, n=1.25, p=1.5)
+        traj = duhamel_solve(f, cfg, ks)[0] if scheme == "duhamel" else solve(f, cfg, ks)
+        w = WeightSpec(cfg.m, "shifted")
+        observables = {
+            "M0": lambda g: moment(g, 0.0), "M1": lambda g: moment(g, 1.0),
+            "M2": lambda g: moment(g, 2.0), "Mm": lambda g: moment(g, cfg.m),
+            "norm0m": lambda g: weighted_integral(g, w),
+            "min_density": lambda g: g.min_value(),
+            "escaped_mass": lambda g: g.escaped_mass,
+        }
+        assert np.allclose(traj.times, [0.0, 0.025, 0.05], rtol=0.0, atol=1e-12)
+        assert len(traj.fields) == 3 and traj.fields[0] is not f
+        for name, observable in observables.items():
+            assert np.array_equal(getattr(traj, name),
+                                  [observable(g) for g in traj.fields]), name
+        assert traj.growth_mass.shape == (3,)
+        if scheme == "duhamel":
+            assert np.all(traj.growth_mass == 0.0)
+
+
 @pytest.fixture(scope="module")
 def probe_ks():
     return make_kernels(a0=1.0, growth="linear", r0=0.0, r1=1.0)

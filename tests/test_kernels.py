@@ -124,8 +124,8 @@ class TestCoagulationKernel:
     def test_product_kernel_violates_global_class(self):
         ks = make_kernels(a0=1.0, k0=1.0, coag_kind="product", bound_class="global",
                           growth="constant", r0=1.0)
-        rep = validate_kernel_set(ks, SamplePlan(xmin=0.1, xmax=50.0))
-        assert not rep["coag-class-bound"].passed
+        rows = {r.name: r for r in validate_kernel_set(ks, SamplePlan(xmin=0.1, xmax=50.0))}
+        assert not rows["coag-class-bound"].passed
 
 
 def test_compute_beta_values():
@@ -137,15 +137,15 @@ def test_compute_beta_values():
 class TestValidation:
     def test_aizenman_bak_set_passes(self):
         ks = make_kernels(a0=1.0, gamma0=1.0, growth="constant", r0=0.0)
-        rep = validate_kernel_set(ks, SamplePlan(m=2.0))
-        assert rep.passed, rep.failed_names()
-        assert rep["growth-positive"].status == "n/a"
+        rows = validate_kernel_set(ks, SamplePlan(m=2.0))
+        assert all(r.passed for r in rows), [r.name for r in rows if not r.passed]
+        assert {r.name: r for r in rows}["growth-positive"].status == "n/a"
 
     def test_growth_set_passes_with_origin_class(self):
         ks = make_kernels(a0=1.0, growth="affine", r0=1.0, r1=1.0)
-        rep = validate_kernel_set(ks, SamplePlan(m=2.0))
-        assert rep.passed, rep.failed_names()
-        assert rep["growth-origin-class"].passed
+        rows = validate_kernel_set(ks, SamplePlan(m=2.0))
+        assert all(r.passed for r in rows), [r.name for r in rows if not r.passed]
+        assert {r.name: r for r in rows}["growth-origin-class"].passed
 
     def test_non_conserving_daughter_fails_mass_check(self):
         class Half(DaughterDistribution):
@@ -156,19 +156,19 @@ class TestValidation:
 
         ks = make_kernels(a0=1.0)
         object.__setattr__(ks, "b", Half("uniform-binary"))
-        rep = validate_kernel_set(ks, SamplePlan(m=2.0))
-        row = rep["daughter-mass-conservation"]
+        rows = {r.name: r for r in validate_kernel_set(ks, SamplePlan(m=2.0))}
+        row = rows["daughter-mass-conservation"]
         assert not row.passed
-        assert row.worst == pytest.approx(0.5, rel=1e-6)   # residual y/2, relative
+        assert row.measured == pytest.approx(0.5, rel=1e-6)   # residual y/2, relative
 
     @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
     def test_liminf_check_catches_degenerate_daughter(self):
         ks = make_kernels(a0=1.0, daughter="power-law", nu=1000.0)
-        rep = validate_kernel_set(ks, SamplePlan(m=2.0))
-        assert not rep["daughter-liminf"].passed
+        rows = {r.name: r for r in validate_kernel_set(ks, SamplePlan(m=2.0))}
+        assert not rows["daughter-liminf"].passed
 
     def test_weight_order_rows(self):
         ks = make_kernels(a0=1.0, k0=1.0, coag_kind="sum", alpha=0.5)
-        rep = validate_kernel_set(ks, SamplePlan(m=1.2))
-        assert rep["weight-order"].passed            # 1.2 > max(1, 0)
-        assert not rep["weight-order-coagulation"].passed   # needs m > 1.5
+        rows = {r.name: r for r in validate_kernel_set(ks, SamplePlan(m=1.2))}
+        assert rows["weight-order"].passed            # 1.2 > max(1, 0)
+        assert not rows["weight-order-coagulation"].passed   # needs m > 1.5

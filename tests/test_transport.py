@@ -167,7 +167,7 @@ class TestLemmaBounds:
     def test_closed_form_value(self):
         ks = make_kernels()
         rep = {r.name: r for r in resolvent_integral_bounds(1.0, 4.0, 1.0, ks)}
-        assert rep["I"].value == pytest.approx(9.0 / 16.0, abs=1e-6)
+        assert rep["I"].measured == pytest.approx(9.0 / 16.0, abs=1e-6)
         assert rep["I"].bound == pytest.approx(1.0, rel=1e-12)
         assert rep["I"].passed and rep["J"].passed
 
@@ -181,21 +181,21 @@ class TestLemmaBounds:
         ks = make_kernels(a0=1.0, growth=growth, r0=r0, r1=r1)
         lam = lam_factor * 2.0 * m * ks.r.rtilde
         for rep in resolvent_integral_bounds(alpha, lam, m, ks):
-            assert rep.passed, f"{rep.name}: {rep.value} > {rep.bound}"
+            assert rep.passed, f"{rep.name}: {rep.measured} > {rep.bound}"
 
     def test_large_lambda_monotone_decay(self):
         ks = make_kernels()
         vals = []
         for lam in (4.0, 8.0, 16.0, 32.0):
             rep = resolvent_integral_bounds(1.0, lam, 1.0, ks)[0]
-            vals.append((rep.value, rep.bound))
+            vals.append((rep.measured, rep.bound))
         assert all(v2 < v1 for (v1, _), (v2, _) in zip(vals, vals[1:]))
         assert all(b2 < b1 for (_, b1), (_, b2) in zip(vals, vals[1:]))
 
     def test_zero_absorption_ties_J_to_I(self):
         ks = make_kernels()   # q = 0
         reps = {r.name: r for r in resolvent_integral_bounds(0.7, 5.0, 2.0, ks)}
-        assert reps["J"].value == pytest.approx(5.0 * reps["I"].value, rel=1e-8)
+        assert reps["J"].measured == pytest.approx(5.0 * reps["I"].measured, rel=1e-8)
 
 
 class TestAntiderivatives:
