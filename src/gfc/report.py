@@ -31,7 +31,8 @@ from .fragmentation import (apply_frag, build_daughter_matrix,
 from .grid import DensityField, SizeGrid, WeightSpec, moment, project, weighted_integral
 from .kernels import KernelSet, ReportRow, SamplePlan, validate_kernel_set
 from .transport import (SpectralParams, resolvent_integral_bounds, laplace_consistency,
-                        resolvent_apply, resolvent_residual, transport_apply)
+                        make_antiderivatives, resolvent_apply, resolvent_residual,
+                        transport_apply)
 
 __all__ = ["ReportRow", "RunReport", "ScenarioContext", "run_suites",
            "write_trajectory_csv", "trajectory_csv_text", "SUITES"]
@@ -181,9 +182,10 @@ def _suite_quasi_contractivity(ctx: ScenarioContext) -> list[ReportRow]:
     if base == 0:
         return [ReportRow("quasi-contractivity", "growth-bound", "n/a",
                           detail="zero initial state")]
+    antid = None if ctx.ks.r.is_zero else make_antiderivatives(ctx.ks, ctx.grid)
     worst = 0.0
     for t in np.linspace(0.25, 2.0, 8):
-        ft = transport_apply(ctx.f0, float(t), ctx.ks, ctx.cfg.m)
+        ft = transport_apply(ctx.f0, float(t), ctx.ks, ctx.cfg.m, antid=antid)
         ratio = weighted_integral(ft, w) / (math.exp(sp_omega * t) * base)
         worst = max(worst, ratio)
     status = "pass" if worst <= 1.0 + tol else "fail"

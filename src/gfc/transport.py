@@ -16,6 +16,18 @@ are all explicit.  With omega = 2*m*rtilde the resolvent norm on the
 grows at most like exp(omega*t); both bounds are checked numerically here.
 All exponentials are assembled in log space: lambda*R can exceed the
 floating-point range near the origin when the characteristics stall there.
+
+`transport_apply` reads the field at the backward feet through its PCHIP
+interpolant.  Everything that depends only on the antiderivatives, the grid,
+the step t and whether absorption is included is a transport plan, built
+once per (grid, t) and kept on the `Antiderivatives` instance: the feet and
+their `inside` mask, r(x0), r(x) and exp(-dQ), the interval and offset of
+each foot among the cell centers, and the escape quadrature nodes with their
+interval, offset, attenuation and widths.  A call then computes only the
+PCHIP slopes and evaluates the cubic Hermite pieces, in plain NumPy.  Both
+follow SciPy's PchipInterpolator and PPoly operation for operation (PPoly
+sums powers y + d*s + c1*s^2 + c0*(s^2*s), it does not use Horner), so the
+result is bit-identical to building a PchipInterpolator on every call.
 """
 from __future__ import annotations
 
@@ -72,7 +84,7 @@ class Antiderivatives:
         self._anchors = int(anchors)
         self.mode = "closed-form" if r.kind in ("constant", "linear", "affine") else "tabulated-quadrature"
         self._q_is_zero = ks.a.is_zero and ks.a1.beta == 0.0
-        self._q = ks.q
+        self._transport_plan = None   # memo of transport_apply
 
         if self.mode == "tabulated-quadrature":
             t, R = self._tabulate(lambda s: 1.0 / r(s))
@@ -213,22 +225,116 @@ def r_inverse_clipped(antid: Antiderivatives, u):
     return np.where(hit, 0.0, safe)
 
 
-def _interp_field(f: DensityField):
-    """Shape-preserving point evaluator of a cell-value field, zero outside.
+def _locate(centers: np.ndarray, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Interval index and offset of each point, found as SciPy's PPoly finds them.
 
-    PCHIP does not overshoot the local data range, so nonnegative cell values
-    give a nonnegative interpolant; accuracy is third order on smooth data,
-    which keeps the semi-Lagrangian remap bias far below the step error.
+    Interval i holds centers[i] <= p < centers[i+1], the last one closed on
+    the right.  A point outside [centers[0], centers[-1]] gets the offset NaN,
+    so it evaluates to NaN, PPoly's marker for out of range without
+    extrapolation, and from there to zero.
     """
-    centers, vals = f.grid.centers, f.values
-    pchip = PchipInterpolator(centers, vals, extrapolate=False)
+    idx = np.clip(np.searchsorted(centers, pts, side="right") - 1, 0, centers.size - 2)
+    s = np.where((pts >= centers[0]) & (pts <= centers[-1]), pts - centers[idx], np.nan)
+    return idx, s
 
-    def ev(x):
-        x = np.asarray(x, dtype=float)
-        out = pchip(x)
-        return np.where(np.isnan(out), 0.0, out)
 
-    return ev
+class _TransportPlan:
+    """What `transport_apply` needs that depends only on (antid, grid, t,
+    include_absorption), as listed in the module docstring, plus the center
+    spacings of the PCHIP slopes; `apply` transports one field with it."""
+
+    def __init__(self, antid: Antiderivatives, grid: SizeGrid, t: float,
+                 include_absorption: bool):
+        self.grid, self.t, self.include_absorption = grid, t, include_absorption
+        c = grid.centers
+        h = np.diff(c)
+        self.h = h
+        # interior weights of the harmonic mean and the three-point end
+        # formula, both ends at once; a 2-center grid is interpolated linearly
+        if grid.cells > 2:
+            self.w1 = 2 * h[1:] + h[:-1]
+            self.w2 = h[1:] + 2 * h[:-1]
+            self.w12 = self.w1 + self.w2
+            h0, h1 = h[[0, -1]], h[[1, -2]]
+            self.end_w, self.end_h0, self.end_hs = 2 * h0 + h1, h0, h0 + h1
+
+        r = antid.growth
+        x0 = r_inverse_clipped(antid, antid.R(c) - t)
+        self.inside = x0 >= c[0]
+        x0_safe = np.where(self.inside, x0, 1.0)
+        self.feet = _locate(c, x0_safe)
+        dQ = antid.Q(c) - antid.Q(x0_safe) if include_absorption else np.zeros_like(c)
+        self.r0, self.rx, self.att = r(x0_safe), r(c), np.exp(-dQ)
+
+        # parcels crossing xmax during (0, t) have size exactly xmax there; the
+        # stretch between the last center and xmax carries the last cell's average
+        self.escape = None
+        yc = r_inverse_clipped(antid, antid.R(grid.xmax) - t)
+        if yc < grid.xmax:
+            lo = max(float(yc), c[0])
+            edges = grid.edges[(grid.edges > lo) & (grid.edges < grid.xmax)]
+            nodes = np.unique(np.concatenate([[lo], edges, [grid.xmax]]))
+            mids = 0.5 * (nodes[:-1] + nodes[1:])
+            if include_absorption:
+                att = np.exp(-(float(antid.Q(grid.xmax)) - antid.Q(mids)))
+            else:
+                att = np.ones_like(mids)
+            self.escape = (_locate(c, mids), mids <= c[-1], att, np.diff(nodes))
+
+    def matches(self, grid: SizeGrid, t: float, include_absorption: bool) -> bool:
+        return (grid is self.grid and t == self.t
+                and include_absorption == self.include_absorption)
+
+    def _hermite(self, y: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Per-interval cubic coefficients of PchipInterpolator(centers, y).
+
+        The slopes are SciPy's `_find_derivatives`: zero where the secant
+        slopes change sign or vanish, their weighted harmonic mean otherwise,
+        and Moler's shape-preserving three-point formula at both ends.  The
+        coefficients are CubicHermiteSpline's, operation for operation.
+        """
+        if not np.all(np.isfinite(y)):
+            raise ValueError("transport needs a finite field")
+        h = self.h
+        mk = (y[1:] - y[:-1]) / h
+        if y.size == 2:
+            d = np.array([mk[0], mk[0]])
+        else:
+            smk = np.sign(mk)
+            flat = (smk[1:] != smk[:-1]) | (mk[1:] == 0) | (mk[:-1] == 0)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                whmean = (self.w1 / mk[:-1] + self.w2 / mk[1:]) / self.w12
+                inner = np.where(flat, 0.0, 1.0 / whmean)
+            m0, m1 = mk[[0, -1]], mk[[1, -2]]
+            e = (self.end_w * m0 - self.end_h0 * m1) / self.end_hs
+            flip = np.sign(e) != np.sign(m0)
+            clamp = ~flip & (np.sign(m0) != np.sign(m1)) & (np.abs(e) > 3.0 * np.abs(m0))
+            e = np.where(flip, 0.0, np.where(clamp, 3.0 * m0, e))
+            d = np.concatenate([e[:1], inner, e[1:]])
+        tt = (d[:-1] + d[1:] - 2 * mk) / h
+        # PPoly starts its sum from 0.0, which turns a -0.0 value into +0.0
+        return tt / h, (mk - d[:-1]) / h - tt, d[:-1], y[:-1] + 0.0
+
+    @staticmethod
+    def _evaluate(coef: tuple[np.ndarray, ...], where: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        """PPoly's running power sum y + d*s + c1*s^2 + c0*(s^2*s), NaN -> 0."""
+        idx, s = where
+        c0, c1, c2, c3 = (c[idx] for c in coef)
+        z = s * s
+        p = c3 + c2 * s + c1 * z + c0 * (z * s)
+        return np.where(np.isnan(p), 0.0, p)
+
+    def apply(self, f0: DensityField) -> DensityField:
+        coef = self._hermite(f0.values)
+        vals = np.where(self.inside,
+                        self._evaluate(coef, self.feet) * self.r0 / self.rx * self.att,
+                        0.0)
+        esc = 0.0
+        if self.escape is not None:
+            where, below_last, att, wdt = self.escape
+            density = np.where(below_last, self._evaluate(coef, where), f0.values[-1])
+            esc = self.grid.xmax * math.fsum((density * att * wdt).tolist())
+        return DensityField(self.grid, vals, f0.escaped_mass + esc)
 
 
 def transport_apply(f0: DensityField, t: float, ks: KernelSet, m: float,
@@ -240,50 +346,33 @@ def transport_apply(f0: DensityField, t: float, ks: KernelSet, m: float,
     zero inflow at the origin when backward characteristics reach it.  Mass
     advected past xmax is added to the escaped-mass account using the exact
     crossing-size bookkeeping (every particle crosses at size xmax).
+
+    f0 is read at the feet through its shape-preserving PCHIP interpolant,
+    zero outside the centers: PCHIP does not overshoot the local data range,
+    so nonnegative cell values stay nonnegative, and it is third order on
+    smooth data.  The transport plan for (grid, t, include_absorption) is
+    kept in a one-slot memo on `antid`, so a stepper with a fixed step
+    builds it once; each call then costs the PCHIP slopes and one Hermite
+    evaluation, bit-identical to `PchipInterpolator(centers, values,
+    extrapolate=False)` built per call (see the module docstring).
     """
     if t < 0:
         raise ValueError("transport_apply advances forward in time only")
     grid = f0.grid
     if t == 0:
         return f0.copy()
-    q = ks.q if include_absorption else (lambda x: np.zeros_like(np.asarray(x, float)))
 
     if ks.r.is_zero:
-        vals = f0.values * np.exp(-q(grid.centers) * t)
+        q = ks.q(grid.centers) if include_absorption else np.zeros(grid.cells)
+        vals = f0.values * np.exp(-q * t)
         return DensityField(grid, vals, f0.escaped_mass)
 
     if antid is None:
         antid = make_antiderivatives(ks, grid)
-    x = grid.centers
-    x0 = r_inverse_clipped(antid, antid.R(x) - t)
-    inside = x0 >= grid.centers[0]
-    x0_safe = np.where(inside, x0, 1.0)
-    ev = _interp_field(f0)
-    if include_absorption:
-        dQ = antid.Q(x) - antid.Q(x0_safe)
-    else:
-        dQ = np.zeros_like(x)
-    vals = np.where(inside,
-                    ev(x0_safe) * ks.r(x0_safe) / ks.r(x) * np.exp(-dQ),
-                    0.0)
-
-    # parcels crossing xmax during (0, t) have size exactly xmax there; the
-    # stretch between the last center and xmax carries the last cell's average
-    esc = 0.0
-    yc = r_inverse_clipped(antid, antid.R(grid.xmax) - t)
-    if yc < grid.xmax:
-        lo = max(float(yc), grid.centers[0])
-        edges = grid.edges[(grid.edges > lo) & (grid.edges < grid.xmax)]
-        nodes = np.unique(np.concatenate([[lo], edges, [grid.xmax]]))
-        mids = 0.5 * (nodes[:-1] + nodes[1:])
-        wdt = np.diff(nodes)
-        if include_absorption:
-            att = np.exp(-(float(antid.Q(grid.xmax)) - antid.Q(mids)))
-        else:
-            att = np.ones_like(mids)
-        density = np.where(mids <= grid.centers[-1], ev(mids), f0.values[-1])
-        esc = grid.xmax * math.fsum((density * att * wdt).tolist())
-    return DensityField(grid, vals, f0.escaped_mass + esc)
+    plan = antid._transport_plan
+    if plan is None or not plan.matches(grid, t, include_absorption):
+        plan = antid._transport_plan = _TransportPlan(antid, grid, t, include_absorption)
+    return plan.apply(f0)
 
 
 def make_antiderivatives(ks: KernelSet, grid: SizeGrid) -> Antiderivatives:

@@ -1,13 +1,22 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.interpolate import PchipInterpolator
 
+import gfc.transport
 from conftest import make_kernels
+from gfc.config import load_scenario
+from gfc.evolution import duhamel_solve, solve
 from gfc.grid import DensityField, SizeGrid, WeightSpec, project, weighted_integral
 from gfc.kernels import GrowthRate
+from gfc.presets import get_preset
 from gfc.transport import (Antiderivatives, ParameterDomainError, SpectralParams,
-                           flow_map, laplace_consistency, resolvent_integral_bounds,
+                           flow_map, laplace_consistency, make_antiderivatives,
+                           r_inverse_clipped, resolvent_integral_bounds,
                            resolvent_apply, resolvent_residual, transport_apply,
                            v_lambda_diagnostics)
 
@@ -116,6 +125,164 @@ class TestTransport:
         growth_realized = m1_t + out.escaped_mass - m1_0
         # pure advection at unit speed adds mass at rate M0 of the surviving part
         assert growth_realized > 0
+
+
+def reference_transport(f0, t, ks, antid, include_absorption):
+    """transport_apply as it was before the plan: one SciPy PCHIP built per call."""
+    grid = f0.grid
+    pchip = PchipInterpolator(grid.centers, f0.values, extrapolate=False)
+
+    def ev(x):
+        out = pchip(np.asarray(x, dtype=float))
+        return np.where(np.isnan(out), 0.0, out)
+
+    x = grid.centers
+    x0 = r_inverse_clipped(antid, antid.R(x) - t)
+    inside = x0 >= grid.centers[0]
+    x0_safe = np.where(inside, x0, 1.0)
+    dQ = antid.Q(x) - antid.Q(x0_safe) if include_absorption else np.zeros_like(x)
+    vals = np.where(inside, ev(x0_safe) * ks.r(x0_safe) / ks.r(x) * np.exp(-dQ), 0.0)
+    esc = 0.0
+    yc = r_inverse_clipped(antid, antid.R(grid.xmax) - t)
+    if yc < grid.xmax:
+        lo = max(float(yc), grid.centers[0])
+        edges = grid.edges[(grid.edges > lo) & (grid.edges < grid.xmax)]
+        nodes = np.unique(np.concatenate([[lo], edges, [grid.xmax]]))
+        mids = 0.5 * (nodes[:-1] + nodes[1:])
+        if include_absorption:
+            att = np.exp(-(float(antid.Q(grid.xmax)) - antid.Q(mids)))
+        else:
+            att = np.ones_like(mids)
+        density = np.where(mids <= grid.centers[-1], ev(mids), f0.values[-1])
+        esc = grid.xmax * math.fsum((density * att * np.diff(nodes)).tolist())
+    return vals, f0.escaped_mass + esc
+
+
+def assert_bit_identical(out, ref_vals, ref_esc):
+    assert out.values.tobytes() == ref_vals.tobytes()
+    assert np.float64(out.escaped_mass).tobytes() == np.float64(ref_esc).tobytes()
+
+
+# zeros, plateaus and sign changes run every PCHIP slope branch: the
+# flat/sign-change mask, the end slope set to 0 and the end slope clamped to 3*m0
+FIELD_ATOMS = [0.0, 0.0, 1.0, 1.0, 2.5, -0.5, 1e-3, 0.1, -5.0]
+
+
+@st.composite
+def transport_case(draw):
+    cells = draw(st.integers(8, 96))
+    xmin = 10.0 ** draw(st.floats(-3.0, 0.0))
+    grid = SizeGrid.geometric(xmin, xmin * 10.0 ** draw(st.floats(1.0, 4.0)), cells)
+    growth = draw(st.sampled_from(["constant", "linear", "affine", "table"]))
+    ks = make_kernels(a0=draw(st.sampled_from([0.0, 0.3, 1.5])),
+                      gamma0=draw(st.floats(0.0, 2.0)),
+                      beta=draw(st.sampled_from([0.0, 0.2])),
+                      growth="constant" if growth == "table" else growth,
+                      r0=draw(st.floats(0.05, 2.0)), r1=draw(st.floats(0.05, 2.0)))
+    if growth == "table":
+        xs = np.geomspace(grid.xmin, grid.xmax, 12)
+        rs = np.array(draw(st.lists(st.floats(0.2, 3.0), min_size=12, max_size=12)))
+        ks = dataclasses.replace(ks, r=GrowthRate("table", table_x=xs, table_r=rs))
+    smooth = draw(st.booleans())
+    if smooth:
+        vals = np.exp(-grid.centers / grid.centers[cells // 2]) * draw(st.floats(0.1, 3.0))
+    else:
+        vals = np.array(draw(st.lists(st.sampled_from(FIELD_ATOMS),
+                                      min_size=cells, max_size=cells)))
+    f0 = DensityField(grid, vals, draw(st.sampled_from([0.0, 0.25])))
+    # from a fraction of one cell (under the CFL limit) to several crossings
+    # of the whole grid (feet exit through the origin, escape is active)
+    t = 10.0 ** draw(st.floats(-5.0, 1.0))
+    return f0, t, ks, draw(st.booleans())
+
+
+class TestTransportPlan:
+    """The plan-based transport_apply against a PCHIP built per call."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(transport_case())
+    @example((DensityField(SizeGrid.geometric(0.1, 10.0, 8),
+                           [0.0, 0.1, -5.0, 1.0, 1.0, 2.5, 0.1, 0.0]),
+              0.3, make_kernels(a0=0.3, growth="affine", r0=0.5, r1=0.5), True))
+    @example((DensityField(SizeGrid.geometric(0.1, 10.0, 8),
+                           [1.0, 2.5, 2.5, 0.0, -0.5, 1e-3, -5.0, 0.1]),
+              4.0, make_kernels(growth="constant", r0=1.0), False))
+    def test_bit_identical_to_pchip_per_call(self, case):
+        f0, t, ks, absorb = case
+        antid = make_antiderivatives(ks, f0.grid)
+        ref_vals, ref_esc = reference_transport(f0, t, ks, antid, absorb)
+        out = transport_apply(f0, t, ks, 2.0, antid=antid, include_absorption=absorb)
+        assert_bit_identical(out, ref_vals, ref_esc)
+
+    @pytest.mark.parametrize("cells", [2, 3])
+    @pytest.mark.parametrize("t", [0.01, 0.5, 3.0])
+    def test_bit_identical_on_tiny_grids(self, cells, t):
+        ks = make_kernels(a0=0.5, growth="affine", r0=0.5, r1=0.5)
+        grid = SizeGrid.geometric(0.5, 2.0, cells)
+        f0 = DensityField(grid, [1.0, -0.5, 0.2][:cells])
+        antid = make_antiderivatives(ks, grid)
+        ref_vals, ref_esc = reference_transport(f0, t, ks, antid, True)
+        assert_bit_identical(transport_apply(f0, t, ks, 2.0, antid=antid), ref_vals, ref_esc)
+
+    def test_memo_key_is_grid_t_and_absorption(self):
+        ks = make_kernels(a0=0.5, growth="affine", r0=0.3, r1=0.4)
+        grid = SizeGrid.geometric(1e-2, 20.0, 48)
+        other = SizeGrid.geometric(1e-2, 20.0, 40)
+        f = project(lambda x: x * np.exp(-x), grid)
+        f2 = project(lambda x: np.exp(-x), grid)
+        g = project(lambda x: x * np.exp(-x), other)
+        antid = make_antiderivatives(ks, grid)
+        # a hit with a new field, t1 -> t2 -> t1, absorption toggled, a second grid
+        calls = [(f, 0.05, True), (f2, 0.05, True), (f, 0.4, True), (f, 0.05, True),
+                 (f, 0.05, False), (g, 0.05, False)]
+        for fld, t, absorb in calls:
+            out = transport_apply(fld, t, ks, 2.0, antid=antid, include_absorption=absorb)
+            fresh = transport_apply(fld, t, ks, 2.0, antid=make_antiderivatives(ks, fld.grid),
+                                    include_absorption=absorb)
+            assert_bit_identical(out, fresh.values, fresh.escaped_mass)
+
+    def test_non_finite_field_rejected(self):
+        grid = SizeGrid.geometric(0.1, 10.0, 16)
+        f = DensityField(grid, np.where(np.arange(16) == 5, np.nan, 1.0))
+        with pytest.raises(ValueError, match="finite"):
+            transport_apply(f, 0.1, make_kernels(), 1.0)
+
+
+class TestNoPchipPerStep:
+    """A fixed-step solve builds no PCHIP per transport step."""
+
+    @staticmethod
+    def count_builds(monkeypatch, run) -> int:
+        builds = []
+
+        def counting(*args, **kwargs):
+            builds.append(1)
+            return PchipInterpolator(*args, **kwargs)
+
+        monkeypatch.setattr(gfc.transport, "PchipInterpolator", counting)
+        run()
+        return len(builds)
+
+    @staticmethod
+    def scenario(steps: int):
+        raw = get_preset("gfc-global-ii")
+        raw["grid"]["cells"] = 32
+        raw["time"].update(dt=2e-3, t_end=steps * 2e-3, output_every=10 * 2e-3)
+        sc = load_scenario(raw)
+        grid = sc.grid()
+        return sc.initial_field(grid), sc.solver_config(), sc.kernel_set()
+
+    @pytest.mark.parametrize("solver", ["split", "duhamel"])
+    def test_builds_do_not_grow_with_steps(self, monkeypatch, solver):
+        counts = []
+        for steps in (20, 40):
+            f0, cfg, ks = self.scenario(steps)
+            if solver == "split":
+                counts.append(self.count_builds(monkeypatch, lambda: solve(f0, cfg, ks)))
+            else:
+                cfg = dataclasses.replace(cfg, scheme="duhamel")
+                counts.append(self.count_builds(monkeypatch, lambda: duhamel_solve(f0, cfg, ks)))
+        assert counts[0] == counts[1]
 
 
 class TestResolvent:
