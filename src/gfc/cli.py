@@ -14,7 +14,7 @@ from .config import ConfigFileError, ScenarioConfig, load_scenario
 from .evolution import ConfigError, NumericalFailureError, SetupError
 from .kernels import KernelConfigError, QuadratureError
 from .presets import preset_description, preset_names
-from .report import ScenarioContext, run_suites, write_trajectory_csv
+from .report import ScenarioContext, render_rows, run_suites, write_trajectory_csv
 from .transport import ParameterDomainError
 
 USER_ERRORS = (ConfigFileError, ConfigError, KernelConfigError, SetupError,
@@ -104,8 +104,7 @@ def cmd_bounds(args) -> int:
                                tol=ctx.sc.tolerance("domination", 0.05))
     path = write_trajectory_csv(_csv_path(ctx, args), ctx.trajectory, bounds)
     print(f"certified condition: ({ctx.conditions.certified})")
-    for row in rows:
-        print(f"{row.status.upper()}  domination/{row.name} max-ratio={row.measured:.6g}")
+    print(render_rows(rows), end="")
     print(f"trajectory: {path}")
     return 0 if all(r.passed for r in rows) else 2
 

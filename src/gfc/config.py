@@ -45,12 +45,18 @@ SCHEMA: dict = {
     "probe": {"eta": None, "t_lo": None, "t_hi": None, "n_times": None,
               "membership_growth_min": None, "stability_tol": None},
     "bounds": {"phi_order": None, "mode": None, "eps_margin": None},
-    "checks": {"suites": None, "tolerances": None},
+    "checks": {"suites": None,
+               "tolerances": {"coag_moment2", "cross_validation", "domination", "laplace",
+                              "m1_envelope", "mass_budget", "oracle", "pde_residual",
+                              "quasi_contractivity", "resolvent_residual"}},
     "seed": None,
 }
 
 
 def _check_keys(node: Any, schema: Any, path: str) -> None:
+    """Reject unknown keys and sections that are not mappings; a null
+    section (`checks:` with nothing under it) is replaced by an empty one
+    in place."""
     if schema is None or not isinstance(node, dict):
         return
     for key, sub in node.items():
@@ -58,6 +64,10 @@ def _check_keys(node: Any, schema: Any, path: str) -> None:
             raise ConfigFileError(
                 f"unknown key '{path}{key}' (allowed: {', '.join(sorted(map(str, schema)))})")
         allowed = schema[key] if isinstance(schema, dict) else None
+        if sub is None and allowed is not None:
+            node[key] = sub = {}
+        if allowed is not None and not isinstance(sub, dict):
+            raise ConfigFileError(f"'{path}{key}' must be a mapping, got {sub!r}")
         _check_keys(sub, allowed, f"{path}{key}.")
 
 

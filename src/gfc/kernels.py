@@ -8,12 +8,15 @@ machinery.  Each coefficient carries the structural hypotheses it is supposed
 to satisfy; `validate_kernel_set` probes all of them on a sampling plan and
 returns check rows instead of raising.  Their type, `ReportRow`, is defined
 here, at the bottom of the import graph, because every check in the package
-reports its results as ReportRows.
+reports its results as ReportRows; `verdict` is the one rule that turns a
+row's numbers into its status.
 """
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from scipy import integrate
@@ -27,12 +30,12 @@ __all__ = [
     "KernelSet",
     "SamplePlan",
     "ReportRow",
+    "verdict",
     "QuadratureError",
     "daughter_moment",
     "moment_deficit",
     "compute_beta",
     "validate_kernel_set",
-    "daughter_tail_diagnostics",
 ]
 
 REACHABLE = "reachable"
@@ -415,24 +418,6 @@ def moment_deficit(b: DaughterDistribution, m: float, y: float) -> float:
     return y**m - daughter_moment(b, m, y)
 
 
-def daughter_tail_diagnostics(b: DaughterDistribution, m: float,
-                              ys: Sequence[float]) -> tuple[Optional[float], Optional[float]]:
-    """Smallest probed y with n_m(y)/y^m < 1 and the supremum of that ratio beyond.
-
-    Diagnostic only: such a threshold is guaranteed to exist, but its value
-    is scenario dependent.
-    """
-    y_m = None
-    sup_ratio = None
-    for y in ys:
-        ratio = daughter_moment(b, m, y) / y**m
-        if ratio < 1.0 and y_m is None:
-            y_m = float(y)
-        if y_m is not None:
-            sup_ratio = ratio if sup_ratio is None else max(sup_ratio, ratio)
-    return y_m, sup_ratio
-
-
 @dataclass(frozen=True)
 class SamplePlan:
     """Where the kernel hypotheses are probed.
@@ -457,21 +442,58 @@ class SamplePlan:
         return np.geomspace(self.y_probe, 100.0 * self.y_probe, 25)
 
 
+PASS, FAIL, NA = "pass", "fail", "n/a"
+_RELATIONS = {"<=": operator.le, "<": operator.lt, ">=": operator.ge, ">": operator.gt}
+
+
+def verdict(measured: float, relation: Optional[str], bound: float, tol: float = 0.0) -> str:
+    """Status of the check `measured relation bound`.
+
+    No relation means 'n/a'.  tol >= 0 widens the bound in the permissive
+    direction only (bound + tol for '<=' and '<', bound - tol for '>=' and
+    '>').  A NaN measured value (or bound) fails every relation.
+    """
+    if relation is None:
+        return NA
+    limit = bound + tol if relation[0] == "<" else bound - tol
+    return PASS if _RELATIONS[relation](measured, limit) else FAIL
+
+
 @dataclass
 class ReportRow:
-    """One check result: what was measured against which bound, and whether
-    it held.  Every check the harness runs reports rows of this type."""
+    """One check result: `measured relation bound` (tol widening the bound in
+    the permissive direction), with the status `verdict` derives from them.
+    Every check the harness runs reports rows of this type.
+
+    A row without a relation is 'n/a'.  `held` sets the status by hand; it is
+    only for a row whose printed numbers cannot decide it yet, and that
+    row's detail says so.
+    """
 
     suite: str
     name: str
-    status: str            # 'pass' | 'fail' | 'n/a'
     measured: float = float("nan")
+    relation: Optional[str] = None
     bound: float = float("nan")
+    tol: float = 0.0
     detail: str = ""
+    held: Optional[bool] = None
+
+    def __post_init__(self):
+        if self.relation is not None and self.relation not in _RELATIONS:
+            raise ValueError(f"unknown relation {self.relation!r}")
+        if not self.tol >= 0.0:
+            raise ValueError(f"tolerance must be >= 0, got {self.tol}")
+
+    @property
+    def status(self) -> str:
+        if self.held is not None:
+            return PASS if self.held else FAIL
+        return verdict(self.measured, self.relation, self.bound, self.tol)
 
     @property
     def passed(self) -> bool:
-        return self.status != "fail"
+        return self.status != FAIL
 
 
 def validate_kernel_set(ks: KernelSet, plan: SamplePlan) -> list[ReportRow]:
@@ -489,98 +511,81 @@ def validate_kernel_set(ks: KernelSet, plan: SamplePlan) -> list[ReportRow]:
     xs = plan.sizes()
 
     a_vals = ks.a(xs)
-    add("frag-nonnegative", "pass" if np.all(a_vals >= 0) else "fail",
-        float(np.min(a_vals)), 0.0)
+    add("frag-nonnegative", float(np.min(a_vals)), ">=", 0.0)
 
     mask = xs >= ks.a.x0
     if np.any(mask):
         lower = ks.a.a0 * np.power(xs[mask], ks.a.gamma0)
-        resid = float(np.min(a_vals[mask] - lower))
-        add("frag-lower-bound", "pass" if resid >= -1e-12 * max(1.0, ks.a.a0) else "fail",
-            resid, 0.0, f"a(x) >= a0*x^gamma0 for x >= {ks.a.x0}")
+        add("frag-lower-bound", float(np.min(a_vals[mask] - lower)), ">=", 0.0,
+            1e-12 * max(1.0, ks.a.a0), f"a(x) >= a0*x^gamma0 for x >= {ks.a.x0}")
 
     bvals = ks.b(xs[:, None], xs[None, :])
-    add("daughter-nonnegative", "pass" if np.all(bvals >= 0) else "fail",
-        float(np.min(bvals)), 0.0)
+    add("daughter-nonnegative", float(np.min(bvals)), ">=", 0.0)
     il, jl = np.tril_indices(len(xs), k=-1)
-    above = bvals[il, jl]  # rows are x, columns are y: i > j means x > y
-    add("daughter-support", "pass" if np.all(above == 0) else "fail",
-        float(np.max(above)) if above.size else 0.0, 0.0,
-        "b(x, y) = 0 for x > y")
+    above = np.abs(bvals[il, jl])  # rows are x, columns are y: i > j means x > y
+    add("daughter-support", float(np.max(above)) if above.size else 0.0, "<=", 0.0,
+        detail="max |b(x, y)| over x > y")
 
-    worst = 0.0
-    status = "pass"
-    for y in xs:
-        try:
-            knots = [float(u * y) for u in ks.b.table_u] if ks.b.kind == "table" else None
-            mass = _quad(lambda x: ks.b(x, y) * x, 0.0, float(y), points=knots)
-        except QuadratureError:
-            status = "fail"
-            break
-        worst = max(worst, abs(mass - y) / y)
-        if worst > 1e-8:
-            status = "fail"
-    add("daughter-mass-conservation", status, worst, 1e-8,
-        "relative residual of int x*b(x,y) dx = y")
+    def mass_residual(y):
+        knots = [float(u * y) for u in ks.b.table_u] if ks.b.kind == "table" else None
+        return abs(_quad(lambda x: ks.b(x, y) * x, 0.0, float(y), points=knots) - y) / y
+
+    try:
+        worst = float(max(mass_residual(y) for y in xs))
+    except QuadratureError:
+        worst = math.inf
+    add("daughter-mass-conservation", worst, "<=", 1e-8,
+        detail="relative residual of int x*b(x,y) dx = y; inf if quadrature fails")
 
     b0, ell = ks.b.n0_bound_amplitude, ks.b.n0_bound_exponent
     n0 = np.array([daughter_moment(ks.b, 0.0, float(y)) for y in xs])
-    excess = float(np.max(n0 - b0 * (1.0 + xs**ell)))
-    add("daughter-number-bound", "pass" if excess <= 1e-8 * b0 else "fail",
-        excess, 0.0, f"n0(y) <= {b0}*(1 + y^{ell})")
+    add("daughter-number-bound", float(np.max(n0 - b0 * (1.0 + xs**ell))), "<=", 0.0,
+        1e-8 * b0, f"n0(y) <= {b0}*(1 + y^{ell})")
 
     ratios = np.array([moment_deficit(ks.b, plan.m0, float(y)) / y**plan.m0
                        for y in plan.liminf_sizes()])
-    add("daughter-liminf", "pass" if np.min(ratios) >= plan.liminf_threshold else "fail",
-        float(np.min(ratios)), plan.liminf_threshold,
-        f"N_m0(y)/y^m0 at m0 = {plan.m0} over [{plan.y_probe}, {100 * plan.y_probe}]")
+    add("daughter-liminf", float(np.min(ratios)), ">=", plan.liminf_threshold,
+        detail=f"N_m0(y)/y^m0 at m0 = {plan.m0} over [{plan.y_probe}, {100 * plan.y_probe}]")
 
     if ks.r.is_zero:
-        add("growth-positive", "n/a", detail="growth disabled")
-        add("growth-origin-class", "n/a", detail="growth disabled")
+        add("growth-positive", detail="growth disabled")
+        add("growth-origin-class", detail="growth disabled")
     else:
         r_vals = ks.r(xs)
-        add("growth-positive", "pass" if np.all(r_vals > 0) else "fail",
-            float(np.min(r_vals)), 0.0)
+        add("growth-positive", float(np.min(r_vals)), ">", 0.0)
         affine = ks.r.r0 + ks.r.r1 * xs
         cap = ks.r.rtilde * (1.0 + xs)
-        ok = np.all(r_vals <= affine * (1 + 1e-12) + 1e-300) and np.all(affine <= cap * (1 + 1e-12))
-        add("growth-affine-bound", "pass" if ok else "fail",
-            float(np.max(r_vals - affine)), 0.0,
-            f"r <= {ks.r.r0} + {ks.r.r1}*x <= rtilde*(1+x)")
-        # 1/r integrability at the origin, probed on a shrinking bracket
+        excess = max(float(np.max(r_vals / affine - 1.0)), float(np.max(affine / cap - 1.0)))
+        add("growth-affine-bound", excess, "<=", 0.0, 1e-12,
+            f"relative excess in r <= {ks.r.r0} + {ks.r.r1}*x <= rtilde*(1+x)")
+        # 1/r integrability at the origin, probed on a shrinking bracket: the
+        # tail stays bounded exactly when the origin is reachable
         eps = np.geomspace(1e-2, 1e-8, 7)
         tails = np.array([_quad(lambda s: 1.0 / ks.r(s), float(e), 1.0, epsabs=1e-9, epsrel=1e-7)
                           for e in eps])
-        growth_factor = tails[-1] / tails[0]
-        bounded = growth_factor < 1.5
-        consistent = bounded == (ks.r.origin_class == REACHABLE)
-        add("growth-origin-class", "pass" if consistent else "fail",
-            float(growth_factor), 1.5,
-            f"declared {ks.r.origin_class}; int_eps^1 dx/r growth factor over eps sweep")
+        add("growth-origin-class", float(tails[-1] / tails[0]),
+            "<" if ks.r.origin_class == REACHABLE else ">=", 1.5,
+            detail=f"declared {ks.r.origin_class}; "
+                   "int_eps^1 dx/r growth factor over eps sweep")
 
     kxy = ks.k(xs[:, None], xs[None, :])
-    sym = float(np.max(np.abs(kxy - kxy.T)))
-    add("coag-symmetric", "pass" if sym <= 1e-12 * max(1.0, ks.k.k0) else "fail", sym, 0.0)
-    add("coag-nonnegative", "pass" if np.all(kxy >= 0) else "fail", float(np.min(kxy)), 0.0)
-    over = float(np.max(kxy - ks.k.class_bound(xs[:, None], xs[None, :])))
-    add("coag-class-bound", "pass" if over <= 1e-12 * max(1.0, ks.k.k0) else "fail",
-        over, 0.0, f"declared class {ks.k.bound_class!r}")
+    k_tol = 1e-12 * max(1.0, ks.k.k0)
+    add("coag-symmetric", float(np.max(np.abs(kxy - kxy.T))), "<=", 0.0, k_tol)
+    add("coag-nonnegative", float(np.min(kxy)), ">=", 0.0)
+    add("coag-class-bound", float(np.max(kxy - ks.k.class_bound(xs[:, None], xs[None, :]))),
+        "<=", 0.0, k_tol, f"declared class {ks.k.bound_class!r}")
 
-    add("absorption-nonnegative", "pass" if ks.a1.beta >= 0 else "fail", ks.a1.beta, 0.0)
+    add("absorption-nonnegative", ks.a1.beta, ">=", 0.0)
     if ks.k.is_zero and ks.a1.beta == 0.0:
-        add("absorption-exponent", "n/a", detail="no coagulation, no absorption")
+        add("absorption-exponent", detail="no coagulation, no absorption")
     else:
-        ok = ks.k.alpha < ks.a.gamma0
-        add("absorption-exponent", "pass" if ok else "fail",
-            ks.k.alpha, ks.a.gamma0, "alpha < gamma0 keeps a1/a bounded at infinity")
+        add("absorption-exponent", ks.k.alpha, "<", ks.a.gamma0,
+            detail="alpha < gamma0 keeps a1/a bounded at infinity")
 
     if plan.m is not None:
         lmax = max(1.0, ell)
-        add("weight-order", "pass" if plan.m > lmax else "fail",
-            plan.m, lmax, "m > max{1, l}")
+        add("weight-order", plan.m, ">", lmax, detail="m > max{1, l}")
         if not ks.k.is_zero:
-            need = ks.k.alpha + lmax
-            add("weight-order-coagulation", "pass" if plan.m > need else "fail",
-                plan.m, need, "m > alpha + max{1, l}")
+            add("weight-order-coagulation", plan.m, ">", ks.k.alpha + lmax,
+                detail="m > alpha + max{1, l}")
     return rows

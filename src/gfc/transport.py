@@ -152,23 +152,6 @@ class Antiderivatives:
             return np.zeros_like(x)
         return self._Q_interp(np.log(x))
 
-    def limit_diagnostics(self) -> dict:
-        """Numerical stand-ins for the four limits of R and Q.
-
-        R always diverges at infinity; the origin limit of R is finite exactly
-        when characteristics reach 0.  The Q limits depend on the interplay of
-        the loss rates with r and are probed at the tabulation ends.
-        """
-        m_R = self.R_at_origin
-        M_R = math.inf
-        if self._q_is_zero:
-            m_Q = M_Q = 0.0
-        else:
-            m_Q = float(self.Q(self.x_lo))
-            M_Q = float(self.Q(self.x_hi))
-        return {"m_R": m_R, "M_R": M_R, "m_Q": m_Q, "M_Q": M_Q,
-                "R_at_1": float(self.R(1.0)), "Q_at_1": float(self.Q(1.0))}
-
 
 @dataclass(frozen=True)
 class SpectralParams:
@@ -517,8 +500,7 @@ def resolvent_integral_bounds(alpha: float, lam: float, m: float, ks: KernelSet)
     J_val = adaptive(f_J, alpha, hi) + sp.lam * math.exp(-sp.lam * R_hi - Q_hi) * w_hi / gap
     J_bound = sp.lam * math.exp(-sp.lam * R_a - Q_a) * w_a / gap
 
-    return [ReportRow("integral-bounds", name, "pass" if val <= bnd * (1 + 1e-9) else "fail",
-                      val, bnd)
+    return [ReportRow("integral-bounds", name, val, "<=", bnd, 1e-9 * bnd)
             for name, val, bnd in (("I", I_val, I_bound), ("J", J_val, J_bound))]
 
 

@@ -1,4 +1,5 @@
 import copy
+import re
 from pathlib import Path
 
 import pytest
@@ -64,6 +65,31 @@ class TestConfigParsing:
         raw = copy.deepcopy(MINI)
         raw["timing"] = {}
         with pytest.raises(ConfigFileError, match="timing"):
+            load_scenario(write_cfg(tmp_path, raw))
+
+    def test_unknown_tolerance_key_rejected(self, tmp_path):
+        raw = copy.deepcopy(MINI)
+        raw["checks"]["tolerances"] = {"oracel": 1e-9}
+        with pytest.raises(ConfigFileError, match="checks.tolerances.oracel"):
+            load_scenario(write_cfg(tmp_path, raw))
+        raw["checks"]["tolerances"] = {"oracle": 1e-9}
+        assert load_scenario(write_cfg(tmp_path, raw)).tolerance("oracle", 0.01) == 1e-9
+
+    def test_null_sections_load_as_empty(self, tmp_path, capsys):
+        raw = copy.deepcopy(MINI)
+        raw["checks"]["tolerances"] = None
+        sc = load_scenario(write_cfg(tmp_path, raw))
+        assert sc.tolerance("oracle", 0.01) == 0.01
+        assert sc.check_suites == ["oracle", "mass-budget"]
+        raw["checks"] = None
+        path = write_cfg(tmp_path, raw)
+        assert "checks: null" in Path(path).read_text()
+        sc = load_scenario(path)
+        assert sc.check_suites == [] and sc.tolerance("oracle", 0.01) == 0.01
+        assert main(["verify", "--config", path, "--out", str(tmp_path / "out")]) == 0
+        assert "0 checks, 0 failures" in capsys.readouterr().out
+        raw["checks"] = ["oracle"]
+        with pytest.raises(ConfigFileError, match="'checks' must be a mapping"):
             load_scenario(write_cfg(tmp_path, raw))
 
     def test_missing_file_mentions_presets(self):
@@ -175,6 +201,8 @@ class TestCommands:
         assert code == 0
         out = capsys.readouterr().out
         assert "certified condition: (ii)" in out
+        # the domination rows print in the verify line format, rule included
+        assert re.search(r"^PASS  moment-domination/M0 +measured=\S+ <= 1\.05$", out, re.M)
         header = (tmp_path / "out" / "scenario_trajectory.csv").read_text().splitlines()[0]
         assert "bound_0" in header and "bound_m" in header
 

@@ -249,13 +249,13 @@ class TestRegularizationProbe:
         t_list = np.geomspace(1e-2, 1.0, 9)
         rep = regularization_probe(probe_ks, grid, 3.5, 1.5, 2.0, t_list, dt=2e-3)
         assert np.isfinite(rep.sup_product)
-        assert rep.passed
+        assert rep.variation < 0.25
 
     def test_smaller_n_still_bounded(self, probe_ks):
         grid = SizeGrid.geometric(1e-4, 128.0, 256)
         t_list = np.geomspace(1e-2, 1.0, 9)
         rep = regularization_probe(probe_ks, grid, 3.5, 1.25, 2.0, t_list, dt=2e-3)
-        assert np.isfinite(rep.sup_product) and rep.passed
+        assert np.isfinite(rep.sup_product) and rep.variation < 0.25
 
     def test_norms_come_from_the_two_probe_curves(self, probe_ks, monkeypatch):
         import gfc.evolution

@@ -10,8 +10,7 @@ from gfc.grid import SizeGrid
 from gfc.kernels import (REACHABLE, UNREACHABLE, CoagulationKernel,
                          DaughterDistribution, GrowthRate,
                          SamplePlan, compute_beta, daughter_moment,
-                         daughter_tail_diagnostics, moment_deficit,
-                         validate_kernel_set)
+                         moment_deficit, validate_kernel_set)
 
 
 class TestDaughterMoments:
@@ -91,12 +90,6 @@ class TestDaughterMoments:
                                   data.draw(st.integers(4, 96)))
         dm = build_daughter_matrix(b, grid)
         np.testing.assert_allclose(dm.column_moment(1.0), grid.centers, rtol=1e-12)
-
-    def test_tail_diagnostics(self):
-        b = DaughterDistribution("uniform-binary")
-        y_m, c_m = daughter_tail_diagnostics(b, 2.0, np.geomspace(0.1, 100, 20))
-        assert y_m == pytest.approx(0.1)
-        assert 0.0 < c_m < 1.0
 
 
 class TestGrowthRate:
