@@ -12,16 +12,19 @@ splitting weights and the pair factor 0.5*k(x_i, x_j)*(2 - delta_ij) are
 folded once, at set-up, into a sparse gain operator with n + 1 rows: rows
 0..n-1 give the number gain per cell and row n the rate of mass routed past
 xmax.  Each pair column holds two entries (its two targets, or its one
-target and the escape row).  One application is then the pair-product
-vector a_i*a_j (a = f*dx), one sparse mat-vec over n(n+1) entries and the
-dense loss mat-vec k @ a.  That is still O(cells^2) but needs no per-call
-masks, fancy-indexed copies or bincounts: about 2.4 ms at 512 cells on a
-2-CPU Xeon.  This is the fixed-pivot pair splitting of Kumar & Ramkrishna,
-Chem. Eng. Sci. 51 (1996).
+target and the escape row).  One application gathers the pair-product
+vector a_i*a_j (a = f*dx) into two buffers the tables own, so a call
+allocates nothing of pair length, then makes one sparse mat-vec over
+n(n+1) entries.  The loss frequency sum_j k(x_i, x_j) a_j is O(n) for the
+closed-form kernels, whose matrices have rank <= 2, and a dense mat-vec
+for a table kernel.  The gain is still O(cells^2): about 1.0 ms per
+application at 512 cells on a 2-CPU Xeon.  This is the fixed-pivot pair
+splitting of Kumar & Ramkrishna, Chem. Eng. Sci. 51 (1996).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 from scipy import sparse
@@ -44,8 +47,11 @@ __all__ = [
 class CoagTables:
     """Pair kernel values, splitting targets and the folded gain operator.
 
-    `kernel` is the full symmetric (n, n) matrix of k(x_i, x_j), used by the
-    loss term.  Every other array holds one entry per pair i <= j, in
+    `kernel` is the full symmetric (n, n) matrix of k(x_i, x_j).  The loss
+    term of a table kernel is a mat-vec with it; a closed-form kernel is the
+    rank-r (r <= 2) product ``loss_u @ loss_w`` of an (n, r) and an (r, n)
+    factor, so its loss term costs O(n) (both factors are None for a table
+    kernel).  Every other array holds one entry per pair i <= j, in
     row-major upper-triangle order (the order of ``np.triu_indices(n)``,
     whose two index arrays are `pair_i` and `pair_j`).  `gain` is the
     (n + 1, pairs) CSC operator: column p carries 0.5*k*(2 - delta_ij)
@@ -55,6 +61,9 @@ class CoagTables:
     entries per pair, n(n+1) in all, so a mat-vec reads about 12 bytes per
     entry (value and int32 row); an interior pair has no escape entry, and
     a pair beyond xmax keeps an explicit zero in place of its lower target.
+    `gather` is the (2, pairs) scratch that `apply_coag` gathers a[pair_i]
+    and a[pair_j] into.  It makes one set of tables non-reentrant: two calls
+    that share it must not run at once (gfc runs no threads).
     """
 
     grid: SizeGrid
@@ -68,6 +77,22 @@ class CoagTables:
     pair_i: np.ndarray        # (pairs,) row index i of pair (i, j)
     pair_j: np.ndarray        # (pairs,) column index j >= i
     gain: sparse.csc_matrix   # (n + 1, pairs) gain and escape operator
+    loss_u: Optional[np.ndarray]  # (n, r) loss factor, None for a table kernel
+    loss_w: Optional[np.ndarray]  # (r, n)
+    gather: np.ndarray        # (2, pairs) scratch of apply_coag
+
+
+def _loss_factors(k: CoagulationKernel, x: np.ndarray):
+    """(U, W) with k(x_i, x_j) = (U @ W)[i, j] from the kernel's closed form:
+    constant k0*1, sum k0(1 + x^a)*1 + k0*y^a, product k0(1 + x^a)(1 + y^a);
+    (None, None) for a table kernel."""
+    if k.kind == "table":
+        return None, None
+    one, xa = np.ones_like(x), np.power(x, k.alpha)
+    u, w = {"constant": ([one], [one]),
+            "sum": ([1.0 + xa, one], [one, xa]),
+            "product": ([1.0 + xa], [1.0 + xa])}[k.kind]
+    return k.k0 * np.stack(u, axis=1), np.stack(w)
 
 
 def build_coag_tables(k: CoagulationKernel, grid: SizeGrid) -> CoagTables:
@@ -127,8 +152,9 @@ def build_coag_tables(k: CoagulationKernel, grid: SizeGrid) -> CoagTables:
     indptr = np.arange(0, 2 * pairs + 1, 2, dtype=np.int32)
     gain = sparse.csc_matrix((vals.ravel(), rows.ravel(), indptr), shape=(n + 1, pairs))
 
+    # pi and pj stay intp: np.take converts narrower indices into a fresh copy
     return CoagTables(grid, kernel, idx_lo, w_lo, idx_hi, w_hi, esc_coeff, inter,
-                      pi, pj, gain)
+                      pi, pj, gain, *_loss_factors(k, x), np.empty((2, pairs)))
 
 
 def _event_rates(f: DensityField, ct: CoagTables) -> np.ndarray:
@@ -140,7 +166,10 @@ def _event_rates(f: DensityField, ct: CoagTables) -> np.ndarray:
 
 def coag_loss_rate(f: DensityField, ct: CoagTables) -> np.ndarray:
     """Pointwise loss frequency Lambda(x_i) = sum_j k(x_i, x_j) f_j dx_j."""
-    return ct.kernel @ (f.values * f.grid.widths)
+    amounts = f.values * f.grid.widths
+    if ct.loss_u is None:
+        return ct.kernel @ amounts
+    return ct.loss_u @ (ct.loss_w @ amounts)
 
 
 def apply_coag(f: DensityField, ct: CoagTables) -> DensityField:
@@ -148,7 +177,13 @@ def apply_coag(f: DensityField, ct: CoagTables) -> DensityField:
     mass routed past xmax."""
     grid = f.grid
     amounts = f.values * grid.widths
-    out = ct.gain @ (amounts[ct.pair_i] * amounts[ct.pair_j])
+    prod, other = ct.gather
+    # mode="clip" (the indices are in range) lets np.take write straight into
+    # out=; the default mode="raise" gathers into a temporary and copies it
+    np.take(amounts, ct.pair_i, out=prod, mode="clip")
+    np.take(amounts, ct.pair_j, out=other, mode="clip")
+    prod *= other
+    out = ct.gain @ prod
     vals = out[:-1] / grid.widths - f.values * coag_loss_rate(f, ct)
     return DensityField(grid, vals, float(out[-1]))
 

@@ -192,6 +192,9 @@ class ScenarioConfig:
         for section in ("kernels", "grid"):
             if section not in self.raw:
                 raise ConfigFileError(f"missing required section '{section}'")
+        for key in ("xmin", "xmax", "cells"):
+            if key not in self.raw["grid"]:
+                raise ConfigFileError(f"missing required key 'grid.{key}'")
         # cross-field constraints fail early, before any run
         ks = self.kernel_set()
         grid = self.grid()

@@ -75,6 +75,16 @@ class TestConfigParsing:
         raw["checks"]["tolerances"] = {"oracle": 1e-9}
         assert load_scenario(write_cfg(tmp_path, raw)).tolerance("oracle", 0.01) == 1e-9
 
+    @pytest.mark.parametrize("key", ["xmin", "xmax", "cells"])
+    def test_missing_grid_key_rejected(self, tmp_path, capsys, key):
+        raw = copy.deepcopy(MINI)
+        del raw["grid"][key]
+        path = write_cfg(tmp_path, raw)
+        with pytest.raises(ConfigFileError, match=f"grid.{key}"):
+            load_scenario(path)
+        assert main(["verify", "--config", path, "--out", str(tmp_path / "out")]) == 1
+        assert f"grid.{key}" in capsys.readouterr().err
+
     def test_null_sections_load_as_empty(self, tmp_path, capsys):
         raw = copy.deepcopy(MINI)
         raw["checks"]["tolerances"] = None

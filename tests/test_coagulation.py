@@ -1,4 +1,5 @@
 import bisect
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_kernels
+from gfc.config import load_scenario
 from gfc.coagulation import (apply_coag, apply_coag_beta, build_coag_tables,
                              coag_loss_rate, coag_moment_identity)
 from gfc.grid import DensityField, SizeGrid, WeightSpec, moment, project, weighted_integral
@@ -100,6 +102,38 @@ class TestApplyCoag:
         assert abs(moment(out, 1.0) + out.escaped_mass) <= 1e-12 * scale
 
 
+class TestWorkspace:
+    def test_apply_allocates_nothing_of_pair_length(self):
+        sc = load_scenario("gfc-global-ii")
+        grid = sc.grid()
+        assert grid.cells == 512
+        ct = build_coag_tables(sc.kernel_set().k, grid)
+        f = sc.initial_field(grid)
+        apply_coag(f, ct)   # warm-up
+        tracemalloc.start()
+        try:
+            apply_coag(f, ct)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < ct.pair_i.size * 8
+
+    def test_results_do_not_alias_the_gather_buffers(self, grid):
+        k = CoagulationKernel("sum", k0=0.7, alpha=0.5)
+        ct = build_coag_tables(k, grid)
+        rng = np.random.default_rng(3)
+        fa, fb = (DensityField(grid, rng.random(grid.cells) * np.exp(-grid.centers))
+                  for _ in range(2))
+        first = apply_coag(fa, ct)
+        kept = first.values.copy(), first.escaped_mass
+        apply_coag(fb, ct)
+        assert np.array_equal(first.values, kept[0]) and first.escaped_mass == kept[1]
+        fresh = apply_coag(fa, build_coag_tables(k, grid))
+        assert np.array_equal(first.values, fresh.values)
+        assert first.escaped_mass == fresh.escaped_mass
+        assert not any(np.shares_memory(first.values, buf) for buf in ct.gather)
+
+
 def reference_coag(f, kernel):
     """Coagulation rate by a plain loop over all ordered pairs (i, j): each
     event 0.5*k_ij*a_i*a_j (a = f*dx) removes one particle from i and one
@@ -165,6 +199,11 @@ class TestAgainstPairLoop:
         assert abs(out.escaped_mass - esc) <= 1e-13 * esc
         mass_scale = moment(DensityField(grid, gain + loss), 1.0) + esc
         assert abs(moment(out, 1.0) + out.escaped_mass) <= 1e-12 * mass_scale
+        # closed-form kernels take the factored loss, a table the dense one
+        assert (ct.loss_u is None) == (k.kind == "table")
+        dense = ct.kernel @ (f.values * grid.widths)
+        lam = coag_loss_rate(f, ct)
+        assert np.max(np.abs(lam - dense)) <= 1e-13 * np.max(np.abs(dense))
 
 
 class TestShiftedOperator:

@@ -124,3 +124,16 @@ def test_every_status_follows_from_its_row(name):
         else:
             assert r.status == verdict(r.measured, r.relation, r.bound, r.tol)
             assert f" {r.relation} {r.bound:.6g}" in line
+
+
+def test_positivity_row_states_its_direction():
+    """On constant-coag the minimum density stays strictly positive, so the
+    min-cell row passes only under `>=`; on the presets that print
+    `measured=0 >= 0` either direction would pass."""
+    raw = get_preset("constant-coag")
+    raw["grid"]["cells"] = 64
+    raw["time"].update(t_end=0.1, output_every=0.05)
+    report, _ = run_suites(ScenarioContext(load_scenario(raw)), ["positivity"])
+    (row,) = report.rows
+    assert row.name == "min-cell" and row.relation == ">=" and row.bound == 0.0
+    assert row.measured > 0.0 and row.status == "pass"
