@@ -30,11 +30,10 @@ import numpy as np
 from scipy import sparse
 
 from .grid import DensityField, SizeGrid
-from .kernels import CoagulationKernel
+from .kernels import CoagulationKernel, ReportRow
 
 __all__ = [
     "CoagTables",
-    "CoagIdentityReport",
     "build_coag_tables",
     "apply_coag",
     "apply_coag_beta",
@@ -202,38 +201,34 @@ def apply_coag_beta(f: DensityField, ct: CoagTables, beta: float, alpha: float) 
     return base
 
 
-@dataclass
-class CoagIdentityReport:
-    order: float
-    lhs: float
-    rhs: float
-    escaped_rate: float
-    rel_discrepancy: float
-    detail: str = ""
-
-
-def coag_moment_identity(f: DensityField, i: float, ct: CoagTables) -> CoagIdentityReport:
-    """Moment rate of the discretized operator against the exact double sum.
+def coag_moment_identity(f: DensityField, ct: Optional[CoagTables],
+                         moment2_tol: float) -> list[ReportRow]:
+    """The 'coag-identities' rows: for i = 0, 1, 2 the moment rate of the
+    discretized operator against the exact double sum.
 
     For i = 1 the comparison includes the routed overflow so both sides are
-    zero to rounding; for i = 0 the double sum collapses to minus half the
-    total event rate; other orders pick up the pair-splitting error only.
-    The double sum runs over all ordered pairs from the kernel matrix alone,
-    so it does not reuse the gain operator it checks.
+    zero to rounding (tolerance 1e-11); for i = 0 the double sum collapses to
+    minus half the total event rate (1e-11); order 2 picks up the
+    pair-splitting error, bounded by `moment2_tol`.  The double sum runs over
+    all ordered pairs from the kernel matrix alone, so it does not reuse the
+    gain operator it checks.  No tables (`ct` None) means no coagulation.
     """
+    if ct is None:
+        return [ReportRow("coag-identities", "mass", detail="coagulation disabled")]
     grid = f.grid
     x = grid.centers
     kf = apply_coag(f, ct)
-    lhs = float(np.sum(np.power(x, i) * kf.values * grid.widths))
-    if i == 1:
-        lhs += kf.escaped_mass
-
     ev = _event_rates(f, ct)
     s = (x[:, None] + x[None, :]).ravel()
-    xi = np.power(x, i)
-    cross = np.power(s, i) - np.add.outer(xi, xi).ravel()
-    rhs = float(np.sum(ev * cross))
-
-    scale = max(abs(lhs), abs(rhs), float(np.sum(ev * np.power(s, i))), 1e-300)
-    return CoagIdentityReport(i, lhs, rhs, kf.escaped_mass,
-                              abs(lhs - rhs) / scale)
+    rows = []
+    for i, tol in ((0.0, 1e-11), (1.0, 1e-11), (2.0, moment2_tol)):
+        xi = np.power(x, i)
+        lhs = float(np.sum(xi * kf.values * grid.widths))
+        if i == 1:
+            lhs += kf.escaped_mass
+        cross = np.power(s, i) - np.add.outer(xi, xi).ravel()
+        rhs = float(np.sum(ev * cross))
+        scale = max(abs(lhs), abs(rhs), float(np.sum(ev * np.power(s, i))), 1e-300)
+        rows.append(ReportRow("coag-identities", f"moment-{i:g}", abs(lhs - rhs) / scale,
+                              "<=", tol, detail=f"escape rate {kf.escaped_mass:.3e}"))
+    return rows

@@ -19,6 +19,7 @@ formulation), so their agreement cross-validates the time integration.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -27,15 +28,13 @@ import numpy as np
 from .coagulation import CoagTables, apply_coag, apply_coag_beta, build_coag_tables
 from .fragmentation import DaughterMatrix, apply_frag, build_daughter_matrix, daughter_gain
 from .grid import DensityField, SizeGrid, WeightSpec, moment, project, weighted_integral
-from .kernels import CoagulationKernel, KernelSet, compute_beta
+from .kernels import CoagulationKernel, KernelSet, ReportRow, compute_beta
 from .transport import make_antiderivatives, transport_apply
 
 __all__ = [
     "SolverConfig",
     "Trajectory",
     "DuhamelReport",
-    "ProbeReport",
-    "ResidualReport",
     "ConfigError",
     "NumericalFailureError",
     "SetupError",
@@ -366,9 +365,9 @@ def duhamel_solve(f0: DensityField, cfg: SolverConfig, ks: KernelSet,
 
     iterates = [fld.copy() for fld in lin]
     prev_err: Optional[np.ndarray] = None
+    node_factors: Optional[np.ndarray] = None
     factors: list[float] = []
     converged = False
-    err_nodes = np.zeros(n_out + 1)
     it = 0
     for it in range(1, cfg.picard_max_iter + 1):
         sources = [k_beta(fld) for fld in iterates]
@@ -397,10 +396,10 @@ def duhamel_solve(f0: DensityField, cfg: SolverConfig, ks: KernelSet,
             break
 
     window = cfg.t_end
-    if factors and factors[-1] >= 1.0 and prev_err is not None:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ok = np.maximum.accumulate(np.where(prev_err > 0, err_nodes / np.maximum(prev_err, 1e-300), 0.0)) < 1.0
-        idx = np.nonzero(ok)[0]
+    if factors and factors[-1] >= 1.0:
+        # the last iteration's factors per node: contraction held up to the
+        # last output time before the first node whose error did not shrink
+        idx = np.nonzero(np.maximum.accumulate(node_factors) < 1.0)[0]
         window = float(times[idx[-1]]) if idx.size else 0.0
 
     traj = Trajectory(grid, cfg.m, times, iterates, np.zeros(n_out + 1))
@@ -409,15 +408,6 @@ def duhamel_solve(f0: DensityField, cfg: SolverConfig, ks: KernelSet,
 
 # ---------------------------------------------------------------------------
 # moment-regularization probe of the linear semigroup
-
-
-@dataclass
-class ProbeReport:
-    theta_hat: float
-    sup_product: float
-    variation: float
-    norms: np.ndarray
-    times: np.ndarray
 
 
 def _linear_norm_curve(ks: KernelSet, grid: SizeGrid, m: float, f0: DensityField,
@@ -440,17 +430,20 @@ def _linear_norm_curve(ks: KernelSet, grid: SizeGrid, m: float, f0: DensityField
 
 
 def regularization_probe(ks: KernelSet, grid: SizeGrid, m: float, n: float, p: float,
-                         t_list: np.ndarray, eta: float = 0.25, dt: float = 1e-3,
-                         membership_growth_min: float = 1.2) -> ProbeReport:
+                         t_list: np.ndarray, stability_tol: float, eta: float = 0.25,
+                         dt: float = 1e-3, membership_growth_min: float = 1.2
+                         ) -> list[ReportRow]:
     """Probe the moment-regularization rate of the linear semigroup.
 
     The initial profile (1 + x)^(-(p + 1 + eta)) has a finite p-weighted norm
     but lies outside the m-weighted space on the untruncated axis, certified
-    by its truncated m-norm growing under domain doubling.  The probe reports
-    sup over t of t^((m-n)/gamma0) e^(-theta_hat t) ||S(t) f0||_[0,m] with
-    theta_hat fitted on the late times, and its relative variation under grid
-    and domain doubling; a grid-stable supremum empirically confirms the
-    blow-up exponent is not worse than (m - n)/gamma0.
+    by its truncated m-norm growing under domain doubling.  The
+    'regularization-probe' rows report sup over t of
+    t^((m-n)/gamma0) e^(-theta_hat t) ||S(t) f0||_[0,m] with theta_hat fitted
+    on the late times (`bounded-product`), and its relative variation under
+    grid and domain doubling against `stability_tol` (`grid-stability`); a
+    grid-stable supremum empirically confirms the blow-up exponent is not
+    worse than (m - n)/gamma0.
     """
     lmax = max(1.0, ks.b.n0_bound_exponent)
     if not (lmax < n < p < m):
@@ -471,50 +464,49 @@ def regularization_probe(ks: KernelSet, grid: SizeGrid, m: float, n: float, p: f
 
     kappa = (m - n) / ks.a.gamma0
 
-    def run(g: SizeGrid) -> tuple[float, float, np.ndarray]:
+    def run(g: SizeGrid) -> tuple[float, float]:
         norms = _linear_norm_curve(ks, g, m, project(profile, g), t_list, dt)
         tail = t_list >= t_list[-1] / 3.0
         theta = max(0.0, float(np.polyfit(t_list[tail], np.log(norms[tail]), 1)[0]))
         product = np.power(t_list, kappa) * np.exp(-theta * t_list) * norms
-        return float(np.max(product)), theta, norms
+        return float(np.max(product)), theta
 
-    sup1, theta1, norms = run(grid)
+    sup1, theta1 = run(grid)
     refined = SizeGrid.geometric(grid.xmin, grid.xmax * 2.0, grid.cells * 2)
-    sup2, _, _ = run(refined)
-    variation = abs(sup2 - sup1) / sup1
-    return ProbeReport(theta1, sup1, variation, norms, t_list)
+    sup2, _ = run(refined)
+    return [
+        # finite on every truncated grid, so this row cannot fail
+        ReportRow("regularization-probe", "bounded-product", sup1, "<", math.inf,
+                  detail=f"theta_hat = {theta1:.3g}"),
+        ReportRow("regularization-probe", "grid-stability", abs(sup2 - sup1) / sup1, "<",
+                  stability_tol, detail="sup variation under grid+xmax doubling"),
+    ]
 
 
 # ---------------------------------------------------------------------------
 # discrete residual of the strong equation
 
 
-@dataclass
-class ResidualReport:
-    times: np.ndarray
-    norms: np.ndarray
-    weight_order: float
-
-    @property
-    def max_norm(self) -> float:
-        return float(np.max(self.norms)) if self.norms.size else 0.0
-
-
 def pde_residual(traj: Trajectory, ks: KernelSet, dm: Optional[DaughterMatrix],
-                 ct: Optional[CoagTables], p: Optional[float] = None) -> ResidualReport:
-    """Central-difference time derivative against the discrete right-hand side.
+                 ct: Optional[CoagTables], tol: float,
+                 p: Optional[float] = None) -> list[ReportRow]:
+    """The 'pde-residual' row: central-difference time derivative against the
+    discrete right-hand side.
 
-    Evaluated at interior output times in the p-weighted norm; decays under
-    dt and grid refinement for smooth scenarios, and vanishes identically on
-    stationary states.
+    Evaluated at interior output times in the p-weighted norm (p defaults to
+    the trajectory's weight order) and normalized by the p-weighted norm of
+    |f| at mid-run; decays under dt and grid refinement for smooth scenarios,
+    and vanishes identically on stationary states.  Fewer than three
+    snapshots give an n/a row.
     """
     if len(traj.fields) < 3:
-        raise ValueError("need at least three snapshots for a central difference")
+        return [ReportRow("pde-residual", "interior", detail="too few snapshots")]
     p = traj.m_order if p is None else p
     grid = traj.grid
     x = grid.centers
-    w = WeightSpec(p, "shifted")(x)
-    out_t, out_norm = [], []
+    wp = WeightSpec(p, "shifted")
+    w = wp(x)
+    worst = 0.0
     for k in range(1, len(traj.fields) - 1):
         dt2 = traj.times[k + 1] - traj.times[k - 1]
         dfdt = (traj.fields[k + 1].values - traj.fields[k - 1].values) / dt2
@@ -528,6 +520,9 @@ def pde_residual(traj: Trajectory, ks: KernelSet, dm: Optional[DaughterMatrix],
             rhs = rhs + apply_coag(fk, ct).values
         resid = dfdt - rhs
         inner = slice(1, -1)
-        out_t.append(traj.times[k])
-        out_norm.append(float(np.sum(np.abs(resid[inner]) * w[inner] * grid.widths[inner])))
-    return ResidualReport(np.array(out_t), np.array(out_norm), p)
+        worst = max(worst, float(np.sum(np.abs(resid[inner]) * w[inner] * grid.widths[inner])))
+    # normalize against the advection + reaction magnitude at mid-run
+    mid = traj.fields[len(traj.fields) // 2]
+    scale = max(weighted_integral(DensityField(grid, np.abs(mid.values)), wp), 1e-300)
+    return [ReportRow("pde-residual", "interior", worst / scale, "<=", tol,
+                      detail="central-difference time derivative vs RHS")]

@@ -7,17 +7,15 @@ otherwise masquerade as model dynamics.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
 from .grid import DensityField, SizeGrid, moment
-from .kernels import DaughterDistribution, KernelSet, daughter_moment
+from .kernels import DaughterDistribution, KernelSet, ReportRow, daughter_moment
 
 __all__ = [
     "DaughterMatrix",
-    "IdentityReport",
     "build_daughter_matrix",
     "apply_frag",
     "daughter_gain",
@@ -102,18 +100,6 @@ def apply_frag(f: DensityField, ks: KernelSet, dm: DaughterMatrix) -> DensityFie
     return DensityField(f.grid, gain - a * f.values)
 
 
-@dataclass
-class IdentityReport:
-    order: float
-    lhs: float
-    rhs: float
-    rel_discrepancy: float
-    estimate_value: Optional[float] = None
-    estimate_bound: Optional[float] = None
-    estimate_tol: Optional[float] = None
-    detail: str = ""
-
-
 def fragmentation_constants(ks: KernelSet, i: float,
                             sample_hi: float = 1e3, n_samples: int = 200
                             ) -> tuple[float, float, float]:
@@ -134,31 +120,35 @@ def fragmentation_constants(ks: KernelSet, i: float,
     return delta_p, delta, nu
 
 
-def frag_moment_identity(f: DensityField, i: float, ks: KernelSet,
-                         dm: DaughterMatrix) -> IdentityReport:
-    """Compare sum x^i (Ff) against the moment-sink form -sum N_i a f.
+def frag_moment_identity(f: DensityField, ks: KernelSet,
+                         dm: DaughterMatrix) -> list[ReportRow]:
+    """The 'frag-identities' rows: mass neutrality of F f, and for i = 0, 1, 2
+    sum x^i (Ff) against the moment-sink form -sum N_i a f.
 
-    Both sides use the same discretization, so they agree to rounding; the
-    report also evaluates, for i > 1, the sink estimate
-    -delta_i ||f||_[i+gamma0] + nu_i ||f||_[i] with the computed surrogates,
-    and the rounding tolerance 1e-12 |estimate| its check allows.
+    Both sides of an identity use the same discretization, so they agree to
+    rounding.  For i > 1 a further row checks the sink estimate
+    sum x^i (Ff) <= -delta_i ||f||_[i+gamma0] + nu_i ||f||_[i] with the
+    computed surrogates, up to a rounding tolerance 1e-12 |estimate|.
     """
+    if ks.a.is_zero:
+        return [ReportRow("frag-identities", "mass", detail="fragmentation disabled")]
     grid = f.grid
     x, widths = grid.centers, grid.widths
     a = ks.a(x)
     ff = apply_frag(f, ks, dm)
-    lhs = float(np.sum(np.power(x, i) * ff.values * widths))
-    n_disc = dm.column_moment(i)
-    deficit = np.power(x, i) - n_disc
-    rhs = -float(np.sum(deficit * a * f.values * widths))
-    scale = max(abs(lhs), abs(rhs), float(np.sum(np.power(x, i) * a * np.abs(f.values) * widths)), 1e-300)
-    rep = IdentityReport(i, lhs, rhs, abs(lhs - rhs) / scale)
-
-    if i > 1:
-        _, delta, nu = fragmentation_constants(ks, i, sample_hi=10 * grid.xmax)
-        bound = -delta * moment(f, i + ks.a.gamma0) + nu * moment(f, i)
-        rep.estimate_value = lhs
-        rep.estimate_bound = bound
-        rep.estimate_tol = 1e-12 * abs(bound)
-        rep.detail = f"delta_i={delta:.6g}, nu_i={nu:.6g}"
-    return rep
+    gross = moment(DensityField(grid, np.abs(ff.values)), 1.0) + 1e-300
+    rows = [ReportRow("frag-identities", "mass-neutral", abs(moment(ff, 1.0)) / gross,
+                      "<=", 1e-12)]
+    for i in (0.0, 1.0, 2.0):
+        xi = np.power(x, i)
+        lhs = float(np.sum(xi * ff.values * widths))
+        rhs = -float(np.sum((xi - dm.column_moment(i)) * a * f.values * widths))
+        scale = max(abs(lhs), abs(rhs), float(np.sum(xi * a * np.abs(f.values) * widths)), 1e-300)
+        rows.append(ReportRow("frag-identities", f"moment-{i:g}", abs(lhs - rhs) / scale,
+                              "<=", 1e-11))
+        if i > 1:
+            _, delta, nu = fragmentation_constants(ks, i, sample_hi=10 * grid.xmax)
+            bound = -delta * moment(f, i + ks.a.gamma0) + nu * moment(f, i)
+            rows.append(ReportRow("frag-identities", f"sink-estimate-{i:g}", lhs, "<=", bound,
+                                  1e-12 * abs(bound), f"delta_i={delta:.6g}, nu_i={nu:.6g}"))
+    return rows

@@ -71,9 +71,6 @@ class ConditionReport:
     m0: float
     m1: float
     cond_ii: bool
-    rtilde: float
-    mu: float = float("nan")   # growth rate of the coupled (M0, M1) envelope
-    detail: str = ""
 
     @property
     def any_holds(self) -> bool:
@@ -116,16 +113,7 @@ def global_conditions(ks: KernelSet, xmax: float, n_samples: int = 400) -> Condi
         xs = np.geomspace(xmax * 1e-6, 10.0 * xmax, n_samples)
         cond_ii = bool(np.all(ks.r(xs) <= ks.r.rtilde * xs * (1 + 1e-9)))
 
-    # any mu dominating the coupled linear system works; the logarithmic norm
-    # of its symmetric part is the canonical computable choice
-    mu = float("nan")
-    if cond_i:
-        A = np.array([[m0, m1], [ks.r.r0, ks.r.r1]])
-        mu = float(np.max(np.linalg.eigvalsh(0.5 * (A + A.T))))
-
-    return ConditionReport(cond_i, m0, m1, cond_ii, ks.r.rtilde, mu,
-                           detail=f"(n0-1)a majorant fitted on [0, {xmax:g}], "
-                                  f"verified on [0, {10 * xmax:g}]")
+    return ConditionReport(cond_i, m0, m1, cond_ii)
 
 
 @dataclass

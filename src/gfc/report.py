@@ -27,13 +27,12 @@ from .coagulation import build_coag_tables, coag_moment_identity
 from .config import ScenarioConfig
 from .evolution import (ConfigError, DuhamelReport, SolverConfig, Trajectory,
                         duhamel_solve, pde_residual, regularization_probe, solve)
-from .fragmentation import (apply_frag, build_daughter_matrix,
-                            frag_moment_identity, neglected_gain_estimate)
+from .fragmentation import build_daughter_matrix, frag_moment_identity, neglected_gain_estimate
 from .grid import DensityField, SizeGrid, WeightSpec, moment, project, weighted_integral
 from .kernels import KernelSet, ReportRow, SamplePlan, validate_kernel_set
 from .transport import (SpectralParams, resolvent_integral_bounds, laplace_consistency,
                         make_antiderivatives, resolvent_apply, resolvent_residual,
-                        transport_apply)
+                        transport_apply, v_lambda_diagnostics)
 
 __all__ = ["ReportRow", "RunReport", "ScenarioContext", "run_suites", "render_rows",
            "write_trajectory_csv", "trajectory_csv_text", "SUITES"]
@@ -140,6 +139,13 @@ class ScenarioContext:
         return self.solution[0]
 
     @cached_property
+    def spectral(self) -> SpectralParams:
+        """The growth bound omega = 2*m*rtilde and the resolvent parameter
+        lambda = omega + 2 that the spectral suites use."""
+        omega = 2.0 * self.cfg.m * self.ks.r.rtilde
+        return SpectralParams.for_kernels(self.ks, self.cfg.m, omega + 2.0)
+
+    @cached_property
     def conditions(self) -> mb.ConditionReport:
         return mb.global_conditions(self.ks, self.grid.xmax)
 
@@ -184,7 +190,7 @@ def _suite_kernel_validation(ctx: ScenarioContext) -> list[ReportRow]:
 
 def _suite_quasi_contractivity(ctx: ScenarioContext) -> list[ReportRow]:
     tol = ctx.sc.tolerance("quasi_contractivity", 1e-6)
-    sp_omega = 2.0 * ctx.cfg.m * ctx.ks.r.rtilde
+    sp_omega = ctx.spectral.omega
     w = WeightSpec(ctx.cfg.m, "shifted")
     base = weighted_integral(ctx.f0, w)
     if base == 0:
@@ -202,9 +208,8 @@ def _suite_quasi_contractivity(ctx: ScenarioContext) -> list[ReportRow]:
 def _suite_resolvent(ctx: ScenarioContext) -> list[ReportRow]:
     if ctx.ks.r.is_zero:
         return [ReportRow("resolvent", "norm-bound", detail="growth disabled")]
-    omega = 2.0 * ctx.cfg.m * ctx.ks.r.rtilde
-    lam = omega + 2.0
-    sp = SpectralParams.for_kernels(ctx.ks, ctx.cfg.m, lam)
+    sp = ctx.spectral
+    lam, omega = sp.lam, sp.omega
     w = WeightSpec(ctx.cfg.m, "shifted")
     rows = []
     worst_ratio = 0.0
@@ -222,14 +227,14 @@ def _suite_resolvent(ctx: ScenarioContext) -> list[ReportRow]:
     tol = ctx.sc.tolerance("resolvent_residual", 0.05)
     rows.append(ReportRow("resolvent", "defining-identity", resid, "<=", tol,
                           detail="discrete derivative on the smooth initial profile"))
-    return rows
+    return rows + v_lambda_diagnostics(sp, ctx.ks)
 
 
 def _suite_integral_bounds(ctx: ScenarioContext) -> list[ReportRow]:
     if ctx.ks.r.is_zero:
         return [ReportRow("integral-bounds", "I", detail="growth disabled")]
     rows = []
-    omega = 2.0 * ctx.cfg.m * ctx.ks.r.rtilde
+    omega = ctx.spectral.omega
     for alpha in (0.5, 1.0, 5.0):
         for lam_f in (1.5, 3.0):
             lam = lam_f * omega if omega > 0 else lam_f
@@ -241,44 +246,20 @@ def _suite_integral_bounds(ctx: ScenarioContext) -> list[ReportRow]:
 def _suite_laplace(ctx: ScenarioContext) -> list[ReportRow]:
     if ctx.ks.r.is_zero:
         return [ReportRow("laplace", "consistency", detail="growth disabled")]
-    omega = 2.0 * ctx.cfg.m * ctx.ks.r.rtilde
-    lam = omega + 2.0
-    sp = SpectralParams.for_kernels(ctx.ks, ctx.cfg.m, lam)
-    tmax = math.log(1e7) / (lam - omega)
+    sp = ctx.spectral
+    tmax = math.log(1e7) / (sp.lam - sp.omega)
     tol = ctx.sc.tolerance("laplace", 1e-2)
     disc = laplace_consistency(ctx.f0, sp, ctx.ks, tmax)
     return [ReportRow("laplace", "consistency", disc, "<=", tol,
-                      detail=f"lambda = {lam:g}, tmax = {tmax:.2f}")]
+                      detail=f"lambda = {sp.lam:g}, tmax = {tmax:.2f}")]
 
 
 def _suite_frag_identities(ctx: ScenarioContext) -> list[ReportRow]:
-    if ctx.ks.a.is_zero:
-        return [ReportRow("frag-identities", "mass", detail="fragmentation disabled")]
-    rows = []
-    f = ctx.f0
-    ff = apply_frag(f, ctx.ks, ctx.dm)
-    mass_rate = moment(ff, 1.0)
-    scale = moment(DensityField(f.grid, np.abs(ff.values)), 1.0) + 1e-300
-    rows.append(ReportRow("frag-identities", "mass-neutral", abs(mass_rate) / scale, "<=", 1e-12))
-    for i in (0.0, 1.0, 2.0):
-        rep = frag_moment_identity(f, i, ctx.ks, ctx.dm)
-        rows.append(ReportRow("frag-identities", f"moment-{i:g}", rep.rel_discrepancy, "<=", 1e-11))
-        if rep.estimate_bound is not None:
-            rows.append(ReportRow("frag-identities", f"sink-estimate-{i:g}", rep.estimate_value,
-                                  "<=", rep.estimate_bound, rep.estimate_tol, rep.detail))
-    return rows
+    return frag_moment_identity(ctx.f0, ctx.ks, ctx.dm)
 
 
 def _suite_coag_identities(ctx: ScenarioContext) -> list[ReportRow]:
-    if ctx.ks.k.is_zero:
-        return [ReportRow("coag-identities", "mass", detail="coagulation disabled")]
-    rows = []
-    f = ctx.f0
-    for i, tol in ((0.0, 1e-11), (1.0, 1e-11), (2.0, ctx.sc.tolerance("coag_moment2", 2e-3))):
-        rep = coag_moment_identity(f, i, ctx.ct)
-        rows.append(ReportRow("coag-identities", f"moment-{i:g}", rep.rel_discrepancy, "<=", tol,
-                              detail=f"escape rate {rep.escaped_rate:.3e}"))
-    return rows
+    return coag_moment_identity(ctx.f0, ctx.ct, ctx.sc.tolerance("coag_moment2", 2e-3))
 
 
 def _suite_positivity(ctx: ScenarioContext) -> list[ReportRow]:
@@ -407,17 +388,7 @@ def _suite_cross_validation(ctx: ScenarioContext) -> list[ReportRow]:
 
 
 def _suite_regularization_probe(ctx: ScenarioContext) -> list[ReportRow]:
-    pp = ctx.sc.probe_params()
-    rep = regularization_probe(ctx.ks, ctx.grid, pp["m"], pp["n"], pp["p"],
-                               pp["t_list"], eta=pp["eta"], dt=pp["dt"],
-                               membership_growth_min=pp["membership_growth_min"])
-    return [
-        # finite on every truncated grid, so this row cannot fail
-        ReportRow("regularization-probe", "bounded-product", rep.sup_product, "<", math.inf,
-                  detail=f"theta_hat = {rep.theta_hat:.3g}"),
-        ReportRow("regularization-probe", "grid-stability", rep.variation, "<",
-                  pp["stability_tol"], detail="sup variation under grid+xmax doubling"),
-    ]
+    return regularization_probe(ctx.ks, ctx.grid, **ctx.sc.probe_params())
 
 
 def _suite_moment_domination(ctx: ScenarioContext) -> list[ReportRow]:
@@ -441,19 +412,8 @@ def _suite_moment_domination(ctx: ScenarioContext) -> list[ReportRow]:
 
 
 def _suite_pde_residual(ctx: ScenarioContext) -> list[ReportRow]:
-    traj = ctx.trajectory
-    if len(traj.fields) < 3:
-        return [ReportRow("pde-residual", "interior", detail="too few snapshots")]
-    p = ctx.cfg.p if ctx.cfg.p is not None else ctx.cfg.m
-    rep = pde_residual(traj, ctx.ks, ctx.dm, ctx.ct, p=p)
-    # normalize against the advection + reaction magnitude at mid-run
-    mid = traj.fields[len(traj.fields) // 2]
-    scale = max(weighted_integral(DensityField(ctx.grid, np.abs(mid.values)),
-                                  WeightSpec(p, "shifted")), 1e-300)
-    tol = ctx.sc.tolerance("pde_residual", 0.05)
-    rel = rep.max_norm / scale
-    return [ReportRow("pde-residual", "interior", rel, "<=", tol,
-                      detail="central-difference time derivative vs RHS")]
+    return pde_residual(ctx.trajectory, ctx.ks, ctx.dm, ctx.ct,
+                        ctx.sc.tolerance("pde_residual", 0.05), p=ctx.cfg.p)
 
 
 def _suite_determinism(ctx: ScenarioContext) -> list[ReportRow]:

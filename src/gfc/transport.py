@@ -40,7 +40,7 @@ from scipy import integrate
 from scipy.interpolate import PchipInterpolator
 
 from .grid import DensityField, SizeGrid, WeightSpec, weighted_integral
-from .kernels import REACHABLE, UNREACHABLE, GrowthRate, KernelSet, ReportRow
+from .kernels import UNREACHABLE, GrowthRate, KernelSet, ReportRow
 
 __all__ = [
     "Antiderivatives",
@@ -53,7 +53,6 @@ __all__ = [
     "resolvent_integral_bounds",
     "v_lambda_diagnostics",
     "laplace_consistency",
-    "DivergenceReport",
 ]
 
 
@@ -508,37 +507,24 @@ def resolvent_integral_bounds(alpha: float, lam: float, m: float, ks: KernelSet)
 # the singular solution v_lambda
 
 
-@dataclass
-class DivergenceReport:
-    origin_class: str
-    epsilons: np.ndarray
-    values: np.ndarray
-    monotone: bool
-    divergence_exponent: Optional[float]
-    boundary_limit: Optional[float]
-
-    @property
-    def excluded(self) -> bool:
-        """True when v_lambda is certified outside the admissible space."""
-        if self.origin_class == UNREACHABLE:
-            return self.monotone and (self.divergence_exponent or 0.0) > 0.0
-        return (self.boundary_limit or 0.0) > 0.0
-
-
 def v_lambda_diagnostics(sp: SpectralParams, ks: KernelSet,
-                         eps_range: tuple[float, float] = (1e-1, 1e-5)) -> DivergenceReport:
+                         eps_range: tuple[float, float] = (1e-1, 1e-5)) -> list[ReportRow]:
     """Certify that the homogeneous resolvent solution is inadmissible.
 
     Unreachable origin: the truncated weighted integral of v_lambda grows
-    without bound as the cutoff shrinks; a log-log fit reports the rate.
-    Reachable origin: r*v_lambda has a nonzero limit at 0+, violating the
-    homogeneous boundary condition.
+    without bound as the cutoff shrinks.  The 'resolvent' rows are the
+    log-log rate of that growth (`v-lambda-divergence`, > 0) and the number
+    of cutoffs at which the integral did not grow (`v-lambda-monotone`,
+    <= 0).  Reachable origin: r*v_lambda has a nonzero limit at 0+, which
+    violates the homogeneous boundary condition; one row reports it at the
+    smallest cutoff (`v-lambda-boundary`, > 0).
     """
     if ks.r.is_zero:
         raise ParameterDomainError("v_lambda diagnostics need a positive growth rate")
     antid = Antiderivatives(ks, x_lo=eps_range[1] * 1e-2, x_hi=10.0)
     eps = np.geomspace(eps_range[0], eps_range[1], 9)
     w = WeightSpec(sp.m, "shifted")
+    cutoffs = f"lambda = {sp.lam:g}, cutoffs {eps[0]:g} .. {eps[-1]:g}"
 
     if ks.r.origin_class == UNREACHABLE:
         def vw(s):
@@ -555,15 +541,19 @@ def v_lambda_diagnostics(sp: SpectralParams, ks: KernelSet,
                 total += v
             vals.append(total)
         vals = np.array(vals)
-        monotone = bool(np.all(np.diff(vals) > 0))
         # late-end slope of log T against log(1/eps)
         tail = slice(len(eps) // 2, None)
-        slope = np.polyfit(np.log(1.0 / eps[tail]), np.log(vals[tail]), 1)[0]
-        return DivergenceReport(UNREACHABLE, eps, vals, monotone, float(slope), None)
+        slope = float(np.polyfit(np.log(1.0 / eps[tail]), np.log(vals[tail]), 1)[0])
+        return [
+            ReportRow("resolvent", "v-lambda-divergence", slope, ">", 0.0,
+                      detail=f"log-log rate of the truncated weighted integral; {cutoffs}"),
+            ReportRow("resolvent", "v-lambda-monotone", float(np.sum(np.diff(vals) <= 0)),
+                      "<=", 0.0, detail="cutoffs at which the truncated integral did not grow"),
+        ]
 
-    rv = np.exp(-sp.lam * antid.R(eps) - antid.Q(eps))
-    limit = float(rv[-1])
-    return DivergenceReport(REACHABLE, eps, rv, bool(np.all(np.diff(rv) >= 0)), None, limit)
+    limit = float(np.exp(-sp.lam * antid.R(eps[-1]) - antid.Q(eps[-1])))
+    return [ReportRow("resolvent", "v-lambda-boundary", limit, ">", 0.0,
+                      detail=f"r*v_lambda at the smallest cutoff; {cutoffs}")]
 
 
 # ---------------------------------------------------------------------------

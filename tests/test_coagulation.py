@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import make_kernels
 from gfc.config import load_scenario
-from gfc.coagulation import (apply_coag, apply_coag_beta, build_coag_tables,
+from gfc.coagulation import (_event_rates, apply_coag, apply_coag_beta, build_coag_tables,
                              coag_loss_rate, coag_moment_identity)
 from gfc.grid import DensityField, SizeGrid, WeightSpec, moment, project, weighted_integral
 from gfc.kernels import CoagulationKernel, compute_beta
@@ -228,20 +228,32 @@ class TestShiftedOperator:
             assert out.min_value() >= 0.0
 
 
+def identity_rows(f, ct):
+    return {r.name: r for r in coag_moment_identity(f, ct, 2e-3)}
+
+
 class TestMomentIdentities:
+    def test_rows_are_the_suite_rows(self, ct_const, box_field):
+        rows = coag_moment_identity(box_field, ct_const, 2e-3)
+        assert [r.name for r in rows] == ["moment-0", "moment-1", "moment-2"]
+        assert [r.bound for r in rows] == [1e-11, 1e-11, 2e-3]
+        assert all(r.suite == "coag-identities" and r.status == "pass" for r in rows)
+        (off,) = coag_moment_identity(box_field, None, 2e-3)
+        assert off.status == "n/a" and off.detail == "coagulation disabled"
+
     def test_mass_identity_trivial(self, ct_const, box_field):
-        rep = coag_moment_identity(box_field, 1.0, ct_const)
-        assert rep.rel_discrepancy < 1e-12
+        assert identity_rows(box_field, ct_const)["moment-1"].measured < 1e-12
 
     def test_number_identity_collapses(self, grid, ct_const, box_field):
-        rep = coag_moment_identity(box_field, 0.0, ct_const)
-        assert rep.rel_discrepancy < 1e-12
+        assert identity_rows(box_field, ct_const)["moment-0"].measured < 1e-12
         m0 = moment(box_field, 0.0)
-        assert rep.rhs == pytest.approx(-0.5 * 2.0 * m0**2, rel=1e-12)
+        rate = moment(apply_coag(box_field, ct_const), 0.0)
+        assert rate == pytest.approx(-0.5 * 2.0 * m0**2, rel=1e-12)
 
     def test_second_moment_algebraic_identity(self, grid, ct_const, box_field):
-        rep = coag_moment_identity(box_field, 2.0, ct_const)
         m1 = moment(box_field, 1.0)
-        # (x+y)^2 - x^2 - y^2 = 2xy collapses the double sum to k0*M1^2
-        assert rep.rhs == pytest.approx(2.0 * m1**2, rel=1e-12)
-        assert rep.rel_discrepancy < 2e-3   # pair-splitting error only
+        # (x+y)^2 - x^2 - y^2 = 2xy collapses the exact double sum to k0*M1^2
+        x = grid.centers
+        double_sum = np.sum(_event_rates(box_field, ct_const) * 2.0 * np.outer(x, x).ravel())
+        assert double_sum == pytest.approx(2.0 * m1**2, rel=1e-12)
+        assert identity_rows(box_field, ct_const)["moment-2"].measured < 2e-3  # pair-splitting error only

@@ -1,14 +1,20 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_kernels
-from gfc.config import load_scenario
+from gfc.config import ScenarioConfig, load_scenario
 from gfc.evolution import (ConfigError, NumericalFailureError, SetupError,
                            SolverConfig, SplitStepper, duhamel_solve, pde_residual,
                            regularization_probe, solve)
 from gfc.fragmentation import build_daughter_matrix
 from gfc.grid import DensityField, SizeGrid, WeightSpec, moment, project, weighted_integral
+from gfc.kernels import compute_beta
 from gfc.presets import get_preset
+from gfc.report import ScenarioContext, trajectory_csv_text
 from gfc.transport import transport_apply
 
 
@@ -210,6 +216,20 @@ class TestDuhamel:
                 DensityField(grid, np.abs(traj.fields[j].values - dtraj.fields[k].values)), w)
             assert gap / traj.norm0m[j] < 0.02
 
+    def test_contraction_window_reads_the_last_iteration(self):
+        # the cross-validation config of gfc-global-ii, stopped after two
+        # iterations while the factor (2.06) is still above 1: the error
+        # shrank at the nodes up to t = 0.375 and not beyond
+        raw = get_preset("gfc-global-ii")
+        raw["grid"]["cells"] = 128
+        sc = load_scenario(raw)
+        cfg = sc.solver_config()
+        dcfg = replace(cfg, scheme="duhamel", output_every=0.5 * cfg.output_every,
+                       picard_max_iter=2)
+        _, rep = duhamel_solve(sc.initial_field(sc.grid()), dcfg, sc.kernel_set())
+        assert not rep.converged and rep.contraction_factors[-1] >= 1.0
+        assert rep.contraction_window == pytest.approx(0.375, abs=1e-12)
+
 
 class TestTrajectoryColumns:
     @pytest.mark.parametrize("scheme", ["strang-split", "duhamel"])
@@ -243,19 +263,26 @@ def probe_ks():
     return make_kernels(a0=1.0, growth="linear", r0=0.0, r1=1.0)
 
 
+def probe_rows(*args, **kwargs):
+    return {r.name: r for r in regularization_probe(*args, **kwargs)}
+
+
 class TestRegularizationProbe:
     def test_probe_passes_on_reference_setup(self, probe_ks):
         grid = SizeGrid.geometric(1e-4, 128.0, 256)
         t_list = np.geomspace(1e-2, 1.0, 9)
-        rep = regularization_probe(probe_ks, grid, 3.5, 1.5, 2.0, t_list, dt=2e-3)
-        assert np.isfinite(rep.sup_product)
-        assert rep.variation < 0.25
+        rows = regularization_probe(probe_ks, grid, 3.5, 1.5, 2.0, t_list, 0.25, dt=2e-3)
+        assert [r.name for r in rows] == ["bounded-product", "grid-stability"]
+        assert all(r.suite == "regularization-probe" and r.status == "pass" for r in rows)
+        assert np.isfinite(rows[0].measured)
+        assert rows[1].measured < 0.25 and rows[1].bound == 0.25
 
     def test_smaller_n_still_bounded(self, probe_ks):
         grid = SizeGrid.geometric(1e-4, 128.0, 256)
         t_list = np.geomspace(1e-2, 1.0, 9)
-        rep = regularization_probe(probe_ks, grid, 3.5, 1.25, 2.0, t_list, dt=2e-3)
-        assert np.isfinite(rep.sup_product) and rep.variation < 0.25
+        rows = probe_rows(probe_ks, grid, 3.5, 1.25, 2.0, t_list, 0.25, dt=2e-3)
+        assert np.isfinite(rows["bounded-product"].measured)
+        assert rows["grid-stability"].measured < 0.25
 
     def test_norms_come_from_the_two_probe_curves(self, probe_ks, monkeypatch):
         import gfc.evolution
@@ -269,19 +296,25 @@ class TestRegularizationProbe:
         monkeypatch.setattr(gfc.evolution, "_linear_norm_curve", counted)
         grid = SizeGrid.geometric(1e-4, 128.0, 64)
         t_list = np.geomspace(1e-2, 0.5, 5)
-        rep = regularization_probe(probe_ks, grid, 3.5, 1.5, 2.0, t_list, dt=5e-3)
+        rows = probe_rows(probe_ks, grid, 3.5, 1.5, 2.0, t_list, 0.25, dt=5e-3)
         # one curve on the grid, one on the refined grid
         assert curves == [64, 128]
+        # the reported supremum is t^((m-n)/gamma0) e^(-theta t) times the
+        # curve on the grid, theta fitted on the late third of the times
         f0 = project(lambda x: np.power(1.0 + x, -(2.0 + 1.0 + 0.25)), grid)
         direct = original(probe_ks, grid, 3.5, f0, t_list, 5e-3)
-        assert np.array_equal(rep.norms, direct)
+        tail = t_list >= t_list[-1] / 3.0
+        theta = max(0.0, float(np.polyfit(t_list[tail], np.log(direct[tail]), 1)[0]))
+        sup = float(np.max(np.power(t_list, 2.0) * np.exp(-theta * t_list) * direct))
+        assert rows["bounded-product"].measured == sup
+        assert rows["bounded-product"].detail == f"theta_hat = {theta:.3g}"
 
     def test_integrable_profile_rejected(self, probe_ks):
         grid = SizeGrid.geometric(1e-4, 128.0, 128)
         # eta pushed so far that the profile is m-integrable on the full axis
         with pytest.raises(SetupError, match="m-integrable"):
             regularization_probe(probe_ks, grid, 3.5, 1.5, 2.0,
-                                 np.geomspace(1e-2, 1.0, 5), eta=4.0, dt=5e-3)
+                                 np.geomspace(1e-2, 1.0, 5), 0.25, eta=4.0, dt=5e-3)
 
     def test_m_equal_p_no_blowup(self, probe_ks):
         # initial data already carries the target moment: early norms stay tame
@@ -300,8 +333,17 @@ class TestPdeResidual:
         grid = SizeGrid.geometric(1e-2, 30.0, 64)
         traj = solve(DensityField.zeros(grid), mk_cfg(t_end=0.2), ks)
         dm = build_daughter_matrix(ks.b, grid)
-        rep = pde_residual(traj, ks, dm, None)
-        assert rep.max_norm == 0.0
+        (row,) = pde_residual(traj, ks, dm, None, 0.05)
+        assert (row.suite, row.name, row.measured, row.status) == \
+            ("pde-residual", "interior", 0.0, "pass")
+
+    def test_too_few_snapshots_not_applicable(self):
+        ks = make_kernels(a0=1.0, growth="linear", r0=0.0, r1=0.2)
+        grid = SizeGrid.geometric(1e-2, 30.0, 64)
+        traj = solve(DensityField.zeros(grid), mk_cfg(t_end=0.05), ks)
+        assert len(traj.fields) == 2
+        (row,) = pde_residual(traj, ks, build_daughter_matrix(ks.b, grid), None, 0.05)
+        assert row.status == "n/a" and row.detail == "too few snapshots"
 
     def test_aizenman_bak_residual_small_and_decaying(self):
         ks = make_kernels(a0=1.0, growth="constant", r0=0.0)
@@ -312,7 +354,70 @@ class TestPdeResidual:
             cfg = mk_cfg(dt=dt, t_end=0.2, output_every=0.02)
             traj = solve(f, cfg, ks)
             dm = build_daughter_matrix(ks.b, grid)
-            rep = pde_residual(traj, ks, dm, None, p=1.5)
-            norms.append(rep.max_norm)
+            (row,) = pde_residual(traj, ks, dm, None, 0.05, p=1.5)
+            assert row.status == "pass"
+            # the row is relative to the p-weighted norm of |f| at mid-run
+            mid = traj.fields[len(traj.fields) // 2]
+            scale = weighted_integral(DensityField(grid, np.abs(mid.values)),
+                                      WeightSpec(1.5, "shifted"))
+            norms.append(row.measured * scale)
         assert norms[1] < norms[0]
         assert norms[1] < 0.05
+
+
+@st.composite
+def table_scenarios(draw):
+    """gfc-global-ii on 16-32 cells with random admissible table kernels: a
+    positive growth table, a nonnegative daughter table and a coagulation
+    table between 10% and 90% of its sum-class bound k0 (1 + x^a + y^a) at
+    the knots (the knots are close enough that the interpolant stays below
+    the bound), run for at most 20 steps with dt inside the CFL and
+    positivity bounds.  Returns the raw scenario and the coagulation table's
+    smallest share of its bound."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    raw = get_preset("gfc-global-ii")
+    raw["grid"]["cells"] = draw(st.integers(16, 32))
+    ker = raw["kernels"]
+    gx = np.geomspace(1e-4, 400.0, int(rng.integers(2, 12)))
+    ker["growth"] = {"kind": "table", "table_x": gx.tolist(),
+                     "table_r": rng.uniform(0.01, 0.5, gx.size).tolist()}
+    u = np.concatenate([[0.0], np.sort(rng.uniform(0.05, 0.95, int(rng.integers(0, 8)))), [1.0]])
+    phi = rng.uniform(0.0, 4.0, u.size)
+    phi[int(rng.integers(u.size))] += 1.0
+    ker["daughter"] = {"kind": "table", "table_u": u.tolist(), "table_phi": phi.tolist()}
+    k0, alpha = ker["coagulation"]["k0"], ker["coagulation"]["alpha"]
+    kx = np.geomspace(1e-4, 400.0, 24)
+    share = rng.uniform(0.1, 0.9, (kx.size, kx.size))
+    share = 0.5 * (share + share.T)
+    bound = k0 * (1.0 + kx[:, None] ** alpha + kx[None, :] ** alpha)
+    ker["coagulation"] = {"kind": "table", "table_x": kx.tolist(),
+                          "table_k": (share * bound).tolist(), "k0": k0, "alpha": alpha,
+                          "bound_class": "global"}
+    sc = ScenarioConfig(raw)
+    ks, grid = sc.kernel_set(), sc.grid()
+    cfl = 0.9 * float(np.min(grid.widths / ks.r(grid.edges[1:])))
+    beta = compute_beta(k0, sc.solver_config().ball_radius)
+    shield = float(np.max(ks.a(grid.centers) + beta * (1.0 + grid.centers ** alpha)))
+    dt = draw(st.floats(0.1, 0.99)) * min(cfl, 1.0 / shield)
+    steps = draw(st.integers(1, 20))
+    raw["time"] = {"dt": dt, "t_end": steps * dt, "output_every": dt}
+    return raw, float(np.min(share))
+
+
+@settings(max_examples=40, deadline=None)
+@given(table_scenarios())
+def test_admissible_table_kernels_keep_the_invariants(case):
+    raw, least_share = case
+    ctx = ScenarioContext(load_scenario(raw))
+    traj = ctx.trajectory
+    ledger = np.abs(traj.M1 + traj.escaped_mass - traj.growth_mass - traj.M1[0])
+    assert np.max(ledger) <= 1e-8 * np.max(np.abs(traj.M1))
+    assert ctx.cfg.positivity_policy == "guaranteed"
+    assert np.min(traj.min_density) >= 0.0
+    assert trajectory_csv_text(ctx.fresh_solve()[0]) == trajectory_csv_text(traj)
+    # the same table scaled so that every knot sits at twice its bound or
+    # more exceeds the bound wherever it is sampled
+    coag = raw["kernels"]["coagulation"]
+    coag["table_k"] = (np.array(coag["table_k"]) * (2.0 / least_share)).tolist()
+    with pytest.raises(ConfigError, match="class bound"):
+        load_scenario(raw)

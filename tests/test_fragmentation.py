@@ -5,7 +5,7 @@ from conftest import make_kernels
 from gfc.fragmentation import (apply_frag, build_daughter_matrix, daughter_gain,
                                frag_moment_identity, fragmentation_constants)
 from gfc.grid import DensityField, SizeGrid, moment, project
-from gfc.kernels import DaughterDistribution, verdict
+from gfc.kernels import DaughterDistribution
 
 
 @pytest.fixture(scope="module")
@@ -92,29 +92,49 @@ class TestApplyFrag:
         assert errs[0] / errs[1] > 1.8
 
 
+def identity_rows(f, ks, dm):
+    return {r.name: r for r in frag_moment_identity(f, ks, dm)}
+
+
 class TestMomentIdentity:
+    def test_rows_are_the_suite_rows(self, octave, dm_binary):
+        f = project(lambda x: np.exp(-x), octave)
+        rows = frag_moment_identity(f, make_kernels(a0=1.0), dm_binary)
+        assert [r.name for r in rows] == ["mass-neutral", "moment-0", "moment-1",
+                                          "moment-2", "sink-estimate-2"]
+        assert all(r.suite == "frag-identities" and r.status == "pass" for r in rows)
+        (off,) = frag_moment_identity(f, make_kernels(), None)
+        assert off.status == "n/a" and off.detail == "fragmentation disabled"
+
     def test_first_moment_identity_trivial(self, octave, dm_binary):
+        # both sides vanish: F conserves mass, and every column's daughters
+        # carry exactly the parent's mass
         ks = make_kernels(a0=1.0)
         f = project(lambda x: np.exp(-x), octave)
-        rep = frag_moment_identity(f, 1.0, ks, dm_binary)
-        assert rep.lhs == pytest.approx(0.0, abs=1e-14)
-        assert rep.rhs == pytest.approx(0.0, abs=1e-14)
+        assert moment(apply_frag(f, ks, dm_binary), 1.0) == pytest.approx(0.0, abs=1e-14)
+        deficit = octave.centers - dm_binary.column_moment(1.0)
+        sink = np.sum(deficit * ks.a(octave.centers) * f.values * octave.widths)
+        assert sink == pytest.approx(0.0, abs=1e-14)
+        rows = identity_rows(f, ks, dm_binary)
+        assert rows["mass-neutral"].measured < 1e-12 and rows["moment-1"].status == "pass"
 
     def test_zeroth_moment_oracle(self, octave, dm_binary):
         # f = 1 on (0, 1]: production rate = int_0^1 (n0 - 1) a = int_0^1 x dx = 1/2
         ks = make_kernels(a0=1.0)
         f = DensityField(octave, np.where(octave.centers < 1.0, 1.0, 0.0))
-        rep = frag_moment_identity(f, 0.0, ks, dm_binary)
-        assert rep.lhs == pytest.approx(0.5, rel=0.01)
-        assert rep.rel_discrepancy < 1e-12
+        assert moment(apply_frag(f, ks, dm_binary), 0.0) == pytest.approx(0.5, rel=0.01)
+        assert identity_rows(f, ks, dm_binary)["moment-0"].measured < 1e-12
 
     def test_second_moment_negative_with_estimate(self, octave, dm_binary):
         ks = make_kernels(a0=1.0)
         f = project(lambda x: np.exp(-x), octave)
-        rep = frag_moment_identity(f, 2.0, ks, dm_binary)
-        assert rep.lhs < 0
-        assert rep.rel_discrepancy < 1e-12
-        assert verdict(rep.estimate_value, "<=", rep.estimate_bound, rep.estimate_tol) == "pass"
+        rows = identity_rows(f, ks, dm_binary)
+        assert rows["moment-2"].measured < 1e-12
+        # the estimate row measures the second-moment rate itself
+        est = rows["sink-estimate-2"]
+        assert est.measured < 0
+        assert est.measured == pytest.approx(moment(apply_frag(f, ks, dm_binary), 2.0), rel=1e-12)
+        assert est.status == "pass" and est.tol == 1e-12 * abs(est.bound)
 
     def test_surrogate_constants_aizenman_bak(self):
         # N_i(x)/x^i = (i-1)/(i+1) for binary breakup; a0 = 1, sup a on [0,1] = 1

@@ -8,11 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gfc import moment_bounds as mb
+from gfc.coagulation import coag_moment_identity
 from gfc.config import load_scenario
+from gfc.evolution import pde_residual, regularization_probe
+from gfc.fragmentation import frag_moment_identity
 from gfc.kernels import ReportRow, SamplePlan, validate_kernel_set, verdict
 from gfc.presets import get_preset, preset_names
 from gfc.report import SUITES, ScenarioContext, run_suites
-from gfc.transport import resolvent_integral_bounds
+from gfc.transport import resolvent_integral_bounds, v_lambda_diagnostics
 
 
 @pytest.fixture(scope="module")
@@ -27,6 +30,13 @@ PRODUCERS = {
     "kernel-validation": lambda ctx: validate_kernel_set(ctx.ks, SamplePlan(m=ctx.cfg.m)),
     "integral-bounds": lambda ctx: resolvent_integral_bounds(1.0, 4.0, ctx.cfg.m, ctx.ks),
     "moment-domination": lambda ctx: mb.check_domination(ctx.trajectory, ctx.bounds, ctx.ks),
+    "resolvent": lambda ctx: v_lambda_diagnostics(ctx.spectral, ctx.ks),
+    "frag-identities": lambda ctx: frag_moment_identity(ctx.f0, ctx.ks, ctx.dm),
+    "coag-identities": lambda ctx: coag_moment_identity(ctx.f0, ctx.ct, 2e-3),
+    "regularization-probe": lambda ctx: regularization_probe(ctx.ks, ctx.grid,
+                                                             **ctx.sc.probe_params()),
+    "pde-residual": lambda ctx: pde_residual(ctx.trajectory, ctx.ks, ctx.dm, ctx.ct, 0.05,
+                                             p=ctx.cfg.p),
 }
 
 
@@ -36,6 +46,22 @@ def test_producer_rows_carry_the_suite_they_are_printed_under(ctx, suite):
     assert rows and all(type(r) is ReportRow and r.suite == suite for r in rows)
     report, _ = run_suites(ctx, [suite])
     assert {r.suite for r in report.rows} == {suite}
+
+
+@pytest.mark.parametrize("suite", ["frag-identities", "coag-identities",
+                                   "regularization-probe", "pde-residual"])
+def test_suite_is_its_producer(ctx, suite):
+    """These suites print exactly the rows their producer returns (the
+    context's tolerances are the defaults the producers are called with)."""
+    assert SUITES[suite](ctx) == PRODUCERS[suite](ctx)
+
+
+def test_resolvent_suite_ends_with_the_v_lambda_rows(ctx):
+    rows = SUITES["resolvent"](ctx)
+    assert [r.name for r in rows] == ["norm-bound", "defining-identity",
+                                      "v-lambda-divergence", "v-lambda-monotone"]
+    assert rows[2:] == v_lambda_diagnostics(ctx.spectral, ctx.ks)
+    assert ctx.spectral.lam == ctx.spectral.omega + 2.0
 
 
 def test_moment_domination_suite_passes_the_rows_through(ctx):

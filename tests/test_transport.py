@@ -388,18 +388,22 @@ class TestVLambda:
     def test_reachable_boundary_limit(self):
         ks = make_kernels()
         sp = SpectralParams.for_kernels(ks, 1.0, 3.0)
-        rep = v_lambda_diagnostics(sp, ks)
-        assert rep.boundary_limit == pytest.approx(math.exp(3.0), rel=1e-2)
-        assert rep.excluded
+        (row,) = v_lambda_diagnostics(sp, ks)
+        assert (row.suite, row.name, row.relation, row.bound) == \
+            ("resolvent", "v-lambda-boundary", ">", 0.0)
+        assert row.measured == pytest.approx(math.exp(3.0), rel=1e-2)
+        assert row.status == "pass"
 
     def test_unreachable_divergence_rate_tracks_lambda(self):
         ks = make_kernels(growth="linear", r0=0.0, r1=1.0)
         exps = []
         for lam in (3.0, 6.0):
             sp = SpectralParams.for_kernels(ks, 1.0, lam)
-            rep = v_lambda_diagnostics(sp, ks)
-            assert rep.monotone and rep.excluded
-            exps.append(rep.divergence_exponent)
+            div, mono = v_lambda_diagnostics(sp, ks)
+            assert (div.name, mono.name) == ("v-lambda-divergence", "v-lambda-monotone")
+            assert div.status == mono.status == "pass"
+            assert mono.measured == 0.0
+            exps.append(div.measured)
         assert exps[0] == pytest.approx(3.0, rel=5e-2)
         assert exps[1] == pytest.approx(6.0, rel=5e-2)
 
