@@ -6,9 +6,9 @@ from .kernels import (AbsorptionRate, CoagulationKernel, DaughterDistribution,
                       FragmentationRate, GrowthRate, KernelSet, SamplePlan,
                       compute_beta, daughter_moment, moment_deficit,
                       validate_kernel_set)
-from .transport import (Antiderivatives, SpectralParams, flow_map,
-                        laplace_consistency, resolvent_integral_bounds, resolvent_apply,
-                        transport_apply, v_lambda_diagnostics)
+from .transport import (Antiderivatives, SpectralParams, laplace_consistency,
+                        resolvent_integral_bounds, resolvent_apply, transport_apply,
+                        v_lambda_diagnostics)
 from .fragmentation import apply_frag, build_daughter_matrix, frag_moment_identity
 from .coagulation import (apply_coag, apply_coag_beta, build_coag_tables,
                           coag_moment_identity)

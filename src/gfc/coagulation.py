@@ -187,17 +187,16 @@ def apply_coag(f: DensityField, ct: CoagTables) -> DensityField:
     return DensityField(grid, vals, float(out[-1]))
 
 
-def apply_coag_beta(f: DensityField, ct: CoagTables, beta: float, alpha: float) -> DensityField:
-    """Shifted operator beta*(1 + x^alpha)*f + Kf.
+def apply_coag_beta(f: DensityField, ct: CoagTables, a1: np.ndarray) -> DensityField:
+    """Shifted operator a1*f + Kf, with a1 = beta*(1 + x^alpha) the shift
+    `AbsorptionRate.for_ball` builds, evaluated at the cell centers.
 
     Componentwise nonnegative on nonnegative fields inside the weighted-norm
     ball the shift was derived for: the pointwise loss frequency is dominated
-    by beta*(1 + x^alpha) there.
+    by a1 there.
     """
     base = apply_coag(f, ct)
-    if beta != 0.0:
-        x = f.grid.centers
-        base.values = base.values + beta * (1.0 + np.power(x, alpha)) * f.values
+    base.values = base.values + a1 * f.values
     return base
 
 

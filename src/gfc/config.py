@@ -17,7 +17,7 @@ import yaml
 from .evolution import SolverConfig
 from .grid import DensityField, SizeGrid, project
 from .kernels import (AbsorptionRate, CoagulationKernel, DaughterDistribution,
-                      FragmentationRate, GrowthRate, KernelSet, compute_beta)
+                      FragmentationRate, GrowthRate, KernelSet)
 from .presets import get_preset, preset_names
 
 __all__ = ["ScenarioConfig", "ConfigFileError", "load_scenario", "SCHEMA"]
@@ -37,9 +37,9 @@ SCHEMA: dict = {
     },
     "grid": {"xmin": None, "xmax": None, "cells": None},
     "time": {"dt": None, "t_end": None, "output_every": None},
-    "solver": {"scheme": None, "reaction": None, "m": None, "n": None, "p": None,
-               "use_beta_shift": None, "positivity_policy": None, "cfl_safety": None,
-               "blowup_ceiling": None, "picard_tol": None, "picard_max_iter": None},
+    "solver": {"scheme": None, "m": None, "n": None, "p": None, "positivity_policy": None,
+               "cfl_safety": None, "blowup_ceiling": None, "picard_tol": None,
+               "picard_max_iter": None},
     "initial": {"profile": None, "amplitude": None, "decay": None, "exponent": None,
                 "lo": None, "hi": None},
     "probe": {"eta": None, "t_lo": None, "t_hi": None, "n_times": None,
@@ -113,8 +113,7 @@ class ScenarioConfig:
                               alpha=float(co.get("alpha", 0.5)),
                               bound_class=co.get("bound_class", "global"),
                               table_x=co.get("table_x"), table_k=co.get("table_k"))
-        beta = compute_beta(k.k0, self.ball_radius) if not k.is_zero else 0.0
-        return KernelSet(a, b, r, k, AbsorptionRate(beta=beta, alpha=k.alpha))
+        return KernelSet(a, b, r, k, AbsorptionRate.for_ball(k, self.ball_radius))
 
     @property
     def ball_radius(self) -> float:
@@ -131,12 +130,10 @@ class ScenarioConfig:
             dt=float(t.get("dt", 1e-3)), t_end=float(t.get("t_end", 1.0)),
             output_every=float(t.get("output_every", 0.05)),
             scheme=s.get("scheme", "strang-split"),
-            reaction=s.get("reaction", "matched"),
             m=float(s.get("m", 2.0)),
             n=None if s.get("n") is None else float(s["n"]),
             p=None if s.get("p") is None else float(s["p"]),
             ball_radius=self.ball_radius,
-            use_beta_shift=bool(s.get("use_beta_shift", True)),
             positivity_policy=s.get("positivity_policy", "guaranteed"),
             cfl_safety=float(s.get("cfl_safety", 0.9)),
             blowup_ceiling=float(s.get("blowup_ceiling", 1e6)),

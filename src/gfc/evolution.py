@@ -28,7 +28,7 @@ import numpy as np
 from .coagulation import CoagTables, apply_coag, apply_coag_beta, build_coag_tables
 from .fragmentation import DaughterMatrix, apply_frag, build_daughter_matrix, daughter_gain
 from .grid import DensityField, SizeGrid, WeightSpec, moment, project, weighted_integral
-from .kernels import CoagulationKernel, KernelSet, ReportRow, compute_beta
+from .kernels import AbsorptionRate, CoagulationKernel, KernelSet, ReportRow
 from .transport import make_antiderivatives, transport_apply
 
 __all__ = [
@@ -71,12 +71,10 @@ class SolverConfig:
     dt: float = 1e-3
     t_end: float = 1.0
     scheme: str = "strang-split"      # 'lie-split' | 'strang-split' | 'duhamel'
-    reaction: str = "matched"         # 'matched' | 'naive' (negative control)
     m: float = 2.0
     n: Optional[float] = None
     p: Optional[float] = None
     ball_radius: float = 1.0
-    use_beta_shift: bool = True
     positivity_policy: str = "guaranteed"   # 'guaranteed' | 'off'
     output_every: float = 0.05
     cfl_safety: float = 0.9
@@ -89,8 +87,6 @@ class SolverConfig:
             raise ConfigError("dt and t_end must be positive")
         if self.scheme not in ("lie-split", "strang-split", "duhamel"):
             raise ConfigError(f"unknown scheme {self.scheme!r}")
-        if self.reaction not in ("matched", "naive"):
-            raise ConfigError(f"unknown reaction variant {self.reaction!r}")
         if self.positivity_policy not in ("guaranteed", "off"):
             raise ConfigError(f"unknown positivity policy {self.positivity_policy!r}")
         ell = ks.b.n0_bound_exponent
@@ -120,8 +116,8 @@ class SolverConfig:
         if self.positivity_policy == "guaranteed":
             x = grid.centers
             if ks.k.kind == "table":
-                # beta below is derived from the declared class bound, which a
-                # table need not respect (k0 defaults to 0)
+                # the shift below is derived from the declared class bound,
+                # which a table need not respect (k0 defaults to 0)
                 xx, yy = x[:, None], x[None, :]
                 over = ks.k(xx, yy) - ks.k.class_bound(xx, yy)
                 i, j = np.unravel_index(np.argmax(over), over.shape)
@@ -131,8 +127,7 @@ class SolverConfig:
                         f"exceeds its {ks.k.bound_class!r} class bound with k0 = {ks.k.k0} "
                         f"by {over[i, j]:.3e} at (x_{i}, x_{j}) = ({x[i]:.4g}, {x[j]:.4g}); "
                         "raise k0 or disable the policy")
-            beta = compute_beta(ks.k.k0, self.ball_radius) if not ks.k.is_zero else 0.0
-            shield = ks.a(x) + beta * (1.0 + np.power(x, ks.k.alpha))
+            shield = ks.a(x) + AbsorptionRate.for_ball(ks.k, self.ball_radius)(x)
             worst = float(np.max(shield)) if shield.size else 0.0
             if self.dt * worst > 1.0:
                 raise ConfigError(
@@ -195,8 +190,7 @@ class SplitStepper:
         self.has_coag = not ks.k.is_zero
         self.dm = dm if dm is not None else (build_daughter_matrix(ks.b, grid) if self.has_frag else None)
         self.ct = ct if ct is not None else (build_coag_tables(ks.k, grid) if self.has_coag else None)
-        self.beta = compute_beta(ks.k.k0, cfg.ball_radius) if (self.has_coag and cfg.use_beta_shift) else 0.0
-        self.a1 = self.beta * (1.0 + np.power(x, ks.k.alpha)) if self.beta > 0 else np.zeros_like(x)
+        self.a1 = AbsorptionRate.for_ball(ks.k, cfg.ball_radius)(x)
         self.antid = None if ks.r.is_zero else make_antiderivatives(ks, grid)
         self.growth_mass = 0.0
 
@@ -231,15 +225,8 @@ class SplitStepper:
         return out
 
     def _reaction(self, f: DensityField, dt: float) -> DensityField:
-        g = f.values
+        out = self._linear_sink(f.values, dt, keep_shift=True)
         esc = f.escaped_mass
-        if self.cfg.reaction == "naive":
-            out = g.copy()
-            if self.has_frag:
-                ff = apply_frag(f, self.ks, self.dm)
-                out = out + dt * ff.values
-        else:
-            out = self._linear_sink(g, dt, keep_shift=True)
         if self.has_coag:
             kf = apply_coag(f, self.ct)
             out = out + dt * kf.values
@@ -345,9 +332,7 @@ def duhamel_solve(f0: DensityField, cfg: SolverConfig, ks: KernelSet,
     if weighted_integral(f0, wm) > cfg.ball_radius * (1 + 1e-12):
         raise ConfigError("duhamel solver needs the initial state inside the ball")
 
-    # the mild formulation is built on the shifted operators whatever
-    # use_beta_shift says for the splitting scheme
-    prop = SplitStepper(ks, grid, replace(cfg, use_beta_shift=True), dm=dm, ct=ct)
+    prop = SplitStepper(ks, grid, cfg, dm=dm, ct=ct)
     n_out = int(round(cfg.t_end / cfg.output_every))
     d_out = cfg.t_end / n_out
     n_sub = max(1, int(round(d_out / cfg.dt)))
@@ -361,7 +346,7 @@ def duhamel_solve(f0: DensityField, cfg: SolverConfig, ks: KernelSet,
     def k_beta(f: DensityField) -> DensityField:
         if prop.ct is None:
             return DensityField(grid, prop.a1 * f.values)
-        return apply_coag_beta(f, prop.ct, prop.beta, ks.k.alpha)
+        return apply_coag_beta(f, prop.ct, prop.a1)
 
     iterates = [fld.copy() for fld in lin]
     prev_err: Optional[np.ndarray] = None
@@ -413,8 +398,8 @@ def duhamel_solve(f0: DensityField, cfg: SolverConfig, ks: KernelSet,
 def _linear_norm_curve(ks: KernelSet, grid: SizeGrid, m: float, f0: DensityField,
                        t_list: np.ndarray, dt: float) -> np.ndarray:
     cfg = SolverConfig(dt=dt, t_end=float(t_list[-1]), m=m, scheme="lie-split",
-                       positivity_policy="off", use_beta_shift=False)
-    # the unshifted linear semigroup needs no coagulation tables
+                       positivity_policy="off")
+    # the linear semigroup needs no coagulation tables and, without them, no shift
     prop = SplitStepper(replace(ks, k=CoagulationKernel(k0=0.0)), grid, cfg)
     wm = WeightSpec(m, "shifted")
     norms = []

@@ -29,15 +29,10 @@ class DaughterMatrix:
     """w[i, j] ~ b(x_i, x_j) * width_i for daughters i of parents j (i <= j).
 
     Column j satisfies sum_i x_i w[i, j] = x_j exactly after renormalization.
-    ``lumped_fraction[j]`` is the share of parent j's fragment mass that fell
-    below xmin and was lumped into the smallest cell; ``flagged`` marks
-    columns whose raw entries carried no mass at all.
     """
 
     grid: SizeGrid
     w: np.ndarray
-    lumped_fraction: np.ndarray
-    flagged: np.ndarray
 
     def column_moment(self, m: float) -> np.ndarray:
         """Discrete n_m at each parent size: sum_i x_i^m w[i, j]."""
@@ -52,10 +47,8 @@ def build_daughter_matrix(b: DaughterDistribution, grid: SizeGrid) -> DaughterMa
     w = np.diff(b.partial_number(x[None, :], grid.edges[:, None]), axis=0)
 
     # fragment mass below the grid is lumped into the smallest cell, which
-    # keeps the mass budget closed; the lumped share is reported
-    below = b.partial_mass(x, grid.xmin)
-    lumped_fraction = below / x
-    w[0, :] += below / x[0]
+    # keeps the mass budget closed
+    w[0, :] += b.partial_mass(x, grid.xmin) / x[0]
 
     colmass = x @ w
     flagged = colmass <= 0.0
@@ -66,7 +59,7 @@ def build_daughter_matrix(b: DaughterDistribution, grid: SizeGrid) -> DaughterMa
     # a parent whose daughters all fall outside the grid routes everything
     # to the smallest cell
     w[0, flagged] = x[flagged] / x[0]
-    return DaughterMatrix(grid, w, lumped_fraction, flagged)
+    return DaughterMatrix(grid, w)
 
 
 def neglected_gain_estimate(ks: KernelSet, grid: SizeGrid, escaped_mass: float) -> float:

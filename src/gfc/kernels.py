@@ -359,6 +359,12 @@ class AbsorptionRate:
         if self.beta < 0:
             raise KernelConfigError("absorption strength beta must be >= 0")
 
+    @classmethod
+    def for_ball(cls, k: CoagulationKernel, ball_radius: float) -> AbsorptionRate:
+        """The shift that dominates the loss term of k on the invariant ball
+        of radius ball_radius; zero when there is no coagulation."""
+        return cls(compute_beta(k.k0, ball_radius) if not k.is_zero else 0.0, k.alpha)
+
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         if self.beta == 0.0:

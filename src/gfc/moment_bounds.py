@@ -37,11 +37,11 @@ __all__ = [
     "InfeasibleParamsError",
     "binary_expansion_constant",
     "global_conditions",
+    "m01_envelope",
     "assemble_bound_params",
     "bound_system",
     "check_domination",
     "comparison_principle_residual",
-    "m1_envelope_max",
 ]
 
 
@@ -125,10 +125,6 @@ class MomentBoundParams:
     alpha: float
     rtilde: float
     condition: str                      # 'i' or 'ii'
-    cond_m0: float
-    cond_m1: float
-    r0: float
-    r1: float
     M1_max: float
     delta_prime: dict = field(default_factory=dict)
     delta: dict = field(default_factory=dict)
@@ -145,6 +141,7 @@ class MomentBoundParams:
     a_tilde: float = 0.0
     b0: float = 2.0
     power: float = 3.0                  # (2 gamma0 - alpha)/(gamma0 - alpha)
+    envelope: dict = field(default_factory=dict)   # m01_envelope columns
 
     def rhs(self, i: int, Mi: float, Mim1: float) -> float:
         """Right-hand side of the scalar comparison ODE at order i."""
@@ -152,11 +149,31 @@ class MomentBoundParams:
                 + self.D3[i] * Mim1 ** self.power)
 
 
-def assemble_bound_params(ks: KernelSet, m: float, M1_envelope_max: float,
+def m01_envelope(condition: ConditionReport, ks: KernelSet, M0_0: float, M1_0: float,
+                 times: np.ndarray, dt: float) -> dict:
+    """The certified envelope of the low moments at `times`.
+
+    Condition (ii): the closed form M1(0) e^(rtilde t) alone (M0 is then
+    controlled through the Phi functional); condition (i): the coupled
+    linear (M0, M1) system, integrated by RK4 with step dt.
+    """
+    times = np.asarray(times, dtype=float)
+    if condition.cond_ii:
+        return {1: M1_0 * np.exp(ks.r.rtilde * times)}
+    if condition.cond_i:
+        A = np.array([[condition.m0, condition.m1],
+                      [ks.r.r0, ks.r.r1]])
+        lin = _rk4(lambda t, y: A @ y, np.array([M0_0, M1_0]), times, dt)
+        return {0: lin[:, 0], 1: lin[:, 1]}
+    raise InfeasibleParamsError("neither global-existence condition is certified")
+
+
+def assemble_bound_params(ks: KernelSet, m: float, envelope: dict,
                           condition: ConditionReport, sample_hi: float,
                           mode: str = "split", phi_order: int = 2,
                           eps_margin: float = 0.9) -> MomentBoundParams:
-    """Build the D-constants for orders 2 .. floor(m)+1.
+    """Build the D-constants for orders 2 .. floor(m)+1 on the low-moment
+    envelope of `m01_envelope`, whose M1 maximum is M1_max.
 
     The Young parameter per order is the largest one balancing the
     coagulation production against the fragmentation sink (delta_i in the
@@ -173,14 +190,13 @@ def assemble_bound_params(ks: KernelSet, m: float, M1_envelope_max: float,
     i_top = int(m) if float(m).is_integer() else int(math.floor(m)) + 1
     i_top = max(i_top, 2, phi_order)
     orders = list(range(2, i_top + 1))
+    M1_max = float(np.max(envelope[1]))
 
     par = MomentBoundParams(
         orders=orders, gamma0=gamma0, alpha=alpha, rtilde=ks.r.rtilde,
-        condition=condition.certified, cond_m0=condition.m0, cond_m1=condition.m1,
-        r0=ks.r.r0, r1=ks.r.r1,
-        M1_max=M1_envelope_max, phi_order=phi_order, x0=ks.a.x0,
+        condition=condition.certified, M1_max=M1_max, phi_order=phi_order, x0=ks.a.x0,
         b0=ks.b.n0_bound_amplitude,
-        power=(2 * gamma0 - alpha) / (gamma0 - alpha))
+        power=(2 * gamma0 - alpha) / (gamma0 - alpha), envelope=envelope)
 
     k0 = ks.k.k0 if not ks.k.is_zero else 0.0
     for i in orders:
@@ -199,13 +215,13 @@ def assemble_bound_params(ks: KernelSet, m: float, M1_envelope_max: float,
         if d_eff <= 0:
             raise InfeasibleParamsError(
                 f"order {i}: fragmentation sink surrogate is nonpositive (delta = {d})")
-        eps = (eps_margin * d_eff * gamma0 / (alpha * Ki * (M1_envelope_max + 1.0))) ** (alpha / gamma0)
+        eps = (eps_margin * d_eff * gamma0 / (alpha * Ki * (M1_max + 1.0))) ** (alpha / gamma0)
         par.eps[i] = eps
         eps_rec = eps ** (-gamma0 / (gamma0 - alpha))  # epsilon^{gamma0/(alpha-gamma0)}
         young = (gamma0 - alpha) / gamma0 * eps_rec
-        par.D0[i] = Ki * par.c_alpha * M1_envelope_max**2
+        par.D0[i] = Ki * par.c_alpha * M1_max**2
         par.D1[i] = nu + par.rtilde
-        par.D2[i] = par.rtilde + Ki * M1_envelope_max * (1.0 + par.c_alpha + young)
+        par.D2[i] = par.rtilde + Ki * M1_max * (1.0 + par.c_alpha + young)
         par.D3[i] = Ki * young
 
     # zeroth-moment machinery under condition (ii)
@@ -259,24 +275,18 @@ def bound_system(par: MomentBoundParams, initial_moments: dict, times: np.ndarra
                  dt: float) -> BoundTrajectory:
     """Integrate the bound cascade on the given output times.
 
-    Case (i): the coupled linear (M0, M1) system; case (ii): the closed-form
-    M1 envelope plus the Phi-functional envelope that controls M0.  Higher
-    integer orders follow the scalar comparison ODE driven by the previous
-    level; a fractional top order m is bounded by M1 + M_(floor(m)+1).
+    The low moments are the envelope the parameters were assembled on
+    (`m01_envelope` at the same times): case (i) the coupled linear (M0, M1)
+    system; case (ii) the closed-form M1 envelope plus the Phi-functional
+    envelope that controls M0.  Higher integer orders follow the scalar
+    comparison ODE driven by the previous level; a fractional top order m is
+    bounded by M1 + M_(floor(m)+1).
     """
     times = np.asarray(times, dtype=float)
-    cols: dict = {}
+    cols = dict(par.envelope)
+    if cols[1].shape != times.shape:
+        raise ValueError("the parameters were assembled on an envelope at other times")
     M0_0 = initial_moments.get(0, 0.0)
-    M1_0 = initial_moments.get(1, 0.0)
-
-    if par.condition == "i":
-        A = np.array([[par.cond_m0, par.cond_m1],
-                      [par.r0, par.r1]])
-        lin = _rk4(lambda t, y: A @ y, np.array([M0_0, M1_0]), times, dt)
-        cols[0] = lin[:, 0]
-        cols[1] = lin[:, 1]
-    else:
-        cols[1] = M1_0 * np.exp(par.rtilde * times)
 
     prev = cols[1]
     for i in par.orders:
@@ -384,17 +394,3 @@ def comparison_principle_residual(traj: Trajectory, par: MomentBoundParams) -> f
             scale = max(abs(rhs), abs(dMdt), 1.0)
             worst = max(worst, (dMdt - rhs) / scale)
     return worst
-
-
-def m1_envelope_max(par_condition: ConditionReport, ks: KernelSet, M0_0: float,
-                    M1_0: float, t_end: float) -> float:
-    """Supremum of the certified M1 envelope on [0, t_end]."""
-    if par_condition.cond_ii:
-        return M1_0 * math.exp(ks.r.rtilde * t_end)
-    if par_condition.cond_i:
-        A = np.array([[par_condition.m0, par_condition.m1],
-                      [ks.r.r0, ks.r.r1]])
-        times = np.linspace(0.0, t_end, 201)
-        lin = _rk4(lambda t, y: A @ y, np.array([M0_0, M1_0]), times, min(1e-3, t_end / 200))
-        return float(np.max(lin[:, 1]))
-    raise InfeasibleParamsError("neither global-existence condition is certified")

@@ -23,13 +23,14 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import moment_bounds as mb
-from .coagulation import build_coag_tables, coag_moment_identity
+from .coagulation import build_coag_tables, coag_loss_rate, coag_moment_identity
 from .config import ScenarioConfig
 from .evolution import (ConfigError, DuhamelReport, SolverConfig, Trajectory,
                         duhamel_solve, pde_residual, regularization_probe, solve)
 from .fragmentation import build_daughter_matrix, frag_moment_identity, neglected_gain_estimate
 from .grid import DensityField, SizeGrid, WeightSpec, moment, project, weighted_integral
-from .kernels import KernelSet, ReportRow, SamplePlan, validate_kernel_set
+from .kernels import (FragmentationRate, GrowthRate, KernelSet, ReportRow, SamplePlan,
+                      validate_kernel_set)
 from .transport import (SpectralParams, resolvent_integral_bounds, laplace_consistency,
                         make_antiderivatives, resolvent_apply, resolvent_residual,
                         transport_apply, v_lambda_diagnostics)
@@ -162,8 +163,8 @@ class ScenarioContext:
                 "neither global-existence condition holds; no bound system available")
         traj = self.trajectory
         bp = self.sc.bounds_params()
-        env_max = mb.m1_envelope_max(cond, self.ks, traj.M0[0], traj.M1[0], self.cfg.t_end)
-        par = mb.assemble_bound_params(self.ks, self.cfg.m, env_max, cond,
+        env = mb.m01_envelope(cond, self.ks, traj.M0[0], traj.M1[0], traj.times, self.cfg.dt)
+        par = mb.assemble_bound_params(self.ks, self.cfg.m, env, cond,
                                        sample_hi=10 * self.grid.xmax,
                                        mode=bp["mode"], phi_order=bp["phi_order"],
                                        eps_margin=bp["eps_margin"])
@@ -270,20 +271,26 @@ def _suite_positivity(ctx: ScenarioContext) -> list[ReportRow]:
 
 
 def _suite_negative_control(ctx: ScenarioContext) -> list[ReportRow]:
-    """Demonstrate that removing the shift and the policy permits undershoot."""
-    grid = SizeGrid.geometric(0.05, 8.0, 64)
-    stress_ks = ctx.ks if not ctx.ks.k.is_zero else None
-    if stress_ks is None:
+    """Show that disabling the step bound permits undershoot.
+
+    The scenario's coagulation kernel runs alone (growth and fragmentation
+    off) on 3 e^(-x), two explicit steps at dt = 2 / min Lambda(f0), the
+    smallest positive loss frequency, so the loss factor 1 - dt Lambda is at
+    most -1 in every cell.
+    """
+    if ctx.ks.k.is_zero:
         return [ReportRow("negative-control", "undershoot", detail="needs a coagulating scenario")]
+    grid = SizeGrid.geometric(0.05, 8.0, 64)
+    ks = replace(ctx.ks, a=FragmentationRate(a0=0.0), r=GrowthRate(r0=0.0))
+    ct = build_coag_tables(ks.k, grid)
     f0 = project(lambda x: 3.0 * np.exp(-x), grid)
-    cfg = SolverConfig(dt=0.25, t_end=0.5, scheme="lie-split", reaction="naive",
-                       m=ctx.cfg.m, ball_radius=ctx.cfg.ball_radius,
-                       use_beta_shift=False, positivity_policy="off",
-                       output_every=0.25)
-    traj = solve(f0, cfg, stress_ks)
-    worst = float(np.min(traj.min_density))
+    loss = coag_loss_rate(f0, ct)
+    dt = 2.0 / float(np.min(loss[loss > 0]))
+    cfg = SolverConfig(dt=dt, t_end=2 * dt, output_every=dt, scheme="lie-split",
+                       m=ctx.cfg.m, ball_radius=ctx.cfg.ball_radius, positivity_policy="off")
+    worst = float(np.min(solve(f0, cfg, ks, ct=ct).min_density))
     return [ReportRow("negative-control", "undershoot", worst, "<", 0.0,
-                      detail="naive explicit step at a coagulation-dominated dt")]
+                      detail=f"coagulation alone, explicit, dt = {dt:.3g} = 2 / min loss rate")]
 
 
 def _suite_mass_budget(ctx: ScenarioContext) -> list[ReportRow]:

@@ -40,13 +40,12 @@ from scipy import integrate
 from scipy.interpolate import PchipInterpolator
 
 from .grid import DensityField, SizeGrid, WeightSpec, weighted_integral
-from .kernels import UNREACHABLE, GrowthRate, KernelSet, ReportRow
+from .kernels import UNREACHABLE, KernelSet, ReportRow
 
 __all__ = [
     "Antiderivatives",
     "SpectralParams",
     "ParameterDomainError",
-    "flow_map",
     "transport_apply",
     "resolvent_apply",
     "resolvent_residual",
@@ -175,31 +174,10 @@ class SpectralParams:
 # characteristic flow
 
 
-def flow_map(r: GrowthRate, t: float, x0, antid: Optional[Antiderivatives] = None):
-    """Position X(t; x0) of the characteristic through x0, elementwise.
-
-    Negative t flows backwards; a backward characteristic that exits through
-    the origin yields the distinguished value 0.0 (not an error).
-    """
-    x0 = np.asarray(x0, dtype=float)
-    if np.any(x0 <= 0):
-        raise ValueError("flow_map needs positive starting sizes")
-    if r.is_zero:
-        return x0.copy()
-    if r.kind == "constant":
-        out = x0 + r.r0 * t
-    elif r.kind == "linear":
-        out = x0 * np.exp(r.r1 * t)
-    elif r.kind == "affine":
-        out = (x0 + r.r0 / r.r1) * np.exp(r.r1 * t) - r.r0 / r.r1
-    else:
-        if antid is None:
-            raise ValueError("table growth needs an Antiderivatives instance")
-        out = r_inverse_clipped(antid, antid.R(x0) + t)
-    return np.where(out <= 0, 0.0, out)
-
-
 def r_inverse_clipped(antid: Antiderivatives, u):
+    """R^-1(u), elementwise: with u = R(x0) + t, the position at time t of
+    the characteristic through x0.  A backward characteristic that exits
+    through the origin (u <= R(0+)) yields the distinguished value 0.0."""
     u = np.asarray(u, dtype=float)
     m_R = antid.R_at_origin
     hit = u <= m_R

@@ -199,16 +199,15 @@ def test_c08_fragmentation_oracle(contexts):
 def test_c09_positivity_and_negative_control(contexts):
     for name, ctx in contexts.items():
         assert float(np.min(ctx.trajectory.min_density)) >= 0.0, name
-    # negative control: no shift, no policy, coagulation-dominated step
+    # negative control: no step bound, coagulation-dominated explicit step
     ks = make_kernels(k0=50.0, coag_kind="constant", growth="constant", r0=0.0)
     grid = SizeGrid.geometric(0.05, 8.0, 64)
     f = project(lambda x: 3.0 * np.exp(-x), grid)
     cfg = SolverConfig(dt=0.25, t_end=0.25, output_every=0.25, scheme="lie-split",
-                       reaction="naive", positivity_policy="off",
-                       use_beta_shift=False, m=2.0, ball_radius=1.0)
+                       positivity_policy="off", m=2.0, ball_radius=1.0)
     stress = solve(f, cfg, ks)
     assert float(np.min(stress.min_density)) < 0.0
-    _ok("9", "all preset snapshots nonnegative; unshifted stress run undershoots")
+    _ok("9", "all preset snapshots nonnegative; stress run without the step bound undershoots")
 
 
 def test_c10_solver_cross_validation(contexts):
@@ -248,8 +247,8 @@ def test_c12_moment_domination(contexts):
         cond = mb.global_conditions(ctx.ks, ctx.grid.xmax)
         assert cond.any_holds
         traj = ctx.trajectory
-        env_max = mb.m1_envelope_max(cond, ctx.ks, traj.M0[0], traj.M1[0], ctx.cfg.t_end)
-        par = mb.assemble_bound_params(ctx.ks, ctx.cfg.m, env_max, cond,
+        env = mb.m01_envelope(cond, ctx.ks, traj.M0[0], traj.M1[0], traj.times, ctx.cfg.dt)
+        par = mb.assemble_bound_params(ctx.ks, ctx.cfg.m, env, cond,
                                        sample_hi=10 * ctx.grid.xmax)
         bounds = mb.bound_system(par, {0: traj.M0[0], 1: traj.M1[0], 2: traj.M2[0]},
                                  traj.times, ctx.cfg.dt)

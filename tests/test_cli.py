@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import re
 from pathlib import Path
 
@@ -6,7 +7,8 @@ import pytest
 import yaml
 
 from gfc.cli import main
-from gfc.config import ConfigFileError, load_scenario
+from gfc.config import SCHEMA, ConfigFileError, load_scenario
+from gfc.evolution import SolverConfig
 from gfc.presets import PRESETS, get_preset, preset_names
 
 
@@ -60,6 +62,19 @@ class TestConfigParsing:
         raw["grid"]["cellz"] = 10
         with pytest.raises(ConfigFileError, match="grid.cellz"):
             load_scenario(write_cfg(tmp_path, raw))
+
+    @pytest.mark.parametrize("key,value", [("reaction", "naive"), ("use_beta_shift", False)])
+    def test_removed_solver_knobs_rejected(self, key, value):
+        raw = copy.deepcopy(MINI)
+        raw["solver"][key] = value
+        with pytest.raises(ConfigFileError, match=rf"unknown key 'solver\.{key}'"):
+            load_scenario(raw)
+
+    def test_solver_config_fields_are_the_schema_keys(self):
+        """Every SolverConfig field is settable from a scenario file and every
+        solver/time key lands in a field; ball_radius comes from kernels."""
+        fields = {f.name for f in dataclasses.fields(SolverConfig)}
+        assert fields == set(SCHEMA["solver"]) | set(SCHEMA["time"]) | {"ball_radius"}
 
     def test_unknown_section_rejected(self, tmp_path):
         raw = copy.deepcopy(MINI)

@@ -11,7 +11,7 @@ from gfc.config import load_scenario
 from gfc.coagulation import (_event_rates, apply_coag, apply_coag_beta, build_coag_tables,
                              coag_loss_rate, coag_moment_identity)
 from gfc.grid import DensityField, SizeGrid, WeightSpec, moment, project, weighted_integral
-from gfc.kernels import CoagulationKernel, compute_beta
+from gfc.kernels import AbsorptionRate, CoagulationKernel
 
 
 @pytest.fixture(scope="module")
@@ -209,22 +209,23 @@ class TestAgainstPairLoop:
 class TestShiftedOperator:
     def test_beta_zero_reduces_to_plain(self, grid, ct_const, box_field):
         a = apply_coag(box_field, ct_const)
-        b = apply_coag_beta(box_field, ct_const, 0.0, 0.5)
+        b = apply_coag_beta(box_field, ct_const, np.zeros(grid.cells))
         assert np.array_equal(a.values, b.values)
 
     def test_positive_on_ball(self, grid):
         k0, ball = 1.0, 1.0
         ks = make_kernels(k0=k0, coag_kind="sum", alpha=0.5)
         ct = build_coag_tables(ks.k, grid)
-        beta = compute_beta(k0, ball)
-        assert beta == 4.0
+        shift = AbsorptionRate.for_ball(ks.k, ball)
+        assert shift.beta == 4.0
+        a1 = shift(grid.centers)
         rng = np.random.default_rng(12)
         w = WeightSpec(2.0, "shifted")
         for _ in range(5):
             f = DensityField(grid, rng.random(grid.cells) * np.exp(-grid.centers))
             norm = weighted_integral(f, w)
             f = DensityField(grid, f.values * (1.0 + ball) / norm)  # on the ball boundary
-            out = apply_coag_beta(f, ct, beta, 0.5)
+            out = apply_coag_beta(f, ct, a1)
             assert out.min_value() >= 0.0
 
 

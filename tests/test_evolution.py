@@ -12,7 +12,6 @@ from gfc.evolution import (ConfigError, NumericalFailureError, SetupError,
                            regularization_probe, solve)
 from gfc.fragmentation import build_daughter_matrix
 from gfc.grid import DensityField, SizeGrid, WeightSpec, moment, project, weighted_integral
-from gfc.kernels import compute_beta
 from gfc.presets import get_preset
 from gfc.report import ScenarioContext, trajectory_csv_text
 from gfc.transport import transport_apply
@@ -142,7 +141,7 @@ class TestStepSplit:
         grid = SizeGrid.geometric(0.05, 8.0, 64)
         f = project(lambda x: 3.0 * np.exp(-x), grid)
         cfg = mk_cfg(dt=0.25, t_end=1.0, output_every=0.25, scheme="lie-split",
-                     reaction="naive", positivity_policy="off", use_beta_shift=False)
+                     positivity_policy="off")
         traj = solve(f, cfg, ks)
         assert traj.outcome == "blowup"
         assert traj.times[-1] < 1.0
@@ -153,18 +152,16 @@ class TestStepSplit:
         ks = make_kernels(k0=1.0, coag_kind="constant", growth="constant", r0=0.0)
         grid = SizeGrid.geometric(0.1, 10.0, 32)
         f = DensityField(grid, np.full(32, 1e300))
-        cfg = mk_cfg(dt=1e-3, t_end=0.01, output_every=1e-3,
-                     positivity_policy="off", reaction="naive")
+        cfg = mk_cfg(dt=1e-3, t_end=0.01, output_every=1e-3, positivity_policy="off")
         with pytest.raises(NumericalFailureError, match="non-finite"):
             solve(f, cfg, ks)
 
-    def test_naive_reaction_permits_undershoot(self):
+    def test_disabled_step_bound_permits_undershoot(self):
         ks = make_kernels(k0=50.0, coag_kind="constant", growth="constant", r0=0.0)
         grid = SizeGrid.geometric(0.05, 8.0, 64)
         f = project(lambda x: 3.0 * np.exp(-x), grid)
         cfg = mk_cfg(dt=0.25, t_end=0.25, output_every=0.25, scheme="lie-split",
-                     reaction="naive", positivity_policy="off", ball_radius=1.0,
-                     use_beta_shift=False)
+                     positivity_policy="off", ball_radius=1.0)
         traj = solve(f, cfg, ks)
         assert traj.min_density.min() < 0.0
 
@@ -365,6 +362,57 @@ class TestPdeResidual:
         assert norms[1] < 0.05
 
 
+def assert_invariants(ctx: ScenarioContext) -> None:
+    """Mass-ledger closure to 1e-8, no negative density under the guaranteed
+    positivity policy, and a bit-identical CSV from a second solve."""
+    traj = ctx.trajectory
+    ledger = np.abs(traj.M1 + traj.escaped_mass - traj.growth_mass - traj.M1[0])
+    assert np.max(ledger) <= 1e-8 * np.max(np.abs(traj.M1))
+    assert ctx.cfg.positivity_policy == "guaranteed"
+    assert np.min(traj.min_density) >= 0.0
+    assert trajectory_csv_text(ctx.fresh_solve()[0]) == trajectory_csv_text(traj)
+
+
+def step_within_bounds(draw, raw: dict) -> None:
+    """Set a dt inside the advective CFL and positivity bounds, and at most
+    20 steps, into the raw scenario."""
+    sc = ScenarioConfig(raw)
+    ks, grid = sc.kernel_set(), sc.grid()
+    cfl = 0.9 * float(np.min(grid.widths / ks.r(grid.edges[1:])))
+    shield = float(np.max(ks.q(grid.centers)))   # a + beta*(1 + x^alpha)
+    dt = draw(st.floats(0.1, 0.99)) * min(cfl, 1.0 / shield)
+    steps = draw(st.integers(1, 20))
+    raw["time"] = {"dt": dt, "t_end": steps * dt, "output_every": dt}
+
+
+@st.composite
+def closed_form_scenarios(draw):
+    """gfc-global-ii with a random closed-form coagulation kernel (alpha <
+    gamma0, k0 <= 1), random constant/linear/affine growth and a random grid
+    range of 16-32 cells."""
+    raw = get_preset("gfc-global-ii")
+    raw["grid"] = {"xmin": draw(st.floats(1e-3, 0.1)), "xmax": draw(st.floats(10.0, 100.0)),
+                   "cells": draw(st.integers(16, 32))}
+    ker = raw["kernels"]
+    gamma0 = draw(st.floats(0.5, 1.5))
+    ker["fragmentation"].update(gamma0=gamma0, a0=draw(st.floats(0.1, 2.0)))
+    kind = draw(st.sampled_from(["constant", "sum", "product"]))
+    ker["coagulation"] = {"kind": kind, "k0": draw(st.floats(0.01, 1.0)),
+                          "alpha": draw(st.floats(0.05, 0.95)) * min(gamma0, 1.0),
+                          "bound_class": "local" if kind == "product" else "global"}
+    growth = draw(st.sampled_from(["constant", "linear", "affine"]))
+    ker["growth"] = {"kind": growth, "r0": draw(st.floats(0.05, 1.0)),
+                     "r1": draw(st.floats(0.05, 1.0))}
+    step_within_bounds(draw, raw)
+    return raw
+
+
+@settings(max_examples=30, deadline=None)
+@given(closed_form_scenarios())
+def test_admissible_closed_form_kernels_keep_the_invariants(raw):
+    assert_invariants(ScenarioContext(load_scenario(raw)))
+
+
 @st.composite
 def table_scenarios(draw):
     """gfc-global-ii on 16-32 cells with random admissible table kernels: a
@@ -393,14 +441,7 @@ def table_scenarios(draw):
     ker["coagulation"] = {"kind": "table", "table_x": kx.tolist(),
                           "table_k": (share * bound).tolist(), "k0": k0, "alpha": alpha,
                           "bound_class": "global"}
-    sc = ScenarioConfig(raw)
-    ks, grid = sc.kernel_set(), sc.grid()
-    cfl = 0.9 * float(np.min(grid.widths / ks.r(grid.edges[1:])))
-    beta = compute_beta(k0, sc.solver_config().ball_radius)
-    shield = float(np.max(ks.a(grid.centers) + beta * (1.0 + grid.centers ** alpha)))
-    dt = draw(st.floats(0.1, 0.99)) * min(cfl, 1.0 / shield)
-    steps = draw(st.integers(1, 20))
-    raw["time"] = {"dt": dt, "t_end": steps * dt, "output_every": dt}
+    step_within_bounds(draw, raw)
     return raw, float(np.min(share))
 
 
@@ -408,13 +449,7 @@ def table_scenarios(draw):
 @given(table_scenarios())
 def test_admissible_table_kernels_keep_the_invariants(case):
     raw, least_share = case
-    ctx = ScenarioContext(load_scenario(raw))
-    traj = ctx.trajectory
-    ledger = np.abs(traj.M1 + traj.escaped_mass - traj.growth_mass - traj.M1[0])
-    assert np.max(ledger) <= 1e-8 * np.max(np.abs(traj.M1))
-    assert ctx.cfg.positivity_policy == "guaranteed"
-    assert np.min(traj.min_density) >= 0.0
-    assert trajectory_csv_text(ctx.fresh_solve()[0]) == trajectory_csv_text(traj)
+    assert_invariants(ScenarioContext(load_scenario(raw)))
     # the same table scaled so that every knot sits at twice its bound or
     # more exceeds the bound wherever it is sampled
     coag = raw["kernels"]["coagulation"]

@@ -40,14 +40,15 @@ class TestDaughterMatrix:
         upper = dm_binary.w[np.tril_indices(n, k=-1)]  # rows > column: x_i > x_j
         assert np.all(upper == 0)
 
-    def test_lumped_fraction_reported(self, dm_binary, octave):
-        # nearly all fragments of the smallest parent fall below xmin, a
-        # vanishing share for parents well inside the grid
-        frac = dm_binary.lumped_fraction
-        assert frac[0] > 0.9
-        assert np.all(frac[octave.centers > 1.0] < 1e-5)
-        assert np.all(np.diff(frac) <= 1e-12)   # monotone decay with parent size
-        assert not dm_binary.flagged.any()
+    def test_mass_below_xmin_lumped_into_smallest_cell(self, dm_binary, octave):
+        # nearly all fragments of the smallest parent fall below xmin and are
+        # lumped into the smallest cell, a vanishing share for parents well
+        # inside the grid
+        x = octave.centers
+        share = x[0] * dm_binary.w[0] / x
+        assert share[0] > 0.9
+        assert np.all(share[x > 1.0] < 1e-5)
+        assert np.all(np.diff(share) <= 1e-12)   # monotone decay with parent size
 
     def test_gain_positivity(self, octave, dm_binary):
         rng = np.random.default_rng(3)

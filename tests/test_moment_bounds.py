@@ -1,4 +1,5 @@
 import copy
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -39,29 +40,54 @@ class TestGlobalConditions:
         cond = mb.global_conditions(ks, 50.0)
         assert not cond.cond_i and not cond.cond_ii
         with pytest.raises(mb.InfeasibleParamsError):
-            mb.assemble_bound_params(ks, 2.0, 1.0, cond, sample_hi=500.0)
+            mb.m01_envelope(cond, ks, 1.0, 1.0, np.linspace(0, 1, 11), 1e-3)
+        with pytest.raises(mb.InfeasibleParamsError):
+            mb.assemble_bound_params(ks, 2.0, {1: np.ones(11)}, cond, sample_hi=500.0)
 
 
 class TestBoundSystem:
-    def _params(self, ks, cond, m1max=1.0):
-        return mb.assemble_bound_params(ks, 2.0, m1max, cond, sample_hi=500.0)
+    @staticmethod
+    def _params(ks, cond, times, M0=1.0, M1=1.0):
+        env = mb.m01_envelope(cond, ks, M0, M1, times, 1e-3)
+        return mb.assemble_bound_params(ks, 2.0, env, cond, sample_hi=500.0)
 
     def test_condition_ii_m1_is_exponential(self):
         ks = make_kernels(a0=1.0, growth="linear", r0=0.0, r1=0.3, k0=0.5,
                           coag_kind="sum")
         cond = mb.global_conditions(ks, 50.0)
-        par = self._params(ks, cond, m1max=float(np.exp(0.3)))
         times = np.linspace(0, 1, 21)
+        par = self._params(ks, cond, times)
+        # M1_max is the peak of the M1 column the bound system prints
+        assert par.M1_max == float(np.exp(0.3 * times[-1]))
         bt = mb.bound_system(par, {0: 1.0, 1: 1.0, 2: 2.0}, times, dt=1e-3)
         assert np.allclose(bt.column(1), np.exp(0.3 * times), rtol=1e-12)
+        assert par.M1_max == float(np.max(bt.column(1)))
+
+    def test_envelope_at_other_times_rejected(self):
+        ks = make_kernels(a0=1.0, growth="linear", r0=0.0, r1=0.3, k0=0.5,
+                          coag_kind="sum")
+        par = self._params(ks, mb.global_conditions(ks, 50.0), np.linspace(0, 1, 11))
+        with pytest.raises(ValueError, match="other times"):
+            mb.bound_system(par, {0: 1.0, 1: 1.0, 2: 2.0}, np.linspace(0, 1, 21), dt=1e-3)
+
+    def test_condition_i_m1_max_is_the_printed_peak(self):
+        ks = make_kernels(a0=1.0, growth="affine", r0=0.1, r1=0.1, k0=0.5,
+                          coag_kind="sum")
+        cond = mb.global_conditions(ks, 50.0)
+        assert cond.certified == "i"
+        times = np.linspace(0, 1, 11)
+        par = self._params(ks, cond, times)
+        bt = mb.bound_system(par, {0: 1.0, 1: 1.0, 2: 2.0}, times, dt=1e-3)
+        assert par.M1_max == float(np.max(bt.column(1)))
+        assert bt.column(0)[-1] > 1.0 and bt.column(1)[-1] > 1.0
 
     def test_pure_fragmentation_bound_closed_form(self):
         # k = 0, r = 0: dM_i <= nu_i M_i integrates to M_i(0) e^(nu_i t)
         ks = make_kernels(a0=1.0, growth="constant", r0=0.0)
         cond = mb.global_conditions(ks, 50.0)
-        par = self._params(ks, cond)
-        assert par.K[2] == 0.0
         times = np.linspace(0, 1, 11)
+        par = self._params(ks, cond, times)
+        assert par.K[2] == 0.0
         bt = mb.bound_system(par, {0: 1.0, 1: 1.0, 2: 3.0}, times, dt=1e-3)
         assert np.allclose(bt.column(2), 3.0 * np.exp(par.nu[2] * times), rtol=1e-9)
 
@@ -69,10 +95,14 @@ class TestBoundSystem:
         ks = make_kernels(a0=1.0, growth="linear", r0=0.0, r1=0.3, k0=0.5,
                           coag_kind="sum")
         cond = mb.global_conditions(ks, 50.0)
-        par = self._params(ks, cond, m1max=1.5)
         times = np.linspace(0, 1, 11)
+        # constants assembled on an M1 envelope from M1(0) = 1.5, cascade
+        # driven by a zero M1 column: only the source term D0 is left
+        par = replace(self._params(ks, cond, times, M1=1.5),
+                      envelope={1: np.zeros_like(times)})
         bt = mb.bound_system(par, {0: 0.0, 1: 0.0, 2: 0.0}, times, dt=1e-3)
         d0, d1 = par.D0[2], par.D1[2]
+        assert d0 > 0.0
         envelope = d0 / d1 * (np.exp(d1 * times) - 1.0)
         assert np.all(bt.column(2) <= envelope * (1 + 1e-9))
 
@@ -84,8 +114,8 @@ class TestBoundSystem:
         ks2 = make_kernels(a0=1.0, growth="linear", r0=0.0, r1=0.3, k0=1.0,
                            coag_kind="sum")
         cond = mb.global_conditions(ks1, 50.0)
-        p1 = self._params(ks1, cond)
-        p2 = self._params(ks2, mb.global_conditions(ks2, 50.0))
+        p1 = self._params(ks1, cond, times)
+        p2 = self._params(ks2, mb.global_conditions(ks2, 50.0), times)
         b1 = mb.bound_system(p1, init, times, dt=1e-3)
         b2 = mb.bound_system(p2, init, times, dt=1e-3)
         assert np.all(b2.column(2) >= b1.column(2) * (1 - 1e-12))
@@ -106,10 +136,11 @@ class TestBoundSystem:
         ks = make_kernels(a0=1.0, growth="linear", r0=0.0, r1=0.3, k0=0.5,
                           coag_kind="sum")
         cond = mb.global_conditions(ks, 50.0)
-        par = self._params(ks, cond, m1max=1.5)
         times = np.linspace(0, 1, 11)
-        b_small = mb.bound_system(par, {0: 0.1, 1: 1.0, 2: 2.0}, times, dt=1e-3)
-        b_large = mb.bound_system(par, {0: 99.0, 1: 1.0, 2: 2.0}, times, dt=1e-3)
+        p_small = self._params(ks, cond, times, M0=0.1)
+        p_large = self._params(ks, cond, times, M0=99.0)
+        b_small = mb.bound_system(p_small, {0: 0.1, 1: 1.0, 2: 2.0}, times, dt=1e-3)
+        b_large = mb.bound_system(p_large, {0: 99.0, 1: 1.0, 2: 2.0}, times, dt=1e-3)
         assert np.array_equal(b_small.column(1), b_large.column(1))
         assert np.array_equal(b_small.column(2), b_large.column(2))
 
@@ -124,7 +155,7 @@ def scenario():
                        ball_radius=1.0)
     traj = solve(f0, cfg, ks)
     cond = mb.global_conditions(ks, grid.xmax)
-    env = mb.m1_envelope_max(cond, ks, traj.M0[0], traj.M1[0], cfg.t_end)
+    env = mb.m01_envelope(cond, ks, traj.M0[0], traj.M1[0], traj.times, cfg.dt)
     par = mb.assemble_bound_params(ks, 2.0, env, cond, sample_hi=10 * grid.xmax)
     bounds = mb.bound_system(par, {0: traj.M0[0], 1: traj.M1[0], 2: traj.M2[0]},
                              traj.times, cfg.dt)

@@ -40,6 +40,18 @@ PRODUCERS = {
 }
 
 
+@pytest.mark.parametrize("name", ["gfc-global-i", "gfc-global-ii"])
+def test_negative_control_undershoots_on_scenarios_with_growth(name):
+    """The control runs the scenario's coagulation alone at the dt that makes
+    every cell's explicit loss factor at most -1, whatever growth the
+    scenario has."""
+    raw = get_preset(name)
+    raw["grid"]["cells"] = 64
+    (row,) = SUITES["negative-control"](ScenarioContext(load_scenario(raw)))
+    assert row.status == "pass"
+    assert row.measured < -1.0
+
+
 @pytest.mark.parametrize("suite", sorted(PRODUCERS))
 def test_producer_rows_carry_the_suite_they_are_printed_under(ctx, suite):
     rows = PRODUCERS[suite](ctx)

@@ -15,22 +15,29 @@ from gfc.grid import DensityField, SizeGrid, WeightSpec, project, weighted_integ
 from gfc.kernels import GrowthRate
 from gfc.presets import get_preset
 from gfc.transport import (Antiderivatives, ParameterDomainError, SpectralParams,
-                           flow_map, laplace_consistency, make_antiderivatives,
+                           laplace_consistency, make_antiderivatives,
                            r_inverse_clipped, resolvent_integral_bounds,
                            resolvent_apply, resolvent_residual, transport_apply,
                            v_lambda_diagnostics)
 
 
+def flow(r: GrowthRate, t: float, x0):
+    """X(t; x0) = R^-1(R(x0) + t), the map the transport plan takes its feet from."""
+    ks = dataclasses.replace(make_kernels(), r=r)
+    antid = Antiderivatives(ks, 1e-4, 1e3)
+    return r_inverse_clipped(antid, antid.R(x0) + t)
+
+
 class TestFlowMap:
     def test_constant_rate(self):
-        assert flow_map(GrowthRate("constant", r0=1.0), 0.5, 2.0) == pytest.approx(2.5)
+        assert flow(GrowthRate("constant", r0=1.0), 0.5, 2.0) == pytest.approx(2.5)
 
     def test_linear_rate(self):
-        assert flow_map(GrowthRate("linear", r1=1.0), math.log(2.0), 1.0) == pytest.approx(2.0)
+        assert flow(GrowthRate("linear", r1=1.0), math.log(2.0), 1.0) == pytest.approx(2.0)
 
     def test_affine_rate(self):
         r = GrowthRate("affine", r0=1.0, r1=1.0)
-        assert flow_map(r, math.log(2.0), 1.0) == pytest.approx(3.0)
+        assert flow(r, math.log(2.0), 1.0) == pytest.approx(3.0)
 
     def test_affine_rate_matches_ode_oracle(self):
         from scipy.integrate import solve_ivp
@@ -38,25 +45,28 @@ class TestFlowMap:
         sol = solve_ivp(lambda t, y: r(y), (0.0, math.log(2.0)), [1.0],
                         rtol=1e-12, atol=1e-14)
         assert sol.y[0, -1] == pytest.approx(3.0, rel=1e-9)
-        assert flow_map(r, math.log(2.0), 1.0) == pytest.approx(sol.y[0, -1], rel=1e-9)
+        assert flow(r, math.log(2.0), 1.0) == pytest.approx(sol.y[0, -1], rel=1e-9)
+        # and backwards, onto the starting size
+        assert flow(r, -math.log(2.0), sol.y[0, -1]) == pytest.approx(1.0, rel=1e-9)
 
     def test_backward_exit_is_distinguished_zero(self):
-        assert flow_map(GrowthRate("constant", r0=1.0), -2.0, 1.0) == 0.0
+        assert flow(GrowthRate("constant", r0=1.0), -2.0, 1.0) == 0.0
 
     def test_strictly_increasing_in_start(self):
         r = GrowthRate("affine", r0=0.3, r1=0.7)
         x0 = np.linspace(0.1, 5.0, 40)
-        out = flow_map(r, 0.8, x0)
+        out = flow(r, 0.8, x0)
         assert np.all(np.diff(out) > 0)
 
     def test_table_growth_uses_antiderivative_inverse(self):
+        from scipy.integrate import solve_ivp
         xs = np.geomspace(1e-4, 1e3, 200)
         rt = GrowthRate("table", table_x=xs, table_r=1.0 + 0.0 * xs)
-        ks = make_kernels()
-        ks = type(ks)(ks.a, ks.b, rt, ks.k, ks.a1)
-        antid = Antiderivatives(ks, 1e-4, 1e3)
-        out = flow_map(rt, 0.5, 2.0, antid=antid)
-        assert out == pytest.approx(2.5, rel=1e-6)
+        assert flow(rt, 0.5, 2.0) == pytest.approx(2.5, rel=1e-6)
+        # a nonconstant table against the ODE dx/dt = r(x)
+        rt = GrowthRate("table", table_x=xs, table_r=0.2 + 0.5 * np.sqrt(xs))
+        sol = solve_ivp(lambda t, y: rt(y), (0.0, 0.7), [2.0], rtol=1e-12, atol=1e-14)
+        assert flow(rt, 0.7, 2.0) == pytest.approx(sol.y[0, -1], rel=1e-6)
 
 
 class TestTransport:
