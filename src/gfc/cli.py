@@ -14,7 +14,7 @@ from .config import ConfigFileError, ScenarioConfig, load_scenario
 from .evolution import ConfigError, NumericalFailureError, SetupError
 from .kernels import KernelConfigError, QuadratureError
 from .presets import preset_description, preset_names
-from .report import ScenarioContext, render_rows, run_suites, write_trajectory_csv
+from .report import ScenarioContext, run_suites, write_trajectory_csv
 from .transport import ParameterDomainError
 
 USER_ERRORS = (ConfigFileError, ConfigError, KernelConfigError, SetupError,
@@ -100,13 +100,12 @@ def cmd_probe(args) -> int:
 def cmd_bounds(args) -> int:
     ctx = _context(args)
     bounds = ctx.bounds
-    rows = mb.check_domination(ctx.trajectory, bounds, ctx.ks,
-                               tol=ctx.sc.tolerance("domination", 0.05))
+    report, _ = run_suites(ctx, suites=["moment-domination"])
     path = write_trajectory_csv(_csv_path(ctx, args), ctx.trajectory, bounds)
     print(f"certified condition: ({ctx.conditions.certified})")
-    print(render_rows(rows), end="")
+    print(report.render(), end="")
     print(f"trajectory: {path}")
-    return 0 if all(r.passed for r in rows) else 2
+    return report.exit_code
 
 
 def cmd_list_presets(_args) -> int:

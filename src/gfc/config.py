@@ -38,13 +38,10 @@ SCHEMA: dict = {
     "grid": {"xmin": None, "xmax": None, "cells": None},
     "time": {"dt": None, "t_end": None, "output_every": None},
     "solver": {"scheme": None, "m": None, "n": None, "p": None, "positivity_policy": None,
-               "cfl_safety": None, "blowup_ceiling": None, "picard_tol": None,
-               "picard_max_iter": None},
+               "blowup_ceiling": None, "picard_max_iter": None},
     "initial": {"profile": None, "amplitude": None, "decay": None, "exponent": None,
                 "lo": None, "hi": None},
-    "probe": {"eta": None, "t_lo": None, "t_hi": None, "n_times": None,
-              "membership_growth_min": None, "stability_tol": None},
-    "bounds": {"phi_order": None, "mode": None, "eps_margin": None},
+    "probe": {"eta": None, "t_lo": None, "t_hi": None, "n_times": None, "stability_tol": None},
     "checks": {"suites": None,
                "tolerances": {"coag_moment2", "cross_validation", "domination", "laplace",
                               "m1_envelope", "mass_budget", "oracle", "pde_residual",
@@ -135,9 +132,7 @@ class ScenarioConfig:
             p=None if s.get("p") is None else float(s["p"]),
             ball_radius=self.ball_radius,
             positivity_policy=s.get("positivity_policy", "guaranteed"),
-            cfl_safety=float(s.get("cfl_safety", 0.9)),
             blowup_ceiling=float(s.get("blowup_ceiling", 1e6)),
-            picard_tol=float(s.get("picard_tol", 1e-8)),
             picard_max_iter=int(s.get("picard_max_iter", 30)))
 
     def initial_field(self, grid: SizeGrid) -> DensityField:
@@ -162,24 +157,13 @@ class ScenarioConfig:
         return project(lambda x: np.where((x >= lo) & (x <= hi), amp, 0.0), grid)
 
     def probe_params(self) -> dict:
-        pr = dict(self.raw.get("probe", {}))
-        s = self.raw.get("solver", {})
-        out = {
-            "m": float(s.get("m", 3.5)), "n": float(s.get("n", 1.5)),
-            "p": float(s.get("p", 2.0)), "eta": float(pr.get("eta", 0.25)),
-            "t_list": np.geomspace(float(pr.get("t_lo", 1e-2)), float(pr.get("t_hi", 1.0)),
-                                   int(pr.get("n_times", 13))),
-            "dt": float(self.raw.get("time", {}).get("dt", 1e-3)),
-            "membership_growth_min": float(pr.get("membership_growth_min", 1.2)),
-            "stability_tol": float(pr.get("stability_tol", 0.25)),
-        }
-        return out
-
-    def bounds_params(self) -> dict:
-        b = self.raw.get("bounds", {})
-        return {"phi_order": int(b.get("phi_order", 2)),
-                "mode": b.get("mode", "split"),
-                "eps_margin": float(b.get("eps_margin", 0.9))}
+        """The probe's own settings; its weight orders and time step are the
+        solver's."""
+        pr = self.raw.get("probe", {})
+        return {"eta": float(pr.get("eta", 0.25)),
+                "t_list": np.geomspace(float(pr.get("t_lo", 1e-2)), float(pr.get("t_hi", 1.0)),
+                                       int(pr.get("n_times", 13))),
+                "stability_tol": float(pr.get("stability_tol", 0.25))}
 
     def echo(self) -> dict:
         return copy.deepcopy(self.raw)

@@ -46,6 +46,11 @@ __all__ = [
 ]
 
 
+CFL_SAFETY = 0.9               # dt may use this share of the advective CFL limit
+PICARD_TOL = 1e-8              # Picard stops below this relative update
+MEMBERSHIP_GROWTH_MIN = 1.2    # probe data must grow this much under xmax doubling
+
+
 class ConfigError(ValueError):
     """Solver configuration violates a structural precondition."""
 
@@ -63,9 +68,10 @@ class SolverConfig:
     """Time-stepping parameters and the weight-order bookkeeping.
 
     The secondary orders satisfy max{1, l} < n < p < m with p = m - alpha
-    when the Duhamel solver is used; the advective CFL keeps the
-    semi-Lagrangian remap local and the positivity bound keeps the explicit
-    coagulation loss dominated on the configured ball.
+    when the Duhamel solver is used; the advective CFL (with safety factor
+    CFL_SAFETY) keeps the semi-Lagrangian remap local and the positivity
+    bound keeps the explicit coagulation loss dominated on the configured
+    ball, whose shift the kernel set carries.
     """
 
     dt: float = 1e-3
@@ -77,9 +83,7 @@ class SolverConfig:
     ball_radius: float = 1.0
     positivity_policy: str = "guaranteed"   # 'guaranteed' | 'off'
     output_every: float = 0.05
-    cfl_safety: float = 0.9
     blowup_ceiling: float = 1e6
-    picard_tol: float = 1e-8
     picard_max_iter: int = 30
 
     def validate(self, ks: KernelSet, grid: SizeGrid) -> None:
@@ -110,9 +114,17 @@ class SolverConfig:
             r_edge = ks.r(grid.edges[1:])
             with np.errstate(divide="ignore"):
                 limit = float(np.min(np.where(r_edge > 0, grid.widths / r_edge, np.inf)))
-            if self.dt > self.cfl_safety * limit:
+            if self.dt > CFL_SAFETY * limit:
                 raise ConfigError(
-                    f"dt = {self.dt} violates the advective CFL limit {self.cfl_safety * limit:.3e}")
+                    f"dt = {self.dt} violates the advective CFL limit {CFL_SAFETY * limit:.3e}")
+        if self.positivity_policy == "guaranteed" or self.scheme == "duhamel":
+            # the step bound and the mild formulation both rest on the shift
+            # for this ball
+            shift = AbsorptionRate.for_ball(ks.k, self.ball_radius)
+            if ks.a1 != shift:
+                raise ConfigError(
+                    f"the kernel set's shift {ks.a1} is not the one for ball radius "
+                    f"{self.ball_radius} ({shift})")
         if self.positivity_policy == "guaranteed":
             x = grid.centers
             if ks.k.kind == "table":
@@ -127,7 +139,7 @@ class SolverConfig:
                         f"exceeds its {ks.k.bound_class!r} class bound with k0 = {ks.k.k0} "
                         f"by {over[i, j]:.3e} at (x_{i}, x_{j}) = ({x[i]:.4g}, {x[j]:.4g}); "
                         "raise k0 or disable the policy")
-            shield = ks.a(x) + AbsorptionRate.for_ball(ks.k, self.ball_radius)(x)
+            shield = ks.q(x)
             worst = float(np.max(shield)) if shield.size else 0.0
             if self.dt * worst > 1.0:
                 raise ConfigError(
@@ -190,7 +202,7 @@ class SplitStepper:
         self.has_coag = not ks.k.is_zero
         self.dm = dm if dm is not None else (build_daughter_matrix(ks.b, grid) if self.has_frag else None)
         self.ct = ct if ct is not None else (build_coag_tables(ks.k, grid) if self.has_coag else None)
-        self.a1 = AbsorptionRate.for_ball(ks.k, cfg.ball_radius)(x)
+        self.a1 = ks.a1(x)
         self.antid = None if ks.r.is_zero else make_antiderivatives(ks, grid)
         self.growth_mass = 0.0
 
@@ -376,7 +388,7 @@ def duhamel_solve(f0: DensityField, cfg: SolverConfig, ks: KernelSet,
             factors.append(float(np.max(node_factors[1:])) if n_out else 0.0)
         prev_err = err_nodes
         iterates = new
-        if err <= cfg.picard_tol * max(1.0, weighted_integral(f0, wm)):
+        if err <= PICARD_TOL * max(1.0, weighted_integral(f0, wm)):
             converged = True
             break
 
@@ -400,7 +412,7 @@ def _linear_norm_curve(ks: KernelSet, grid: SizeGrid, m: float, f0: DensityField
     cfg = SolverConfig(dt=dt, t_end=float(t_list[-1]), m=m, scheme="lie-split",
                        positivity_policy="off")
     # the linear semigroup needs no coagulation tables and, without them, no shift
-    prop = SplitStepper(replace(ks, k=CoagulationKernel(k0=0.0)), grid, cfg)
+    prop = SplitStepper(replace(ks, k=CoagulationKernel(k0=0.0), a1=AbsorptionRate()), grid, cfg)
     wm = WeightSpec(m, "shifted")
     norms = []
     f = f0.copy()
@@ -416,14 +428,13 @@ def _linear_norm_curve(ks: KernelSet, grid: SizeGrid, m: float, f0: DensityField
 
 def regularization_probe(ks: KernelSet, grid: SizeGrid, m: float, n: float, p: float,
                          t_list: np.ndarray, stability_tol: float, eta: float = 0.25,
-                         dt: float = 1e-3, membership_growth_min: float = 1.2
-                         ) -> list[ReportRow]:
+                         dt: float = 1e-3) -> list[ReportRow]:
     """Probe the moment-regularization rate of the linear semigroup.
 
     The initial profile (1 + x)^(-(p + 1 + eta)) has a finite p-weighted norm
     but lies outside the m-weighted space on the untruncated axis, certified
-    by its truncated m-norm growing under domain doubling.  The
-    'regularization-probe' rows report sup over t of
+    by its truncated m-norm growing by at least MEMBERSHIP_GROWTH_MIN under
+    domain doubling.  The 'regularization-probe' rows report sup over t of
     t^((m-n)/gamma0) e^(-theta_hat t) ||S(t) f0||_[0,m] with theta_hat fitted
     on the late times (`bounded-product`), and its relative variation under
     grid and domain doubling against `stability_tol` (`grid-stability`); a
@@ -442,7 +453,7 @@ def regularization_probe(ks: KernelSet, grid: SizeGrid, m: float, n: float, p: f
     wm = WeightSpec(m, "shifted")
     wide = SizeGrid.geometric(grid.xmin, grid.xmax * 2.0, grid.cells)
     ratio = weighted_integral(project(profile, wide), wm) / weighted_integral(f0, wm)
-    if not np.isfinite(ratio) or ratio < membership_growth_min:
+    if not np.isfinite(ratio) or ratio < MEMBERSHIP_GROWTH_MIN:
         raise SetupError(
             f"initial profile looks m-integrable: truncated norm grew only {ratio:.3f}x "
             "under xmax doubling")

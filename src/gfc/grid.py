@@ -152,12 +152,11 @@ def moment(f: DensityField, m: float) -> float:
     return weighted_integral(f, WeightSpec(m, "pure"))
 
 
-def project(g, grid: SizeGrid, allow_negative: bool = False) -> DensityField:
+def project(g, grid: SizeGrid) -> DensityField:
     """Project a size function onto per-cell averages.
 
     Uses fixed 5-point Gauss-Legendre quadrature per cell.  Rejects inputs
-    that evaluate negative anywhere on the quadrature nodes unless
-    ``allow_negative`` is set.
+    that evaluate negative anywhere on the quadrature nodes.
     """
     lo, hi = grid.edges[:-1], grid.edges[1:]
     half = 0.5 * (hi - lo)
@@ -167,7 +166,7 @@ def project(g, grid: SizeGrid, allow_negative: bool = False) -> DensityField:
     vals = np.asarray(g(nodes), dtype=float)
     if vals.shape != nodes.shape:  # scalar-only callables
         vals = np.vectorize(g)(nodes).astype(float)
-    if not allow_negative and np.any(vals < 0):
+    if np.any(vals < 0):
         raise GridError("projected function is negative on the grid")
     averages = (vals @ _GL_WEIGHTS) * 0.5  # divide by 2 = half/(width/... )
     return DensityField(grid, averages)

@@ -45,6 +45,10 @@ __all__ = [
 ]
 
 
+PHI_ORDER = 2       # the order i of the Phi functional under condition (ii)
+EPS_MARGIN = 0.9    # the Young parameter keeps 90% of its balancing value
+
+
 class InfeasibleParamsError(ValueError):
     """No Young parameter can balance coagulation against fragmentation."""
 
@@ -136,7 +140,6 @@ class MomentBoundParams:
     D2: dict = field(default_factory=dict)
     D3: dict = field(default_factory=dict)
     c_alpha: float = 1.0
-    phi_order: int = 2
     x0: float = 1.0
     a_tilde: float = 0.0
     b0: float = 2.0
@@ -169,36 +172,33 @@ def m01_envelope(condition: ConditionReport, ks: KernelSet, M0_0: float, M1_0: f
 
 
 def assemble_bound_params(ks: KernelSet, m: float, envelope: dict,
-                          condition: ConditionReport, sample_hi: float,
-                          mode: str = "split", phi_order: int = 2,
-                          eps_margin: float = 0.9) -> MomentBoundParams:
+                          condition: ConditionReport, sample_hi: float) -> MomentBoundParams:
     """Build the D-constants for orders 2 .. floor(m)+1 on the low-moment
     envelope of `m01_envelope`, whose M1 maximum is M1_max.
 
     The Young parameter per order is the largest one balancing the
-    coagulation production against the fragmentation sink (delta_i in the
-    splitting mode, delta_i/2 when the zeroth-moment functional needs half
-    the sink), shrunk by a 10% safety margin.
+    coagulation production against the fragmentation sink, shrunk by
+    EPS_MARGIN.  The sink is delta_i under condition (i) and delta_i/2 under
+    condition (ii), whose Phi functional spends the other half on M0.
     """
-    if mode not in ("split", "p-estimate"):
-        raise ValueError(f"unknown mode {mode!r}")
     if not condition.any_holds:
         raise InfeasibleParamsError("neither global-existence condition is certified")
     gamma0, alpha = ks.a.gamma0, ks.k.alpha
     if not ks.k.is_zero and alpha >= gamma0:
         raise InfeasibleParamsError("needs alpha < gamma0")
     i_top = int(m) if float(m).is_integer() else int(math.floor(m)) + 1
-    i_top = max(i_top, 2, phi_order)
+    i_top = max(i_top, 2)
     orders = list(range(2, i_top + 1))
     M1_max = float(np.max(envelope[1]))
 
     par = MomentBoundParams(
         orders=orders, gamma0=gamma0, alpha=alpha, rtilde=ks.r.rtilde,
-        condition=condition.certified, M1_max=M1_max, phi_order=phi_order, x0=ks.a.x0,
+        condition=condition.certified, M1_max=M1_max, x0=ks.a.x0,
         b0=ks.b.n0_bound_amplitude,
         power=(2 * gamma0 - alpha) / (gamma0 - alpha), envelope=envelope)
 
     k0 = ks.k.k0 if not ks.k.is_zero else 0.0
+    sink_share = 0.5 if par.condition == "ii" else 1.0
     for i in orders:
         dp, d, nu = fragmentation_constants(ks, i, sample_hi=sample_hi)
         par.delta_prime[i], par.delta[i], par.nu[i] = dp, d, nu
@@ -211,11 +211,11 @@ def assemble_bound_params(ks: KernelSet, m: float, envelope: dict,
             par.D2[i] = par.rtilde
             par.D3[i] = 0.0
             continue
-        d_eff = d if mode == "split" else 0.5 * d
+        d_eff = sink_share * d
         if d_eff <= 0:
             raise InfeasibleParamsError(
                 f"order {i}: fragmentation sink surrogate is nonpositive (delta = {d})")
-        eps = (eps_margin * d_eff * gamma0 / (alpha * Ki * (M1_max + 1.0))) ** (alpha / gamma0)
+        eps = (EPS_MARGIN * d_eff * gamma0 / (alpha * Ki * (M1_max + 1.0))) ** (alpha / gamma0)
         par.eps[i] = eps
         eps_rec = eps ** (-gamma0 / (gamma0 - alpha))  # epsilon^{gamma0/(alpha-gamma0)}
         young = (gamma0 - alpha) / gamma0 * eps_rec
@@ -226,7 +226,7 @@ def assemble_bound_params(ks: KernelSet, m: float, envelope: dict,
 
     # zeroth-moment machinery under condition (ii)
     xs = np.linspace(ks.a.x0 * 1e-6, ks.a.x0, 200)
-    wi = 1.0 + np.power(xs, phi_order)
+    wi = 1.0 + np.power(xs, PHI_ORDER)
     par.a_tilde = 2.0 * par.b0 * float(np.max(ks.a(xs) * wi))
     return par
 
@@ -302,7 +302,7 @@ def bound_system(par: MomentBoundParams, initial_moments: dict, times: np.ndarra
 
     # Phi-functional envelope and the induced M0 control (condition (ii))
     if par.condition == "ii":
-        i = par.phi_order
+        i = PHI_ORDER
         theta = par.D2[i] * cols[i - 1] + par.D3[i] * np.power(cols[i - 1], par.power)
         integrand = np.exp(-par.D1[i] * times) * (par.D0[i] + theta)
         integral = np.concatenate([[0.0], cumulative_trapezoid(integrand, times)])
@@ -365,7 +365,7 @@ def check_domination(traj: Trajectory, bounds: BoundTrajectory, ks: KernelSet,
     add("Mm", ratio, f"weight order {m:g}")
 
     if par.condition == "ii" and "phi_env" in bounds.columns:
-        i = par.phi_order
+        i = PHI_ORDER
         flux = np.array([_frag_flux(f, ks, i) for f in traj.fields])
         acc = np.concatenate([[0.0], cumulative_trapezoid(flux, traj.times)])
         phi = traj.moments_at(float(i)) + 0.5 * par.delta_prime[i] * acc

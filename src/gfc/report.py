@@ -141,10 +141,9 @@ class ScenarioContext:
 
     @cached_property
     def spectral(self) -> SpectralParams:
-        """The growth bound omega = 2*m*rtilde and the resolvent parameter
-        lambda = omega + 2 that the spectral suites use."""
-        omega = 2.0 * self.cfg.m * self.ks.r.rtilde
-        return SpectralParams.for_kernels(self.ks, self.cfg.m, omega + 2.0)
+        """The growth bound omega and the resolvent parameter lambda = omega + 2
+        that the spectral suites use."""
+        return SpectralParams.for_kernels(self.ks, self.cfg.m)
 
     @cached_property
     def conditions(self) -> mb.ConditionReport:
@@ -162,12 +161,9 @@ class ScenarioContext:
             raise mb.InfeasibleParamsError(
                 "neither global-existence condition holds; no bound system available")
         traj = self.trajectory
-        bp = self.sc.bounds_params()
         env = mb.m01_envelope(cond, self.ks, traj.M0[0], traj.M1[0], traj.times, self.cfg.dt)
         par = mb.assemble_bound_params(self.ks, self.cfg.m, env, cond,
-                                       sample_hi=10 * self.grid.xmax,
-                                       mode=bp["mode"], phi_order=bp["phi_order"],
-                                       eps_margin=bp["eps_margin"])
+                                       sample_hi=10 * self.grid.xmax)
         init = {0: traj.M0[0], 1: traj.M1[0], 2: traj.M2[0],
                 **{i: moment(traj.fields[0], float(i)) for i in par.orders}}
         return mb.bound_system(par, init, traj.times, self.cfg.dt)
@@ -395,7 +391,12 @@ def _suite_cross_validation(ctx: ScenarioContext) -> list[ReportRow]:
 
 
 def _suite_regularization_probe(ctx: ScenarioContext) -> list[ReportRow]:
-    return regularization_probe(ctx.ks, ctx.grid, **ctx.sc.probe_params())
+    cfg = ctx.cfg
+    if cfg.n is None or cfg.p is None:
+        return [ReportRow("regularization-probe", "bounded-product",
+                          detail="needs the secondary orders n and p")]
+    return regularization_probe(ctx.ks, ctx.grid, cfg.m, cfg.n, cfg.p, dt=cfg.dt,
+                                **ctx.sc.probe_params())
 
 
 def _suite_moment_domination(ctx: ScenarioContext) -> list[ReportRow]:

@@ -160,10 +160,12 @@ class SpectralParams:
     omega: float
 
     @staticmethod
-    def for_kernels(ks: KernelSet, m: float, lam: float) -> "SpectralParams":
+    def for_kernels(ks: KernelSet, m: float, lam: Optional[float] = None) -> "SpectralParams":
+        """lam defaults to omega + 2."""
         if m < 1:
             raise ParameterDomainError(f"weight order must be >= 1, got {m}")
         omega = 2.0 * m * ks.r.rtilde
+        lam = omega + 2.0 if lam is None else lam
         if lam <= omega:
             raise ParameterDomainError(
                 f"resolvent parameter lambda = {lam} must exceed omega = {omega}")

@@ -7,13 +7,18 @@ from gfc.kernels import (AbsorptionRate, CoagulationKernel, DaughterDistribution
 
 def make_kernels(a0=0.0, gamma0=1.0, x0=1.0, daughter="uniform-binary", nu=0.0,
                  growth="constant", r0=1.0, r1=0.0, k0=0.0, alpha=0.5,
-                 coag_kind="constant", bound_class="global", beta=0.0) -> KernelSet:
+                 coag_kind="constant", bound_class="global", ball_radius=1.0,
+                 beta=None) -> KernelSet:
+    """A kernel set whose shift is the one for ball_radius, as a scenario
+    builds it; an explicit beta (transport-only tests) overrides it."""
+    k = CoagulationKernel(kind=coag_kind, k0=k0, alpha=alpha, bound_class=bound_class)
     return KernelSet(
         FragmentationRate(kind="power-law", a0=a0, gamma0=gamma0, x0=x0),
         DaughterDistribution(kind=daughter, nu=nu),
         GrowthRate(kind=growth, r0=r0, r1=r1),
-        CoagulationKernel(kind=coag_kind, k0=k0, alpha=alpha, bound_class=bound_class),
-        AbsorptionRate(beta=beta, alpha=alpha),
+        k,
+        AbsorptionRate.for_ball(k, ball_radius) if beta is None
+        else AbsorptionRate(beta=beta, alpha=alpha),
     )
 
 

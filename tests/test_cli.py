@@ -9,6 +9,7 @@ import yaml
 from gfc.cli import main
 from gfc.config import SCHEMA, ConfigFileError, load_scenario
 from gfc.evolution import SolverConfig
+from gfc.kernels import CoagulationKernel, DaughterDistribution, FragmentationRate, GrowthRate
 from gfc.presets import PRESETS, get_preset, preset_names
 
 
@@ -69,6 +70,29 @@ class TestConfigParsing:
         raw["solver"][key] = value
         with pytest.raises(ConfigFileError, match=rf"unknown key 'solver\.{key}'"):
             load_scenario(raw)
+
+    @pytest.mark.parametrize("section,key,value,path", [
+        ("bounds", "mode", "p-estimate", "bounds"),
+        ("bounds", "phi_order", 3, "bounds"),
+        ("bounds", "eps_margin", 0.5, "bounds"),
+        ("solver", "cfl_safety", 0.5, "solver.cfl_safety"),
+        ("solver", "picard_tol", 1e-6, "solver.picard_tol"),
+        ("probe", "membership_growth_min", 1.5, "probe.membership_growth_min"),
+    ])
+    def test_fixed_and_derived_values_are_not_keys(self, section, key, value, path):
+        """The bound cascade's sink split is derived from the certified
+        condition; the other five are constants of the code."""
+        raw = copy.deepcopy(MINI)
+        raw.setdefault(section, {})[key] = value
+        with pytest.raises(ConfigFileError, match=rf"unknown key '{re.escape(path)}'"):
+            load_scenario(raw)
+
+    @pytest.mark.parametrize("section,cls", [
+        ("fragmentation", FragmentationRate), ("daughter", DaughterDistribution),
+        ("growth", GrowthRate), ("coagulation", CoagulationKernel)])
+    def test_kernel_sections_are_the_dataclass_fields(self, section, cls):
+        public = {f.name for f in dataclasses.fields(cls) if not f.name.startswith("_")}
+        assert SCHEMA["kernels"][section] == public
 
     def test_solver_config_fields_are_the_schema_keys(self):
         """Every SolverConfig field is settable from a scenario file and every

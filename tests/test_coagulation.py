@@ -95,7 +95,7 @@ class TestApplyCoag:
         assert np.all(lam <= cap * (1 + 1e-12))
 
     def test_escape_routing_near_xmax(self, grid, ct_const):
-        f = project(lambda x: np.exp(-((x - 50.0) / 5.0) ** 2), grid, allow_negative=False)
+        f = project(lambda x: np.exp(-((x - 50.0) / 5.0) ** 2), grid)
         out = apply_coag(f, ct_const)
         assert out.escaped_mass > 0
         scale = moment(DensityField(grid, np.abs(out.values)), 1.0) + out.escaped_mass

@@ -50,11 +50,25 @@ class TestConfigValidation:
             cfg.validate(ks2, grid)
 
     def test_positivity_policy_guard(self):
-        ks = make_kernels(k0=50.0, coag_kind="constant", alpha=0.5, growth="constant", r0=0.0)
+        ks = make_kernels(k0=50.0, coag_kind="constant", alpha=0.5, growth="constant", r0=0.0,
+                          ball_radius=4.0)
         grid = SizeGrid.geometric(0.1, 10.0, 64)
         with pytest.raises(ConfigError, match="positivity"):
             mk_cfg(dt=0.05, ball_radius=4.0).validate(ks, grid)
         mk_cfg(dt=0.05, ball_radius=4.0, positivity_policy="off").validate(ks, grid)
+
+    def test_shift_for_another_ball_rejected(self):
+        ks = make_kernels(a0=1.0, k0=0.5, coag_kind="sum", growth="linear", r0=0.0, r1=0.2,
+                          ball_radius=2.0)
+        grid = SizeGrid.geometric(1e-2, 30.0, 64)
+        with pytest.raises(ConfigError, match="ball radius 1.0"):
+            mk_cfg(ball_radius=1.0).validate(ks, grid)
+        with pytest.raises(ConfigError, match="ball radius 1.0"):
+            mk_cfg(ball_radius=1.0, scheme="duhamel", n=1.25, p=1.5,
+                   positivity_policy="off").validate(ks, grid)
+        # without the guarantee a splitting run takes the shift it is given
+        mk_cfg(ball_radius=1.0, positivity_policy="off").validate(ks, grid)
+        mk_cfg(ball_radius=2.0).validate(ks, grid)
 
     def test_table_kernel_over_class_bound_rejected(self):
         # k0 omitted reads as 0, so beta = 0 shields nothing and the
@@ -116,7 +130,8 @@ class TestStepSplit:
         assert np.max(resid) / np.max(traj.M1) < 1e-12
 
     def test_riccati_oracle_and_dt_convergence(self):
-        ks = make_kernels(k0=2.0, coag_kind="constant", growth="constant", r0=0.0)
+        ks = make_kernels(k0=2.0, coag_kind="constant", growth="constant", r0=0.0,
+                          ball_radius=4.0)
         grid = SizeGrid.geometric(1e-3, 50.0, 128)
         f = project(lambda x: np.exp(-x), grid)
         errs = []

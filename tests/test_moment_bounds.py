@@ -45,6 +45,23 @@ class TestGlobalConditions:
             mb.assemble_bound_params(ks, 2.0, {1: np.ones(11)}, cond, sample_hi=500.0)
 
 
+@pytest.mark.parametrize("growth,r0,certified,share", [("linear", 0.0, "ii", 0.5),
+                                                        ("affine", 0.1, "i", 1.0)])
+def test_young_parameter_spends_the_sink_share(growth, r0, certified, share):
+    """Under condition (ii) half the fragmentation sink pays for the Phi
+    functional, so the Young parameter balances coagulation against delta_i/2."""
+    ks = make_kernels(a0=1.0, growth=growth, r0=r0, r1=0.3, k0=0.5, coag_kind="sum")
+    cond = mb.global_conditions(ks, 50.0)
+    assert cond.certified == certified
+    env = mb.m01_envelope(cond, ks, 1.0, 1.0, np.linspace(0, 1, 11), 1e-3)
+    par = mb.assemble_bound_params(ks, 3.0, env, cond, sample_hi=500.0)
+    assert par.orders == [2, 3]
+    for i in par.orders:
+        closed = (0.9 * share * par.delta[i] * par.gamma0
+                  / (par.alpha * par.K[i] * (par.M1_max + 1.0))) ** (par.alpha / par.gamma0)
+        assert par.eps[i] == pytest.approx(closed, rel=1e-13)
+
+
 class TestBoundSystem:
     @staticmethod
     def _params(ks, cond, times, M0=1.0, M1=1.0):

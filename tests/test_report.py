@@ -33,8 +33,9 @@ PRODUCERS = {
     "resolvent": lambda ctx: v_lambda_diagnostics(ctx.spectral, ctx.ks),
     "frag-identities": lambda ctx: frag_moment_identity(ctx.f0, ctx.ks, ctx.dm),
     "coag-identities": lambda ctx: coag_moment_identity(ctx.f0, ctx.ct, 2e-3),
-    "regularization-probe": lambda ctx: regularization_probe(ctx.ks, ctx.grid,
-                                                             **ctx.sc.probe_params()),
+    "regularization-probe": lambda ctx: regularization_probe(
+        ctx.ks, ctx.grid, ctx.cfg.m, ctx.cfg.n, ctx.cfg.p, dt=ctx.cfg.dt,
+        **ctx.sc.probe_params()),
     "pde-residual": lambda ctx: pde_residual(ctx.trajectory, ctx.ks, ctx.dm, ctx.ct, 0.05,
                                              p=ctx.cfg.p),
 }
@@ -74,6 +75,17 @@ def test_resolvent_suite_ends_with_the_v_lambda_rows(ctx):
                                       "v-lambda-divergence", "v-lambda-monotone"]
     assert rows[2:] == v_lambda_diagnostics(ctx.spectral, ctx.ks)
     assert ctx.spectral.lam == ctx.spectral.omega + 2.0
+
+
+def test_probe_without_secondary_orders_not_applicable():
+    """The probe reads its weight orders from the solver section, so a
+    scenario without n and p gets one n/a row, as cross-validation does."""
+    raw = get_preset("regularization-probe")
+    raw["grid"]["cells"] = 64
+    del raw["solver"]["n"], raw["solver"]["p"]
+    rows = SUITES["regularization-probe"](ScenarioContext(load_scenario(raw)))
+    assert [(r.suite, r.name, r.status) for r in rows] == \
+        [("regularization-probe", "bounded-product", "n/a")]
 
 
 def test_moment_domination_suite_passes_the_rows_through(ctx):
