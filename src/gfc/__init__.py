@@ -3,9 +3,8 @@ coagulation population balance equations on a truncated size axis."""
 
 from .grid import DensityField, SizeGrid, WeightSpec, moment, project, weighted_integral
 from .kernels import (AbsorptionRate, CoagulationKernel, DaughterDistribution,
-                      FragmentationRate, GrowthRate, KernelSet, SamplePlan,
-                      compute_beta, daughter_moment, moment_deficit,
-                      validate_kernel_set)
+                      FragmentationRate, GrowthRate, KernelSet, compute_beta,
+                      daughter_moment, moment_deficit, validate_kernel_set)
 from .transport import (Antiderivatives, SpectralParams, laplace_consistency,
                         resolvent_integral_bounds, resolvent_apply, transport_apply,
                         v_lambda_diagnostics)

@@ -201,7 +201,7 @@ def apply_coag_beta(f: DensityField, ct: CoagTables, a1: np.ndarray) -> DensityF
 
 
 def coag_moment_identity(f: DensityField, ct: Optional[CoagTables],
-                         moment2_tol: float) -> list[ReportRow]:
+                         moment2_tol: float = 2e-3) -> list[ReportRow]:
     """The 'coag-identities' rows: for i = 0, 1, 2 the moment rate of the
     discretized operator against the exact double sum.
 

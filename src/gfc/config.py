@@ -7,7 +7,7 @@ verification run.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any
 
@@ -27,27 +27,43 @@ class ConfigFileError(ValueError):
     """Schema violation with the offending field path."""
 
 
+KERNELS = {"fragmentation": FragmentationRate, "daughter": DaughterDistribution,
+           "growth": GrowthRate, "coagulation": CoagulationKernel}
+TIME_KEYS = {"dt", "t_end", "output_every"}
+
+
+def _keys(cls) -> set:
+    """The keys of the section that builds cls: its public fields."""
+    return {f.name for f in fields(cls) if not f.name.startswith("_")}
+
+
 SCHEMA: dict = {
-    "kernels": {
-        "fragmentation": {"kind", "a0", "gamma0", "x0", "table_x", "table_a"},
-        "daughter": {"kind", "nu", "table_u", "table_phi"},
-        "growth": {"kind", "r0", "r1", "table_x", "table_r"},
-        "coagulation": {"kind", "k0", "alpha", "bound_class", "table_x", "table_k"},
-        "ball_radius": None,
-    },
+    "kernels": {**{name: _keys(cls) for name, cls in KERNELS.items()}, "ball_radius": None},
     "grid": {"xmin": None, "xmax": None, "cells": None},
-    "time": {"dt": None, "t_end": None, "output_every": None},
-    "solver": {"scheme": None, "m": None, "n": None, "p": None, "positivity_policy": None,
-               "blowup_ceiling": None, "picard_max_iter": None},
+    "time": TIME_KEYS,
+    "solver": _keys(SolverConfig) - TIME_KEYS - {"ball_radius"},
     "initial": {"profile": None, "amplitude": None, "decay": None, "exponent": None,
                 "lo": None, "hi": None},
-    "probe": {"eta": None, "t_lo": None, "t_hi": None, "n_times": None, "stability_tol": None},
-    "checks": {"suites": None,
-               "tolerances": {"coag_moment2", "cross_validation", "domination", "laplace",
-                              "m1_envelope", "mass_budget", "oracle", "pde_residual",
-                              "quasi_contractivity", "resolvent_residual"}},
+    "checks": {"suites": None},
     "seed": None,
 }
+
+_NUMBERS = ("float", "Optional[float]")
+
+
+def _fields(cls, section: dict, path: str) -> dict:
+    """A scenario section as keyword arguments of cls, one per field name,
+    so every default is the dataclass's.  Numbers are cast by the field's
+    annotation: PyYAML reads `1e-3` (no dot) as a string."""
+    types = {f.name: f.type for f in fields(cls)}
+    out = {}
+    for key, value in section.items():
+        try:
+            out[key] = (float(value) if types.get(key) in _NUMBERS and value is not None
+                        else value)
+        except (TypeError, ValueError) as exc:
+            raise ConfigFileError(f"'{path}{key}' must be a number, got {value!r}") from exc
+    return out
 
 
 def _check_keys(node: Any, schema: Any, path: str) -> None:
@@ -86,57 +102,26 @@ class ScenarioConfig:
     def check_suites(self) -> list[str]:
         return list(self.raw.get("checks", {}).get("suites", []) or [])
 
-    def tolerance(self, name: str, default: float) -> float:
-        return float(self.raw.get("checks", {}).get("tolerances", {}).get(name, default))
-
     # -- builders -------------------------------------------------------
     def kernel_set(self) -> KernelSet:
         ker = self.raw["kernels"]
-        fr = ker.get("fragmentation", {})
-        a = FragmentationRate(
-            kind=fr.get("kind", "power-law"), a0=float(fr.get("a0", 1.0)),
-            gamma0=float(fr.get("gamma0", 1.0)), x0=float(fr.get("x0", 1.0)),
-            table_x=fr.get("table_x"), table_a=fr.get("table_a"))
-        da = ker.get("daughter", {})
-        b = DaughterDistribution(kind=da.get("kind", "uniform-binary"),
-                                 nu=float(da.get("nu", 0.0)),
-                                 table_u=da.get("table_u"), table_phi=da.get("table_phi"))
-        gr = ker.get("growth", {})
-        r = GrowthRate(kind=gr.get("kind", "constant"), r0=float(gr.get("r0", 0.0)),
-                       r1=float(gr.get("r1", 0.0)),
-                       table_x=gr.get("table_x"), table_r=gr.get("table_r"))
-        co = ker.get("coagulation", {})
-        k = CoagulationKernel(kind=co.get("kind", "constant"), k0=float(co.get("k0", 0.0)),
-                              alpha=float(co.get("alpha", 0.5)),
-                              bound_class=co.get("bound_class", "global"),
-                              table_x=co.get("table_x"), table_k=co.get("table_k"))
-        return KernelSet(a, b, r, k, AbsorptionRate.for_ball(k, self.ball_radius))
-
-    @property
-    def ball_radius(self) -> float:
-        return float(self.raw["kernels"].get("ball_radius", 1.0))
+        a, b, r, k = (cls(**_fields(cls, ker.get(name, {}), f"kernels.{name}."))
+                      for name, cls in KERNELS.items())
+        return KernelSet(a, b, r, k, AbsorptionRate.for_ball(k, self.solver_config().ball_radius))
 
     def grid(self) -> SizeGrid:
         g = self.raw["grid"]
         return SizeGrid.geometric(float(g["xmin"]), float(g["xmax"]), int(g["cells"]))
 
     def solver_config(self) -> SolverConfig:
-        t = self.raw.get("time", {})
-        s = self.raw.get("solver", {})
-        return SolverConfig(
-            dt=float(t.get("dt", 1e-3)), t_end=float(t.get("t_end", 1.0)),
-            output_every=float(t.get("output_every", 0.05)),
-            scheme=s.get("scheme", "strang-split"),
-            m=float(s.get("m", 2.0)),
-            n=None if s.get("n") is None else float(s["n"]),
-            p=None if s.get("p") is None else float(s["p"]),
-            ball_radius=self.ball_radius,
-            positivity_policy=s.get("positivity_policy", "guaranteed"),
-            blowup_ceiling=float(s.get("blowup_ceiling", 1e6)),
-            picard_max_iter=int(s.get("picard_max_iter", 30)))
+        ker = self.raw["kernels"]
+        radius = {"ball_radius": ker["ball_radius"]} if "ball_radius" in ker else {}
+        return SolverConfig(**_fields(SolverConfig, radius, "kernels."),
+                            **_fields(SolverConfig, self.raw.get("time", {}), "time."),
+                            **_fields(SolverConfig, self.raw.get("solver", {}), "solver."))
 
     def initial_field(self, grid: SizeGrid) -> DensityField:
-        init = self.raw.get("initial", {"profile": "exponential"})
+        init = self.raw.get("initial", {})
         profile = init.get("profile", "exponential")
         amp = float(init.get("amplitude", 1.0))
         if profile not in PROFILES:
@@ -155,15 +140,6 @@ class ScenarioConfig:
             return project(lambda x: amp * np.power(1.0 + x, -q), grid)
         lo, hi = float(init.get("lo", grid.xmin)), float(init.get("hi", grid.xmax))
         return project(lambda x: np.where((x >= lo) & (x <= hi), amp, 0.0), grid)
-
-    def probe_params(self) -> dict:
-        """The probe's own settings; its weight orders and time step are the
-        solver's."""
-        pr = self.raw.get("probe", {})
-        return {"eta": float(pr.get("eta", 0.25)),
-                "t_list": np.geomspace(float(pr.get("t_lo", 1e-2)), float(pr.get("t_hi", 1.0)),
-                                       int(pr.get("n_times", 13))),
-                "stability_tol": float(pr.get("stability_tol", 0.25))}
 
     def echo(self) -> dict:
         return copy.deepcopy(self.raw)

@@ -47,8 +47,11 @@ __all__ = [
 
 
 CFL_SAFETY = 0.9               # dt may use this share of the advective CFL limit
-PICARD_TOL = 1e-8              # Picard stops below this relative update
+BLOWUP_CEILING = 1e6           # a split run stops once its norm grows this much
+PICARD_TOL = 1e-8              # Picard stops below this relative update ...
+PICARD_MAX_ITER = 30           # ... or after this many iterations
 MEMBERSHIP_GROWTH_MIN = 1.2    # probe data must grow this much under xmax doubling
+PROBE_TIMES = np.geomspace(1e-2, 1.0, 13)   # the probe's sampling times
 
 
 class ConfigError(ValueError):
@@ -83,8 +86,6 @@ class SolverConfig:
     ball_radius: float = 1.0
     positivity_policy: str = "guaranteed"   # 'guaranteed' | 'off'
     output_every: float = 0.05
-    blowup_ceiling: float = 1e6
-    picard_max_iter: int = 30
 
     def validate(self, ks: KernelSet, grid: SizeGrid) -> None:
         if self.dt <= 0 or self.t_end <= 0:
@@ -273,7 +274,7 @@ def solve(f0: DensityField, cfg: SolverConfig, ks: KernelSet,
     recording observables.
 
     A blow-up monitor halts with outcome 'blowup' once the weighted norm of
-    |f| exceeds the configured ceiling over its initial value, so a negative
+    |f| exceeds BLOWUP_CEILING times its initial value, so a negative
     runaway trips it too; that is a result variant, not an error.  NaN/Inf
     raises NumericalFailureError.
     """
@@ -293,7 +294,7 @@ def solve(f0: DensityField, cfg: SolverConfig, ks: KernelSet,
     def abs_norm(f: DensityField) -> float:
         return weighted_integral(DensityField(f.grid, np.abs(f.values)), wm)
 
-    ceiling = cfg.blowup_ceiling * max(abs_norm(f0), 1e-300)
+    ceiling = BLOWUP_CEILING * max(abs_norm(f0), 1e-300)
     f = f0
     outcome = "completed"
     for step in range(1, n_steps + 1):
@@ -339,6 +340,10 @@ def duhamel_solve(f0: DensityField, cfg: SolverConfig, ks: KernelSet,
     are used as given instead of being rebuilt.
     """
     grid = f0.grid
+    if cfg.scheme != "duhamel":
+        # validate checks the Duhamel premises only for scheme 'duhamel'
+        raise ConfigError("duhamel_solve iterates scheme 'duhamel'; "
+                          f"scheme {cfg.scheme!r} is marched by solve")
     cfg.validate(ks, grid)
     wm = WeightSpec(cfg.m, "shifted")
     if weighted_integral(f0, wm) > cfg.ball_radius * (1 + 1e-12):
@@ -366,7 +371,7 @@ def duhamel_solve(f0: DensityField, cfg: SolverConfig, ks: KernelSet,
     factors: list[float] = []
     converged = False
     it = 0
-    for it in range(1, cfg.picard_max_iter + 1):
+    for it in range(1, PICARD_MAX_ITER + 1):
         sources = [k_beta(fld) for fld in iterates]
         new = [f0.copy()]
         G = DensityField.zeros(grid)
@@ -427,8 +432,8 @@ def _linear_norm_curve(ks: KernelSet, grid: SizeGrid, m: float, f0: DensityField
 
 
 def regularization_probe(ks: KernelSet, grid: SizeGrid, m: float, n: float, p: float,
-                         t_list: np.ndarray, stability_tol: float, eta: float = 0.25,
-                         dt: float = 1e-3) -> list[ReportRow]:
+                         t_list: np.ndarray = PROBE_TIMES, stability_tol: float = 0.25,
+                         eta: float = 0.25, *, dt: float) -> list[ReportRow]:
     """Probe the moment-regularization rate of the linear semigroup.
 
     The initial profile (1 + x)^(-(p + 1 + eta)) has a finite p-weighted norm
@@ -484,7 +489,7 @@ def regularization_probe(ks: KernelSet, grid: SizeGrid, m: float, n: float, p: f
 
 
 def pde_residual(traj: Trajectory, ks: KernelSet, dm: Optional[DaughterMatrix],
-                 ct: Optional[CoagTables], tol: float,
+                 ct: Optional[CoagTables], tol: float = 0.05,
                  p: Optional[float] = None) -> list[ReportRow]:
     """The 'pde-residual' row: central-difference time derivative against the
     discrete right-hand side.

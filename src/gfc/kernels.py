@@ -5,7 +5,7 @@ the daughter distribution b(x, y) of fragment sizes, the deterministic growth
 speed r(x) and the binary coagulation kernel k(x, y), plus an auxiliary
 absorption rate a1(x) = beta*(1 + x^alpha) used by the positive-splitting
 machinery.  Each coefficient carries the structural hypotheses it is supposed
-to satisfy; `validate_kernel_set` probes all of them on a sampling plan and
+to satisfy; `validate_kernel_set` probes all of them on sampled sizes and
 returns check rows instead of raising.  Their type, `ReportRow`, is defined
 here, at the bottom of the import graph, because every check in the package
 reports its results as ReportRows; `verdict` is the one rule that turns a
@@ -28,7 +28,6 @@ __all__ = [
     "CoagulationKernel",
     "AbsorptionRate",
     "KernelSet",
-    "SamplePlan",
     "ReportRow",
     "verdict",
     "QuadratureError",
@@ -227,7 +226,7 @@ class GrowthRate:
     """
 
     kind: str = "constant"
-    r0: float = 1.0
+    r0: float = 0.0
     r1: float = 0.0
     table_x: Optional[np.ndarray] = None
     table_r: Optional[np.ndarray] = None
@@ -290,7 +289,7 @@ class CoagulationKernel:
     """
 
     kind: str = "constant"
-    k0: float = 1.0
+    k0: float = 0.0
     alpha: float = 0.5
     bound_class: str = "global"
     table_x: Optional[np.ndarray] = None
@@ -424,28 +423,10 @@ def moment_deficit(b: DaughterDistribution, m: float, y: float) -> float:
     return y**m - daughter_moment(b, m, y)
 
 
-@dataclass(frozen=True)
-class SamplePlan:
-    """Where the kernel hypotheses are probed.
-
-    Sizes are sampled geometrically over [xmin, xmax]; the liminf check uses
-    [y_probe, 100*y_probe].  The weight order m (and the coagulation solver
-    requirement m > alpha + max{1, l}) is reported when m is supplied.
-    """
-
-    xmin: float = 1e-3
-    xmax: float = 1e2
-    n_sizes: int = 50
-    m: Optional[float] = None
-    m0: float = 2.0
-    liminf_threshold: float = 0.01
-    y_probe: float = 10.0
-
-    def sizes(self) -> np.ndarray:
-        return np.geomspace(self.xmin, self.xmax, self.n_sizes)
-
-    def liminf_sizes(self) -> np.ndarray:
-        return np.geomspace(self.y_probe, 100.0 * self.y_probe, 25)
+N_SIZES = 50             # the hypotheses are probed at this many sizes in [xmin, xmax]
+LIMINF_M0 = 2.0          # the daughter liminf check: N_m0(y)/y^m0 ...
+LIMINF_THRESHOLD = 0.01  # ... stays at or above this ...
+Y_PROBE = 10.0           # ... for y in [Y_PROBE, 100*Y_PROBE]
 
 
 PASS, FAIL, NA = "pass", "fail", "n/a"
@@ -502,19 +483,23 @@ class ReportRow:
         return self.status != FAIL
 
 
-def validate_kernel_set(ks: KernelSet, plan: SamplePlan) -> list[ReportRow]:
-    """Probe every structural hypothesis of the coefficient bundle.
+def validate_kernel_set(ks: KernelSet, xmin: float, xmax: float,
+                        m: Optional[float] = None) -> list[ReportRow]:
+    """Probe every structural hypothesis of the coefficient bundle at N_SIZES
+    sizes geometrically spaced over [xmin, xmax].
 
-    Failures are 'kernel-validation' rows, never exceptions.  Checks that do
-    not apply to the scenario (for instance growth positivity with growth
-    switched off) are reported 'n/a'.
+    The weight order m (and the coagulation solver requirement
+    m > alpha + max{1, l}) is reported when m is given.  Failures are
+    'kernel-validation' rows, never exceptions.  Checks that do not apply to
+    the scenario (for instance growth positivity with growth switched off)
+    are reported 'n/a'.
     """
     rows: list[ReportRow] = []
 
     def add(*args, **kwargs) -> None:
         rows.append(ReportRow("kernel-validation", *args, **kwargs))
 
-    xs = plan.sizes()
+    xs = np.geomspace(xmin, xmax, N_SIZES)
 
     a_vals = ks.a(xs)
     add("frag-nonnegative", float(np.min(a_vals)), ">=", 0.0)
@@ -548,10 +533,10 @@ def validate_kernel_set(ks: KernelSet, plan: SamplePlan) -> list[ReportRow]:
     add("daughter-number-bound", float(np.max(n0 - b0 * (1.0 + xs**ell))), "<=", 0.0,
         1e-8 * b0, f"n0(y) <= {b0}*(1 + y^{ell})")
 
-    ratios = np.array([moment_deficit(ks.b, plan.m0, float(y)) / y**plan.m0
-                       for y in plan.liminf_sizes()])
-    add("daughter-liminf", float(np.min(ratios)), ">=", plan.liminf_threshold,
-        detail=f"N_m0(y)/y^m0 at m0 = {plan.m0} over [{plan.y_probe}, {100 * plan.y_probe}]")
+    ratios = np.array([moment_deficit(ks.b, LIMINF_M0, float(y)) / y**LIMINF_M0
+                       for y in np.geomspace(Y_PROBE, 100.0 * Y_PROBE, 25)])
+    add("daughter-liminf", float(np.min(ratios)), ">=", LIMINF_THRESHOLD,
+        detail=f"N_m0(y)/y^m0 at m0 = {LIMINF_M0} over [{Y_PROBE}, {100 * Y_PROBE}]")
 
     if ks.r.is_zero:
         add("growth-positive", detail="growth disabled")
@@ -588,10 +573,10 @@ def validate_kernel_set(ks: KernelSet, plan: SamplePlan) -> list[ReportRow]:
         add("absorption-exponent", ks.k.alpha, "<", ks.a.gamma0,
             detail="alpha < gamma0 keeps a1/a bounded at infinity")
 
-    if plan.m is not None:
+    if m is not None:
         lmax = max(1.0, ell)
-        add("weight-order", plan.m, ">", lmax, detail="m > max{1, l}")
+        add("weight-order", m, ">", lmax, detail="m > max{1, l}")
         if not ks.k.is_zero:
-            add("weight-order-coagulation", plan.m, ">", ks.k.alpha + lmax,
+            add("weight-order-coagulation", m, ">", ks.k.alpha + lmax,
                 detail="m > alpha + max{1, l}")
     return rows

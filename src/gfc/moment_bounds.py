@@ -47,6 +47,7 @@ __all__ = [
 
 PHI_ORDER = 2       # the order i of the Phi functional under condition (ii)
 EPS_MARGIN = 0.9    # the Young parameter keeps 90% of its balancing value
+C_ALPHA = 1.0       # the constant c_alpha of the coagulation production terms D0, D2
 
 
 class InfeasibleParamsError(ValueError):
@@ -139,7 +140,6 @@ class MomentBoundParams:
     D1: dict = field(default_factory=dict)
     D2: dict = field(default_factory=dict)
     D3: dict = field(default_factory=dict)
-    c_alpha: float = 1.0
     x0: float = 1.0
     a_tilde: float = 0.0
     b0: float = 2.0
@@ -219,9 +219,9 @@ def assemble_bound_params(ks: KernelSet, m: float, envelope: dict,
         par.eps[i] = eps
         eps_rec = eps ** (-gamma0 / (gamma0 - alpha))  # epsilon^{gamma0/(alpha-gamma0)}
         young = (gamma0 - alpha) / gamma0 * eps_rec
-        par.D0[i] = Ki * par.c_alpha * M1_max**2
+        par.D0[i] = Ki * C_ALPHA * M1_max**2
         par.D1[i] = nu + par.rtilde
-        par.D2[i] = par.rtilde + Ki * M1_max * (1.0 + par.c_alpha + young)
+        par.D2[i] = par.rtilde + Ki * M1_max * (1.0 + C_ALPHA + young)
         par.D3[i] = Ki * young
 
     # zeroth-moment machinery under condition (ii)

@@ -105,7 +105,6 @@ PRESETS: dict[str, dict] = {
         "time": {"dt": 1.0e-3, "t_end": 1.0, "output_every": 0.1},
         "solver": {"scheme": "lie-split", "m": 3.5, "n": 1.5, "p": 2.0},
         "initial": {"profile": "powerlaw-decay", "amplitude": 1.0, "exponent": 3.25},
-        "probe": {"eta": 0.25, "t_lo": 1.0e-2, "t_hi": 1.0, "n_times": 13},
         "checks": {"suites": ["kernel-validation", "regularization-probe",
                               "determinism"]},
         "seed": 0,

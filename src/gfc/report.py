@@ -29,8 +29,7 @@ from .evolution import (ConfigError, DuhamelReport, SolverConfig, Trajectory,
                         duhamel_solve, pde_residual, regularization_probe, solve)
 from .fragmentation import build_daughter_matrix, frag_moment_identity, neglected_gain_estimate
 from .grid import DensityField, SizeGrid, WeightSpec, moment, project, weighted_integral
-from .kernels import (FragmentationRate, GrowthRate, KernelSet, ReportRow, SamplePlan,
-                      validate_kernel_set)
+from .kernels import FragmentationRate, GrowthRate, KernelSet, ReportRow, validate_kernel_set
 from .transport import (SpectralParams, resolvent_integral_bounds, laplace_consistency,
                         make_antiderivatives, resolvent_apply, resolvent_residual,
                         transport_apply, v_lambda_diagnostics)
@@ -181,12 +180,13 @@ class ScenarioContext:
 
 
 def _suite_kernel_validation(ctx: ScenarioContext) -> list[ReportRow]:
-    plan = SamplePlan(xmin=ctx.grid.xmin, xmax=ctx.grid.xmax, m=ctx.cfg.m)
-    return validate_kernel_set(ctx.ks, plan)
+    return validate_kernel_set(ctx.ks, ctx.grid.xmin, ctx.grid.xmax, m=ctx.cfg.m)
+
+
+QUASI_CONTRACTIVITY_TOL = 1e-6   # slack on ||T(t) f0|| <= e^(omega t) ||f0||
 
 
 def _suite_quasi_contractivity(ctx: ScenarioContext) -> list[ReportRow]:
-    tol = ctx.sc.tolerance("quasi_contractivity", 1e-6)
     sp_omega = ctx.spectral.omega
     w = WeightSpec(ctx.cfg.m, "shifted")
     base = weighted_integral(ctx.f0, w)
@@ -198,8 +198,12 @@ def _suite_quasi_contractivity(ctx: ScenarioContext) -> list[ReportRow]:
         ft = transport_apply(ctx.f0, float(t), ctx.ks, ctx.cfg.m, antid=antid)
         ratio = weighted_integral(ft, w) / (math.exp(sp_omega * t) * base)
         worst = max(worst, ratio)
-    return [ReportRow("quasi-contractivity", "growth-bound", worst, "<=", 1.0 + tol,
+    return [ReportRow("quasi-contractivity", "growth-bound", worst, "<=",
+                      1.0 + QUASI_CONTRACTIVITY_TOL,
                       detail=f"omega = {sp_omega:g}")]
+
+
+RESOLVENT_RESIDUAL_TOL = 0.05   # the discrete defining identity, relative
 
 
 def _suite_resolvent(ctx: ScenarioContext) -> list[ReportRow]:
@@ -221,8 +225,7 @@ def _suite_resolvent(ctx: ScenarioContext) -> list[ReportRow]:
     g = ctx.f0
     f = resolvent_apply(g, sp, ctx.ks)
     resid = resolvent_residual(f, g, sp, ctx.ks) / weighted_integral(g, w)
-    tol = ctx.sc.tolerance("resolvent_residual", 0.05)
-    rows.append(ReportRow("resolvent", "defining-identity", resid, "<=", tol,
+    rows.append(ReportRow("resolvent", "defining-identity", resid, "<=", RESOLVENT_RESIDUAL_TOL,
                           detail="discrete derivative on the smooth initial profile"))
     return rows + v_lambda_diagnostics(sp, ctx.ks)
 
@@ -240,14 +243,16 @@ def _suite_integral_bounds(ctx: ScenarioContext) -> list[ReportRow]:
     return rows
 
 
+LAPLACE_TOL = 1e-2   # Laplace transform of the semigroup against the resolvent
+
+
 def _suite_laplace(ctx: ScenarioContext) -> list[ReportRow]:
     if ctx.ks.r.is_zero:
         return [ReportRow("laplace", "consistency", detail="growth disabled")]
     sp = ctx.spectral
     tmax = math.log(1e7) / (sp.lam - sp.omega)
-    tol = ctx.sc.tolerance("laplace", 1e-2)
     disc = laplace_consistency(ctx.f0, sp, ctx.ks, tmax)
-    return [ReportRow("laplace", "consistency", disc, "<=", tol,
+    return [ReportRow("laplace", "consistency", disc, "<=", LAPLACE_TOL,
                       detail=f"lambda = {sp.lam:g}, tmax = {tmax:.2f}")]
 
 
@@ -256,7 +261,7 @@ def _suite_frag_identities(ctx: ScenarioContext) -> list[ReportRow]:
 
 
 def _suite_coag_identities(ctx: ScenarioContext) -> list[ReportRow]:
-    return coag_moment_identity(ctx.f0, ctx.ct, ctx.sc.tolerance("coag_moment2", 2e-3))
+    return coag_moment_identity(ctx.f0, ctx.ct)
 
 
 def _suite_positivity(ctx: ScenarioContext) -> list[ReportRow]:
@@ -289,17 +294,19 @@ def _suite_negative_control(ctx: ScenarioContext) -> list[ReportRow]:
                       detail=f"coagulation alone, explicit, dt = {dt:.3g} = 2 / min loss rate")]
 
 
+MASS_BUDGET_TOL = 1e-8   # the mass ledger closes to rounding
+
+
 def _suite_mass_budget(ctx: ScenarioContext) -> list[ReportRow]:
     if ctx.cfg.scheme == "duhamel":
         return [ReportRow("mass-budget", "closure",
                           detail="Duhamel trajectories record no growth ledger")]
-    tol = ctx.sc.tolerance("mass_budget", 1e-8)
     traj = ctx.trajectory
     scale = max(float(np.max(np.abs(traj.M1))), 1e-300)
     resid = np.abs(traj.M1 + traj.escaped_mass - traj.growth_mass - traj.M1[0]) / scale
     worst = float(np.max(resid))
     neglect = neglected_gain_estimate(ctx.ks, ctx.grid, float(traj.escaped_mass[-1]))
-    return [ReportRow("mass-budget", "closure", worst, "<=", tol,
+    return [ReportRow("mass-budget", "closure", worst, "<=", MASS_BUDGET_TOL,
                       detail=f"M1 + escaped - growth ledger constant; "
                              f"neglected boundary gain rate {neglect:.3e}")]
 
@@ -314,10 +321,13 @@ def _is_constant_coag(ks: KernelSet) -> bool:
     return ks.a.is_zero and ks.r.is_zero and ks.k.kind == "constant" and ks.k.k0 > 0
 
 
+ORACLE_PROFILE_TOL = 0.02   # Aizenman-Bak closed-form profile, weighted relative
+ORACLE_DECAY_TOL = 0.01     # constant-kernel number decay, relative
+
+
 def _suite_oracle(ctx: ScenarioContext) -> list[ReportRow]:
     traj = ctx.trajectory
     if _is_aizenman_bak(ctx.ks):
-        tol = ctx.sc.tolerance("oracle", 0.02)
         t = float(traj.times[-1])
         grid = ctx.grid
 
@@ -333,18 +343,17 @@ def _suite_oracle(ctx: ScenarioContext) -> list[ReportRow]:
         rel = num / den
         drift = float(np.max(np.abs(traj.M1 - traj.M1[0]))) / abs(traj.M1[0])
         return [
-            ReportRow("oracle", "closed-form-profile", rel, "<=", tol,
+            ReportRow("oracle", "closed-form-profile", rel, "<=", ORACLE_PROFILE_TOL,
                       detail=f"t = {t:g}, weighted norm on [xmin, 20]"),
             ReportRow("oracle", "mass-constant", drift, "<=", 1e-8),
         ]
     if _is_constant_coag(ctx.ks):
-        tol = ctx.sc.tolerance("oracle", 0.01)
         m00 = traj.M0[0]
         pred = m00 / (1.0 + ctx.ks.k.k0 * m00 * traj.times / 2.0)
         rel = float(np.max(np.abs(traj.M0 - pred) / pred))
         drift = float(np.max(np.abs(traj.M1 + traj.escaped_mass - traj.M1[0]))) / abs(traj.M1[0])
         return [
-            ReportRow("oracle", "number-decay", rel, "<=", tol,
+            ReportRow("oracle", "number-decay", rel, "<=", ORACLE_DECAY_TOL,
                       detail="constant-kernel closed form"),
             ReportRow("oracle", "mass-conserved", drift, "<=", 1e-10,
                       detail="includes routed overflow"),
@@ -352,11 +361,13 @@ def _suite_oracle(ctx: ScenarioContext) -> list[ReportRow]:
     return [ReportRow("oracle", "closed-form", detail="no oracle for this scenario")]
 
 
+CROSS_VALIDATION_TOL = 0.02   # splitting against Duhamel, weighted relative
+
+
 def _suite_cross_validation(ctx: ScenarioContext) -> list[ReportRow]:
     if ctx.ks.k.is_zero or ctx.cfg.n is None or ctx.cfg.p is None:
         return [ReportRow("solver-cross-validation", "split-vs-duhamel",
                           detail="needs coagulation and the secondary orders")]
-    tol = ctx.sc.tolerance("cross_validation", 0.02)
     # convolution nodes at half the output cadence keep the product-trapezoid
     # error comfortably inside the agreement tolerance
     dcfg = replace(ctx.cfg, scheme="duhamel", output_every=0.5 * ctx.cfg.output_every)
@@ -377,7 +388,8 @@ def _suite_cross_validation(ctx: ScenarioContext) -> list[ReportRow]:
         worst = max(worst, weighted_integral(diff, w) / max(traj.norm0m[j], 1e-300))
     factor = drep.contraction_factors[-1] if drep.contraction_factors else 0.0
     return [
-        ReportRow("solver-cross-validation", "split-vs-duhamel", worst, "<=", tol,
+        ReportRow("solver-cross-validation", "split-vs-duhamel", worst, "<=",
+                  CROSS_VALIDATION_TOL,
                   detail=f"picard iterations {drep.iterations}, converged {drep.converged}"),
         ReportRow("solver-cross-validation", "picard-nonnegative",
                   float(np.min(dtraj.min_density)), ">=", 0.0),
@@ -395,8 +407,10 @@ def _suite_regularization_probe(ctx: ScenarioContext) -> list[ReportRow]:
     if cfg.n is None or cfg.p is None:
         return [ReportRow("regularization-probe", "bounded-product",
                           detail="needs the secondary orders n and p")]
-    return regularization_probe(ctx.ks, ctx.grid, cfg.m, cfg.n, cfg.p, dt=cfg.dt,
-                                **ctx.sc.probe_params())
+    return regularization_probe(ctx.ks, ctx.grid, cfg.m, cfg.n, cfg.p, dt=cfg.dt)
+
+
+M1_ENVELOPE_TOL = 0.02   # under linear growth the M1 envelope is an identity
 
 
 def _suite_moment_domination(ctx: ScenarioContext) -> list[ReportRow]:
@@ -408,20 +422,18 @@ def _suite_moment_domination(ctx: ScenarioContext) -> list[ReportRow]:
     if not cond.any_holds:
         return rows
     traj = ctx.trajectory
-    tol = ctx.sc.tolerance("domination", 0.05)
-    rows += mb.check_domination(traj, ctx.bounds, ctx.ks, tol=tol)
+    rows += mb.check_domination(traj, ctx.bounds, ctx.ks)
     if cond.certified == "ii":
         env = traj.M1[0] * np.exp(ctx.ks.r.rtilde * traj.times)
         dev = float(np.max(np.abs(traj.M1 - env) / env))
-        tight = ctx.sc.tolerance("m1_envelope", 0.02)
-        rows.append(ReportRow("moment-domination", "M1-envelope-tight", dev, "<=", tight,
+        rows.append(ReportRow("moment-domination", "M1-envelope-tight", dev, "<=",
+                              M1_ENVELOPE_TOL,
                               detail="linear growth makes the envelope an identity"))
     return rows
 
 
 def _suite_pde_residual(ctx: ScenarioContext) -> list[ReportRow]:
-    return pde_residual(ctx.trajectory, ctx.ks, ctx.dm, ctx.ct,
-                        ctx.sc.tolerance("pde_residual", 0.05), p=ctx.cfg.p)
+    return pde_residual(ctx.trajectory, ctx.ks, ctx.dm, ctx.ct, p=ctx.cfg.p)
 
 
 def _suite_determinism(ctx: ScenarioContext) -> list[ReportRow]:

@@ -424,6 +424,18 @@ def _integrand_J(antid: Antiderivatives, ks: KernelSet, sp: SpectralParams):
     return fun
 
 
+def _panel_quad(fun, cuts: np.ndarray, epsabs: float, epsrel: float) -> float:
+    """int fun over [cuts[0], cuts[-1]] as a sum of adaptive quadratures, one
+    per panel [cuts[k], cuts[k+1]]; geometric panels keep quad honest across
+    many decades."""
+    total = 0.0
+    for a_, b_ in zip(cuts[:-1], cuts[1:]):
+        val, _ = integrate.quad(lambda z: float(fun(z)), a_, b_,
+                                limit=100, epsabs=epsabs, epsrel=epsrel)
+        total += val
+    return total
+
+
 def resolvent_integral_bounds(alpha: float, lam: float, m: float, ks: KernelSet) -> list[ReportRow]:
     """Check the weighted tail integrals behind the resolvent estimate.
 
@@ -454,17 +466,9 @@ def resolvent_integral_bounds(alpha: float, lam: float, m: float, ks: KernelSet)
         if float(f_I(hi)) < 1e-14 * peak:
             break
 
-    def adaptive(fun, lo_, hi_):
-        # per-octave panels keep quad honest across many decades
-        cuts = np.unique(np.concatenate([
-            np.geomspace(lo_, hi_, max(8, int(np.log2(hi_ / lo_)) + 2)), [lo_, hi_]]))
-        total = 0.0
-        for a_, b_ in zip(cuts[:-1], cuts[1:]):
-            val, _ = integrate.quad(lambda z: float(fun(z)), a_, b_,
-                                    limit=100, epsabs=1e-13, epsrel=1e-10)
-            total += val
-        return total
-
+    # one panel per octave
+    cuts = np.unique(np.concatenate([
+        np.geomspace(alpha, hi, max(8, int(np.log2(hi / alpha)) + 2)), [alpha, hi]]))
     gap = sp.lam - sp.omega
     wm = WeightSpec(m, "shifted")
     R_a = float(antid.R(alpha))
@@ -474,9 +478,10 @@ def resolvent_integral_bounds(alpha: float, lam: float, m: float, ks: KernelSet)
     w_a = float(wm(np.asarray(alpha)))
     w_hi = float(wm(np.asarray(hi)))
 
-    I_val = adaptive(f_I, alpha, hi) + math.exp(-sp.lam * R_hi) * w_hi / gap
+    I_val = _panel_quad(f_I, cuts, 1e-13, 1e-10) + math.exp(-sp.lam * R_hi) * w_hi / gap
     I_bound = math.exp(-sp.lam * R_a) * w_a / gap
-    J_val = adaptive(f_J, alpha, hi) + sp.lam * math.exp(-sp.lam * R_hi - Q_hi) * w_hi / gap
+    J_val = (_panel_quad(f_J, cuts, 1e-13, 1e-10)
+             + sp.lam * math.exp(-sp.lam * R_hi - Q_hi) * w_hi / gap)
     J_bound = sp.lam * math.exp(-sp.lam * R_a - Q_a) * w_a / gap
 
     return [ReportRow("integral-bounds", name, val, "<=", bnd, 1e-9 * bnd)
@@ -511,16 +516,8 @@ def v_lambda_diagnostics(sp: SpectralParams, ks: KernelSet,
             s = np.asarray(s, dtype=float)
             return np.exp(-sp.lam * antid.R(s) - antid.Q(s)) / ks.r(s) * w(s)
 
-        vals = []
-        for e in eps:
-            cuts = np.geomspace(e, 1.0, 30)
-            total = 0.0
-            for a_, b_ in zip(cuts[:-1], cuts[1:]):
-                v, _ = integrate.quad(lambda z: float(vw(z)), a_, b_,
-                                      limit=100, epsabs=1e-12, epsrel=1e-9)
-                total += v
-            vals.append(total)
-        vals = np.array(vals)
+        vals = np.array([_panel_quad(vw, np.geomspace(e, 1.0, 30), 1e-12, 1e-9)
+                         for e in eps])
         # late-end slope of log T against log(1/eps)
         tail = slice(len(eps) // 2, None)
         slope = float(np.polyfit(np.log(1.0 / eps[tail]), np.log(vals[tail]), 1)[0])

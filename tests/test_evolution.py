@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gfc.evolution
 from conftest import make_kernels
 from gfc.config import ScenarioConfig, load_scenario
 from gfc.evolution import (ConfigError, NumericalFailureError, SetupError,
@@ -142,11 +143,12 @@ class TestStepSplit:
         assert errs[0] < 0.01
         assert errs[0] / errs[1] >= 1.8
 
-    def test_blowup_monitor_is_result_not_error(self):
+    def test_blowup_monitor_is_result_not_error(self, monkeypatch):
+        monkeypatch.setattr(gfc.evolution, "BLOWUP_CEILING", 1.0 + 1e-4)
         ks = make_kernels(growth="linear", r0=0.0, r1=1.0)
         grid = SizeGrid.geometric(1e-2, 30.0, 128)
         f = project(lambda x: x * np.exp(-x), grid)
-        cfg = mk_cfg(dt=1e-3, t_end=1.0, output_every=0.01, blowup_ceiling=1.0 + 1e-4)
+        cfg = mk_cfg(dt=1e-3, t_end=1.0, output_every=0.01)
         traj = solve(f, cfg, ks)
         assert traj.outcome == "blowup"
         assert traj.times[-1] < 1.0
@@ -208,6 +210,21 @@ class TestDuhamel:
         with pytest.raises(ConfigError, match="ball"):
             duhamel_solve(f, cfg, ks)
 
+    def test_rejects_a_splitting_scheme(self):
+        """validate skips the Duhamel premises for a splitting scheme, so
+        duhamel_solve refuses one: here the kernel set's shift is built for
+        ball radius 4 and the config's ball has radius 1."""
+        ks = make_kernels(a0=1.0, k0=0.5, coag_kind="sum", growth="linear",
+                          r0=0.0, r1=0.2, ball_radius=4.0)
+        grid = SizeGrid.geometric(1e-2, 30.0, 32)
+        f = project(lambda x: 0.05 * x * np.exp(-x), grid)
+        cfg = mk_cfg(scheme="strang-split", positivity_policy="off", n=1.25, p=1.5)
+        cfg.validate(ks, grid)
+        with pytest.raises(ConfigError, match="duhamel_solve iterates scheme 'duhamel'"):
+            duhamel_solve(f, cfg, ks)
+        with pytest.raises(ConfigError, match="not the one for ball radius 1.0"):
+            duhamel_solve(f, replace(cfg, scheme="duhamel"), ks)
+
     def test_agrees_with_split_solver(self):
         ks = make_kernels(a0=1.0, k0=0.5, coag_kind="sum", growth="linear",
                           r0=0.0, r1=0.25)
@@ -228,7 +245,7 @@ class TestDuhamel:
                 DensityField(grid, np.abs(traj.fields[j].values - dtraj.fields[k].values)), w)
             assert gap / traj.norm0m[j] < 0.02
 
-    def test_contraction_window_reads_the_last_iteration(self):
+    def test_contraction_window_reads_the_last_iteration(self, monkeypatch):
         # the cross-validation config of gfc-global-ii, stopped after two
         # iterations while the factor (2.06) is still above 1: the error
         # shrank at the nodes up to t = 0.375 and not beyond
@@ -236,8 +253,8 @@ class TestDuhamel:
         raw["grid"]["cells"] = 128
         sc = load_scenario(raw)
         cfg = sc.solver_config()
-        dcfg = replace(cfg, scheme="duhamel", output_every=0.5 * cfg.output_every,
-                       picard_max_iter=2)
+        dcfg = replace(cfg, scheme="duhamel", output_every=0.5 * cfg.output_every)
+        monkeypatch.setattr(gfc.evolution, "PICARD_MAX_ITER", 2)
         _, rep = duhamel_solve(sc.initial_field(sc.grid()), dcfg, sc.kernel_set())
         assert not rep.converged and rep.contraction_factors[-1] >= 1.0
         assert rep.contraction_window == pytest.approx(0.375, abs=1e-12)
@@ -297,7 +314,6 @@ class TestRegularizationProbe:
         assert rows["grid-stability"].measured < 0.25
 
     def test_norms_come_from_the_two_probe_curves(self, probe_ks, monkeypatch):
-        import gfc.evolution
         curves = []
         original = gfc.evolution._linear_norm_curve
 

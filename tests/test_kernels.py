@@ -8,9 +8,8 @@ from conftest import make_kernels
 from gfc.fragmentation import build_daughter_matrix
 from gfc.grid import SizeGrid
 from gfc.kernels import (REACHABLE, UNREACHABLE, CoagulationKernel,
-                         DaughterDistribution, GrowthRate,
-                         SamplePlan, compute_beta, daughter_moment,
-                         moment_deficit, validate_kernel_set)
+                         DaughterDistribution, GrowthRate, compute_beta,
+                         daughter_moment, moment_deficit, validate_kernel_set)
 
 
 class TestDaughterMoments:
@@ -117,7 +116,7 @@ class TestCoagulationKernel:
     def test_product_kernel_violates_global_class(self):
         ks = make_kernels(a0=1.0, k0=1.0, coag_kind="product", bound_class="global",
                           growth="constant", r0=1.0)
-        rows = {r.name: r for r in validate_kernel_set(ks, SamplePlan(xmin=0.1, xmax=50.0))}
+        rows = {r.name: r for r in validate_kernel_set(ks, 0.1, 50.0)}
         assert not rows["coag-class-bound"].passed
 
 
@@ -130,13 +129,13 @@ def test_compute_beta_values():
 class TestValidation:
     def test_aizenman_bak_set_passes(self):
         ks = make_kernels(a0=1.0, gamma0=1.0, growth="constant", r0=0.0)
-        rows = validate_kernel_set(ks, SamplePlan(m=2.0))
+        rows = validate_kernel_set(ks, 1e-3, 1e2, m=2.0)
         assert all(r.passed for r in rows), [r.name for r in rows if not r.passed]
         assert {r.name: r for r in rows}["growth-positive"].status == "n/a"
 
     def test_growth_set_passes_with_origin_class(self):
         ks = make_kernels(a0=1.0, growth="affine", r0=1.0, r1=1.0)
-        rows = validate_kernel_set(ks, SamplePlan(m=2.0))
+        rows = validate_kernel_set(ks, 1e-3, 1e2, m=2.0)
         assert all(r.passed for r in rows), [r.name for r in rows if not r.passed]
         assert {r.name: r for r in rows}["growth-origin-class"].passed
 
@@ -149,7 +148,7 @@ class TestValidation:
 
         ks = make_kernels(a0=1.0)
         object.__setattr__(ks, "b", Half("uniform-binary"))
-        rows = {r.name: r for r in validate_kernel_set(ks, SamplePlan(m=2.0))}
+        rows = {r.name: r for r in validate_kernel_set(ks, 1e-3, 1e2, m=2.0)}
         row = rows["daughter-mass-conservation"]
         assert not row.passed
         assert row.measured == pytest.approx(0.5, rel=1e-6)   # residual y/2, relative
@@ -157,11 +156,11 @@ class TestValidation:
     @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
     def test_liminf_check_catches_degenerate_daughter(self):
         ks = make_kernels(a0=1.0, daughter="power-law", nu=1000.0)
-        rows = {r.name: r for r in validate_kernel_set(ks, SamplePlan(m=2.0))}
+        rows = {r.name: r for r in validate_kernel_set(ks, 1e-3, 1e2, m=2.0)}
         assert not rows["daughter-liminf"].passed
 
     def test_weight_order_rows(self):
         ks = make_kernels(a0=1.0, k0=1.0, coag_kind="sum", alpha=0.5)
-        rows = {r.name: r for r in validate_kernel_set(ks, SamplePlan(m=1.2))}
+        rows = {r.name: r for r in validate_kernel_set(ks, 1e-3, 1e2, m=1.2)}
         assert rows["weight-order"].passed            # 1.2 > max(1, 0)
         assert not rows["weight-order-coagulation"].passed   # needs m > 1.5

@@ -144,7 +144,7 @@ class TestBoundSystem:
             p3.eps[i] = eps
             rec = eps ** (-p3.gamma0 / (p3.gamma0 - p3.alpha))
             young = (p3.gamma0 - p3.alpha) / p3.gamma0 * rec
-            p3.D2[i] = p3.rtilde + p3.K[i] * p3.M1_max * (1.0 + p3.c_alpha + young)
+            p3.D2[i] = p3.rtilde + p3.K[i] * p3.M1_max * (1.0 + mb.C_ALPHA + young)
             p3.D3[i] = p3.K[i] * young
         b3 = mb.bound_system(p3, init, times, dt=1e-3)
         assert np.all(b3.column(2) >= b1.column(2) * (1 - 1e-12))

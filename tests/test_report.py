@@ -12,7 +12,7 @@ from gfc.coagulation import coag_moment_identity
 from gfc.config import load_scenario
 from gfc.evolution import pde_residual, regularization_probe
 from gfc.fragmentation import frag_moment_identity
-from gfc.kernels import ReportRow, SamplePlan, validate_kernel_set, verdict
+from gfc.kernels import ReportRow, validate_kernel_set, verdict
 from gfc.presets import get_preset, preset_names
 from gfc.report import SUITES, ScenarioContext, run_suites
 from gfc.transport import resolvent_integral_bounds, v_lambda_diagnostics
@@ -27,16 +27,15 @@ def ctx():
 
 
 PRODUCERS = {
-    "kernel-validation": lambda ctx: validate_kernel_set(ctx.ks, SamplePlan(m=ctx.cfg.m)),
+    "kernel-validation": lambda ctx: validate_kernel_set(ctx.ks, 1e-3, 1e2, m=ctx.cfg.m),
     "integral-bounds": lambda ctx: resolvent_integral_bounds(1.0, 4.0, ctx.cfg.m, ctx.ks),
     "moment-domination": lambda ctx: mb.check_domination(ctx.trajectory, ctx.bounds, ctx.ks),
     "resolvent": lambda ctx: v_lambda_diagnostics(ctx.spectral, ctx.ks),
     "frag-identities": lambda ctx: frag_moment_identity(ctx.f0, ctx.ks, ctx.dm),
-    "coag-identities": lambda ctx: coag_moment_identity(ctx.f0, ctx.ct, 2e-3),
+    "coag-identities": lambda ctx: coag_moment_identity(ctx.f0, ctx.ct),
     "regularization-probe": lambda ctx: regularization_probe(
-        ctx.ks, ctx.grid, ctx.cfg.m, ctx.cfg.n, ctx.cfg.p, dt=ctx.cfg.dt,
-        **ctx.sc.probe_params()),
-    "pde-residual": lambda ctx: pde_residual(ctx.trajectory, ctx.ks, ctx.dm, ctx.ct, 0.05,
+        ctx.ks, ctx.grid, ctx.cfg.m, ctx.cfg.n, ctx.cfg.p, dt=ctx.cfg.dt),
+    "pde-residual": lambda ctx: pde_residual(ctx.trajectory, ctx.ks, ctx.dm, ctx.ct,
                                              p=ctx.cfg.p),
 }
 
@@ -64,8 +63,8 @@ def test_producer_rows_carry_the_suite_they_are_printed_under(ctx, suite):
 @pytest.mark.parametrize("suite", ["frag-identities", "coag-identities",
                                    "regularization-probe", "pde-residual"])
 def test_suite_is_its_producer(ctx, suite):
-    """These suites print exactly the rows their producer returns (the
-    context's tolerances are the defaults the producers are called with)."""
+    """These suites print exactly the rows their producer returns, at the
+    tolerances the producers own."""
     assert SUITES[suite](ctx) == PRODUCERS[suite](ctx)
 
 
@@ -90,8 +89,7 @@ def test_probe_without_secondary_orders_not_applicable():
 
 def test_moment_domination_suite_passes_the_rows_through(ctx):
     rows = SUITES["moment-domination"](ctx)
-    dom = mb.check_domination(ctx.trajectory, ctx.bounds, ctx.ks,
-                              tol=ctx.sc.tolerance("domination", 0.05))
+    dom = mb.check_domination(ctx.trajectory, ctx.bounds, ctx.ks)
     assert [r.name for r in dom] == ["M0", "M1", "M2", "Mm", "Phi"]
     assert rows[0].name == "condition"
     assert rows[1:1 + len(dom)] == dom
