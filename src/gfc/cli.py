@@ -22,19 +22,6 @@ USER_ERRORS = (ConfigFileError, ConfigError, KernelConfigError, SetupError,
                mb.InfeasibleParamsError)
 
 
-def _apply_overrides(sc: ScenarioConfig, args) -> ScenarioConfig:
-    raw = sc.echo()
-    if args.cells is not None:
-        raw.setdefault("grid", {})["cells"] = int(args.cells)
-    if args.dt is not None:
-        raw.setdefault("time", {})["dt"] = float(args.dt)
-    if args.seed is not None:
-        raw["seed"] = int(args.seed)
-    out = load_scenario(raw)
-    out.source = sc.source
-    return out
-
-
 def _scenario_name(sc: ScenarioConfig) -> str:
     src = sc.source
     if src.startswith("preset:"):
@@ -43,7 +30,15 @@ def _scenario_name(sc: ScenarioConfig) -> str:
 
 
 def _context(args) -> ScenarioContext:
-    return ScenarioContext(_apply_overrides(load_scenario(args.config), args))
+    """The scenario with --cells, --dt and --seed set on top, validated once."""
+    overrides = {}
+    if args.cells is not None:
+        overrides["grid"] = {"cells": args.cells}
+    if args.dt is not None:
+        overrides["time"] = {"dt": args.dt}
+    if args.seed is not None:
+        overrides["seed"] = args.seed
+    return ScenarioContext(load_scenario(args.config, overrides))
 
 
 def _csv_path(ctx: ScenarioContext, args) -> Path:
@@ -73,7 +68,6 @@ def cmd_run(args) -> int:
 
     if ctx.sc.check_suites:
         report, _ = run_suites(ctx)
-        report.csv_paths.append(str(path))
         print(report.render(), end="")
         return report.exit_code
     return 0
@@ -83,7 +77,6 @@ def cmd_verify(args) -> int:
     ctx = _context(args)
     report, _ = run_suites(ctx)
     path = _write_csv(ctx, args)
-    report.csv_paths.append(str(path))
     print(f"scenario: {ctx.sc.source}")
     print(report.render(), end="")
     print(f"trajectory: {path}")

@@ -9,7 +9,7 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Any
+from typing import Any, Optional
 
 import numpy as np
 import yaml
@@ -159,8 +159,10 @@ class ScenarioConfig:
         self.initial_field(SizeGrid.geometric(grid.xmin, grid.xmax, 16))
 
 
-def load_scenario(config: str | Path | dict) -> ScenarioConfig:
-    """Load a scenario from a YAML path, a preset name, or a raw dict."""
+def load_scenario(config: str | Path | dict, overrides: Optional[dict] = None) -> ScenarioConfig:
+    """Load a scenario from a YAML path, a preset name, or a raw dict, merge
+    in `overrides` (a partial scenario such as {"grid": {"cells": 64}}) key
+    by key, and validate the result once."""
     if isinstance(config, dict):
         sc = ScenarioConfig(copy.deepcopy(config))
     else:
@@ -181,5 +183,8 @@ def load_scenario(config: str | Path | dict) -> ScenarioConfig:
             if not isinstance(raw, dict):
                 raise ConfigFileError(f"{path} does not contain a mapping")
             sc = ScenarioConfig(raw, source=str(path))
+    _check_keys(sc.raw, SCHEMA, "")    # the sections are mappings before the merge
+    for key, value in (overrides or {}).items():
+        sc.raw[key] = {**sc.raw.get(key, {}), **value} if isinstance(value, dict) else value
     sc.validate()
     return sc

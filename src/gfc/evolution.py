@@ -84,7 +84,6 @@ class SolverConfig:
     n: Optional[float] = None
     p: Optional[float] = None
     ball_radius: float = 1.0
-    positivity_policy: str = "guaranteed"   # 'guaranteed' | 'off'
     output_every: float = 0.05
 
     def validate(self, ks: KernelSet, grid: SizeGrid) -> None:
@@ -92,8 +91,6 @@ class SolverConfig:
             raise ConfigError("dt and t_end must be positive")
         if self.scheme not in ("lie-split", "strang-split", "duhamel"):
             raise ConfigError(f"unknown scheme {self.scheme!r}")
-        if self.positivity_policy not in ("guaranteed", "off"):
-            raise ConfigError(f"unknown positivity policy {self.positivity_policy!r}")
         ell = ks.b.n0_bound_exponent
         lmax = max(1.0, ell)
         if self.m <= lmax:
@@ -118,34 +115,35 @@ class SolverConfig:
             if self.dt > CFL_SAFETY * limit:
                 raise ConfigError(
                     f"dt = {self.dt} violates the advective CFL limit {CFL_SAFETY * limit:.3e}")
-        if self.positivity_policy == "guaranteed" or self.scheme == "duhamel":
-            # the step bound and the mild formulation both rest on the shift
-            # for this ball
-            shift = AbsorptionRate.for_ball(ks.k, self.ball_radius)
-            if ks.a1 != shift:
+        # the step bound and the mild formulation both rest on the shift for this ball
+        shift = AbsorptionRate.for_ball(ks.k, self.ball_radius)
+        if ks.a1 != shift:
+            raise ConfigError(
+                f"the kernel set's shift {ks.a1} is not the one for ball radius "
+                f"{self.ball_radius} ({shift})")
+        x = grid.centers
+        if ks.k.kind == "table":
+            # the shift is derived from the declared class bound, which a
+            # table need not respect (k0 defaults to 0)
+            xx, yy = x[:, None], x[None, :]
+            over = ks.k(xx, yy) - ks.k.class_bound(xx, yy)
+            i, j = np.unravel_index(np.argmax(over), over.shape)
+            if over[i, j] > 1e-12 * max(1.0, ks.k.k0):
                 raise ConfigError(
-                    f"the kernel set's shift {ks.a1} is not the one for ball radius "
-                    f"{self.ball_radius} ({shift})")
-        if self.positivity_policy == "guaranteed":
-            x = grid.centers
-            if ks.k.kind == "table":
-                # the shift below is derived from the declared class bound,
-                # which a table need not respect (k0 defaults to 0)
-                xx, yy = x[:, None], x[None, :]
-                over = ks.k(xx, yy) - ks.k.class_bound(xx, yy)
-                i, j = np.unravel_index(np.argmax(over), over.shape)
-                if over[i, j] > 1e-12 * max(1.0, ks.k.k0):
-                    raise ConfigError(
-                        "positivity cannot be guaranteed: the table coagulation kernel "
-                        f"exceeds its {ks.k.bound_class!r} class bound with k0 = {ks.k.k0} "
-                        f"by {over[i, j]:.3e} at (x_{i}, x_{j}) = ({x[i]:.4g}, {x[j]:.4g}); "
-                        "raise k0 or disable the policy")
-            shield = ks.q(x)
-            worst = float(np.max(shield)) if shield.size else 0.0
-            if self.dt * worst > 1.0:
-                raise ConfigError(
-                    "positivity cannot be guaranteed: dt * max(a + beta*(1+x^alpha)) = "
-                    f"{self.dt * worst:.3f} exceeds 1; lower dt or disable the policy")
+                    "positivity cannot be guaranteed: the table coagulation kernel "
+                    f"exceeds its {ks.k.bound_class!r} class bound with k0 = {ks.k.k0} "
+                    f"by {over[i, j]:.3e} at (x_{i}, x_{j}) = ({x[i]:.4g}, {x[j]:.4g}); "
+                    "raise k0")
+        worst = float(np.max(ks.q(x)))
+        if self.dt * worst > 1.0:
+            raise ConfigError(
+                "positivity cannot be guaranteed: dt * max(a + beta*(1+x^alpha)) = "
+                f"{self.dt * worst:.3f} exceeds 1; lower dt")
+        if abs(round(self.t_end / self.dt) * self.dt - self.t_end) > 1e-9 * max(1.0, self.t_end):
+            raise ConfigError("t_end must be an integer number of steps")
+        if not 0 < self.output_every <= self.t_end:
+            raise ConfigError(f"output_every = {self.output_every} must lie in "
+                              f"(0, t_end = {self.t_end}]")
 
 
 class Trajectory:
@@ -284,8 +282,6 @@ def solve(f0: DensityField, cfg: SolverConfig, ks: KernelSet,
                           "scheme 'duhamel' is solved by duhamel_solve")
     stepper = SplitStepper(ks, f0.grid, cfg, dm=dm, ct=ct)
     n_steps = int(round(cfg.t_end / cfg.dt))
-    if abs(n_steps * cfg.dt - cfg.t_end) > 1e-9 * max(1.0, cfg.t_end):
-        raise ConfigError("t_end must be an integer number of steps")
     every = max(1, int(round(cfg.output_every / cfg.dt)))
 
     times, snapshots, growth = [0.0], [f0.copy()], [stepper.growth_mass]
@@ -414,10 +410,9 @@ def duhamel_solve(f0: DensityField, cfg: SolverConfig, ks: KernelSet,
 
 def _linear_norm_curve(ks: KernelSet, grid: SizeGrid, m: float, f0: DensityField,
                        t_list: np.ndarray, dt: float) -> np.ndarray:
-    cfg = SolverConfig(dt=dt, t_end=float(t_list[-1]), m=m, scheme="lie-split",
-                       positivity_policy="off")
     # the linear semigroup needs no coagulation tables and, without them, no shift
-    prop = SplitStepper(replace(ks, k=CoagulationKernel(k0=0.0), a1=AbsorptionRate()), grid, cfg)
+    prop = SplitStepper(replace(ks, k=CoagulationKernel(k0=0.0), a1=AbsorptionRate()), grid,
+                        SolverConfig(m=m))
     wm = WeightSpec(m, "shifted")
     norms = []
     f = f0.copy()

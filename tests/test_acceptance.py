@@ -13,12 +13,12 @@ from conftest import make_kernels
 from gfc.cli import main
 from gfc.config import load_scenario
 from gfc.coagulation import apply_coag, build_coag_tables, coag_moment_identity
-from gfc.evolution import SolverConfig, duhamel_solve, solve
+from gfc.evolution import ConfigError, SolverConfig, SplitStepper, duhamel_solve, solve
 from gfc.fragmentation import build_daughter_matrix
 from gfc.grid import DensityField, SizeGrid, WeightSpec, moment, project, weighted_integral
 from gfc.kernels import (CoagulationKernel, DaughterDistribution,
                          moment_deficit)
-from gfc.report import ScenarioContext, run_suites
+from gfc.report import SUITES, ScenarioContext, run_suites
 from gfc.transport import (SpectralParams, laplace_consistency, resolvent_integral_bounds,
                            resolvent_apply, resolvent_residual, transport_apply)
 from gfc import moment_bounds as mb
@@ -199,14 +199,16 @@ def test_c08_fragmentation_oracle(contexts):
 def test_c09_positivity_and_negative_control(contexts):
     for name, ctx in contexts.items():
         assert float(np.min(ctx.trajectory.min_density)) >= 0.0, name
-    # negative control: no step bound, coagulation-dominated explicit step
+    # negative control: a coagulation-dominated explicit step past the step
+    # bound, which solve rejects, taken directly
     ks = make_kernels(k0=50.0, coag_kind="constant", growth="constant", r0=0.0)
     grid = SizeGrid.geometric(0.05, 8.0, 64)
     f = project(lambda x: 3.0 * np.exp(-x), grid)
     cfg = SolverConfig(dt=0.25, t_end=0.25, output_every=0.25, scheme="lie-split",
-                       positivity_policy="off", m=2.0, ball_radius=1.0)
-    stress = solve(f, cfg, ks)
-    assert float(np.min(stress.min_density)) < 0.0
+                       m=2.0, ball_radius=1.0)
+    with pytest.raises(ConfigError, match="positivity"):
+        solve(f, cfg, ks)
+    assert SplitStepper(ks, grid, cfg).step(f, cfg.dt).min_value() < 0.0
     _ok("9", "all preset snapshots nonnegative; stress run without the step bound undershoots")
 
 
@@ -259,6 +261,13 @@ def test_c12_moment_domination(contexts):
             assert float(np.max(np.abs(traj.M1 - env) / env)) <= 0.02
     _ok("12", "simulated moments below bound trajectories (tol 5%); "
               "exponential mass envelope tight on the linear-growth preset")
+
+
+def test_c12_domination_is_measured_after_the_data(contexts):
+    """At t = 0 the bound is the data, so a ratio of 1 there says nothing."""
+    rows = {r.name: r for r in SUITES["moment-domination"](contexts["gfc-global-ii"])}
+    for name in ("M2", "Mm", "Phi"):
+        assert rows[name].measured < 1.0, (name, rows[name].measured)
 
 
 def test_c13_determinism(tmp_path):

@@ -8,7 +8,7 @@ import yaml
 
 from gfc.cli import main
 from gfc.config import SCHEMA, ConfigFileError, load_scenario
-from gfc.evolution import SolverConfig
+from gfc.evolution import ConfigError, SolverConfig
 from gfc.kernels import (CoagulationKernel, DaughterDistribution, FragmentationRate, GrowthRate,
                          KernelConfigError)
 from gfc.presets import PRESETS, get_preset, preset_names
@@ -65,7 +65,8 @@ class TestConfigParsing:
         with pytest.raises(ConfigFileError, match="grid.cellz"):
             load_scenario(write_cfg(tmp_path, raw))
 
-    @pytest.mark.parametrize("key,value", [("reaction", "naive"), ("use_beta_shift", False)])
+    @pytest.mark.parametrize("key,value", [("reaction", "naive"), ("use_beta_shift", False),
+                                           ("positivity_policy", "off")])
     def test_removed_solver_knobs_rejected(self, key, value):
         raw = copy.deepcopy(MINI)
         raw["solver"][key] = value
@@ -153,8 +154,8 @@ class TestConfigParsing:
                 return sum(settable(sub) for sub in node.values())
             return len(node)
 
-        assert settable(SCHEMA) == 41
-        assert len(dataclasses.fields(SolverConfig)) == 9
+        assert settable(SCHEMA) == 40
+        assert len(dataclasses.fields(SolverConfig)) == 8
 
     def test_solver_config_fields_are_the_schema_keys(self):
         """Every SolverConfig field is settable from a scenario file and every
@@ -215,6 +216,16 @@ class TestConfigParsing:
         again = load_scenario(sc.echo())
         assert again.raw == sc.raw
 
+    @pytest.mark.parametrize("time,match", [
+        ({"output_every": 0.0}, "output_every"),
+        ({"output_every": 0.5}, "output_every"),
+        ({"t_end": 0.201}, "integer number of steps")])
+    def test_output_schedule_checked_at_load(self, time, match):
+        raw = copy.deepcopy(MINI)
+        raw["time"].update(time)
+        with pytest.raises(ConfigError, match=match):
+            load_scenario(raw)
+
     def test_cross_field_validation_before_run(self, tmp_path):
         raw = copy.deepcopy(MINI)
         raw["kernels"]["growth"] = {"kind": "constant", "r0": 1.0}
@@ -259,6 +270,27 @@ class TestCommands:
                      "--out", str(tmp_path / "out")])
         assert code == 2
         assert "FAIL" in capsys.readouterr().out
+
+    def test_run_rejects_output_every_past_t_end(self, tmp_path, capsys):
+        raw = get_preset("gfc-global-ii")
+        raw["grid"]["cells"] = 64
+        raw["solver"]["scheme"] = "duhamel"
+        raw["time"].update(t_end=0.02, output_every=0.05)
+        code = main(["run", "--config", write_cfg(tmp_path, raw),
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert re.search(r"^error: output_every = 0\.05 must lie in \(0, t_end = 0\.02\]$",
+                         capsys.readouterr().err, re.M)
+
+    def test_overrides_are_validated_with_the_file(self, tmp_path, capsys):
+        """The step bound is checked on the run that executes: --dt mends a
+        file whose own dt breaks it."""
+        raw = copy.deepcopy(MINI)
+        raw["time"]["dt"] = 0.05
+        cfg = write_cfg(tmp_path, raw)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert "exceeds 1; lower dt" in capsys.readouterr().err
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o"), "--dt", "1e-3"]) == 0
 
     def test_overrides_apply(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, MINI)
@@ -332,6 +364,13 @@ class TestOneSolvePerScenario:
 
         monkeypatch.setattr(module, name, counted)
         return calls
+
+    def test_run_loads_the_scenario_once(self, tmp_path, monkeypatch):
+        import gfc.cli
+        loads = self.counting(monkeypatch, gfc.cli, "load_scenario")
+        assert main(["run", "--config", write_cfg(tmp_path, MINI), "--out", str(tmp_path / "o"),
+                     "--cells", "32", "--dt", "0.002"]) == 0
+        assert len(loads) == 1
 
     def test_run_solves_twice_and_bounds_once(self, tmp_path, monkeypatch):
         import gfc.moment_bounds

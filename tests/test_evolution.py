@@ -50,13 +50,16 @@ class TestConfigValidation:
                                growth="linear", r0=0.0, r1=0.2)
             cfg.validate(ks2, grid)
 
-    def test_positivity_policy_guard(self):
+    def test_positivity_step_bound_guard(self):
         ks = make_kernels(k0=50.0, coag_kind="constant", alpha=0.5, growth="constant", r0=0.0,
                           ball_radius=4.0)
         grid = SizeGrid.geometric(0.1, 10.0, 64)
+        cfg = mk_cfg(dt=0.05, ball_radius=4.0)
         with pytest.raises(ConfigError, match="positivity"):
-            mk_cfg(dt=0.05, ball_radius=4.0).validate(ks, grid)
-        mk_cfg(dt=0.05, ball_radius=4.0, positivity_policy="off").validate(ks, grid)
+            cfg.validate(ks, grid)
+        # the rejected step, taken directly, undershoots
+        f = project(lambda x: 3.0 * np.exp(-x), grid)
+        assert SplitStepper(ks, grid, cfg).step(f, cfg.dt).min_value() < 0.0
 
     def test_shift_for_another_ball_rejected(self):
         ks = make_kernels(a0=1.0, k0=0.5, coag_kind="sum", growth="linear", r0=0.0, r1=0.2,
@@ -65,10 +68,10 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="ball radius 1.0"):
             mk_cfg(ball_radius=1.0).validate(ks, grid)
         with pytest.raises(ConfigError, match="ball radius 1.0"):
-            mk_cfg(ball_radius=1.0, scheme="duhamel", n=1.25, p=1.5,
-                   positivity_policy="off").validate(ks, grid)
-        # without the guarantee a splitting run takes the shift it is given
-        mk_cfg(ball_radius=1.0, positivity_policy="off").validate(ks, grid)
+            mk_cfg(ball_radius=1.0, scheme="duhamel", n=1.25, p=1.5).validate(ks, grid)
+        # a stepper built directly takes the shift it is given
+        stepper = SplitStepper(ks, grid, mk_cfg(ball_radius=1.0))
+        assert np.array_equal(stepper.a1, ks.a1(grid.centers))
         mk_cfg(ball_radius=2.0).validate(ks, grid)
 
     def test_table_kernel_over_class_bound_rejected(self):
@@ -82,8 +85,10 @@ class TestConfigValidation:
                                          "table_k": [[2000.0] * 3] * 3}
         with pytest.raises(ConfigError, match=r"class bound .* at \(x_\d+, x_\d+\)"):
             load_scenario(raw)
-        raw["solver"]["positivity_policy"] = "off"
-        load_scenario(raw)
+        sc = ScenarioConfig(raw)
+        grid, cfg = sc.grid(), sc.solver_config()
+        stepped = SplitStepper(sc.kernel_set(), grid, cfg).step(sc.initial_field(grid), cfg.dt)
+        assert stepped.min_value() < 0.0
 
 
 class TestStepSplit:
@@ -153,13 +158,14 @@ class TestStepSplit:
         assert traj.outcome == "blowup"
         assert traj.times[-1] < 1.0
 
-    def test_blowup_monitor_sees_negative_runaway(self):
-        ks = make_kernels(k0=50.0, coag_kind="constant", growth="constant", r0=0.0)
-        grid = SizeGrid.geometric(0.05, 8.0, 64)
-        f = project(lambda x: 3.0 * np.exp(-x), grid)
-        cfg = mk_cfg(dt=0.25, t_end=1.0, output_every=0.25, scheme="lie-split",
-                     positivity_policy="off")
-        traj = solve(f, cfg, ks)
+    def test_blowup_monitor_sees_negative_runaway(self, monkeypatch):
+        # negative data under linear growth: |f| grows while the signed norm
+        # only falls
+        monkeypatch.setattr(gfc.evolution, "BLOWUP_CEILING", 1.0 + 1e-4)
+        ks = make_kernels(growth="linear", r0=0.0, r1=1.0)
+        grid = SizeGrid.geometric(1e-2, 30.0, 128)
+        f = DensityField(grid, -project(lambda x: x * np.exp(-x), grid).values)
+        traj = solve(f, mk_cfg(dt=1e-3, t_end=1.0, output_every=0.01), ks)
         assert traj.outcome == "blowup"
         assert traj.times[-1] < 1.0
         assert traj.norm0m[-1] < 0.0    # the signed norm stays below any ceiling
@@ -169,18 +175,18 @@ class TestStepSplit:
         ks = make_kernels(k0=1.0, coag_kind="constant", growth="constant", r0=0.0)
         grid = SizeGrid.geometric(0.1, 10.0, 32)
         f = DensityField(grid, np.full(32, 1e300))
-        cfg = mk_cfg(dt=1e-3, t_end=0.01, output_every=1e-3, positivity_policy="off")
+        cfg = mk_cfg(dt=1e-3, t_end=0.01, output_every=1e-3)
         with pytest.raises(NumericalFailureError, match="non-finite"):
             solve(f, cfg, ks)
 
-    def test_disabled_step_bound_permits_undershoot(self):
+    def test_step_past_the_bound_undershoots(self):
         ks = make_kernels(k0=50.0, coag_kind="constant", growth="constant", r0=0.0)
         grid = SizeGrid.geometric(0.05, 8.0, 64)
         f = project(lambda x: 3.0 * np.exp(-x), grid)
-        cfg = mk_cfg(dt=0.25, t_end=0.25, output_every=0.25, scheme="lie-split",
-                     positivity_policy="off", ball_radius=1.0)
-        traj = solve(f, cfg, ks)
-        assert traj.min_density.min() < 0.0
+        cfg = mk_cfg(dt=0.25, t_end=0.25, output_every=0.25, scheme="lie-split")
+        with pytest.raises(ConfigError, match="positivity"):
+            solve(f, cfg, ks)
+        assert SplitStepper(ks, grid, cfg).step(f, cfg.dt).min_value() < 0.0
 
     def test_guarded_scheme_stays_nonnegative(self):
         ks = make_kernels(a0=1.0, k0=0.5, coag_kind="sum", growth="linear",
@@ -212,17 +218,16 @@ class TestDuhamel:
 
     def test_rejects_a_splitting_scheme(self):
         """validate skips the Duhamel premises for a splitting scheme, so
-        duhamel_solve refuses one: here the kernel set's shift is built for
-        ball radius 4 and the config's ball has radius 1."""
+        duhamel_solve refuses one: here p is not m - alpha."""
         ks = make_kernels(a0=1.0, k0=0.5, coag_kind="sum", growth="linear",
-                          r0=0.0, r1=0.2, ball_radius=4.0)
+                          r0=0.0, r1=0.2)
         grid = SizeGrid.geometric(1e-2, 30.0, 32)
         f = project(lambda x: 0.05 * x * np.exp(-x), grid)
-        cfg = mk_cfg(scheme="strang-split", positivity_policy="off", n=1.25, p=1.5)
+        cfg = mk_cfg(scheme="strang-split", n=1.25, p=1.4)
         cfg.validate(ks, grid)
         with pytest.raises(ConfigError, match="duhamel_solve iterates scheme 'duhamel'"):
             duhamel_solve(f, cfg, ks)
-        with pytest.raises(ConfigError, match="not the one for ball radius 1.0"):
+        with pytest.raises(ConfigError, match="p = m - alpha"):
             duhamel_solve(f, replace(cfg, scheme="duhamel"), ks)
 
     def test_agrees_with_split_solver(self):
@@ -394,12 +399,11 @@ class TestPdeResidual:
 
 
 def assert_invariants(ctx: ScenarioContext) -> None:
-    """Mass-ledger closure to 1e-8, no negative density under the guaranteed
-    positivity policy, and a bit-identical CSV from a second solve."""
+    """Mass-ledger closure to 1e-8, no negative density under the validated
+    step bound, and a bit-identical CSV from a second solve."""
     traj = ctx.trajectory
     ledger = np.abs(traj.M1 + traj.escaped_mass - traj.growth_mass - traj.M1[0])
     assert np.max(ledger) <= 1e-8 * np.max(np.abs(traj.M1))
-    assert ctx.cfg.positivity_policy == "guaranteed"
     assert np.min(traj.min_density) >= 0.0
     assert trajectory_csv_text(ctx.fresh_solve()[0]) == trajectory_csv_text(traj)
 
