@@ -30,14 +30,12 @@ def _scenario_name(sc: ScenarioConfig) -> str:
 
 
 def _context(args) -> ScenarioContext:
-    """The scenario with --cells, --dt and --seed set on top, validated once."""
+    """The scenario with --cells and --dt set on top, validated once."""
     overrides = {}
     if args.cells is not None:
         overrides["grid"] = {"cells": args.cells}
     if args.dt is not None:
         overrides["time"] = {"dt": args.dt}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
     return ScenarioContext(load_scenario(args.config, overrides))
 
 
@@ -119,7 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default="out", help="output directory for CSV files")
         p.add_argument("--cells", type=int, default=None, help="override grid cells")
         p.add_argument("--dt", type=float, default=None, help="override time step")
-        p.add_argument("--seed", type=int, default=None, help="override sampling seed")
 
     p = sub.add_parser("run", help="run the scenario and emit the trajectory CSV")
     common(p)

@@ -15,7 +15,7 @@ import numpy as np
 import yaml
 
 from .evolution import SolverConfig
-from .grid import DensityField, SizeGrid, project
+from .grid import DensityField, GridError, SizeGrid, project
 from .kernels import (AbsorptionRate, CoagulationKernel, DaughterDistribution,
                       FragmentationRate, GrowthRate, KernelSet)
 from .presets import get_preset, preset_names
@@ -37,18 +37,39 @@ def _keys(cls) -> set:
     return {f.name for f in fields(cls) if not f.name.startswith("_")}
 
 
+PROFILES = {"exponential": lambda x, p: p.amplitude * np.exp(-p.decay * x),
+            "mass-exponential": lambda x, p: p.amplitude * x * np.exp(-p.decay * x),
+            "powerlaw-decay": lambda x, p: p.amplitude * np.power(1.0 + x, -p.exponent)}
+
+
+@dataclass(frozen=True)
+class InitialProfile:
+    """The `initial` section: a named profile and its parameters."""
+
+    profile: str = "exponential"
+    amplitude: float = 1.0
+    decay: float = 1.0
+    exponent: float = 3.25
+
+    def __post_init__(self):
+        if self.profile not in PROFILES:
+            raise ConfigFileError(f"unknown initial profile {self.profile!r}; "
+                                  f"allowed: {', '.join(PROFILES)}")
+        if not self.amplitude >= 0:
+            raise ConfigFileError(f"'initial.amplitude' must be >= 0, got {self.amplitude}")
+
+
 SCHEMA: dict = {
     "kernels": {**{name: _keys(cls) for name, cls in KERNELS.items()}, "ball_radius": None},
     "grid": {"xmin": None, "xmax": None, "cells": None},
     "time": TIME_KEYS,
     "solver": _keys(SolverConfig) - TIME_KEYS - {"ball_radius"},
-    "initial": {"profile": None, "amplitude": None, "decay": None, "exponent": None,
-                "lo": None, "hi": None},
+    "initial": _keys(InitialProfile),
     "checks": {"suites": None},
-    "seed": None,
+    "seed": None,   # read by nothing; benchmarks/workloads.py still sets it
 }
 
-_NUMBERS = ("float", "Optional[float]")
+_CASTS = {"float": float, "Optional[float]": float, "int": int}
 
 
 def _fields(cls, section: dict, path: str) -> dict:
@@ -58,9 +79,9 @@ def _fields(cls, section: dict, path: str) -> dict:
     types = {f.name: f.type for f in fields(cls)}
     out = {}
     for key, value in section.items():
+        cast = _CASTS.get(types.get(key))
         try:
-            out[key] = (float(value) if types.get(key) in _NUMBERS and value is not None
-                        else value)
+            out[key] = cast(value) if cast is not None and value is not None else value
         except (TypeError, ValueError) as exc:
             raise ConfigFileError(f"'{path}{key}' must be a number, got {value!r}") from exc
     return out
@@ -84,19 +105,12 @@ def _check_keys(node: Any, schema: Any, path: str) -> None:
         _check_keys(sub, allowed, f"{path}{key}.")
 
 
-PROFILES = ("exponential", "mass-exponential", "powerlaw-decay", "indicator", "zero")
-
-
 @dataclass
 class ScenarioConfig:
     """Parsed and cross-validated scenario."""
 
     raw: dict
     source: str = "<dict>"
-
-    @property
-    def seed(self) -> int:
-        return int(self.raw.get("seed", 0))
 
     @property
     def check_suites(self) -> list[str]:
@@ -110,8 +124,10 @@ class ScenarioConfig:
         return KernelSet(a, b, r, k, AbsorptionRate.for_ball(k, self.solver_config().ball_radius))
 
     def grid(self) -> SizeGrid:
-        g = self.raw["grid"]
-        return SizeGrid.geometric(float(g["xmin"]), float(g["xmax"]), int(g["cells"]))
+        try:
+            return SizeGrid.geometric(**_fields(SizeGrid, self.raw["grid"], "grid."))
+        except GridError as exc:
+            raise ConfigFileError(f"bad 'grid' section: {exc}") from exc
 
     def solver_config(self) -> SolverConfig:
         ker = self.raw["kernels"]
@@ -121,25 +137,8 @@ class ScenarioConfig:
                             **_fields(SolverConfig, self.raw.get("solver", {}), "solver."))
 
     def initial_field(self, grid: SizeGrid) -> DensityField:
-        init = self.raw.get("initial", {})
-        profile = init.get("profile", "exponential")
-        amp = float(init.get("amplitude", 1.0))
-        if profile not in PROFILES:
-            raise ConfigFileError(f"unknown initial profile {profile!r}; "
-                                  f"allowed: {', '.join(PROFILES)}")
-        if profile == "zero":
-            return DensityField.zeros(grid)
-        if profile == "exponential":
-            c = float(init.get("decay", 1.0))
-            return project(lambda x: amp * np.exp(-c * x), grid)
-        if profile == "mass-exponential":
-            c = float(init.get("decay", 1.0))
-            return project(lambda x: amp * x * np.exp(-c * x), grid)
-        if profile == "powerlaw-decay":
-            q = float(init.get("exponent", 3.25))
-            return project(lambda x: amp * np.power(1.0 + x, -q), grid)
-        lo, hi = float(init.get("lo", grid.xmin)), float(init.get("hi", grid.xmax))
-        return project(lambda x: np.where((x >= lo) & (x <= hi), amp, 0.0), grid)
+        p = InitialProfile(**_fields(InitialProfile, self.raw.get("initial", {}), "initial."))
+        return project(lambda x: PROFILES[p.profile](x, p), grid)
 
     def echo(self) -> dict:
         return copy.deepcopy(self.raw)

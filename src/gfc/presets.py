@@ -29,7 +29,6 @@ PRESETS: dict[str, dict] = {
         "checks": {"suites": ["kernel-validation", "frag-identities", "mass-budget",
                               "positivity", "oracle", "quasi-contractivity",
                               "pde-residual", "determinism"]},
-        "seed": 0,
     },
     "constant-coag": {
         "description": "pure coagulation with a constant kernel; the total "
@@ -48,7 +47,6 @@ PRESETS: dict[str, dict] = {
         "initial": {"profile": "exponential", "amplitude": 1.0, "decay": 1.0},
         "checks": {"suites": ["coag-identities", "mass-budget", "positivity",
                               "oracle", "negative-control", "determinism"]},
-        "seed": 0,
     },
     "gfc-global-ii": {
         "description": "full growth-fragmentation-coagulation run in the "
@@ -70,7 +68,6 @@ PRESETS: dict[str, dict] = {
                               "resolvent", "integral-bounds", "laplace",
                               "solver-cross-validation", "moment-domination",
                               "determinism"]},
-        "seed": 0,
     },
     "gfc-global-i": {
         "description": "full system with affine growth; global existence "
@@ -89,7 +86,6 @@ PRESETS: dict[str, dict] = {
         "initial": {"profile": "mass-exponential", "amplitude": 0.1, "decay": 1.0},
         "checks": {"suites": ["kernel-validation", "mass-budget", "positivity",
                               "moment-domination", "determinism"]},
-        "seed": 0,
     },
     "regularization-probe": {
         "description": "linear growth-fragmentation with heavy-tailed initial "
@@ -107,7 +103,6 @@ PRESETS: dict[str, dict] = {
         "initial": {"profile": "powerlaw-decay", "amplitude": 1.0, "exponent": 3.25},
         "checks": {"suites": ["kernel-validation", "regularization-probe",
                               "determinism"]},
-        "seed": 0,
     },
 }
 

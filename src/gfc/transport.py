@@ -13,7 +13,9 @@ and the resolvent
 
 are all explicit.  With omega = 2*m*rtilde the resolvent norm on the
 (1 + x^m)-weighted space is bounded by 1/(lambda - omega), and the semigroup
-grows at most like exp(omega*t); both bounds are checked numerically here.
+grows at most like exp(omega*t).  Both operators are positive, so their
+norms are suprema over point masses (over unit cells for the discrete
+resolvent), and both are computed here.
 All exponentials are assembled in log space: lambda*R can exceed the
 floating-point range near the origin when the characteristics stall there.
 
@@ -36,11 +38,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import integrate
 from scipy.interpolate import PchipInterpolator
 
 from .grid import DensityField, SizeGrid, WeightSpec, weighted_integral
-from .kernels import UNREACHABLE, KernelSet, ReportRow
+from .kernels import UNREACHABLE, KernelSet, ReportRow, _quad
 
 __all__ = [
     "Antiderivatives",
@@ -48,6 +49,8 @@ __all__ = [
     "ParameterDomainError",
     "transport_apply",
     "resolvent_apply",
+    "resolvent_norm",
+    "transport_norms",
     "resolvent_residual",
     "resolvent_integral_bounds",
     "v_lambda_diagnostics",
@@ -341,8 +344,44 @@ def make_antiderivatives(ks: KernelSet, grid: SizeGrid) -> Antiderivatives:
     return Antiderivatives(ks, x_lo=grid.xmin * 1e-6, x_hi=grid.xmax * 4.0)
 
 
+def transport_norms(ks: KernelSet, grid: SizeGrid, m: float, times) -> np.ndarray:
+    """Norm of the transport-absorption semigroup on the untruncated
+    (1 + x^m)-weighted space at each of `times`: it carries a point mass at y
+    to one at X_t(y) scaled by exp(-(Q(X) - Q(y))), so its norm is the sup
+    over y of w(X) exp(-(Q(X) - Q(y))) / w(y), taken at the grid's edges and
+    centers."""
+    y = np.concatenate([grid.edges, grid.centers])
+    t = np.asarray(times, dtype=float)[:, None]
+    if ks.r.is_zero:
+        return np.max(np.exp(-ks.q(y) * t), axis=1)
+    # r <= rtilde*(1 + x) keeps every X_t(y) inside the tabulated range
+    antid = Antiderivatives(ks, x_lo=grid.xmin * 1e-6,
+                            x_hi=(1.0 + grid.xmax) * math.exp(ks.r.rtilde * float(t.max())))
+    X = r_inverse_clipped(antid, antid.R(y) + t)
+    w = WeightSpec(m, "shifted")
+    return np.max(w(X) * np.exp(antid.Q(y) - antid.Q(X)) / w(y), axis=1)
+
+
 # ---------------------------------------------------------------------------
 # resolvent
+
+
+def _resolvent_steps(grid: SizeGrid, sp: SpectralParams, ks: KernelSet,
+                     antid: Antiderivatives) -> tuple[np.ndarray, ...]:
+    """shift_i = s_i - s_{i+1} <= 0, lower_i = int over [lo_i, x_i] of e^(s - s_i)
+    and upper_i = int over [x_i, hi_i] of e^(s - s_{i+1}), for s = lambda*R + Q.
+
+    Within each cell s is locally linear with the exact slope (lambda + q)/r,
+    so the integrals have closed forms; u is half the swing of s over a cell.
+    """
+    x = grid.centers
+    s = sp.lam * antid.R(x) + antid.Q(x)
+    slope = (sp.lam + ks.q(x)) / ks.r(x)
+    u = 0.5 * slope * grid.widths
+    lower = -np.expm1(-u) / slope
+    shift = s[:-1] - s[1:]
+    upper = (np.exp(np.minimum(shift + u[:-1], 50.0)) - np.exp(shift)) / slope[:-1]
+    return shift, lower, upper
 
 
 def resolvent_apply(g: DensityField, sp: SpectralParams, ks: KernelSet,
@@ -353,7 +392,7 @@ def resolvent_apply(g: DensityField, sp: SpectralParams, ks: KernelSet,
     cell, so only exponentials of nonpositive arguments are ever formed.
     """
     grid = g.grid
-    x, widths = grid.centers, grid.widths
+    x = grid.centers
 
     if ks.r.is_zero:
         # multiplication semigroup: the resolvent is pointwise division
@@ -361,17 +400,7 @@ def resolvent_apply(g: DensityField, sp: SpectralParams, ks: KernelSet,
 
     if antid is None:
         antid = make_antiderivatives(ks, grid)
-    s = sp.lam * antid.R(x) + antid.Q(x)
-    # within each cell the exponent is locally linear with the exact slope
-    # s' = (lambda + q)/r, so the per-cell integrals of exp(s) against the
-    # cellwise-constant density have closed forms; u is half the exponent
-    # swing over a cell.  All exponentials are assembled relative to the
-    # current cell, keeping their arguments nonpositive.
-    slope = (sp.lam + ks.q(x)) / ks.r(x)
-    u = 0.5 * slope * widths
-    lower = -np.expm1(-u) / slope          # int over [lo_i, x_i] of e^(s - s_i)
-    shift = s[:-1] - s[1:]                 # <= 0 by monotonicity of s
-    upper = (np.exp(np.minimum(shift + u[:-1], 50.0)) - np.exp(shift)) / slope[:-1]
+    shift, lower, upper = _resolvent_steps(grid, sp, ks, antid)
     vals = np.empty(grid.cells)
     acc = g.values[0] * lower[0]
     vals[0] = acc
@@ -380,6 +409,29 @@ def resolvent_apply(g: DensityField, sp: SpectralParams, ks: KernelSet,
         acc += g.values[i] * lower[i]
         vals[i] = acc
     return DensityField(grid, vals / ks.r(x))
+
+
+def resolvent_norm(grid: SizeGrid, sp: SpectralParams, ks: KernelSet,
+                   antid: Optional[Antiderivatives] = None) -> float:
+    """Exact norm of `resolvent_apply` on the (1 + x^m)-weighted space of the
+    grid: the map is positive and linear, so its norm is its largest column,
+    the norm of the image of a unit-norm density in one cell.  With
+    v = w*dx/r, column j is (lower_j*T_j + upper_j*T_{j+1}) / (w_j*dx_j) for
+    the reverse recurrence T_j = v_j + exp(shift_j)*T_{j+1}."""
+    x, dx = grid.centers, grid.widths
+    if ks.r.is_zero:
+        return float(np.max(1.0 / (sp.lam + ks.q(x))))
+    if antid is None:
+        antid = make_antiderivatives(ks, grid)
+    shift, lower, upper = _resolvent_steps(grid, sp, ks, antid)
+    w = WeightSpec(sp.m, "shifted")(x)
+    v = w * dx / ks.r(x)
+    decay = np.append(np.exp(shift), 0.0)
+    T = np.zeros(grid.cells + 1)
+    for j in range(grid.cells - 1, -1, -1):
+        T[j] = v[j] + decay[j] * T[j + 1]
+    cols = (lower * T[:-1] + np.append(upper, 0.0) * T[1:]) / (w * dx)
+    return float(np.max(cols))
 
 
 def resolvent_residual(f: DensityField, g: DensityField, sp: SpectralParams,
@@ -404,36 +456,25 @@ def resolvent_residual(f: DensityField, g: DensityField, sp: SpectralParams,
 # integral inequalities for the resolvent bound
 
 
-def _integrand_I(antid: Antiderivatives, ks: KernelSet, sp: SpectralParams):
+def _integrands(antid: Antiderivatives, ks: KernelSet, sp: SpectralParams):
+    """The integrands of I and J."""
     w = WeightSpec(sp.m, "shifted")
 
-    def fun(s):
-        s = np.asarray(s, dtype=float)
+    def f_I(s):
         return np.exp(-sp.lam * antid.R(s)) * w(s) / ks.r(s)
 
-    return fun
-
-
-def _integrand_J(antid: Antiderivatives, ks: KernelSet, sp: SpectralParams):
-    w = WeightSpec(sp.m, "shifted")
-
-    def fun(s):
-        s = np.asarray(s, dtype=float)
+    def f_J(s):
         return (sp.lam + ks.q(s)) * np.exp(-sp.lam * antid.R(s) - antid.Q(s)) * w(s) / ks.r(s)
 
-    return fun
+    return f_I, f_J
 
 
 def _panel_quad(fun, cuts: np.ndarray, epsabs: float, epsrel: float) -> float:
-    """int fun over [cuts[0], cuts[-1]] as a sum of adaptive quadratures, one
-    per panel [cuts[k], cuts[k+1]]; geometric panels keep quad honest across
-    many decades."""
-    total = 0.0
-    for a_, b_ in zip(cuts[:-1], cuts[1:]):
-        val, _ = integrate.quad(lambda z: float(fun(z)), a_, b_,
-                                limit=100, epsabs=epsabs, epsrel=epsrel)
-        total += val
-    return total
+    """int fun over [cuts[0], cuts[-1]] as a sum of checked adaptive
+    quadratures, one per panel [cuts[k], cuts[k+1]]; geometric panels keep
+    quad honest across many decades."""
+    return sum(_quad(lambda z: float(fun(z)), a_, b_, epsabs=epsabs, epsrel=epsrel)
+               for a_, b_ in zip(cuts[:-1], cuts[1:]))
 
 
 def resolvent_integral_bounds(alpha: float, lam: float, m: float, ks: KernelSet) -> list[ReportRow]:
@@ -453,16 +494,14 @@ def resolvent_integral_bounds(alpha: float, lam: float, m: float, ks: KernelSet)
         raise ParameterDomainError("bound check needs a positive growth rate")
 
     antid = Antiderivatives(ks, x_lo=min(alpha, 1.0) * 1e-3, x_hi=alpha * 1e6)
-    f_I = _integrand_I(antid, ks, sp)
-    f_J = _integrand_J(antid, ks, sp)
+    f_I, f_J = _integrands(antid, ks, sp)
     peak = max(float(f_I(alpha)), 1e-300)
     hi = alpha
     for _ in range(400):
         hi *= 1.6
         if hi > antid.x_hi * 0.9:
             antid = Antiderivatives(ks, x_lo=min(alpha, 1.0) * 1e-3, x_hi=hi * 1e3)
-            f_I = _integrand_I(antid, ks, sp)
-            f_J = _integrand_J(antid, ks, sp)
+            f_I, f_J = _integrands(antid, ks, sp)
         if float(f_I(hi)) < 1e-14 * peak:
             break
 
@@ -471,12 +510,9 @@ def resolvent_integral_bounds(alpha: float, lam: float, m: float, ks: KernelSet)
         np.geomspace(alpha, hi, max(8, int(np.log2(hi / alpha)) + 2)), [alpha, hi]]))
     gap = sp.lam - sp.omega
     wm = WeightSpec(m, "shifted")
-    R_a = float(antid.R(alpha))
-    Q_a = float(antid.Q(alpha))
-    R_hi = float(antid.R(hi))
-    Q_hi = float(antid.Q(hi))
-    w_a = float(wm(np.asarray(alpha)))
-    w_hi = float(wm(np.asarray(hi)))
+    R_a, R_hi = (float(antid.R(z)) for z in (alpha, hi))
+    Q_a, Q_hi = (float(antid.Q(z)) for z in (alpha, hi))
+    w_a, w_hi = (float(wm(np.asarray(z))) for z in (alpha, hi))
 
     I_val = _panel_quad(f_I, cuts, 1e-13, 1e-10) + math.exp(-sp.lam * R_hi) * w_hi / gap
     I_bound = math.exp(-sp.lam * R_a) * w_a / gap
@@ -513,7 +549,6 @@ def v_lambda_diagnostics(sp: SpectralParams, ks: KernelSet,
 
     if ks.r.origin_class == UNREACHABLE:
         def vw(s):
-            s = np.asarray(s, dtype=float)
             return np.exp(-sp.lam * antid.R(s) - antid.Q(s)) / ks.r(s) * w(s)
 
         vals = np.array([_panel_quad(vw, np.geomspace(e, 1.0, 30), 1e-12, 1e-9)

@@ -27,7 +27,6 @@ MINI = {
     "solver": {"scheme": "strang-split", "m": 2.0},
     "initial": {"profile": "exponential", "amplitude": 1.0, "decay": 1.0},
     "checks": {"suites": ["oracle", "mass-budget"]},
-    "seed": 0,
 }
 
 
@@ -154,7 +153,7 @@ class TestConfigParsing:
                 return sum(settable(sub) for sub in node.values())
             return len(node)
 
-        assert settable(SCHEMA) == 40
+        assert settable(SCHEMA) == 38
         assert len(dataclasses.fields(SolverConfig)) == 8
 
     def test_solver_config_fields_are_the_schema_keys(self):
@@ -295,10 +294,60 @@ class TestCommands:
     def test_overrides_apply(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, MINI)
         code = main(["run", "--config", cfg, "--out", str(tmp_path / "o"),
-                     "--cells", "32", "--dt", "0.002", "--seed", "7"])
+                     "--cells", "32", "--dt", "0.002"])
         assert code == 0
         rows = (tmp_path / "o" / "scenario_trajectory.csv").read_text().splitlines()
         assert len(rows) > 2
+
+    def test_seed_is_an_unknown_argument(self, tmp_path, capsys):
+        """No check samples, so there is no seed to set."""
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", write_cfg(tmp_path, MINI), "--seed", "7"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
+
+    def test_too_few_cells_is_a_load_error(self, tmp_path, capsys):
+        code = main(["run", "--config", "constant-coag", "--cells", "1",
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: bad 'grid' section: need at least 2 cells, got 1\n")
+
+    @pytest.mark.parametrize("section,values,message", [
+        ("grid", {"xmin": 5.0, "xmax": 1.0},
+         "bad 'grid' section: need 0 < xmin < xmax, got (5.0, 1.0)"),
+        ("grid", {"cells": "many"}, "'grid.cells' must be a number, got 'many'"),
+        ("initial", {"amplitude": -1}, "'initial.amplitude' must be >= 0, got -1.0"),
+    ])
+    def test_bad_grid_and_initial_values_are_load_errors(self, tmp_path, capsys,
+                                                         section, values, message):
+        """A bad value fails at load with one line naming its key, not a traceback."""
+        raw = copy.deepcopy(MINI)
+        raw[section].update(values)
+        path = write_cfg(tmp_path, raw)
+        with pytest.raises(ConfigFileError):
+            load_scenario(path)
+        assert main(["verify", "--config", path, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("profile", ["indicator", "zero"])
+    def test_removed_initial_profiles_rejected(self, profile):
+        raw = copy.deepcopy(MINI)
+        raw["initial"] = {"profile": profile}
+        with pytest.raises(ConfigFileError, match=f"unknown initial profile '{profile}'"):
+            load_scenario(raw)
+
+    @pytest.mark.parametrize("name", ["aizenman-bak-frag", "constant-coag"])
+    def test_verify_twice_prints_identical_rows(self, tmp_path, capsys, name):
+        """With no sampling, identical inputs give identical rows; only the
+        elapsed time may differ."""
+        argv = ["verify", "--config", name, "--cells", "128", "--out", str(tmp_path / "o")]
+        printed = []
+        for _ in range(2):
+            main(argv)
+            printed.append(re.sub(r"\(\d+\.\ds\)", "", capsys.readouterr().out))
+        assert printed[0] == printed[1]
+        assert len(re.findall(r"^(PASS|FAIL| n/a)  ", printed[0], re.M)) >= 6
 
     def test_bit_identical_reruns(self, tmp_path):
         cfg = write_cfg(tmp_path, MINI)
@@ -339,7 +388,6 @@ class TestCommands:
             "time": {"dt": 2.0e-3, "t_end": 0.3, "output_every": 0.05},
             "solver": {"scheme": "strang-split", "m": 2.0},
             "initial": {"profile": "mass-exponential", "amplitude": 0.1, "decay": 1.0},
-            "seed": 0,
         }
         code = main(["bounds", "--config", write_cfg(tmp_path, raw),
                      "--out", str(tmp_path / "out")])

@@ -17,8 +17,8 @@ from gfc.presets import get_preset
 from gfc.transport import (Antiderivatives, ParameterDomainError, SpectralParams,
                            laplace_consistency, make_antiderivatives,
                            r_inverse_clipped, resolvent_integral_bounds,
-                           resolvent_apply, resolvent_residual, transport_apply,
-                           v_lambda_diagnostics)
+                           resolvent_apply, resolvent_norm, resolvent_residual,
+                           transport_apply, transport_norms, v_lambda_diagnostics)
 
 
 def flow(r: GrowthRate, t: float, x0):
@@ -338,6 +338,116 @@ class TestResolvent:
         sp = SpectralParams.for_kernels(ks, 1.0, 1.0)
         f = resolvent_apply(g, sp, ks)
         assert np.allclose(f.values, g.values / (1.0 + ks.q(grid.centers)))
+
+
+def unit_cell_columns(grid, sp, ks, antid):
+    """Brute force: the weighted norm of the resolvent of each unit-norm cell."""
+    w = WeightSpec(sp.m, "shifted")
+    cols = []
+    for j in range(grid.cells):
+        vals = np.zeros(grid.cells)
+        vals[j] = 1.0 / (w(grid.centers[j]) * grid.widths[j])
+        cols.append(weighted_integral(resolvent_apply(DensityField(grid, vals), sp, ks, antid), w))
+    return np.array(cols)
+
+
+@st.composite
+def resolvent_case(draw):
+    """A random admissible kernel set (constant, linear, affine or table
+    growth, power-law fragmentation, the shift for a random ball), a random
+    grid, weight order and lambda > omega, and a random nonnegative field."""
+    cells = draw(st.integers(8, 96))
+    xmin = 10.0 ** draw(st.floats(-3.0, 0.0))
+    grid = SizeGrid.geometric(xmin, xmin * 10.0 ** draw(st.floats(1.0, 4.0)), cells)
+    growth = draw(st.sampled_from(["constant", "linear", "affine", "table"]))
+    ks = make_kernels(a0=draw(st.floats(0.0, 2.0)), gamma0=draw(st.floats(0.0, 2.0)),
+                      k0=draw(st.sampled_from([0.0, 0.5])), alpha=draw(st.floats(0.1, 0.9)),
+                      ball_radius=draw(st.floats(0.0, 4.0)),
+                      growth="constant" if growth == "table" else growth,
+                      r0=draw(st.floats(0.05, 2.0)), r1=draw(st.floats(0.05, 2.0)))
+    if growth == "table":
+        xs = np.geomspace(grid.xmin, grid.xmax, 12)
+        rs = np.array(draw(st.lists(st.floats(0.2, 3.0), min_size=12, max_size=12)))
+        ks = dataclasses.replace(ks, r=GrowthRate("table", table_x=xs, table_r=rs))
+    m = draw(st.floats(1.0, 3.5))
+    omega = 2.0 * m * ks.r.rtilde
+    sp = SpectralParams.for_kernels(ks, m, omega + draw(st.floats(0.1, 4.0)))
+    g = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=cells, max_size=cells)))
+    g[draw(st.integers(0, cells - 1))] += 0.5
+    return DensityField(grid, g), sp, ks
+
+
+class TestExactNorms:
+    """resolvent_norm and transport_norms, the values of the resolvent and
+    quasi-contractivity rows."""
+
+    @pytest.mark.parametrize("preset", ["gfc-global-ii", "gfc-global-i", "regularization-probe"])
+    def test_resolvent_norm_is_the_largest_unit_cell_column(self, preset):
+        sc = load_scenario(preset, {"grid": {"cells": 128}})
+        ks, grid = sc.kernel_set(), sc.grid()
+        sp = SpectralParams.for_kernels(ks, sc.solver_config().m)
+        antid = make_antiderivatives(ks, grid)
+        brute = float(np.max(unit_cell_columns(grid, sp, ks, antid)))
+        assert resolvent_norm(grid, sp, ks, antid) == pytest.approx(brute, rel=1e-12, abs=0)
+
+    def test_resolvent_norm_without_growth(self):
+        ks = make_kernels(a0=0.5, gamma0=1.0, x0=0.5, growth="constant", r0=0.0)
+        grid = SizeGrid.geometric(0.1, 10.0, 64)
+        sp = SpectralParams.for_kernels(ks, 1.0, 1.0)
+        brute = float(np.max(unit_cell_columns(grid, sp, ks, None)))
+        assert resolvent_norm(grid, sp, ks) == pytest.approx(brute, rel=1e-12)
+        assert resolvent_norm(grid, sp, ks) == pytest.approx(1.0 / (1.0 + 0.5 * grid.centers[0]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(resolvent_case())
+    def test_resolvent_norm_bounds_every_field(self, case):
+        g, sp, ks = case
+        antid = make_antiderivatives(ks, g.grid)
+        w = WeightSpec(sp.m, "shifted")
+        ratio = weighted_integral(resolvent_apply(g, sp, ks, antid), w) / weighted_integral(g, w)
+        assert resolvent_norm(g.grid, sp, ks, antid) >= ratio * (1.0 - 1e-12)
+
+    @staticmethod
+    def closed_form(grid, m, t, X, dQ):
+        """max over the grid's edges and centers of w(X(y)) e^(-dQ(y)) / w(y)."""
+        y = np.concatenate([grid.edges, grid.centers])
+        w = WeightSpec(m, "shifted")
+        return float(np.max(w(X(y)) * np.exp(-dQ(y)) / w(y)))
+
+    def test_transport_norm_under_constant_growth(self):
+        """r = r0 and a = a0 x: X = y + r0 t and Q(X) - Q(y) = a0 (X^2 - y^2) / (2 r0)."""
+        r0, a0, m = 0.7, 0.3, 2.0
+        ks = make_kernels(a0=a0, gamma0=1.0, x0=1e-3, r0=r0, beta=0.0)
+        grid = SizeGrid.geometric(1e-3, 20.0, 64)
+        ts = np.array([0.25, 1.0, 2.0])
+        got = transport_norms(ks, grid, m, ts)
+        for t, val in zip(ts, got):
+            want = self.closed_form(grid, m, t, lambda y: y + r0 * t,
+                                    lambda y: a0 * ((y + r0 * t) ** 2 - y ** 2) / (2 * r0))
+            assert val == pytest.approx(want, rel=1e-6)
+
+    def test_transport_norm_under_linear_growth(self):
+        """r = r1 x and a = a0 x: X = y e^(r1 t) and Q(X) - Q(y) = a0 (X - y) / r1."""
+        r1, a0, m = 0.25, 0.4, 2.0
+        ks = make_kernels(a0=a0, gamma0=1.0, x0=1e-3, growth="linear", r1=r1, beta=0.0)
+        grid = SizeGrid.geometric(1e-3, 50.0, 64)
+        ts = np.linspace(0.25, 2.0, 8)
+        got = transport_norms(ks, grid, m, ts)
+        for t, val in zip(ts, got):
+            grow = math.exp(r1 * t)
+            want = self.closed_form(grid, m, t, lambda y: y * grow,
+                                    lambda y: a0 * y * (grow - 1.0) / r1)
+            assert val == pytest.approx(want, rel=1e-6)
+        # without absorption the norm is the weight's largest growth factor
+        pure = transport_norms(make_kernels(growth="linear", r1=r1, beta=0.0), grid, m, ts)
+        assert np.allclose(pure, [self.closed_form(grid, m, t, lambda y: y * math.exp(r1 * t),
+                                                   lambda y: 0.0 * y) for t in ts], rtol=1e-12)
+
+    def test_transport_norm_without_growth(self):
+        ks = make_kernels(a0=1.0, gamma0=1.0, x0=1e-3, r0=0.0, beta=0.0)
+        grid = SizeGrid.geometric(1e-3, 60.0, 64)
+        assert transport_norms(ks, grid, 2.0, [0.25, 2.0]) == pytest.approx(
+            np.exp(-1e-3 * np.array([0.25, 2.0])), rel=1e-15)
 
 
 class TestLemmaBounds:
