@@ -9,17 +9,19 @@ discrete mass budget closes to rounding.
 
 The kernel is symmetric, so only the n(n+1)/2 pairs i <= j are listed.  The
 splitting weights and the pair factor 0.5*k(x_i, x_j)*(2 - delta_ij) are
-folded once, at set-up, into a sparse gain operator with n + 1 rows: rows
-0..n-1 give the number gain per cell and row n the rate of mass routed past
-xmax.  Each pair column holds two entries (its two targets, or its one
-target and the escape row).  One application gathers the pair-product
-vector a_i*a_j (a = f*dx) into two buffers the tables own, so a call
-allocates nothing of pair length, then makes one sparse mat-vec over
-n(n+1) entries.  The loss frequency sum_j k(x_i, x_j) a_j is O(n) for the
-closed-form kernels, whose matrices have rank <= 2, and a dense mat-vec
-for a table kernel.  The gain is still O(cells^2): about 1.0 ms per
-application at 512 cells on a 2-CPU Xeon.  This is the fixed-pivot pair
-splitting of Kumar & Ramkrishna, Chem. Eng. Sci. 51 (1996).
+folded once, at set-up, into a sparse gain operator keyed by partner: its
+rows are the (j, t) of larger index j and target t (a cell, or the escape
+row that collects the rate of mass routed past xmax), its columns the
+smaller index i.  The gain into t is sum_j a_j sum_i G[(j, t), i] a_i with
+a = f*dx, so one application is a sparse mat-vec over n(n+1) entries, two
+per pair, a scaling of the rows by a_j and a bincount onto the targets;
+nothing of pair length is gathered or allocated, and every term is a sum
+of nonnegative products.
+The loss frequency sum_j k(x_i, x_j) a_j is O(n) for the closed-form
+kernels, whose matrices have rank <= 2, and a dense mat-vec for a table
+kernel.  The gain is still O(cells^2): about 0.5 ms per application at 512
+cells on a 2-CPU Xeon.  This is the fixed-pivot pair splitting of Kumar &
+Ramkrishna, Chem. Eng. Sci. 51 (1996).
 """
 from __future__ import annotations
 
@@ -50,19 +52,22 @@ class CoagTables:
     term of a table kernel is a mat-vec with it; a closed-form kernel is the
     rank-r (r <= 2) product ``loss_u @ loss_w`` of an (n, r) and an (r, n)
     factor, so its loss term costs O(n) (both factors are None for a table
-    kernel).  Every other array holds one entry per pair i <= j, in
-    row-major upper-triangle order (the order of ``np.triu_indices(n)``,
-    whose two index arrays are `pair_i` and `pair_j`).  `gain` is the
-    (n + 1, pairs) CSC operator: column p carries 0.5*k*(2 - delta_ij)
-    times the pair's number weights in its target rows and its escape
-    coefficient in row n, so ``gain @ (a[pair_i] * a[pair_j])`` is the
-    number gain per cell followed by the escaped-mass rate.  It stores two
-    entries per pair, n(n+1) in all, so a mat-vec reads about 12 bytes per
-    entry (value and int32 row); an interior pair has no escape entry, and
-    a pair beyond xmax keeps an explicit zero in place of its lower target.
-    `gather` is the (2, pairs) scratch that `apply_coag` gathers a[pair_i]
-    and a[pair_j] into.  It makes one set of tables non-reentrant: two calls
-    that share it must not run at once (gfc runs no threads).
+    kernel).  `idx_lo` to `interior` hold one entry per pair i <= j, in
+    row-major upper-triangle order (the order of ``np.triu_indices(n)``).
+
+    `gain` is the (rows, n) CSC operator.  Row r stands for partner
+    ``row_partner[r]`` = j and target ``row_target[r]`` = t, a cell or n for
+    the escape row; partner j's rows are one contiguous run of cells and
+    then, if any of its pairs leaves the interior, its escape row.  Column i
+    holds, for every pair (i, j), 0.5*k*(2 - delta_ij) times the pair's
+    number weights in rows (j, lower target) and (j, upper target), or its
+    escape coefficient in row (j, escape).  So
+    ``bincount(row_target, (gain @ a) * a[row_partner])`` is the number gain
+    per cell followed by the escaped-mass rate.  Every pair stores two
+    entries, n(n+1) in all, so a mat-vec reads about 12 bytes (value and
+    int32 row) per entry; a pair beyond xmax keeps an explicit zero in row
+    (j, n - 1) in place of its lower target.  Nothing in the tables is
+    written after set-up, so calls that share them are reentrant.
     """
 
     grid: SizeGrid
@@ -73,12 +78,11 @@ class CoagTables:
     w_hi: np.ndarray
     esc_coeff: np.ndarray     # mass routed past xmax per unit event rate
     interior: np.ndarray      # bool: pure two-cell interior split
-    pair_i: np.ndarray        # (pairs,) row index i of pair (i, j)
-    pair_j: np.ndarray        # (pairs,) column index j >= i
-    gain: sparse.csc_matrix   # (n + 1, pairs) gain and escape operator
+    gain: sparse.csc_matrix   # (rows, n) gain and escape operator
+    row_partner: np.ndarray   # (rows,) larger pair index j of each gain row
+    row_target: np.ndarray    # (rows,) target cell of each gain row, n to escape
     loss_u: Optional[np.ndarray]  # (n, r) loss factor, None for a table kernel
     loss_w: Optional[np.ndarray]  # (r, n)
-    gather: np.ndarray        # (2, pairs) scratch of apply_coag
 
 
 def _loss_factors(k: CoagulationKernel, x: np.ndarray):
@@ -98,62 +102,77 @@ def build_coag_tables(k: CoagulationKernel, grid: SizeGrid) -> CoagTables:
     x = grid.centers
     n = grid.cells
     kernel = np.asarray(k(x[:, None], x[None, :]), dtype=float)
-    pi, pj = np.triu_indices(n)
-    s = x[pi] + x[pj]
-    pairs = s.size
+    # the pairs i <= j in row-major order, read off the upper triangle; row i
+    # holds j = i..n-1 from offset diag[i], the pair (i, i)
+    upper = ~np.tri(n, k=-1, dtype=bool)
+    cells = np.arange(n, dtype=np.int32)
+    diag = cells * n - cells * (cells - 1) // 2
+    s = np.repeat(x, n - cells)
+    s += np.broadcast_to(x, (n, n))[upper]
 
-    idx_lo = np.full(s.shape, -1, dtype=np.int64)
-    w_lo = np.zeros_like(s)
-    idx_hi = np.full(s.shape, -1, dtype=np.int64)
-    w_hi = np.zeros_like(s)
-    esc_coeff = np.zeros_like(s)
-
+    # bracket between consecutive centers (s >= 2*x[0], so lo >= 0); computed
+    # for every pair, then overwritten for the few that leave the interior
+    lo = np.searchsorted(x, s, side="right") - 1
+    np.minimum(lo, n - 2, out=lo)
+    x_hi = x[1:][lo]
+    w_lo = x_hi - s
+    x_hi -= x[lo]
+    w_lo /= x_hi
+    w_hi = 1.0 - w_lo
+    idx_lo = lo.astype(np.int32)
+    idx_hi = idx_lo + 1
+    esc_coeff = np.zeros(s.size)
     inter = s <= x[-1]
-    straddle = (s > x[-1]) & (s <= grid.xmax)
-    beyond = s > grid.xmax
-
-    # interior: bracket between consecutive centers (s >= 2*xmin > x[0])
-    si = s[inter]
-    lo = np.searchsorted(x, si, side="right") - 1
-    lo = np.clip(lo, 0, n - 2)
-    span = x[lo + 1] - x[lo]
-    wl = (x[lo + 1] - si) / span
-    idx_lo[inter] = lo
-    w_lo[inter] = wl
-    idx_hi[inter] = lo + 1
-    w_hi[inter] = 1.0 - wl
 
     # straddling the last center: split against a virtual node at xmax,
-    # whose share leaves the grid as escaped mass
-    span = grid.xmax - x[-1]
-    wl = (grid.xmax - s[straddle]) / span
-    idx_lo[straddle] = n - 1
-    w_lo[straddle] = wl
-    esc_coeff[straddle] = (1.0 - wl) * grid.xmax
-
-    esc_coeff[beyond] = s[beyond]
+    # whose share leaves the grid as escaped mass; beyond xmax: all escapes
+    out = np.flatnonzero(~inter)
+    s_out = s[out]
+    straddle = s_out <= grid.xmax
+    wl = np.where(straddle, (grid.xmax - s_out) / (grid.xmax - x[-1]), 0.0)
+    idx_lo[out] = np.where(straddle, n - 1, -1)
+    w_lo[out] = wl
+    idx_hi[out] = -1
+    w_hi[out] = 0.0
+    esc_coeff[out] = np.where(straddle, (1.0 - wl) * grid.xmax, s_out)
 
     # 0.5*k(x_i, x_j)*(2 - delta_ij): a pair i < j stands for (i, j) and (j, i)
-    coeff = kernel[pi, pj]
-    diag = np.arange(n)
-    coeff[diag * n - diag * (diag - 1) // 2] *= 0.5
+    coeff = kernel[upper]
+    coeff[diag] *= 0.5
 
-    # CSC with two slots per pair column, rows ascending: the lower target,
-    # then the upper target or the escape row n (interior pairs have
-    # esc_coeff = 0, the others w_hi = 0); a pair beyond xmax has no lower
-    # target and keeps an explicit zero in row n - 1
-    rows = np.empty((pairs, 2), dtype=np.int32)
-    rows[:, 0] = np.where(beyond, n - 1, idx_lo)
-    rows[:, 1] = np.where(inter, idx_hi, n)
-    vals = np.stack([w_lo, w_hi + esc_coeff], axis=1)
-    vals *= coeff[:, None]
-    # int32 indices hold n(n+1) entries for any n whose kernel fits in memory
-    indptr = np.arange(0, 2 * pairs + 1, 2, dtype=np.int32)
-    gain = sparse.csc_matrix((vals.ravel(), rows.ravel(), indptr), shape=(n + 1, pairs))
+    # Two slots per pair: the lower target, then the upper target or the
+    # escape "target" n (interior pairs have esc_coeff = 0, the others
+    # w_hi = 0); a pair beyond xmax keeps an explicit zero at n - 1.  Every
+    # target grows with i at fixed partner j, so j's targets run from slot 0
+    # of pair (0, j) to slot 1 of pair (j, j), and the gain rows of partner
+    # j are that run, target t in row cell_base[j] + t.
+    rows = np.empty((s.size, 2), dtype=np.int32)
+    rows[:, 0] = idx_lo
+    rows[:, 1] = idx_hi
+    rows[out] = (n - 1, n)
+    first, last = rows[cells, 0], rows[diag, 1]
+    per_partner = last - first + 1
+    row_end = np.cumsum(per_partner, dtype=np.int32)
+    cell_base = row_end - 1 - last
+    # the two row keys are read on every application, so they are intp:
+    # numpy converts a narrower index array into a fresh copy on each use
+    row_partner = np.repeat(np.arange(n), per_partner)
+    row_target = np.arange(row_end[-1]) - np.repeat(cell_base, per_partner)
+    rows += np.broadcast_to(cell_base, (n, n))[upper][:, None]
 
-    # pi and pj stay intp: np.take converts narrower indices into a fresh copy
+    vals = np.empty((s.size, 2))
+    np.multiply(w_lo, coeff, out=vals[:, 0])
+    np.multiply(w_hi, coeff, out=vals[:, 1])
+    vals[out, 1] = esc_coeff[out] * coeff[out]
+    # CSC over the smaller index i: its columns are the rows of the pair
+    # list, two slots per pair, so no sort; int32 indices hold n(n+1)
+    # entries for any n whose kernel fits in memory
+    indptr = np.empty(n + 1, dtype=np.int32)
+    indptr[:-1], indptr[-1] = 2 * diag, 2 * s.size
+    gain = sparse.csc_matrix((vals.ravel(), rows.ravel(), indptr), shape=(row_end[-1], n))
+
     return CoagTables(grid, kernel, idx_lo, w_lo, idx_hi, w_hi, esc_coeff, inter,
-                      pi, pj, gain, *_loss_factors(k, x), np.empty((2, pairs)))
+                      gain, row_partner, row_target, *_loss_factors(k, x))
 
 
 def _event_rates(f: DensityField, ct: CoagTables) -> np.ndarray:
@@ -176,13 +195,9 @@ def apply_coag(f: DensityField, ct: CoagTables) -> DensityField:
     mass routed past xmax."""
     grid = f.grid
     amounts = f.values * grid.widths
-    prod, other = ct.gather
-    # mode="clip" (the indices are in range) lets np.take write straight into
-    # out=; the default mode="raise" gathers into a temporary and copies it
-    np.take(amounts, ct.pair_i, out=prod, mode="clip")
-    np.take(amounts, ct.pair_j, out=other, mode="clip")
-    prod *= other
-    out = ct.gain @ prod
+    z = ct.gain @ amounts
+    z *= amounts[ct.row_partner]
+    out = np.bincount(ct.row_target, weights=z, minlength=grid.cells + 1)
     vals = out[:-1] / grid.widths - f.values * coag_loss_rate(f, ct)
     return DensityField(grid, vals, float(out[-1]))
 

@@ -75,15 +75,22 @@ _CASTS = {"float": float, "Optional[float]": float, "int": int}
 def _fields(cls, section: dict, path: str) -> dict:
     """A scenario section as keyword arguments of cls, one per field name,
     so every default is the dataclass's.  Numbers are cast by the field's
-    annotation: PyYAML reads `1e-3` (no dot) as a string."""
+    annotation: PyYAML reads `1e-3` (no dot) as a string.  An int field
+    takes a whole number, written `64` or `64.0`."""
     types = {f.name: f.type for f in fields(cls)}
     out = {}
     for key, value in section.items():
         cast = _CASTS.get(types.get(key))
+        if cast is None or value is None:
+            out[key] = value
+            continue
         try:
-            out[key] = cast(value) if cast is not None and value is not None else value
+            number = float(value)
         except (TypeError, ValueError) as exc:
             raise ConfigFileError(f"'{path}{key}' must be a number, got {value!r}") from exc
+        if cast is int and not number.is_integer():
+            raise ConfigFileError(f"'{path}{key}' must be a whole number, got {value!r}")
+        out[key] = cast(number)
     return out
 
 

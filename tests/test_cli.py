@@ -188,6 +188,21 @@ class TestConfigParsing:
         assert main(["verify", "--config", path, "--out", str(tmp_path / "out")]) == 1
         assert f"grid.{key}" in capsys.readouterr().err
 
+    def test_fractional_cell_count_rejected(self, tmp_path):
+        """`cells: 64.7` is an error naming the key, not a 64-cell run;
+        a whole count loads whether written 64 or 64.0."""
+        raw = copy.deepcopy(MINI)
+        for cells in (64, 64.0, "64"):
+            raw["grid"]["cells"] = cells
+            grid = load_scenario(write_cfg(tmp_path, raw)).grid()
+            assert type(grid.cells) is int and grid.cells == 64
+        for cells in (64.7, "64.5", float("inf")):
+            raw["grid"]["cells"] = cells
+            with pytest.raises(ConfigFileError, match=r"'grid\.cells' must be a whole number"):
+                load_scenario(write_cfg(tmp_path, raw))
+        with pytest.raises(ConfigFileError, match=r"'grid\.cells' must be a whole number"):
+            load_scenario("constant-coag", {"grid": {"cells": 64.7}})
+
     def test_null_sections_load_as_empty(self, tmp_path, capsys):
         raw = copy.deepcopy(MINI)
         raw["solver"] = None

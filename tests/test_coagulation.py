@@ -116,22 +116,25 @@ class TestWorkspace:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < ct.pair_i.size * 8
+        assert peak < grid.cells * (grid.cells + 1) // 2 * 8
 
-    def test_results_do_not_alias_the_gather_buffers(self, grid):
+    def test_interleaved_applications_are_reentrant(self, grid):
+        # the tables are read-only after set-up: applications interleaved on
+        # one set give, bit for bit, what each gives on tables of its own
         k = CoagulationKernel("sum", k0=0.7, alpha=0.5)
         ct = build_coag_tables(k, grid)
+        tables = [a.copy() for a in (ct.gain.data, ct.gain.indices, ct.gain.indptr,
+                                     ct.row_partner, ct.row_target)]
         rng = np.random.default_rng(3)
-        fa, fb = (DensityField(grid, rng.random(grid.cells) * np.exp(-grid.centers))
-                  for _ in range(2))
-        first = apply_coag(fa, ct)
-        kept = first.values.copy(), first.escaped_mass
-        apply_coag(fb, ct)
-        assert np.array_equal(first.values, kept[0]) and first.escaped_mass == kept[1]
-        fresh = apply_coag(fa, build_coag_tables(k, grid))
-        assert np.array_equal(first.values, fresh.values)
-        assert first.escaped_mass == fresh.escaped_mass
-        assert not any(np.shares_memory(first.values, buf) for buf in ct.gather)
+        fields = [DensityField(grid, rng.random(grid.cells) * np.exp(-grid.centers))
+                  for _ in range(3)]
+        shared = [apply_coag(f, ct) for f in fields + fields[::-1]]
+        for f, out in zip(fields + fields[::-1], shared):
+            fresh = apply_coag(f, build_coag_tables(k, grid))
+            assert np.array_equal(out.values, fresh.values)
+            assert out.escaped_mass == fresh.escaped_mass
+        assert all(np.array_equal(a, b) for a, b in zip(tables, (
+            ct.gain.data, ct.gain.indices, ct.gain.indptr, ct.row_partner, ct.row_target)))
 
 
 def reference_coag(f, kernel):
@@ -204,6 +207,45 @@ class TestAgainstPairLoop:
         dense = ct.kernel @ (f.values * grid.widths)
         lam = coag_loss_rate(f, ct)
         assert np.max(np.abs(lam - dense)) <= 1e-13 * np.max(np.abs(dense))
+
+
+def assert_gain_places_each_pair(grid, ct):
+    """The gain operator alone, read entry by entry: every pair (i, j), i <= j,
+    has two entries, which carry its coefficient 0.5*k*(2 - delta_ij) as
+    number onto cells (interior pairs) and place its mass x_i + x_j, the
+    escape row counting as mass already."""
+    x, n = grid.centers, grid.cells
+    g = ct.gain.tocoo()
+    assert np.all(g.data >= 0)
+    i, j, t = g.col, ct.row_partner[g.row], ct.row_target[g.row]
+    assert np.all(i <= j)
+    cell = t < n
+    number, mass, count = np.zeros((n, n)), np.zeros((n, n)), np.zeros((n, n), int)
+    np.add.at(number, (i[cell], j[cell]), g.data[cell])
+    np.add.at(mass, (i[cell], j[cell]), x[t[cell]] * g.data[cell])
+    np.add.at(mass, (i[~cell], j[~cell]), g.data[~cell])
+    np.add.at(count, (i, j), 1)
+    upper = np.triu(np.ones((n, n), bool))
+    coeff = np.where(np.eye(n, dtype=bool), 0.5, 1.0) * ct.kernel
+    s = x[:, None] + x[None, :]
+    interior = upper & (s <= x[-1])
+    assert np.all(count[upper] == 2) and np.all(count[~upper] == 0)
+    assert np.allclose(number[interior], coeff[interior], rtol=1e-12, atol=0.0)
+    placed = (s * coeff)[upper]
+    assert np.all(np.abs(mass[upper] - placed) <= 1e-12 * placed)
+
+
+class TestGainPlacement:
+    def test_sum_kernel_on_power_of_two_edges(self, grid):
+        # 2*x_j falls on a center here, so brackets meet their ties
+        ct = build_coag_tables(CoagulationKernel("sum", k0=0.7, alpha=0.5), grid)
+        assert_gain_places_each_pair(grid, ct)
+
+    @settings(max_examples=20, deadline=None)
+    @given(coag_cases())
+    def test_every_kernel_kind(self, case):
+        grid, k, _ = case
+        assert_gain_places_each_pair(grid, build_coag_tables(k, grid))
 
 
 class TestShiftedOperator:
