@@ -7,6 +7,7 @@ verification run.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Optional
@@ -76,7 +77,8 @@ def _fields(cls, section: dict, path: str) -> dict:
     """A scenario section as keyword arguments of cls, one per field name,
     so every default is the dataclass's.  Numbers are cast by the field's
     annotation: PyYAML reads `1e-3` (no dot) as a string.  An int field
-    takes a whole number, written `64` or `64.0`."""
+    takes a whole number, written `64` or `64.0`, and every number is
+    finite."""
     types = {f.name: f.type for f in fields(cls)}
     out = {}
     for key, value in section.items():
@@ -90,6 +92,8 @@ def _fields(cls, section: dict, path: str) -> dict:
             raise ConfigFileError(f"'{path}{key}' must be a number, got {value!r}") from exc
         if cast is int and not number.is_integer():
             raise ConfigFileError(f"'{path}{key}' must be a whole number, got {value!r}")
+        if not math.isfinite(number):
+            raise ConfigFileError(f"'{path}{key}' must be finite, got {value!r}")
         out[key] = cast(number)
     return out
 

@@ -46,7 +46,6 @@ __all__ = [
 ]
 
 
-CFL_SAFETY = 0.9               # dt may use this share of the advective CFL limit
 BLOWUP_CEILING = 1e6           # a split run stops once its norm grows this much
 PICARD_TOL = 1e-8              # Picard stops below this relative update ...
 PICARD_MAX_ITER = 30           # ... or after this many iterations
@@ -70,11 +69,11 @@ class NumericalFailureError(RuntimeError):
 class SolverConfig:
     """Time-stepping parameters and the weight-order bookkeeping.
 
-    The secondary orders satisfy max{1, l} < n < p < m with p = m - alpha
-    when the Duhamel solver is used; the advective CFL (with safety factor
-    CFL_SAFETY) keeps the semi-Lagrangian remap local and the positivity
-    bound keeps the explicit coagulation loss dominated on the configured
-    ball, whose shift the kernel set carries.
+    The secondary orders satisfy 1 < n < p < m with p = m - alpha when the
+    Duhamel solver is used.  The one bound on dt is the positivity step
+    bound, which keeps the explicit coagulation loss dominated on the
+    configured ball, whose shift the kernel set carries; the transport is
+    exact along characteristics and needs none.
     """
 
     dt: float = 1e-3
@@ -91,30 +90,19 @@ class SolverConfig:
             raise ConfigError("dt and t_end must be positive")
         if self.scheme not in ("lie-split", "strang-split", "duhamel"):
             raise ConfigError(f"unknown scheme {self.scheme!r}")
-        ell = ks.b.n0_bound_exponent
-        lmax = max(1.0, ell)
-        if self.m <= lmax:
-            raise ConfigError(f"weight order m = {self.m} must exceed max(1, l) = {lmax}")
-        if not ks.k.is_zero and self.m <= ks.k.alpha + lmax:
-            raise ConfigError(
-                f"coagulation needs m > alpha + max(1, l) = {ks.k.alpha + lmax}")
+        if self.m <= 1.0:
+            raise ConfigError(f"weight order m = {self.m} must exceed 1")
+        if not ks.k.is_zero and self.m <= ks.k.alpha + 1.0:
+            raise ConfigError(f"coagulation needs m > alpha + 1 = {ks.k.alpha + 1.0}")
         if self.scheme == "duhamel":
             if self.p is None or self.n is None:
                 raise ConfigError("duhamel scheme needs the secondary orders n and p")
-            if not (lmax < self.n < self.p < self.m):
-                raise ConfigError("orders must satisfy max(1, l) < n < p < m")
+            if not (1.0 < self.n < self.p < self.m):
+                raise ConfigError("orders must satisfy 1 < n < p < m")
             if abs(self.p - (self.m - ks.k.alpha)) > 1e-12:
                 raise ConfigError("duhamel scheme requires p = m - alpha")
             if (self.m - self.n) / ks.a.gamma0 >= 1.0:
                 raise ConfigError("(m - n)/gamma0 must be below 1 for the Duhamel integral")
-        # advective CFL against the upwind cell edge
-        if not ks.r.is_zero:
-            r_edge = ks.r(grid.edges[1:])
-            with np.errstate(divide="ignore"):
-                limit = float(np.min(np.where(r_edge > 0, grid.widths / r_edge, np.inf)))
-            if self.dt > CFL_SAFETY * limit:
-                raise ConfigError(
-                    f"dt = {self.dt} violates the advective CFL limit {CFL_SAFETY * limit:.3e}")
         # the step bound and the mild formulation both rest on the shift for this ball
         shift = AbsorptionRate.for_ball(ks.k, self.ball_radius)
         if ks.a1 != shift:
@@ -441,9 +429,8 @@ def regularization_probe(ks: KernelSet, grid: SizeGrid, m: float, n: float, p: f
     grid-stable supremum empirically confirms the blow-up exponent is not
     worse than (m - n)/gamma0.
     """
-    lmax = max(1.0, ks.b.n0_bound_exponent)
-    if not (lmax < n < p < m):
-        raise SetupError("orders must satisfy max(1, l) < n < p < m")
+    if not (1.0 < n < p < m):
+        raise SetupError("orders must satisfy 1 < n < p < m")
     t_list = np.asarray(t_list, dtype=float)
 
     def profile(x):

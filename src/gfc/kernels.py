@@ -59,6 +59,21 @@ def _quad(fun, lo, hi, points=None, epsabs=1e-10, epsrel=1e-8) -> float:
     return val
 
 
+def _set_tables(obj, *names: str) -> None:
+    """Store each named table field of the frozen dataclass obj as a float
+    array; an entry that is not a number, NaN or infinite fails here,
+    naming the field."""
+    for name in names:
+        try:
+            values = np.asarray(getattr(obj, name), float)
+        except (TypeError, ValueError) as exc:
+            raise KernelConfigError(f"'{name}' must be an array of numbers: {exc}") from exc
+        bad = ~np.isfinite(values)
+        if np.any(bad):
+            raise KernelConfigError(f"'{name}' must be finite, got {values[bad][0]}")
+        object.__setattr__(obj, name, values)
+
+
 @dataclass(frozen=True)
 class FragmentationRate:
     """Overall breakup rate a(x).
@@ -84,8 +99,7 @@ class FragmentationRate:
         if self.kind == "table":
             if self.table_x is None or self.table_a is None:
                 raise KernelConfigError("table fragmentation needs table_x/table_a")
-            object.__setattr__(self, "table_x", np.asarray(self.table_x, float))
-            object.__setattr__(self, "table_a", np.asarray(self.table_a, float))
+            _set_tables(self, "table_x", "table_a")
 
     @property
     def is_zero(self) -> bool:
@@ -147,30 +161,18 @@ class DaughterDistribution:
         if self.kind == "table":
             if self.table_u is None or self.table_phi is None:
                 raise KernelConfigError("table daughter needs table_u/table_phi")
-            u = np.asarray(self.table_u, float)
-            phi = np.asarray(self.table_phi, float)
+            _set_tables(self, "table_u", "table_phi")
+            u, phi = self.table_u, self.table_phi
             if u[0] != 0.0 or u[-1] != 1.0 or np.any(np.diff(u) <= 0):
                 raise KernelConfigError("table_u must increase from 0 to 1")
             if np.any(phi < 0):
                 raise KernelConfigError("table_phi must be nonnegative")
-            object.__setattr__(self, "table_u", u)
-            object.__setattr__(self, "table_phi", phi)
             # exact first moment of the piecewise-linear phi; renormalize so
             # that the discrete mass-conservation identity holds exactly
             m1 = _pl_integral(u, phi, 1.0, 1)
             if m1 <= 0:
                 raise KernelConfigError("table daughter carries no mass")
             object.__setattr__(self, "_scale", 1.0 / m1)
-
-    @property
-    def n0_bound_amplitude(self) -> float:
-        """b0 in the daughter-number bound n0(y) <= b0*(1 + y^l)."""
-        return self.number_of_daughters()
-
-    @property
-    def n0_bound_exponent(self) -> float:
-        """l in the daughter-number bound; 0 for every homogeneous kind."""
-        return 0.0
 
     def number_of_daughters(self) -> float:
         """n0: mean fragment count per breakup (size independent here)."""
@@ -245,12 +247,10 @@ class GrowthRate:
         if self.kind == "table":
             if self.table_x is None or self.table_r is None:
                 raise KernelConfigError("table growth needs table_x/table_r")
-            xs = np.asarray(self.table_x, float)
-            rs = np.asarray(self.table_r, float)
+            _set_tables(self, "table_x", "table_r")
+            rs = self.table_r
             if np.any(rs <= 0):
                 raise KernelConfigError("table growth must be strictly positive")
-            object.__setattr__(self, "table_x", xs)
-            object.__setattr__(self, "table_r", rs)
             # default affine majorant for tables unless supplied: constant cap
             if self.r0 == 0.0 and self.r1 == 0.0:
                 object.__setattr__(self, "r0", float(np.max(rs)))
@@ -307,13 +307,11 @@ class CoagulationKernel:
         if self.kind == "table":
             if self.table_x is None or self.table_k is None:
                 raise KernelConfigError("table coagulation needs table_x/table_k")
-            xs = np.asarray(self.table_x, float)
-            ks = np.asarray(self.table_k, float)
-            if ks.shape != (len(xs), len(xs)):
+            _set_tables(self, "table_x", "table_k")
+            ks = self.table_k
+            if ks.shape != (len(self.table_x), len(self.table_x)):
                 raise KernelConfigError("table_k must be square over table_x")
-            ks = 0.5 * (ks + ks.T)  # enforce symmetry exactly
-            object.__setattr__(self, "table_x", xs)
-            object.__setattr__(self, "table_k", ks)
+            object.__setattr__(self, "table_k", 0.5 * (ks + ks.T))  # enforce symmetry exactly
 
     @property
     def is_zero(self) -> bool:
@@ -489,7 +487,7 @@ def validate_kernel_set(ks: KernelSet, xmin: float, xmax: float,
     sizes geometrically spaced over [xmin, xmax].
 
     The weight order m (and the coagulation solver requirement
-    m > alpha + max{1, l}) is reported when m is given.  Failures are
+    m > alpha + 1) is reported when m is given.  Failures are
     'kernel-validation' rows, never exceptions.  Checks that do not apply to
     the scenario (for instance growth positivity with growth switched off)
     are reported 'n/a'.
@@ -528,10 +526,12 @@ def validate_kernel_set(ks: KernelSet, xmin: float, xmax: float,
     add("daughter-mass-conservation", worst, "<=", 1e-8,
         detail="relative residual of int x*b(x,y) dx = y; inf if quadrature fails")
 
-    b0, ell = ks.b.n0_bound_amplitude, ks.b.n0_bound_exponent
+    # every kind is homogeneous, so n0 is size independent and the paper's
+    # bound n0(y) <= b0 (1 + y^l) holds with l = 0 and b0 = n0
+    b0 = ks.b.number_of_daughters()
     n0 = np.array([daughter_moment(ks.b, 0.0, float(y)) for y in xs])
-    add("daughter-number-bound", float(np.max(n0 - b0 * (1.0 + xs**ell))), "<=", 0.0,
-        1e-8 * b0, f"n0(y) <= {b0}*(1 + y^{ell})")
+    add("daughter-number-bound", float(np.max(n0 - 2.0 * b0)), "<=", 0.0,
+        1e-8 * b0, f"n0(y) <= b0*(1 + y^0), b0 = {b0}")
 
     ratios = np.array([moment_deficit(ks.b, LIMINF_M0, float(y)) / y**LIMINF_M0
                        for y in np.geomspace(Y_PROBE, 100.0 * Y_PROBE, 25)])
@@ -574,9 +574,7 @@ def validate_kernel_set(ks: KernelSet, xmin: float, xmax: float,
             detail="alpha < gamma0 keeps a1/a bounded at infinity")
 
     if m is not None:
-        lmax = max(1.0, ell)
-        add("weight-order", m, ">", lmax, detail="m > max{1, l}")
+        add("weight-order", m, ">", 1.0, detail="m > 1")
         if not ks.k.is_zero:
-            add("weight-order-coagulation", m, ">", ks.k.alpha + lmax,
-                detail="m > alpha + max{1, l}")
+            add("weight-order-coagulation", m, ">", ks.k.alpha + 1.0, detail="m > alpha + 1")
     return rows

@@ -194,7 +194,7 @@ def assemble_bound_params(ks: KernelSet, m: float, envelope: dict,
     par = MomentBoundParams(
         orders=orders, gamma0=gamma0, alpha=alpha, rtilde=ks.r.rtilde,
         condition=condition.certified, M1_max=M1_max, x0=ks.a.x0,
-        b0=ks.b.n0_bound_amplitude,
+        b0=ks.b.number_of_daughters(),
         power=(2 * gamma0 - alpha) / (gamma0 - alpha), envelope=envelope)
 
     k0 = ks.k.k0 if not ks.k.is_zero else 0.0

@@ -3,8 +3,9 @@
 `benchmarks/` drives gfc through public names, patches some of them for its
 span tracer and reads fields of the objects they return.  Each workload is
 set up and run once under the tracer here and must pass every output gate
-against its stored reference, so a change that breaks one of those hooks
-fails the tests rather than the benchmark run.
+against its stored reference, and the layer sweep times each of its
+functions once, so a change that breaks one of those hooks fails the tests
+rather than the benchmark run.
 """
 import sys
 from pathlib import Path
@@ -13,6 +14,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
 import spans  # noqa: E402
+import sweep  # noqa: E402
 import workloads  # noqa: E402
 
 
@@ -26,3 +28,20 @@ def test_workload_passes_its_gates_under_the_tracer(name, tmp_path):
     gates = workloads.output_gates(wl, out, err)
     assert gates["trajectory-present"]
     assert all(gates.values()), sorted(g for g, ok in gates.items() if not ok)
+
+
+def test_sweep_calls_each_layer_function(monkeypatch):
+    """`sweep.sweep_cells` with one call per timed function: this pins the
+    calls it makes, such as the positional `transport_apply(f, t, ks, m,
+    antid=...)` and `make_antiderivatives(ks, grid)`."""
+    timed = []
+
+    def one_call(fn, args_cycle):
+        timed.append(fn(*args_cycle[0]))
+        return 0.0
+
+    monkeypatch.setattr(sweep, "per_call_ms", one_call)
+    rows = sweep.sweep_cells(32, 0)
+    assert rows == dict.fromkeys(("apply_coag", "transport_apply", "daughter_gain",
+                                  "table_build_daughter_matrix"), 0.0)
+    assert len(timed) == 4 and all(out is not None for out in timed)

@@ -14,6 +14,7 @@ from gfc.kernels import (CoagulationKernel, DaughterDistribution, FragmentationR
 from gfc.presets import PRESETS, get_preset, preset_names
 
 
+NAN, INF = float("nan"), float("inf")
 MINI = {
     "kernels": {
         "fragmentation": {"kind": "power-law", "a0": 0.0, "gamma0": 1.0, "x0": 1.0},
@@ -203,6 +204,41 @@ class TestConfigParsing:
         with pytest.raises(ConfigFileError, match=r"'grid\.cells' must be a whole number"):
             load_scenario("constant-coag", {"grid": {"cells": 64.7}})
 
+    @pytest.mark.parametrize("path,value,message", [
+        *[(path, value, f"'{path}' must be finite") for path, value in (
+            ("time.dt", NAN), ("time.t_end", INF), ("solver.m", NAN), ("grid.xmax", INF),
+            ("kernels.ball_radius", NAN), ("kernels.coagulation.alpha", NAN),
+            ("kernels.coagulation.k0", NAN), ("kernels.fragmentation.a0", NAN),
+            ("kernels.growth.r1", NAN), ("initial.decay", NAN), ("initial.amplitude", INF))],
+        ("kernels.growth", {"kind": "table", "table_x": [1e-3, 1.0, 50.0],
+                            "table_r": [0.1, NAN, 0.2]}, "'table_r' must be finite"),
+        ("kernels.growth", {"kind": "table", "table_x": [1e-3, 1.0, 50.0],
+                            "table_r": [0.1, "fast", 0.2]},
+         "'table_r' must be an array of numbers"),
+        ("kernels.daughter", {"kind": "table", "table_u": [0.0, 0.5, 1.0],
+                              "table_phi": [1.0, NAN, 1.0]}, "'table_phi' must be finite"),
+        ("kernels.coagulation", {"kind": "table", "table_x": [1e-3, 50.0], "k0": 2.0,
+                                 "table_k": [[1.0, NAN], [NAN, 1.0]]},
+         "'table_k' must be finite"),
+    ], ids=lambda v: v if isinstance(v, str) else None)
+    def test_non_finite_numbers_fail_at_load_naming_the_key(self, tmp_path, capsys,
+                                                           path, value, message):
+        """A NaN or infinite number, in a file (YAML `.nan`, `.inf`) or in a
+        table, and a table entry that is not a number, fail at load with one
+        line naming the key, not mid-run or with a traceback."""
+        raw = get_preset("gfc-global-ii")
+        *sections, key = path.split(".")
+        node = raw
+        for section in sections:
+            node = node.setdefault(section, {})
+        node[key] = value
+        message = re.escape(message)
+        with pytest.raises((ConfigFileError, KernelConfigError), match=message):
+            load_scenario(raw)
+        assert main(["verify", "--config", write_cfg(tmp_path, raw),
+                     "--out", str(tmp_path / "o")]) == 1
+        assert re.match(f"error: {message}", capsys.readouterr().err)
+
     def test_null_sections_load_as_empty(self, tmp_path, capsys):
         raw = copy.deepcopy(MINI)
         raw["solver"] = None
@@ -242,9 +278,8 @@ class TestConfigParsing:
 
     def test_cross_field_validation_before_run(self, tmp_path):
         raw = copy.deepcopy(MINI)
-        raw["kernels"]["growth"] = {"kind": "constant", "r0": 1.0}
-        raw["time"]["dt"] = 0.5   # violates the advective CFL
-        with pytest.raises(Exception, match="CFL"):
+        raw["time"]["dt"] = 0.5   # breaks dt * max(a + beta (1 + x^alpha)) <= 1
+        with pytest.raises(ConfigError, match="positivity"):
             load_scenario(write_cfg(tmp_path, raw))
 
 

@@ -162,5 +162,5 @@ class TestValidation:
     def test_weight_order_rows(self):
         ks = make_kernels(a0=1.0, k0=1.0, coag_kind="sum", alpha=0.5)
         rows = {r.name: r for r in validate_kernel_set(ks, 1e-3, 1e2, m=1.2)}
-        assert rows["weight-order"].passed            # 1.2 > max(1, 0)
+        assert rows["weight-order"].passed            # 1.2 > 1
         assert not rows["weight-order-coagulation"].passed   # needs m > 1.5

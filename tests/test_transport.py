@@ -200,7 +200,7 @@ def transport_case(draw):
         vals = np.array(draw(st.lists(st.sampled_from(FIELD_ATOMS),
                                       min_size=cells, max_size=cells)))
     f0 = DensityField(grid, vals, draw(st.sampled_from([0.0, 0.25])))
-    # from a fraction of one cell (under the CFL limit) to several crossings
+    # from a fraction of one cell to several crossings
     # of the whole grid (feet exit through the origin, escape is active)
     t = 10.0 ** draw(st.floats(-5.0, 1.0))
     return f0, t, ks, draw(st.booleans())
