@@ -51,9 +51,10 @@ class CoagTables:
     `kernel` is the full symmetric (n, n) matrix of k(x_i, x_j).  The loss
     term of a table kernel is a mat-vec with it; a closed-form kernel is the
     rank-r (r <= 2) product ``loss_u @ loss_w`` of an (n, r) and an (r, n)
-    factor, so its loss term costs O(n) (both factors are None for a table
-    kernel).  `idx_lo` to `interior` hold one entry per pair i <= j, in
-    row-major upper-triangle order (the order of ``np.triu_indices(n)``).
+    factor (`CoagulationKernel.loss_factors`), so its loss term costs O(n)
+    (both factors are None for a table kernel).  `idx_lo` to `interior`
+    hold one entry per pair i <= j, in row-major upper-triangle order (the
+    order of ``np.triu_indices(n)``).
 
     `gain` is the (rows, n) CSC operator.  Row r stands for partner
     ``row_partner[r]`` = j and target ``row_target[r]`` = t, a cell or n for
@@ -83,19 +84,6 @@ class CoagTables:
     row_target: np.ndarray    # (rows,) target cell of each gain row, n to escape
     loss_u: Optional[np.ndarray]  # (n, r) loss factor, None for a table kernel
     loss_w: Optional[np.ndarray]  # (r, n)
-
-
-def _loss_factors(k: CoagulationKernel, x: np.ndarray):
-    """(U, W) with k(x_i, x_j) = (U @ W)[i, j] from the kernel's closed form:
-    constant k0*1, sum k0(1 + x^a)*1 + k0*y^a, product k0(1 + x^a)(1 + y^a);
-    (None, None) for a table kernel."""
-    if k.kind == "table":
-        return None, None
-    one, xa = np.ones_like(x), np.power(x, k.alpha)
-    u, w = {"constant": ([one], [one]),
-            "sum": ([1.0 + xa, one], [one, xa]),
-            "product": ([1.0 + xa], [1.0 + xa])}[k.kind]
-    return k.k0 * np.stack(u, axis=1), np.stack(w)
 
 
 def build_coag_tables(k: CoagulationKernel, grid: SizeGrid) -> CoagTables:
@@ -172,7 +160,7 @@ def build_coag_tables(k: CoagulationKernel, grid: SizeGrid) -> CoagTables:
     gain = sparse.csc_matrix((vals.ravel(), rows.ravel(), indptr), shape=(row_end[-1], n))
 
     return CoagTables(grid, kernel, idx_lo, w_lo, idx_hi, w_hi, esc_coeff, inter,
-                      gain, row_partner, row_target, *_loss_factors(k, x))
+                      gain, row_partner, row_target, *k.loss_factors(x))
 
 
 def _event_rates(f: DensityField, ct: CoagTables) -> np.ndarray:

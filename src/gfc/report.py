@@ -283,8 +283,9 @@ def _suite_mass_budget(ctx: ScenarioContext) -> list[ReportRow]:
 
 
 def _is_aizenman_bak(ks: KernelSet) -> bool:
-    return (ks.a.kind in ("power-law", "linear") and ks.a.a0 == 1.0
-            and ks.a.gamma0 == 1.0 and ks.b.kind == "uniform-binary"
+    """Pure fragmentation a(x) = x with the binary daughter law b = 2/y."""
+    return (ks.a.kind != "table" and ks.a.a0 == 1.0 and ks.a.gamma0 == 1.0
+            and ks.b.kind != "table" and ks.b.nu == 0.0
             and ks.r.is_zero and ks.k.is_zero)
 
 

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -69,10 +70,12 @@ class ParameterDomainError(ValueError):
 class Antiderivatives:
     """Antiderivatives R of 1/r and Q of q/r, normalized to vanish at x = 1.
 
-    R is strictly increasing and invertible; Q is nondecreasing.  Closed
-    forms cover the constant/linear/affine growth kinds; everything else is
-    tabulated with per-segment Gauss quadrature on a dense geometric mesh and
-    interpolated monotonically in log x.
+    R is strictly increasing and invertible; Q is nondecreasing.  R has
+    closed forms for the affine growth law r0 + r1*x (one for r1 = 0, one
+    for the rest); a table rate, and every Q, is tabulated with per-segment
+    Gauss quadrature on a dense geometric mesh and interpolated monotonically
+    in log x.  The Q table is built on first use: a solve that transports
+    without absorption never reads it.
     """
 
     def __init__(self, ks: KernelSet, x_lo: float, x_hi: float, anchors: int = 1200):
@@ -83,18 +86,15 @@ class Antiderivatives:
         self.x_lo = float(min(x_lo, 0.5))
         self.x_hi = float(max(x_hi, 2.0))
         self._anchors = int(anchors)
-        self.mode = "closed-form" if r.kind in ("constant", "linear", "affine") else "tabulated-quadrature"
+        self._q = ks.q
         self._q_is_zero = ks.a.is_zero and ks.a1.beta == 0.0
         self._transport_plan = None   # memo of transport_apply
 
-        if self.mode == "tabulated-quadrature":
+        if r.kind == "table":
             t, R = self._tabulate(lambda s: 1.0 / r(s))
             self._R_interp = PchipInterpolator(t, R, extrapolate=True)
             self._Rinv_interp = (PchipInterpolator(R, t, extrapolate=True)
                                  if np.all(np.diff(R) > 0) else None)
-        if not self._q_is_zero:
-            t, Q = self._tabulate(lambda s: ks.q(s) / r(s))
-            self._Q_interp = PchipInterpolator(t, Q, extrapolate=True)
 
     def _tabulate(self, integrand) -> tuple[np.ndarray, np.ndarray]:
         """log x at the anchors and the antiderivative of integrand there."""
@@ -113,40 +113,39 @@ class Antiderivatives:
     def R(self, x):
         x = np.asarray(x, dtype=float)
         r = self.growth
-        if r.kind == "constant":
+        if r.kind == "table":
+            return self._R_interp(np.log(x))
+        if r.r1 == 0.0:
             return (x - 1.0) / r.r0
-        if r.kind == "linear":
-            return np.log(x) / r.r1
-        if r.kind == "affine":
-            return np.log((r.r0 + r.r1 * x) / (r.r0 + r.r1)) / r.r1
-        return self._R_interp(np.log(x))
+        return np.log((r.r0 + r.r1 * x) / (r.r0 + r.r1)) / r.r1
 
     def R_inverse(self, u):
         u = np.asarray(u, dtype=float)
         r = self.growth
-        if r.kind == "constant":
+        if r.kind == "table":
+            return np.exp(self._Rinv_interp(u))
+        if r.r1 == 0.0:
             return 1.0 + r.r0 * u
-        if r.kind == "linear":
-            return np.exp(r.r1 * u)
-        if r.kind == "affine":
-            return ((r.r0 + r.r1) * np.exp(r.r1 * u) - r.r0) / r.r1
-        return np.exp(self._Rinv_interp(u))
+        return ((r.r0 + r.r1) * np.exp(r.r1 * u) - r.r0) / r.r1
 
     @property
     def R_at_origin(self) -> float:
         """m_R: limit of R at 0+, finite exactly when the origin is reachable."""
         r = self.growth
-        if r.kind == "constant":
+        if r.kind == "table":
+            # tables extend with a positive constant, so the limit is finite;
+            # approximate it by the tabulated low end
+            return float(self.R(self.x_lo))
+        if r.r1 == 0.0:
             return -1.0 / r.r0
-        if r.kind == "linear":
-            return -math.inf
-        if r.kind == "affine":
-            return math.log(r.r0 / (r.r0 + r.r1)) / r.r1 if r.r0 > 0 else -math.inf
-        # tables extend with a positive constant, so the limit is finite;
-        # approximate it by the tabulated low end
-        return float(self.R(self.x_lo))
+        return math.log(r.r0 / (r.r0 + r.r1)) / r.r1 if r.r0 > 0 else -math.inf
 
     # -- Q ------------------------------------------------------------
+    @cached_property
+    def _Q_interp(self) -> PchipInterpolator:
+        t, Q = self._tabulate(lambda s: self._q(s) / self.growth(s))
+        return PchipInterpolator(t, Q, extrapolate=True)
+
     def Q(self, x):
         x = np.asarray(x, dtype=float)
         if self._q_is_zero:

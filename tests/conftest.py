@@ -22,6 +22,14 @@ def make_kernels(a0=0.0, gamma0=1.0, x0=1.0, daughter="uniform-binary", nu=0.0,
     )
 
 
+# each canonical growth spelling beside the affine law r0 + r1*x it names
+GROWTH_SPELLINGS = [
+    ({"kind": "constant", "r0": 0.3}, {"kind": "affine", "r0": 0.3, "r1": 0.0}),
+    ({"kind": "linear", "r1": 0.25}, {"kind": "affine", "r0": 0.0, "r1": 0.25}),
+    ({"kind": "constant", "r0": 0.0}, {"kind": "affine", "r0": 0.0, "r1": 0.0}),
+]
+
+
 @pytest.fixture
 def unit_growth_kernels():
     """r = 1, everything else switched off."""

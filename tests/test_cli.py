@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+from conftest import GROWTH_SPELLINGS
 from gfc.cli import main
 from gfc.config import SCHEMA, ConfigFileError, load_scenario
 from gfc.evolution import ConfigError, SolverConfig
@@ -398,6 +399,22 @@ class TestCommands:
             printed.append(re.sub(r"\(\d+\.\ds\)", "", capsys.readouterr().out))
         assert printed[0] == printed[1]
         assert len(re.findall(r"^(PASS|FAIL| n/a)  ", printed[0], re.M)) >= 6
+
+    @pytest.mark.parametrize("canonical, affine", GROWTH_SPELLINGS)
+    def test_growth_spellings_verify_alike(self, tmp_path, capsys, canonical, affine):
+        """A growth law verifies the same under each of its spellings."""
+        results = []
+        for i, growth in enumerate((canonical, affine)):
+            raw = get_preset("gfc-global-ii")
+            raw["kernels"]["growth"] = growth
+            raw["grid"]["cells"] = 64
+            raw["time"]["t_end"] = 0.05
+            code = main(["verify", "--config", write_cfg(tmp_path, raw, f"s{i}.yaml"),
+                         "--out", str(tmp_path / f"o{i}")])
+            out = capsys.readouterr().out
+            results.append((code, re.findall(r"^(?:PASS|FAIL| n/a)  .*$", out, re.M)))
+        assert results[0] == results[1]
+        assert len(results[0][1]) >= 40
 
     def test_bit_identical_reruns(self, tmp_path):
         cfg = write_cfg(tmp_path, MINI)

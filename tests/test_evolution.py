@@ -430,8 +430,9 @@ def step_within_bounds(draw, raw: dict) -> None:
 @st.composite
 def closed_form_scenarios(draw):
     """gfc-global-ii with a random closed-form coagulation kernel (alpha <
-    gamma0, k0 <= 1), random constant/linear/affine growth and a random grid
-    range of 16-32 cells."""
+    gamma0, k0 <= 1), random constant/linear/affine growth whose r0 and r1
+    are 0 or in [0.05, 1] (linear needs r1 > 0), and a random grid range of
+    16-32 cells."""
     raw = get_preset("gfc-global-ii")
     raw["grid"] = {"xmin": draw(st.floats(1e-3, 0.1)), "xmax": draw(st.floats(10.0, 100.0)),
                    "cells": draw(st.integers(16, 32))}
@@ -443,8 +444,9 @@ def closed_form_scenarios(draw):
                           "alpha": draw(st.floats(0.05, 0.95)) * min(gamma0, 1.0),
                           "bound_class": "local" if kind == "product" else "global"}
     growth = draw(st.sampled_from(["constant", "linear", "affine"]))
-    ker["growth"] = {"kind": growth, "r0": draw(st.floats(0.05, 1.0)),
-                     "r1": draw(st.floats(0.05, 1.0))}
+    coefficient = st.one_of(st.just(0.0), st.floats(0.05, 1.0))
+    ker["growth"] = {"kind": growth, "r0": draw(coefficient),
+                     "r1": draw(st.floats(0.05, 1.0) if growth == "linear" else coefficient)}
     step_within_bounds(draw, raw)
     return raw
 

@@ -1,15 +1,18 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from conftest import make_kernels
+from conftest import GROWTH_SPELLINGS, make_kernels
 from gfc.fragmentation import build_daughter_matrix
 from gfc.grid import SizeGrid
 from gfc.kernels import (REACHABLE, UNREACHABLE, CoagulationKernel,
                          DaughterDistribution, GrowthRate, compute_beta,
                          daughter_moment, moment_deficit, validate_kernel_set)
+from gfc.transport import Antiderivatives, ParameterDomainError
 
 
 class TestDaughterMoments:
@@ -90,6 +93,12 @@ class TestDaughterMoments:
         dm = build_daughter_matrix(b, grid)
         np.testing.assert_allclose(dm.column_moment(1.0), grid.centers, rtol=1e-12)
 
+    def test_uniform_binary_is_the_power_law_at_nu_zero(self):
+        grid = SizeGrid.geometric(1e-3, 50.0, 256)
+        binary = build_daughter_matrix(DaughterDistribution("uniform-binary", nu=0.7), grid)
+        power = build_daughter_matrix(DaughterDistribution("power-law", nu=0.0), grid)
+        np.testing.assert_array_equal(binary.w, power.w)
+
 
 class TestGrowthRate:
     def test_affine_bound_and_rtilde(self):
@@ -102,6 +111,22 @@ class TestGrowthRate:
         assert GrowthRate("constant", r0=2.0).origin_class == REACHABLE
         assert GrowthRate("affine", r0=0.5, r1=1.0).origin_class == REACHABLE
         assert GrowthRate("linear", r1=1.0).origin_class == UNREACHABLE
+
+    @pytest.mark.parametrize("canonical, affine", GROWTH_SPELLINGS)
+    def test_spellings_of_one_affine_law_agree(self, canonical, affine):
+        rates = [GrowthRate(**canonical), GrowthRate(**affine)]
+        assert len({(r.is_zero, r.origin_class) for r in rates}) == 1
+        kernel_sets = [dataclasses.replace(make_kernels(a0=1.0), r=r) for r in rates]
+        if rates[0].is_zero:
+            for ks in kernel_sets:
+                with pytest.raises(ParameterDomainError):
+                    Antiderivatives(ks, 1e-4, 1e3)
+            return
+        ref, alt = (Antiderivatives(ks, 1e-4, 1e3) for ks in kernel_sets)
+        x, u = np.geomspace(1e-4, 1e3, 60), np.linspace(-8.0, 8.0, 41)
+        np.testing.assert_array_equal(ref.R(x), alt.R(x))
+        np.testing.assert_array_equal(ref.R_inverse(u), alt.R_inverse(u))
+        assert ref.R_at_origin == alt.R_at_origin
 
 
 class TestCoagulationKernel:
@@ -152,6 +177,10 @@ class TestValidation:
         row = rows["daughter-mass-conservation"]
         assert not row.passed
         assert row.measured == pytest.approx(0.5, rel=1e-6)   # residual y/2, relative
+        # int (1/y) dx = 1, half the n0 = 2 of the kind the bounds read
+        row = rows["daughter-number-bound"]
+        assert not row.passed
+        assert row.measured == pytest.approx(0.5, rel=1e-6)
 
     @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
     def test_liminf_check_catches_degenerate_daughter(self):

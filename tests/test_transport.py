@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import PchipInterpolator
 
+import gfc.evolution
 import gfc.transport
 from conftest import make_kernels
 from gfc.config import load_scenario
@@ -293,6 +294,25 @@ class TestNoPchipPerStep:
                 cfg = dataclasses.replace(cfg, scheme="duhamel")
                 counts.append(self.count_builds(monkeypatch, lambda: duhamel_solve(f0, cfg, ks)))
         assert counts[0] == counts[1]
+
+
+def test_q_is_tabulated_on_first_use(monkeypatch):
+    """A split solve transports without absorption and builds no Q table;
+    Q built later is the eager table bit for bit."""
+    made = []
+
+    def recording(ks, grid):
+        made.append(gfc.transport.make_antiderivatives(ks, grid))
+        return made[-1]
+
+    monkeypatch.setattr(gfc.evolution, "make_antiderivatives", recording)
+    f0, cfg, ks = TestNoPchipPerStep.scenario(10)
+    solve(f0, cfg, ks)
+    (antid,) = made
+    assert "_Q_interp" not in vars(antid)
+    eager = PchipInterpolator(*antid._tabulate(lambda s: ks.q(s) / ks.r(s)), extrapolate=True)
+    x = np.geomspace(1e-4, 1e3, 200)
+    np.testing.assert_array_equal(antid.Q(x), eager(np.log(x)))
 
 
 class TestResolvent:
