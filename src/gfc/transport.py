@@ -30,6 +30,9 @@ PCHIP slopes and evaluates the cubic Hermite pieces, in plain NumPy.  Both
 follow SciPy's PchipInterpolator and PPoly operation for operation (PPoly
 sums powers y + d*s + c1*s^2 + c0*(s^2*s), it does not use Horner), so the
 result is bit-identical to building a PchipInterpolator on every call.
+Where characteristics converge (r(x0) > r(x), only under a falling growth
+table) the flux r*f is then capped by its larger value at the two centers
+around the foot; on a nondecreasing rate nothing is capped.
 """
 from __future__ import annotations
 
@@ -229,6 +232,11 @@ class _TransportPlan:
         self.feet = _locate(c, x0_safe)
         dQ = antid.Q(c) - antid.Q(x0_safe) if include_absorption else np.zeros_like(c)
         self.r0, self.rx, self.att = r(x0_safe), r(c), np.exp(-dQ)
+        # where characteristics converge r(x0)/r(x) > 1 scales the value read
+        # at the foot, and compounds on a cell where the flow stalls; the exact
+        # flux r*f is only carried and attenuated, so it is capped there
+        conv = np.flatnonzero(self.inside & (self.r0 > self.rx))
+        self.converge = (conv, self.feet[0][conv], self.att[conv] / self.rx[conv])
 
         # parcels crossing xmax during (0, t) have size exactly xmax there; the
         # stretch between the last center and xmax carries the last cell's average
@@ -293,6 +301,10 @@ class _TransportPlan:
         vals = np.where(self.inside,
                         self._evaluate(coef, self.feet) * self.r0 / self.rx * self.att,
                         0.0)
+        conv, j, cap_att = self.converge
+        if conv.size:
+            flux = f0.values * self.rx
+            vals[conv] = np.minimum(vals[conv], np.maximum(flux[j], flux[j + 1]) * cap_att)
         esc = 0.0
         if self.escape is not None:
             where, below_last, att, wdt = self.escape

@@ -139,7 +139,8 @@ class TestTransport:
 
 
 def reference_transport(f0, t, ks, antid, include_absorption):
-    """transport_apply as it was before the plan: one SciPy PCHIP built per call."""
+    """transport_apply as it was before the plan: one SciPy PCHIP built per call,
+    and the flux cap on converging feet."""
     grid = f0.grid
     pchip = PchipInterpolator(grid.centers, f0.values, extrapolate=False)
 
@@ -153,6 +154,10 @@ def reference_transport(f0, t, ks, antid, include_absorption):
     x0_safe = np.where(inside, x0, 1.0)
     dQ = antid.Q(x) - antid.Q(x0_safe) if include_absorption else np.zeros_like(x)
     vals = np.where(inside, ev(x0_safe) * ks.r(x0_safe) / ks.r(x) * np.exp(-dQ), 0.0)
+    j = np.clip(np.searchsorted(x, x0_safe, side="right") - 1, 0, x.size - 2)
+    flux = f0.values * ks.r(x)
+    cap = np.maximum(flux[j], flux[j + 1]) * (np.exp(-dQ) / ks.r(x))
+    vals = np.where(inside & (ks.r(x0_safe) > ks.r(x)), np.minimum(vals, cap), vals)
     esc = 0.0
     yc = r_inverse_clipped(antid, antid.R(grid.xmax) - t)
     if yc < grid.xmax:
@@ -205,6 +210,26 @@ def transport_case(draw):
     # of the whole grid (feet exit through the origin, escape is active)
     t = 10.0 ** draw(st.floats(-5.0, 1.0))
     return f0, t, ks, draw(st.booleans())
+
+
+def test_flux_does_not_grow_where_the_flow_stalls():
+    """A growth table falling from 0.5 to 0.011 within a few cells stalls the
+    flow on the cell at its minimum, and the foot of that center stays beside
+    it.  The exact flux r*f is carried along characteristics, so its largest
+    value on the grid must not grow step after step; reading f at the foot
+    and scaling by r(x0)/r(x) multiplied the stalled cell by 2.4 per step."""
+    xs = np.array([1e-4, 4.47e-3, 0.2, 8.94, 400.0])
+    rs = np.array([0.499, 0.0109, 0.0988, 0.274, 0.304])
+    ks = dataclasses.replace(make_kernels(beta=0.0), r=GrowthRate("table", table_x=xs, table_r=rs))
+    grid = SizeGrid.geometric(1e-3, 50.0, 26)
+    f = project(lambda x: 0.1 * np.exp(-x) / x, grid)
+    antid = make_antiderivatives(ks, grid)
+    r = ks.r(grid.centers)
+    top, m0 = float(np.max(f.values * r)), weighted_integral(f, WeightSpec(0.0, "pure"))
+    for _ in range(24):
+        f = transport_apply(f, 7.8e-3, ks, 2.0, antid=antid, include_absorption=False)
+        assert float(np.max(f.values * r)) <= top
+    assert weighted_integral(f, WeightSpec(0.0, "pure")) <= 1.5 * m0
 
 
 class TestTransportPlan:
