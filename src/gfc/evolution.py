@@ -51,6 +51,7 @@ PICARD_TOL = 1e-8              # Picard stops below this relative update ...
 PICARD_MAX_ITER = 30           # ... or after this many iterations
 MEMBERSHIP_GROWTH_MIN = 1.2    # probe data must grow this much under xmax doubling
 PROBE_TIMES = np.geomspace(1e-2, 1.0, 13)   # the probe's sampling times
+SCHEMES = ("lie-split", "duhamel")          # splitting (`solve`) and Picard (`duhamel_solve`)
 
 
 class ConfigError(ValueError):
@@ -78,7 +79,7 @@ class SolverConfig:
 
     dt: float = 1e-3
     t_end: float = 1.0
-    scheme: str = "strang-split"      # 'lie-split' | 'strang-split' | 'duhamel'
+    scheme: str = "lie-split"         # one of SCHEMES
     m: float = 2.0
     n: Optional[float] = None
     p: Optional[float] = None
@@ -88,8 +89,8 @@ class SolverConfig:
     def validate(self, ks: KernelSet, grid: SizeGrid) -> None:
         if self.dt <= 0 or self.t_end <= 0:
             raise ConfigError("dt and t_end must be positive")
-        if self.scheme not in ("lie-split", "strang-split", "duhamel"):
-            raise ConfigError(f"unknown scheme {self.scheme!r}")
+        if self.scheme not in SCHEMES:
+            raise ConfigError(f"unknown scheme {self.scheme!r}; allowed: {', '.join(SCHEMES)}")
         if self.m <= 1.0:
             raise ConfigError(f"weight order m = {self.m} must exceed 1")
         if not ks.k.is_zero and self.m <= ks.k.alpha + 1.0:
@@ -166,17 +167,18 @@ class Trajectory:
 
 
 class SplitStepper:
-    """One Lie or Strang composition of transport and reaction.
+    """Lie splitting: a step is transport, then reaction.
 
     Transport advects along exact characteristics; the reaction substep
     solves the total linear sink (fragmentation loss plus the beta-shift
     absorption) exactly per cell, redistributes exactly the absorbed
     fragmentation share through the daughter matrix, returns the absorbed
-    shift share pointwise, and advances coagulation explicitly.  Every
-    circuit is mass-neutral to rounding; growth is the only mass source and
-    is accounted in a running ledger.  `linear_step` advances only the
-    linear growth-fragmentation part on the same set-up, with the absorbed
-    shift share removed.
+    shift share pointwise, and advances coagulation explicitly.  That
+    substep is first order, so the step is too; a symmetric composition
+    would not raise it.  Every circuit is mass-neutral to rounding; growth
+    is the only mass source and is accounted in a running ledger.
+    `linear_step` advances only the linear growth-fragmentation part on the
+    same set-up and in the same order, with the absorbed shift share removed.
     """
 
     def __init__(self, ks: KernelSet, grid: SizeGrid, cfg: SolverConfig,
@@ -233,10 +235,7 @@ class SplitStepper:
         return DensityField(self.grid, out, esc)
 
     def step(self, f: DensityField, dt: float) -> DensityField:
-        if self.cfg.scheme == "lie-split":
-            return self._reaction(self._transport(f, dt), dt)
-        half = 0.5 * dt
-        return self._transport(self._reaction(self._transport(f, half), dt), half)
+        return self._reaction(self._transport(f, dt), dt)
 
     def linear_step(self, f: DensityField, dt: float) -> DensityField:
         """Transport, then the linear sink with the shift share removed."""
@@ -256,8 +255,7 @@ class SplitStepper:
 def solve(f0: DensityField, cfg: SolverConfig, ks: KernelSet,
           dm: Optional[DaughterMatrix] = None,
           ct: Optional[CoagTables] = None) -> Trajectory:
-    """March the splitting scheme (lie-split or strang-split) to t_end,
-    recording observables.
+    """March the splitting scheme (lie-split) to t_end, recording observables.
 
     A blow-up monitor halts with outcome 'blowup' once the weighted norm of
     |f| exceeds BLOWUP_CEILING times its initial value, so a negative
@@ -303,10 +301,14 @@ def solve(f0: DensityField, cfg: SolverConfig, ks: KernelSet,
 
 @dataclass
 class DuhamelReport:
-    converged: bool
+    update: float              # the last node error over max(1, ||f0||_[0,m])
     iterations: int
     contraction_factors: list
     contraction_window: float
+
+    @property
+    def converged(self) -> bool:
+        return self.update <= PICARD_TOL
 
 
 def duhamel_solve(f0: DensityField, cfg: SolverConfig, ks: KernelSet,
@@ -318,8 +320,8 @@ def duhamel_solve(f0: DensityField, cfg: SolverConfig, ks: KernelSet,
     stays nonnegative because the shifted coagulation operator is nonnegative
     there.  The time convolution uses the product-trapezoid recurrence
     G_k = S(dt_out)[G_{k-1} + (dt_out/2) K f_{k-1}] + (dt_out/2) K f_k with
-    the propagator resolved by fine substeps, and reports the empirical
-    contraction factor plus the largest time window on which contraction held.
+    the propagator resolved by fine substeps, and reports the last relative
+    update, the contraction factors and the largest window where they held.
     A daughter matrix dm and coagulation tables ct built for (ks, f0.grid)
     are used as given instead of being rebuilt.
     """
@@ -350,10 +352,11 @@ def duhamel_solve(f0: DensityField, cfg: SolverConfig, ks: KernelSet,
         return apply_coag_beta(f, prop.ct, prop.a1)
 
     iterates = [fld.copy() for fld in lin]
+    scale = max(1.0, weighted_integral(f0, wm))
     prev_err: Optional[np.ndarray] = None
     node_factors: Optional[np.ndarray] = None
     factors: list[float] = []
-    converged = False
+    update = math.inf
     it = 0
     for it in range(1, PICARD_MAX_ITER + 1):
         sources = [k_beta(fld) for fld in iterates]
@@ -370,15 +373,14 @@ def duhamel_solve(f0: DensityField, cfg: SolverConfig, ks: KernelSet,
         err_nodes = np.array([
             weighted_integral(DensityField(grid, np.abs(new[k].values - iterates[k].values)), wm)
             for k in range(n_out + 1)])
-        err = float(np.max(err_nodes))
+        update = float(np.max(err_nodes)) / scale
         if prev_err is not None:
             with np.errstate(divide="ignore", invalid="ignore"):
                 node_factors = np.where(prev_err > 0, err_nodes / np.maximum(prev_err, 1e-300), 0.0)
             factors.append(float(np.max(node_factors[1:])) if n_out else 0.0)
         prev_err = err_nodes
         iterates = new
-        if err <= PICARD_TOL * max(1.0, weighted_integral(f0, wm)):
-            converged = True
+        if update <= PICARD_TOL:
             break
 
     window = cfg.t_end
@@ -389,7 +391,7 @@ def duhamel_solve(f0: DensityField, cfg: SolverConfig, ks: KernelSet,
         window = float(times[idx[-1]]) if idx.size else 0.0
 
     traj = Trajectory(grid, cfg.m, times, iterates, np.zeros(n_out + 1))
-    return traj, DuhamelReport(converged, it, factors, window)
+    return traj, DuhamelReport(update, it, factors, window)
 
 
 # ---------------------------------------------------------------------------

@@ -448,9 +448,7 @@ class ReportRow:
     the permissive direction), with the status `verdict` derives from them.
     Every check the harness runs reports rows of this type.
 
-    A row without a relation is 'n/a'.  `held` sets the status by hand; it is
-    only for a row whose printed numbers cannot decide it yet, and that
-    row's detail says so.
+    A row without a relation is 'n/a'.
     """
 
     suite: str
@@ -460,7 +458,6 @@ class ReportRow:
     bound: float = float("nan")
     tol: float = 0.0
     detail: str = ""
-    held: Optional[bool] = None
 
     def __post_init__(self):
         if self.relation is not None and self.relation not in _RELATIONS:
@@ -470,8 +467,6 @@ class ReportRow:
 
     @property
     def status(self) -> str:
-        if self.held is not None:
-            return PASS if self.held else FAIL
         return verdict(self.measured, self.relation, self.bound, self.tol)
 
     @property

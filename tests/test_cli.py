@@ -26,7 +26,7 @@ MINI = {
     },
     "grid": {"xmin": 1.0e-3, "xmax": 50.0, "cells": 64},
     "time": {"dt": 4.0e-3, "t_end": 0.2, "output_every": 0.04},
-    "solver": {"scheme": "strang-split", "m": 2.0},
+    "solver": {"scheme": "lie-split", "m": 2.0},
     "initial": {"profile": "exponential", "amplitude": 1.0, "decay": 1.0},
     "checks": {"suites": ["oracle", "mass-budget"]},
 }
@@ -302,6 +302,21 @@ class TestCommands:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    def test_strang_split_fails_at_load(self, tmp_path, capsys):
+        """Lie is the one splitting composition: the retired name is an
+        unknown scheme at load, and the message lists the two there are."""
+        raw = copy.deepcopy(MINI)
+        raw["solver"]["scheme"] = "strang-split"
+        with pytest.raises(ConfigError, match=r"^unknown scheme 'strang-split'; "
+                                              r"allowed: lie-split, duhamel$"):
+            load_scenario(raw)
+        code = main(["run", "--config", write_cfg(tmp_path, raw),
+                     "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1 and "Traceback" not in err
+        assert err == "error: unknown scheme 'strang-split'; allowed: lie-split, duhamel\n"
+        assert not (tmp_path / "out").exists()
+
     def test_verify_empty_checks_reports_zero_rows(self, tmp_path, capsys):
         raw = copy.deepcopy(MINI)
         raw["checks"] = {"suites": []}
@@ -453,7 +468,7 @@ class TestCommands:
             },
             "grid": {"xmin": 1.0e-2, "xmax": 30.0, "cells": 96},
             "time": {"dt": 2.0e-3, "t_end": 0.3, "output_every": 0.05},
-            "solver": {"scheme": "strang-split", "m": 2.0},
+            "solver": {"scheme": "lie-split", "m": 2.0},
             "initial": {"profile": "mass-exponential", "amplitude": 0.1, "decay": 1.0},
         }
         code = main(["bounds", "--config", write_cfg(tmp_path, raw),
@@ -505,7 +520,7 @@ class TestOneSolvePerScenario:
         header = (tmp_path / "verify" / "scenario_trajectory.csv").read_text().splitlines()[0]
         assert header.split(",")[-4:] == ["bound_0", "bound_1", "bound_2", "bound_m"]
 
-    @pytest.mark.parametrize("scheme", ["strang-split", "duhamel"])
+    @pytest.mark.parametrize("scheme", ["lie-split", "duhamel"])
     def test_coagulation_tables_built_once(self, tmp_path, monkeypatch, scheme):
         import gfc.evolution
         import gfc.report

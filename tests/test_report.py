@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gfc.evolution
 from gfc import moment_bounds as mb
 from gfc.coagulation import coag_moment_identity
 from gfc.config import load_scenario
-from gfc.evolution import pde_residual, regularization_probe
+from gfc.evolution import PICARD_TOL, pde_residual, regularization_probe
 from gfc.fragmentation import frag_moment_identity
 from gfc.kernels import ReportRow, validate_kernel_set, verdict
 from gfc.presets import get_preset, preset_names
@@ -155,7 +156,7 @@ def test_row_rejects_unknown_relation_and_negative_tolerance():
 @pytest.mark.parametrize("name", preset_names())
 def test_every_status_follows_from_its_row(name):
     """Every row of every suite a preset lists is n/a or carries the status
-    its relation gives; picard-contraction is the one hand-set row."""
+    its relation gives."""
     raw = get_preset(name)
     raw["grid"]["cells"] = 64
     raw["time"].update(t_end=0.1, output_every=0.05)
@@ -163,15 +164,32 @@ def test_every_status_follows_from_its_row(name):
     assert {r.suite for r in report.rows} == set(ctx.sc.check_suites)
     lines = report.render().splitlines()
     for r, line in zip(report.rows, lines):
-        if r.name == "picard-contraction":
-            assert r.held is not None and "set by hand" in r.detail
-            continue
-        assert r.held is None, f"{r.suite}/{r.name} sets its status by hand"
         if r.relation is None:
             assert r.status == "n/a" and math.isnan(r.measured), f"{r.suite}/{r.name}"
         else:
             assert r.status == verdict(r.measured, r.relation, r.bound, r.tol)
             assert f" {r.relation} {r.bound:.6g}" in line
+
+
+def test_picard_contraction_is_what_convergence_tests(monkeypatch):
+    """The row measures the last relative Picard update against PICARD_TOL,
+    so its status is the solver's convergence flag: a converged solve
+    passes, one stopped after two iterations fails."""
+    raw = get_preset("gfc-global-ii")
+    raw["grid"]["cells"] = 64
+    raw["time"].update(t_end=0.1, output_every=0.05)
+    ctx = ScenarioContext(load_scenario(raw))
+
+    def picard_row():
+        report, _ = run_suites(ctx, ["solver-cross-validation"])
+        return next(r for r in report.rows if r.name == "picard-contraction")
+
+    row = picard_row()
+    assert (row.relation, row.bound, row.status) == ("<=", PICARD_TOL, "pass")
+    monkeypatch.setattr(gfc.evolution, "PICARD_MAX_ITER", 2)
+    row = picard_row()
+    assert row.status == "fail" and row.measured > PICARD_TOL
+    assert "iteration 2;" in row.detail
 
 
 def test_positivity_row_states_its_direction():
