@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import DensityField, SizeGrid, moment
-from .kernels import DaughterDistribution, KernelSet, ReportRow, daughter_moment
+from .kernels import DaughterDistribution, KernelSet, ReportRow
 
 __all__ = [
     "DaughterMatrix",
@@ -94,19 +94,16 @@ def apply_frag(f: DensityField, ks: KernelSet, dm: DaughterMatrix) -> DensityFie
 
 
 def fragmentation_constants(ks: KernelSet, i: float,
-                            sample_hi: float = 1e3, n_samples: int = 200
-                            ) -> tuple[float, float, float]:
+                            n_samples: int = 200) -> tuple[float, float, float]:
     """Surrogates (delta'_i, delta_i, nu_i) for the fragmentation sink estimate.
 
-    delta'_i is the sampled minimum of N_i(x)/x^i over x >= x0, delta_i
-    scales it by the lower-bound amplitude a0, and nu_i = delta_i * sup a on
-    [0, x0] mirrors the constant produced by splitting the sink integral at
-    x0.
+    delta'_i = N_i(y)/y^i = 1 - Phi_i(1) at every parent size y, the daughter
+    law being homogeneous; delta_i scales it by the lower-bound amplitude a0,
+    and nu_i = delta_i * sup a on [0, x0], sampled at n_samples sizes,
+    mirrors the constant produced by splitting the sink integral at x0.
     """
     x0 = ks.a.x0
-    xs = np.geomspace(x0, max(sample_hi, 10 * x0), n_samples)
-    ratios = np.array([1.0 - daughter_moment(ks.b, i, float(y)) / y**i for y in xs])
-    delta_p = float(np.min(ratios))
+    delta_p = 1.0 - float(ks.b.shape_integral(i, 1.0))
     delta = delta_p * ks.a.a0
     lo = np.linspace(x0 * 1e-6, x0, n_samples)
     nu = delta * float(np.max(ks.a(lo)))
@@ -140,7 +137,7 @@ def frag_moment_identity(f: DensityField, ks: KernelSet,
         rows.append(ReportRow("frag-identities", f"moment-{i:g}", abs(lhs - rhs) / scale,
                               "<=", 1e-11))
         if i > 1:
-            _, delta, nu = fragmentation_constants(ks, i, sample_hi=10 * grid.xmax)
+            _, delta, nu = fragmentation_constants(ks, i)
             bound = -delta * moment(f, i + ks.a.gamma0) + nu * moment(f, i)
             rows.append(ReportRow("frag-identities", f"sink-estimate-{i:g}", lhs, "<=", bound,
                                   1e-12 * abs(bound), f"delta_i={delta:.6g}, nu_i={nu:.6g}"))

@@ -172,7 +172,7 @@ def m01_envelope(condition: ConditionReport, ks: KernelSet, M0_0: float, M1_0: f
 
 
 def assemble_bound_params(ks: KernelSet, m: float, envelope: dict,
-                          condition: ConditionReport, sample_hi: float) -> MomentBoundParams:
+                          condition: ConditionReport) -> MomentBoundParams:
     """Build the D-constants for orders 2 .. floor(m)+1 on the low-moment
     envelope of `m01_envelope`, whose M1 maximum is M1_max.
 
@@ -197,10 +197,10 @@ def assemble_bound_params(ks: KernelSet, m: float, envelope: dict,
         b0=ks.b.number_of_daughters(),
         power=(2 * gamma0 - alpha) / (gamma0 - alpha), envelope=envelope)
 
-    k0 = ks.k.k0 if not ks.k.is_zero else 0.0
+    k0 = ks.k.k0
     sink_share = 0.5 if par.condition == "ii" else 1.0
     for i in orders:
-        dp, d, nu = fragmentation_constants(ks, i, sample_hi=sample_hi)
+        dp, d, nu = fragmentation_constants(ks, i)
         par.delta_prime[i], par.delta[i], par.nu[i] = dp, d, nu
         Ki = binary_expansion_constant(float(i)) * k0 if k0 > 0 else 0.0
         par.K[i] = Ki

@@ -252,8 +252,7 @@ def test_c12_moment_domination(contexts):
         assert cond.any_holds
         traj = ctx.trajectory
         env = mb.m01_envelope(cond, ctx.ks, traj.M0[0], traj.M1[0], traj.times, ctx.cfg.dt)
-        par = mb.assemble_bound_params(ctx.ks, ctx.cfg.m, env, cond,
-                                       sample_hi=10 * ctx.grid.xmax)
+        par = mb.assemble_bound_params(ctx.ks, ctx.cfg.m, env, cond)
         bounds = mb.bound_system(par, {0: traj.M0[0], 1: traj.M1[0], 2: traj.M2[0]},
                                  traj.times, ctx.cfg.dt)
         rows = mb.check_domination(traj, bounds, ctx.ks, tol=0.05)

@@ -481,6 +481,31 @@ class TestCommands:
         header = (tmp_path / "out" / "scenario_trajectory.csv").read_text().splitlines()[0]
         assert "bound_0" in header and "bound_m" in header
 
+    @pytest.mark.parametrize("preset,alpha,m,refusal", [
+        ("constant-coag", 0.5, 2.0, "fragmentation sink surrogate is nonpositive"),
+        ("gfc-global-i", 1.0, 3.0, "needs alpha < gamma0")])
+    def test_refused_bound_cascade_is_one_failing_row(self, tmp_path, capsys, preset, alpha,
+                                                      m, refusal):
+        """The conditions hold but the cascade is refused: run and verify print
+        every row, the refusal in a failing bound-system row; bounds, whose
+        whole output is the cascade, is an error."""
+        raw = get_preset(preset)
+        raw["kernels"]["coagulation"]["alpha"] = alpha
+        raw["solver"]["m"] = m
+        raw["grid"]["cells"] = 64
+        raw["time"].update(t_end=0.05, output_every=0.025)
+        raw["checks"] = {"suites": ["kernel-validation", "moment-domination"]}
+        cfg = write_cfg(tmp_path, raw)
+        for command in ("run", "verify"):
+            assert main([command, "--config", cfg, "--out", str(tmp_path / command)]) == 2
+            out = capsys.readouterr().out
+            assert "PASS  moment-domination/condition" in out
+            assert re.search(r"^FAIL  moment-domination/bound-system +measured=nan >= 0  "
+                             rf"\[no bound system: .*{refusal}", out, re.M)
+            assert "kernel-validation/daughter-liminf" in out
+        assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "bounds")]) == 1
+        assert refusal in capsys.readouterr().err
+
 
 class TestOneSolvePerScenario:
     @staticmethod

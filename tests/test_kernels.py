@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -7,12 +8,27 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from conftest import GROWTH_SPELLINGS, make_kernels
-from gfc.fragmentation import build_daughter_matrix
+import gfc.kernels
+from gfc.fragmentation import build_daughter_matrix, fragmentation_constants
 from gfc.grid import SizeGrid
 from gfc.kernels import (REACHABLE, UNREACHABLE, CoagulationKernel,
-                         DaughterDistribution, GrowthRate, compute_beta,
+                         DaughterDistribution, GrowthRate, QuadratureError, compute_beta,
                          daughter_moment, moment_deficit, validate_kernel_set)
 from gfc.transport import Antiderivatives, ParameterDomainError
+
+
+SHAPE_ORDERS = (0.0, 1.0, 1.5, 2.0, 3.5)
+TABLE_U = np.linspace(0.0, 1.0, 17)
+
+
+def assert_shape_integrals_match_quadrature(b, u, knots=()):
+    """Phi_p(u) = int_0^u s^p phi(s) ds, phi(s) = b(s, 1), against adaptive
+    quadrature at every order of SHAPE_ORDERS."""
+    points = [float(k) for k in knots if 0.0 < k < u] or None
+    for p in SHAPE_ORDERS:
+        oracle, _ = quad(lambda s: b(s, 1.0) * s**p, 0.0, u, points=points,
+                         limit=100, epsabs=0.0, epsrel=1e-13)
+        assert b.shape_integral(p, u) == pytest.approx(oracle, rel=1e-9, abs=1e-300)
 
 
 class TestDaughterMoments:
@@ -92,6 +108,34 @@ class TestDaughterMoments:
                                   data.draw(st.integers(4, 96)))
         dm = build_daughter_matrix(b, grid)
         np.testing.assert_allclose(dm.column_moment(1.0), grid.centers, rtol=1e-12)
+        assert_shape_integrals_match_quadrature(b, data.draw(st.floats(0.0, 1.0)), u)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(-0.9, 6.0), st.floats(0.0, 1.0))
+    def test_power_law_shape_integral_random_exponents(self, nu, u):
+        assert_shape_integrals_match_quadrature(DaughterDistribution("power-law", nu=nu), u)
+
+    @pytest.mark.parametrize("b", [
+        DaughterDistribution("power-law", nu=0.5),
+        DaughterDistribution("table", table_u=TABLE_U,
+                             table_phi=6.0 * TABLE_U * (1.0 - TABLE_U) + 0.5)])
+    def test_daughter_constants_need_no_quadrature(self, monkeypatch, b):
+        def refuse(*args, **kwargs):
+            raise QuadratureError("a daughter constant asked for quadrature")
+
+        monkeypatch.setattr(gfc.kernels, "_quad", refuse)
+        # growth off, so no growth-origin quadrature runs either
+        ks = dataclasses.replace(make_kernels(a0=1.0, r0=0.0), b=b)
+        for m in (0.0, 1.5, 2.0, 3.0):
+            assert daughter_moment(b, m, 7.0) == 7.0**m * b.shape_integral(m, 1.0)
+        for i in (2.0, 3.0):
+            assert fragmentation_constants(ks, i)[0] == 1.0 - b.shape_integral(i, 1.0)
+        rows = {r.name: r for r in validate_kernel_set(ks, 1e-3, 1e2, m=2.0)}
+        assert rows["daughter-liminf"].measured == 1.0 - b.shape_integral(2.0, 1.0)
+        assert rows["daughter-liminf"].passed
+        # the independent checks of b still integrate it numerically
+        assert rows["daughter-mass-conservation"].measured == math.inf
+        assert rows["daughter-number-bound"].measured == math.inf
 
     def test_uniform_binary_is_the_power_law_at_nu_zero(self):
         grid = SizeGrid.geometric(1e-3, 50.0, 256)

@@ -42,7 +42,7 @@ class TestGlobalConditions:
         with pytest.raises(mb.InfeasibleParamsError):
             mb.m01_envelope(cond, ks, 1.0, 1.0, np.linspace(0, 1, 11), 1e-3)
         with pytest.raises(mb.InfeasibleParamsError):
-            mb.assemble_bound_params(ks, 2.0, {1: np.ones(11)}, cond, sample_hi=500.0)
+            mb.assemble_bound_params(ks, 2.0, {1: np.ones(11)}, cond)
 
 
 @pytest.mark.parametrize("growth,r0,certified,share", [("linear", 0.0, "ii", 0.5),
@@ -54,7 +54,7 @@ def test_young_parameter_spends_the_sink_share(growth, r0, certified, share):
     cond = mb.global_conditions(ks, 50.0)
     assert cond.certified == certified
     env = mb.m01_envelope(cond, ks, 1.0, 1.0, np.linspace(0, 1, 11), 1e-3)
-    par = mb.assemble_bound_params(ks, 3.0, env, cond, sample_hi=500.0)
+    par = mb.assemble_bound_params(ks, 3.0, env, cond)
     assert par.orders == [2, 3]
     for i in par.orders:
         closed = (0.9 * share * par.delta[i] * par.gamma0
@@ -66,7 +66,7 @@ class TestBoundSystem:
     @staticmethod
     def _params(ks, cond, times, M0=1.0, M1=1.0):
         env = mb.m01_envelope(cond, ks, M0, M1, times, 1e-3)
-        return mb.assemble_bound_params(ks, 2.0, env, cond, sample_hi=500.0)
+        return mb.assemble_bound_params(ks, 2.0, env, cond)
 
     def test_condition_ii_m1_is_exponential(self):
         ks = make_kernels(a0=1.0, growth="linear", r0=0.0, r1=0.3, k0=0.5,
@@ -173,7 +173,7 @@ def scenario():
     traj = solve(f0, cfg, ks)
     cond = mb.global_conditions(ks, grid.xmax)
     env = mb.m01_envelope(cond, ks, traj.M0[0], traj.M1[0], traj.times, cfg.dt)
-    par = mb.assemble_bound_params(ks, 2.0, env, cond, sample_hi=10 * grid.xmax)
+    par = mb.assemble_bound_params(ks, 2.0, env, cond)
     bounds = mb.bound_system(par, {0: traj.M0[0], 1: traj.M1[0], 2: traj.M2[0]},
                              traj.times, cfg.dt)
     return ks, traj, par, bounds

@@ -3,11 +3,13 @@ suites, with one rule from (measured, relation, bound, tol) to status."""
 import math
 import operator
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gfc.evolution
+import gfc.kernels
 from gfc import moment_bounds as mb
 from gfc.coagulation import coag_moment_identity
 from gfc.config import load_scenario
@@ -203,3 +205,27 @@ def test_positivity_row_states_its_direction():
     (row,) = report.rows
     assert row.name == "min-cell" and row.relation == ">=" and row.bound == 0.0
     assert row.measured > 0.0 and row.status == "pass"
+
+
+def test_table_daughter_quadrature_budget(monkeypatch):
+    """On a table daughter law, numerical quadrature runs only in the
+    independent checks: 50 mass-conservation sizes, 3 daughter-count sizes
+    and 7 growth-origin cutoffs. Every daughter constant is a closed form."""
+    calls = []
+    quad = gfc.kernels._quad
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return quad(*args, **kwargs)
+
+    monkeypatch.setattr(gfc.kernels, "_quad", counted)
+    raw = get_preset("gfc-global-ii")
+    raw["grid"]["cells"] = 128
+    raw["time"]["t_end"] = 0.25
+    u = np.linspace(0.0, 1.0, 17)
+    raw["kernels"]["daughter"] = {"kind": "table", "table_u": u.tolist(),
+                                  "table_phi": (6.0 * u * (1.0 - u) + 0.5).tolist()}
+    report, _ = run_suites(ScenarioContext(load_scenario(raw)),
+                           ["kernel-validation", "frag-identities", "moment-domination"])
+    assert report.passed, [r.name for r in report.rows if not r.passed]
+    assert len(calls) == 50 + 3 + 7
