@@ -10,6 +10,13 @@ Two solvers:
   f_{j+1}(t) = S(t) f0 + int_0^t S(t-s) K_beta f_j(s) ds with S the shifted
   linear growth-fragmentation propagator and K_beta the shifted coagulation
   operator, which keeps every iterate nonnegative on the configured ball.
+  Interval k of iteration j needs only interval k-1 of iteration j and the
+  nodes k-1 and k of iteration j-1, so the sweeps run as a wavefront, one
+  interval apart: at each wave every chain in flight (the linear part
+  S(t_k) f0 and each started iteration) advances one output interval, all
+  as one stack through the linear propagator.  This is the pipelining of
+  waveform relaxation across time windows (Womble, SIAM J. Sci. Stat.
+  Comput. 11, 1990), used here to batch array calls.
 
 Both solvers share the spatial discretization: the grid, the exact
 characteristic transport (`transport_apply`), the daughter matrix, the
@@ -178,7 +185,9 @@ class SplitStepper:
     would not raise it.  Every circuit is mass-neutral to rounding; growth
     is the only mass source and is accounted in a running ledger.
     `linear_step` advances only the linear growth-fragmentation part on the
-    same set-up and in the same order, with the absorbed shift share removed.
+    same set-up and in the same order, with the absorbed shift share removed;
+    it takes one field or a stack of them (see `DensityField`), and advances
+    each row bit for bit as it would advance that row alone.
     """
 
     def __init__(self, ks: KernelSet, grid: SizeGrid, cfg: SolverConfig,
@@ -192,6 +201,9 @@ class SplitStepper:
         self.dm = dm if dm is not None else (build_daughter_matrix(ks.b, grid) if self.has_frag else None)
         self.ct = ct if ct is not None else (build_coag_tables(ks.k, grid) if self.has_coag else None)
         self.a1 = ks.a1(x)
+        self.c = self.a + self.a1        # the total linear sink
+        self.sinks = self.c > 0
+        self._decay = None               # (dt, exp(-c*dt), 1 - exp(-c*dt)) of the last dt
         self.antid = None if ks.r.is_zero else make_antiderivatives(ks, grid)
         self.growth_mass = 0.0
 
@@ -213,11 +225,13 @@ class SplitStepper:
         when keep_shift (the mass-neutral split reaction) and removed
         otherwise (the absorption semigroup the Duhamel formula is built on).
         """
-        c = self.a + self.a1
-        decay = np.exp(-c * dt)
-        absorbed = g * (1.0 - decay)
+        if self._decay is None or self._decay[0] != dt:
+            decay = np.exp(-self.c * dt)
+            self._decay = (dt, decay, 1.0 - decay)
+        _, decay, loss = self._decay
+        absorbed = g * loss
         with np.errstate(divide="ignore", invalid="ignore"):
-            to_frag = np.where(c > 0, absorbed * self.a / c, 0.0)
+            to_frag = np.where(self.sinks, absorbed * self.a / self.c, 0.0)
         out = decay * g
         if keep_shift:
             out = out + (absorbed - to_frag)
@@ -311,6 +325,36 @@ class DuhamelReport:
         return self.update <= PICARD_TOL
 
 
+class _Sweep:
+    """One Picard iteration in flight, one output interval behind the
+    iteration whose nodes so far are `prev`.  It carries the convolution G at
+    its last node and the source K_beta f_prev there, and records each node
+    with the node's error against `prev`."""
+
+    def __init__(self, prev: list, f0: DensityField, source0: DensityField):
+        self.prev = prev
+        self.nodes, self.err = [f0.copy()], [0.0]   # every iteration starts at f0
+        self.G, self.left = DensityField.zeros(f0.grid), source0
+
+    def carry(self, half: float) -> DensityField:
+        """G + (dt_out/2) K f_{k-1}, the row the linear propagator advances."""
+        return DensityField(self.G.grid, self.G.values + half * self.left.values,
+                            self.G.escaped_mass + half * self.left.escaped_mass)
+
+    def land(self, moved: DensityField, half: float, lin: list, k_beta, wm: WeightSpec) -> None:
+        """Add (dt_out/2) K f_k to the advanced carry, and the linear part to
+        that, to make node k."""
+        k = len(self.nodes)
+        right = k_beta(self.prev[k])
+        G = self.G = DensityField(moved.grid, moved.values + half * right.values,
+                                  moved.escaped_mass + half * right.escaped_mass)
+        node = DensityField(G.grid, lin[k].values + G.values, lin[k].escaped_mass + G.escaped_mass)
+        self.nodes.append(node)
+        diff = DensityField(G.grid, np.abs(node.values - self.prev[k].values))
+        self.err.append(weighted_integral(diff, wm))
+        self.left = right
+
+
 def duhamel_solve(f0: DensityField, cfg: SolverConfig, ks: KernelSet,
                   dm: Optional[DaughterMatrix] = None,
                   ct: Optional[CoagTables] = None) -> tuple[Trajectory, DuhamelReport]:
@@ -324,6 +368,17 @@ def duhamel_solve(f0: DensityField, cfg: SolverConfig, ks: KernelSet,
     update, the contraction factors and the largest window where they held.
     A daughter matrix dm and coagulation tables ct built for (ks, f0.grid)
     are used as given instead of being rebuilt.
+
+    The iterations run as a wavefront (see the module docstring): iteration
+    j + 1 starts as soon as iteration j has its node 1, and each wave
+    advances the linear part and every started iteration one output interval
+    in one stacked call of the propagator, so a solve of J iterations takes
+    J + n_out waves of n_sub substeps.  Each row is advanced exactly as it
+    would be alone, so the result is the one of sweeping the iterations one
+    after another.  Iterations are judged in order as they complete; once one
+    meets PICARD_TOL, or is the PICARD_MAX_ITER-th, the later ones in flight
+    are dropped, and each completed iteration is released once its successor
+    is judged.
     """
     grid = f0.grid
     if cfg.scheme != "duhamel":
@@ -340,46 +395,56 @@ def duhamel_solve(f0: DensityField, cfg: SolverConfig, ks: KernelSet,
     d_out = cfg.t_end / n_out
     n_sub = max(1, int(round(d_out / cfg.dt)))
     times = np.arange(n_out + 1) * d_out
-
-    # linear part S(t_k) f0, iterate independent
-    lin = [f0.copy()]
-    for _ in range(n_out):
-        lin.append(prop.advance_linear(lin[-1], d_out, n_sub))
+    half = 0.5 * d_out
 
     def k_beta(f: DensityField) -> DensityField:
         if prop.ct is None:
             return DensityField(grid, prop.a1 * f.values)
         return apply_coag_beta(f, prop.ct, prop.a1)
 
-    iterates = [fld.copy() for fld in lin]
+    source0 = k_beta(f0)            # every iterate starts at f0
+    lin = [f0.copy()]               # iteration 0, the linear part S(t_k) f0
+    last = lin                      # the nodes of the latest iteration started
+    sweeps: list[_Sweep] = []       # the iterations in flight, oldest first
+    iterates = lin
     scale = max(1.0, weighted_integral(f0, wm))
     prev_err: Optional[np.ndarray] = None
     node_factors: Optional[np.ndarray] = None
     factors: list[float] = []
     update = math.inf
     it = 0
-    for it in range(1, PICARD_MAX_ITER + 1):
-        sources = [k_beta(fld) for fld in iterates]
-        new = [f0.copy()]
-        G = DensityField.zeros(grid)
-        for k in range(1, n_out + 1):
-            carry = DensityField(grid, G.values + 0.5 * d_out * sources[k - 1].values,
-                                 G.escaped_mass + 0.5 * d_out * sources[k - 1].escaped_mass)
-            G = prop.advance_linear(carry, d_out, n_sub)
-            G = DensityField(grid, G.values + 0.5 * d_out * sources[k].values,
-                             G.escaped_mass + 0.5 * d_out * sources[k].escaped_mass)
-            new.append(DensityField(grid, lin[k].values + G.values,
-                                    lin[k].escaped_mass + G.escaped_mass))
-        err_nodes = np.array([
-            weighted_integral(DensityField(grid, np.abs(new[k].values - iterates[k].values)), wm)
-            for k in range(n_out + 1)])
+    # iteration j completes at wave j + n_out
+    for _ in range(PICARD_MAX_ITER + n_out):
+        # the next iteration starts once the latest one has its node 1
+        if len(last) > 1 and it + len(sweeps) < PICARD_MAX_ITER:
+            sweeps.append(_Sweep(last, f0, source0))
+            last = sweeps[-1].nodes
+        rows = ([lin[-1]] if len(lin) <= n_out else []) + [s.carry(half) for s in sweeps]
+        if len(rows) == 1:
+            # a lone row goes as a plain field: broadcasting a stack against
+            # the per-cell arrays costs about a microsecond per array call
+            moved = [prop.advance_linear(rows[0], d_out, n_sub)]
+        else:
+            stack = prop.advance_linear(
+                DensityField(grid, np.array([r.values for r in rows]),
+                             np.array([r.escaped_mass for r in rows])), d_out, n_sub)
+            moved = [DensityField(grid, v, float(e))
+                     for v, e in zip(stack.values, stack.escaped_mass)]
+        if len(lin) <= n_out:
+            lin.append(moved.pop(0).copy())
+        for s, g in zip(sweeps, moved):
+            s.land(g, half, lin, k_beta, wm)
+        if not sweeps or len(sweeps[0].nodes) <= n_out:
+            continue
+        it += 1
+        err_nodes = np.array(sweeps[0].err)
+        iterates = sweeps.pop(0).nodes
         update = float(np.max(err_nodes)) / scale
         if prev_err is not None:
             with np.errstate(divide="ignore", invalid="ignore"):
                 node_factors = np.where(prev_err > 0, err_nodes / np.maximum(prev_err, 1e-300), 0.0)
             factors.append(float(np.max(node_factors[1:])) if n_out else 0.0)
         prev_err = err_nodes
-        iterates = new
         if update <= PICARD_TOL:
             break
 

@@ -19,6 +19,7 @@ __all__ = [
     "build_daughter_matrix",
     "apply_frag",
     "daughter_gain",
+    "below_x0",
     "frag_moment_identity",
     "fragmentation_constants",
 ]
@@ -78,8 +79,12 @@ def neglected_gain_estimate(ks: KernelSet, grid: SizeGrid, escaped_mass: float) 
 def daughter_gain(dm: DaughterMatrix, parent_amounts: np.ndarray) -> np.ndarray:
     """Fragment gain density from per-cell parent number amounts (value*width).
 
-    Conserves sum_j x_j * amount_j exactly by construction.
+    Conserves sum_j x_j * amount_j exactly by construction.  A (rows, cells)
+    stack is applied one mat-vec per row: a mat-mat product sums in another
+    order, and each row must equal its own one-field call bit for bit.
     """
+    if parent_amounts.ndim == 2:
+        return np.stack([dm.w @ row for row in parent_amounts]) / dm.grid.widths
     return (dm.w @ parent_amounts) / dm.grid.widths
 
 
@@ -93,20 +98,23 @@ def apply_frag(f: DensityField, ks: KernelSet, dm: DaughterMatrix) -> DensityFie
     return DensityField(f.grid, gain - a * f.values)
 
 
-def fragmentation_constants(ks: KernelSet, i: float,
-                            n_samples: int = 200) -> tuple[float, float, float]:
+def below_x0(ks: KernelSet) -> np.ndarray:
+    """The sizes at which a supremum over [0, x0] of the fragmentation rate
+    (times a weight) is sampled: 200 points from 1e-6*x0 to x0."""
+    return np.linspace(ks.a.x0 * 1e-6, ks.a.x0, 200)
+
+
+def fragmentation_constants(ks: KernelSet, i: float) -> tuple[float, float, float]:
     """Surrogates (delta'_i, delta_i, nu_i) for the fragmentation sink estimate.
 
     delta'_i = N_i(y)/y^i = 1 - Phi_i(1) at every parent size y, the daughter
     law being homogeneous; delta_i scales it by the lower-bound amplitude a0,
-    and nu_i = delta_i * sup a on [0, x0], sampled at n_samples sizes,
-    mirrors the constant produced by splitting the sink integral at x0.
+    and nu_i = delta_i * sup a on [0, x0], sampled at `below_x0`, mirrors the
+    constant produced by splitting the sink integral at x0.
     """
-    x0 = ks.a.x0
     delta_p = 1.0 - float(ks.b.shape_integral(i, 1.0))
     delta = delta_p * ks.a.a0
-    lo = np.linspace(x0 * 1e-6, x0, n_samples)
-    nu = delta * float(np.max(ks.a(lo)))
+    nu = delta * float(np.max(ks.a(below_x0(ks))))
     return delta_p, delta, nu
 
 

@@ -96,6 +96,8 @@ class DensityField:
     ``escaped_mass`` accumulates mass transported or coagulated past xmax.
     For instantaneous operator outputs (rates) the same slot carries the rate
     of mass currently being routed past xmax; time steppers integrate it.
+    The linear propagator also advances a stack of fields at once: values of
+    shape (rows, cells) with a (rows,) escaped_mass array, one row per field.
     """
 
     grid: SizeGrid
@@ -104,7 +106,7 @@ class DensityField:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.grid.cells,):
+        if self.values.ndim > 2 or self.values.shape[-1:] != (self.grid.cells,):
             raise GridError(
                 f"values shape {self.values.shape} does not match grid ({self.grid.cells},)"
             )

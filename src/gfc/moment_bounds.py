@@ -26,7 +26,7 @@ import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
 from .evolution import Trajectory
-from .fragmentation import fragmentation_constants
+from .fragmentation import below_x0, fragmentation_constants
 from .grid import DensityField
 from .kernels import KernelSet, ReportRow
 
@@ -225,7 +225,7 @@ def assemble_bound_params(ks: KernelSet, m: float, envelope: dict,
         par.D3[i] = Ki * young
 
     # zeroth-moment machinery under condition (ii)
-    xs = np.linspace(ks.a.x0 * 1e-6, ks.a.x0, 200)
+    xs = below_x0(ks)
     wi = 1.0 + np.power(xs, PHI_ORDER)
     par.a_tilde = 2.0 * par.b0 * float(np.max(ks.a(xs) * wi))
     return par

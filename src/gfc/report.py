@@ -141,20 +141,32 @@ class ScenarioContext:
     def conditions(self) -> mb.ConditionReport:
         return mb.global_conditions(self.ks, self.grid.xmax)
 
-    @cached_property
+    @property
     def bounds(self) -> mb.BoundTrajectory:
         """The a priori moment bounds at the trajectory's output times.
 
         Raises InfeasibleParamsError when neither global-existence
-        condition holds, or when the bound parameters cannot be assembled.
+        condition holds, or when the bound parameters cannot be assembled;
+        a refusal is kept like a result, so every access raises it again
+        without assembling the cascade again.
         """
+        if isinstance(self._bounds, mb.InfeasibleParamsError):
+            raise self._bounds
+        return self._bounds
+
+    @cached_property
+    def _bounds(self) -> mb.BoundTrajectory | mb.InfeasibleParamsError:
         cond = self.conditions
         if not cond.any_holds:
-            raise mb.InfeasibleParamsError(
+            return mb.InfeasibleParamsError(
                 "neither global-existence condition holds; no bound system available")
         traj = self.trajectory
-        env = mb.m01_envelope(cond, self.ks, traj.M0[0], traj.M1[0], traj.times, self.cfg.dt)
-        par = mb.assemble_bound_params(self.ks, self.cfg.m, env, cond)
+        try:
+            env = mb.m01_envelope(cond, self.ks, traj.M0[0], traj.M1[0], traj.times,
+                                  self.cfg.dt)
+            par = mb.assemble_bound_params(self.ks, self.cfg.m, env, cond)
+        except mb.InfeasibleParamsError as exc:
+            return exc
         init = {0: traj.M0[0], 1: traj.M1[0], 2: traj.M2[0],
                 **{i: moment(traj.fields[0], float(i)) for i in par.orders}}
         return mb.bound_system(par, init, traj.times, self.cfg.dt)

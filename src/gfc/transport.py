@@ -33,6 +33,11 @@ result is bit-identical to building a PchipInterpolator on every call.
 Where characteristics converge (r(x0) > r(x), only under a falling growth
 table) the flux r*f is then capped by its larger value at the two centers
 around the foot; on a nondecreasing rate nothing is capped.
+A plan also transports a stack of fields in one call, values (rows, cells)
+and escaped mass (rows,), as the Picard wavefront advances its iterations:
+the slopes, the Hermite pieces and the cap work on the last axis, and the
+escaped mass is summed row by row, so every row comes out bit-identical to
+transporting that field alone.
 """
 from __future__ import annotations
 
@@ -208,7 +213,8 @@ def _locate(centers: np.ndarray, pts: np.ndarray) -> tuple[np.ndarray, np.ndarra
 class _TransportPlan:
     """What `transport_apply` needs that depends only on (antid, grid, t,
     include_absorption), as listed in the module docstring, plus the center
-    spacings of the PCHIP slopes; `apply` transports one field with it."""
+    spacings of the PCHIP slopes; `apply` transports one field, or a stack
+    of them along the last axis, with it."""
 
     def __init__(self, antid: Antiderivatives, grid: SizeGrid, t: float,
                  include_absorption: bool):
@@ -258,7 +264,8 @@ class _TransportPlan:
                 and include_absorption == self.include_absorption)
 
     def _hermite(self, y: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Per-interval cubic coefficients of PchipInterpolator(centers, y).
+        """Per-interval cubic coefficients of PchipInterpolator(centers, y),
+        for each row of y.
 
         The slopes are SciPy's `_find_derivatives`: zero where the secant
         slopes change sign or vanish, their weighted harmonic mean otherwise,
@@ -268,30 +275,30 @@ class _TransportPlan:
         if not np.all(np.isfinite(y)):
             raise ValueError("transport needs a finite field")
         h = self.h
-        mk = (y[1:] - y[:-1]) / h
-        if y.size == 2:
-            d = np.array([mk[0], mk[0]])
+        mk = (y[..., 1:] - y[..., :-1]) / h
+        if self.grid.cells == 2:
+            d = np.concatenate([mk, mk], axis=-1)
         else:
             smk = np.sign(mk)
-            flat = (smk[1:] != smk[:-1]) | (mk[1:] == 0) | (mk[:-1] == 0)
+            flat = (smk[..., 1:] != smk[..., :-1]) | (mk[..., 1:] == 0) | (mk[..., :-1] == 0)
             with np.errstate(divide="ignore", invalid="ignore"):
-                whmean = (self.w1 / mk[:-1] + self.w2 / mk[1:]) / self.w12
+                whmean = (self.w1 / mk[..., :-1] + self.w2 / mk[..., 1:]) / self.w12
                 inner = np.where(flat, 0.0, 1.0 / whmean)
-            m0, m1 = mk[[0, -1]], mk[[1, -2]]
+            m0, m1 = mk.take([0, -1], axis=-1), mk.take([1, -2], axis=-1)
             e = (self.end_w * m0 - self.end_h0 * m1) / self.end_hs
             flip = np.sign(e) != np.sign(m0)
             clamp = ~flip & (np.sign(m0) != np.sign(m1)) & (np.abs(e) > 3.0 * np.abs(m0))
             e = np.where(flip, 0.0, np.where(clamp, 3.0 * m0, e))
-            d = np.concatenate([e[:1], inner, e[1:]])
-        tt = (d[:-1] + d[1:] - 2 * mk) / h
+            d = np.concatenate([e[..., :1], inner, e[..., 1:]], axis=-1)
+        tt = (d[..., :-1] + d[..., 1:] - 2 * mk) / h
         # PPoly starts its sum from 0.0, which turns a -0.0 value into +0.0
-        return tt / h, (mk - d[:-1]) / h - tt, d[:-1], y[:-1] + 0.0
+        return tt / h, (mk - d[..., :-1]) / h - tt, d[..., :-1], y[..., :-1] + 0.0
 
     @staticmethod
     def _evaluate(coef: tuple[np.ndarray, ...], where: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
         """PPoly's running power sum y + d*s + c1*s^2 + c0*(s^2*s), NaN -> 0."""
         idx, s = where
-        c0, c1, c2, c3 = (c[idx] for c in coef)
+        c0, c1, c2, c3 = (c.take(idx, axis=-1) for c in coef)
         z = s * s
         p = c3 + c2 * s + c1 * z + c0 * (z * s)
         return np.where(np.isnan(p), 0.0, p)
@@ -304,12 +311,15 @@ class _TransportPlan:
         conv, j, cap_att = self.converge
         if conv.size:
             flux = f0.values * self.rx
-            vals[conv] = np.minimum(vals[conv], np.maximum(flux[j], flux[j + 1]) * cap_att)
+            cap = np.maximum(flux.take(j, axis=-1), flux.take(j + 1, axis=-1)) * cap_att
+            vals[..., conv] = np.minimum(vals.take(conv, axis=-1), cap)
         esc = 0.0
         if self.escape is not None:
             where, below_last, att, wdt = self.escape
-            density = np.where(below_last, self._evaluate(coef, where), f0.values[-1])
-            esc = self.grid.xmax * math.fsum((density * att * wdt).tolist())
+            density = np.where(below_last, self._evaluate(coef, where), f0.values[..., -1:])
+            terms = density * att * wdt
+            esc = self.grid.xmax * (math.fsum(terms.tolist()) if terms.ndim == 1 else
+                                    np.array([math.fsum(row) for row in terms.tolist()]))
         return DensityField(self.grid, vals, f0.escaped_mass + esc)
 
 
@@ -330,7 +340,9 @@ def transport_apply(f0: DensityField, t: float, ks: KernelSet, m: float,
     kept in a one-slot memo on `antid`, so a stepper with a fixed step
     builds it once; each call then costs the PCHIP slopes and one Hermite
     evaluation, bit-identical to `PchipInterpolator(centers, values,
-    extrapolate=False)` built per call (see the module docstring).
+    extrapolate=False)` built per call (see the module docstring).  f0 may
+    be a stack of fields (see `DensityField`); each row is transported as
+    it would be alone.
     """
     if t < 0:
         raise ValueError("transport_apply advances forward in time only")

@@ -545,6 +545,22 @@ class TestOneSolvePerScenario:
         header = (tmp_path / "verify" / "scenario_trajectory.csv").read_text().splitlines()[0]
         assert header.split(",")[-4:] == ["bound_0", "bound_1", "bound_2", "bound_m"]
 
+    def test_refused_cascade_is_assembled_once(self, tmp_path, monkeypatch, capsys):
+        """The CSV writer and the moment-domination suite both ask for the
+        bounds; a refusal is kept, so the parameters are assembled once."""
+        import gfc.moment_bounds
+        raw = get_preset("constant-coag")
+        raw["grid"]["cells"] = 64
+        raw["time"].update(t_end=0.05, output_every=0.025)
+        raw["checks"] = {"suites": ["moment-domination"]}
+        assemblies = self.counting(monkeypatch, gfc.moment_bounds, "assemble_bound_params")
+        assert main(["run", "--config", write_cfg(tmp_path, raw),
+                     "--out", str(tmp_path / "run")]) == 2
+        assert len(assemblies) == 1
+        captured = capsys.readouterr()
+        assert "bounds unavailable: order 2: fragmentation sink surrogate" in captured.err
+        assert "FAIL  moment-domination/bound-system" in captured.out
+
     @pytest.mark.parametrize("scheme", ["lie-split", "duhamel"])
     def test_coagulation_tables_built_once(self, tmp_path, monkeypatch, scheme):
         import gfc.evolution

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import gfc.evolution
 from conftest import make_kernels
 from gfc.cli import main
-from gfc.coagulation import build_coag_tables
+from gfc.coagulation import apply_coag_beta, build_coag_tables
 from gfc.config import ScenarioConfig, load_scenario
 from gfc.evolution import (ConfigError, NumericalFailureError, SetupError,
                            SolverConfig, SplitStepper, duhamel_solve, pde_residual,
@@ -294,6 +294,112 @@ class TestDuhamel:
         assert not rep.converged and rep.update > gfc.evolution.PICARD_TOL
         assert rep.contraction_factors[-1] >= 1.0
         assert rep.contraction_window == pytest.approx(0.375, abs=1e-12)
+
+
+def sequential_picard(f0, cfg, ks):
+    """The Picard iteration one sweep at a time: each iteration propagates
+    over the whole horizon, one field per call, before the next one starts.
+    Returns the nodes of the last iteration and the report's fields."""
+    grid = f0.grid
+    wm = WeightSpec(cfg.m, "shifted")
+    prop = SplitStepper(ks, grid, cfg)
+    n_out = int(round(cfg.t_end / cfg.output_every))
+    d_out = cfg.t_end / n_out
+    n_sub = max(1, int(round(d_out / cfg.dt)))
+    times = np.arange(n_out + 1) * d_out
+    lin = [f0.copy()]
+    for _ in range(n_out):
+        lin.append(prop.advance_linear(lin[-1], d_out, n_sub))
+
+    def k_beta(f):
+        return apply_coag_beta(f, prop.ct, prop.a1)
+
+    iterates = [fld.copy() for fld in lin]
+    scale = max(1.0, weighted_integral(f0, wm))
+    prev_err = node_factors = None
+    factors, update, it = [], np.inf, 0
+    for it in range(1, gfc.evolution.PICARD_MAX_ITER + 1):
+        sources = [k_beta(fld) for fld in iterates]
+        new = [f0.copy()]
+        G = DensityField.zeros(grid)
+        for k in range(1, n_out + 1):
+            carry = DensityField(grid, G.values + 0.5 * d_out * sources[k - 1].values,
+                                 G.escaped_mass + 0.5 * d_out * sources[k - 1].escaped_mass)
+            G = prop.advance_linear(carry, d_out, n_sub)
+            G = DensityField(grid, G.values + 0.5 * d_out * sources[k].values,
+                             G.escaped_mass + 0.5 * d_out * sources[k].escaped_mass)
+            new.append(DensityField(grid, lin[k].values + G.values,
+                                    lin[k].escaped_mass + G.escaped_mass))
+        err_nodes = np.array([
+            weighted_integral(DensityField(grid, np.abs(new[k].values - iterates[k].values)), wm)
+            for k in range(n_out + 1)])
+        update = float(np.max(err_nodes)) / scale
+        if prev_err is not None:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                node_factors = np.where(prev_err > 0, err_nodes / np.maximum(prev_err, 1e-300), 0.0)
+            factors.append(float(np.max(node_factors[1:])) if n_out else 0.0)
+        prev_err = err_nodes
+        iterates = new
+        if update <= gfc.evolution.PICARD_TOL:
+            break
+    window = cfg.t_end
+    if factors and factors[-1] >= 1.0:
+        idx = np.nonzero(np.maximum.accumulate(node_factors) < 1.0)[0]
+        window = float(times[idx[-1]]) if idx.size else 0.0
+    return iterates, (update, it, factors, window)
+
+
+def cross_validation_case(cells, t_end, output_every):
+    raw = get_preset("gfc-global-ii")
+    raw["grid"]["cells"] = cells
+    sc = load_scenario(raw)
+    cfg = replace(sc.solver_config(), scheme="duhamel", t_end=t_end, output_every=output_every)
+    return sc.initial_field(sc.grid()), cfg, sc.kernel_set()
+
+
+class TestPicardWavefront:
+    """duhamel_solve runs the iterations as a wavefront of stacked linear
+    substeps and must give the one-sweep-at-a-time result bit for bit."""
+
+    @pytest.mark.parametrize("t_end,output_every,patch", [
+        (0.25, 0.025, {}),                      # n_out = 10: many iterations in flight
+        (0.1, 0.1, {}),                         # n_out = 1: one row per wave
+        (0.1, 0.025, {"PICARD_TOL": 0.0}),      # stops at PICARD_MAX_ITER
+        (1.0, 0.025, {"PICARD_MAX_ITER": 2}),   # stops while the factor is above 1
+    ])
+    def test_bit_identical_to_sequential_sweeps(self, monkeypatch, t_end, output_every, patch):
+        for name, value in patch.items():
+            monkeypatch.setattr(gfc.evolution, name, value)
+        f0, cfg, ks = cross_validation_case(64, t_end, output_every)
+        traj, rep = duhamel_solve(f0, cfg, ks)
+        nodes, (update, iterations, factors, window) = sequential_picard(f0, cfg, ks)
+        if patch:
+            assert iterations == gfc.evolution.PICARD_MAX_ITER
+        assert len(traj.fields) == len(nodes)
+        for got, ref in zip(traj.fields, nodes):
+            assert got.values.tobytes() == ref.values.tobytes()
+            assert np.float64(got.escaped_mass).tobytes() == np.float64(ref.escaped_mass).tobytes()
+        assert (rep.update, rep.iterations, rep.contraction_window) == (update, iterations, window)
+        assert rep.contraction_factors == factors
+
+    @pytest.mark.parametrize("t_end,output_every", [(0.1, 0.025), (0.06, 0.06)])
+    def test_one_remap_per_wave_substep(self, monkeypatch, t_end, output_every):
+        """J iterations over n_out intervals take J + n_out waves of n_sub
+        stacked substeps, against (J + 1) * n_out * n_sub one sweep at a time."""
+        calls = []
+        remap = gfc.evolution.transport_apply
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return remap(*args, **kwargs)
+
+        monkeypatch.setattr(gfc.evolution, "transport_apply", counted)
+        f0, cfg, ks = cross_validation_case(64, t_end, output_every)
+        _, rep = duhamel_solve(f0, cfg, ks)
+        n_out = int(round(cfg.t_end / cfg.output_every))
+        n_sub = int(round(cfg.t_end / n_out / cfg.dt))
+        assert rep.converged and rep.iterations > 2
+        assert len(calls) == (rep.iterations + n_out) * n_sub
 
 
 class TestTrajectoryColumns:

@@ -7,6 +7,7 @@ import pytest
 from conftest import make_kernels
 from gfc import moment_bounds as mb
 from gfc.evolution import solve, SolverConfig
+from gfc.fragmentation import below_x0, fragmentation_constants
 from gfc.grid import SizeGrid, moment, project
 
 
@@ -60,6 +61,25 @@ def test_young_parameter_spends_the_sink_share(growth, r0, certified, share):
         closed = (0.9 * share * par.delta[i] * par.gamma0
                   / (par.alpha * par.K[i] * (par.M1_max + 1.0))) ** (par.alpha / par.gamma0)
         assert par.eps[i] == pytest.approx(closed, rel=1e-13)
+
+
+@pytest.mark.parametrize("x0,gamma0,nu", [(1.0, 1.0, 0.0), (0.37, 0.6, 1.5), (4.0, 2.0, 0.0)])
+def test_sup_of_a_below_x0_reads_one_sample(x0, gamma0, nu):
+    """nu_i and a_tilde both read a at `below_x0`, the 200 sizes from
+    1e-6*x0 to x0 that each used to sample for itself, bit for bit."""
+    ks = make_kernels(a0=1.0, gamma0=gamma0, x0=x0, daughter="power-law", nu=nu,
+                      growth="linear", r0=0.0, r1=0.3, k0=0.5, coag_kind="sum")
+    xs = np.linspace(x0 * 1e-6, x0, 200)
+    assert np.array_equal(below_x0(ks), xs)
+    cond = mb.global_conditions(ks, 50.0)
+    env = mb.m01_envelope(cond, ks, 1.0, 1.0, np.linspace(0, 1, 11), 1e-3)
+    par = mb.assemble_bound_params(ks, 3.0, env, cond)
+    for i in par.orders:
+        delta = (1.0 - float(ks.b.shape_integral(i, 1.0))) * ks.a.a0
+        assert par.nu[i] == delta * float(np.max(ks.a(xs)))
+        assert fragmentation_constants(ks, i)[2] == par.nu[i]
+    weight = 1.0 + np.power(xs, mb.PHI_ORDER)
+    assert par.a_tilde == 2.0 * par.b0 * float(np.max(ks.a(xs) * weight))
 
 
 class TestBoundSystem:

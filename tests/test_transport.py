@@ -284,6 +284,61 @@ class TestTransportPlan:
             transport_apply(f, 0.1, make_kernels(), 1.0)
 
 
+def assert_stack_matches_rows(fields, t, ks, absorb=True):
+    """transport_apply on the stack of `fields` against one call per field:
+    every row bit for bit, values and escaped mass.  Returns the plan."""
+    grid = fields[0].grid
+    antid = make_antiderivatives(ks, grid)
+    stack = DensityField(grid, np.array([f.values for f in fields]),
+                         np.array([f.escaped_mass for f in fields]))
+    out = transport_apply(stack, t, ks, 2.0, antid=antid, include_absorption=absorb)
+    assert out.values.shape == stack.values.shape
+    assert out.escaped_mass.shape == (len(fields),)
+    for row, f in enumerate(fields):
+        alone = transport_apply(f, t, ks, 2.0, antid=antid, include_absorption=absorb)
+        assert_bit_identical(DensityField(grid, out.values[row], out.escaped_mass[row]),
+                             alone.values, alone.escaped_mass)
+    return antid._transport_plan
+
+
+class TestStackedPlan:
+    """A (rows, cells) stack is transported row for row as each field alone."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(transport_case())
+    def test_rows_bit_identical_to_single_fields(self, case):
+        f0, t, ks, absorb = case
+        rows = [f0, DensityField(f0.grid, f0.values[::-1].copy(), 0.5),
+                DensityField(f0.grid, 3.0 * np.abs(f0.values))]
+        assert_stack_matches_rows(rows, t, ks, absorb)
+
+    @pytest.mark.parametrize("t", [0.01, 0.5, 3.0])
+    def test_two_cell_grid(self, t):
+        ks = make_kernels(a0=0.5, growth="affine", r0=0.5, r1=0.5)
+        grid = SizeGrid.geometric(0.5, 2.0, 2)
+        rows = [DensityField(grid, v, e) for v, e in
+                (([1.0, -0.5], 0.0), ([0.2, 0.3], 0.25), ([0.0, 0.0], 0.0))]
+        assert_stack_matches_rows(rows, t, ks)
+
+    def test_escape_path(self):
+        ks = make_kernels(a0=0.5, growth="linear", r1=0.25)
+        grid = SizeGrid.geometric(1e-3, 50.0, 64)
+        rows = [project(lambda x, s=s: s * x * np.exp(-x / s), grid) for s in (1.0, 5.0, 20.0)]
+        plan = assert_stack_matches_rows(rows, 0.5, ks, absorb=False)
+        assert plan.escape is not None
+
+    def test_converging_flux_cap(self):
+        xs = np.array([1e-4, 4.47e-3, 0.2, 8.94, 400.0])
+        rs = np.array([0.499, 0.0109, 0.0988, 0.274, 0.304])
+        ks = dataclasses.replace(make_kernels(beta=0.0),
+                                 r=GrowthRate("table", table_x=xs, table_r=rs))
+        grid = SizeGrid.geometric(1e-3, 50.0, 26)
+        rows = [project(lambda x, s=s: 0.1 * np.exp(-x / s) / x, grid) for s in (1.0, 0.1)]
+        rows.append(DensityField(grid, np.where(np.arange(26) % 3 == 0, 1.0, 0.0)))
+        plan = assert_stack_matches_rows(rows, 7.8e-3, ks, absorb=False)
+        assert plan.converge[0].size > 0
+
+
 class TestNoPchipPerStep:
     """A fixed-step solve builds no PCHIP per transport step."""
 
