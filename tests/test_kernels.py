@@ -113,7 +113,21 @@ class TestDaughterMoments:
     @settings(max_examples=40, deadline=None)
     @given(st.floats(-0.9, 6.0), st.floats(0.0, 1.0))
     def test_power_law_shape_integral_random_exponents(self, nu, u):
-        assert_shape_integrals_match_quadrature(DaughterDistribution("power-law", nu=nu), u)
+        b = DaughterDistribution("power-law", nu=nu)
+        if u >= 2.0**-960:
+            assert_shape_integrals_match_quadrature(b, u)
+            return
+        # Near the subnormals adaptive quadrature cannot bisect [0, u] finely
+        # enough to resolve s**nu (it returns nan or a wrong value below about
+        # 1e-304), so the oracle integrates [0, m], u = m * 2**e, and scales
+        # back by Phi_p(u) = 2**(e*(nu + p + 1)) Phi_p(m), which holds exactly
+        # for phi(s) proportional to s**nu.
+        m, e = math.frexp(u)
+        for p in SHAPE_ORDERS:
+            oracle, _ = quad(lambda s: b(s, 1.0) * s**p, 0.0, m,
+                             limit=100, epsabs=0.0, epsrel=1e-13)
+            assert b.shape_integral(p, u) == pytest.approx(
+                2.0**(e * (nu + p + 1.0)) * oracle, rel=1e-9, abs=1e-300)
 
     @pytest.mark.parametrize("b", [
         DaughterDistribution("power-law", nu=0.5),
