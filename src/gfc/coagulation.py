@@ -203,15 +203,17 @@ def apply_coag_beta(f: DensityField, ct: CoagTables, a1: np.ndarray) -> DensityF
     return base
 
 
-def coag_moment_identity(f: DensityField, ct: Optional[CoagTables],
-                         moment2_tol: float = 2e-3) -> list[ReportRow]:
+COAG_MOMENT2_TOL = 2e-3   # the order-2 identity carries the pair-splitting error
+
+
+def coag_moment_identity(f: DensityField, ct: Optional[CoagTables]) -> list[ReportRow]:
     """The 'coag-identities' rows: for i = 0, 1, 2 the moment rate of the
     discretized operator against the exact double sum.
 
     For i = 1 the comparison includes the routed overflow so both sides are
     zero to rounding (tolerance 1e-11); for i = 0 the double sum collapses to
     minus half the total event rate (1e-11); order 2 picks up the
-    pair-splitting error, bounded by `moment2_tol`.  The double sum runs over
+    pair-splitting error, bounded by COAG_MOMENT2_TOL.  The double sum runs over
     all ordered pairs from the kernel matrix alone, so it does not reuse the
     gain operator it checks.  No tables (`ct` None) means no coagulation.
     """
@@ -223,7 +225,7 @@ def coag_moment_identity(f: DensityField, ct: Optional[CoagTables],
     ev = _event_rates(f, ct)
     s = (x[:, None] + x[None, :]).ravel()
     rows = []
-    for i, tol in ((0.0, 1e-11), (1.0, 1e-11), (2.0, moment2_tol)):
+    for i, tol in ((0.0, 1e-11), (1.0, 1e-11), (2.0, COAG_MOMENT2_TOL)):
         xi = np.power(x, i)
         lhs = float(np.sum(xi * kf.values * grid.widths))
         if i == 1:

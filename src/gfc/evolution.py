@@ -481,9 +481,12 @@ def _linear_norm_curve(ks: KernelSet, grid: SizeGrid, m: float, f0: DensityField
     return np.array(norms)
 
 
+GRID_STABILITY_TOL = 0.25   # the probe's supremum, relative, under grid+xmax doubling
+
+
 def regularization_probe(ks: KernelSet, grid: SizeGrid, m: float, n: float, p: float,
-                         t_list: np.ndarray = PROBE_TIMES, stability_tol: float = 0.25,
-                         eta: float = 0.25, *, dt: float) -> list[ReportRow]:
+                         t_list: np.ndarray = PROBE_TIMES, eta: float = 0.25, *,
+                         dt: float) -> list[ReportRow]:
     """Probe the moment-regularization rate of the linear semigroup.
 
     The initial profile (1 + x)^(-(p + 1 + eta)) has a finite p-weighted norm
@@ -492,7 +495,7 @@ def regularization_probe(ks: KernelSet, grid: SizeGrid, m: float, n: float, p: f
     domain doubling.  The 'regularization-probe' rows report sup over t of
     t^((m-n)/gamma0) e^(-theta_hat t) ||S(t) f0||_[0,m] with theta_hat fitted
     on the late times (`bounded-product`), and its relative variation under
-    grid and domain doubling against `stability_tol` (`grid-stability`); a
+    grid and domain doubling against GRID_STABILITY_TOL (`grid-stability`); a
     grid-stable supremum empirically confirms the blow-up exponent is not
     worse than (m - n)/gamma0.
     """
@@ -529,7 +532,7 @@ def regularization_probe(ks: KernelSet, grid: SizeGrid, m: float, n: float, p: f
         ReportRow("regularization-probe", "bounded-product", sup1, "<", math.inf,
                   detail=f"theta_hat = {theta1:.3g}"),
         ReportRow("regularization-probe", "grid-stability", abs(sup2 - sup1) / sup1, "<",
-                  stability_tol, detail="sup variation under grid+xmax doubling"),
+                  GRID_STABILITY_TOL, detail="sup variation under grid+xmax doubling"),
     ]
 
 
@@ -537,9 +540,11 @@ def regularization_probe(ks: KernelSet, grid: SizeGrid, m: float, n: float, p: f
 # discrete residual of the strong equation
 
 
+PDE_RESIDUAL_TOL = 0.05   # the strong-form residual, relative to the mid-run norm
+
+
 def pde_residual(traj: Trajectory, ks: KernelSet, dm: Optional[DaughterMatrix],
-                 ct: Optional[CoagTables], tol: float = 0.05,
-                 p: Optional[float] = None) -> list[ReportRow]:
+                 ct: Optional[CoagTables], p: Optional[float] = None) -> list[ReportRow]:
     """The 'pde-residual' row: central-difference time derivative against the
     discrete right-hand side.
 
@@ -574,5 +579,5 @@ def pde_residual(traj: Trajectory, ks: KernelSet, dm: Optional[DaughterMatrix],
     # normalize against the advection + reaction magnitude at mid-run
     mid = traj.fields[len(traj.fields) // 2]
     scale = max(weighted_integral(DensityField(grid, np.abs(mid.values)), wp), 1e-300)
-    return [ReportRow("pde-residual", "interior", worst / scale, "<=", tol,
+    return [ReportRow("pde-residual", "interior", worst / scale, "<=", PDE_RESIDUAL_TOL,
                       detail="central-difference time derivative vs RHS")]

@@ -59,19 +59,29 @@ def _quad(fun, lo, hi, points=None, epsabs=1e-10, epsrel=1e-8) -> float:
     return val
 
 
-def _set_tables(obj, *names: str) -> None:
-    """Store each named table field of the frozen dataclass obj as a float
-    array; an entry that is not a number, NaN or infinite fails here,
-    naming the field."""
-    for name in names:
+def _set_table(obj, knots: str, values: str) -> None:
+    """Store the table fields `knots` and `values` of the frozen dataclass obj
+    as float arrays once they are a table: finite, at least 2 strictly
+    increasing 1-D knots, one value per knot (per knot pair for `table_k`).
+    Each failure names its field; each kind checks its own premises."""
+    for name in (knots, values):
+        if getattr(obj, name) is None:
+            raise KernelConfigError(f"'{name}' is required by the table kind")
         try:
-            values = np.asarray(getattr(obj, name), float)
+            array = np.asarray(getattr(obj, name), float)
         except (TypeError, ValueError) as exc:
             raise KernelConfigError(f"'{name}' must be an array of numbers: {exc}") from exc
-        bad = ~np.isfinite(values)
+        bad = ~np.isfinite(array)
         if np.any(bad):
-            raise KernelConfigError(f"'{name}' must be finite, got {values[bad][0]}")
-        object.__setattr__(obj, name, values)
+            raise KernelConfigError(f"'{name}' must be finite, got {array[bad][0]}")
+        object.__setattr__(obj, name, array)
+    x = getattr(obj, knots)
+    if x.ndim != 1 or x.size < 2 or np.any(np.diff(x) <= 0):
+        raise KernelConfigError(f"'{knots}' must be 1-D, at least 2 strictly increasing knots")
+    shape = (x.size, x.size) if values == "table_k" else (x.size,)
+    got = getattr(obj, values).shape
+    if got != shape:
+        raise KernelConfigError(f"'{values}' must have shape {shape} over '{knots}', got {got}")
 
 
 @dataclass(frozen=True)
@@ -97,9 +107,7 @@ class FragmentationRate:
         if self.a0 < 0:
             raise KernelConfigError("fragmentation amplitude a0 must be >= 0")
         if self.kind == "table":
-            if self.table_x is None or self.table_a is None:
-                raise KernelConfigError("table fragmentation needs table_x/table_a")
-            _set_tables(self, "table_x", "table_a")
+            _set_table(self, "table_x", "table_a")
 
     @property
     def is_zero(self) -> bool:
@@ -162,14 +170,12 @@ class DaughterDistribution:
         if self.kind == "power-law" and self.nu <= -1:
             raise KernelConfigError("power-law daughter exponent must exceed -1")
         if self.kind == "table":
-            if self.table_u is None or self.table_phi is None:
-                raise KernelConfigError("table daughter needs table_u/table_phi")
-            _set_tables(self, "table_u", "table_phi")
+            _set_table(self, "table_u", "table_phi")
             u, phi = self.table_u, self.table_phi
-            if u[0] != 0.0 or u[-1] != 1.0 or np.any(np.diff(u) <= 0):
-                raise KernelConfigError("table_u must increase from 0 to 1")
+            if u[0] != 0.0 or u[-1] != 1.0:
+                raise KernelConfigError("'table_u' must run from 0 to 1")
             if np.any(phi < 0):
-                raise KernelConfigError("table_phi must be nonnegative")
+                raise KernelConfigError("'table_phi' must be nonnegative")
             # exact first moment of the piecewise-linear phi; renormalize so
             # that the discrete mass-conservation identity holds exactly
             m1 = _pl_integral(u, phi, 1.0, 1)
@@ -243,12 +249,10 @@ class GrowthRate:
         if self.kind == "linear" and self.r1 == 0:
             raise KernelConfigError("linear growth needs r1 > 0")
         if self.kind == "table":
-            if self.table_x is None or self.table_r is None:
-                raise KernelConfigError("table growth needs table_x/table_r")
-            _set_tables(self, "table_x", "table_r")
+            _set_table(self, "table_x", "table_r")
             rs = self.table_r
             if np.any(rs <= 0):
-                raise KernelConfigError("table growth must be strictly positive")
+                raise KernelConfigError("'table_r' must be strictly positive")
             # default affine majorant for tables unless supplied: constant cap
             if self.r0 == 0.0 and self.r1 == 0.0:
                 object.__setattr__(self, "r0", float(np.max(rs)))
@@ -301,12 +305,8 @@ class CoagulationKernel:
         if self.alpha <= 0:
             raise KernelConfigError("coagulation exponent alpha must be positive")
         if self.kind == "table":
-            if self.table_x is None or self.table_k is None:
-                raise KernelConfigError("table coagulation needs table_x/table_k")
-            _set_tables(self, "table_x", "table_k")
+            _set_table(self, "table_x", "table_k")
             ks = self.table_k
-            if ks.shape != (len(self.table_x), len(self.table_x)):
-                raise KernelConfigError("table_k must be square over table_x")
             object.__setattr__(self, "table_k", 0.5 * (ks + ks.T))  # enforce symmetry exactly
 
     @property

@@ -12,8 +12,8 @@ scalar comparison ODE
 with constants assembled from the fragmentation sink surrogates, a Young
 split of the coagulation production, and the certified M1 envelope.  The
 zeroth moment under condition (ii) is controlled through the functional
-Phi(t) = M_i(t) + (delta'_i / 2) * int_0^t int_{x>=x0} a x^i f, whose
-exponential envelope caps the cumulative fragmentation activity.
+Phi(t) = M_i(t) + (delta'_i / 2) * int_0^t int_{x>=x0} a x^i f: it starts at
+M_i(0) and obeys the order-i comparison ODE, so the order-i bound caps it.
 """
 from __future__ import annotations
 
@@ -28,7 +28,7 @@ from scipy.integrate import cumulative_trapezoid
 from .evolution import Trajectory
 from .fragmentation import below_x0, fragmentation_constants
 from .grid import DensityField
-from .kernels import KernelSet, ReportRow
+from .kernels import UNREACHABLE, KernelSet, ReportRow
 
 __all__ = [
     "ConditionReport",
@@ -90,17 +90,20 @@ class ConditionReport:
         return "none"
 
 
-def global_conditions(ks: KernelSet, xmax: float, n_samples: int = 400) -> ConditionReport:
+N_FIT = 400   # condition (i) fits the production on this many sizes in [0, xmax]
+
+
+def global_conditions(ks: KernelSet, xmax: float) -> ConditionReport:
     """Certify the structural conditions for global existence.
 
     Condition (i): an affine majorant of (n0(x) - 1) a(x), least-squares
-    fitted on [0, xmax] and lifted, must still majorize on the extended range
-    [0, 10 xmax]; superlinear production fails there.  Condition (ii): the
-    growth rate satisfies r(x) <= rtilde * x at every sample, which for the
-    declared forms means r0 = 0.
+    fitted on N_FIT sizes in [0, xmax] and lifted, must still majorize on the
+    extended range [0, 10 xmax]; superlinear production fails there.
+    Condition (ii), r(x) <= rtilde * x, holds exactly when r(0) = 0: when
+    the growth law's origin is unreachable (vacuously for zero growth).
     """
-    xs_fit = np.linspace(xmax * 1e-4, xmax, n_samples)
-    xs_ext = np.concatenate([xs_fit, np.geomspace(xmax, 10.0 * xmax, n_samples // 2)])
+    xs_fit = np.linspace(xmax * 1e-4, xmax, N_FIT)
+    xs_ext = np.concatenate([xs_fit, np.geomspace(xmax, 10.0 * xmax, N_FIT // 2)])
     n0 = ks.b.number_of_daughters()
     g_fit = (n0 - 1.0) * ks.a(xs_fit)
     g_ext = (n0 - 1.0) * ks.a(xs_ext)
@@ -111,14 +114,7 @@ def global_conditions(ks: KernelSet, xmax: float, n_samples: int = 400) -> Condi
     resid = g_ext - (m0 + m1 * xs_ext)
     scale = 1.0 + m0 + m1 * xs_ext
     cond_i = bool(np.all(resid <= 1e-9 * scale))
-
-    if ks.r.is_zero:
-        cond_ii = True  # vacuous: no growth at all
-    else:
-        xs = np.geomspace(xmax * 1e-6, 10.0 * xmax, n_samples)
-        cond_ii = bool(np.all(ks.r(xs) <= ks.r.rtilde * xs * (1 + 1e-9)))
-
-    return ConditionReport(cond_i, m0, m1, cond_ii)
+    return ConditionReport(cond_i, m0, m1, ks.r.origin_class == UNREACHABLE)
 
 
 @dataclass
@@ -234,7 +230,7 @@ def assemble_bound_params(ks: KernelSet, m: float, envelope: dict,
 @dataclass
 class BoundTrajectory:
     times: np.ndarray
-    columns: dict                 # order (or 'phi_env') -> np.ndarray
+    columns: dict                 # order -> np.ndarray
     params: MomentBoundParams
 
     def column(self, key) -> np.ndarray:
@@ -277,10 +273,10 @@ def bound_system(par: MomentBoundParams, initial_moments: dict, times: np.ndarra
 
     The low moments are the envelope the parameters were assembled on
     (`m01_envelope` at the same times): case (i) the coupled linear (M0, M1)
-    system; case (ii) the closed-form M1 envelope plus the Phi-functional
-    envelope that controls M0.  Higher integer orders follow the scalar
-    comparison ODE driven by the previous level; a fractional top order m is
-    bounded by M1 + M_(floor(m)+1).
+    system; case (ii) the closed-form M1 envelope, and M0 through Phi, whose
+    envelope is the order-PHI_ORDER column.  Higher integer orders follow the
+    scalar comparison ODE driven by the previous level; a fractional top
+    order m is bounded by M1 + M_(floor(m)+1).
     """
     times = np.asarray(times, dtype=float)
     cols = dict(par.envelope)
@@ -291,27 +287,20 @@ def bound_system(par: MomentBoundParams, initial_moments: dict, times: np.ndarra
     prev = cols[1]
     for i in par.orders:
         Mi0 = initial_moments.get(i, 0.0)
-        prev_interp = prev  # same time nodes
 
-        def rhs(t, y, _prev=prev_interp, _i=i):
+        def rhs(t, y, _prev=prev, _i=i):  # prev lives on the same time nodes
             Mim1 = float(np.interp(t, times, _prev))
             return np.array([par.rhs(_i, float(y[0]), Mim1)])
 
         cols[i] = _rk4(rhs, np.array([Mi0]), times, dt)[:, 0]
         prev = cols[i]
 
-    # Phi-functional envelope and the induced M0 control (condition (ii))
+    # M0 control under condition (ii), through Phi's envelope: the order-i column
     if par.condition == "ii":
         i = PHI_ORDER
-        theta = par.D2[i] * cols[i - 1] + par.D3[i] * np.power(cols[i - 1], par.power)
-        integrand = np.exp(-par.D1[i] * times) * (par.D0[i] + theta)
-        integral = np.concatenate([[0.0], cumulative_trapezoid(integrand, times)])
-        phi0 = initial_moments.get(i, 0.0)
-        phi_env = np.exp(par.D1[i] * times) * (phi0 + integral)
-        cols["phi_env"] = phi_env
         dp = par.delta_prime[i]
         if dp > 0:
-            sink_integral = 2.0 * phi_env / dp
+            sink_integral = 2.0 * cols[i] / dp
             cols[0] = np.exp(par.a_tilde * times) * (
                 M0_0 + 2.0 * par.b0 * (1.0 + par.x0 ** (-i)) * sink_integral)
         else:
@@ -328,15 +317,18 @@ def _frag_flux(f: DensityField, ks: KernelSet, i: int) -> float:
                         * f.values[mask] * f.grid.widths[mask]))
 
 
-def check_domination(traj: Trajectory, bounds: BoundTrajectory, ks: KernelSet,
-                     tol: float = 0.05) -> list[ReportRow]:
+DOMINATION_TOL = 0.05   # slack on each simulated-over-bound ratio
+
+
+def check_domination(traj: Trajectory, bounds: BoundTrajectory,
+                     ks: KernelSet) -> list[ReportRow]:
     """Assert simulated moments stay below their bound trajectories.
 
     Orders 0, 1, 2 and the trajectory's weight order are compared pointwise
     in time; under condition (ii) the zeroth moment is additionally checked
-    through the Phi functional assembled from the snapshots.  One
-    'moment-domination' row per comparison, measuring the largest ratio of
-    the simulated value to its bound over t > 0 against 1 + tol.
+    through the Phi functional assembled from the snapshots, against the
+    order-PHI_ORDER bound.  One 'moment-domination' row per comparison: the
+    largest simulated-over-bound ratio over t > 0 against 1 + DOMINATION_TOL.
     """
     par = bounds.params
     if traj.times.shape != bounds.times.shape or np.max(np.abs(traj.times - bounds.times)) > 1e-9:
@@ -347,33 +339,24 @@ def check_domination(traj: Trajectory, bounds: BoundTrajectory, ks: KernelSet,
         raise KeyError(f"bound system has no bound for order {m:g}")
     rows = []
 
-    def add(name: str, ratio: np.ndarray, detail: str = "") -> None:
+    def add(name: str, simulated: np.ndarray, bound: np.ndarray, detail: str = "") -> None:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(bound > 0, simulated / bound, np.where(simulated <= 0, 0.0, np.inf))
         # t = 0 is left out: there the bound is the data
         rows.append(ReportRow("moment-domination", name, float(np.max(ratio[1:])), "<=",
-                              1.0 + tol, detail=detail))
+                              1.0 + DOMINATION_TOL, detail=detail))
 
-    measured = {0: traj.M0, 1: traj.M1, 2: traj.M2}
-    for key, name in ((0, "M0"), (1, "M1"), (2, "M2")):
-        if key not in bounds.columns:
-            continue
-        b = bounds.column(key)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(b > 0, measured[key] / b, np.where(measured[key] <= 0, 0.0, np.inf))
-        add(name, ratio)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(bound_m > 0, traj.Mm / bound_m,
-                         np.where(traj.Mm <= 0, 0.0, np.inf))
-    add("Mm", ratio, f"weight order {m:g}")
+    for key, name, simulated in ((0, "M0", traj.M0), (1, "M1", traj.M1), (2, "M2", traj.M2)):
+        if key in bounds.columns:
+            add(name, simulated, bounds.column(key))
+    add("Mm", traj.Mm, bound_m, f"weight order {m:g}")
 
-    if par.condition == "ii" and "phi_env" in bounds.columns:
+    if par.condition == "ii":
         i = PHI_ORDER
         flux = np.array([_frag_flux(f, ks, i) for f in traj.fields])
         acc = np.concatenate([[0.0], cumulative_trapezoid(flux, traj.times)])
         phi = traj.moments_at(float(i)) + 0.5 * par.delta_prime[i] * acc
-        env = bounds.column("phi_env")
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(env > 0, phi / env, np.inf)
-        add("Phi", ratio, f"functional order {i}")
+        add("Phi", phi, bounds.column(i), f"functional order {i}")
     return rows
 
 

@@ -156,15 +156,11 @@ class ScenarioContext:
 
     @cached_property
     def _bounds(self) -> mb.BoundTrajectory | mb.InfeasibleParamsError:
-        cond = self.conditions
-        if not cond.any_holds:
-            return mb.InfeasibleParamsError(
-                "neither global-existence condition holds; no bound system available")
         traj = self.trajectory
         try:
-            env = mb.m01_envelope(cond, self.ks, traj.M0[0], traj.M1[0], traj.times,
-                                  self.cfg.dt)
-            par = mb.assemble_bound_params(self.ks, self.cfg.m, env, cond)
+            env = mb.m01_envelope(self.conditions, self.ks, traj.M0[0], traj.M1[0],
+                                  traj.times, self.cfg.dt)
+            par = mb.assemble_bound_params(self.ks, self.cfg.m, env, self.conditions)
         except mb.InfeasibleParamsError as exc:
             return exc
         init = {0: traj.M0[0], 1: traj.M1[0], 2: traj.M2[0],

@@ -75,39 +75,45 @@ class ParameterDomainError(ValueError):
 # antiderivatives R and Q
 
 
+ANCHORS = 1200   # the tabulated antiderivatives' geometric mesh over [x_lo, x_hi]
+
+
 class Antiderivatives:
     """Antiderivatives R of 1/r and Q of q/r, normalized to vanish at x = 1.
 
     R is strictly increasing and invertible; Q is nondecreasing.  R has
     closed forms for the affine growth law r0 + r1*x (one for r1 = 0, one
     for the rest); a table rate, and every Q, is tabulated with per-segment
-    Gauss quadrature on a dense geometric mesh and interpolated monotonically
-    in log x.  The Q table is built on first use: a solve that transports
-    without absorption never reads it.
+    Gauss quadrature on ANCHORS geometric anchors and interpolated
+    monotonically in log x; a growth table whose tabulated R does not
+    increase strictly is refused.  The Q table is built on first use: a
+    solve that transports without absorption never reads it.
     """
 
-    def __init__(self, ks: KernelSet, x_lo: float, x_hi: float, anchors: int = 1200):
+    def __init__(self, ks: KernelSet, x_lo: float, x_hi: float):
         r = ks.r
         if r.is_zero:
             raise ParameterDomainError("antiderivatives need a positive growth rate")
         self.growth = r
         self.x_lo = float(min(x_lo, 0.5))
         self.x_hi = float(max(x_hi, 2.0))
-        self._anchors = int(anchors)
         self._q = ks.q
         self._q_is_zero = ks.a.is_zero and ks.a1.beta == 0.0
         self._transport_plan = None   # memo of transport_apply
 
         if r.kind == "table":
             t, R = self._tabulate(lambda s: 1.0 / r(s))
+            if not np.all(np.diff(R) > 0):
+                raise ParameterDomainError(
+                    "'growth.table_r' spans too wide a range: the tabulated "
+                    "R = int dx/r does not increase strictly, so it cannot be inverted")
             self._R_interp = PchipInterpolator(t, R, extrapolate=True)
-            self._Rinv_interp = (PchipInterpolator(R, t, extrapolate=True)
-                                 if np.all(np.diff(R) > 0) else None)
+            self._Rinv_interp = PchipInterpolator(R, t, extrapolate=True)
 
     def _tabulate(self, integrand) -> tuple[np.ndarray, np.ndarray]:
         """log x at the anchors and the antiderivative of integrand there."""
         anchors = np.unique(np.concatenate([
-            np.geomspace(self.x_lo, self.x_hi, self._anchors), [1.0]]))
+            np.geomspace(self.x_lo, self.x_hi, ANCHORS), [1.0]]))
         nodes, weights = np.polynomial.legendre.leggauss(10)
         lo, hi = anchors[:-1], anchors[1:]
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
@@ -551,8 +557,10 @@ def resolvent_integral_bounds(alpha: float, lam: float, m: float, ks: KernelSet)
 # the singular solution v_lambda
 
 
-def v_lambda_diagnostics(sp: SpectralParams, ks: KernelSet,
-                         eps_range: tuple[float, float] = (1e-1, 1e-5)) -> list[ReportRow]:
+V_LAMBDA_CUTOFFS = (1e-1, 1e-5)   # the largest and smallest cutoff of the v_lambda sweep
+
+
+def v_lambda_diagnostics(sp: SpectralParams, ks: KernelSet) -> list[ReportRow]:
     """Certify that the homogeneous resolvent solution is inadmissible.
 
     Unreachable origin: the truncated weighted integral of v_lambda grows
@@ -565,8 +573,8 @@ def v_lambda_diagnostics(sp: SpectralParams, ks: KernelSet,
     """
     if ks.r.is_zero:
         raise ParameterDomainError("v_lambda diagnostics need a positive growth rate")
-    antid = Antiderivatives(ks, x_lo=eps_range[1] * 1e-2, x_hi=10.0)
-    eps = np.geomspace(eps_range[0], eps_range[1], 9)
+    antid = Antiderivatives(ks, x_lo=V_LAMBDA_CUTOFFS[1] * 1e-2, x_hi=10.0)
+    eps = np.geomspace(*V_LAMBDA_CUTOFFS, 9)
     w = WeightSpec(sp.m, "shifted")
     cutoffs = f"lambda = {sp.lam:g}, cutoffs {eps[0]:g} .. {eps[-1]:g}"
 

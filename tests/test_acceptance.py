@@ -255,7 +255,7 @@ def test_c12_moment_domination(contexts):
         par = mb.assemble_bound_params(ctx.ks, ctx.cfg.m, env, cond)
         bounds = mb.bound_system(par, {0: traj.M0[0], 1: traj.M1[0], 2: traj.M2[0]},
                                  traj.times, ctx.cfg.dt)
-        rows = mb.check_domination(traj, bounds, ctx.ks, tol=0.05)
+        rows = mb.check_domination(traj, bounds, ctx.ks)
         assert all(r.passed for r in rows), (name, [(r.name, r.measured) for r in rows])
         if cond.certified == "ii":
             env = traj.M1[0] * np.exp(ctx.ks.r.rtilde * traj.times)

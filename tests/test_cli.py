@@ -240,6 +240,53 @@ class TestConfigParsing:
                      "--out", str(tmp_path / "o")]) == 1
         assert re.match(f"error: {message}", capsys.readouterr().err)
 
+    # one valid table per kind: (knots key, knots, values key, values)
+    TABLES = {
+        "fragmentation": ("table_x", [1e-3, 1.0, 50.0], "table_a", [0.0, 1.0, 50.0]),
+        "daughter": ("table_u", [0.0, 0.5, 1.0], "table_phi", [2.0, 2.0, 2.0]),
+        "growth": ("table_x", [1e-3, 1.0, 50.0], "table_r", [0.1, 0.2, 0.3]),
+        "coagulation": ("table_x", [1e-3, 1.0, 50.0], "table_k", [[1.0] * 3] * 3),
+    }
+
+    @pytest.mark.parametrize("defect", ["decreasing-knots", "short-values",
+                                        "wrong-rank-values", "single-knot"])
+    @pytest.mark.parametrize("section", ["fragmentation", "daughter", "growth", "coagulation"])
+    def test_malformed_table_fails_at_load_naming_the_field(self, tmp_path, capsys,
+                                                            section, defect):
+        """Knots must be 1-D, strictly increasing and at least 2; values
+        one per knot (per knot pair for table_k).  Each defect is one error
+        line naming the field, not a run on undefined interpolation or a
+        traceback."""
+        knots_key, knots, values_key, values = self.TABLES[section]
+        square = section == "coagulation"
+        knots, values, field = {
+            "decreasing-knots": (knots[::-1], values, knots_key),
+            "short-values": (knots, values[:-1], values_key),
+            "wrong-rank-values": (knots, values[0] if square else [values], values_key),
+            "single-knot": (knots[:1], [[1.0]] if square else values[:1], knots_key),
+        }[defect]
+        raw = get_preset("gfc-global-ii")
+        raw["grid"]["cells"] = 64
+        raw["kernels"][section] = {"kind": "table", knots_key: knots, values_key: values,
+                                   **({"k0": 2.0} if square else {})}
+        assert main(["run", "--config", write_cfg(tmp_path, raw),
+                     "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: '{field}' ") and "Traceback" not in err
+
+    def test_growth_table_with_uninvertible_antiderivative_fails_before_the_run(
+            self, tmp_path, capsys):
+        """Over a rate spanning 1e-3 .. 1e20 the tabulated R = int dx/r stops
+        increasing in floating point, so R has no inverse to remap with."""
+        raw = get_preset("gfc-global-ii")
+        raw["grid"]["cells"] = 64
+        raw["kernels"]["growth"] = {"kind": "table", "table_x": [1e-3, 1e-2, 400.0],
+                                    "table_r": [1e-3, 1e-3, 1e20]}
+        assert main(["run", "--config", write_cfg(tmp_path, raw),
+                     "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith("error: 'growth.table_r' ")
+        assert not (tmp_path / "o").exists()
+
     def test_null_sections_load_as_empty(self, tmp_path, capsys):
         raw = copy.deepcopy(MINI)
         raw["solver"] = None

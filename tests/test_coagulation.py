@@ -272,16 +272,16 @@ class TestShiftedOperator:
 
 
 def identity_rows(f, ct):
-    return {r.name: r for r in coag_moment_identity(f, ct, 2e-3)}
+    return {r.name: r for r in coag_moment_identity(f, ct)}
 
 
 class TestMomentIdentities:
     def test_rows_are_the_suite_rows(self, ct_const, box_field):
-        rows = coag_moment_identity(box_field, ct_const, 2e-3)
+        rows = coag_moment_identity(box_field, ct_const)
         assert [r.name for r in rows] == ["moment-0", "moment-1", "moment-2"]
         assert [r.bound for r in rows] == [1e-11, 1e-11, 2e-3]
         assert all(r.suite == "coag-identities" and r.status == "pass" for r in rows)
-        (off,) = coag_moment_identity(box_field, None, 2e-3)
+        (off,) = coag_moment_identity(box_field, None)
         assert off.status == "n/a" and off.detail == "coagulation disabled"
 
     def test_mass_identity_trivial(self, ct_const, box_field):

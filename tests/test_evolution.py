@@ -442,7 +442,7 @@ class TestRegularizationProbe:
     def test_probe_passes_on_reference_setup(self, probe_ks):
         grid = SizeGrid.geometric(1e-4, 128.0, 256)
         t_list = np.geomspace(1e-2, 1.0, 9)
-        rows = regularization_probe(probe_ks, grid, 3.5, 1.5, 2.0, t_list, 0.25, dt=2e-3)
+        rows = regularization_probe(probe_ks, grid, 3.5, 1.5, 2.0, t_list, dt=2e-3)
         assert [r.name for r in rows] == ["bounded-product", "grid-stability"]
         assert all(r.suite == "regularization-probe" and r.status == "pass" for r in rows)
         assert np.isfinite(rows[0].measured)
@@ -451,7 +451,7 @@ class TestRegularizationProbe:
     def test_smaller_n_still_bounded(self, probe_ks):
         grid = SizeGrid.geometric(1e-4, 128.0, 256)
         t_list = np.geomspace(1e-2, 1.0, 9)
-        rows = probe_rows(probe_ks, grid, 3.5, 1.25, 2.0, t_list, 0.25, dt=2e-3)
+        rows = probe_rows(probe_ks, grid, 3.5, 1.25, 2.0, t_list, dt=2e-3)
         assert np.isfinite(rows["bounded-product"].measured)
         assert rows["grid-stability"].measured < 0.25
 
@@ -466,7 +466,7 @@ class TestRegularizationProbe:
         monkeypatch.setattr(gfc.evolution, "_linear_norm_curve", counted)
         grid = SizeGrid.geometric(1e-4, 128.0, 64)
         t_list = np.geomspace(1e-2, 0.5, 5)
-        rows = probe_rows(probe_ks, grid, 3.5, 1.5, 2.0, t_list, 0.25, dt=5e-3)
+        rows = probe_rows(probe_ks, grid, 3.5, 1.5, 2.0, t_list, dt=5e-3)
         # one curve on the grid, one on the refined grid
         assert curves == [64, 128]
         # the reported supremum is t^((m-n)/gamma0) e^(-theta t) times the
@@ -484,7 +484,7 @@ class TestRegularizationProbe:
         # eta pushed so far that the profile is m-integrable on the full axis
         with pytest.raises(SetupError, match="m-integrable"):
             regularization_probe(probe_ks, grid, 3.5, 1.5, 2.0,
-                                 np.geomspace(1e-2, 1.0, 5), 0.25, eta=4.0, dt=5e-3)
+                                 np.geomspace(1e-2, 1.0, 5), eta=4.0, dt=5e-3)
 
     def test_m_equal_p_no_blowup(self, probe_ks):
         # initial data already carries the target moment: early norms stay tame
@@ -503,7 +503,7 @@ class TestPdeResidual:
         grid = SizeGrid.geometric(1e-2, 30.0, 64)
         traj = solve(DensityField.zeros(grid), mk_cfg(t_end=0.2), ks)
         dm = build_daughter_matrix(ks.b, grid)
-        (row,) = pde_residual(traj, ks, dm, None, 0.05)
+        (row,) = pde_residual(traj, ks, dm, None)
         assert (row.suite, row.name, row.measured, row.status) == \
             ("pde-residual", "interior", 0.0, "pass")
 
@@ -512,7 +512,7 @@ class TestPdeResidual:
         grid = SizeGrid.geometric(1e-2, 30.0, 64)
         traj = solve(DensityField.zeros(grid), mk_cfg(t_end=0.05), ks)
         assert len(traj.fields) == 2
-        (row,) = pde_residual(traj, ks, build_daughter_matrix(ks.b, grid), None, 0.05)
+        (row,) = pde_residual(traj, ks, build_daughter_matrix(ks.b, grid), None)
         assert row.status == "n/a" and row.detail == "too few snapshots"
 
     def test_aizenman_bak_residual_small_and_decaying(self):
@@ -524,7 +524,7 @@ class TestPdeResidual:
             cfg = mk_cfg(dt=dt, t_end=0.2, output_every=0.02)
             traj = solve(f, cfg, ks)
             dm = build_daughter_matrix(ks.b, grid)
-            (row,) = pde_residual(traj, ks, dm, None, 0.05, p=1.5)
+            (row,) = pde_residual(traj, ks, dm, None, p=1.5)
             assert row.status == "pass"
             # the row is relative to the p-weighted norm of |f| at mid-run
             mid = traj.fields[len(traj.fields) // 2]

@@ -3,12 +3,19 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import cumulative_trapezoid
 
 from conftest import make_kernels
 from gfc import moment_bounds as mb
+from gfc.config import load_scenario
 from gfc.evolution import solve, SolverConfig
 from gfc.fragmentation import below_x0, fragmentation_constants
 from gfc.grid import SizeGrid, moment, project
+from gfc.kernels import UNREACHABLE, GrowthRate
+from gfc.presets import get_preset
+from gfc.report import SUITES, ScenarioContext
 
 
 def test_binary_expansion_constants():
@@ -44,6 +51,33 @@ class TestGlobalConditions:
             mb.m01_envelope(cond, ks, 1.0, 1.0, np.linspace(0, 1, 11), 1e-3)
         with pytest.raises(mb.InfeasibleParamsError):
             mb.assemble_bound_params(ks, 2.0, {1: np.ones(11)}, cond)
+
+    def test_growth_table_reaching_the_origin_is_not_condition_ii(self):
+        """r(0+) = 1e-12 stays below 0.25 x at every sampled size, but the
+        origin is reachable, so r(x) <= rtilde x fails near 0."""
+        ks = replace(make_kernels(a0=1.0, k0=0.5, coag_kind="sum"),
+                     r=GrowthRate("table", r0=1e-12, r1=0.25, table_x=[1e-9, 1.0, 400.0],
+                                  table_r=[1e-12, 0.25, 100.0]))
+        cond = mb.global_conditions(ks, 50.0)
+        assert ks.r.origin_class != UNREACHABLE
+        assert not cond.cond_ii and cond.certified != "ii"
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(
+        st.builds(lambda r0, r1: GrowthRate("affine", r0=r0, r1=r1),
+                  st.one_of(st.just(0.0), st.floats(1e-300, 10.0)), st.floats(0.0, 10.0)),
+        st.builds(lambda lo, values, r1: GrowthRate(
+                      "table", r0=values[0], r1=r1,
+                      table_x=np.geomspace(lo, 400.0, len(values)), table_r=values),
+                  st.floats(1e-12, 1e-2),
+                  st.lists(st.floats(1e-12, 10.0), min_size=2, max_size=6),
+                  st.floats(0.0, 10.0))))
+    def test_condition_ii_is_the_unreachable_origin(self, growth):
+        """Condition (ii) is certified exactly when the growth law's origin
+        is unreachable, over affine laws and growth tables."""
+        ks = replace(make_kernels(a0=1.0, k0=0.5, coag_kind="sum"), r=growth)
+        cond = mb.global_conditions(ks, 50.0)
+        assert (cond.certified == "ii") == (growth.origin_class == UNREACHABLE)
 
 
 @pytest.mark.parametrize("growth,r0,certified,share", [("linear", 0.0, "ii", 0.5),
@@ -202,7 +236,7 @@ def scenario():
 class TestDomination:
     def test_all_orders_dominated(self, scenario):
         ks, traj, par, bounds = scenario
-        rows = mb.check_domination(traj, bounds, ks, tol=0.05)
+        rows = mb.check_domination(traj, bounds, ks)
         assert all(r.passed for r in rows), [(r.name, r.measured) for r in rows]
         names = {r.name for r in rows}
         assert {"M0", "M1", "M2", "Mm", "Phi"} <= names
@@ -210,3 +244,19 @@ class TestDomination:
     def test_comparison_principle(self, scenario):
         ks, traj, par, _ = scenario
         assert mb.comparison_principle_residual(traj, par) <= 1e-6
+
+
+def test_phi_is_checked_against_the_order_2_bound():
+    """Phi starts at M2(0) and obeys the order-2 comparison ODE, so its
+    envelope is the M2 bound itself, not a second integration of it."""
+    raw = get_preset("gfc-global-ii")
+    raw["grid"]["cells"] = 64
+    ctx = ScenarioContext(load_scenario(raw))
+    traj, bounds, ks = ctx.trajectory, ctx.bounds, ctx.ks
+    assert ctx.conditions.certified == "ii" and mb.PHI_ORDER == 2
+    assert all(isinstance(key, int) for key in bounds.columns)
+    flux = np.array([mb._frag_flux(f, ks, 2) for f in traj.fields])
+    acc = np.concatenate([[0.0], cumulative_trapezoid(flux, traj.times)])
+    phi = traj.M2 + 0.5 * bounds.params.delta_prime[2] * acc
+    rows = {r.name: r for r in SUITES["moment-domination"](ctx)}
+    assert rows["Phi"].measured == float(np.max((phi / bounds.column(2))[1:]))
