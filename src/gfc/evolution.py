@@ -109,7 +109,7 @@ class SolverConfig:
                 raise ConfigError("orders must satisfy 1 < n < p < m")
             if abs(self.p - (self.m - ks.k.alpha)) > 1e-12:
                 raise ConfigError("duhamel scheme requires p = m - alpha")
-            if (self.m - self.n) / ks.a.gamma0 >= 1.0:
+            if self.m - self.n >= ks.a.gamma0:
                 raise ConfigError("(m - n)/gamma0 must be below 1 for the Duhamel integral")
         # the step bound and the mild formulation both rest on the shift for this ball
         shift = AbsorptionRate.for_ball(ks.k, self.ball_radius)
@@ -501,6 +501,8 @@ def regularization_probe(ks: KernelSet, grid: SizeGrid, m: float, n: float, p: f
     """
     if not (1.0 < n < p < m):
         raise SetupError("orders must satisfy 1 < n < p < m")
+    if ks.a.gamma0 <= 0:
+        raise SetupError(f"the probe's (m - n)/gamma0 needs gamma0 > 0, got {ks.a.gamma0:g}")
     t_list = np.asarray(t_list, dtype=float)
 
     def profile(x):

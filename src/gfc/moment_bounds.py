@@ -37,6 +37,7 @@ __all__ = [
     "InfeasibleParamsError",
     "binary_expansion_constant",
     "global_conditions",
+    "require_condition",
     "m01_envelope",
     "assemble_bound_params",
     "bound_system",
@@ -139,13 +140,19 @@ class MomentBoundParams:
     x0: float = 1.0
     a_tilde: float = 0.0
     b0: float = 2.0
-    power: float = 3.0                  # (2 gamma0 - alpha)/(gamma0 - alpha)
+    power: float = 3.0                  # (2 gamma0 - alpha)/(gamma0 - alpha) where D3 > 0
     envelope: dict = field(default_factory=dict)   # m01_envelope columns
 
     def rhs(self, i: int, Mi: float, Mim1: float) -> float:
         """Right-hand side of the scalar comparison ODE at order i."""
         return (self.D0[i] + self.D1[i] * Mi + self.D2[i] * Mim1
                 + self.D3[i] * Mim1 ** self.power)
+
+
+def require_condition(condition: ConditionReport) -> None:
+    """Refuse the bound cascade when neither global-existence condition holds."""
+    if not condition.any_holds:
+        raise InfeasibleParamsError("neither global-existence condition is certified")
 
 
 def m01_envelope(condition: ConditionReport, ks: KernelSet, M0_0: float, M1_0: float,
@@ -156,15 +163,14 @@ def m01_envelope(condition: ConditionReport, ks: KernelSet, M0_0: float, M1_0: f
     controlled through the Phi functional); condition (i): the coupled
     linear (M0, M1) system, integrated by RK4 with step dt.
     """
+    require_condition(condition)
     times = np.asarray(times, dtype=float)
     if condition.cond_ii:
         return {1: M1_0 * np.exp(ks.r.rtilde * times)}
-    if condition.cond_i:
-        A = np.array([[condition.m0, condition.m1],
-                      [ks.r.r0, ks.r.r1]])
-        lin = _rk4(lambda t, y: A @ y, np.array([M0_0, M1_0]), times, dt)
-        return {0: lin[:, 0], 1: lin[:, 1]}
-    raise InfeasibleParamsError("neither global-existence condition is certified")
+    A = np.array([[condition.m0, condition.m1],
+                  [ks.r.r0, ks.r.r1]])
+    lin = _rk4(lambda t, y: A @ y, np.array([M0_0, M1_0]), times, dt)
+    return {0: lin[:, 0], 1: lin[:, 1]}
 
 
 def assemble_bound_params(ks: KernelSet, m: float, envelope: dict,
@@ -177,8 +183,7 @@ def assemble_bound_params(ks: KernelSet, m: float, envelope: dict,
     EPS_MARGIN.  The sink is delta_i under condition (i) and delta_i/2 under
     condition (ii), whose Phi functional spends the other half on M0.
     """
-    if not condition.any_holds:
-        raise InfeasibleParamsError("neither global-existence condition is certified")
+    require_condition(condition)
     gamma0, alpha = ks.a.gamma0, ks.k.alpha
     if not ks.k.is_zero and alpha >= gamma0:
         raise InfeasibleParamsError("needs alpha < gamma0")
@@ -190,8 +195,7 @@ def assemble_bound_params(ks: KernelSet, m: float, envelope: dict,
     par = MomentBoundParams(
         orders=orders, gamma0=gamma0, alpha=alpha, rtilde=ks.r.rtilde,
         condition=condition.certified, M1_max=M1_max, x0=ks.a.x0,
-        b0=ks.b.number_of_daughters(),
-        power=(2 * gamma0 - alpha) / (gamma0 - alpha), envelope=envelope)
+        b0=ks.b.number_of_daughters(), envelope=envelope)
 
     k0 = ks.k.k0
     sink_share = 0.5 if par.condition == "ii" else 1.0
@@ -219,6 +223,7 @@ def assemble_bound_params(ks: KernelSet, m: float, envelope: dict,
         par.D1[i] = nu + par.rtilde
         par.D2[i] = par.rtilde + Ki * M1_max * (1.0 + C_ALPHA + young)
         par.D3[i] = Ki * young
+        par.power = (2 * gamma0 - alpha) / (gamma0 - alpha)   # only D3 reads it
 
     # zeroth-moment machinery under condition (ii)
     xs = below_x0(ks)

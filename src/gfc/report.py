@@ -156,8 +156,9 @@ class ScenarioContext:
 
     @cached_property
     def _bounds(self) -> mb.BoundTrajectory | mb.InfeasibleParamsError:
-        traj = self.trajectory
         try:
+            mb.require_condition(self.conditions)   # refuse before solving
+            traj = self.trajectory
             env = mb.m01_envelope(self.conditions, self.ks, traj.M0[0], traj.M1[0],
                                   traj.times, self.cfg.dt)
             par = mb.assemble_bound_params(self.ks, self.cfg.m, env, self.conditions)

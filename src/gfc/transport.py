@@ -75,18 +75,31 @@ class ParameterDomainError(ValueError):
 # antiderivatives R and Q
 
 
-ANCHORS = 1200   # the tabulated antiderivatives' geometric mesh over [x_lo, x_hi]
+ANCHORS = 1200   # Q's tabulation: a geometric mesh over [x_lo, x_hi]
+
+
+def _piece_integral(x, base, rate, slope, far, far_rate):
+    """int_base^x ds / (rate + slope*(s - base)) on a table piece.  The log1p
+    is taken from the smaller-rate end of [base, x], with r(x) measured from
+    the piece's far end, so a steep piece does not cancel."""
+    s = x - base
+    low = np.where(slope * s >= 0, rate, far_rate + slope * (x - far))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(slope == 0, s / rate,
+                        np.sign(s) * np.log1p(np.abs(slope * s) / low) / np.abs(slope))
 
 
 class Antiderivatives:
     """Antiderivatives R of 1/r and Q of q/r, normalized to vanish at x = 1.
 
-    R is strictly increasing and invertible; Q is nondecreasing.  R has
-    closed forms for the affine growth law r0 + r1*x (one for r1 = 0, one
-    for the rest); a table rate, and every Q, is tabulated with per-segment
-    Gauss quadrature on ANCHORS geometric anchors and interpolated
-    monotonically in log x; a growth table whose tabulated R does not
-    increase strictly is refused.  The Q table is built on first use: a
+    R is strictly increasing, invertible and exact: the affine law r0 + r1*x
+    has one closed form for r1 = 0 and one for the rest; a table rate is
+    linear between its knots and constant beyond them (np.interp), so on
+    each piece R is log1p(beta*s/r)/beta (s/r where beta = 0) plus R at the
+    piece's end nearer to x = 1, a knot from which R is chained outward.
+    R^-1 finds its piece by searching R at the knots; R(0+) is R(0).  Q is
+    tabulated with per-segment Gauss quadrature on ANCHORS geometric anchors
+    over [x_lo, x_hi], interpolated monotonically in log x, on first use: a
     solve that transports without absorption never reads it.
     """
 
@@ -102,13 +115,17 @@ class Antiderivatives:
         self._transport_plan = None   # memo of transport_apply
 
         if r.kind == "table":
-            t, R = self._tabulate(lambda s: 1.0 / r(s))
-            if not np.all(np.diff(R) > 0):
-                raise ParameterDomainError(
-                    "'growth.table_r' spans too wide a range: the tabulated "
-                    "R = int dx/r does not increase strictly, so it cannot be inverted")
-            self._R_interp = PchipInterpolator(t, R, extrapolate=True)
-            self._Rinv_interp = PchipInterpolator(R, t, extrapolate=True)
+            # piece i lies between knots i-1 and i (pieces 0 and n are the
+            # constant ends) and is measured from its end nearer to x = 1
+            knots = np.union1d(r.table_x, [1.0])
+            rates, one, i = r(knots), np.searchsorted(knots, 1.0), np.arange(knots.size + 1)
+            base, far = np.where(i > one, [i - 1, i], [i, i - 1]).clip(0, knots.size - 1)
+            slope = np.concatenate([[0.0], np.diff(rates) / np.diff(knots), [0.0]])
+            piece = (knots[base], rates[base], slope, knots[far], rates[far])
+            step = _piece_integral(knots[far], *piece)
+            self._knots, self._R_knots = knots, np.concatenate(
+                [np.cumsum(step[one:0:-1])[::-1], [0.0], np.cumsum(step[one + 1:-1])])
+            self._pieces = (self._R_knots[base],) + piece
 
     def _tabulate(self, integrand) -> tuple[np.ndarray, np.ndarray]:
         """log x at the anchors and the antiderivative of integrand there."""
@@ -128,7 +145,9 @@ class Antiderivatives:
         x = np.asarray(x, dtype=float)
         r = self.growth
         if r.kind == "table":
-            return self._R_interp(np.log(x))
+            k = np.searchsorted(self._knots, x, side="right")
+            offset, *piece = (p[k] for p in self._pieces)
+            return offset + _piece_integral(x, *piece)
         if r.r1 == 0.0:
             return (x - 1.0) / r.r0
         return np.log((r.r0 + r.r1 * x) / (r.r0 + r.r1)) / r.r1
@@ -137,7 +156,11 @@ class Antiderivatives:
         u = np.asarray(u, dtype=float)
         r = self.growth
         if r.kind == "table":
-            return np.exp(self._Rinv_interp(u))
+            k = np.searchsorted(self._R_knots, u, side="right")
+            offset, base, rate, slope = (p[k] for p in self._pieces[:4])
+            v = u - offset
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return base + np.where(slope == 0, rate * v, rate * np.expm1(slope * v) / slope)
         if r.r1 == 0.0:
             return 1.0 + r.r0 * u
         return ((r.r0 + r.r1) * np.exp(r.r1 * u) - r.r0) / r.r1
@@ -147,9 +170,8 @@ class Antiderivatives:
         """m_R: limit of R at 0+, finite exactly when the origin is reachable."""
         r = self.growth
         if r.kind == "table":
-            # tables extend with a positive constant, so the limit is finite;
-            # approximate it by the tabulated low end
-            return float(self.R(self.x_lo))
+            # tables extend with a positive constant, so R is finite at 0
+            return float(self.R(0.0))
         if r.r1 == 0.0:
             return -1.0 / r.r0
         return math.log(r.r0 / (r.r0 + r.r1)) / r.r1 if r.r0 > 0 else -math.inf
@@ -199,8 +221,7 @@ def r_inverse_clipped(antid: Antiderivatives, u):
     u = np.asarray(u, dtype=float)
     m_R = antid.R_at_origin
     hit = u <= m_R
-    safe = np.where(hit, 0.0, antid.R_inverse(np.where(hit, m_R + 1.0, u)))
-    return np.where(hit, 0.0, safe)
+    return np.where(hit, 0.0, antid.R_inverse(np.where(hit, m_R + 1.0, u)))
 
 
 def _locate(centers: np.ndarray, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -383,7 +404,7 @@ def transport_norms(ks: KernelSet, grid: SizeGrid, m: float, times) -> np.ndarra
     t = np.asarray(times, dtype=float)[:, None]
     if ks.r.is_zero:
         return np.max(np.exp(-ks.q(y) * t), axis=1)
-    # r <= rtilde*(1 + x) keeps every X_t(y) inside the tabulated range
+    # r <= rtilde*(1 + x) keeps every X_t(y) inside Q's tabulated range
     antid = Antiderivatives(ks, x_lo=grid.xmin * 1e-6,
                             x_hi=(1.0 + grid.xmax) * math.exp(ks.r.rtilde * float(t.max())))
     X = r_inverse_clipped(antid, antid.R(y) + t)
@@ -528,11 +549,12 @@ def resolvent_integral_bounds(alpha: float, lam: float, m: float, ks: KernelSet)
     hi = alpha
     for _ in range(400):
         hi *= 1.6
-        if hi > antid.x_hi * 0.9:
-            antid = Antiderivatives(ks, x_lo=min(alpha, 1.0) * 1e-3, x_hi=hi * 1e3)
-            f_I, f_J = _integrands(antid, ks, sp)
         if float(f_I(hi)) < 1e-14 * peak:
             break
+    # f_I reads only R, which is exact everywhere; Q is tabulated up to x_hi
+    if hi > antid.x_hi * 0.9:
+        antid = Antiderivatives(ks, x_lo=min(alpha, 1.0) * 1e-3, x_hi=hi * 1e3)
+        f_I, f_J = _integrands(antid, ks, sp)
 
     # one panel per octave
     cuts = np.unique(np.concatenate([

@@ -274,18 +274,30 @@ class TestConfigParsing:
         err = capsys.readouterr().err
         assert err.startswith(f"error: '{field}' ") and "Traceback" not in err
 
-    def test_growth_table_with_uninvertible_antiderivative_fails_before_the_run(
-            self, tmp_path, capsys):
-        """Over a rate spanning 1e-3 .. 1e20 the tabulated R = int dx/r stops
-        increasing in floating point, so R has no inverse to remap with."""
+    @pytest.mark.parametrize("table_r", [[1e-3, 1e-3, 1e20], [1e20, 1e-3, 1e-3]])
+    def test_growth_table_spanning_23_decades_runs(self, tmp_path, capsys, table_r):
+        """A rate rising (or falling) across 23 decades has an exact R, flat in
+        floating point where r is huge; R^-1 inverts it as far as float R
+        resolves x, and the run closes its mass ledger."""
+        import numpy as np
+        from gfc.transport import make_antiderivatives
         raw = get_preset("gfc-global-ii")
         raw["grid"]["cells"] = 64
         raw["kernels"]["growth"] = {"kind": "table", "table_x": [1e-3, 1e-2, 400.0],
-                                    "table_r": [1e-3, 1e-3, 1e20]}
+                                    "table_r": table_r}
+        raw["checks"] = {"suites": ["mass-budget", "positivity"]}
+        sc = load_scenario(raw)
+        ks, c = sc.kernel_set(), sc.grid().centers
+        antid = make_antiderivatives(ks, sc.grid())
+        R = antid.R(c)
+        assert np.all(np.isfinite(R)) and np.all(np.diff(R) >= 0)
+        slack = 4.0 * ks.r(c) * np.spacing(np.abs(R))   # an ulp of R moves x by r times it
+        assert np.all(np.abs(antid.R_inverse(R) - c) <= 1e-13 * c + slack)
         assert main(["run", "--config", write_cfg(tmp_path, raw),
-                     "--out", str(tmp_path / "o")]) == 1
-        assert capsys.readouterr().err.startswith("error: 'growth.table_r' ")
-        assert not (tmp_path / "o").exists()
+                     "--out", str(tmp_path / "o")]) == 0
+        closure = re.search(r"^PASS  mass-budget/closure measured=(\S+) ",
+                            capsys.readouterr().out, re.M)
+        assert float(closure.group(1)) <= 1e-8
 
     def test_null_sections_load_as_empty(self, tmp_path, capsys):
         raw = copy.deepcopy(MINI)
@@ -553,6 +565,36 @@ class TestCommands:
         assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "bounds")]) == 1
         assert refusal in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,preset,scheme,message", [
+        ("run", "gfc-global-ii", "duhamel", "(m - n)/gamma0 must be below 1"),
+        ("probe-regularization", "regularization-probe", "lie-split",
+         "the probe's (m - n)/gamma0 needs gamma0 > 0, got 0")])
+    def test_gamma0_zero_is_an_error_line(self, tmp_path, capsys, command, preset, scheme,
+                                          message):
+        """gamma0 = 0 is an admissible rate, but the Duhamel integral and the
+        probe's exponent (m - n)/gamma0 need gamma0 > m - n > 0."""
+        raw = get_preset(preset)
+        raw["grid"]["cells"] = 64
+        raw["solver"]["scheme"] = scheme
+        raw["kernels"]["fragmentation"]["gamma0"] = 0.0
+        assert main([command, "--config", write_cfg(tmp_path, raw),
+                     "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and "Traceback" not in err
+
+    def test_bounds_without_coagulation_need_no_alpha_below_gamma0(self, tmp_path, capsys):
+        """alpha < gamma0 is a premise of the coagulation term alone: with
+        coagulation off and alpha = gamma0 the cascade is built and holds."""
+        raw = get_preset("gfc-global-i")
+        raw["grid"]["cells"] = 64
+        raw["kernels"]["coagulation"] = {"kind": "constant", "k0": 0, "alpha": 1}
+        raw["checks"] = {"suites": ["moment-domination"]}
+        assert raw["kernels"]["fragmentation"]["gamma0"] == 1.0
+        assert main(["run", "--config", write_cfg(tmp_path, raw),
+                     "--out", str(tmp_path / "o")]) == 0
+        out = capsys.readouterr().out
+        assert "PASS  moment-domination/M2 " in out and "FAIL" not in out
+
 
 class TestOneSolvePerScenario:
     @staticmethod
@@ -591,6 +633,21 @@ class TestOneSolvePerScenario:
         assert main(["verify", "--config", cfg, "--out", str(tmp_path / "verify")]) == 0
         header = (tmp_path / "verify" / "scenario_trajectory.csv").read_text().splitlines()[0]
         assert header.split(",")[-4:] == ["bound_0", "bound_1", "bound_2", "bound_m"]
+
+    def test_bounds_refuses_before_solving(self, tmp_path, monkeypatch, capsys):
+        """Neither global-existence condition holds for a superlinear
+        fragmentation rate under affine growth: bounds says so without solving."""
+        import gfc.report
+        raw = get_preset("gfc-global-i")
+        raw["grid"]["cells"] = 64
+        raw["kernels"]["fragmentation"]["gamma0"] = 2.0
+        raw["time"]["dt"] = 2e-4
+        solves = self.counting(monkeypatch, gfc.report, "solve")
+        assert main(["bounds", "--config", write_cfg(tmp_path, raw),
+                     "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == (
+            "error: neither global-existence condition is certified\n")
+        assert solves == []
 
     def test_refused_cascade_is_assembled_once(self, tmp_path, monkeypatch, capsys):
         """The CSV writer and the moment-domination suite both ask for the

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 from scipy.interpolate import PchipInterpolator
 
 import gfc.evolution
@@ -63,11 +64,11 @@ class TestFlowMap:
         from scipy.integrate import solve_ivp
         xs = np.geomspace(1e-4, 1e3, 200)
         rt = GrowthRate("table", table_x=xs, table_r=1.0 + 0.0 * xs)
-        assert flow(rt, 0.5, 2.0) == pytest.approx(2.5, rel=1e-6)
-        # a nonconstant table against the ODE dx/dt = r(x)
+        assert flow(rt, 0.5, 2.0) == pytest.approx(2.5, rel=1e-14)
+        # a nonconstant table against the ODE dx/dt = r(x), to what solve_ivp meets
         rt = GrowthRate("table", table_x=xs, table_r=0.2 + 0.5 * np.sqrt(xs))
         sol = solve_ivp(lambda t, y: rt(y), (0.0, 0.7), [2.0], rtol=1e-12, atol=1e-14)
-        assert flow(rt, 0.7, 2.0) == pytest.approx(sol.y[0, -1], rel=1e-6)
+        assert flow(rt, 0.7, 2.0) == pytest.approx(sol.y[0, -1], rel=1e-10)
 
 
 class TestTransport:
@@ -585,7 +586,48 @@ class TestLemmaBounds:
         assert reps["J"].measured == pytest.approx(5.0 * reps["I"].measured, rel=1e-8)
 
 
+@st.composite
+def growth_table(draw):
+    """A growth table and a grid: knots from inside the grid to decades
+    beyond it; values rising, falling, or jumping by up to four decades."""
+    grid = SizeGrid.geometric(1e-3, 10.0 ** draw(st.floats(0.5, 3.0)), draw(st.integers(8, 64)))
+    n = draw(st.integers(2, 10))
+    gaps = draw(st.lists(st.floats(0.01, 1.5), min_size=n - 1, max_size=n - 1))
+    xs = 10.0 ** (draw(st.floats(-5.0, 2.0)) + np.concatenate([[0.0], np.cumsum(gaps)]))
+    logs = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n)))
+    shape = draw(st.sampled_from(["rising", "falling", "steep"]))
+    logs = {"rising": np.sort(logs), "falling": np.sort(logs)[::-1], "steep": logs}[shape]
+    return GrowthRate("table", table_x=xs, table_r=10.0 ** logs), grid
+
+
+def R_by_quad(r: GrowthRate, x: float) -> float:
+    """int_1^x ds/r by adaptive quadrature, one per piece between knots."""
+    lo, hi = sorted((1.0, x))
+    inner = r.table_x[(r.table_x > lo) & (r.table_x < hi)]
+    cuts = np.concatenate([[lo], inner, [hi]])
+    total = math.fsum(quad(lambda s: 1.0 / float(r(s)), a, b, epsabs=0.0, epsrel=1e-13)[0]
+                      for a, b in zip(cuts[:-1], cuts[1:]))
+    return total if x >= 1.0 else -total
+
+
 class TestAntiderivatives:
+    @settings(max_examples=60, deadline=None)
+    @given(growth_table())
+    def test_table_R_is_exact(self, case):
+        """R of a table rate (linear between knots, constant beyond) against
+        quadrature, and R^-1 against R.  R^-1(R(c)) = c to 1e-13 relative
+        beyond what the rounding of R(c) itself allows: an ulp of R moves x
+        by r times it, and an ulp of the knot x = 1."""
+        r, grid = case
+        antid = Antiderivatives(dataclasses.replace(make_kernels(), r=r), 1e-4, 1e3)
+        assert float(antid.R(1.0)) == 0.0
+        c = grid.centers
+        R = antid.R(c)
+        np.testing.assert_allclose(R, [R_by_quad(r, x) for x in c], rtol=1e-12, atol=0.0)
+        assert antid.R_at_origin == pytest.approx(R_by_quad(r, 0.0), rel=1e-12)
+        slack = 4.0 * (np.spacing(np.maximum(c, 1.0)) + r(c) * np.spacing(np.abs(R)))
+        assert np.all(np.abs(antid.R_inverse(R) - c) <= 1e-13 * c + slack)
+
     def test_normalized_at_one_with_limits(self):
         ks = make_kernels(a0=1.0, growth="affine", r0=0.5, r1=0.5)
         antid = Antiderivatives(ks, 1e-5, 100.0)
