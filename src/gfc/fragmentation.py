@@ -4,15 +4,26 @@ The gain integral over parents is collapsed onto the grid through a daughter
 matrix whose columns are renormalized so that every parent's fragment mass
 lands exactly (to rounding) on the grid.  Mass-conservation errors would
 otherwise masquerade as model dynamics.
+
+For the power-law daughter (uniform-binary is nu = 0), Phi_0(u) = c0*u^p with
+p = nu + 1, so a daughter cell i strictly below parent j receives
+c0*(e_{i+1}^p - e_i^p)*x_j^-p: the matrix is diag(d) + strictly-upper(u v^T)
+plus the row-0 lump of fragment mass below xmin, e_0 lump^T, and every entry
+is a product of nonnegative factors.  It is built and applied in O(n) from
+those factors; the dense matrix is made only if something reads it.  A table
+daughter does not factor; it is the one dense branch, applied one mat-vec per
+row.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
 from .grid import DensityField, SizeGrid, moment
-from .kernels import DaughterDistribution, KernelSet, ReportRow
+from .kernels import DaughterDistribution, KernelConfigError, KernelSet, ReportRow
 
 __all__ = [
     "DaughterMatrix",
@@ -30,25 +41,65 @@ class DaughterMatrix:
     """w[i, j] ~ b(x_i, x_j) * width_i for daughters i of parents j (i <= j).
 
     Column j satisfies sum_i x_i w[i, j] = x_j exactly after renormalization.
+    A power-law daughter keeps `factors` (d, u, v, lump), with
+    w = diag(d) + strictly-upper(u v^T) + e_0 lump^T (u has n - 1 entries);
+    `w` is then materialised only when read, into `dense`.  A table daughter
+    has no factors and `dense` is its matrix.
     """
 
     grid: SizeGrid
-    w: np.ndarray
+    factors: Optional[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = None
+    dense: Optional[np.ndarray] = field(default=None, repr=False)
+
+    @property
+    def w(self) -> np.ndarray:
+        if self.dense is None:
+            d, u, v, lump = self.factors
+            w = np.triu(np.outer(np.append(u, 0.0), v), k=1)
+            w[np.diag_indices(self.grid.cells)] = d
+            w[0] += lump
+            self.dense = w
+        return self.dense
 
     def column_moment(self, m: float) -> np.ndarray:
         """Discrete n_m at each parent size: sum_i x_i^m w[i, j]."""
         xm = np.power(self.grid.centers, m)
-        return xm @ self.w
+        if self.factors is None:
+            return xm @ self.dense
+        d, u, v, lump = self.factors
+        below = np.concatenate([[0.0], np.cumsum(xm[:-1] * u)])
+        return xm * d + v * below + xm[0] * lump
 
 
 def build_daughter_matrix(b: DaughterDistribution, grid: SizeGrid) -> DaughterMatrix:
+    if b.kind == "table":
+        return DaughterMatrix(grid, dense=_dense_daughter_matrix(b, grid))
+    x, e = grid.centers, grid.edges
+    # with Phi_0(u) = c0 u^p, cell i < j gets Phi_0(e_{i+1}/x_j) - Phi_0(e_i/x_j)
+    # = u_i v_j and the parent's own cell Phi_0(1) - Phi_0(e_j/x_j) = d_j;
+    # expm1/log1p keep these differences of nearly equal powers accurate as
+    # p -> 0.  Sizes are measured from the grid's geometric middle, so each
+    # factor stays within exp(+-650) of 1, inside the float range
+    p, c0 = b.nu + 1.0, b.number_of_daughters()
+    mid = math.sqrt(grid.xmin * grid.xmax)
+    if p * math.log(grid.xmax / grid.xmin) > 1300.0:
+        raise KernelConfigError(f"power-law daughter nu = {b.nu} spans more than the "
+                                f"float range on [{grid.xmin}, {grid.xmax}]")
+    u = c0 * np.power(e[:-2] / mid, p) * np.expm1(p * np.log1p(grid.widths[:-1] / e[:-2]))
+    d = -c0 * np.expm1(p * np.log1p((e[:-1] - x) / x))
+    v = np.power(mid / x, p)
+    # fragment mass below the grid is lumped into the smallest cell, which
+    # keeps the mass budget closed
+    lump = b.partial_mass(x, grid.xmin) / x[0]
+    renorm = x / DaughterMatrix(grid, (d, u, v, lump)).column_moment(1.0)
+    return DaughterMatrix(grid, (d * renorm, u, v * renorm, lump * renorm))
+
+
+def _dense_daughter_matrix(b: DaughterDistribution, grid: SizeGrid) -> np.ndarray:
     x = grid.centers
     # exact per-cell daughter counts: w_ij = int over cell i of b(., x_j);
     # the integral saturates at the parent size, so cells above it get nothing
     w = np.diff(b.partial_number(x[None, :], grid.edges[:, None]), axis=0)
-
-    # fragment mass below the grid is lumped into the smallest cell, which
-    # keeps the mass budget closed
     w[0, :] += b.partial_mass(x, grid.xmin) / x[0]
 
     colmass = x @ w
@@ -60,7 +111,7 @@ def build_daughter_matrix(b: DaughterDistribution, grid: SizeGrid) -> DaughterMa
     # a parent whose daughters all fall outside the grid routes everything
     # to the smallest cell
     w[0, flagged] = x[flagged] / x[0]
-    return DaughterMatrix(grid, w)
+    return w
 
 
 def neglected_gain_estimate(ks: KernelSet, grid: SizeGrid, escaped_mass: float) -> float:
@@ -80,12 +131,21 @@ def daughter_gain(dm: DaughterMatrix, parent_amounts: np.ndarray) -> np.ndarray:
     """Fragment gain density from per-cell parent number amounts (value*width).
 
     Conserves sum_j x_j * amount_j exactly by construction.  A (rows, cells)
-    stack is applied one mat-vec per row: a mat-mat product sums in another
-    order, and each row must equal its own one-field call bit for bit.
+    stack gives each row bit for bit what its one-field call gives: the
+    factored gain d*A + u*(suffix sum of v*A past i) + e_0*sum(lump*A) runs
+    along the last axis only, and a table daughter's dense matrix is applied
+    one mat-vec per row, since a mat-mat product sums in another order.
     """
-    if parent_amounts.ndim == 2:
-        return np.stack([dm.w @ row for row in parent_amounts]) / dm.grid.widths
-    return (dm.w @ parent_amounts) / dm.grid.widths
+    if dm.factors is None:
+        if parent_amounts.ndim == 2:
+            return np.stack([dm.dense @ row for row in parent_amounts]) / dm.grid.widths
+        return (dm.dense @ parent_amounts) / dm.grid.widths
+    d, u, v, lump = dm.factors
+    tail = np.cumsum((v * parent_amounts)[..., ::-1], axis=-1)[..., ::-1]
+    out = d * parent_amounts
+    out[..., :-1] += u * tail[..., 1:]
+    out[..., 0] += np.add.reduce(lump * parent_amounts, axis=-1)
+    return out / dm.grid.widths
 
 
 def apply_frag(f: DensityField, ks: KernelSet, dm: DaughterMatrix) -> DensityField:

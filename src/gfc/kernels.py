@@ -274,7 +274,14 @@ class GrowthRate:
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         if self.kind == "table":
-            return np.interp(x, self.table_x, self.table_r)
+            # linear between knots, constant beyond them, evaluated as a
+            # convex combination of the two knot values: a steeply falling
+            # piece does not cancel, and a knot or an end returns its value
+            xs, rs = self.table_x, self.table_r
+            k = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, xs.size - 2)
+            lo, hi = xs[k], xs[k + 1]
+            xc = np.clip(x, lo, hi)
+            return rs[k] * ((hi - xc) / (hi - lo)) + rs[k + 1] * ((xc - lo) / (hi - lo))
         return self.r0 + self.r1 * x
 
 

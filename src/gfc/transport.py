@@ -25,8 +25,9 @@ the step t and whether absorption is included is a transport plan, built
 once per (grid, t) and kept on the `Antiderivatives` instance: the feet and
 their `inside` mask, r(x0), r(x) and exp(-dQ), the interval and offset of
 each foot among the cell centers, and the escape quadrature nodes with their
-interval, offset, attenuation and widths.  A call then computes only the
-PCHIP slopes and evaluates the cubic Hermite pieces, in plain NumPy.  Both
+interval, offset, attenuation and widths; the nodes' intervals and offsets
+follow the feet's, so one gather evaluates both.  A call then computes only
+the PCHIP slopes and evaluates the cubic Hermite pieces, in plain NumPy.  Both
 follow SciPy's PchipInterpolator and PPoly operation for operation (PPoly
 sums powers y + d*s + c1*s^2 + c0*(s^2*s), it does not use Horner), so the
 result is bit-identical to building a PchipInterpolator on every call.
@@ -94,7 +95,7 @@ class Antiderivatives:
 
     R is strictly increasing, invertible and exact: the affine law r0 + r1*x
     has one closed form for r1 = 0 and one for the rest; a table rate is
-    linear between its knots and constant beyond them (np.interp), so on
+    linear between its knots and constant beyond them (`GrowthRate`), so on
     each piece R is log1p(beta*s/r)/beta (s/r where beta = 0) plus R at the
     piece's end nearer to x = 1, a knot from which R is chained outward.
     R^-1 finds its piece by searching R at the knots; R(0+) is R(0).  Q is
@@ -263,6 +264,7 @@ class _TransportPlan:
         self.inside = x0 >= c[0]
         x0_safe = np.where(self.inside, x0, 1.0)
         self.feet = _locate(c, x0_safe)
+        self.gather = self.feet
         dQ = antid.Q(c) - antid.Q(x0_safe) if include_absorption else np.zeros_like(c)
         self.r0, self.rx, self.att = r(x0_safe), r(c), np.exp(-dQ)
         # where characteristics converge r(x0)/r(x) > 1 scales the value read
@@ -284,7 +286,9 @@ class _TransportPlan:
                 att = np.exp(-(float(antid.Q(grid.xmax)) - antid.Q(mids)))
             else:
                 att = np.ones_like(mids)
-            self.escape = (_locate(c, mids), mids <= c[-1], att, np.diff(nodes))
+            self.escape = (mids <= c[-1], att, np.diff(nodes))
+            # the nodes follow the feet in one gather, from column n on
+            self.gather = tuple(np.concatenate(pair) for pair in zip(self.feet, _locate(c, mids)))
 
     def matches(self, grid: SizeGrid, t: float, include_absorption: bool) -> bool:
         return (grid is self.grid and t == self.t
@@ -299,7 +303,7 @@ class _TransportPlan:
         and Moler's shape-preserving three-point formula at both ends.  The
         coefficients are CubicHermiteSpline's, operation for operation.
         """
-        if not np.all(np.isfinite(y)):
+        if not np.isfinite(y).all():
             raise ValueError("transport needs a finite field")
         h = self.h
         mk = (y[..., 1:] - y[..., :-1]) / h
@@ -307,7 +311,7 @@ class _TransportPlan:
             d = np.concatenate([mk, mk], axis=-1)
         else:
             smk = np.sign(mk)
-            flat = (smk[..., 1:] != smk[..., :-1]) | (mk[..., 1:] == 0) | (mk[..., :-1] == 0)
+            flat = smk[..., 1:] * smk[..., :-1] <= 0
             with np.errstate(divide="ignore", invalid="ignore"):
                 whmean = (self.w1 / mk[..., :-1] + self.w2 / mk[..., 1:]) / self.w12
                 inner = np.where(flat, 0.0, 1.0 / whmean)
@@ -331,10 +335,9 @@ class _TransportPlan:
         return np.where(np.isnan(p), 0.0, p)
 
     def apply(self, f0: DensityField) -> DensityField:
-        coef = self._hermite(f0.values)
-        vals = np.where(self.inside,
-                        self._evaluate(coef, self.feet) * self.r0 / self.rx * self.att,
-                        0.0)
+        n = self.grid.cells
+        p = self._evaluate(self._hermite(f0.values), self.gather)
+        vals = np.where(self.inside, p[..., :n] * self.r0 / self.rx * self.att, 0.0)
         conv, j, cap_att = self.converge
         if conv.size:
             flux = f0.values * self.rx
@@ -342,8 +345,8 @@ class _TransportPlan:
             vals[..., conv] = np.minimum(vals.take(conv, axis=-1), cap)
         esc = 0.0
         if self.escape is not None:
-            where, below_last, att, wdt = self.escape
-            density = np.where(below_last, self._evaluate(coef, where), f0.values[..., -1:])
+            below_last, att, wdt = self.escape
+            density = np.where(below_last, p[..., n:], f0.values[..., -1:])
             terms = density * att * wdt
             esc = self.grid.xmax * (math.fsum(terms.tolist()) if terms.ndim == 1 else
                                     np.array([math.fsum(row) for row in terms.tolist()]))

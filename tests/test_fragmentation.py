@@ -1,11 +1,19 @@
+import tracemalloc
+
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_kernels
+from gfc.config import load_scenario
+from gfc.coagulation import build_coag_tables
+from gfc.evolution import SplitStepper
 from gfc.fragmentation import (apply_frag, build_daughter_matrix, daughter_gain,
                                frag_moment_identity, fragmentation_constants)
 from gfc.grid import DensityField, SizeGrid, moment, project
-from gfc.kernels import DaughterDistribution
+from gfc.kernels import DaughterDistribution, KernelConfigError
 
 
 @pytest.fixture(scope="module")
@@ -144,3 +152,136 @@ class TestMomentIdentity:
         assert dp == pytest.approx(1.0 / 3.0, rel=1e-9)
         assert d == pytest.approx(1.0 / 3.0, rel=1e-9)
         assert nu == pytest.approx(1.0 / 3.0, rel=1e-6)
+
+
+def dense_oracle(b, grid):
+    """The daughter matrix built densely, as for a table daughter: per-cell
+    differences of partial_number, the fragment mass below xmin lumped into
+    cell 0, each column renormalized to carry its parent's mass.  Also
+    returns the renormalized larger term of each difference: a difference
+    of nearly equal powers (a fine cell, or nu near -1) is only good to an
+    ulp or so of that term, which bounds the oracle's own rounding."""
+    x = grid.centers
+    upper = b.partial_number(x[None, :], grid.edges[1:, None])
+    w = np.diff(b.partial_number(x[None, :], grid.edges[:, None]), axis=0)
+    w[0] += b.partial_mass(x, grid.xmin) / x[0]
+    renorm = x / (x @ w)
+    return w * renorm, upper * renorm
+
+
+def exact_gain(nu, grid, amounts):
+    """The same construction in 40-digit arithmetic: the gain density and the
+    column moments n_0, n_1, n_2, each rounded once to float."""
+    with mpmath.workdps(40):
+        n, p = grid.cells, mpmath.mpf(nu) + 1
+        x = [mpmath.mpf(v) for v in grid.centers.tolist()]
+        e = [mpmath.mpf(v) for v in grid.edges.tolist()]
+        w = [[mpmath.mpf(0)] * n for _ in range(n)]
+        for j in range(n):
+            for i in range(j + 1):
+                w[i][j] = (p + 1) / p * ((min(e[i + 1], x[j]) / x[j]) ** p - (e[i] / x[j]) ** p)
+            w[0][j] += x[j] * (e[0] / x[j]) ** (p + 1) / x[0]
+            renorm = x[j] / mpmath.fsum(x[i] * w[i][j] for i in range(j + 1))
+            for i in range(j + 1):
+                w[i][j] *= renorm
+        a = [mpmath.mpf(v) for v in amounts.tolist()]
+        gain = [float(mpmath.fsum(w[i][j] * a[j] for j in range(n)) / mpmath.mpf(grid.widths[i]))
+                for i in range(n)]
+        moments = [[float(mpmath.fsum(x[i] ** m * w[i][j] for i in range(n))) for j in range(n)]
+                   for m in (0, 1, 2)]
+    return np.array(gain), np.array(moments)
+
+
+def random_grid(data, max_cells=1024):
+    return SizeGrid.geometric(10.0 ** data.draw(st.floats(-4.0, -1.0)),
+                              10.0 ** data.draw(st.floats(0.5, 3.0)),
+                              data.draw(st.integers(2, max_cells)))
+
+
+def random_amounts(data, grid, rows=()):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    return rng.random((*rows, grid.cells)) * np.exp(-grid.centers / grid.centers[-1] * 8.0)
+
+
+class TestFactoredGain:
+    """The power-law daughter matrix is stored and applied factored; these
+    pin it against a dense build and an extended-precision oracle."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(-0.5, 10.0), st.data())
+    def test_matches_the_dense_build(self, nu, data):
+        grid = random_grid(data)
+        b = DaughterDistribution("power-law", nu=nu)
+        dm = build_daughter_matrix(b, grid)
+        w, upper = dense_oracle(b, grid)
+        amounts = random_amounts(data, grid)
+        ref = (w @ amounts) / grid.widths
+        oracle_rounding = 2 * np.finfo(float).eps * (upper @ amounts) / grid.widths
+        assert np.all(np.abs(daughter_gain(dm, amounts) - ref) <= 1e-13 * ref + oracle_rounding)
+        for m in (0.0, 1.0, 1.5, 2.0):
+            ref = np.power(grid.centers, m) @ w
+            np.testing.assert_allclose(dm.column_moment(m), ref, rtol=1e-13, atol=0)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.one_of(st.floats(-0.9999, -0.9), st.floats(-0.9, 10.0)), st.data())
+    def test_no_worse_than_the_dense_build_against_exact_arithmetic(self, nu, data):
+        # near nu = -1 both forms take differences of nearly equal powers;
+        # the factored one takes them through expm1/log1p
+        grid = random_grid(data, max_cells=24)
+        b = DaughterDistribution("power-law", nu=nu)
+        dm = build_daughter_matrix(b, grid)
+        amounts = random_amounts(data, grid)
+        gain, moments = exact_gain(nu, grid, amounts)
+        factored = np.max(np.abs(daughter_gain(dm, amounts) - gain) / gain)
+        dense = np.max(np.abs((dense_oracle(b, grid)[0] @ amounts) / grid.widths - gain) / gain)
+        assert factored <= max(dense, 1e-14)
+        for m, exact in zip((0.0, 1.0, 2.0), moments):
+            np.testing.assert_allclose(dm.column_moment(m), exact, rtol=1e-14, atol=0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.floats(-0.99, 10.0), st.data())
+    def test_nonnegative_and_mass_closing(self, nu, data):
+        grid = random_grid(data)
+        dm = build_daughter_matrix(DaughterDistribution("power-law", nu=nu), grid)
+        amounts = random_amounts(data, grid)
+        gain = daughter_gain(dm, amounts)
+        assert np.all(gain >= 0)
+        mass = np.sum(grid.centers * amounts)
+        assert abs(np.sum(grid.centers * gain * grid.widths) - mass) <= 1e-14 * mass
+
+    def test_refuses_a_grid_beyond_the_float_range_of_its_factors(self):
+        with pytest.raises(KernelConfigError, match="float range"):
+            build_daughter_matrix(DaughterDistribution("power-law", nu=10.0),
+                                  SizeGrid.geometric(1e-60, 1e3, 16))
+        grid = SizeGrid.geometric(1e-40, 1e3, 16)
+        dm = build_daughter_matrix(DaughterDistribution("power-law", nu=10.0), grid)
+        assert all(np.all(np.isfinite(f)) for f in dm.factors)
+        np.testing.assert_allclose(dm.column_moment(1.0), grid.centers, rtol=1e-14)
+
+    @pytest.mark.parametrize("cells, rows", [(2, 1), (2, 31), (3, 5), (128, 1), (512, 31),
+                                             (1024, 31)])
+    def test_stacked_rows_bit_identical_to_single_calls(self, cells, rows):
+        grid = SizeGrid.geometric(1e-3, 50.0, cells)
+        dm = build_daughter_matrix(DaughterDistribution("power-law", nu=0.5), grid)
+        stack = np.random.default_rng(cells + rows).random((rows, cells))
+        out = daughter_gain(dm, stack)
+        assert out.shape == stack.shape
+        for row, got in zip(stack, out):
+            assert np.array_equal(got, daughter_gain(dm, row))
+
+    def test_build_and_step_allocate_no_dense_matrix(self):
+        # the dense matrix would take n^2 doubles; neither the build nor a
+        # production split step (gfc-global-ii at 1,024 cells) may make it
+        sc = load_scenario("gfc-global-ii", {"grid": {"cells": 1024}})
+        grid, ks, cfg = sc.grid(), sc.kernel_set(), sc.solver_config()
+        ct, f = build_coag_tables(ks.k, grid), sc.initial_field(grid)
+        SplitStepper(ks, grid, cfg, ct=ct).step(f, cfg.dt)   # warm-up
+        tracemalloc.start()
+        try:
+            dm = build_daughter_matrix(ks.b, grid)
+            SplitStepper(ks, grid, cfg, dm=dm, ct=ct).step(f, cfg.dt)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < grid.cells**2 * 8
+        assert dm.dense is None

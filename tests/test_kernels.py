@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -185,6 +186,44 @@ class TestGrowthRate:
         np.testing.assert_array_equal(ref.R(x), alt.R(x))
         np.testing.assert_array_equal(ref.R_inverse(u), alt.R_inverse(u))
         assert ref.R_at_origin == alt.R_at_origin
+
+
+    # the table rate is linear between knots and constant beyond them
+    @staticmethod
+    def exact_table_rate(xs, rs, x: float) -> Fraction:
+        k = min(max(int(np.searchsorted(xs, x, side="right")) - 1, 0), len(xs) - 2)
+        lo, hi = Fraction(float(xs[k])), Fraction(float(xs[k + 1]))
+        xc = min(max(Fraction(x), lo), hi)
+        return (Fraction(float(rs[k])) * (hi - xc) + Fraction(float(rs[k + 1])) * (xc - lo)) / (hi - lo)
+
+    def test_steeply_falling_table_piece_does_not_cancel(self):
+        xs, rs = [1e-3, 1e-2], [1e20, 1e-3]
+        r = GrowthRate("table", table_x=xs, table_r=rs)
+        x = 1e-2 * (1 - 2.0**-52)
+        exact = self.exact_table_rate(np.array(xs), np.array(rs), x)
+        assert float(exact) == pytest.approx(19274.70628863, rel=1e-12)
+        assert abs(Fraction(float(r(x))) - exact) <= Fraction(math.ulp(float(exact)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.floats(-4.0, 3.0), min_size=2, max_size=6, unique=True),
+           st.lists(st.floats(-3.0, 20.0), min_size=6, max_size=6),
+           st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
+    def test_table_rate_within_four_ulp(self, log_x, log_r, where):
+        # rising and falling pieces over 23 decades of rate, read inside
+        # each piece, at the knots, beside them and beyond both ends
+        xs = np.sort(10.0 ** np.array(log_x))
+        assume(np.all(np.diff(xs) > 0))
+        rs = 10.0 ** np.array(log_r[:xs.size])
+        r = GrowthRate("table", table_x=xs, table_r=rs)
+        lo, hi = math.log10(xs[0]) - 1.0, math.log10(xs[-1]) + 1.0
+        pts = np.concatenate([10.0 ** (lo + (hi - lo) * np.array(where)), xs,
+                              np.nextafter(xs, 0.0), np.nextafter(xs, np.inf)])
+        got = r(pts)
+        for x, value in zip(pts.tolist(), got.tolist()):
+            exact = self.exact_table_rate(xs, rs, x)
+            assert abs(Fraction(value) - exact) <= 4 * Fraction(math.ulp(float(exact)))
+        assert np.all(r(xs) == rs)
+        assert np.all(r(pts[pts <= xs[0]]) == rs[0]) and np.all(r(pts[pts >= xs[-1]]) == rs[-1])
 
 
 class TestCoagulationKernel:
