@@ -17,11 +17,11 @@ a = f*dx, so one application is a sparse mat-vec over n(n+1) entries, two
 per pair, a scaling of the rows by a_j and a bincount onto the targets;
 nothing of pair length is gathered or allocated, and every term is a sum
 of nonnegative products.
-The loss frequency sum_j k(x_i, x_j) a_j is O(n) for the closed-form
-kernels, whose matrices have rank <= 2, and a dense mat-vec for a table
-kernel.  The gain is still O(cells^2): about 0.5 ms per application at 512
-cells on a 2-CPU Xeon.  This is the fixed-pivot pair splitting of Kumar &
-Ramkrishna, Chem. Eng. Sci. 51 (1996).
+The loss frequency sum_j k(x_i, x_j) a_j goes through the kernel's factors
+(`CoagulationKernel.loss_factors`): O(n) for the closed forms, of rank <= 2,
+O(n * knots) for a table.  The gain is still O(cells^2): about 0.5 ms per
+application at 512 cells on a 2-CPU Xeon.  This is the fixed-pivot pair
+splitting of Kumar & Ramkrishna, Chem. Eng. Sci. 51 (1996).
 """
 from __future__ import annotations
 
@@ -48,11 +48,10 @@ __all__ = [
 class CoagTables:
     """Pair kernel values, splitting targets and the folded gain operator.
 
-    `kernel` is the full symmetric (n, n) matrix of k(x_i, x_j).  The loss
-    term of a table kernel is a mat-vec with it; a closed-form kernel is the
-    rank-r (r <= 2) product ``loss_u @ loss_w`` of an (n, r) and an (r, n)
-    factor (`CoagulationKernel.loss_factors`), so its loss term costs O(n)
-    (both factors are None for a table kernel).  `idx_lo` to `interior`
+    `kernel` is the full symmetric (n, n) matrix of k(x_i, x_j), and the
+    product ``loss_u @ loss_w`` of an (n, r) and an (r, n) factor
+    (`CoagulationKernel.loss_factors`): r <= 2 for a closed form, the knots
+    for a table, so the loss term costs O(n * r).  `idx_lo` to `interior`
     hold one entry per pair i <= j, in row-major upper-triangle order (the
     order of ``np.triu_indices(n)``).
 
@@ -82,8 +81,8 @@ class CoagTables:
     gain: sparse.csc_matrix   # (rows, n) gain and escape operator
     row_partner: np.ndarray   # (rows,) larger pair index j of each gain row
     row_target: np.ndarray    # (rows,) target cell of each gain row, n to escape
-    loss_u: Optional[np.ndarray]  # (n, r) loss factor, None for a table kernel
-    loss_w: Optional[np.ndarray]  # (r, n)
+    loss_u: np.ndarray        # (n, r) loss factor
+    loss_w: np.ndarray        # (r, n)
 
 
 def build_coag_tables(k: CoagulationKernel, grid: SizeGrid) -> CoagTables:
@@ -172,10 +171,7 @@ def _event_rates(f: DensityField, ct: CoagTables) -> np.ndarray:
 
 def coag_loss_rate(f: DensityField, ct: CoagTables) -> np.ndarray:
     """Pointwise loss frequency Lambda(x_i) = sum_j k(x_i, x_j) f_j dx_j."""
-    amounts = f.values * f.grid.widths
-    if ct.loss_u is None:
-        return ct.kernel @ amounts
-    return ct.loss_u @ (ct.loss_w @ amounts)
+    return ct.loss_u @ (ct.loss_w @ (f.values * f.grid.widths))
 
 
 def apply_coag(f: DensityField, ct: CoagTables) -> DensityField:

@@ -61,19 +61,19 @@ def _quad(fun, lo, hi, points=None, epsabs=1e-10, epsrel=1e-8) -> float:
 
 def _set_table(obj, knots: str, values: str) -> None:
     """Store the table fields `knots` and `values` of the frozen dataclass obj
-    as float arrays once they are a table: finite, at least 2 strictly
-    increasing 1-D knots, one value per knot (per knot pair for `table_k`).
-    Each failure names its field; each kind checks its own premises."""
-    for name in (knots, values):
+    as float arrays once they are a table: finite, with values >= 0 (they are
+    rates), at least 2 strictly increasing 1-D knots, one value per knot (per
+    pair for `table_k`).  Each failure names its field; each kind checks its own."""
+    for name, rule in ((knots, "finite"), (values, "finite and >= 0")):
         if getattr(obj, name) is None:
             raise KernelConfigError(f"'{name}' is required by the table kind")
         try:
             array = np.asarray(getattr(obj, name), float)
         except (TypeError, ValueError) as exc:
             raise KernelConfigError(f"'{name}' must be an array of numbers: {exc}") from exc
-        bad = ~np.isfinite(array)
+        bad = ~np.isfinite(array) if name == knots else ~(np.isfinite(array) & (array >= 0))
         if np.any(bad):
-            raise KernelConfigError(f"'{name}' must be finite, got {array[bad][0]}")
+            raise KernelConfigError(f"'{name}' must be {rule}, got {array[bad][0]}")
         object.__setattr__(obj, name, array)
     x = getattr(obj, knots)
     if x.ndim != 1 or x.size < 2 or np.any(np.diff(x) <= 0):
@@ -82,6 +82,22 @@ def _set_table(obj, knots: str, values: str) -> None:
     got = getattr(obj, values).shape
     if got != shape:
         raise KernelConfigError(f"'{values}' must have shape {shape} over '{knots}', got {got}")
+
+
+def _bracket(knots: np.ndarray, x):
+    """The piece k of each x and the weights of knots k, k + 1: the rule
+    every table is read by, linear between knots and constant beyond them,
+    as a convex combination, so a steep piece does not cancel next to a knot
+    and a knot or an end returns its value."""
+    k = np.clip(np.searchsorted(knots, x, side="right") - 1, 0, knots.size - 2)
+    lo, hi = knots[k], knots[k + 1]
+    xc = np.clip(x, lo, hi)
+    return k, (hi - xc) / (hi - lo), (xc - lo) / (hi - lo)
+
+
+def _table_value(knots: np.ndarray, values: np.ndarray, x):
+    k, w_lo, w_hi = _bracket(knots, x)
+    return values[k] * w_lo + values[k + 1] * w_hi
 
 
 @dataclass(frozen=True)
@@ -116,7 +132,7 @@ class FragmentationRate:
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         if self.kind == "table":
-            return np.interp(x, self.table_x, self.table_a)
+            return _table_value(self.table_x, self.table_a, x)
         return self.a0 * np.power(x, self.gamma0)
 
 
@@ -174,8 +190,6 @@ class DaughterDistribution:
             u, phi = self.table_u, self.table_phi
             if u[0] != 0.0 or u[-1] != 1.0:
                 raise KernelConfigError("'table_u' must run from 0 to 1")
-            if np.any(phi < 0):
-                raise KernelConfigError("'table_phi' must be nonnegative")
             # exact first moment of the piecewise-linear phi; renormalize so
             # that the discrete mass-conservation identity holds exactly
             m1 = _pl_integral(u, phi, 1.0, 1)
@@ -200,7 +214,7 @@ class DaughterDistribution:
         with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
             if self.kind == "table":
                 u = np.clip(x / y, 0.0, 1.0)
-                out = self._scale * np.interp(u, self.table_u, self.table_phi) / y
+                out = self._scale * _table_value(self.table_u, self.table_phi, u) / y
             else:
                 out = (self.nu + 2.0) * np.power(x, self.nu) / np.power(y, self.nu + 1.0)
         return np.where(x > y, 0.0, out)
@@ -274,14 +288,7 @@ class GrowthRate:
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         if self.kind == "table":
-            # linear between knots, constant beyond them, evaluated as a
-            # convex combination of the two knot values: a steeply falling
-            # piece does not cancel, and a knot or an end returns its value
-            xs, rs = self.table_x, self.table_r
-            k = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, xs.size - 2)
-            lo, hi = xs[k], xs[k + 1]
-            xc = np.clip(x, lo, hi)
-            return rs[k] * ((hi - xc) / (hi - lo)) + rs[k + 1] * ((xc - lo) / (hi - lo))
+            return _table_value(self.table_x, self.table_r, x)
         return self.r0 + self.r1 * x
 
 
@@ -289,8 +296,8 @@ class GrowthRate:
 class CoagulationKernel:
     """Symmetric merge rate k(x, y).
 
-    kinds: 'constant' k0, 'product' k0*(1+x^a)(1+y^a),
-    'sum' k0*(1+x^a+y^a), 'table'.  `bound_class` declares which structural
+    kinds: 'constant' k0, 'product' k0*(1+x^a)(1+y^a), 'sum' k0*(1+x^a+y^a),
+    'table' (bilinear between knots).  `bound_class` declares which structural
     bound the kernel is validated against: 'local' for the product bound,
     'global' for the sum bound required by the global-existence theory.
     """
@@ -329,22 +336,20 @@ class CoagulationKernel:
             return self.k0 * (1.0 + np.power(x, self.alpha)) * (1.0 + np.power(y, self.alpha))
         if self.kind == "sum":
             return self.k0 * (1.0 + np.power(x, self.alpha) + np.power(y, self.alpha))
-        ix = np.interp(x, self.table_x, np.arange(len(self.table_x), dtype=float))
-        iy = np.interp(y, self.table_x, np.arange(len(self.table_x), dtype=float))
-        ix0 = np.clip(np.floor(ix).astype(int), 0, len(self.table_x) - 2)
-        iy0 = np.clip(np.floor(iy).astype(int), 0, len(self.table_x) - 2)
-        tx = np.clip(ix - ix0, 0.0, 1.0)
-        ty = np.clip(iy - iy0, 0.0, 1.0)
-        K = self.table_k
-        return ((1 - tx) * (1 - ty) * K[ix0, iy0] + tx * (1 - ty) * K[ix0 + 1, iy0]
-                + (1 - tx) * ty * K[ix0, iy0 + 1] + tx * ty * K[ix0 + 1, iy0 + 1])
+        (i, xl, xh), (j, yl, yh) = _bracket(self.table_x, x), _bracket(self.table_x, y)
+        K = self.table_k   # the 1-D rule in y on knot rows i and i + 1, then in x
+        return (xl * (K[i, j] * yl + K[i, j + 1] * yh)
+                + xh * (K[i + 1, j] * yl + K[i + 1, j + 1] * yh))
 
     def loss_factors(self, x: np.ndarray):
-        """(U, W) with k(x_i, x_j) = (U @ W)[i, j], the closed form factored:
-        constant k0*1, sum k0(1 + x^a)*1 + k0*y^a, product k0(1 + x^a)(1 + y^a);
-        (None, None) for a table kernel."""
+        """(U, W) with k(x_i, x_j) = (U @ W)[i, j], the kernel factored:
+        constant k0*1, sum k0(1 + x^a)*1 + k0*y^a, product k0(1 + x^a)(1 + y^a),
+        and a table H K H^T, with H[i, :] the knots' hat functions at x_i."""
         if self.kind == "table":
-            return None, None
+            i, w_lo, w_hi = _bracket(self.table_x, x)
+            hat = np.zeros((self.table_x.size, x.size))
+            hat[np.stack([i, i + 1]), np.arange(x.size)] = w_lo, w_hi
+            return hat.T @ self.table_k, hat
         one, xa = np.ones_like(x), np.power(x, self.alpha)
         u, w = {"constant": ([one], [one]),
                 "sum": ([1.0 + xa, one], [one, xa]),

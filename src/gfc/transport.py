@@ -51,7 +51,7 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from .grid import DensityField, SizeGrid, WeightSpec, weighted_integral
-from .kernels import UNREACHABLE, KernelSet, ReportRow, _quad
+from .kernels import REACHABLE, UNREACHABLE, KernelSet, ReportRow, _quad
 
 __all__ = [
     "Antiderivatives",
@@ -94,11 +94,12 @@ class Antiderivatives:
     """Antiderivatives R of 1/r and Q of q/r, normalized to vanish at x = 1.
 
     R is strictly increasing, invertible and exact: the affine law r0 + r1*x
-    has one closed form for r1 = 0 and one for the rest; a table rate is
-    linear between its knots and constant beyond them (`GrowthRate`), so on
-    each piece R is log1p(beta*s/r)/beta (s/r where beta = 0) plus R at the
-    piece's end nearer to x = 1, a knot from which R is chained outward.
-    R^-1 finds its piece by searching R at the knots; R(0+) is R(0).  Q is
+    has one closed form for r1 = 0 and one, through log1p and expm1, for the
+    rest; a table rate is linear between its knots and constant beyond them
+    (`GrowthRate`), so on each piece R is log1p(beta*s/r)/beta (s/r where
+    beta = 0) plus R at the piece's end nearer to x = 1, a knot from which R
+    is chained outward.  R^-1 finds its piece by searching R at the knots.
+    R(0+) is R(0) when the origin is reachable, -inf when it is not.  Q is
     tabulated with per-segment Gauss quadrature on ANCHORS geometric anchors
     over [x_lo, x_hi], interpolated monotonically in log x, on first use: a
     solve that transports without absorption never reads it.
@@ -143,7 +144,7 @@ class Antiderivatives:
 
     # -- R ------------------------------------------------------------
     def R(self, x):
-        x = np.asarray(x, dtype=float)
+        x = np.asarray(x, dtype=float)[()]   # a scalar's ufuncs are cheaper than a 0-d array's
         r = self.growth
         if r.kind == "table":
             k = np.searchsorted(self._knots, x, side="right")
@@ -151,7 +152,9 @@ class Antiderivatives:
             return offset + _piece_integral(x, *piece)
         if r.r1 == 0.0:
             return (x - 1.0) / r.r0
-        return np.log((r.r0 + r.r1 * x) / (r.r0 + r.r1)) / r.r1
+        # log((r0 + r1*x)/(r0 + r1)) as log1p over the smaller rate: no cancelling
+        r0, r1, d = r.r0, r.r1, x - 1.0
+        return np.sign(d) * np.log1p(r1 * abs(d) / (r0 + r1 * np.minimum(x, 1.0))) / r1
 
     def R_inverse(self, u):
         u = np.asarray(u, dtype=float)
@@ -164,18 +167,13 @@ class Antiderivatives:
                 return base + np.where(slope == 0, rate * v, rate * np.expm1(slope * v) / slope)
         if r.r1 == 0.0:
             return 1.0 + r.r0 * u
-        return ((r.r0 + r.r1) * np.exp(r.r1 * u) - r.r0) / r.r1
+        v = r.r1 * u
+        return np.exp(v) + r.r0 * np.expm1(v) / r.r1
 
     @property
     def R_at_origin(self) -> float:
         """m_R: limit of R at 0+, finite exactly when the origin is reachable."""
-        r = self.growth
-        if r.kind == "table":
-            # tables extend with a positive constant, so R is finite at 0
-            return float(self.R(0.0))
-        if r.r1 == 0.0:
-            return -1.0 / r.r0
-        return math.log(r.r0 / (r.r0 + r.r1)) / r.r1 if r.r0 > 0 else -math.inf
+        return float(self.R(0.0)) if self.growth.origin_class == REACHABLE else -math.inf
 
     # -- Q ------------------------------------------------------------
     @cached_property

@@ -221,12 +221,20 @@ class TestConfigParsing:
         ("kernels.coagulation", {"kind": "table", "table_x": [1e-3, 50.0], "k0": 2.0,
                                  "table_k": [[1.0, NAN], [NAN, 1.0]]},
          "'table_k' must be finite"),
+        ("kernels.fragmentation", {"kind": "table", "table_x": [1e-3, 1.0, 50.0],
+                                   "table_a": [0.0, -5.0, 50.0]},
+         "'table_a' must be finite and >= 0, got -5.0"),
+        ("kernels.coagulation", {"kind": "table", "table_x": [1e-3, 1.0, 50.0], "k0": 2.0,
+                                 "table_k": [[1.0, -3.0, 1.0], [-3.0, 1.0, 1.0],
+                                             [1.0, 1.0, 1.0]]},
+         "'table_k' must be finite and >= 0, got -3.0"),
     ], ids=lambda v: v if isinstance(v, str) else None)
     def test_non_finite_numbers_fail_at_load_naming_the_key(self, tmp_path, capsys,
                                                            path, value, message):
         """A NaN or infinite number, in a file (YAML `.nan`, `.inf`) or in a
-        table, and a table entry that is not a number, fail at load with one
-        line naming the key, not mid-run or with a traceback."""
+        table, a table entry that is not a number, and a negative table entry
+        (every coefficient is a nonnegative rate) fail at load with one line
+        naming the key, not mid-run or with a traceback."""
         raw = get_preset("gfc-global-ii")
         *sections, key = path.split(".")
         node = raw

@@ -13,8 +13,8 @@ import gfc.kernels
 from gfc.fragmentation import build_daughter_matrix, fragmentation_constants
 from gfc.grid import SizeGrid
 from gfc.kernels import (REACHABLE, UNREACHABLE, CoagulationKernel,
-                         DaughterDistribution, GrowthRate, QuadratureError, compute_beta,
-                         daughter_moment, moment_deficit, validate_kernel_set)
+                         DaughterDistribution, FragmentationRate, GrowthRate, QuadratureError,
+                         compute_beta, daughter_moment, moment_deficit, validate_kernel_set)
 from gfc.transport import Antiderivatives, ParameterDomainError
 
 
@@ -30,6 +30,31 @@ def assert_shape_integrals_match_quadrature(b, u, knots=()):
         oracle, _ = quad(lambda s: b(s, 1.0) * s**p, 0.0, u, points=points,
                          limit=100, epsabs=0.0, epsrel=1e-13)
         assert b.shape_integral(p, u) == pytest.approx(oracle, rel=1e-9, abs=1e-300)
+
+
+def exact_bracket(xs, x: float) -> tuple[int, Fraction, Fraction]:
+    """The one table rule in exact arithmetic, linear between knots and
+    constant beyond them: the piece k of x and the weights of knots k, k + 1."""
+    k = min(max(int(np.searchsorted(xs, x, side="right")) - 1, 0), len(xs) - 2)
+    lo, hi = Fraction(float(xs[k])), Fraction(float(xs[k + 1]))
+    xc = min(max(Fraction(x), lo), hi)
+    return k, (hi - xc) / (hi - lo), (xc - lo) / (hi - lo)
+
+
+def exact_table_value(xs, vs, x: float) -> Fraction:
+    k, w_lo, w_hi = exact_bracket(xs, x)
+    return Fraction(float(vs[k])) * w_lo + Fraction(float(vs[k + 1])) * w_hi
+
+
+def exact_bilinear(xs, K, x: float, y: float) -> Fraction:
+    (i, xl, xh), (j, yl, yh) = exact_bracket(xs, x), exact_bracket(xs, y)
+    return sum((wx * wy * Fraction(float(K[i + a, j + b]))
+                for a, wx in ((0, xl), (1, xh)) for b, wy in ((0, yl), (1, yh))), Fraction(0))
+
+
+def assert_within_ulps(got: float, exact: Fraction, ulps: int = 4) -> None:
+    assert abs(Fraction(float(got)) - exact) <= ulps * Fraction(math.ulp(float(exact))), \
+        (got, float(exact))
 
 
 class TestDaughterMoments:
@@ -188,19 +213,11 @@ class TestGrowthRate:
         assert ref.R_at_origin == alt.R_at_origin
 
 
-    # the table rate is linear between knots and constant beyond them
-    @staticmethod
-    def exact_table_rate(xs, rs, x: float) -> Fraction:
-        k = min(max(int(np.searchsorted(xs, x, side="right")) - 1, 0), len(xs) - 2)
-        lo, hi = Fraction(float(xs[k])), Fraction(float(xs[k + 1]))
-        xc = min(max(Fraction(x), lo), hi)
-        return (Fraction(float(rs[k])) * (hi - xc) + Fraction(float(rs[k + 1])) * (xc - lo)) / (hi - lo)
-
     def test_steeply_falling_table_piece_does_not_cancel(self):
         xs, rs = [1e-3, 1e-2], [1e20, 1e-3]
         r = GrowthRate("table", table_x=xs, table_r=rs)
         x = 1e-2 * (1 - 2.0**-52)
-        exact = self.exact_table_rate(np.array(xs), np.array(rs), x)
+        exact = exact_table_value(np.array(xs), np.array(rs), x)
         assert float(exact) == pytest.approx(19274.70628863, rel=1e-12)
         assert abs(Fraction(float(r(x))) - exact) <= Fraction(math.ulp(float(exact)))
 
@@ -220,10 +237,111 @@ class TestGrowthRate:
                               np.nextafter(xs, 0.0), np.nextafter(xs, np.inf)])
         got = r(pts)
         for x, value in zip(pts.tolist(), got.tolist()):
-            exact = self.exact_table_rate(xs, rs, x)
+            exact = exact_table_value(xs, rs, x)
             assert abs(Fraction(value) - exact) <= 4 * Fraction(math.ulp(float(exact)))
         assert np.all(r(xs) == rs)
         assert np.all(r(pts[pts <= xs[0]]) == rs[0]) and np.all(r(pts[pts >= xs[-1]]) == rs[-1])
+
+
+def read_table(coefficient: str, knots, values):
+    """(read, scale): coefficient 'a' or 'phi' built from the table, read at
+    x, and the factor it applies to the table's value there (phi's
+    renormalisation; it is read at parent size 1)."""
+    if coefficient == "phi":
+        b = DaughterDistribution("table", table_u=knots, table_phi=values)
+        return (lambda u: b(u, 1.0)), b._scale
+    return FragmentationRate("table", table_x=knots, table_a=values), 1.0
+
+
+BELOW_1E_2 = 1e-2 * (1 - 2.0**-52)
+
+
+class TestTableRule:
+    """Every coefficient table is read by one rule, linear between knots and
+    constant beyond them, as a convex combination of knot values (bilinear
+    for k): a steep piece does not cancel next to a knot.  The growth rate's
+    cases are TestGrowthRate's."""
+
+    @pytest.mark.parametrize("coefficient, knots, values, x, value", [
+        ("a", [1e-3, 1e-2], [1e20, 1e-3], BELOW_1E_2, 19274.706288631),
+        ("phi", [0.0, 0.5, 1.0], [1e6, 1e-3, 1.0], 0.5 * (1 - 2.0**-52), 1.000000222e-3),
+    ])
+    def test_steep_piece_beside_a_knot(self, coefficient, knots, values, x, value):
+        """Read through np.interp, a was 49152 here and phi 5.8e-8 relative off."""
+        read, scale = read_table(coefficient, knots, values)
+        exact = exact_table_value(knots, values, x)
+        assert float(exact) == pytest.approx(value, rel=1e-10)
+        assert_within_ulps(read(x), Fraction(scale) * exact)
+
+    def test_steep_kernel_piece_beside_a_knot(self):
+        k = CoagulationKernel("table", table_x=[1e-3, 1e-2, 1.0],
+                              table_k=[[1e20, 1e-3, 1.0], [1e-3, 1e-3, 1.0], [1.0, 1.0, 1.0]])
+        exact = exact_bilinear(k.table_x, k.table_k, BELOW_1E_2, 1e-3)
+        assert float(exact) == pytest.approx(19274.706288631, rel=1e-10)
+        assert_within_ulps(k(BELOW_1E_2, 1e-3), exact)
+        assert_within_ulps(k(1e-3, BELOW_1E_2), exact)
+
+    @staticmethod
+    def steep_values(data, n):
+        """n values from 1e-3 to 1e20, rising, falling or in any order."""
+        logs = np.array(data.draw(st.lists(st.floats(-3.0, 20.0), min_size=n, max_size=n)))
+        order = data.draw(st.sampled_from(["rising", "falling", "any"]))
+        return 10.0 ** {"rising": np.sort(logs), "falling": np.sort(logs)[::-1],
+                        "any": logs}[order]
+
+    @staticmethod
+    def knots(data, n, unit=False):
+        """n strictly increasing knots, geometric over up to 14 decades or,
+        for phi, from 0 to 1."""
+        gaps = np.array(data.draw(st.lists(st.floats(0.05, 2.0), min_size=n - 1,
+                                           max_size=n - 1)))
+        if unit:
+            xs = np.concatenate([[0.0], np.cumsum(gaps) / np.sum(gaps)])
+            xs[-1] = 1.0
+        else:
+            xs = 10.0 ** (data.draw(st.floats(-4.0, 1.0))
+                          + np.concatenate([[0.0], np.cumsum(gaps)]))
+        assume(np.all(np.diff(xs) > 0))
+        return xs
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["a", "phi"]), st.integers(2, 10), st.data())
+    def test_steep_tables_within_four_ulp(self, coefficient, n, data):
+        """A knot returns its value, beyond the ends the end value, and one
+        ulp either side of a knot stays within 4 ulp of the exact piece."""
+        knots = self.knots(data, n, unit=coefficient == "phi")
+        values = self.steep_values(data, n)
+        read, scale = read_table(coefficient, knots, values)
+        np.testing.assert_array_equal(read(knots), scale * values)
+        beside = np.concatenate([np.nextafter(knots, -np.inf), np.nextafter(knots, np.inf)])
+        if coefficient == "phi":
+            beside = beside[(beside >= 0.0) & (beside <= 1.0)]
+        else:
+            ends = np.array([0.0, knots[0] / 10, knots[-1] * 10, np.inf])
+            np.testing.assert_array_equal(read(ends), values[[0, 0, -1, -1]])
+        for x, got in zip(beside.tolist(), read(beside).tolist()):
+            assert_within_ulps(got, Fraction(scale) * exact_table_value(knots, values, x))
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(2, 10), st.data())
+    def test_steep_kernel_tables_within_ten_ulp(self, n, data):
+        """The same for k in each argument, on the symmetrized table, within
+        10 ulp: each weight carries three roundings and each of the two
+        nested 1-D readings two more, and an ulp exceeds 2^-53 of the value."""
+        knots = self.knots(data, n)
+        k = CoagulationKernel("table", table_x=knots,
+                              table_k=self.steep_values(data, n * n).reshape(n, n))
+        K = k.table_k
+        np.testing.assert_array_equal(k(knots[:, None], knots[None, :]), K)
+        ends = np.array([0.0, knots[0] / 10, knots[-1] * 10, np.inf])
+        np.testing.assert_array_equal(k(ends[:, None], ends[None, :]),
+                                      K[np.ix_([0, 0, -1, -1], [0, 0, -1, -1])])
+        pts = np.concatenate([ends[:-1], knots, np.nextafter(knots, 0.0),
+                              np.nextafter(knots, np.inf)])
+        got = k(pts[:, None], pts[None, :])
+        for i, x in enumerate(pts.tolist()):
+            for j, y in enumerate(pts.tolist()):
+                assert_within_ulps(got[i, j], exact_bilinear(knots, K, x, y), ulps=10)
 
 
 class TestCoagulationKernel:

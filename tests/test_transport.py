@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -644,6 +645,51 @@ class TestAntiderivatives:
         ks = make_kernels(growth="linear", r0=0.0, r1=1.0)
         antid = Antiderivatives(ks, 1e-6, 10.0)
         assert antid.R_at_origin == -math.inf
+
+    # r1/r0 from 1e-12 to 1e6 every second decade, a vanishing r0 (unreachable
+    # origin), r0 << r1, r0 = r1 and a constant rate
+    AFFINE = [(1.0, 10.0**e) for e in range(-12, 7, 2)] + [(0.0, 1.0), (1e-6, 1.0),
+                                                          (0.1, 0.1), (1.0, 0.0)]
+
+    @pytest.mark.parametrize("r0, r1", AFFINE)
+    def test_affine_R_and_feet_against_mpmath(self, r0, r1):
+        """The affine R, R^-1(R(x)) and the feet R^-1(R(x) - t) of one step
+        (t = 1e-3) at the gfc-global-ii centers (and down to xmin = 1e-4)
+        against 50-digit arithmetic: R to 1e-14 relative, the others to 1e-12
+        relative plus 8 ulp(1) absolute below 1e-2, the rounding of R^-1
+        near a reachable origin.  r1 << r0 must not cancel."""
+        t = 1e-3
+        antid = Antiderivatives(dataclasses.replace(
+            make_kernels(), r=GrowthRate("affine", r0=r0, r1=r1)), 1e-4, 1e3)
+        with mpmath.workdps(50):
+            p0, p1 = mpmath.mpf(r0), mpmath.mpf(r1)
+
+            def R(x):
+                return (x - 1) / p0 if r1 == 0 else mpmath.log((p0 + p1 * x) / (p0 + p1)) / p1
+
+            def R_inverse(u):
+                x = 1 + p0 * u if r1 == 0 else ((p0 + p1) * mpmath.exp(p1 * u) - p0) / p1
+                return max(x, mpmath.mpf(0))   # a foot beyond the origin reads 0
+
+            def assert_close(got, exact, rel, near_zero=0.0):
+                for g, e in zip(got.tolist(), exact):
+                    allow = rel * abs(e) + (near_zero if e < 1e-2 else 0.0)
+                    assert abs(mpmath.mpf(g) - e) <= allow, (g, e)
+
+            if r0 > 0:
+                assert antid.R_at_origin == pytest.approx(float(R(mpmath.mpf(0))), rel=1e-15)
+            else:
+                assert antid.R_at_origin == -math.inf
+            for xmin in (1e-3, 1e-4):
+                c = SizeGrid.geometric(xmin, 50.0, 512).centers
+                exact = [R(mpmath.mpf(x)) for x in c.tolist()]
+                R_c = antid.R(c)
+                assert_close(R_c, exact, 1e-14)
+                with np.errstate(over="ignore"):   # R^-1 is not read where the foot exits
+                    feet = r_inverse_clipped(antid, R_c - t)
+                assert_close(feet, [R_inverse(e - t) for e in exact], 1e-12, 8 * math.ulp(1.0))
+                assert_close(antid.R_inverse(R_c), [mpmath.mpf(x) for x in c.tolist()],
+                             1e-12, 8 * math.ulp(1.0))
 
 
 class TestVLambda:
