@@ -58,6 +58,7 @@ PICARD_TOL = 1e-8              # Picard stops below this relative update ...
 PICARD_MAX_ITER = 30           # ... or after this many iterations
 MEMBERSHIP_GROWTH_MIN = 1.2    # probe data must grow this much under xmax doubling
 PROBE_TIMES = np.geomspace(1e-2, 1.0, 13)   # the probe's sampling times
+PROBE_ETA = 0.25   # the probe's profile decays like x^-(p + 1 + PROBE_ETA)
 SCHEMES = ("lie-split", "duhamel")          # splitting (`solve`) and Picard (`duhamel_solve`)
 
 
@@ -485,12 +486,11 @@ GRID_STABILITY_TOL = 0.25   # the probe's supremum, relative, under grid+xmax do
 
 
 def regularization_probe(ks: KernelSet, grid: SizeGrid, m: float, n: float, p: float,
-                         t_list: np.ndarray = PROBE_TIMES, eta: float = 0.25, *,
-                         dt: float) -> list[ReportRow]:
+                         t_list: np.ndarray = PROBE_TIMES, *, dt: float) -> list[ReportRow]:
     """Probe the moment-regularization rate of the linear semigroup.
 
-    The initial profile (1 + x)^(-(p + 1 + eta)) has a finite p-weighted norm
-    but lies outside the m-weighted space on the untruncated axis, certified
+    The initial profile (1 + x)^(-(p + 1 + PROBE_ETA)) has a finite p-weighted
+    norm but lies outside the m-weighted space on the untruncated axis, certified
     by its truncated m-norm growing by at least MEMBERSHIP_GROWTH_MIN under
     domain doubling.  The 'regularization-probe' rows report sup over t of
     t^((m-n)/gamma0) e^(-theta_hat t) ||S(t) f0||_[0,m] with theta_hat fitted
@@ -506,7 +506,7 @@ def regularization_probe(ks: KernelSet, grid: SizeGrid, m: float, n: float, p: f
     t_list = np.asarray(t_list, dtype=float)
 
     def profile(x):
-        return np.power(1.0 + x, -(p + 1.0 + eta))
+        return np.power(1.0 + x, -(p + 1.0 + PROBE_ETA))
 
     f0 = project(profile, grid)
     wm = WeightSpec(m, "shifted")

@@ -102,15 +102,9 @@ def _dense_daughter_matrix(b: DaughterDistribution, grid: SizeGrid) -> np.ndarra
     w = np.diff(b.partial_number(x[None, :], grid.edges[:, None]), axis=0)
     w[0, :] += b.partial_mass(x, grid.xmin) / x[0]
 
-    colmass = x @ w
-    flagged = colmass <= 0.0
-    renorm = np.ones(grid.cells)
-    ok = ~flagged
-    renorm[ok] = x[ok] / colmass[ok]
-    w *= renorm[None, :]
-    # a parent whose daughters all fall outside the grid routes everything
-    # to the smallest cell
-    w[0, flagged] = x[flagged] / x[0]
+    # with u = xmin/x_j a column's mass is at least x_j*Phi_1(u) + xmin*(Phi_0(1)
+    # - Phi_0(u)), which is positive because a table daughter has Phi_1(1) > 0
+    w *= x / (x @ w)
     return w
 
 

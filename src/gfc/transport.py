@@ -18,6 +18,8 @@ norms are suprema over point masses (over unit cells for the discrete
 resolvent), and both are computed here.
 All exponentials are assembled in log space: lambda*R can exceed the
 floating-point range near the origin when the characteristics stall there.
+R is exact; Q is tabulated once per `Antiderivatives`, on one fixed lattice
+in log x through x = 1, so every caller reads the same Q at the same size.
 
 `transport_apply` reads the field at the backward feet through its PCHIP
 interpolant.  Everything that depends only on the antiderivatives, the grid,
@@ -76,7 +78,10 @@ class ParameterDomainError(ValueError):
 # antiderivatives R and Q
 
 
-ANCHORS = 1200   # Q's tabulation: a geometric mesh over [x_lo, x_hi]
+# Q's anchors x_k = 10^(k/200) for |k| <= 2400: 1e-12 .. 1e12, with x = 1 at k = 0.
+# PCHIP is only C^1 at an anchor; at 100 per decade the adaptive quadratures
+# that read Q need a third more integrand calls than at 200
+Q_LATTICE = 10.0 ** (np.arange(-2400, 2401) / 200)
 
 
 def _piece_integral(x, base, rate, slope, far, far_rate):
@@ -100,18 +105,17 @@ class Antiderivatives:
     beta = 0) plus R at the piece's end nearer to x = 1, a knot from which R
     is chained outward.  R^-1 finds its piece by searching R at the knots.
     R(0+) is R(0) when the origin is reachable, -inf when it is not.  Q is
-    tabulated with per-segment Gauss quadrature on ANCHORS geometric anchors
-    over [x_lo, x_hi], interpolated monotonically in log x, on first use: a
-    solve that transports without absorption never reads it.
+    tabulated on first use, so a solve that transports without absorption
+    never builds it: per-interval Gauss quadrature on the fixed lattice
+    Q_LATTICE, whose point k = 0 is x = 1, chained outward from there and
+    interpolated monotonically in log x.  A size off the lattice is refused.
     """
 
-    def __init__(self, ks: KernelSet, x_lo: float, x_hi: float):
+    def __init__(self, ks: KernelSet):
         r = ks.r
         if r.is_zero:
             raise ParameterDomainError("antiderivatives need a positive growth rate")
         self.growth = r
-        self.x_lo = float(min(x_lo, 0.5))
-        self.x_hi = float(max(x_hi, 2.0))
         self._q = ks.q
         self._q_is_zero = ks.a.is_zero and ks.a1.beta == 0.0
         self._transport_plan = None   # memo of transport_apply
@@ -128,19 +132,6 @@ class Antiderivatives:
             self._knots, self._R_knots = knots, np.concatenate(
                 [np.cumsum(step[one:0:-1])[::-1], [0.0], np.cumsum(step[one + 1:-1])])
             self._pieces = (self._R_knots[base],) + piece
-
-    def _tabulate(self, integrand) -> tuple[np.ndarray, np.ndarray]:
-        """log x at the anchors and the antiderivative of integrand there."""
-        anchors = np.unique(np.concatenate([
-            np.geomspace(self.x_lo, self.x_hi, ANCHORS), [1.0]]))
-        nodes, weights = np.polynomial.legendre.leggauss(10)
-        lo, hi = anchors[:-1], anchors[1:]
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        pts = mid[:, None] + half[:, None] * nodes[None, :]
-        seg = (integrand(pts) @ weights) * half
-        cum = np.concatenate([[0.0], np.cumsum(seg)])
-        cum -= cum[np.searchsorted(anchors, 1.0)]
-        return np.log(anchors), cum
 
     # -- R ------------------------------------------------------------
     def R(self, x):
@@ -178,11 +169,22 @@ class Antiderivatives:
     # -- Q ------------------------------------------------------------
     @cached_property
     def _Q_interp(self) -> PchipInterpolator:
-        t, Q = self._tabulate(lambda s: self._q(s) / self.growth(s))
-        return PchipInterpolator(t, Q, extrapolate=True)
+        nodes, weights = np.polynomial.legendre.leggauss(10)
+        lo, hi = Q_LATTICE[:-1], Q_LATTICE[1:]
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        pts = mid[:, None] + half[:, None] * nodes[None, :]
+        seg = ((self._q(pts) / self.growth(pts)) @ weights) * half
+        one = Q_LATTICE.size // 2
+        Q = np.concatenate([-np.cumsum(seg[one - 1::-1])[::-1], [0.0], np.cumsum(seg[one:])])
+        return PchipInterpolator(np.log(Q_LATTICE), Q)
 
     def Q(self, x):
         x = np.asarray(x, dtype=float)
+        off = (x < Q_LATTICE[0]) | (x > Q_LATTICE[-1])
+        if off.any():
+            raise ParameterDomainError(
+                f"Q is tabulated on [{Q_LATTICE[0]:g}, {Q_LATTICE[-1]:g}], "
+                f"not at size {x[off].flat[0]:g}")
         if self._q_is_zero:
             return np.zeros_like(x)
         return self._Q_interp(np.log(x))
@@ -220,7 +222,7 @@ def r_inverse_clipped(antid: Antiderivatives, u):
     u = np.asarray(u, dtype=float)
     m_R = antid.R_at_origin
     hit = u <= m_R
-    return np.where(hit, 0.0, antid.R_inverse(np.where(hit, m_R + 1.0, u)))
+    return np.where(hit, 0.0, antid.R_inverse(np.where(hit, 0.0, u)))   # R^-1(0) = 1
 
 
 def _locate(centers: np.ndarray, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -392,7 +394,8 @@ def transport_apply(f0: DensityField, t: float, ks: KernelSet, m: float,
 
 
 def make_antiderivatives(ks: KernelSet, grid: SizeGrid) -> Antiderivatives:
-    return Antiderivatives(ks, x_lo=grid.xmin * 1e-6, x_hi=grid.xmax * 4.0)
+    """The kernel set's antiderivatives; Q's lattice does not depend on the grid."""
+    return Antiderivatives(ks)
 
 
 def transport_norms(ks: KernelSet, grid: SizeGrid, m: float, times) -> np.ndarray:
@@ -405,9 +408,7 @@ def transport_norms(ks: KernelSet, grid: SizeGrid, m: float, times) -> np.ndarra
     t = np.asarray(times, dtype=float)[:, None]
     if ks.r.is_zero:
         return np.max(np.exp(-ks.q(y) * t), axis=1)
-    # r <= rtilde*(1 + x) keeps every X_t(y) inside Q's tabulated range
-    antid = Antiderivatives(ks, x_lo=grid.xmin * 1e-6,
-                            x_hi=(1.0 + grid.xmax) * math.exp(ks.r.rtilde * float(t.max())))
+    antid = Antiderivatives(ks)
     X = r_inverse_clipped(antid, antid.R(y) + t)
     w = WeightSpec(m, "shifted")
     return np.max(w(X) * np.exp(antid.Q(y) - antid.Q(X)) / w(y), axis=1)
@@ -541,10 +542,7 @@ def resolvent_integral_bounds(alpha: float, lam: float, m: float, ks: KernelSet)
     if alpha <= 0:
         raise ParameterDomainError("lower limit alpha must be positive")
     sp = SpectralParams.for_kernels(ks, m, lam)
-    if ks.r.is_zero:
-        raise ParameterDomainError("bound check needs a positive growth rate")
-
-    antid = Antiderivatives(ks, x_lo=min(alpha, 1.0) * 1e-3, x_hi=alpha * 1e6)
+    antid = Antiderivatives(ks)
     f_I, f_J = _integrands(antid, ks, sp)
     peak = max(float(f_I(alpha)), 1e-300)
     hi = alpha
@@ -552,10 +550,6 @@ def resolvent_integral_bounds(alpha: float, lam: float, m: float, ks: KernelSet)
         hi *= 1.6
         if float(f_I(hi)) < 1e-14 * peak:
             break
-    # f_I reads only R, which is exact everywhere; Q is tabulated up to x_hi
-    if hi > antid.x_hi * 0.9:
-        antid = Antiderivatives(ks, x_lo=min(alpha, 1.0) * 1e-3, x_hi=hi * 1e3)
-        f_I, f_J = _integrands(antid, ks, sp)
 
     # one panel per octave
     cuts = np.unique(np.concatenate([
@@ -594,9 +588,7 @@ def v_lambda_diagnostics(sp: SpectralParams, ks: KernelSet) -> list[ReportRow]:
     violates the homogeneous boundary condition; one row reports it at the
     smallest cutoff (`v-lambda-boundary`, > 0).
     """
-    if ks.r.is_zero:
-        raise ParameterDomainError("v_lambda diagnostics need a positive growth rate")
-    antid = Antiderivatives(ks, x_lo=V_LAMBDA_CUTOFFS[1] * 1e-2, x_hi=10.0)
+    antid = Antiderivatives(ks)
     eps = np.geomspace(*V_LAMBDA_CUTOFFS, 9)
     w = WeightSpec(sp.m, "shifted")
     cutoffs = f"lambda = {sp.lam:g}, cutoffs {eps[0]:g} .. {eps[-1]:g}"

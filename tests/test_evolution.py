@@ -479,12 +479,13 @@ class TestRegularizationProbe:
         assert rows["bounded-product"].measured == sup
         assert rows["bounded-product"].detail == f"theta_hat = {theta:.3g}"
 
-    def test_integrable_profile_rejected(self, probe_ks):
+    def test_integrable_profile_rejected(self, probe_ks, monkeypatch):
         grid = SizeGrid.geometric(1e-4, 128.0, 128)
         # eta pushed so far that the profile is m-integrable on the full axis
+        monkeypatch.setattr(gfc.evolution, "PROBE_ETA", 4.0)
         with pytest.raises(SetupError, match="m-integrable"):
             regularization_probe(probe_ks, grid, 3.5, 1.5, 2.0,
-                                 np.geomspace(1e-2, 1.0, 5), eta=4.0, dt=5e-3)
+                                 np.geomspace(1e-2, 1.0, 5), dt=5e-3)
 
     def test_m_equal_p_no_blowup(self, probe_ks):
         # initial data already carries the target moment: early norms stay tame

@@ -58,6 +58,18 @@ class TestDaughterMatrix:
         assert np.all(share[x > 1.0] < 1e-5)
         assert np.all(np.diff(share) <= 1e-12)   # monotone decay with parent size
 
+    def test_parents_whose_daughters_all_fall_below_xmin(self):
+        """phi lives on [0, 0.02], so a parent below 0.05 has every daughter
+        below xmin = 1e-3: its column is the row-0 lump alone, positive, and
+        still carries the parent's mass."""
+        grid = SizeGrid.geometric(1e-3, 50.0, 128)
+        b = DaughterDistribution("table", table_u=[0.0, 0.02, 1.0], table_phi=[1.0, 0.0, 0.0])
+        w, x = build_daughter_matrix(b, grid).w, grid.centers
+        below = np.flatnonzero(0.02 * x <= grid.xmin)
+        assert below.size == 46 and np.array_equal(below, np.arange(46))
+        assert np.all(w[1:, below] == 0.0) and np.all(w[0, below] > 0.0)
+        np.testing.assert_allclose(x @ w, x, rtol=1e-14, atol=0.0)
+
     def test_gain_positivity(self, octave, dm_binary):
         rng = np.random.default_rng(3)
         amounts = rng.random(octave.cells)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -17,7 +18,7 @@ from gfc.evolution import duhamel_solve, solve
 from gfc.grid import DensityField, SizeGrid, WeightSpec, project, weighted_integral
 from gfc.kernels import GrowthRate
 from gfc.presets import get_preset
-from gfc.transport import (Antiderivatives, ParameterDomainError, SpectralParams,
+from gfc.transport import (Q_LATTICE, Antiderivatives, ParameterDomainError, SpectralParams,
                            laplace_consistency, make_antiderivatives,
                            r_inverse_clipped, resolvent_integral_bounds,
                            resolvent_apply, resolvent_norm, resolvent_residual,
@@ -27,7 +28,7 @@ from gfc.transport import (Antiderivatives, ParameterDomainError, SpectralParams
 def flow(r: GrowthRate, t: float, x0):
     """X(t; x0) = R^-1(R(x0) + t), the map the transport plan takes its feet from."""
     ks = dataclasses.replace(make_kernels(), r=r)
-    antid = Antiderivatives(ks, 1e-4, 1e3)
+    antid = Antiderivatives(ks)
     return r_inverse_clipped(antid, antid.R(x0) + t)
 
 
@@ -70,6 +71,16 @@ class TestFlowMap:
         rt = GrowthRate("table", table_x=xs, table_r=0.2 + 0.5 * np.sqrt(xs))
         sol = solve_ivp(lambda t, y: rt(y), (0.0, 0.7), [2.0], rtol=1e-12, atol=1e-14)
         assert flow(rt, 0.7, 2.0) == pytest.approx(sol.y[0, -1], rel=1e-10)
+
+    def test_feet_leaving_through_the_origin_raise_no_overflow(self):
+        """R^-1 is not evaluated past the origin: for r = 1 + 1000x, R(0+) + 1
+        overflows exp, and the foot's value is discarded anyway."""
+        ks = make_kernels(a0=0.5, growth="affine", r0=1.0, r1=1000.0, beta=0.0)
+        f = project(lambda x: np.exp(-x), SizeGrid.geometric(1e-3, 50.0, 64))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = transport_apply(f, 1e-3, ks, 2.0, include_absorption=False)
+        assert np.all(np.isfinite(out.values)) and out.values[0] == 0.0
 
 
 class TestTransport:
@@ -380,7 +391,8 @@ class TestNoPchipPerStep:
 
 def test_q_is_tabulated_on_first_use(monkeypatch):
     """A split solve transports without absorption and builds no Q table;
-    Q built later is the eager table bit for bit."""
+    Q built later is a fresh instance's bit for bit, and at the lattice
+    points it is the quadrature itself."""
     made = []
 
     def recording(ks, grid):
@@ -392,9 +404,11 @@ def test_q_is_tabulated_on_first_use(monkeypatch):
     solve(f0, cfg, ks)
     (antid,) = made
     assert "_Q_interp" not in vars(antid)
-    eager = PchipInterpolator(*antid._tabulate(lambda s: ks.q(s) / ks.r(s)), extrapolate=True)
     x = np.geomspace(1e-4, 1e3, 200)
-    np.testing.assert_array_equal(antid.Q(x), eager(np.log(x)))
+    np.testing.assert_array_equal(antid.Q(x), Antiderivatives(ks).Q(x))
+    knots = Q_LATTICE[(Q_LATTICE >= 1e-4) & (Q_LATTICE <= 1e3)][::20]
+    oracle = np.array([Q_by_quad(ks, v) for v in knots])
+    assert np.all(np.abs(antid.Q(knots) - oracle) <= 1e-12 * np.maximum(np.abs(oracle), 1.0))
 
 
 class TestResolvent:
@@ -553,6 +567,11 @@ class TestExactNorms:
 
 
 class TestLemmaBounds:
+    def test_zero_growth_is_refused(self):
+        ks = make_kernels(a0=1.0, r0=0.0)
+        with pytest.raises(ParameterDomainError, match="positive growth rate"):
+            resolvent_integral_bounds(1.0, 3.0, 1.0, ks)
+
     def test_closed_form_value(self):
         ks = make_kernels()
         rep = {r.name: r for r in resolvent_integral_bounds(1.0, 4.0, 1.0, ks)}
@@ -611,6 +630,19 @@ def R_by_quad(r: GrowthRate, x: float) -> float:
     return total if x >= 1.0 else -total
 
 
+def Q_by_quad(ks, x: float) -> float:
+    """int_1^x q/r by adaptive quadrature, one per piece between the growth
+    table's knots (if any), each split into panels of at most a decade."""
+    lo, hi = sorted((1.0, x))
+    knots = ks.r.table_x if ks.r.kind == "table" else np.array([])
+    cuts = np.concatenate([[lo], knots[(knots > lo) & (knots < hi)], [hi]])
+    panels = np.unique(np.concatenate(
+        [np.geomspace(a, b, int(np.log10(b / a)) + 2) for a, b in zip(cuts[:-1], cuts[1:])]))
+    total = math.fsum(quad(lambda s: float(ks.q(s) / ks.r(s)), a, b, epsabs=0.0, epsrel=1e-13,
+                           limit=200)[0] for a, b in zip(panels[:-1], panels[1:]))
+    return total if x >= 1.0 else -total
+
+
 class TestAntiderivatives:
     @settings(max_examples=60, deadline=None)
     @given(growth_table())
@@ -620,7 +652,7 @@ class TestAntiderivatives:
         beyond what the rounding of R(c) itself allows: an ulp of R moves x
         by r times it, and an ulp of the knot x = 1."""
         r, grid = case
-        antid = Antiderivatives(dataclasses.replace(make_kernels(), r=r), 1e-4, 1e3)
+        antid = Antiderivatives(dataclasses.replace(make_kernels(), r=r))
         assert float(antid.R(1.0)) == 0.0
         c = grid.centers
         R = antid.R(c)
@@ -631,11 +663,11 @@ class TestAntiderivatives:
 
     def test_normalized_at_one_with_limits(self):
         ks = make_kernels(a0=1.0, growth="affine", r0=0.5, r1=0.5)
-        antid = Antiderivatives(ks, 1e-5, 100.0)
+        antid = Antiderivatives(ks)
         assert float(antid.R(1.0)) == pytest.approx(0.0, abs=1e-12)
-        assert float(antid.Q(1.0)) == pytest.approx(0.0, abs=1e-10)
+        assert Q_LATTICE[Q_LATTICE.size // 2] == 1.0 and float(antid.Q(1.0)) == 0.0
         assert np.isfinite(antid.R_at_origin)       # reachable origin
-        assert float(antid.Q(antid.x_lo)) <= 0.0 <= float(antid.Q(antid.x_hi))
+        assert float(antid.Q(Q_LATTICE[0])) <= 0.0 <= float(antid.Q(Q_LATTICE[-1]))
         # R strictly increasing, Q nondecreasing on a sample
         xs = np.geomspace(1e-4, 50.0, 64)
         assert np.all(np.diff(antid.R(xs)) > 0)
@@ -643,7 +675,7 @@ class TestAntiderivatives:
 
     def test_unreachable_origin_has_divergent_R(self):
         ks = make_kernels(growth="linear", r0=0.0, r1=1.0)
-        antid = Antiderivatives(ks, 1e-6, 10.0)
+        antid = Antiderivatives(ks)
         assert antid.R_at_origin == -math.inf
 
     # r1/r0 from 1e-12 to 1e6 every second decade, a vanishing r0 (unreachable
@@ -660,7 +692,7 @@ class TestAntiderivatives:
         near a reachable origin.  r1 << r0 must not cancel."""
         t = 1e-3
         antid = Antiderivatives(dataclasses.replace(
-            make_kernels(), r=GrowthRate("affine", r0=r0, r1=r1)), 1e-4, 1e3)
+            make_kernels(), r=GrowthRate("affine", r0=r0, r1=r1)))
         with mpmath.workdps(50):
             p0, p1 = mpmath.mpf(r0), mpmath.mpf(r1)
 
@@ -685,14 +717,72 @@ class TestAntiderivatives:
                 exact = [R(mpmath.mpf(x)) for x in c.tolist()]
                 R_c = antid.R(c)
                 assert_close(R_c, exact, 1e-14)
-                with np.errstate(over="ignore"):   # R^-1 is not read where the foot exits
-                    feet = r_inverse_clipped(antid, R_c - t)
+                feet = r_inverse_clipped(antid, R_c - t)
                 assert_close(feet, [R_inverse(e - t) for e in exact], 1e-12, 8 * math.ulp(1.0))
                 assert_close(antid.R_inverse(R_c), [mpmath.mpf(x) for x in c.tolist()],
                              1e-12, 8 * math.ulp(1.0))
 
 
+@st.composite
+def absorbing_kernels(draw):
+    """A power-law fragmentation rate with gamma0 in [0, 2], the shift for a
+    random ball, and a constant, linear or affine growth rate."""
+    growth = draw(st.sampled_from(["constant", "linear", "affine"]))
+    ks = make_kernels(a0=draw(st.floats(0.0, 3.0)), gamma0=draw(st.floats(0.0, 2.0)),
+                      k0=draw(st.floats(0.0, 1.0)), alpha=draw(st.floats(0.05, 1.0)),
+                      ball_radius=draw(st.floats(0.5, 8.0)))
+    r = GrowthRate("affine", r0=0.0 if growth == "linear" else draw(st.floats(0.05, 2.0)),
+                   r1=0.0 if growth == "constant" else draw(st.floats(0.05, 2.0)))
+    return dataclasses.replace(ks, r=r)
+
+
+class TestOneQ:
+    """Q is tabulated once, on a fixed lattice in log x through x = 1."""
+
+    @staticmethod
+    def worst(ks, x) -> float:
+        oracle = np.array([Q_by_quad(ks, v) for v in x])
+        return float(np.max(np.abs(Antiderivatives(ks).Q(x) - oracle)
+                            / np.maximum(np.abs(oracle), 1.0)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(absorbing_kernels(), st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=8))
+    def test_matches_quadrature(self, ks, logs):
+        x = np.concatenate([10.0 ** np.array(logs), [0.995, 1.005]])
+        assert self.worst(ks, x) <= 1e-4
+
+    @pytest.mark.parametrize("knots", [12, 200])
+    def test_table_growth(self, knots):
+        """A table of r = 0.2 + 0.5*sqrt(x), whose pieces the lattice resolves;
+        Q'' jumps at each knot, where PCHIP is second order."""
+        xs = np.geomspace(1e-4, 1e3, knots)
+        ks = dataclasses.replace(make_kernels(a0=1.0, gamma0=1.5, k0=0.5, ball_radius=4.0),
+                                 r=GrowthRate("table", table_x=xs, table_r=0.2 + 0.5 * np.sqrt(xs)))
+        assert self.worst(ks, np.concatenate([np.geomspace(1e-4, 1e4, 41), [0.995, 1.005]])) <= 1e-4
+
+    def test_steep_law_next_to_one(self):
+        """A steep law next to x = 1, where a sliver interval beside an
+        inserted anchor is off by 3.7e-3 relative at x = 1.005."""
+        ks = make_kernels(a0=2, gamma0=2, r0=0.05, k0=0.5, alpha=0.9, ball_radius=4)
+        assert self.worst(ks, np.concatenate([np.geomspace(1e-4, 1e4, 41), [0.995, 1.005]])) <= 1e-4
+
+    def test_gfc_global_ii_next_to_one(self):
+        ks = load_scenario("gfc-global-ii").kernel_set()
+        assert abs(float(Antiderivatives(ks).Q(1.005)) - Q_by_quad(ks, 1.005)) <= 1e-6
+
+    @pytest.mark.parametrize("x", [1e13, 1e-13, [1.0, 1e13]])
+    def test_off_the_lattice_is_refused(self, x):
+        antid = Antiderivatives(make_kernels(a0=1.0, k0=0.5))
+        with pytest.raises(ParameterDomainError, match="size 1e[+-]13"):
+            antid.Q(x)
+
+
 class TestVLambda:
+    def test_zero_growth_is_refused(self):
+        ks = make_kernels(a0=1.0, r0=0.0)
+        with pytest.raises(ParameterDomainError, match="positive growth rate"):
+            v_lambda_diagnostics(SpectralParams.for_kernels(ks, 1.0, 3.0), ks)
+
     def test_reachable_boundary_limit(self):
         ks = make_kernels()
         sp = SpectralParams.for_kernels(ks, 1.0, 3.0)
