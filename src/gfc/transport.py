@@ -18,8 +18,8 @@ norms are suprema over point masses (over unit cells for the discrete
 resolvent), and both are computed here.
 All exponentials are assembled in log space: lambda*R can exceed the
 floating-point range near the origin when the characteristics stall there.
-R is exact; Q is tabulated once per `Antiderivatives`, on one fixed lattice
-in log x through x = 1, so every caller reads the same Q at the same size.
+R is exact; Q is tabulated once per `Antiderivatives`, on one lattice in
+log x through x = 1, so every caller reads the same Q at the same size.
 
 `transport_apply` reads the field at the backward feet through its PCHIP
 interpolant.  Everything that depends only on the antiderivatives, the grid,
@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -78,10 +77,10 @@ class ParameterDomainError(ValueError):
 # antiderivatives R and Q
 
 
-# Q's anchors x_k = 10^(k/200) for |k| <= 2400: 1e-12 .. 1e12, with x = 1 at k = 0.
-# PCHIP is only C^1 at an anchor; at 100 per decade the adaptive quadratures
-# that read Q need a third more integrand calls than at 200
-Q_LATTICE = 10.0 ** (np.arange(-2400, 2401) / 200)
+# Q's lattice x_k = 10^(k/200), x = 1 at k = 0, in blocks of 12 decades, at most
+# 25 on either side of 1.  PCHIP is only C^1 at a lattice point; at 100 per decade
+# the adaptive quadratures that read Q need a third more integrand calls.
+Q_STEPS_PER_DECADE, Q_BLOCK, Q_MAX_BLOCKS = 200, 2400, 25
 
 
 def _piece_integral(x, base, rate, slope, far, far_rate):
@@ -106,9 +105,10 @@ class Antiderivatives:
     is chained outward.  R^-1 finds its piece by searching R at the knots.
     R(0+) is R(0) when the origin is reachable, -inf when it is not.  Q is
     tabulated on first use, so a solve that transports without absorption
-    never builds it: per-interval Gauss quadrature on the fixed lattice
-    Q_LATTICE, whose point k = 0 is x = 1, chained outward from there and
-    interpolated monotonically in log x.  A size off the lattice is refused.
+    never builds it: per-interval Gauss quadrature on the lattice points
+    10^(k/200), whose point k = 0 is x = 1, chained outward from there and
+    interpolated monotonically in log x.  The table grows by blocks to the
+    sizes queried, and Q at a size does not depend on how far it reaches.
     """
 
     def __init__(self, ks: KernelSet):
@@ -117,7 +117,7 @@ class Antiderivatives:
             raise ParameterDomainError("antiderivatives need a positive growth rate")
         self.growth = r
         self._q = ks.q
-        self._q_is_zero = ks.a.is_zero and ks.a1.beta == 0.0
+        self._Q_blocks, self._Q_span = (0, 0), (math.inf, -math.inf)
         self._transport_plan = None   # memo of transport_apply
 
         if r.kind == "table":
@@ -167,26 +167,36 @@ class Antiderivatives:
         return float(self.R(0.0)) if self.growth.origin_class == REACHABLE else -math.inf
 
     # -- Q ------------------------------------------------------------
-    @cached_property
-    def _Q_interp(self) -> PchipInterpolator:
+    def _tabulate_Q(self, x: np.ndarray) -> None:
+        """Grow Q's table by whole blocks until each size x is two lattice
+        steps inside it: one keeps PCHIP's end slopes unread, one absorbs
+        the rounding of log10."""
+        with np.errstate(divide="ignore"):
+            k = Q_STEPS_PER_DECADE * np.log10(np.where(x > 0, x, 0.0))   # -inf if x <= 0 or NaN
+        need = np.ceil((np.ceil(np.abs(k)) + 2.0) / Q_BLOCK)   # blocks on x's side of 1
+        if (need > Q_MAX_BLOCKS).any():
+            edge = Q_MAX_BLOCKS * Q_BLOCK // Q_STEPS_PER_DECADE
+            raise ParameterDomainError(f"Q is tabulated for sizes inside 1e-{edge} .. 1e{edge}, "
+                                       f"not at size {x[need > Q_MAX_BLOCKS].flat[0]:g}")
+        n_lo, n_hi = self._Q_blocks = tuple(int(max(n, need[side].max(initial=1))) for n, side
+                                            in zip(self._Q_blocks, (k < 0, k >= 0)))
+        lattice = 10.0 ** (np.arange(-n_lo * Q_BLOCK, n_hi * Q_BLOCK + 1) / Q_STEPS_PER_DECADE)
+        self._Q_span = lattice[1], lattice[-2]
         nodes, weights = np.polynomial.legendre.leggauss(10)
-        lo, hi = Q_LATTICE[:-1], Q_LATTICE[1:]
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        pts = mid[:, None] + half[:, None] * nodes[None, :]
-        seg = ((self._q(pts) / self.growth(pts)) @ weights) * half
-        one = Q_LATTICE.size // 2
+        mid, half = 0.5 * (lattice[1:] + lattice[:-1]), 0.5 * (lattice[1:] - lattice[:-1])
+        pts = mid + half * nodes[:, None]
+        vals = self._q(pts) / self.growth(pts)
+        # node by node, so an interval's sum does not depend on the table's extent
+        seg = half * sum(w * v for w, v in zip(weights, vals))
+        one = n_lo * Q_BLOCK
         Q = np.concatenate([-np.cumsum(seg[one - 1::-1])[::-1], [0.0], np.cumsum(seg[one:])])
-        return PchipInterpolator(np.log(Q_LATTICE), Q)
+        self._Q_interp = PchipInterpolator(np.log(lattice), Q)
 
     def Q(self, x):
         x = np.asarray(x, dtype=float)
-        off = (x < Q_LATTICE[0]) | (x > Q_LATTICE[-1])
-        if off.any():
-            raise ParameterDomainError(
-                f"Q is tabulated on [{Q_LATTICE[0]:g}, {Q_LATTICE[-1]:g}], "
-                f"not at size {x[off].flat[0]:g}")
-        if self._q_is_zero:
-            return np.zeros_like(x)
+        lo, hi = self._Q_span
+        if not ((x >= lo) & (x <= hi)).all():
+            self._tabulate_Q(x)
         return self._Q_interp(np.log(x))
 
 

@@ -229,3 +229,31 @@ def test_table_daughter_quadrature_budget(monkeypatch):
                            ["kernel-validation", "frag-identities", "moment-domination"])
     assert report.passed, [r.name for r in report.rows if not r.passed]
     assert len(calls) == 50 + 3 + 7
+
+
+def _linear_growth_r1_15(raw):
+    raw["kernels"]["growth"]["r1"] = 15.0
+
+
+def _grid_to_1e13(raw):
+    raw["grid"]["xmax"] = 1e13
+    # keep the positivity bound on dt within reach of the larger sizes
+    raw["kernels"]["fragmentation"]["gamma0"] = 0.0
+    raw["kernels"]["coagulation"]["alpha"] = 0.05
+
+
+@pytest.mark.parametrize("change", [_linear_growth_r1_15, _grid_to_1e13])
+def test_q_reading_suites_follow_the_flow_past_1e12(change):
+    """Linear growth with r1 = 15 carries xmax = 50 to 50*e^30 within the
+    quasi-contractivity times; the second grid reaches 1e13 itself.  Q's
+    table grows to every size these suites read."""
+    raw = get_preset("gfc-global-ii")
+    raw["grid"]["cells"] = 64
+    raw["time"].update(t_end=0.05, output_every=0.025)
+    change(raw)
+    ctx = ScenarioContext(load_scenario(raw))
+    (row,) = SUITES["quasi-contractivity"](ctx)
+    assert row.status == "pass"
+    for suite in ("resolvent", "integral-bounds", "laplace"):
+        rows = SUITES[suite](ctx)
+        assert rows and all(math.isfinite(r.measured) for r in rows)

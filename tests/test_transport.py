@@ -5,7 +5,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.interpolate import PchipInterpolator
@@ -18,7 +18,7 @@ from gfc.evolution import duhamel_solve, solve
 from gfc.grid import DensityField, SizeGrid, WeightSpec, project, weighted_integral
 from gfc.kernels import GrowthRate
 from gfc.presets import get_preset
-from gfc.transport import (Q_LATTICE, Antiderivatives, ParameterDomainError, SpectralParams,
+from gfc.transport import (Q_STEPS_PER_DECADE, Antiderivatives, ParameterDomainError, SpectralParams,
                            laplace_consistency, make_antiderivatives,
                            r_inverse_clipped, resolvent_integral_bounds,
                            resolvent_apply, resolvent_norm, resolvent_residual,
@@ -391,8 +391,7 @@ class TestNoPchipPerStep:
 
 def test_q_is_tabulated_on_first_use(monkeypatch):
     """A split solve transports without absorption and builds no Q table;
-    Q built later is a fresh instance's bit for bit, and at the lattice
-    points it is the quadrature itself."""
+    Q built later is, at the lattice points, the quadrature itself."""
     made = []
 
     def recording(ks, grid):
@@ -404,9 +403,8 @@ def test_q_is_tabulated_on_first_use(monkeypatch):
     solve(f0, cfg, ks)
     (antid,) = made
     assert "_Q_interp" not in vars(antid)
-    x = np.geomspace(1e-4, 1e3, 200)
-    np.testing.assert_array_equal(antid.Q(x), Antiderivatives(ks).Q(x))
-    knots = Q_LATTICE[(Q_LATTICE >= 1e-4) & (Q_LATTICE <= 1e3)][::20]
+    knots = 10.0 ** (np.arange(-4 * Q_STEPS_PER_DECADE, 3 * Q_STEPS_PER_DECADE + 1, 20)
+                     / Q_STEPS_PER_DECADE)
     oracle = np.array([Q_by_quad(ks, v) for v in knots])
     assert np.all(np.abs(antid.Q(knots) - oracle) <= 1e-12 * np.maximum(np.abs(oracle), 1.0))
 
@@ -665,9 +663,9 @@ class TestAntiderivatives:
         ks = make_kernels(a0=1.0, growth="affine", r0=0.5, r1=0.5)
         antid = Antiderivatives(ks)
         assert float(antid.R(1.0)) == pytest.approx(0.0, abs=1e-12)
-        assert Q_LATTICE[Q_LATTICE.size // 2] == 1.0 and float(antid.Q(1.0)) == 0.0
+        assert float(antid.Q(1.0)) == 0.0
         assert np.isfinite(antid.R_at_origin)       # reachable origin
-        assert float(antid.Q(Q_LATTICE[0])) <= 0.0 <= float(antid.Q(Q_LATTICE[-1]))
+        assert float(antid.Q(1e-12)) <= 0.0 <= float(antid.Q(1e12))
         # R strictly increasing, Q nondecreasing on a sample
         xs = np.geomspace(1e-4, 50.0, 64)
         assert np.all(np.diff(antid.R(xs)) > 0)
@@ -723,21 +721,41 @@ class TestAntiderivatives:
                              1e-12, 8 * math.ulp(1.0))
 
 
+Q_STEP = math.log(10.0) / Q_STEPS_PER_DECADE   # the lattice step in log x
+
+
 @st.composite
 def absorbing_kernels(draw):
     """A power-law fragmentation rate with gamma0 in [0, 2], the shift for a
-    random ball, and a constant, linear or affine growth rate."""
-    growth = draw(st.sampled_from(["constant", "linear", "affine"]))
+    random ball, and a constant, linear, affine or table growth rate.  Q'' is
+    continuous except at a table knot, where it jumps, and there PCHIP is
+    second order: off by about Q_STEP^2/8 times the jump of Q's second
+    derivative in log x, x^2 q |r'(x+) - r'(x-)| / r^2.  Tables whose jumps
+    keep that within 1e-4 are the ones the lattice resolves, and only they
+    are drawn; knots are 0.02 to 1.5 decades apart."""
+    growth = draw(st.sampled_from(["constant", "linear", "affine", "table"]))
     ks = make_kernels(a0=draw(st.floats(0.0, 3.0)), gamma0=draw(st.floats(0.0, 2.0)),
                       k0=draw(st.floats(0.0, 1.0)), alpha=draw(st.floats(0.05, 1.0)),
                       ball_radius=draw(st.floats(0.5, 8.0)))
+    if growth == "table":
+        n = draw(st.integers(2, 6))
+        gaps = np.array(draw(st.lists(st.floats(0.02, 1.5), min_size=n - 1, max_size=n - 1)))
+        xs = 10.0 ** (draw(st.floats(-4.0, 2.0)) + np.concatenate([[0.0], np.cumsum(gaps)]))
+        # the rate moves by at most a decade per decade between knots
+        steps = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n - 1, max_size=n - 1)))
+        rates = 10.0 ** (draw(st.floats(-2.0, 2.0))
+                         + np.concatenate([[0.0], np.cumsum(steps * gaps)]))
+        slopes = np.concatenate([[0.0], np.diff(rates) / np.diff(xs), [0.0]])
+        jump = xs ** 2 * ks.q(xs) * np.abs(np.diff(slopes)) / rates ** 2
+        assume(np.all(Q_STEP ** 2 / 8 * jump <= 1e-4))
+        return dataclasses.replace(ks, r=GrowthRate("table", table_x=xs, table_r=rates))
     r = GrowthRate("affine", r0=0.0 if growth == "linear" else draw(st.floats(0.05, 2.0)),
                    r1=0.0 if growth == "constant" else draw(st.floats(0.05, 2.0)))
     return dataclasses.replace(ks, r=r)
 
 
 class TestOneQ:
-    """Q is tabulated once, on a fixed lattice in log x through x = 1."""
+    """Q is tabulated once, on one lattice in log x through x = 1."""
 
     @staticmethod
     def worst(ks, x) -> float:
@@ -745,7 +763,7 @@ class TestOneQ:
         return float(np.max(np.abs(Antiderivatives(ks).Q(x) - oracle)
                             / np.maximum(np.abs(oracle), 1.0)))
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(absorbing_kernels(), st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=8))
     def test_matches_quadrature(self, ks, logs):
         x = np.concatenate([10.0 ** np.array(logs), [0.995, 1.005]])
@@ -770,10 +788,26 @@ class TestOneQ:
         ks = load_scenario("gfc-global-ii").kernel_set()
         assert abs(float(Antiderivatives(ks).Q(1.005)) - Q_by_quad(ks, 1.005)) <= 1e-6
 
-    @pytest.mark.parametrize("x", [1e13, 1e-13, [1.0, 1e13]])
-    def test_off_the_lattice_is_refused(self, x):
+    def test_sizes_past_the_first_block_extend_the_table(self):
+        """Sizes beyond 1e-12 .. 1e12 grow the table by whole blocks; Q there
+        is the quadrature's, and Q inside the first block does not change,
+        bit for bit, because no size is read next to the table's ends."""
+        ks = make_kernels(a0=1.0, gamma0=1.5, k0=0.5, ball_radius=4.0)
+        antid = Antiderivatives(ks)
+        inside = np.geomspace(10.0 ** -11.985, 10.0 ** 11.985, 301)   # three steps inside
+        before = antid.Q(inside)
+        assert antid._Q_blocks == (1, 1)
+        far = np.array([1e-40, 1e-13, 1e13, 1e40])
+        got = antid.Q(far)
+        assert antid._Q_blocks == (4, 4)
+        oracle = np.array([Q_by_quad(ks, v) for v in far])
+        assert np.all(np.abs(got - oracle) <= 1e-4 * np.maximum(np.abs(oracle), 1.0))
+        np.testing.assert_array_equal(antid.Q(inside), before)
+
+    @pytest.mark.parametrize("x", [0.0, -1.0, math.inf, math.nan, 1e301, 1e-301, [1.0, 1e301]])
+    def test_sizes_the_lattice_cannot_reach_are_refused(self, x):
         antid = Antiderivatives(make_kernels(a0=1.0, k0=0.5))
-        with pytest.raises(ParameterDomainError, match="size 1e[+-]13"):
+        with pytest.raises(ParameterDomainError, match="not at size"):
             antid.Q(x)
 
 
