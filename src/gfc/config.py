@@ -24,6 +24,10 @@ from .presets import get_preset, preset_names
 __all__ = ["ScenarioConfig", "ConfigFileError", "load_scenario", "SCHEMA"]
 
 
+# libyaml's parser when PyYAML was built with it; the resolver is the same
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 class ConfigFileError(ValueError):
     """Schema violation with the offending field path."""
 
@@ -187,7 +191,7 @@ def load_scenario(config: str | Path | dict, overrides: Optional[dict] = None) -
                     f"(presets: {', '.join(preset_names())})")
             with open(path) as fh:
                 try:
-                    raw = yaml.safe_load(fh)
+                    raw = yaml.load(fh, Loader=_YAML_LOADER)
                 except yaml.YAMLError as exc:
                     raise ConfigFileError(f"YAML parse error in {path}: {exc}") from exc
             if not isinstance(raw, dict):

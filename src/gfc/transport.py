@@ -52,7 +52,7 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from .grid import DensityField, SizeGrid, WeightSpec, weighted_integral
-from .kernels import REACHABLE, UNREACHABLE, KernelSet, ReportRow, _quad
+from .kernels import REACHABLE, UNREACHABLE, KernelSet, ReportRow, _quad_intervals
 
 __all__ = [
     "Antiderivatives",
@@ -518,27 +518,6 @@ def resolvent_residual(f: DensityField, g: DensityField, sp: SpectralParams,
 # integral inequalities for the resolvent bound
 
 
-def _integrands(antid: Antiderivatives, ks: KernelSet, sp: SpectralParams):
-    """The integrands of I and J."""
-    w = WeightSpec(sp.m, "shifted")
-
-    def f_I(s):
-        return np.exp(-sp.lam * antid.R(s)) * w(s) / ks.r(s)
-
-    def f_J(s):
-        return (sp.lam + ks.q(s)) * np.exp(-sp.lam * antid.R(s) - antid.Q(s)) * w(s) / ks.r(s)
-
-    return f_I, f_J
-
-
-def _panel_quad(fun, cuts: np.ndarray, epsabs: float, epsrel: float) -> float:
-    """int fun over [cuts[0], cuts[-1]] as a sum of checked adaptive
-    quadratures, one per panel [cuts[k], cuts[k+1]]; geometric panels keep
-    quad honest across many decades."""
-    return sum(_quad(lambda z: float(fun(z)), a_, b_, epsabs=epsabs, epsrel=epsrel)
-               for a_, b_ in zip(cuts[:-1], cuts[1:]))
-
-
 def resolvent_integral_bounds(alpha: float, lam: float, m: float, ks: KernelSet) -> list[ReportRow]:
     """Check the weighted tail integrals behind the resolvent estimate.
 
@@ -553,7 +532,16 @@ def resolvent_integral_bounds(alpha: float, lam: float, m: float, ks: KernelSet)
         raise ParameterDomainError("lower limit alpha must be positive")
     sp = SpectralParams.for_kernels(ks, m, lam)
     antid = Antiderivatives(ks)
-    f_I, f_J = _integrands(antid, ks, sp)
+    w = WeightSpec(m, "shifted")
+
+    def f_I(s):
+        return np.exp(-sp.lam * antid.R(s)) * w(s) / ks.r(s)
+
+    def f_IJ(s):   # the integrands of I and J, stacked, from one R
+        lam_R, wr = sp.lam * antid.R(s), w(s) / ks.r(s)
+        return np.stack([np.exp(-lam_R) * wr,
+                         (sp.lam + ks.q(s)) * np.exp(-lam_R - antid.Q(s)) * wr])
+
     peak = max(float(f_I(alpha)), 1e-300)
     hi = alpha
     for _ in range(400):
@@ -565,15 +553,15 @@ def resolvent_integral_bounds(alpha: float, lam: float, m: float, ks: KernelSet)
     cuts = np.unique(np.concatenate([
         np.geomspace(alpha, hi, max(8, int(np.log2(hi / alpha)) + 2)), [alpha, hi]]))
     gap = sp.lam - sp.omega
-    wm = WeightSpec(m, "shifted")
     R_a, R_hi = (float(antid.R(z)) for z in (alpha, hi))
     Q_a, Q_hi = (float(antid.Q(z)) for z in (alpha, hi))
-    w_a, w_hi = (float(wm(np.asarray(z))) for z in (alpha, hi))
+    w_a, w_hi = (float(w(np.asarray(z))) for z in (alpha, hi))
 
-    I_val = _panel_quad(f_I, cuts, 1e-13, 1e-10) + math.exp(-sp.lam * R_hi) * w_hi / gap
+    I_panels, J_panels = _quad_intervals(f_IJ, cuts[:-1], cuts[1:], geometric=True,
+                                         epsabs=1e-13, epsrel=1e-10)
+    I_val = float(np.sum(I_panels)) + math.exp(-sp.lam * R_hi) * w_hi / gap
     I_bound = math.exp(-sp.lam * R_a) * w_a / gap
-    J_val = (_panel_quad(f_J, cuts, 1e-13, 1e-10)
-             + sp.lam * math.exp(-sp.lam * R_hi - Q_hi) * w_hi / gap)
+    J_val = float(np.sum(J_panels)) + sp.lam * math.exp(-sp.lam * R_hi - Q_hi) * w_hi / gap
     J_bound = sp.lam * math.exp(-sp.lam * R_a - Q_a) * w_a / gap
 
     return [ReportRow("integral-bounds", name, val, "<=", bnd, 1e-9 * bnd)
@@ -607,8 +595,10 @@ def v_lambda_diagnostics(sp: SpectralParams, ks: KernelSet) -> list[ReportRow]:
         def vw(s):
             return np.exp(-sp.lam * antid.R(s) - antid.Q(s)) / ks.r(s) * w(s)
 
-        vals = np.array([_panel_quad(vw, np.geomspace(e, 1.0, 30), 1e-12, 1e-9)
-                         for e in eps])
+        # the 29 geometric panels of every cutoff, all in one vector quadrature
+        cuts = np.geomspace(eps, 1.0, 30, axis=1)
+        vals = np.sum(_quad_intervals(vw, cuts[:, :-1], cuts[:, 1:], geometric=True,
+                                      epsabs=1e-12, epsrel=1e-9), axis=1)
         # late-end slope of log T against log(1/eps)
         tail = slice(len(eps) // 2, None)
         slope = float(np.polyfit(np.log(1.0 / eps[tail]), np.log(vals[tail]), 1)[0])

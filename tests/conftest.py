@@ -1,4 +1,8 @@
+import contextlib
+
+import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from gfc.grid import SizeGrid
 from gfc.kernels import (AbsorptionRate, CoagulationKernel, DaughterDistribution,
@@ -45,3 +49,49 @@ def octave_grid():
 @pytest.fixture
 def small_grid():
     return SizeGrid.geometric(1e-2, 20.0, 128)
+
+
+@contextlib.contextmanager
+def recorded_intervals(module):
+    """Record every call of module._quad_intervals as [fun, lo, hi, options,
+    value] while the block runs; value stays None if the call raises."""
+    calls, real = [], module._quad_intervals
+
+    def spy(fun, lo, hi, **options):
+        calls.append([fun, lo, hi, options, None])
+        calls[-1][4] = real(fun, lo, hi, **options)
+        return calls[-1][4]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(module, "_quad_intervals", spy)
+        yield calls
+
+
+def quad_per_interval(fun, lo, hi, geometric=False, points=None, rel=1e-13, tiled=False, **_):
+    """The oracle of kernels._quad_intervals: one scipy.integrate.quad per
+    interval and integrand, in x, to relative tolerance rel, with the
+    breakpoints `points` mapped from u.  With tiled=True the intervals along
+    the last axis tile one range, on which the integrand does not depend on
+    the tile, and the oracle is one quad per range with the tiles' ends as
+    breakpoints: it reads their sum."""
+    lo, hi = np.broadcast_arrays(np.asarray(lo, float), np.asarray(hi, float))
+    shape = np.shape(fun(hi))      # the integrands' leading axes, then lo's
+    lead = len(shape) - lo.ndim
+
+    def integral(j, a, b, cuts):
+        return quad(lambda x: fun(np.full(lo.shape, x))[j], a, b, points=cuts or None,
+                    epsabs=0.0, epsrel=rel, limit=200)[0]
+
+    if tiled:
+        out = np.zeros(shape[:-1])
+        for j in np.ndindex(out.shape):
+            row = j[lead:]
+            out[j] = integral(j + (0,), lo[row][0], hi[row][-1], list(lo[row][1:]))
+        return out
+    out = np.zeros(shape)
+    u = [p for p in (points if points is not None else ()) if 0.0 < p < 1.0]
+    for j in np.ndindex(shape):
+        k = j[lead:]
+        out[j] = integral(j, lo[k], hi[k], [lo[k] * (hi[k] / lo[k]) ** p if geometric
+                                            else lo[k] + p * (hi[k] - lo[k]) for p in u])
+    return out

@@ -7,6 +7,7 @@ import pytest
 import yaml
 
 from conftest import GROWTH_SPELLINGS
+import gfc.config
 from gfc.cli import main
 from gfc.config import SCHEMA, ConfigFileError, load_scenario
 from gfc.evolution import ConfigError, SolverConfig
@@ -144,6 +145,22 @@ class TestConfigParsing:
         path.write_text(text.replace("a0: 1e-3", "a0: fast"))
         with pytest.raises(ConfigFileError, match=r"'kernels\.fragmentation\.a0' must be a number"):
             load_scenario(str(path))
+
+    def test_pure_python_yaml_loader_reads_the_same_scenario(self, tmp_path, monkeypatch):
+        """Without libyaml the loader falls back to SafeLoader: same resolver,
+        same scenario, and a parse error is a ConfigFileError either way."""
+        path = tmp_path / "exp.yaml"
+        path.write_text(yaml.safe_dump(MINI).replace("dt: 0.004", "dt: 1e-3"))
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("grid: {xmin: 1.0e-3, xmax: [50.0\n")
+        fast = load_scenario(path)
+        monkeypatch.setattr(gfc.config, "_YAML_LOADER", yaml.SafeLoader)
+        assert load_scenario(path).raw == fast.raw
+        assert fast.solver_config() == load_scenario(path).solver_config()
+        for loader in (yaml.SafeLoader, getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+            monkeypatch.setattr(gfc.config, "_YAML_LOADER", loader)
+            with pytest.raises(ConfigFileError, match="YAML parse error"):
+                load_scenario(str(bad))
 
     def test_schema_size_is_pinned(self):
         """A new scenario key or solver field takes a deliberate edit here:

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from conftest import GROWTH_SPELLINGS, make_kernels
+from conftest import GROWTH_SPELLINGS, make_kernels, quad_per_interval, recorded_intervals
 import gfc.kernels
 from gfc.fragmentation import build_daughter_matrix, fragmentation_constants
 from gfc.grid import SizeGrid
@@ -55,6 +55,19 @@ def exact_bilinear(xs, K, x: float, y: float) -> Fraction:
 def assert_within_ulps(got: float, exact: Fraction, ulps: int = 4) -> None:
     assert abs(Fraction(float(got)) - exact) <= ulps * Fraction(math.ulp(float(exact))), \
         (got, float(exact))
+
+
+@st.composite
+def daughter_tables(draw):
+    """A table daughter law: 2 to 20 knots on [0, 1], phi in [0, 10], not all near 0."""
+    knots = draw(st.integers(2, 20))
+    inner = draw(st.lists(st.floats(0.01, 0.99), min_size=knots - 2,
+                          max_size=knots - 2, unique=True))
+    u = np.array([0.0, *sorted(inner), 1.0])
+    assume(np.all(np.diff(u) > 1e-3))
+    phi = np.array(draw(st.lists(st.floats(0.0, 10.0), min_size=knots, max_size=knots)))
+    assume(np.any(phi > 0.01))
+    return DaughterDistribution("table", table_u=u, table_phi=phi)
 
 
 class TestDaughterMoments:
@@ -113,15 +126,8 @@ class TestDaughterMoments:
     @settings(max_examples=40, deadline=None)
     @given(st.data())
     def test_table_kind_random_tables(self, data):
-        knots = data.draw(st.integers(2, 20))
-        inner = data.draw(st.lists(st.floats(0.01, 0.99), min_size=knots - 2,
-                                   max_size=knots - 2, unique=True))
-        u = np.array([0.0, *sorted(inner), 1.0])
-        assume(np.all(np.diff(u) > 1e-3))
-        phi = np.array(data.draw(st.lists(st.floats(0.0, 10.0), min_size=knots,
-                                          max_size=knots)))
-        assume(np.any(phi > 0.01))
-        b = DaughterDistribution("table", table_u=u, table_phi=phi)
+        b = data.draw(daughter_tables())
+        u = b.table_u
         y = data.draw(st.floats(0.01, 50.0))
         up_to = data.draw(st.one_of(st.just(0.0), st.floats(1e-3, 60.0)))
         z = min(up_to, y)
@@ -163,7 +169,8 @@ class TestDaughterMoments:
         def refuse(*args, **kwargs):
             raise QuadratureError("a daughter constant asked for quadrature")
 
-        monkeypatch.setattr(gfc.kernels, "_quad", refuse)
+        for helper in ("_quad", "_quad_intervals"):
+            monkeypatch.setattr(gfc.kernels, helper, refuse)
         # growth off, so no growth-origin quadrature runs either
         ks = dataclasses.replace(make_kernels(a0=1.0, r0=0.0), b=b)
         for m in (0.0, 1.5, 2.0, 3.0):
@@ -396,6 +403,56 @@ class TestValidation:
         row = rows["daughter-number-bound"]
         assert not row.passed
         assert row.measured == pytest.approx(0.5, rel=1e-6)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.one_of(daughter_tables(), st.floats(-1.0, 50.0, exclude_min=True).map(
+               lambda nu: DaughterDistribution("power-law", nu=nu))),
+           st.floats(1e-4, 0.1), st.floats(1.0, 1e3))
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    def test_mass_residual_matches_scalar_quadrature(self, b, xmin, xmax):
+        """The one vector quadrature over all sizes reads the mass residual
+        that a scalar quad per size reads, to 1e-12."""
+        ks = dataclasses.replace(make_kernels(a0=1.0, r0=0.0), b=b)   # growth off
+        with recorded_intervals(gfc.kernels) as calls:
+            rows = {r.name: r for r in validate_kernel_set(ks, xmin, xmax)}
+        ((fun, lo, ys, options, mass),) = calls
+        oracle = quad_per_interval(fun, lo, ys, **options)
+        np.testing.assert_allclose(mass / ys, oracle / ys, rtol=0.0, atol=1e-12)
+        assert rows["daughter-mass-conservation"].measured == pytest.approx(
+            np.max(np.abs(oracle - ys) / ys), abs=1e-12)
+
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    def test_non_integrable_daughter_mass_reads_inf(self):
+        class Steep(DaughterDistribution):
+            # phi(u) = u^-2.5, so x*b(x, y) = y*u^-1.5 is not integrable at 0
+            def __call__(self, x, y):
+                x, y = np.asarray(x, float), np.asarray(y, float)
+                with np.errstate(divide="ignore"):
+                    return np.where(x > y, 0.0, (x / y) ** -2.5 / y)
+
+        ks = make_kernels(a0=1.0)
+        object.__setattr__(ks, "b", Steep("uniform-binary"))
+        rows = {r.name: r for r in validate_kernel_set(ks, 1e-3, 1e2, m=2.0)}
+        assert rows["daughter-mass-conservation"].measured == math.inf
+        assert not rows["daughter-mass-conservation"].passed
+        assert not rows["daughter-number-bound"].passed
+        with pytest.raises(QuadratureError):
+            gfc.kernels._quad_intervals(lambda x: x**-1.5, 0.0, np.geomspace(1e-3, 1e2, 50))
+
+    @pytest.mark.parametrize("growth", [{"growth": "linear", "r1": 0.25},
+                                        {"growth": "affine", "r0": 0.5, "r1": 1.0}])
+    def test_misdeclared_origin_class_fails(self, growth):
+        class Misdeclared(GrowthRate):
+            @property
+            def origin_class(self):
+                return REACHABLE if super().origin_class == UNREACHABLE else UNREACHABLE
+
+        ks = make_kernels(a0=1.0, **growth)
+        honest = {r.name: r for r in validate_kernel_set(ks, 1e-3, 1e2)}["growth-origin-class"]
+        object.__setattr__(ks, "r", Misdeclared(ks.r.kind, ks.r.r0, ks.r.r1))
+        row = {r.name: r for r in validate_kernel_set(ks, 1e-3, 1e2)}["growth-origin-class"]
+        assert honest.passed and not row.passed
+        assert row.measured == honest.measured and row.relation != honest.relation
 
     @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
     def test_liminf_check_catches_degenerate_daughter(self):

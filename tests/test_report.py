@@ -209,16 +209,21 @@ def test_positivity_row_states_its_direction():
 
 def test_table_daughter_quadrature_budget(monkeypatch):
     """On a table daughter law, numerical quadrature runs only in the
-    independent checks: 50 mass-conservation sizes, 3 daughter-count sizes
-    and 7 growth-origin cutoffs. Every daughter constant is a closed form."""
-    calls = []
-    quad = gfc.kernels._quad
+    independent checks: one vector quadrature over the 50 mass-conservation
+    sizes, one over the 7 growth-origin cutoffs, and 3 scalar daughter-count
+    sizes. Every daughter constant is a closed form."""
+    calls = {"_quad": 0, "_quad_intervals": 0}
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return quad(*args, **kwargs)
+    def counted(helper):
+        quad = getattr(gfc.kernels, helper)
 
-    monkeypatch.setattr(gfc.kernels, "_quad", counted)
+        def call(*args, **kwargs):
+            calls[helper] += 1
+            return quad(*args, **kwargs)
+        return call
+
+    for helper in calls:
+        monkeypatch.setattr(gfc.kernels, helper, counted(helper))
     raw = get_preset("gfc-global-ii")
     raw["grid"]["cells"] = 128
     raw["time"]["t_end"] = 0.25
@@ -228,7 +233,7 @@ def test_table_daughter_quadrature_budget(monkeypatch):
     report, _ = run_suites(ScenarioContext(load_scenario(raw)),
                            ["kernel-validation", "frag-identities", "moment-domination"])
     assert report.passed, [r.name for r in report.rows if not r.passed]
-    assert len(calls) == 50 + 3 + 7
+    assert calls == {"_quad": 3, "_quad_intervals": 2}
 
 
 def _linear_growth_r1_15(raw):

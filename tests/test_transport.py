@@ -11,12 +11,13 @@ from scipy.integrate import quad
 from scipy.interpolate import PchipInterpolator
 
 import gfc.evolution
+import gfc.kernels
 import gfc.transport
-from conftest import make_kernels
+from conftest import make_kernels, quad_per_interval, recorded_intervals
 from gfc.config import load_scenario
 from gfc.evolution import duhamel_solve, solve
 from gfc.grid import DensityField, SizeGrid, WeightSpec, project, weighted_integral
-from gfc.kernels import GrowthRate
+from gfc.kernels import GrowthRate, QuadratureError, validate_kernel_set
 from gfc.presets import get_preset
 from gfc.transport import (Q_STEPS_PER_DECADE, Antiderivatives, ParameterDomainError, SpectralParams,
                            laplace_consistency, make_antiderivatives,
@@ -838,6 +839,46 @@ class TestVLambda:
             exps.append(div.measured)
         assert exps[0] == pytest.approx(3.0, rel=5e-2)
         assert exps[1] == pytest.approx(6.0, rel=5e-2)
+
+
+class TestVectorQuadrature:
+    """The growth checks read through one vector quadrature each what one
+    scalar quad per interval reads: the origin-class ratio, I and J, and the
+    v_lambda totals, to 1e-8 relative (or the rule's absolute floor, epsabs
+    per panel, for totals that small)."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.one_of(
+               st.tuples(st.floats(0.05, 2.0), st.floats(0.05, 2.0)).map(
+                   lambda r: GrowthRate("affine", r0=r[0], r1=r[1])),
+               st.floats(0.05, 2.0).map(lambda r1: GrowthRate("linear", r1=r1)),
+               growth_table().map(lambda drawn: drawn[0])),
+           st.floats(0.2, 5.0), st.floats(1.2, 4.0), st.floats(1.0, 3.0), st.floats(0.0, 2.0))
+    @example(GrowthRate("linear", r1=0.25), 1.0, 1.5, 2.0, 1.0)   # gfc-global-ii's growth
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    def test_growth_checks_match_scalar_quadrature(self, r, alpha, lam_factor, m, a0):
+        ks = dataclasses.replace(make_kernels(a0=a0), r=r)
+        sp = SpectralParams.for_kernels(ks, m, lam_factor * 2.0 * m * r.rtilde)
+        with recorded_intervals(gfc.kernels) as validation, \
+                recorded_intervals(gfc.transport) as resolvent:
+            ratio = {row.name: row for row in validate_kernel_set(ks, 1e-3, 1e2)}[
+                "growth-origin-class"].measured
+            try:
+                resolvent_integral_bounds(alpha, sp.lam, m, ks)
+            except QuadratureError:
+                # exp(-lambda R) overflows on the first panel of a steep table:
+                # both rules refuse, scalar quad reads no finite I or J either
+                fun, lo, hi, options, _ = resolvent.pop()
+                assert not np.isfinite(quad_per_interval(fun, lo, hi, **options)).all()
+            v_lambda_diagnostics(sp, ks)
+        _, origin = validation          # the mass check, then the origin panels
+        tails = np.cumsum(quad_per_interval(*origin[:3], **origin[3], rel=1e-12)[::-1])
+        assert ratio == pytest.approx(tails[-1] / tails[0], rel=1e-8)
+        for fun, lo, hi, options, value in resolvent:
+            # I and J over their octave panels, or v_lambda over each cutoff's panels
+            oracle = quad_per_interval(fun, lo, hi, **options, rel=1e-12, tiled=True)
+            np.testing.assert_allclose(value.sum(axis=-1), oracle, rtol=1e-8,
+                                       atol=lo.shape[-1] * options["epsabs"])
 
 
 class TestLaplace:
