@@ -33,7 +33,8 @@ from typing import Optional
 import numpy as np
 
 from .coagulation import CoagTables, apply_coag, apply_coag_beta, build_coag_tables
-from .fragmentation import DaughterMatrix, apply_frag, build_daughter_matrix, daughter_gain
+from .fragmentation import (DaughterMatrix, apply_frag, build_daughter_matrix, daughter_gain,
+                            fold_sink)
 from .grid import DensityField, SizeGrid, WeightSpec, moment, project, weighted_integral
 from .kernels import AbsorptionRate, CoagulationKernel, KernelSet, ReportRow
 from .transport import make_antiderivatives, transport_apply
@@ -181,7 +182,9 @@ class SplitStepper:
     solves the total linear sink (fragmentation loss plus the beta-shift
     absorption) exactly per cell, redistributes exactly the absorbed
     fragmentation share through the daughter matrix, returns the absorbed
-    shift share pointwise, and advances coagulation explicitly.  That
+    shift share pointwise, and advances coagulation explicitly.  The linear
+    sink is folded, per (dt, keep_shift), into one daughter matrix, so it
+    costs one `daughter_gain` per substep.  That
     substep is first order, so the step is too; a symmetric composition
     would not raise it.  Every circuit is mass-neutral to rounding; growth
     is the only mass source and is accounted in a running ledger.
@@ -203,8 +206,7 @@ class SplitStepper:
         self.ct = ct if ct is not None else (build_coag_tables(ks.k, grid) if self.has_coag else None)
         self.a1 = ks.a1(x)
         self.c = self.a + self.a1        # the total linear sink
-        self.sinks = self.c > 0
-        self._decay = None               # (dt, exp(-c*dt), 1 - exp(-c*dt)) of the last dt
+        self._sink = None                # (dt, keep_shift, folded sink) of the last call
         self.antid = None if ks.r.is_zero else make_antiderivatives(ks, grid)
         self.growth_mass = 0.0
 
@@ -221,24 +223,24 @@ class SplitStepper:
     def _linear_sink(self, g: np.ndarray, dt: float, keep_shift: bool) -> np.ndarray:
         """Exact per-cell decay of the total linear sink a + a1 over dt.
 
-        Exactly the fragmentation share of the absorbed amount re-enters
+        Exactly the fragmentation share a/c of the absorbed amount re-enters
         through the daughter matrix.  The shift share is returned in place
         when keep_shift (the mass-neutral split reaction) and removed
         otherwise (the absorption semigroup the Duhamel formula is built on).
+        The map is linear and fixed per (dt, keep_shift), so it is folded
+        once into a daughter matrix (`fold_sink`) and each call is one
+        `daughter_gain`; without fragmentation it is one product.
         """
-        if self._decay is None or self._decay[0] != dt:
+        if self._sink is None or self._sink[:2] != (dt, keep_shift):
             decay = np.exp(-self.c * dt)
-            self._decay = (dt, decay, 1.0 - decay)
-        _, decay, loss = self._decay
-        absorbed = g * loss
-        with np.errstate(divide="ignore", invalid="ignore"):
-            to_frag = np.where(self.sinks, absorbed * self.a / self.c, 0.0)
-        out = decay * g
-        if keep_shift:
-            out = out + (absorbed - to_frag)
-        if self.has_frag:
-            out = out + daughter_gain(self.dm, to_frag * self.grid.widths)
-        return out
+            loss = 1.0 - decay
+            share = np.divide(self.a, self.c, out=np.zeros_like(self.c), where=self.c > 0)
+            kept = decay + loss * (1.0 - share) if keep_shift else decay
+            w = self.grid.widths
+            sink = fold_sink(self.dm, loss * share * w, kept * w) if self.has_frag else kept
+            self._sink = (dt, keep_shift, sink)
+        sink = self._sink[2]
+        return daughter_gain(sink, g) if self.has_frag else sink * g
 
     def _reaction(self, f: DensityField, dt: float) -> DensityField:
         out = self._linear_sink(f.values, dt, keep_shift=True)

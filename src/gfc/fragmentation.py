@@ -30,6 +30,7 @@ __all__ = [
     "build_daughter_matrix",
     "apply_frag",
     "daughter_gain",
+    "fold_sink",
     "below_x0",
     "frag_moment_identity",
     "fragmentation_constants",
@@ -140,6 +141,20 @@ def daughter_gain(dm: DaughterMatrix, parent_amounts: np.ndarray) -> np.ndarray:
     out[..., :-1] += u * tail[..., 1:]
     out[..., 0] += np.add.reduce(lump * parent_amounts, axis=-1)
     return out / dm.grid.widths
+
+
+def fold_sink(dm: DaughterMatrix, col: np.ndarray, diag: np.ndarray) -> DaughterMatrix:
+    """The daughter matrix dm*diag(col) + diag(diag), so that `daughter_gain`
+    of the fold at g is diag*g/widths + daughter_gain(dm, col*g).  A factored
+    daughter folds to (d*col + diag, u, v*col, lump*col), a table daughter to
+    its dense matrix with column j scaled by col_j and diag added on the
+    diagonal; with col, diag >= 0 every entry stays a nonnegative product."""
+    if dm.factors is None:
+        w = dm.dense * col
+        w[np.diag_indices(dm.grid.cells)] += diag
+        return DaughterMatrix(dm.grid, dense=w)
+    d, u, v, lump = dm.factors
+    return DaughterMatrix(dm.grid, (d * col + diag, u, v * col, lump * col))
 
 
 def apply_frag(f: DensityField, ks: KernelSet, dm: DaughterMatrix) -> DensityField:

@@ -50,8 +50,12 @@ class KernelConfigError(ValueError):
 
 
 def _quad(fun, lo, hi, points=None, epsabs=1e-10, epsrel=1e-8) -> float:
-    val, err = integrate.quad(fun, lo, hi, points=points, limit=200,
-                              epsabs=epsabs, epsrel=epsrel)
+    val, err, _, *flag = integrate.quad(fun, lo, hi, points=points, limit=200,
+                                        epsabs=epsabs, epsrel=epsrel, full_output=1)
+    # QUADPACK's "probably divergent" flag (ier = 5) can come with a finite
+    # value whose error estimate passes, so the flag itself is refused
+    if flag and "divergent" in flag[0]:
+        raise QuadratureError(f"quadrature on [{lo}, {hi}]: {flag[0]}")
     if not np.isfinite(val) or err > max(epsabs, epsrel * abs(val)) * 50:
         raise QuadratureError(
             f"quadrature on [{lo}, {hi}] reported error {err:.2e} for value {val:.6e}"

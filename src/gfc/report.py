@@ -214,11 +214,12 @@ def _suite_integral_bounds(ctx: ScenarioContext) -> list[ReportRow]:
         return [ReportRow("integral-bounds", "I", detail="growth disabled")]
     rows = []
     omega = ctx.spectral.omega
+    antid = make_antiderivatives(ctx.ks, ctx.grid)   # one Q table for all six
     for alpha in (0.5, 1.0, 5.0):
         for lam_f in (1.5, 3.0):
             lam = lam_f * omega if omega > 0 else lam_f
             rows += [replace(r, name=f"{r.name}(a={alpha:g},l={lam:g})")
-                     for r in resolvent_integral_bounds(alpha, lam, ctx.cfg.m, ctx.ks)]
+                     for r in resolvent_integral_bounds(alpha, lam, ctx.cfg.m, ctx.ks, antid)]
     return rows
 
 

@@ -24,22 +24,24 @@ log x through x = 1, so every caller reads the same Q at the same size.
 `transport_apply` reads the field at the backward feet through its PCHIP
 interpolant.  Everything that depends only on the antiderivatives, the grid,
 the step t and whether absorption is included is a transport plan, built
-once per (grid, t) and kept on the `Antiderivatives` instance: the feet and
-their `inside` mask, r(x0), r(x) and exp(-dQ), the interval and offset of
-each foot among the cell centers, and the escape quadrature nodes with their
-interval, offset, attenuation and widths; the nodes' intervals and offsets
-follow the feet's, so one gather evaluates both.  A call then computes only
-the PCHIP slopes and evaluates the cubic Hermite pieces, in plain NumPy.  Both
-follow SciPy's PchipInterpolator and PPoly operation for operation (PPoly
-sums powers y + d*s + c1*s^2 + c0*(s^2*s), it does not use Horner), so the
-result is bit-identical to building a PchipInterpolator on every call.
+once per (grid, t) and kept on the `Antiderivatives` instance.  Every point
+the plan reads, the feet and then the escape quadrature nodes, lies in an
+interval k of the cell centers, and the cubic Hermite piece there is
+W0*y[k] + W1*y[k+1] + W2*d[k] + W3*d[k+1], with the Hermite basis at the
+point's offset as weights.  The plan folds into them what multiplies the
+value read: r(x0)/r(x)*exp(-dQ) and the `inside` mask at a foot, the
+attenuation and width at an escape node.  A call then computes only the
+PCHIP slopes d, which are SciPy's PchipInterpolator slopes operation for
+operation, and the one four-term sum.  The sum rounds in another order than
+SciPy's PPoly, so the values agree with a PchipInterpolator built per call
+to a few units of roundoff, not bit for bit.
 Where characteristics converge (r(x0) > r(x), only under a falling growth
 table) the flux r*f is then capped by its larger value at the two centers
 around the foot; on a nondecreasing rate nothing is capped.
 A plan also transports a stack of fields in one call, values (rows, cells)
 and escaped mass (rows,), as the Picard wavefront advances its iterations:
-the slopes, the Hermite pieces and the cap work on the last axis, and the
-escaped mass is summed row by row, so every row comes out bit-identical to
+the slopes, the sum and the cap work on the last axis, and the escaped
+mass is summed row by row, so every row comes out bit-identical to
 transporting that field alone.
 """
 from __future__ import annotations
@@ -235,24 +237,33 @@ def r_inverse_clipped(antid: Antiderivatives, u):
     return np.where(hit, 0.0, antid.R_inverse(np.where(hit, 0.0, u)))   # R^-1(0) = 1
 
 
-def _locate(centers: np.ndarray, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Interval index and offset of each point, found as SciPy's PPoly finds them.
+def _hermite_weights(centers: np.ndarray, pts: np.ndarray,
+                     scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Interval k of each point and the weights W, each times `scale`, with
+    which the cubic Hermite piece on [centers[k], centers[k+1]] reads
+    W[0]*y[k] + W[1]*y[k+1] + W[2]*d[k] + W[3]*d[k+1] at the point.
 
-    Interval i holds centers[i] <= p < centers[i+1], the last one closed on
-    the right.  A point outside [centers[0], centers[-1]] gets the offset NaN,
-    so it evaluates to NaN, PPoly's marker for out of range without
-    extrapolation, and from there to zero.
+    Interval k holds centers[k] <= p < centers[k+1], the last one closed on
+    the right, as SciPy's PPoly finds it.  At tau = (p - centers[k])/h the
+    weights are the Hermite basis H00 = (1 + 2 tau)(1 - tau)^2,
+    H01 = tau^2 (3 - 2 tau), h*H10 = h tau (1 - tau)^2 and h*H11 = -h tau^2 (1 - tau),
+    with tau clipped to [0, 1]: a point past the last center reads y[n-1],
+    and a point below the first one must have a zero scale.
     """
-    idx = np.clip(np.searchsorted(centers, pts, side="right") - 1, 0, centers.size - 2)
-    s = np.where((pts >= centers[0]) & (pts <= centers[-1]), pts - centers[idx], np.nan)
-    return idx, s
+    k = np.clip(np.searchsorted(centers, pts, side="right") - 1, 0, centers.size - 2)
+    h = centers[k + 1] - centers[k]
+    tau = np.clip((pts - centers[k]) / h, 0.0, 1.0)
+    tau2, rest = tau * tau, 1.0 - tau
+    rest2 = rest * rest
+    basis = [(1.0 + 2.0 * tau) * rest2, tau2 * (3.0 - 2.0 * tau),
+             h * tau * rest2, -h * tau2 * rest]
+    return k, np.array([b * scale for b in basis])
 
 
 class _TransportPlan:
     """What `transport_apply` needs that depends only on (antid, grid, t,
-    include_absorption), as listed in the module docstring, plus the center
-    spacings of the PCHIP slopes; `apply` transports one field, or a stack
-    of them along the last axis, with it."""
+    include_absorption), as listed in the module docstring; `apply`
+    transports one field, or a stack of them along the last axis, with it."""
 
     def __init__(self, antid: Antiderivatives, grid: SizeGrid, t: float,
                  include_absorption: bool):
@@ -271,17 +282,17 @@ class _TransportPlan:
 
         r = antid.growth
         x0 = r_inverse_clipped(antid, antid.R(c) - t)
-        self.inside = x0 >= c[0]
-        x0_safe = np.where(self.inside, x0, 1.0)
-        self.feet = _locate(c, x0_safe)
-        self.gather = self.feet
-        dQ = antid.Q(c) - antid.Q(x0_safe) if include_absorption else np.zeros_like(c)
-        self.r0, self.rx, self.att = r(x0_safe), r(c), np.exp(-dQ)
+        inside = x0 >= c[0]
+        pts = np.where(inside, x0, 1.0)
+        dQ = antid.Q(c) - antid.Q(pts) if include_absorption else np.zeros_like(c)
+        r0, rx, att = r(pts), r(c), np.exp(-dQ)
+        # the value read at a foot is carried as r(x0)/r(x)*exp(-dQ) times it
+        scale = np.where(inside, r0 / rx * att, 0.0)
         # where characteristics converge r(x0)/r(x) > 1 scales the value read
         # at the foot, and compounds on a cell where the flow stalls; the exact
         # flux r*f is only carried and attenuated, so it is capped there
-        conv = np.flatnonzero(self.inside & (self.r0 > self.rx))
-        self.converge = (conv, self.feet[0][conv], self.att[conv] / self.rx[conv])
+        conv = np.flatnonzero(inside & (r0 > rx))
+        cap_att, self.rx = att[conv] / rx[conv], rx
 
         # parcels crossing xmax during (0, t) have size exactly xmax there; the
         # stretch between the last center and xmax carries the last cell's average
@@ -296,68 +307,58 @@ class _TransportPlan:
                 att = np.exp(-(float(antid.Q(grid.xmax)) - antid.Q(mids)))
             else:
                 att = np.ones_like(mids)
-            self.escape = (mids <= c[-1], att, np.diff(nodes))
-            # the nodes follow the feet in one gather, from column n on
-            self.gather = tuple(np.concatenate(pair) for pair in zip(self.feet, _locate(c, mids)))
+            # the nodes follow the feet, from column n on, weighted by their
+            # attenuation and width
+            pts, scale = np.concatenate([pts, mids]), np.concatenate([scale, att * np.diff(nodes)])
+            self.escape = slice(grid.cells, None)
+        self.k, self.weights = _hermite_weights(c, pts, scale)
+        self.k1 = self.k + 1
+        self.converge = (conv, self.k[conv], cap_att)
 
     def matches(self, grid: SizeGrid, t: float, include_absorption: bool) -> bool:
         return (grid is self.grid and t == self.t
                 and include_absorption == self.include_absorption)
 
-    def _hermite(self, y: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Per-interval cubic coefficients of PchipInterpolator(centers, y),
-        for each row of y.
-
-        The slopes are SciPy's `_find_derivatives`: zero where the secant
+    def slopes(self, y: np.ndarray) -> np.ndarray:
+        """PCHIP slopes at the centers, for each row of y: SciPy's
+        `_find_derivatives` operation for operation, so zero where the secant
         slopes change sign or vanish, their weighted harmonic mean otherwise,
-        and Moler's shape-preserving three-point formula at both ends.  The
-        coefficients are CubicHermiteSpline's, operation for operation.
-        """
-        if not np.isfinite(y).all():
-            raise ValueError("transport needs a finite field")
+        and Moler's shape-preserving three-point formula at both ends."""
         h = self.h
         mk = (y[..., 1:] - y[..., :-1]) / h
         if self.grid.cells == 2:
-            d = np.concatenate([mk, mk], axis=-1)
-        else:
-            smk = np.sign(mk)
-            flat = smk[..., 1:] * smk[..., :-1] <= 0
-            with np.errstate(divide="ignore", invalid="ignore"):
-                whmean = (self.w1 / mk[..., :-1] + self.w2 / mk[..., 1:]) / self.w12
-                inner = np.where(flat, 0.0, 1.0 / whmean)
-            m0, m1 = mk.take([0, -1], axis=-1), mk.take([1, -2], axis=-1)
-            e = (self.end_w * m0 - self.end_h0 * m1) / self.end_hs
-            flip = np.sign(e) != np.sign(m0)
-            clamp = ~flip & (np.sign(m0) != np.sign(m1)) & (np.abs(e) > 3.0 * np.abs(m0))
-            e = np.where(flip, 0.0, np.where(clamp, 3.0 * m0, e))
-            d = np.concatenate([e[..., :1], inner, e[..., 1:]], axis=-1)
-        tt = (d[..., :-1] + d[..., 1:] - 2 * mk) / h
-        # PPoly starts its sum from 0.0, which turns a -0.0 value into +0.0
-        return tt / h, (mk - d[..., :-1]) / h - tt, d[..., :-1], y[..., :-1] + 0.0
-
-    @staticmethod
-    def _evaluate(coef: tuple[np.ndarray, ...], where: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-        """PPoly's running power sum y + d*s + c1*s^2 + c0*(s^2*s), NaN -> 0."""
-        idx, s = where
-        c0, c1, c2, c3 = (c.take(idx, axis=-1) for c in coef)
-        z = s * s
-        p = c3 + c2 * s + c1 * z + c0 * (z * s)
-        return np.where(np.isnan(p), 0.0, p)
+            return np.concatenate([mk, mk], axis=-1)
+        smk = np.sign(mk)
+        flat = smk[..., 1:] * smk[..., :-1] <= 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            whmean = (self.w1 / mk[..., :-1] + self.w2 / mk[..., 1:]) / self.w12
+            inner = np.where(flat, 0.0, 1.0 / whmean)
+        m0, m1 = mk.take([0, -1], axis=-1), mk.take([1, -2], axis=-1)
+        e = (self.end_w * m0 - self.end_h0 * m1) / self.end_hs
+        flip = np.sign(e) != np.sign(m0)
+        clamp = ~flip & (np.sign(m0) != np.sign(m1)) & (np.abs(e) > 3.0 * np.abs(m0))
+        e = np.where(flip, 0.0, np.where(clamp, 3.0 * m0, e))
+        return np.concatenate([e[..., :1], inner, e[..., 1:]], axis=-1)
 
     def apply(self, f0: DensityField) -> DensityField:
+        y = f0.values
+        if not np.isfinite(y).all():
+            raise ValueError("transport needs a finite field")
+        d = self.slopes(y)
+        k, k1 = self.k, self.k1
+        w0, w1, w2, w3 = self.weights
+        p = (w0 * y.take(k, axis=-1) + w1 * y.take(k1, axis=-1)
+             + w2 * d.take(k, axis=-1) + w3 * d.take(k1, axis=-1))
         n = self.grid.cells
-        p = self._evaluate(self._hermite(f0.values), self.gather)
-        vals = np.where(self.inside, p[..., :n] * self.r0 / self.rx * self.att, 0.0)
+        vals = p[..., :n]
         conv, j, cap_att = self.converge
         if conv.size:
-            flux = f0.values * self.rx
+            flux = y * self.rx
             cap = np.maximum(flux.take(j, axis=-1), flux.take(j + 1, axis=-1)) * cap_att
             vals[..., conv] = np.minimum(vals.take(conv, axis=-1), cap)
         esc = 0.0
         if self.escape is not None:
-            below_last, att, wdt = self.escape
-            density = np.where(below_last, p[..., n:], f0.values[..., -1:])
-            terms = density * att * wdt
+            terms = p[..., self.escape]
             esc = self.grid.xmax * (math.fsum(terms.tolist()) if terms.ndim == 1 else
                                     np.array([math.fsum(row) for row in terms.tolist()]))
         return DensityField(self.grid, vals, f0.escaped_mass + esc)
@@ -378,11 +379,10 @@ def transport_apply(f0: DensityField, t: float, ks: KernelSet, m: float,
     so nonnegative cell values stay nonnegative, and it is third order on
     smooth data.  The transport plan for (grid, t, include_absorption) is
     kept in a one-slot memo on `antid`, so a stepper with a fixed step
-    builds it once; each call then costs the PCHIP slopes and one Hermite
-    evaluation, bit-identical to `PchipInterpolator(centers, values,
-    extrapolate=False)` built per call (see the module docstring).  f0 may
-    be a stack of fields (see `DensityField`); each row is transported as
-    it would be alone.
+    builds it once; each call then costs SciPy's PCHIP slopes and the plan's
+    four-term Hermite sum (see the module docstring).  f0 may be a stack of
+    fields (see `DensityField`); each row is transported as it would be
+    alone.
     """
     if t < 0:
         raise ValueError("transport_apply advances forward in time only")
@@ -518,7 +518,8 @@ def resolvent_residual(f: DensityField, g: DensityField, sp: SpectralParams,
 # integral inequalities for the resolvent bound
 
 
-def resolvent_integral_bounds(alpha: float, lam: float, m: float, ks: KernelSet) -> list[ReportRow]:
+def resolvent_integral_bounds(alpha: float, lam: float, m: float, ks: KernelSet,
+                              antid: Optional[Antiderivatives] = None) -> list[ReportRow]:
     """Check the weighted tail integrals behind the resolvent estimate.
 
     I(alpha, inf) <= exp(-lambda R(alpha)) w_m(alpha) / (lambda - omega) and
@@ -526,12 +527,13 @@ def resolvent_integral_bounds(alpha: float, lam: float, m: float, ks: KernelSet)
     lambda; one 'integral-bounds' row each, named I and J.  The infinite
     upper limit is truncated where the integrand falls below 1e-14 of its
     peak; the exponential tail estimate of the truncated part is added so
-    the check stays conservative.
+    the check stays conservative.  Q at a size does not depend on how far
+    its table reaches, so one `antid` serves every (alpha, lambda).
     """
     if alpha <= 0:
         raise ParameterDomainError("lower limit alpha must be positive")
     sp = SpectralParams.for_kernels(ks, m, lam)
-    antid = Antiderivatives(ks)
+    antid = Antiderivatives(ks) if antid is None else antid
     w = WeightSpec(m, "shifted")
 
     def f_I(s):
@@ -583,8 +585,10 @@ def v_lambda_diagnostics(sp: SpectralParams, ks: KernelSet) -> list[ReportRow]:
     log-log rate of that growth (`v-lambda-divergence`, > 0) and the number
     of cutoffs at which the integral did not grow (`v-lambda-monotone`,
     <= 0).  Reachable origin: r*v_lambda has a nonzero limit at 0+, which
-    violates the homogeneous boundary condition; one row reports it at the
-    smallest cutoff (`v-lambda-boundary`, > 0).
+    violates the homogeneous boundary condition; one row reports its log,
+    -lambda*R - Q, at the smallest cutoff (`v-lambda-boundary`, > -inf):
+    finite exactly when the limit is positive, where the limit itself may
+    overflow or underflow.
     """
     antid = Antiderivatives(ks)
     eps = np.geomspace(*V_LAMBDA_CUTOFFS, 9)
@@ -609,9 +613,9 @@ def v_lambda_diagnostics(sp: SpectralParams, ks: KernelSet) -> list[ReportRow]:
                       "<=", 0.0, detail="cutoffs at which the truncated integral did not grow"),
         ]
 
-    limit = float(np.exp(-sp.lam * antid.R(eps[-1]) - antid.Q(eps[-1])))
-    return [ReportRow("resolvent", "v-lambda-boundary", limit, ">", 0.0,
-                      detail=f"r*v_lambda at the smallest cutoff; {cutoffs}")]
+    log_limit = float(-sp.lam * antid.R(eps[-1]) - antid.Q(eps[-1]))
+    return [ReportRow("resolvent", "v-lambda-boundary", log_limit, ">", -math.inf,
+                      detail=f"log of r*v_lambda at the smallest cutoff; {cutoffs}")]
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import mpmath
@@ -7,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_kernels
+from test_kernels import daughter_tables
 from gfc.config import load_scenario
 from gfc.coagulation import build_coag_tables
-from gfc.evolution import SplitStepper
+from gfc.evolution import SolverConfig, SplitStepper
 from gfc.fragmentation import (apply_frag, build_daughter_matrix, daughter_gain,
                                frag_moment_identity, fragmentation_constants)
 from gfc.grid import DensityField, SizeGrid, moment, project
@@ -297,3 +299,52 @@ class TestFactoredGain:
             tracemalloc.stop()
         assert peak < grid.cells**2 * 8
         assert dm.dense is None
+
+
+def unfolded_sink(stepper, g, dt, keep_shift):
+    """The linear sink step by step: decay, the absorbed amount, its
+    fragmentation share a/c through the daughter matrix and, with
+    keep_shift, the rest returned in place."""
+    c, a = stepper.c, stepper.a
+    decay = np.exp(-c * dt)
+    absorbed = g * (1.0 - decay)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        to_frag = np.where(c > 0, absorbed * a / c, 0.0)
+    out = decay * g
+    if keep_shift:
+        out = out + (absorbed - to_frag)
+    if stepper.has_frag:
+        out = out + daughter_gain(stepper.dm, to_frag * stepper.grid.widths)
+    return out
+
+
+class TestFoldedSink:
+    """The split and Duhamel linear sink, folded per (dt, keep_shift) into one
+    daughter matrix, against the step-by-step formula."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([0.0, 0.3, 2.0]), st.sampled_from([0.0, 0.4]),
+           st.one_of(st.floats(-0.5, 4.0), daughter_tables()), st.booleans(),
+           st.sampled_from([(), (3,)]), st.booleans(), st.data())
+    def test_matches_the_unfolded_sink(self, a0, beta, daughter, keep_shift, rows, signed, data):
+        grid = random_grid(data, max_cells=96)
+        ks = make_kernels(a0=a0, gamma0=data.draw(st.floats(0.0, 2.0)), beta=beta)
+        if isinstance(daughter, float):
+            daughter = DaughterDistribution("power-law", nu=daughter)
+        ks = dataclasses.replace(ks, b=daughter)
+        stepper = SplitStepper(ks, grid, SolverConfig(m=2.0))
+        dt = 10.0 ** data.draw(st.floats(-4.0, 0.0))
+        g = random_amounts(data, grid, rows)
+        if signed:
+            g = g - 0.5 * g.max(axis=-1, keepdims=True)
+        out = stepper._linear_sink(g, dt, keep_shift)
+        assert out.shape == g.shape
+        scale = unfolded_sink(stepper, np.abs(g), dt, keep_shift)
+        assert np.all(np.abs(out - unfolded_sink(stepper, g, dt, keep_shift)) <= 1e-13 * scale)
+        if not signed:
+            assert np.all(out >= 0.0)
+        if keep_shift:
+            xw = grid.centers * grid.widths
+            gross = np.sum(xw * np.abs(g), axis=-1)
+            assert np.all(np.abs(np.sum(xw * out, axis=-1) - np.sum(xw * g, axis=-1))
+                          <= 1e-14 * gross)

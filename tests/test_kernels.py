@@ -435,6 +435,7 @@ class TestValidation:
         rows = {r.name: r for r in validate_kernel_set(ks, 1e-3, 1e2, m=2.0)}
         assert rows["daughter-mass-conservation"].measured == math.inf
         assert not rows["daughter-mass-conservation"].passed
+        assert rows["daughter-number-bound"].measured == math.inf
         assert not rows["daughter-number-bound"].passed
         with pytest.raises(QuadratureError):
             gfc.kernels._quad_intervals(lambda x: x**-1.5, 0.0, np.geomspace(1e-3, 1e2, 50))

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import gfc.evolution
 import gfc.kernels
+import gfc.transport
 from gfc import moment_bounds as mb
 from gfc.coagulation import coag_moment_identity
 from gfc.config import load_scenario
@@ -105,6 +106,25 @@ def test_integral_bounds_suite_only_renames(ctx):
     for r, p in zip(rows, first):
         assert (r.suite, r.status, r.measured, r.bound, r.detail) == \
             (p.suite, p.status, p.measured, p.bound, "")
+
+
+def test_integral_bounds_suite_tabulates_q_once(ctx, monkeypatch):
+    """The six (alpha, lambda) pairs share one Q table, and read from it the
+    rows each call reads from a table of its own."""
+    tables, real = [], gfc.transport.Antiderivatives._tabulate_Q
+
+    def counting(self, x):
+        tables.append(self)
+        real(self, x)
+
+    monkeypatch.setattr(gfc.transport.Antiderivatives, "_tabulate_Q", counting)
+    rows = SUITES["integral-bounds"](ctx)
+    assert len(tables) == 1
+    omega = ctx.spectral.omega
+    alone = [r for alpha in (0.5, 1.0, 5.0) for lam_f in (1.5, 3.0)
+             for r in resolvent_integral_bounds(alpha, lam_f * omega, ctx.cfg.m, ctx.ks)]
+    assert len(tables) == 7
+    assert [(r.measured, r.bound) for r in rows] == [(r.measured, r.bound) for r in alone]
 
 
 # ---------------------------------------------------------------------------

@@ -152,27 +152,84 @@ class TestTransport:
         assert growth_realized > 0
 
 
+def scipy_pchip_slopes(x, y):
+    """The slopes `PchipInterpolator(x, y)` hands to CubicHermiteSpline."""
+    return PchipInterpolator._find_derivatives(x, y, xp=np)
+
+
 def reference_transport(f0, t, ks, antid, include_absorption):
     """transport_apply as it was before the plan: one SciPy PCHIP built per call,
-    and the flux cap on converging feet."""
-    grid = f0.grid
-    pchip = PchipInterpolator(grid.centers, f0.values, extrapolate=False)
+    and the flux cap on converging feet.  Returns the values and the escaped
+    mass, each with a bound on how far the plan's four-term Hermite sum may
+    round away from them.
 
-    def ev(x):
-        out = pchip(np.asarray(x, dtype=float))
+    Both read the same cubic through the same floats: y[k], y[k+1], the
+    slopes d[k], d[k+1] (SciPy's, bit for bit), the offset s = p - x_k and
+    h = x_{k+1} - x_k.  Let A = |y[k]| + |y[k+1]| + h(|d[k]| + |d[k+1]|),
+    u = 2^-53 and gamma_n = n u/(1 - n u).  Rounding n times along every
+    path of an expression moves it by at most gamma_n times the same
+    expression in absolute values.
+
+    * PPoly sums y[k] + d[k] s + c1 s^2 + c0 s^3, in that order, with
+      m = (y[k+1] - y[k])/h, T = (d[k] + d[k+1] - 2m)/h, c1 = (m - d[k])/h - T
+      and c0 = T/h.  With s <= h the absolute-valued terms are at most A
+      (the first two), 3A and 2A, and no path rounds more than 10 times
+      (2 for m, 3 more for T, 1 for c1, 1 for its product with s^2, and at
+      most 3 in the running sum); the scaling by r(x0), 1/r(x) and exp(-dQ)
+      adds 3: at most gamma_13 * 6A * scale.
+    * The plan sums W0 y[k] + W1 y[k+1] + W2 d[k] + W3 d[k+1], each weight a
+      Hermite basis function of tau = s/h (at most 5 roundings) times its
+      scale (2 roundings to form, 1 to apply), then 4 products and 3 sums:
+      12 roundings.  H00 + H01 = 1 and |H10|, |H11| <= 4/27 on [0, 1], so
+      the absolute-valued sum is at most A * scale: gamma_12 * A * scale.
+
+    Per value, then, |plan - reference| <= (6 gamma_13 + gamma_12) A scale,
+    and the flux cap, a minimum, does not widen it.  That holds barring
+    underflow; each of those 25 roundings may also underflow, by less than
+    the smallest subnormal 2^-1074 times the factors that multiply it
+    afterwards: a power of s or h (at most max(1, h)^3), the scale (at most
+    max(1, scale)) and a field value or slope (at most 1 + B,
+    B = |y[k]| + |y[k+1]| + |d[k]| + |d[k+1]|), so
+    25 (1 + B) max(1, h)^3 max(1, scale) 2^-1074 is added.  The escape
+    terms obey the same bound with scale = attenuation * width (a node past
+    the last center reads y[n-1], whose A is at most the last interval's); their
+    correctly rounded sums then differ by at most the sum of the term
+    bounds plus one rounding each, and the product with xmax and the
+    addition of the escaped mass already held round twice more.
+    """
+    grid = f0.grid
+    x, y = grid.centers, f0.values
+    pchip = PchipInterpolator(x, y, extrapolate=False)
+    d = scipy_pchip_slopes(x, y)
+    eps = np.finfo(float).eps / 2
+
+    def gamma(n):
+        return n * eps / (1 - n * eps)
+
+    def ev(p):
+        out = pchip(np.asarray(p, dtype=float))
         return np.where(np.isnan(out), 0.0, out)
 
-    x = grid.centers
+    def bound(p, scale):
+        k = np.clip(np.searchsorted(x, p, side="right") - 1, 0, x.size - 2)
+        h = x[k + 1] - x[k]
+        b = np.abs(y[k]) + np.abs(y[k + 1]) + np.abs(d[k]) + np.abs(d[k + 1])
+        a = np.abs(y[k]) + np.abs(y[k + 1]) + h * (np.abs(d[k]) + np.abs(d[k + 1]))
+        magnified = 25 * (1 + b) * np.maximum(1, h)**3 * np.maximum(1, np.abs(scale))
+        underflow = magnified * np.finfo(float).smallest_subnormal
+        return (6 * gamma(13) + gamma(12)) * a * np.abs(scale) + underflow
+
     x0 = r_inverse_clipped(antid, antid.R(x) - t)
     inside = x0 >= grid.centers[0]
     x0_safe = np.where(inside, x0, 1.0)
     dQ = antid.Q(x) - antid.Q(x0_safe) if include_absorption else np.zeros_like(x)
+    scale = np.where(inside, ks.r(x0_safe) / ks.r(x) * np.exp(-dQ), 0.0)
     vals = np.where(inside, ev(x0_safe) * ks.r(x0_safe) / ks.r(x) * np.exp(-dQ), 0.0)
     j = np.clip(np.searchsorted(x, x0_safe, side="right") - 1, 0, x.size - 2)
-    flux = f0.values * ks.r(x)
+    flux = y * ks.r(x)
     cap = np.maximum(flux[j], flux[j + 1]) * (np.exp(-dQ) / ks.r(x))
     vals = np.where(inside & (ks.r(x0_safe) > ks.r(x)), np.minimum(vals, cap), vals)
-    esc = 0.0
+    esc, esc_bound = 0.0, 0.0
     yc = r_inverse_clipped(antid, antid.R(grid.xmax) - t)
     if yc < grid.xmax:
         lo = max(float(yc), grid.centers[0])
@@ -183,14 +240,34 @@ def reference_transport(f0, t, ks, antid, include_absorption):
             att = np.exp(-(float(antid.Q(grid.xmax)) - antid.Q(mids)))
         else:
             att = np.ones_like(mids)
-        density = np.where(mids <= grid.centers[-1], ev(mids), f0.values[-1])
-        esc = grid.xmax * math.fsum((density * att * np.diff(nodes)).tolist())
-    return vals, f0.escaped_mass + esc
+        density = np.where(mids <= grid.centers[-1], ev(mids), y[-1])
+        terms = density * att * np.diff(nodes)
+        esc = grid.xmax * math.fsum(terms.tolist())
+        term_bound = float(np.sum(bound(mids, att * np.diff(nodes))))
+        esc_bound = (grid.xmax * term_bound
+                     + gamma(3) * (grid.xmax * (float(np.sum(np.abs(terms))) + term_bound)
+                                   + abs(f0.escaped_mass)))
+    return vals, f0.escaped_mass + esc, bound(x0_safe, scale), esc_bound
 
 
 def assert_bit_identical(out, ref_vals, ref_esc):
     assert out.values.tobytes() == ref_vals.tobytes()
     assert np.float64(out.escaped_mass).tobytes() == np.float64(ref_esc).tobytes()
+
+
+def assert_matches_pchip(f0, t, ks, absorb):
+    """The plan against a PCHIP built per call: its slopes bit for bit, zero
+    where a foot is out of range or outside, and values and escaped mass
+    within the rounding bound of `reference_transport`."""
+    antid = make_antiderivatives(ks, f0.grid)
+    out = transport_apply(f0, t, ks, 2.0, antid=antid, include_absorption=absorb)
+    slopes = antid._transport_plan.slopes(f0.values)
+    assert slopes.tobytes() == scipy_pchip_slopes(f0.grid.centers, f0.values).tobytes()
+    ref_vals, ref_esc, val_bound, esc_bound = reference_transport(f0, t, ks, antid, absorb)
+    x = f0.grid.centers
+    assert np.all(out.values[r_inverse_clipped(antid, antid.R(x) - t) < x[0]] == 0.0)
+    assert np.all(np.abs(out.values - ref_vals) <= val_bound)
+    assert abs(out.escaped_mass - ref_esc) <= esc_bound
 
 
 # zeros, plateaus and sign changes run every PCHIP slope branch: the
@@ -199,7 +276,7 @@ FIELD_ATOMS = [0.0, 0.0, 1.0, 1.0, 2.5, -0.5, 1e-3, 0.1, -5.0]
 
 
 @st.composite
-def transport_case(draw):
+def transport_case(draw, nonnegative=False):
     cells = draw(st.integers(8, 96))
     xmin = 10.0 ** draw(st.floats(-3.0, 0.0))
     grid = SizeGrid.geometric(xmin, xmin * 10.0 ** draw(st.floats(1.0, 4.0)), cells)
@@ -217,8 +294,8 @@ def transport_case(draw):
     if smooth:
         vals = np.exp(-grid.centers / grid.centers[cells // 2]) * draw(st.floats(0.1, 3.0))
     else:
-        vals = np.array(draw(st.lists(st.sampled_from(FIELD_ATOMS),
-                                      min_size=cells, max_size=cells)))
+        atoms = [v for v in FIELD_ATOMS if v >= 0 or not nonnegative]
+        vals = np.array(draw(st.lists(st.sampled_from(atoms), min_size=cells, max_size=cells)))
     f0 = DensityField(grid, vals, draw(st.sampled_from([0.0, 0.25])))
     # from a fraction of one cell to several crossings
     # of the whole grid (feet exit through the origin, escape is active)
@@ -257,22 +334,15 @@ class TestTransportPlan:
     @example((DensityField(SizeGrid.geometric(0.1, 10.0, 8),
                            [1.0, 2.5, 2.5, 0.0, -0.5, 1e-3, -5.0, 0.1]),
               4.0, make_kernels(growth="constant", r0=1.0), False))
-    def test_bit_identical_to_pchip_per_call(self, case):
-        f0, t, ks, absorb = case
-        antid = make_antiderivatives(ks, f0.grid)
-        ref_vals, ref_esc = reference_transport(f0, t, ks, antid, absorb)
-        out = transport_apply(f0, t, ks, 2.0, antid=antid, include_absorption=absorb)
-        assert_bit_identical(out, ref_vals, ref_esc)
+    def test_matches_pchip_per_call(self, case):
+        assert_matches_pchip(*case)
 
     @pytest.mark.parametrize("cells", [2, 3])
     @pytest.mark.parametrize("t", [0.01, 0.5, 3.0])
-    def test_bit_identical_on_tiny_grids(self, cells, t):
+    def test_matches_pchip_on_tiny_grids(self, cells, t):
         ks = make_kernels(a0=0.5, growth="affine", r0=0.5, r1=0.5)
         grid = SizeGrid.geometric(0.5, 2.0, cells)
-        f0 = DensityField(grid, [1.0, -0.5, 0.2][:cells])
-        antid = make_antiderivatives(ks, grid)
-        ref_vals, ref_esc = reference_transport(f0, t, ks, antid, True)
-        assert_bit_identical(transport_apply(f0, t, ks, 2.0, antid=antid), ref_vals, ref_esc)
+        assert_matches_pchip(DensityField(grid, [1.0, -0.5, 0.2][:cells]), t, ks, True)
 
     def test_memo_key_is_grid_t_and_absorption(self):
         ks = make_kernels(a0=0.5, growth="affine", r0=0.3, r1=0.4)
@@ -351,6 +421,23 @@ class TestStackedPlan:
         rows.append(DensityField(grid, np.where(np.arange(26) % 3 == 0, 1.0, 0.0)))
         plan = assert_stack_matches_rows(rows, 7.8e-3, ks, absorb=False)
         assert plan.converge[0].size > 0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=150, deadline=None)
+@given(transport_case(nonnegative=True))
+def test_remap_keeps_nonnegative_fields_nonnegative(case):
+    """PCHIP does not leave the range of the data on an interval, so the
+    four-term sum of a nonnegative field, its weights nonnegative except
+    the slope ones, is nonnegative: one field and a stack of three."""
+    f0, t, ks, absorb = case
+    grid = f0.grid
+    stack = DensityField(grid, np.array([f0.values, f0.values[::-1], 3.0 * f0.values]),
+                         np.array([f0.escaped_mass, 0.5, 0.0]))
+    antid = make_antiderivatives(ks, grid)
+    for field in (f0, stack):
+        out = transport_apply(field, t, ks, 2.0, antid=antid, include_absorption=absorb)
+        assert np.all(out.values >= 0.0) and np.all(out.escaped_mass >= 0.0)
 
 
 class TestNoPchipPerStep:
@@ -823,9 +910,22 @@ class TestVLambda:
         sp = SpectralParams.for_kernels(ks, 1.0, 3.0)
         (row,) = v_lambda_diagnostics(sp, ks)
         assert (row.suite, row.name, row.relation, row.bound) == \
-            ("resolvent", "v-lambda-boundary", ">", 0.0)
-        assert row.measured == pytest.approx(math.exp(3.0), rel=1e-2)
+            ("resolvent", "v-lambda-boundary", ">", -math.inf)
+        # log(r*v_lambda) = -lambda*R(1e-5) with R(x) = x - 1 and Q = 0
+        assert row.measured == pytest.approx(3.0 * (1.0 - 1e-5), rel=1e-12)
         assert row.status == "pass"
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_reachable_boundary_past_the_float_range(self):
+        """A slow table rate near the origin puts r*v_lambda = e^(-lambda R)
+        past the float range at the smallest cutoff; its log is finite."""
+        r = GrowthRate("table", table_x=np.array([1e-4, 1.0, 10.0]),
+                       table_r=np.array([0.01, 0.01, 2.0]))
+        ks = dataclasses.replace(make_kernels(), r=r)
+        (row,) = v_lambda_diagnostics(SpectralParams.for_kernels(ks, 2.0, 10.0), ks)
+        assert row.measured == pytest.approx(-10.0 * float(Antiderivatives(ks).R(1e-5)),
+                                             rel=1e-12)
+        assert row.measured > 709.0 and row.status == "pass"
 
     def test_unreachable_divergence_rate_tracks_lambda(self):
         ks = make_kernels(growth="linear", r0=0.0, r1=1.0)
