@@ -30,8 +30,8 @@ from .evolution import (PICARD_TOL, ConfigError, DuhamelReport, SolverConfig, Sp
 from .fragmentation import build_daughter_matrix, frag_moment_identity, neglected_gain_estimate
 from .grid import DensityField, SizeGrid, WeightSpec, moment, project, weighted_integral
 from .kernels import FragmentationRate, GrowthRate, KernelSet, ReportRow, validate_kernel_set
-from .transport import (SpectralParams, resolvent_integral_bounds, laplace_consistency,
-                        make_antiderivatives, resolvent_apply, resolvent_norm,
+from .transport import (Antiderivatives, SpectralParams, resolvent_integral_bounds,
+                        laplace_consistency, resolvent_apply, resolvent_norm,
                         resolvent_residual, transport_norms, v_lambda_diagnostics)
 
 __all__ = ["ReportRow", "RunReport", "ScenarioContext", "run_suites", "render_rows",
@@ -132,6 +132,11 @@ class ScenarioContext:
         return self.solution[0]
 
     @cached_property
+    def antid(self) -> Optional[Antiderivatives]:
+        """R and Q, one Q table for every check; None when growth is off."""
+        return None if self.ks.r.is_zero else Antiderivatives(self.ks)
+
+    @cached_property
     def spectral(self) -> SpectralParams:
         """The growth bound omega and the resolvent parameter lambda = omega + 2
         that the spectral suites use."""
@@ -183,7 +188,8 @@ QUASI_CONTRACTIVITY_TOL = 1e-6   # slack on ||T(t)|| <= e^(omega t)
 def _suite_quasi_contractivity(ctx: ScenarioContext) -> list[ReportRow]:
     omega = ctx.spectral.omega
     ts = np.linspace(0.25, 2.0, 8)
-    worst = float(np.max(transport_norms(ctx.ks, ctx.grid, ctx.cfg.m, ts) * np.exp(-omega * ts)))
+    norms = transport_norms(ctx.ks, ctx.grid, ctx.cfg.m, ts, ctx.antid)
+    worst = float(np.max(norms * np.exp(-omega * ts)))
     return [ReportRow("quasi-contractivity", "growth-bound", worst, "<=",
                       1.0 + QUASI_CONTRACTIVITY_TOL,
                       detail=f"omega = {omega:g}; sup over point masses at t = 0.25 .. 2")]
@@ -196,31 +202,25 @@ def _suite_resolvent(ctx: ScenarioContext) -> list[ReportRow]:
     if ctx.ks.r.is_zero:
         return [ReportRow("resolvent", "norm-bound", detail="growth disabled")]
     sp = ctx.spectral
-    antid = make_antiderivatives(ctx.ks, ctx.grid)
-    norm = resolvent_norm(ctx.grid, sp, ctx.ks, antid)
+    norm = resolvent_norm(ctx.grid, sp, ctx.ks, ctx.antid)
     # the defining identity needs a smooth field for the discrete derivative
     g = ctx.f0
-    f = resolvent_apply(g, sp, ctx.ks, antid)
+    f = resolvent_apply(g, sp, ctx.ks, ctx.antid)
     resid = resolvent_residual(f, g, sp, ctx.ks) / weighted_integral(g, WeightSpec(sp.m, "shifted"))
     return [ReportRow("resolvent", "norm-bound", norm * (sp.lam - sp.omega), "<=", 1.0,
                       detail=f"lambda = {sp.lam:g}, exact norm, the largest unit-cell column"),
             ReportRow("resolvent", "defining-identity", resid, "<=", RESOLVENT_RESIDUAL_TOL,
                       detail="discrete derivative on the smooth initial profile"),
-            *v_lambda_diagnostics(sp, ctx.ks)]
+            *v_lambda_diagnostics(sp, ctx.ks, ctx.antid)]
 
 
 def _suite_integral_bounds(ctx: ScenarioContext) -> list[ReportRow]:
     if ctx.ks.r.is_zero:
         return [ReportRow("integral-bounds", "I", detail="growth disabled")]
-    rows = []
-    omega = ctx.spectral.omega
-    antid = make_antiderivatives(ctx.ks, ctx.grid)   # one Q table for all six
-    for alpha in (0.5, 1.0, 5.0):
-        for lam_f in (1.5, 3.0):
-            lam = lam_f * omega if omega > 0 else lam_f
-            rows += [replace(r, name=f"{r.name}(a={alpha:g},l={lam:g})")
-                     for r in resolvent_integral_bounds(alpha, lam, ctx.cfg.m, ctx.ks, antid)]
-    return rows
+    unit = ctx.spectral.omega or 1.0   # lambda in units of omega, absolute when omega = 0
+    return [replace(r, name=f"{r.name}(a={alpha:g},l={lam:g})")
+            for alpha in (0.5, 1.0, 5.0) for lam in (1.5 * unit, 3.0 * unit)
+            for r in resolvent_integral_bounds(alpha, lam, ctx.cfg.m, ctx.ks, ctx.antid)]
 
 
 LAPLACE_TOL = 1e-2   # Laplace transform of the semigroup against the resolvent
@@ -231,7 +231,7 @@ def _suite_laplace(ctx: ScenarioContext) -> list[ReportRow]:
         return [ReportRow("laplace", "consistency", detail="growth disabled")]
     sp = ctx.spectral
     tmax = math.log(1e7) / (sp.lam - sp.omega)
-    disc = laplace_consistency(ctx.f0, sp, ctx.ks, tmax)
+    disc = laplace_consistency(ctx.f0, sp, ctx.ks, ctx.antid, tmax)
     return [ReportRow("laplace", "consistency", disc, "<=", LAPLACE_TOL,
                       detail=f"lambda = {sp.lam:g}, tmax = {tmax:.2f}")]
 

@@ -18,8 +18,9 @@ norms are suprema over point masses (over unit cells for the discrete
 resolvent), and both are computed here.
 All exponentials are assembled in log space: lambda*R can exceed the
 floating-point range near the origin when the characteristics stall there.
-R is exact; Q is tabulated once per `Antiderivatives`, on one lattice in
-log x through x = 1, so every caller reads the same Q at the same size.
+R is exact; Q = F(R) is tabulated once per `Antiderivatives`, on one lattice
+in log x through x = 1, and read through the transport's cubic Hermite basis
+with the slopes F' = q, so every caller reads the same Q at the same size.
 
 `transport_apply` reads the field at the backward feet through its PCHIP
 interpolant.  Everything that depends only on the antiderivatives, the grid,
@@ -31,9 +32,9 @@ W0*y[k] + W1*y[k+1] + W2*d[k] + W3*d[k+1], with the Hermite basis at the
 point's offset as weights.  The plan folds into them what multiplies the
 value read: r(x0)/r(x)*exp(-dQ) and the `inside` mask at a foot, the
 attenuation and width at an escape node.  A call then computes only the
-PCHIP slopes d, which are SciPy's PchipInterpolator slopes operation for
-operation, and the one four-term sum.  The sum rounds in another order than
-SciPy's PPoly, so the values agree with a PchipInterpolator built per call
+PCHIP slopes d, which are SciPy's PCHIP slopes operation for operation,
+and the one four-term sum.  The sum rounds in another order than SciPy's
+PPoly, so the values agree with SciPy's PCHIP interpolant built per call
 to a few units of roundoff, not bit for bit.
 Where characteristics converge (r(x0) > r(x), only under a falling growth
 table) the flux r*f is then capped by its larger value at the two centers
@@ -51,7 +52,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
+from scipy.integrate import simpson
+from scipy.interpolate import PchipInterpolator   # only benchmarks/spans.py reads it here
 
 from .grid import DensityField, SizeGrid, WeightSpec, weighted_integral
 from .kernels import REACHABLE, UNREACHABLE, KernelSet, ReportRow, _quad_intervals
@@ -80,8 +82,8 @@ class ParameterDomainError(ValueError):
 
 
 # Q's lattice x_k = 10^(k/200), x = 1 at k = 0, in blocks of 12 decades, at most
-# 25 on either side of 1.  PCHIP is only C^1 at a lattice point; at 100 per decade
-# the adaptive quadratures that read Q need a third more integrand calls.
+# 25 on either side of 1.  The Hermite read is only C^1 at a lattice point; at 100
+# per decade gfc-global-ii's integral-bounds quadratures read Q at 17% more points.
 Q_STEPS_PER_DECADE, Q_BLOCK, Q_MAX_BLOCKS = 200, 2400, 25
 
 
@@ -96,6 +98,31 @@ def _piece_integral(x, base, rate, slope, far, far_rate):
                         np.sign(s) * np.log1p(np.abs(slope * s) / low) / np.abs(slope))
 
 
+def _hermite_weights(centers: np.ndarray, pts: np.ndarray,
+                     scale) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """Interval k of each point and the weights W, each times `scale`, with
+    which the cubic Hermite piece on [centers[k], centers[k+1]] reads
+    W[0]*y[k] + W[1]*y[k+1] + W[2]*d[k] + W[3]*d[k+1] at the point.
+
+    Interval k holds centers[k] <= p < centers[k+1], the last one closed on
+    the right, as SciPy's PPoly finds it.  At tau = (p - centers[k])/h the
+    weights are the Hermite basis H00 = (1 + 2 tau)(1 - tau)^2,
+    H01 = tau^2 (3 - 2 tau), h*H10 = h tau (1 - tau)^2 and h*H11 = -h tau^2 (1 - tau),
+    with tau clipped to [0, 1]: a point past the last center reads y[n-1],
+    and a point below the first one must have a zero scale.
+    """
+    # minimum and maximum, as np.clip, but without its per-call dtype checks
+    k = np.minimum(np.maximum(np.searchsorted(centers, pts, side="right") - 1, 0),
+                   centers.size - 2)
+    h = centers[k + 1] - centers[k]
+    tau = np.minimum(np.maximum((pts - centers[k]) / h, 0.0), 1.0)
+    tau2, rest = tau * tau, 1.0 - tau
+    rest2 = rest * rest
+    basis = ((1.0 + 2.0 * tau) * rest2, tau2 * (3.0 - 2.0 * tau),
+             h * tau * rest2, -h * tau2 * rest)
+    return k, tuple(b * scale for b in basis)
+
+
 class Antiderivatives:
     """Antiderivatives R of 1/r and Q of q/r, normalized to vanish at x = 1.
 
@@ -107,10 +134,12 @@ class Antiderivatives:
     is chained outward.  R^-1 finds its piece by searching R at the knots.
     R(0+) is R(0) when the origin is reachable, -inf when it is not.  Q is
     tabulated on first use, so a solve that transports without absorption
-    never builds it: per-interval Gauss quadrature on the lattice points
-    10^(k/200), whose point k = 0 is x = 1, chained outward from there and
-    interpolated monotonically in log x.  The table grows by blocks to the
-    sizes queried, and Q at a size does not depend on how far it reaches.
+    never builds it, at the lattice points x_k = 10^(k/200), x_0 = 1: dQ =
+    q dR, so each interval is a 10-point Gauss rule in R at the exact nodes
+    x = R^-1(R), chained outward from x = 1, and Q(x) is the cubic Hermite
+    in R through (R_k, Q_k) with the slopes q(x_k).  The table grows by
+    blocks to the sizes queried, and Q at a size does not depend on how far
+    it reaches.
     """
 
     def __init__(self, ks: KernelSet):
@@ -170,12 +199,10 @@ class Antiderivatives:
 
     # -- Q ------------------------------------------------------------
     def _tabulate_Q(self, x: np.ndarray) -> None:
-        """Grow Q's table by whole blocks until each size x is two lattice
-        steps inside it: one keeps PCHIP's end slopes unread, one absorbs
-        the rounding of log10."""
+        """Grow Q's table by whole blocks to a step past each size x (log10 rounds)."""
         with np.errstate(divide="ignore"):
             k = Q_STEPS_PER_DECADE * np.log10(np.where(x > 0, x, 0.0))   # -inf if x <= 0 or NaN
-        need = np.ceil((np.ceil(np.abs(k)) + 2.0) / Q_BLOCK)   # blocks on x's side of 1
+        need = np.ceil((np.ceil(np.abs(k)) + 1.0) / Q_BLOCK)   # blocks on x's side of 1
         if (need > Q_MAX_BLOCKS).any():
             edge = Q_MAX_BLOCKS * Q_BLOCK // Q_STEPS_PER_DECADE
             raise ParameterDomainError(f"Q is tabulated for sizes inside 1e-{edge} .. 1e{edge}, "
@@ -183,23 +210,35 @@ class Antiderivatives:
         n_lo, n_hi = self._Q_blocks = tuple(int(max(n, need[side].max(initial=1))) for n, side
                                             in zip(self._Q_blocks, (k < 0, k >= 0)))
         lattice = 10.0 ** (np.arange(-n_lo * Q_BLOCK, n_hi * Q_BLOCK + 1) / Q_STEPS_PER_DECADE)
-        self._Q_span = lattice[1], lattice[-2]
+        self._Q_span = lattice[0], lattice[-1]
+        R = self.R(lattice)
         nodes, weights = np.polynomial.legendre.leggauss(10)
-        mid, half = 0.5 * (lattice[1:] + lattice[:-1]), 0.5 * (lattice[1:] - lattice[:-1])
-        pts = mid + half * nodes[:, None]
-        vals = self._q(pts) / self.growth(pts)
+        mid, half = 0.5 * (R[1:] + R[:-1]), 0.5 * (R[1:] - R[:-1])
+        # dQ = q dR: the nodes in R, mapped to x and kept in their interval
+        pts = np.clip(self.R_inverse(mid + half * nodes[:, None]), lattice[:-1], lattice[1:])
+        vals = self._q(pts)
         # node by node, so an interval's sum does not depend on the table's extent
         seg = half * sum(w * v for w, v in zip(weights, vals))
         one = n_lo * Q_BLOCK
         Q = np.concatenate([-np.cumsum(seg[one - 1::-1])[::-1], [0.0], np.cumsum(seg[one:])])
-        self._Q_interp = PchipInterpolator(np.log(lattice), Q)
+        # the end slopes over dQ; the cubic is monotone while neither exceeds 3/h, three
+        # times the secant (Fritsch-Carlson), clamped where q changes 3-fold in one interval
+        dQ, q = np.diff(Q), self._q(lattice)
+        with np.errstate(all="ignore"):
+            a, b = (np.where(dQ > 0, np.minimum(s / dQ, 1.5 / half), 0.0) for s in (q[:-1], q[1:]))
+        self._Q_table = R, Q, dQ, a, b
 
     def Q(self, x):
+        """F(R(x)) as Q_k + dQ_k*(H01 + h*H10*a_k + h*H11*b_k), a and b the end
+        slopes over dQ_k: a monotone factor times dQ_k, so Q does not decrease
+        in floating point either, not even on a flat or subnormal stretch."""
         x = np.asarray(x, dtype=float)
         lo, hi = self._Q_span
         if not ((x >= lo) & (x <= hi)).all():
             self._tabulate_Q(x)
-        return self._Q_interp(np.log(x))
+        R, Q, dQ, a, b = self._Q_table
+        k, (_, w1, w2, w3) = _hermite_weights(R, self.R(x), 1.0)
+        return Q[k] + dQ[k] * (w1 + w2 * a[k] + w3 * b[k])
 
 
 @dataclass(frozen=True)
@@ -237,29 +276,6 @@ def r_inverse_clipped(antid: Antiderivatives, u):
     return np.where(hit, 0.0, antid.R_inverse(np.where(hit, 0.0, u)))   # R^-1(0) = 1
 
 
-def _hermite_weights(centers: np.ndarray, pts: np.ndarray,
-                     scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Interval k of each point and the weights W, each times `scale`, with
-    which the cubic Hermite piece on [centers[k], centers[k+1]] reads
-    W[0]*y[k] + W[1]*y[k+1] + W[2]*d[k] + W[3]*d[k+1] at the point.
-
-    Interval k holds centers[k] <= p < centers[k+1], the last one closed on
-    the right, as SciPy's PPoly finds it.  At tau = (p - centers[k])/h the
-    weights are the Hermite basis H00 = (1 + 2 tau)(1 - tau)^2,
-    H01 = tau^2 (3 - 2 tau), h*H10 = h tau (1 - tau)^2 and h*H11 = -h tau^2 (1 - tau),
-    with tau clipped to [0, 1]: a point past the last center reads y[n-1],
-    and a point below the first one must have a zero scale.
-    """
-    k = np.clip(np.searchsorted(centers, pts, side="right") - 1, 0, centers.size - 2)
-    h = centers[k + 1] - centers[k]
-    tau = np.clip((pts - centers[k]) / h, 0.0, 1.0)
-    tau2, rest = tau * tau, 1.0 - tau
-    rest2 = rest * rest
-    basis = [(1.0 + 2.0 * tau) * rest2, tau2 * (3.0 - 2.0 * tau),
-             h * tau * rest2, -h * tau2 * rest]
-    return k, np.array([b * scale for b in basis])
-
-
 class _TransportPlan:
     """What `transport_apply` needs that depends only on (antid, grid, t,
     include_absorption), as listed in the module docstring; `apply`
@@ -284,8 +300,8 @@ class _TransportPlan:
         x0 = r_inverse_clipped(antid, antid.R(c) - t)
         inside = x0 >= c[0]
         pts = np.where(inside, x0, 1.0)
-        dQ = antid.Q(c) - antid.Q(pts) if include_absorption else np.zeros_like(c)
-        r0, rx, att = r(pts), r(c), np.exp(-dQ)
+        Q0, Qc = antid.Q(np.stack([pts, c])) if include_absorption else np.zeros((2, c.size))
+        r0, rx, att = r(pts), r(c), np.exp(Q0 - Qc)
         # the value read at a foot is carried as r(x0)/r(x)*exp(-dQ) times it
         scale = np.where(inside, r0 / rx * att, 0.0)
         # where characteristics converge r(x0)/r(x) > 1 scales the value read
@@ -303,10 +319,9 @@ class _TransportPlan:
             edges = grid.edges[(grid.edges > lo) & (grid.edges < grid.xmax)]
             nodes = np.unique(np.concatenate([[lo], edges, [grid.xmax]]))
             mids = 0.5 * (nodes[:-1] + nodes[1:])
-            if include_absorption:
-                att = np.exp(-(float(antid.Q(grid.xmax)) - antid.Q(mids)))
-            else:
-                att = np.ones_like(mids)
+            Q = (antid.Q(np.append(mids, grid.xmax)) if include_absorption
+                 else np.zeros(mids.size + 1))
+            att = np.exp(-(Q[-1] - Q[:-1]))
             # the nodes follow the feet, from column n on, weighted by their
             # attenuation and width
             pts, scale = np.concatenate([pts, mids]), np.concatenate([scale, att * np.diff(nodes)])
@@ -365,7 +380,7 @@ class _TransportPlan:
 
 
 def transport_apply(f0: DensityField, t: float, ks: KernelSet, m: float,
-                    antid: Optional[Antiderivatives] = None,
+                    antid: Optional[Antiderivatives],
                     include_absorption: bool = True) -> DensityField:
     """Exact characteristic solution of the transport-absorption equation.
 
@@ -377,8 +392,8 @@ def transport_apply(f0: DensityField, t: float, ks: KernelSet, m: float,
     f0 is read at the feet through its shape-preserving PCHIP interpolant,
     zero outside the centers: PCHIP does not overshoot the local data range,
     so nonnegative cell values stay nonnegative, and it is third order on
-    smooth data.  The transport plan for (grid, t, include_absorption) is
-    kept in a one-slot memo on `antid`, so a stepper with a fixed step
+    smooth data.  The plan for (grid, t, include_absorption) is kept in a
+    one-slot memo on `antid`, None without growth, so a fixed-step stepper
     builds it once; each call then costs SciPy's PCHIP slopes and the plan's
     four-term Hermite sum (see the module docstring).  f0 may be a stack of
     fields (see `DensityField`); each row is transported as it would be
@@ -395,8 +410,6 @@ def transport_apply(f0: DensityField, t: float, ks: KernelSet, m: float,
         vals = f0.values * np.exp(-q * t)
         return DensityField(grid, vals, f0.escaped_mass)
 
-    if antid is None:
-        antid = make_antiderivatives(ks, grid)
     plan = antid._transport_plan
     if plan is None or not plan.matches(grid, t, include_absorption):
         plan = antid._transport_plan = _TransportPlan(antid, grid, t, include_absorption)
@@ -408,7 +421,8 @@ def make_antiderivatives(ks: KernelSet, grid: SizeGrid) -> Antiderivatives:
     return Antiderivatives(ks)
 
 
-def transport_norms(ks: KernelSet, grid: SizeGrid, m: float, times) -> np.ndarray:
+def transport_norms(ks: KernelSet, grid: SizeGrid, m: float, times,
+                    antid: Optional[Antiderivatives]) -> np.ndarray:
     """Norm of the transport-absorption semigroup on the untruncated
     (1 + x^m)-weighted space at each of `times`: it carries a point mass at y
     to one at X_t(y) scaled by exp(-(Q(X) - Q(y))), so its norm is the sup
@@ -418,7 +432,6 @@ def transport_norms(ks: KernelSet, grid: SizeGrid, m: float, times) -> np.ndarra
     t = np.asarray(times, dtype=float)[:, None]
     if ks.r.is_zero:
         return np.max(np.exp(-ks.q(y) * t), axis=1)
-    antid = Antiderivatives(ks)
     X = r_inverse_clipped(antid, antid.R(y) + t)
     w = WeightSpec(m, "shifted")
     return np.max(w(X) * np.exp(antid.Q(y) - antid.Q(X)) / w(y), axis=1)
@@ -447,7 +460,7 @@ def _resolvent_steps(grid: SizeGrid, sp: SpectralParams, ks: KernelSet,
 
 
 def resolvent_apply(g: DensityField, sp: SpectralParams, ks: KernelSet,
-                    antid: Optional[Antiderivatives] = None) -> DensityField:
+                    antid: Optional[Antiderivatives]) -> DensityField:
     """Explicit resolvent applied to a grid density by cumulative quadrature.
 
     The running integral is carried in log space relative to the current
@@ -460,8 +473,6 @@ def resolvent_apply(g: DensityField, sp: SpectralParams, ks: KernelSet,
         # multiplication semigroup: the resolvent is pointwise division
         return DensityField(grid, g.values / (sp.lam + ks.q(x)))
 
-    if antid is None:
-        antid = make_antiderivatives(ks, grid)
     shift, lower, upper = _resolvent_steps(grid, sp, ks, antid)
     vals = np.empty(grid.cells)
     acc = g.values[0] * lower[0]
@@ -474,7 +485,7 @@ def resolvent_apply(g: DensityField, sp: SpectralParams, ks: KernelSet,
 
 
 def resolvent_norm(grid: SizeGrid, sp: SpectralParams, ks: KernelSet,
-                   antid: Optional[Antiderivatives] = None) -> float:
+                   antid: Optional[Antiderivatives]) -> float:
     """Exact norm of `resolvent_apply` on the (1 + x^m)-weighted space of the
     grid: the map is positive and linear, so its norm is its largest column,
     the norm of the image of a unit-norm density in one cell.  With
@@ -483,8 +494,6 @@ def resolvent_norm(grid: SizeGrid, sp: SpectralParams, ks: KernelSet,
     x, dx = grid.centers, grid.widths
     if ks.r.is_zero:
         return float(np.max(1.0 / (sp.lam + ks.q(x))))
-    if antid is None:
-        antid = make_antiderivatives(ks, grid)
     shift, lower, upper = _resolvent_steps(grid, sp, ks, antid)
     w = WeightSpec(sp.m, "shifted")(x)
     v = w * dx / ks.r(x)
@@ -519,32 +528,33 @@ def resolvent_residual(f: DensityField, g: DensityField, sp: SpectralParams,
 
 
 def resolvent_integral_bounds(alpha: float, lam: float, m: float, ks: KernelSet,
-                              antid: Optional[Antiderivatives] = None) -> list[ReportRow]:
+                              antid: Antiderivatives) -> list[ReportRow]:
     """Check the weighted tail integrals behind the resolvent estimate.
 
     I(alpha, inf) <= exp(-lambda R(alpha)) w_m(alpha) / (lambda - omega) and
     the analogous bound for J with the extra exp(-Q) factor and a factor
-    lambda; one 'integral-bounds' row each, named I and J.  The infinite
-    upper limit is truncated where the integrand falls below 1e-14 of its
-    peak; the exponential tail estimate of the truncated part is added so
-    the check stays conservative.  Q at a size does not depend on how far
-    its table reaches, so one `antid` serves every (alpha, lambda).
+    lambda; one 'integral-bounds' row each, named I and J.  Both sides are
+    divided by I's exp(-lambda R(alpha)) or J's exp(-lambda R(alpha) - Q(alpha)),
+    so no exponential read past alpha exceeds 1 (at alpha = 1 both are 1).
+    The infinite upper limit is truncated where the integrand falls below
+    1e-14 of its value at alpha; the exponential tail estimate of the
+    truncated part is added so the check stays conservative.
     """
     if alpha <= 0:
         raise ParameterDomainError("lower limit alpha must be positive")
     sp = SpectralParams.for_kernels(ks, m, lam)
-    antid = Antiderivatives(ks) if antid is None else antid
     w = WeightSpec(m, "shifted")
+    R_a, Q_a = float(antid.R(alpha)), float(antid.Q(alpha))
 
     def f_I(s):
-        return np.exp(-sp.lam * antid.R(s)) * w(s) / ks.r(s)
+        return np.exp(-sp.lam * (antid.R(s) - R_a)) * w(s) / ks.r(s)
 
-    def f_IJ(s):   # the integrands of I and J, stacked, from one R
-        lam_R, wr = sp.lam * antid.R(s), w(s) / ks.r(s)
+    def f_IJ(s):   # the scaled integrands of I and J, stacked, from one R
+        lam_R, wr = sp.lam * (antid.R(s) - R_a), w(s) / ks.r(s)
         return np.stack([np.exp(-lam_R) * wr,
-                         (sp.lam + ks.q(s)) * np.exp(-lam_R - antid.Q(s)) * wr])
+                         (sp.lam + ks.q(s)) * np.exp(-lam_R - (antid.Q(s) - Q_a)) * wr])
 
-    peak = max(float(f_I(alpha)), 1e-300)
+    peak = float(f_I(alpha))
     hi = alpha
     for _ in range(400):
         hi *= 1.6
@@ -555,19 +565,18 @@ def resolvent_integral_bounds(alpha: float, lam: float, m: float, ks: KernelSet,
     cuts = np.unique(np.concatenate([
         np.geomspace(alpha, hi, max(8, int(np.log2(hi / alpha)) + 2)), [alpha, hi]]))
     gap = sp.lam - sp.omega
-    R_a, R_hi = (float(antid.R(z)) for z in (alpha, hi))
-    Q_a, Q_hi = (float(antid.Q(z)) for z in (alpha, hi))
+    lam_dR, dQ = sp.lam * (float(antid.R(hi)) - R_a), float(antid.Q(hi)) - Q_a
     w_a, w_hi = (float(w(np.asarray(z))) for z in (alpha, hi))
 
     I_panels, J_panels = _quad_intervals(f_IJ, cuts[:-1], cuts[1:], geometric=True,
                                          epsabs=1e-13, epsrel=1e-10)
-    I_val = float(np.sum(I_panels)) + math.exp(-sp.lam * R_hi) * w_hi / gap
-    I_bound = math.exp(-sp.lam * R_a) * w_a / gap
-    J_val = float(np.sum(J_panels)) + sp.lam * math.exp(-sp.lam * R_hi - Q_hi) * w_hi / gap
-    J_bound = sp.lam * math.exp(-sp.lam * R_a - Q_a) * w_a / gap
-
-    return [ReportRow("integral-bounds", name, val, "<=", bnd, 1e-9 * bnd)
-            for name, val, bnd in (("I", I_val, I_bound), ("J", J_val, J_bound))]
+    I_val = float(np.sum(I_panels)) + math.exp(-lam_dR) * w_hi / gap
+    J_val = float(np.sum(J_panels)) + sp.lam * math.exp(-lam_dR - dQ) * w_hi / gap
+    scaled = "both sides times exp(lambda R(alpha)"
+    return [ReportRow("integral-bounds", name, val, "<=", bnd, 1e-9 * bnd, detail=detail)
+            for name, val, bnd, detail in (
+                ("I", I_val, w_a / gap, scaled + ")"),
+                ("J", J_val, sp.lam * w_a / gap, scaled + " + Q(alpha))"))]
 
 
 # ---------------------------------------------------------------------------
@@ -577,7 +586,8 @@ def resolvent_integral_bounds(alpha: float, lam: float, m: float, ks: KernelSet,
 V_LAMBDA_CUTOFFS = (1e-1, 1e-5)   # the largest and smallest cutoff of the v_lambda sweep
 
 
-def v_lambda_diagnostics(sp: SpectralParams, ks: KernelSet) -> list[ReportRow]:
+def v_lambda_diagnostics(sp: SpectralParams, ks: KernelSet,
+                         antid: Antiderivatives) -> list[ReportRow]:
     """Certify that the homogeneous resolvent solution is inadmissible.
 
     Unreachable origin: the truncated weighted integral of v_lambda grows
@@ -590,7 +600,6 @@ def v_lambda_diagnostics(sp: SpectralParams, ks: KernelSet) -> list[ReportRow]:
     finite exactly when the limit is positive, where the limit itself may
     overflow or underflow.
     """
-    antid = Antiderivatives(ks)
     eps = np.geomspace(*V_LAMBDA_CUTOFFS, 9)
     w = WeightSpec(sp.m, "shifted")
     cutoffs = f"lambda = {sp.lam:g}, cutoffs {eps[0]:g} .. {eps[-1]:g}"
@@ -623,7 +632,8 @@ def v_lambda_diagnostics(sp: SpectralParams, ks: KernelSet) -> list[ReportRow]:
 
 
 def laplace_consistency(g: DensityField, sp: SpectralParams, ks: KernelSet,
-                        tmax: float, n_time: int = 257) -> float:
+                        antid: Optional[Antiderivatives], tmax: float,
+                        n_time: int = 257) -> float:
     """Relative gap between the Laplace transform of the semigroup and the resolvent.
 
     Composite Simpson in time of exp(-lambda t) * S(t) g against
@@ -631,21 +641,10 @@ def laplace_consistency(g: DensityField, sp: SpectralParams, ks: KernelSet,
     """
     if math.exp((sp.omega - sp.lam) * tmax) > 1e-6:
         raise ParameterDomainError("tmax too small for the Laplace tail to be negligible")
-    if n_time % 2 == 0:
-        n_time += 1
-    antid = None if ks.r.is_zero else make_antiderivatives(ks, g.grid)
-    ts = np.linspace(0.0, tmax, n_time)
-    h = ts[1] - ts[0]
-    coeff = np.ones(n_time)
-    coeff[1:-1:2] = 4.0
-    coeff[2:-1:2] = 2.0
-    coeff *= h / 3.0
-
-    acc = np.zeros(g.grid.cells)
-    for t, c in zip(ts, coeff):
-        ft = transport_apply(g, float(t), ks, sp.m, antid=antid)
-        acc += c * math.exp(-sp.lam * t) * ft.values
-    res = resolvent_apply(g, sp, ks, antid=antid)
+    ts = np.linspace(0.0, tmax, n_time | 1)   # composite Simpson takes an odd count
+    acc = simpson([math.exp(-sp.lam * t) * transport_apply(g, float(t), ks, sp.m, antid).values
+                   for t in ts], dx=ts[1], axis=0)
+    res = resolvent_apply(g, sp, ks, antid)
     diff = DensityField(g.grid, np.abs(acc - res.values))
     wnorm = WeightSpec(sp.m, "shifted")
     denom = weighted_integral(DensityField(g.grid, np.abs(res.values)), wnorm)

@@ -19,9 +19,9 @@ from gfc.grid import DensityField, SizeGrid, WeightSpec, moment, project, weight
 from gfc.kernels import (CoagulationKernel, DaughterDistribution,
                          moment_deficit)
 from gfc.report import SUITES, ScenarioContext, run_suites
-from gfc.transport import (SpectralParams, laplace_consistency, resolvent_integral_bounds,
-                           resolvent_apply, resolvent_norm, resolvent_residual,
-                           transport_apply, transport_norms)
+from gfc.transport import (Antiderivatives, SpectralParams, laplace_consistency,
+                           resolvent_integral_bounds, resolvent_apply, resolvent_norm,
+                           resolvent_residual, transport_apply, transport_norms)
 from gfc import moment_bounds as mb
 
 PRESET_NAMES = ["aizenman-bak-frag", "constant-coag", "gfc-global-i",
@@ -75,8 +75,8 @@ def test_c03_resolvent():
     ks = make_kernels()    # r = 1, q = 0
     sp = SpectralParams.for_kernels(ks, 1.0, 3.0)
     grid = SizeGrid.geometric(1e-3, 30.0, 512)
-    g = project(lambda x: np.exp(-x), grid)
-    f = resolvent_apply(g, sp, ks)
+    g, antid = project(lambda x: np.exp(-x), grid), Antiderivatives(ks)
+    f = resolvent_apply(g, sp, ks, antid)
     exact = 0.5 * (np.exp(-grid.centers) - np.exp(-3.0 * grid.centers))
     w1 = WeightSpec(1.0, "shifted")
     rel = weighted_integral(DensityField(grid, np.abs(f.values - exact)), w1) \
@@ -87,11 +87,11 @@ def test_c03_resolvent():
     for cells in (256, 512):
         gr = SizeGrid.geometric(1e-3, 30.0, cells)
         gg = project(lambda x: np.exp(-x), gr)
-        resids.append(resolvent_residual(resolvent_apply(gg, sp, ks), gg, sp, ks))
+        resids.append(resolvent_residual(resolvent_apply(gg, sp, ks, antid), gg, sp, ks))
     assert resids[0] / resids[1] >= 1.8
 
     # the exact norm of the discrete resolvent, not a sample of fields
-    margin = resolvent_norm(grid, sp, ks) * (sp.lam - sp.omega)
+    margin = resolvent_norm(grid, sp, ks, antid) * (sp.lam - sp.omega)
     assert margin <= 1.0
     _ok("3", f"closed form {rel:.2e} <= 5e-3; residual ratio {resids[0]/resids[1]:.2f}; "
              f"bound margin {margin:.3f} < 1")
@@ -99,17 +99,18 @@ def test_c03_resolvent():
 
 def test_c04_weighted_integral_inequalities():
     ks0 = make_kernels()
-    rep = {r.name: r for r in resolvent_integral_bounds(1.0, 4.0, 1.0, ks0)}
+    rep = {r.name: r for r in resolvent_integral_bounds(1.0, 4.0, 1.0, ks0, Antiderivatives(ks0))}
     assert rep["I"].measured == pytest.approx(9.0 / 16.0, abs=1e-6)
     count = 0
     for growth, r0, r1 in (("constant", 1.0, 0.0), ("linear", 0.0, 1.0),
                            ("affine", 1.0, 1.0)):
         ks = make_kernels(a0=1.0, growth=growth, r0=r0, r1=r1)
+        antid = Antiderivatives(ks)
         for m in (1.0, 2.0):
             omega = 2.0 * m * ks.r.rtilde
             for lam in (1.5 * omega, 3.0 * omega):
                 for alpha in (0.5, 1.0, 5.0):
-                    for r in resolvent_integral_bounds(alpha, lam, m, ks):
+                    for r in resolvent_integral_bounds(alpha, lam, m, ks, antid):
                         assert r.passed, (growth, m, lam, alpha, r.name)
                         count += 1
     _ok("4", f"I = 9/16 reproduced; {count} bound checks hold")
@@ -123,13 +124,14 @@ def test_c05_quasi_contractivity(contexts):
         w = WeightSpec(m, "shifted")
         base = weighted_integral(ctx.f0, w)
         for t in np.linspace(0.25, 2.0, 8):
-            val = weighted_integral(transport_apply(ctx.f0, float(t), ctx.ks, m), w)
+            val = weighted_integral(transport_apply(ctx.f0, float(t), ctx.ks, m, ctx.antid), w)
             ratio = val / (math.exp(omega * t) * base)
             worst = max(worst, ratio)
             assert ratio <= 1.0 + 1e-6, name
         # and for the semigroup itself: its exact norm, the sup over point masses
         ts = np.linspace(0.25, 2.0, 8)
-        exact = float(np.max(transport_norms(ctx.ks, ctx.grid, m, ts) * np.exp(-omega * ts)))
+        norms = transport_norms(ctx.ks, ctx.grid, m, ts, ctx.antid)
+        exact = float(np.max(norms * np.exp(-omega * ts)))
         assert exact <= 1.0 + 1e-6, name
         worst_exact = max(worst_exact, exact)
     _ok("5", f"growth bound holds on all presets, worst ratio {worst:.4f} on f0, "
@@ -143,7 +145,7 @@ def test_c06_laplace_consistency():
     for cells, n_time in ((256, 2049), (512, 4097)):
         grid = SizeGrid.geometric(1e-3, 30.0, cells)
         g = project(lambda x: np.exp(-x), grid)
-        vals.append(laplace_consistency(g, sp, ks, tmax=14.0, n_time=n_time))
+        vals.append(laplace_consistency(g, sp, ks, Antiderivatives(ks), tmax=14.0, n_time=n_time))
     assert vals[-1] <= 1e-3
     assert vals[1] < vals[0]
     _ok("6", f"discrepancy {vals[1]:.2e} <= 1e-3, decaying under refinement")

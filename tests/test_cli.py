@@ -305,7 +305,7 @@ class TestConfigParsing:
         floating point where r is huge; R^-1 inverts it as far as float R
         resolves x, and the run closes its mass ledger."""
         import numpy as np
-        from gfc.transport import make_antiderivatives
+        from gfc.transport import Antiderivatives
         raw = get_preset("gfc-global-ii")
         raw["grid"]["cells"] = 64
         raw["kernels"]["growth"] = {"kind": "table", "table_x": [1e-3, 1e-2, 400.0],
@@ -313,7 +313,7 @@ class TestConfigParsing:
         raw["checks"] = {"suites": ["mass-budget", "positivity"]}
         sc = load_scenario(raw)
         ks, c = sc.kernel_set(), sc.grid().centers
-        antid = make_antiderivatives(ks, sc.grid())
+        antid = Antiderivatives(ks)
         R = antid.R(c)
         assert np.all(np.isfinite(R)) and np.all(np.diff(R) >= 0)
         slack = 4.0 * ks.r(c) * np.spacing(np.abs(R))   # an ulp of R moves x by r times it

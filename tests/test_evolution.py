@@ -17,7 +17,7 @@ from gfc.fragmentation import build_daughter_matrix
 from gfc.grid import DensityField, SizeGrid, WeightSpec, moment, project, weighted_integral
 from gfc.presets import get_preset
 from gfc.report import ScenarioContext, trajectory_csv_text
-from gfc.transport import transport_apply
+from gfc.transport import Antiderivatives, transport_apply
 
 
 def mk_cfg(**kw):
@@ -107,7 +107,7 @@ class TestStepSplit:
         cfg = mk_cfg(dt=1e-3)
         cfg.validate(ks, grid)
         stepped = SplitStepper(ks, grid, cfg).step(f, 1e-3)
-        direct = transport_apply(f, 1e-3, ks, 2.0, include_absorption=False)
+        direct = transport_apply(f, 1e-3, ks, 2.0, Antiderivatives(ks), include_absorption=False)
         # a Lie step is one remap over the whole step
         assert np.array_equal(stepped.values, direct.values)
         assert stepped.escaped_mass == direct.escaped_mass

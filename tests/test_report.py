@@ -32,9 +32,10 @@ def ctx():
 
 PRODUCERS = {
     "kernel-validation": lambda ctx: validate_kernel_set(ctx.ks, 1e-3, 1e2, m=ctx.cfg.m),
-    "integral-bounds": lambda ctx: resolvent_integral_bounds(1.0, 4.0, ctx.cfg.m, ctx.ks),
+    "integral-bounds": lambda ctx: resolvent_integral_bounds(1.0, 4.0, ctx.cfg.m, ctx.ks,
+                                                             ctx.antid),
     "moment-domination": lambda ctx: mb.check_domination(ctx.trajectory, ctx.bounds, ctx.ks),
-    "resolvent": lambda ctx: v_lambda_diagnostics(ctx.spectral, ctx.ks),
+    "resolvent": lambda ctx: v_lambda_diagnostics(ctx.spectral, ctx.ks, ctx.antid),
     "frag-identities": lambda ctx: frag_moment_identity(ctx.f0, ctx.ks, ctx.dm),
     "coag-identities": lambda ctx: coag_moment_identity(ctx.f0, ctx.ct),
     "regularization-probe": lambda ctx: regularization_probe(
@@ -76,7 +77,7 @@ def test_resolvent_suite_ends_with_the_v_lambda_rows(ctx):
     rows = SUITES["resolvent"](ctx)
     assert [r.name for r in rows] == ["norm-bound", "defining-identity",
                                       "v-lambda-divergence", "v-lambda-monotone"]
-    assert rows[2:] == v_lambda_diagnostics(ctx.spectral, ctx.ks)
+    assert rows[2:] == v_lambda_diagnostics(ctx.spectral, ctx.ks, ctx.antid)
     assert ctx.spectral.lam == ctx.spectral.omega + 2.0
 
 
@@ -101,29 +102,45 @@ def test_moment_domination_suite_passes_the_rows_through(ctx):
 
 def test_integral_bounds_suite_only_renames(ctx):
     rows = SUITES["integral-bounds"](ctx)
-    first = resolvent_integral_bounds(0.5, 1.5, ctx.cfg.m, ctx.ks)
+    first = resolvent_integral_bounds(0.5, 1.5, ctx.cfg.m, ctx.ks, ctx.antid)
     assert [r.name for r in rows[:2]] == ["I(a=0.5,l=1.5)", "J(a=0.5,l=1.5)"]
     for r, p in zip(rows, first):
         assert (r.suite, r.status, r.measured, r.bound, r.detail) == \
-            (p.suite, p.status, p.measured, p.bound, "")
+            (p.suite, p.status, p.measured, p.bound, p.detail)
 
 
-def test_integral_bounds_suite_tabulates_q_once(ctx, monkeypatch):
-    """The six (alpha, lambda) pairs share one Q table, and read from it the
-    rows each call reads from a table of its own."""
-    tables, real = [], gfc.transport.Antiderivatives._tabulate_Q
+Q_SUITES = ["quasi-contractivity", "resolvent", "integral-bounds", "laplace"]
 
-    def counting(self, x):
+
+def test_q_reading_suites_share_one_q_table(monkeypatch):
+    """The four suites that read Q build one Antiderivatives between them,
+    the context's, and tabulate Q once; the integral-bounds rows are those
+    of a table per (alpha, lambda)."""
+    raw = get_preset("gfc-global-ii")
+    raw["grid"]["cells"] = 64
+    ctx = ScenarioContext(load_scenario(raw))
+    built, tables = [], []
+    real_init, real_tabulate = gfc.transport.Antiderivatives.__init__, \
+        gfc.transport.Antiderivatives._tabulate_Q
+
+    def counting_init(self, ks):
+        built.append(self)
+        real_init(self, ks)
+
+    def counting_tabulate(self, x):
         tables.append(self)
-        real(self, x)
+        real_tabulate(self, x)
 
-    monkeypatch.setattr(gfc.transport.Antiderivatives, "_tabulate_Q", counting)
-    rows = SUITES["integral-bounds"](ctx)
-    assert len(tables) == 1
+    monkeypatch.setattr(gfc.transport.Antiderivatives, "__init__", counting_init)
+    monkeypatch.setattr(gfc.transport.Antiderivatives, "_tabulate_Q", counting_tabulate)
+    report, _ = run_suites(ctx, Q_SUITES)
+    assert built == tables == [ctx.antid]
     omega = ctx.spectral.omega
     alone = [r for alpha in (0.5, 1.0, 5.0) for lam_f in (1.5, 3.0)
-             for r in resolvent_integral_bounds(alpha, lam_f * omega, ctx.cfg.m, ctx.ks)]
+             for r in resolvent_integral_bounds(alpha, lam_f * omega, ctx.cfg.m, ctx.ks,
+                                                gfc.transport.Antiderivatives(ctx.ks))]
     assert len(tables) == 7
+    rows = [r for r in report.rows if r.suite == "integral-bounds"]
     assert [(r.measured, r.bound) for r in rows] == [(r.measured, r.bound) for r in alone]
 
 
