@@ -151,8 +151,11 @@ class ScenarioConfig:
                             **_fields(SolverConfig, self.raw.get("time", {}), "time."),
                             **_fields(SolverConfig, self.raw.get("solver", {}), "solver."))
 
+    def initial_profile(self) -> InitialProfile:
+        return InitialProfile(**_fields(InitialProfile, self.raw.get("initial", {}), "initial."))
+
     def initial_field(self, grid: SizeGrid) -> DensityField:
-        p = InitialProfile(**_fields(InitialProfile, self.raw.get("initial", {}), "initial."))
+        p = self.initial_profile()
         return project(lambda x: PROFILES[p.profile](x, p), grid)
 
     def echo(self) -> dict:

@@ -21,6 +21,7 @@ from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.integrate import solve_ivp
 
 from . import moment_bounds as mb
 from .coagulation import build_coag_tables, coag_loss_rate, coag_moment_identity
@@ -178,10 +179,6 @@ class ScenarioContext:
 # suites
 
 
-def _suite_kernel_validation(ctx: ScenarioContext) -> list[ReportRow]:
-    return validate_kernel_set(ctx.ks, ctx.grid.xmin, ctx.grid.xmax, m=ctx.cfg.m)
-
-
 QUASI_CONTRACTIVITY_TOL = 1e-6   # slack on ||T(t)|| <= e^(omega t)
 
 
@@ -236,14 +233,6 @@ def _suite_laplace(ctx: ScenarioContext) -> list[ReportRow]:
                       detail=f"lambda = {sp.lam:g}, tmax = {tmax:.2f}")]
 
 
-def _suite_frag_identities(ctx: ScenarioContext) -> list[ReportRow]:
-    return frag_moment_identity(ctx.f0, ctx.ks, ctx.dm)
-
-
-def _suite_coag_identities(ctx: ScenarioContext) -> list[ReportRow]:
-    return coag_moment_identity(ctx.f0, ctx.ct)
-
-
 def _suite_positivity(ctx: ScenarioContext) -> list[ReportRow]:
     traj = ctx.trajectory
     worst = float(np.min(traj.min_density))
@@ -275,12 +264,12 @@ def _suite_negative_control(ctx: ScenarioContext) -> list[ReportRow]:
 
 
 MASS_BUDGET_TOL = 1e-8   # the mass ledger closes to rounding
+NO_GROWTH_LEDGER = "Duhamel trajectories record no growth ledger"
 
 
 def _suite_mass_budget(ctx: ScenarioContext) -> list[ReportRow]:
     if ctx.cfg.scheme == "duhamel":
-        return [ReportRow("mass-budget", "closure",
-                          detail="Duhamel trajectories record no growth ledger")]
+        return [ReportRow("mass-budget", "closure", detail=NO_GROWTH_LEDGER)]
     traj = ctx.trajectory
     scale = max(float(np.max(np.abs(traj.M1))), 1e-300)
     resid = np.abs(traj.M1 + traj.escaped_mass - traj.growth_mass - traj.M1[0]) / scale
@@ -291,55 +280,59 @@ def _suite_mass_budget(ctx: ScenarioContext) -> list[ReportRow]:
                              f"neglected boundary gain rate {neglect:.3e}")]
 
 
-def _is_aizenman_bak(ks: KernelSet) -> bool:
-    """Pure fragmentation a(x) = x with the binary daughter law b = 2/y."""
-    return (ks.a.kind != "table" and ks.a.a0 == 1.0 and ks.a.gamma0 == 1.0
+def _exact_family(ctx: ScenarioContext) -> Optional[Callable]:
+    """The exact solution f = M a^2 e^(-a x), as times -> (M, a), when the
+    scenario is in its family: growth r1 x, fragmentation c x with b = 2/y,
+    coagulation k0 and f0 = A e^(-d x), d > 0, any of r1, c, k0 zero; else None.
+
+    With E = e^(-a x), d_t f = (M' a^2 + 2 M a a') E - M a^2 a' x E, and the
+    right side less d_x(r f) is 2 c M a E - c M a^2 x E (fragmentation)
+    + k0 M^2 a^3 (a x E / 2 - E) (coagulation) - r1 M a^2 (E - a x E).  The
+    x E terms give a' = c - r1 a - (k0 M / 2) a^2, then the E terms give
+    M' = r1 M, from M(0) = A / d^2 and a(0) = d; r1 = 0 is Aizenman and
+    Bak's solution.  M is the mass and M a the number.
+    """
+    ks, p = ctx.ks, ctx.sc.initial_profile()
+    if not (ks.r.kind != "table" and ks.r.r0 == 0.0
+            and ks.a.kind != "table" and (ks.a.gamma0 == 1.0 or ks.a.is_zero)
             and ks.b.kind != "table" and ks.b.nu == 0.0
-            and ks.r.is_zero and ks.k.is_zero)
+            and (ks.k.kind == "constant" or ks.k.is_zero)
+            and p.profile == "exponential" and p.amplitude > 0 and p.decay > 0):
+        return None
+    m0, r1, c, k0 = p.amplitude / p.decay ** 2, ks.r.r1, ks.a.a0, ks.k.k0
+
+    def at(times):
+        a = solve_ivp(lambda t, a: c - r1 * a - 0.5 * k0 * m0 * math.exp(r1 * t) * a * a,
+                      (0.0, times[-1]), [p.decay], "DOP853", times, rtol=1e-12, atol=0.0).y[0]
+        return m0 * np.exp(r1 * times), a
+    return at
 
 
-def _is_constant_coag(ks: KernelSet) -> bool:
-    return ks.a.is_zero and ks.r.is_zero and ks.k.kind == "constant" and ks.k.k0 > 0
-
-
-ORACLE_PROFILE_TOL = 0.02   # Aizenman-Bak closed-form profile, weighted relative
-ORACLE_DECAY_TOL = 0.01     # constant-kernel number decay, relative
+ORACLE_PROFILE_TOL = 0.02   # the exact profile at t_end, weighted relative
+ORACLE_NUMBER_TOL = 0.01    # the exact number M a, relative
 
 
 def _suite_oracle(ctx: ScenarioContext) -> list[ReportRow]:
-    traj = ctx.trajectory
-    if _is_aizenman_bak(ctx.ks):
-        t = float(traj.times[-1])
-        grid = ctx.grid
-
-        def exact(x):
-            return (1.0 + t) ** 2 * np.exp(-x * (1.0 + t))
-
-        ref = project(exact, grid)
-        mask = grid.centers <= 20.0
-        w = 1.0 + grid.centers
-        num = float(np.sum(np.abs(traj.fields[-1].values - ref.values)[mask]
-                           * w[mask] * grid.widths[mask]))
-        den = float(np.sum(ref.values[mask] * w[mask] * grid.widths[mask]))
-        rel = num / den
-        drift = float(np.max(np.abs(traj.M1 - traj.M1[0]))) / abs(traj.M1[0])
-        return [
-            ReportRow("oracle", "closed-form-profile", rel, "<=", ORACLE_PROFILE_TOL,
-                      detail=f"t = {t:g}, weighted norm on [xmin, 20]"),
-            ReportRow("oracle", "mass-constant", drift, "<=", 1e-8),
-        ]
-    if _is_constant_coag(ctx.ks):
-        m00 = traj.M0[0]
-        pred = m00 / (1.0 + ctx.ks.k.k0 * m00 * traj.times / 2.0)
-        rel = float(np.max(np.abs(traj.M0 - pred) / pred))
-        drift = float(np.max(np.abs(traj.M1 + traj.escaped_mass - traj.M1[0]))) / abs(traj.M1[0])
-        return [
-            ReportRow("oracle", "number-decay", rel, "<=", ORACLE_DECAY_TOL,
-                      detail="constant-kernel closed form"),
-            ReportRow("oracle", "mass-conserved", drift, "<=", 1e-10,
-                      detail="includes routed overflow"),
-        ]
-    return [ReportRow("oracle", "closed-form", detail="no oracle for this scenario")]
+    exact = _exact_family(ctx)
+    if exact is None:
+        return [ReportRow("oracle", "closed-form", detail="no oracle for this scenario")]
+    traj, grid = ctx.trajectory, ctx.grid
+    M, a = exact(traj.times)
+    ref = project(lambda x: M[-1] * a[-1] ** 2 * np.exp(-a[-1] * x), grid).values
+    w = np.where(grid.centers <= 20.0, (1.0 + grid.centers) * grid.widths, 0.0)
+    profile = float(np.sum(np.abs(traj.fields[-1].values - ref) * w) / np.sum(ref * w))
+    number = float(np.max(np.abs(traj.M0 - M * a) / (M * a)))
+    if ctx.cfg.scheme == "duhamel" and ctx.ks.r.r1 > 0:
+        mass = ReportRow("oracle", "mass-conserved", detail=NO_GROWTH_LEDGER)
+    else:
+        drift = np.abs(traj.M1 + traj.escaped_mass - traj.growth_mass - traj.M1[0])
+        mass = ReportRow("oracle", "mass-conserved", float(np.max(drift)) / traj.M1[0], "<=",
+                         1e-10, detail="M1 + escaped - growth ledger against M1(0)")
+    return [ReportRow("oracle", "closed-form-profile", profile, "<=", ORACLE_PROFILE_TOL,
+                      detail=f"t = {traj.times[-1]:g}, weighted norm on [xmin, 20]"),
+            ReportRow("oracle", "closed-form-number", number, "<=", ORACLE_NUMBER_TOL,
+                      detail="M0 against N = M a at every output"),
+            mass]
 
 
 CROSS_VALIDATION_TOL = 0.02   # splitting against Duhamel, weighted relative
@@ -418,10 +411,6 @@ def _suite_moment_domination(ctx: ScenarioContext) -> list[ReportRow]:
     return rows
 
 
-def _suite_pde_residual(ctx: ScenarioContext) -> list[ReportRow]:
-    return pde_residual(ctx.trajectory, ctx.ks, ctx.dm, ctx.ct, p=ctx.cfg.p)
-
-
 def _suite_determinism(ctx: ScenarioContext) -> list[ReportRow]:
     fresh = trajectory_csv_text(ctx.fresh_solve()[0]).splitlines()
     shipped = trajectory_csv_text(ctx.trajectory).splitlines()
@@ -432,13 +421,14 @@ def _suite_determinism(ctx: ScenarioContext) -> list[ReportRow]:
 
 
 SUITES: dict[str, Callable[[ScenarioContext], list]] = {
-    "kernel-validation": _suite_kernel_validation,
+    "kernel-validation": lambda ctx: validate_kernel_set(ctx.ks, ctx.grid.xmin, ctx.grid.xmax,
+                                                         m=ctx.cfg.m),
     "quasi-contractivity": _suite_quasi_contractivity,
     "resolvent": _suite_resolvent,
     "integral-bounds": _suite_integral_bounds,
     "laplace": _suite_laplace,
-    "frag-identities": _suite_frag_identities,
-    "coag-identities": _suite_coag_identities,
+    "frag-identities": lambda ctx: frag_moment_identity(ctx.f0, ctx.ks, ctx.dm),
+    "coag-identities": lambda ctx: coag_moment_identity(ctx.f0, ctx.ct),
     "positivity": _suite_positivity,
     "negative-control": _suite_negative_control,
     "mass-budget": _suite_mass_budget,
@@ -446,7 +436,7 @@ SUITES: dict[str, Callable[[ScenarioContext], list]] = {
     "solver-cross-validation": _suite_cross_validation,
     "regularization-probe": _suite_regularization_probe,
     "moment-domination": _suite_moment_domination,
-    "pde-residual": _suite_pde_residual,
+    "pde-residual": lambda ctx: pde_residual(ctx.trajectory, ctx.ks, ctx.dm, ctx.ct, p=ctx.cfg.p),
     "determinism": _suite_determinism,
 }
 

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
+from scipy.integrate import quad
 
 import gfc.evolution
 import gfc.kernels
@@ -18,7 +20,7 @@ from gfc.evolution import PICARD_TOL, pde_residual, regularization_probe
 from gfc.fragmentation import frag_moment_identity
 from gfc.kernels import ReportRow, validate_kernel_set, verdict
 from gfc.presets import get_preset, preset_names
-from gfc.report import SUITES, ScenarioContext, run_suites
+from gfc.report import SUITES, ScenarioContext, _exact_family, run_suites
 from gfc.transport import resolvent_integral_bounds, v_lambda_diagnostics
 
 
@@ -192,15 +194,68 @@ def test_row_rejects_unknown_relation_and_negative_tolerance():
         ReportRow("s", "n", 1.0, "<=", 1.0, -1e-12)
 
 
+def _rows(suite: str, *names: str) -> list[str]:
+    return [f"{suite}/{name}" for name in names]
+
+
+_KERNEL_ROWS = ("frag-nonnegative", "frag-lower-bound", "daughter-nonnegative",
+                "daughter-support", "daughter-mass-conservation", "daughter-number-bound",
+                "daughter-liminf", "growth-positive")
+_COAG_ROWS = ("coag-symmetric", "coag-nonnegative", "coag-class-bound",
+              "absorption-nonnegative", "absorption-exponent", "weight-order")
+_FRAG_ROWS = _rows("frag-identities", "mass-neutral", "moment-0", "moment-1", "moment-2",
+                   "sink-estimate-2")
+_ORACLE_ROWS = _rows("oracle", "closed-form-profile", "closed-form-number", "mass-conserved")
+_AFFINE_KERNEL_ROWS = _rows("kernel-validation", *_KERNEL_ROWS, "growth-affine-bound",
+                            "growth-origin-class", *_COAG_ROWS, "weight-order-coagulation")
+
+# every preset's rows, in print order: a renamed, added or dropped row is a
+# deliberate change to this list
+ROW_INVENTORY = {
+    "aizenman-bak-frag": [
+        *_rows("kernel-validation", *_KERNEL_ROWS, "growth-origin-class", *_COAG_ROWS),
+        *_FRAG_ROWS, "mass-budget/closure", "positivity/min-cell", *_ORACLE_ROWS,
+        "quasi-contractivity/growth-bound", "pde-residual/interior",
+        "determinism/bit-identical-csv"],
+    "constant-coag": [
+        *_rows("coag-identities", "moment-0", "moment-1", "moment-2"), "mass-budget/closure",
+        "positivity/min-cell", *_ORACLE_ROWS, "negative-control/undershoot",
+        "determinism/bit-identical-csv"],
+    "gfc-global-i": [
+        *_AFFINE_KERNEL_ROWS, "mass-budget/closure", "positivity/min-cell",
+        *_rows("moment-domination", "condition", "M0", "M1", "M2", "Mm"),
+        "determinism/bit-identical-csv"],
+    "gfc-global-ii": [
+        *_AFFINE_KERNEL_ROWS, *_FRAG_ROWS,
+        *_rows("coag-identities", "moment-0", "moment-1", "moment-2"), "mass-budget/closure",
+        "positivity/min-cell", "quasi-contractivity/growth-bound",
+        *_rows("resolvent", "norm-bound", "defining-identity", "v-lambda-divergence",
+               "v-lambda-monotone"),
+        *_rows("integral-bounds", *(f"{q}(a={a},l={lam})" for a in ("0.5", "1", "5")
+                                    for lam in ("1.5", "3") for q in "IJ")),
+        "laplace/consistency",
+        *_rows("solver-cross-validation", "split-vs-duhamel", "picard-nonnegative",
+               "picard-contraction"),
+        *_rows("moment-domination", "condition", "M0", "M1", "M2", "Mm", "Phi",
+               "M1-envelope-tight"),
+        "determinism/bit-identical-csv"],
+    "regularization-probe": [
+        *_rows("kernel-validation", *_KERNEL_ROWS, "growth-affine-bound",
+               "growth-origin-class", *_COAG_ROWS),
+        *_rows("regularization-probe", "bounded-product", "grid-stability"),
+        "determinism/bit-identical-csv"],
+}
+
+
 @pytest.mark.parametrize("name", preset_names())
 def test_every_status_follows_from_its_row(name):
     """Every row of every suite a preset lists is n/a or carries the status
-    its relation gives."""
+    its relation gives, and the preset prints exactly its inventory."""
     raw = get_preset(name)
     raw["grid"]["cells"] = 64
     raw["time"].update(t_end=0.1, output_every=0.05)
     report, ctx = run_suites(ScenarioContext(load_scenario(raw)))
-    assert {r.suite for r in report.rows} == set(ctx.sc.check_suites)
+    assert [f"{r.suite}/{r.name}" for r in report.rows] == ROW_INVENTORY[name]
     lines = report.render().splitlines()
     for r, line in zip(report.rows, lines):
         if r.relation is None:
@@ -299,3 +354,148 @@ def test_q_reading_suites_follow_the_flow_past_1e12(change):
     for suite in ("resolvent", "integral-bounds", "laplace"):
         rows = SUITES[suite](ctx)
         assert rows and all(math.isfinite(r.measured) for r in rows)
+
+
+# ---------------------------------------------------------------------------
+# the oracle's exact family f = M a^2 e^(-a x)
+
+
+def _family(cells=64, dt=1e-3, t_end=0.1, **solver):
+    """gfc-global-ii with a constant kernel k0 = 0.5 from f0 = 0.1 e^(-x):
+    growth 0.25 x, fragmentation x with b = 2/y and coagulation all on, and
+    in the exact family."""
+    raw = get_preset("gfc-global-ii")
+    raw["kernels"]["coagulation"] = {"kind": "constant", "k0": 0.5}
+    raw["initial"] = {"profile": "exponential", "amplitude": 0.1, "decay": 1.0}
+    raw["grid"]["cells"] = cells
+    raw["time"] = {"dt": dt, "t_end": t_end, "output_every": t_end}
+    raw["solver"].update(solver)
+    return ScenarioContext(load_scenario(raw))
+
+
+def _member(r1, c, k0, amplitude=1.0, decay=1.0):
+    """aizenman-bak-frag with growth r1 x, fragmentation c x and a constant
+    kernel k0, from f0 = amplitude e^(-decay x)."""
+    raw = get_preset("aizenman-bak-frag")
+    ker = raw["kernels"]
+    ker["growth"] = {"kind": "linear", "r1": r1} if r1 else {"kind": "constant", "r0": 0.0}
+    ker["fragmentation"]["a0"] = c
+    ker["coagulation"]["k0"] = k0
+    raw["initial"].update(amplitude=amplitude, decay=decay)
+    return ScenarioContext(load_scenario(raw))
+
+
+def _profile_error(ctx):
+    return SUITES["oracle"](ctx)[0].measured
+
+
+@pytest.mark.parametrize("initial", [{"amplitude": 2.0}, {"decay": 2.0}])
+def test_oracle_reads_the_initial_profile(initial):
+    """The exact solution starts from the scenario's own exponential, so a
+    correct solve passes whatever its amplitude and decay."""
+    raw = get_preset("aizenman-bak-frag")
+    raw["initial"].update(initial)
+    rows = SUITES["oracle"](ScenarioContext(load_scenario(raw)))
+    assert [f"{r.suite}/{r.name}" for r in rows] == _ORACLE_ROWS
+    assert all(r.status == "pass" for r in rows), [(r.name, r.measured) for r in rows]
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("initial", "profile", "mass-exponential"),
+    ("initial", "amplitude", 0.0),
+    ("initial", "decay", 0.0),
+    ("kernels", "growth", {"kind": "affine", "r0": 0.1, "r1": 0.1}),
+    ("kernels", "fragmentation", {"kind": "power-law", "a0": 1.0, "gamma0": 0.5}),
+    ("kernels", "daughter", {"kind": "power-law", "nu": 1.0}),
+    ("kernels", "coagulation", {"kind": "sum", "k0": 0.5}),
+    # tables whose values are family members are still tables
+    ("kernels", "growth", {"kind": "table", "table_x": [1e-3, 1.0, 60.0],
+                           "table_r": [1e-3, 1.0, 60.0]}),
+    ("kernels", "fragmentation", {"kind": "table", "table_x": [1e-3, 1.0, 60.0],
+                                  "table_a": [1e-3, 1.0, 60.0]}),
+    ("kernels", "daughter", {"kind": "table", "table_u": [0.0, 1.0], "table_phi": [2.0, 2.0]}),
+    ("kernels", "coagulation", {"kind": "table", "k0": 1.0, "table_x": [1e-3, 60.0],
+                                "table_k": [[1.0, 1.0], [1.0, 1.0]]}),
+], ids=["mass-exponential", "amplitude-0", "decay-0", "affine-growth", "gamma0-0.5", "nu-1",
+        "sum-kernel", "growth-table", "frag-table", "daughter-table", "coag-table"])
+def test_oracle_outside_the_family_is_one_na_row(section, key, value):
+    raw = get_preset("aizenman-bak-frag")
+    raw[section][key] = value
+    (row,) = SUITES["oracle"](ScenarioContext(load_scenario(raw)))
+    assert (row.suite, row.name, row.status) == ("oracle", "closed-form", "n/a")
+
+
+def test_duhamel_with_growth_keeps_no_mass_ledger():
+    """A Duhamel trajectory records no growth ledger, so under growth the
+    mass row is not applicable; the profile and the number still pass."""
+    rows = SUITES["oracle"](_family(scheme="duhamel"))
+    assert [(r.name, r.status) for r in rows] == [
+        ("closed-form-profile", "pass"), ("closed-form-number", "pass"), ("mass-conserved", "n/a")]
+    assert rows[2].detail == SUITES["mass-budget"](_family(scheme="duhamel"))[0].detail
+
+
+def test_exact_number_matches_the_bessel_form():
+    """N = M a obeys N' = c M(0) e^(r1 t) - (k0/2) N^2.  N = (2/k0) u'/u turns
+    it into u'' = lam^2 e^(r1 t) u, lam^2 = k0 c M(0) / 2, which z =
+    (2 lam / r1) e^(r1 t / 2) makes the modified Bessel equation of order 0."""
+    r1, c, k0, amplitude, decay = 0.5, 1.5, 2.0, 0.8, 1.3
+    m0, n0 = amplitude / decay**2, amplitude / decay
+    t = np.linspace(0.0, 2.0, 21)
+    M, a = _exact_family(_member(r1, c, k0, amplitude, decay))(t)
+    lam = math.sqrt(k0 * c * m0 / 2.0)
+    z, z0 = 2.0 * lam / r1 * np.exp(r1 * t / 2.0), 2.0 * lam / r1
+    rho = k0 * n0 / (r1 * z0)
+    B = (special.i1(z0) - rho * special.i0(z0)) / (special.k1(z0) + rho * special.k0(z0))
+    N = r1 * z / k0 * (special.i1(z) - B * special.k1(z)) / (special.i0(z) + B * special.k0(z))
+    np.testing.assert_allclose(M, m0 * np.exp(r1 * t), rtol=1e-15)
+    np.testing.assert_allclose(M * a, N, rtol=1e-10)
+
+
+@pytest.mark.parametrize("r1, c, k0, number", [
+    (0.0, 1.0, 0.0, lambda t: 1.0 + t),                     # a = 1 + t
+    (0.0, 0.0, 2.0, lambda t: 1.0 / (1.0 + 2.0 * t / 2.0)),  # N0 / (1 + k0 N0 t / 2)
+    (0.5, 1.5, 0.0, lambda t: 1.0 + 1.5 * np.expm1(0.5 * t) / 0.5),
+], ids=["aizenman-bak", "constant-kernel", "growth-fragmentation"])
+def test_exact_number_degenerate_closed_forms(r1, c, k0, number):
+    """From f0 = e^(-x), so M(0) = N(0) = 1; at k0 = 0, N' = c M(0) e^(r1 t)."""
+    t = np.linspace(0.0, 2.0, 21)
+    M, a = _exact_family(_member(r1, c, k0))(t)
+    np.testing.assert_allclose(M * a, number(t), rtol=1e-10)
+
+
+def test_exact_profile_solves_the_full_equation():
+    """At probe points, d_t f (a fourth-order difference in t) equals the
+    growth, fragmentation and coagulation terms, each integral by quad."""
+    r1, c, k0 = 0.5, 1.0, 2.0
+    exact, t, h = _exact_family(_member(r1, c, k0)), 0.7, 1e-3
+    M, a = exact(t + h * np.array([-2.0, -1.0, 0.0, 1.0, 2.0]))
+
+    def f(x, k=2):
+        return M[k] * a[k] ** 2 * np.exp(-a[k] * x)
+
+    for x in (0.3, 2.0, 8.0):
+        dfdt = (f(x, 0) - 8.0 * f(x, 1) + 8.0 * f(x, 3) - f(x, 4)) / (12.0 * h)
+        terms = [-r1 * f(x) * (1.0 - a[2] * x),           # -d_x(r1 x f)
+                 -c * x * f(x), 2.0 * c * quad(f, x, np.inf)[0],
+                 0.5 * k0 * quad(lambda y: f(y) * f(x - y), 0.0, x)[0],
+                 -k0 * f(x) * quad(f, 0.0, np.inf)[0]]
+        scale = max(map(abs, terms))
+        assert min(map(abs, terms)) > 1e-4 * scale     # each term shows in the sum
+        assert dfdt == pytest.approx(sum(terms), rel=0.0, abs=1e-9 * scale)
+
+
+def test_split_step_order_against_the_exact_solution():
+    """lie-split is first order in time and second in cells, measured by
+    the closed-form-profile row on the family scenario to t = 0.2."""
+    time = [_profile_error(_family(512, dt, 0.2)) for dt in (8e-3, 4e-3, 2e-3, 1e-3)]
+    orders = [math.log2(e0 / e1) for e0, e1 in zip(time, time[1:])]
+    assert all(0.9 <= q <= 1.2 for q in orders), (time, orders)
+    space = [_family(cells, 1.25e-4, 0.2) for cells in (64, 128)]
+    e64, e128 = (_profile_error(ctx) for ctx in space)
+    assert math.log2(e64 / e128) >= 1.7, (e64, e128)
+    # the time error at this dt, from a solve at twice the step, is below a
+    # tenth of the 128-cell error, so the space order is the cells' own
+    coarse = _family(128, 2.5e-4, 0.2).trajectory.fields[-1].values
+    fine, grid = space[1].trajectory.fields[-1].values, space[1].grid
+    w = (1.0 + grid.centers) * grid.widths
+    assert np.sum(np.abs(coarse - fine) * w) / np.sum(fine * w) < 0.1 * e128
