@@ -133,14 +133,17 @@ def daughter_gain(dm: DaughterMatrix, parent_amounts: np.ndarray) -> np.ndarray:
     """
     if dm.factors is None:
         if parent_amounts.ndim == 2:
-            return np.stack([dm.dense @ row for row in parent_amounts]) / dm.grid.widths
-        return (dm.dense @ parent_amounts) / dm.grid.widths
-    d, u, v, lump = dm.factors
-    tail = np.cumsum((v * parent_amounts)[..., ::-1], axis=-1)[..., ::-1]
-    out = d * parent_amounts
-    out[..., :-1] += u * tail[..., 1:]
-    out[..., 0] += np.add.reduce(lump * parent_amounts, axis=-1)
-    return out / dm.grid.widths
+            out = np.stack([dm.dense @ row for row in parent_amounts])
+        else:
+            out = dm.dense @ parent_amounts
+    else:
+        d, u, v, lump = dm.factors
+        tail = np.add.accumulate((v * parent_amounts)[..., ::-1], axis=-1)[..., ::-1]
+        out = d * parent_amounts
+        out[..., :-1] += u * tail[..., 1:]
+        out[..., 0] += np.add.reduce(lump * parent_amounts, axis=-1)
+    out /= dm.grid.widths
+    return out
 
 
 def fold_sink(dm: DaughterMatrix, col: np.ndarray, diag: np.ndarray) -> DaughterMatrix:

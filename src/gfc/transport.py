@@ -32,10 +32,12 @@ W0*y[k] + W1*y[k+1] + W2*d[k] + W3*d[k+1], with the Hermite basis at the
 point's offset as weights.  The plan folds into them what multiplies the
 value read: r(x0)/r(x)*exp(-dQ) and the `inside` mask at a foot, the
 attenuation and width at an escape node.  A call then computes only the
-PCHIP slopes d, which are SciPy's PCHIP slopes operation for operation,
-and the one four-term sum.  The sum rounds in another order than SciPy's
-PPoly, so the values agree with SciPy's PCHIP interpolant built per call
-to a few units of roundoff, not bit for bit.
+PCHIP slopes d, bit for bit SciPy's (`_TransportPlan.slopes` says where
+its operations differ), into the second half of one buffer [y | d], and
+the four-term sum over one gather of that buffer at the plan's (4, points)
+columns.  The sum rounds in another order than SciPy's PPoly, so the
+values agree with SciPy's PCHIP interpolant built per call to a few units
+of roundoff, not bit for bit.
 Where characteristics converge (r(x0) > r(x), only under a falling growth
 table) the flux r*f is then capped by its larger value at the two centers
 around the foot; on a nondecreasing rate nothing is capped.
@@ -276,6 +278,20 @@ def r_inverse_clipped(antid: Antiderivatives, u):
     return np.where(hit, 0.0, antid.R_inverse(np.where(hit, 0.0, u)))   # R^-1(0) = 1
 
 
+_ENDS = np.array([0, 1, -2, -1])   # the end secants and their neighbours
+
+
+def _end_slope(m0: float, m1: float, w: float, h0: float, hs: float) -> float:
+    """Moler's three-point end slope, set to 0 where its sign is not that of
+    the end secant m0 and clamped to 3*m0 where it exceeds 3|m0|.  The signs
+    compare as np.sign's do: a NaN slope, which only an infinite or
+    overflowing nonzero m0 makes, reads as sign 0 and so differs too."""
+    e = (w * m0 - h0 * m1) / hs
+    if (e > 0) - (e < 0) != (m0 > 0) - (m0 < 0):
+        return 0.0
+    return 3.0 * m0 if abs(e) > 3.0 * abs(m0) else e
+
+
 class _TransportPlan:
     """What `transport_apply` needs that depends only on (antid, grid, t,
     include_absorption), as listed in the module docstring; `apply`
@@ -294,7 +310,7 @@ class _TransportPlan:
             self.w2 = h[1:] + 2 * h[:-1]
             self.w12 = self.w1 + self.w2
             h0, h1 = h[[0, -1]], h[[1, -2]]
-            self.end_w, self.end_h0, self.end_hs = 2 * h0 + h1, h0, h0 + h1
+            self.ends = (2 * h0 + h1).tolist(), h0.tolist(), (h0 + h1).tolist()
 
         r = antid.growth
         x0 = r_inverse_clipped(antid, antid.R(c) - t)
@@ -326,45 +342,66 @@ class _TransportPlan:
             # attenuation and width
             pts, scale = np.concatenate([pts, mids]), np.concatenate([scale, att * np.diff(nodes)])
             self.escape = slice(grid.cells, None)
-        self.k, self.weights = _hermite_weights(c, pts, scale)
-        self.k1 = self.k + 1
-        self.converge = (conv, self.k[conv], cap_att)
+        k, weights = _hermite_weights(c, pts, scale)
+        # the columns of y[k], y[k+1], d[k], d[k+1] in the buffer [y | d]
+        n = grid.cells
+        self.columns = np.stack([k, k + 1, k + n, k + n + 1])
+        self.weights = np.stack(weights)
+        self.converge = (conv, k[conv], cap_att)
 
     def matches(self, grid: SizeGrid, t: float, include_absorption: bool) -> bool:
         return (grid is self.grid and t == self.t
                 and include_absorption == self.include_absorption)
 
-    def slopes(self, y: np.ndarray) -> np.ndarray:
-        """PCHIP slopes at the centers, for each row of y: SciPy's
-        `_find_derivatives` operation for operation, so zero where the secant
-        slopes change sign or vanish, their weighted harmonic mean otherwise,
-        and Moler's shape-preserving three-point formula at both ends."""
-        h = self.h
-        mk = (y[..., 1:] - y[..., :-1]) / h
+    def slopes(self, y: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """PCHIP slopes at the centers, for each row of y, into `out` if given:
+        SciPy's `_find_derivatives` operation for operation (the two end
+        slopes in Python floats), so zero where the secant slopes change sign
+        or vanish, their weighted harmonic mean otherwise, and Moler's
+        shape-preserving three-point formula at both ends.  An end slope e
+        that keeps the sign of its secant m0 is clamped to 3*m0 where
+        |e| > 3|m0|; SciPy also asks that the next secant m1 change sign, but
+        with m0 and m1 of one sign e = m0 + h0(m0 - m1)/(h0 + h1) lies within
+        2|m0|, so that test never decides.  (It would where the product
+        (2*h0 + h1)*m0 overflows, a field whose neighbours differ by some
+        1e308 times a cell width.)"""
+        d = np.empty_like(y) if out is None else out
+        mk = y[..., 1:] - y[..., :-1]
+        mk /= self.h
         if self.grid.cells == 2:
-            return np.concatenate([mk, mk], axis=-1)
+            d[...] = mk
+            return d
         smk = np.sign(mk)
         flat = smk[..., 1:] * smk[..., :-1] <= 0
+        inner = d[..., 1:-1]
         with np.errstate(divide="ignore", invalid="ignore"):
-            whmean = (self.w1 / mk[..., :-1] + self.w2 / mk[..., 1:]) / self.w12
-            inner = np.where(flat, 0.0, 1.0 / whmean)
-        m0, m1 = mk.take([0, -1], axis=-1), mk.take([1, -2], axis=-1)
-        e = (self.end_w * m0 - self.end_h0 * m1) / self.end_hs
-        flip = np.sign(e) != np.sign(m0)
-        clamp = ~flip & (np.sign(m0) != np.sign(m1)) & (np.abs(e) > 3.0 * np.abs(m0))
-        e = np.where(flip, 0.0, np.where(clamp, 3.0 * m0, e))
-        return np.concatenate([e[..., :1], inner, e[..., 1:]], axis=-1)
+            whmean = self.w1 / mk[..., :-1]
+            whmean += self.w2 / mk[..., 1:]
+            whmean /= self.w12
+            np.divide(1.0, whmean, out=inner)
+        inner[flat] = 0.0
+        # the two end slopes of each row, in Python floats: the same IEEE
+        # operations as NumPy's, without its per-call cost on two values each
+        (w0, w1), (h0, h1), (s0, s1) = self.ends
+        d[..., ::self.grid.cells - 1] = np.reshape(
+            [(_end_slope(m0, m1, w0, h0, s0), _end_slope(n0, n1, w1, h1, s1))
+             for m0, m1, n1, n0 in mk.take(_ENDS, axis=-1).reshape(-1, 4).tolist()],
+            d.shape[:-1] + (2,))
+        return d
 
     def apply(self, f0: DensityField) -> DensityField:
         y = f0.values
         if not np.isfinite(y).all():
             raise ValueError("transport needs a finite field")
-        d = self.slopes(y)
-        k, k1 = self.k, self.k1
-        w0, w1, w2, w3 = self.weights
-        p = (w0 * y.take(k, axis=-1) + w1 * y.take(k1, axis=-1)
-             + w2 * d.take(k, axis=-1) + w3 * d.take(k1, axis=-1))
         n = self.grid.cells
+        yd = np.empty(y.shape[:-1] + (2 * n,))
+        yd[..., :n] = y
+        self.slopes(y, out=yd[..., n:])
+        terms = yd.take(self.columns, axis=-1)
+        terms *= self.weights
+        p = terms[..., 0, :] + terms[..., 1, :]
+        p += terms[..., 2, :]
+        p += terms[..., 3, :]
         vals = p[..., :n]
         conv, j, cap_att = self.converge
         if conv.size:

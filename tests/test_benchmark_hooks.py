@@ -45,3 +45,31 @@ def test_sweep_calls_each_layer_function(monkeypatch):
     assert rows == dict.fromkeys(("apply_coag", "transport_apply", "daughter_gain",
                                   "table_build_daughter_matrix"), 0.0)
     assert len(timed) == 4 and all(out is not None for out in timed)
+
+
+def test_split_step_reaches_each_layer_by_its_module_name():
+    """One `SplitStepper.step` calls the coagulation, transport and daughter
+    gain layers through the names the tracer rebinds, once each, so
+    `--trace 1` attributes their time to them."""
+    from collections import Counter
+
+    from gfc.config import load_scenario
+    from gfc.evolution import SplitStepper
+
+    sc = load_scenario("gfc-global-ii", {"grid": {"cells": 32}})
+    ks, grid, cfg = sc.kernel_set(), sc.grid(), sc.solver_config()
+    stepper = SplitStepper(ks, grid, cfg)
+    calls = Counter()
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    names = [("gfc.coagulation", "apply_coag"), ("gfc.transport", "transport_apply"),
+             ("gfc.fragmentation", "daughter_gain")]
+    with spans.patched({(mod, attr): counted(attr, getattr(sys.modules[mod], attr))
+                        for mod, attr in names}):
+        stepper.step(sc.initial_field(grid), cfg.dt)
+    assert calls == {"apply_coag": 1, "transport_apply": 1, "daughter_gain": 1}

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from conftest import make_kernels
 from gfc.config import load_scenario
@@ -31,12 +32,13 @@ def box_field(grid):
 
 class TestTables:
     def test_interior_split_weights(self, grid, ct_const):
-        # the pair tables list the pairs i <= j in row-major order
+        # the pair tables list the pairs i <= j partner by partner: (j, i)
+        # in the row-major order of the lower triangle
         interior = ct_const.interior
         w_sum = ct_const.w_lo[interior] + ct_const.w_hi[interior]
         assert np.allclose(w_sum, 1.0, atol=1e-12)
         x = grid.centers
-        s = (x[:, None] + x[None, :])[np.triu_indices(grid.cells)][interior]
+        s = (x[:, None] + x[None, :])[np.tril_indices(grid.cells)][interior]
         placed = (ct_const.w_lo[interior] * x[ct_const.idx_lo[interior]]
                   + ct_const.w_hi[interior] * x[ct_const.idx_hi[interior]])
         assert np.max(np.abs(placed - s) / s) < 1e-12
@@ -246,6 +248,68 @@ class TestGainPlacement:
     def test_every_kernel_kind(self, case):
         grid, k, _ = case
         assert_gain_places_each_pair(grid, build_coag_tables(k, grid))
+
+
+# geometric grids on which some pairs straddle the last center and some lie
+# beyond xmax; the first has its edges on powers of two, so sums meet centers
+GAIN_GRIDS = [SizeGrid.geometric(2.0**-8, 2.0**6, 448), SizeGrid.geometric(1e-3, 50.0, 200),
+              SizeGrid.geometric(0.01, 10.0, 17)]
+
+
+def table_kernel(grid):
+    tx = np.geomspace(grid.xmin * 2.0, grid.xmax / 2.0, 7)
+    tk = np.random.default_rng(11).random((7, 7))
+    return CoagulationKernel("table", k0=3.0, alpha=0.5, table_x=tx, table_k=tk + tk.T)
+
+
+@pytest.fixture(params=[(g, kind) for g in GAIN_GRIDS for kind in ("sum", "table")],
+                ids=lambda p: f"{p[0].cells}-{p[1]}")
+def gain_case(request):
+    grid, kind = request.param
+    k = table_kernel(grid) if kind == "table" else CoagulationKernel("sum", k0=0.7, alpha=0.5)
+    ct = build_coag_tables(k, grid)
+    assert (~ct.interior & (ct.idx_lo >= 0)).any() and (ct.idx_lo < 0).any()
+    return grid, ct
+
+
+class TestGainCSR:
+    """The gain is built as CSR directly, rows (j, t) with ascending columns i."""
+
+    def test_product_matches_scipy_csc_bit_for_bit(self, gain_case):
+        # a CSC product adds each row's terms in ascending column order, as
+        # the CSR product of ascending columns does, so the two agree exactly
+        grid, ct = gain_case
+        assert ct.gain.format == "csr"
+        g = ct.gain.tocoo()
+        csc = sparse.csc_matrix((g.data, (g.row, g.col)), shape=g.shape)
+        rng = np.random.default_rng(4)
+        for a in (rng.random(grid.cells), rng.standard_normal(grid.cells),
+                  rng.random(grid.cells) * np.exp(-grid.centers)):
+            assert (ct.gain @ a).tobytes() == (csc @ a).tobytes()
+
+    def test_rows_are_ascending_contiguous_columns(self, gain_case):
+        _, ct = gain_case
+        indptr, cols = ct.gain.indptr, ct.gain.indices
+        step = np.diff(cols)
+        within = np.ones(step.size, bool)
+        within[indptr[1:-1][(indptr[1:-1] > 0) & (indptr[1:-1] < cols.size)] - 1] = False
+        assert np.all(step[within] == 1)
+
+    def test_each_pair_in_its_two_target_rows(self, gain_case):
+        # pair (i, j) sits in rows (j, lo) and (j, lo + 1), with lo = n - 1
+        # for a pair past the last center, whose upper row is the escape row n
+        grid, ct = gain_case
+        n = grid.cells
+        g = ct.gain.tocoo()
+        i, j, t = g.col, ct.row_partner[g.row], ct.row_target[g.row]
+        order = np.lexsort((t, i, j))
+        i, j, t = i[order].reshape(-1, 2), j[order].reshape(-1, 2), t[order].reshape(-1, 2)
+        assert np.all(i[:, 0] == i[:, 1]) and np.all(j[:, 0] == j[:, 1])
+        pair = j[:, 0] * (j[:, 0] + 1) // 2 + i[:, 0]   # partner by partner
+        assert np.array_equal(np.sort(pair), np.arange(n * (n + 1) // 2))
+        lo = np.where(ct.interior, ct.idx_lo, n - 1)[pair]
+        assert np.array_equal(t[:, 0], lo) and np.array_equal(t[:, 1], lo + 1)
+        assert np.all(t[~ct.interior[pair], 1] == n)
 
 
 class TestShiftedOperator:

@@ -91,11 +91,20 @@ class TestConfigValidation:
         raw["kernels"]["coagulation"] = {"kind": "table", "alpha": 0.5,
                                          "table_x": [1e-4, 1.0, 400.0],
                                          "table_k": [[2000.0] * 3] * 3}
-        with pytest.raises(ConfigError, match=r"class bound .* at \(x_\d+, x_\d+\)"):
+        with pytest.raises(ConfigError, match=r"class bound .* at \(x_\d+, x_\d+\)") as loaded:
             load_scenario(raw)
         sc = ScenarioConfig(raw)
-        grid, cfg = sc.grid(), sc.solver_config()
-        stepped = SplitStepper(sc.kernel_set(), grid, cfg).step(sc.initial_field(grid), cfg.dt)
+        ks, grid, cfg = sc.kernel_set(), sc.grid(), sc.solver_config()
+        f0 = sc.initial_field(grid)
+        # the premise is evaluated once per (kernel, grid) and kept, and every
+        # solve asks it again: each refuses with the same error
+        for _ in range(2):
+            with pytest.raises(ConfigError) as solved:
+                solve(f0, cfg, ks)
+            with pytest.raises(ConfigError) as picard:
+                duhamel_solve(f0, replace(cfg, scheme="duhamel"), ks)
+            assert str(solved.value) == str(picard.value) == str(loaded.value)
+        stepped = SplitStepper(ks, grid, cfg).step(f0, cfg.dt)
         assert stepped.min_value() < 0.0
 
 
@@ -400,6 +409,32 @@ class TestPicardWavefront:
         n_sub = int(round(cfg.t_end / n_out / cfg.dt))
         assert rep.converged and rep.iterations > 2
         assert len(calls) == (rep.iterations + n_out) * n_sub
+
+
+def test_growth_ledger_is_the_moment_ledger(monkeypatch):
+    """A solve's growth_mass, bit for bit, is the ledger summed step by step
+    from `grid.moment`: M1 + escaped mass after each remap less before it."""
+    remaps = []
+
+    def recorded(f, *args, **kwargs):
+        out = transport_apply(f, *args, **kwargs)
+        remaps.append((f, out))
+        return out
+
+    monkeypatch.setattr(gfc.evolution, "transport_apply", recorded)
+    ks = make_kernels(a0=1.0, k0=0.5, coag_kind="sum", growth="affine", r0=0.2, r1=0.25)
+    grid = SizeGrid.geometric(1e-2, 5.0, 48)   # mass crosses xmax
+    f = project(lambda x: x * np.exp(-x), grid)
+    cfg = mk_cfg(dt=2e-3, t_end=0.2, output_every=0.05)
+    traj = solve(f, cfg, ks)
+    ledger, expected = 0.0, [0.0]
+    for step, (before, after) in enumerate(remaps, start=1):
+        ledger += (moment(after, 1.0) + after.escaped_mass
+                   - (moment(before, 1.0) + before.escaped_mass))
+        if step % 25 == 0:
+            expected.append(ledger)
+    assert len(remaps) == 100 and remaps[-1][1].escaped_mass > 0.0
+    assert traj.growth_mass.tobytes() == np.array(expected).tobytes()
 
 
 class TestTrajectoryColumns:

@@ -273,6 +273,14 @@ def assert_matches_pchip(f0, t, ks, absorb):
     assert abs(out.escaped_mass - ref_esc) <= esc_bound
 
 
+def _left_end_slope(grid, y):
+    """The end secant m0, its neighbour m1 and Moler's three-point slope e at
+    the first center, as SciPy's `_edge_case` computes them."""
+    h0, h1 = np.diff(grid.centers)[:2]
+    m0, m1 = (y[1] - y[0]) / h0, (y[2] - y[1]) / h1
+    return m0, m1, ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+
+
 # zeros, plateaus and sign changes run every PCHIP slope branch: the
 # flat/sign-change mask, the end slope set to 0 and the end slope clamped to 3*m0
 FIELD_ATOMS = [0.0, 0.0, 1.0, 1.0, 2.5, -0.5, 1e-3, 0.1, -5.0]
@@ -337,8 +345,66 @@ class TestTransportPlan:
     @example((DensityField(SizeGrid.geometric(0.1, 10.0, 8),
                            [1.0, 2.5, 2.5, 0.0, -0.5, 1e-3, -5.0, 0.1]),
               4.0, make_kernels(growth="constant", r0=1.0), False))
+    # the end slopes: a signed-zero secant at both ends (m0 = -0.0, m1 != 0)
+    @example((DensityField(SizeGrid.geometric(0.1, 10.0, 8),
+                           [0.0, -0.0, 1.0, 2.5, 1.0, 0.1, 0.0, -0.0]),
+              0.3, make_kernels(growth="constant", r0=1.0), False))
+    # e cancelling to +0 with m0 of either sign: set to 0 as flipped
+    @example((DensityField(SizeGrid.geometric(1.0, 100.0, 8),
+                           [0.0, 4.36321740210036e-307, 3.367896165457741e-306,
+                            1.0, 0.5, 0.1, 0.2, 0.3]),
+              0.3, make_kernels(growth="constant", r0=1.0), False))
+    @example((DensityField(SizeGrid.geometric(1.0, 100.0, 8),
+                           [0.0, -8.03261720554333e-307, -6.200245871800133e-306,
+                            1.0, 0.5, 0.1, 0.2, 0.3]),
+              0.3, make_kernels(growth="constant", r0=1.0), False))
+    # |e| exactly 3|m0| with m1 of the other sign: kept, not clamped
+    @example((DensityField(SizeGrid.geometric(0.1, 10.0, 8),
+                           [0.0, 3.0, -21.308504191127057, 1.0, 0.5, 0.1, 0.2, 0.3]),
+              0.3, make_kernels(growth="constant", r0=1.0), False))
+    # 3 and 4 cells, where the end secants [0, -1] and their neighbours [1, -2] overlap
+    @example((DensityField(SizeGrid.geometric(0.1, 10.0, 3), [1.0, -0.5, 0.2]),
+              0.3, make_kernels(growth="constant", r0=1.0), False))
+    @example((DensityField(SizeGrid.geometric(0.1, 10.0, 4), [0.0, 2.5, 0.1, 1.0]),
+              0.3, make_kernels(growth="constant", r0=1.0), False))
+    @example((DensityField(SizeGrid.geometric(0.1, 10.0, 4), [1.0, 0.1, 2.5, 2.5]),
+              0.3, make_kernels(growth="constant", r0=1.0), False))
     def test_matches_pchip_per_call(self, case):
         assert_matches_pchip(*case)
+
+    @pytest.mark.parametrize("y", [[0.0, 5e-324, 3e-323], [0.0, -3e-323, -2.4e-322],
+                                   [0.0, 1e-323, 9e-323]])
+    def test_end_slope_underflowing_to_signed_zero(self, y):
+        """Subnormal end secants whose e rounds to +0 or -0, bit for bit
+        against SciPy.  Their harmonic means overflow in both, as SciPy's own
+        PCHIP warns, so overflow is silenced on both sides."""
+        grid = SizeGrid.geometric(1.0, 100.0, 8)
+        m0, _, e = _left_end_slope(grid, y)
+        assert m0 != 0.0 and e == 0.0
+        f0 = DensityField(grid, y + [1.0, 0.5, 0.1, 0.2, 0.3])
+        ks = make_kernels(growth="constant", r0=1.0)
+        antid = Antiderivatives(ks)
+        with np.errstate(over="ignore"):
+            transport_apply(f0, 0.3, ks, 2.0, antid=antid, include_absorption=False)
+            ours = antid._transport_plan.slopes(f0.values)
+            theirs = scipy_pchip_slopes(grid.centers, f0.values)
+        assert ours.tobytes() == theirs.tobytes()
+
+    def test_end_slope_examples_reach_their_branch(self):
+        """The end-slope examples above hit what they are named for: e
+        rounding to +0 or -0 with m0 of either sign, and |e| equal to 3|m0|."""
+        wide = SizeGrid.geometric(1.0, 100.0, 8)
+        signs = set()
+        for y in ([0.0, 4.36321740210036e-307, 3.367896165457741e-306],
+                  [0.0, -8.03261720554333e-307, -6.200245871800133e-306],
+                  [0.0, 5e-324, 3e-323], [0.0, -3e-323, -2.4e-322], [0.0, 1e-323, 9e-323]):
+            m0, _, e = _left_end_slope(wide, y)
+            assert m0 != 0.0 and e == 0.0
+            signs.add((math.copysign(1.0, m0), math.copysign(1.0, e)))
+        assert signs == {(1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0)}
+        m0, m1, e = _left_end_slope(SizeGrid.geometric(0.1, 10.0, 8),
+                                    [0.0, 3.0, -21.308504191127057])
+        assert m1 < 0.0 < m0 and abs(e) == 3.0 * abs(m0)
 
     @pytest.mark.parametrize("cells", [2, 3])
     @pytest.mark.parametrize("t", [0.01, 0.5, 3.0])
@@ -1010,6 +1076,11 @@ class TestVectorQuadrature:
     # the rate turns at 0.0115, inside the origin panel [0.01, 1]
     @example(GrowthRate("table", table_x=[1.5399e-4, 6.4938e-4, 4.21697e-3, 1.154782e-2],
                         table_r=[1.0, 1.0, 1.0, 0.1]), 1.0, 2.0, 1.0, 0.0)
+    # the rate rises tenfold inside the panel [1e-3, 1e-2]: a 1e-9 absolute
+    # floor left the origin-class ratio 1.6e-8 off
+    @example(GrowthRate("table", table_x=[1e-5, 2.55065442e-4, 5.48695459e-4, 1.10198616e-3,
+                                          3.22620601e-3, 9.94567915e-3],
+                        table_r=[1.0, 1.0, 1.0, 1.0, 1.0, 10.0]), 1.0, 2.0, 1.0, 0.0)
     @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
     def test_growth_checks_match_scalar_quadrature(self, r, alpha, lam_factor, m, a0):
         ks = dataclasses.replace(make_kernels(a0=a0), r=r)
