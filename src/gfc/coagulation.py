@@ -26,8 +26,7 @@ The loss frequency sum_j k(x_i, x_j) a_j goes through the kernel's factors
 (`CoagulationKernel.loss_factors`): O(n) for the closed forms, of rank <= 2,
 O(n * knots) for a table.  The gain is still O(cells^2): a median of about
 0.18 ms per mat-vec and 0.23 ms per `apply_coag` at 512 cells (0.69 and
-0.88 ms at 1024) on one core of an Intel Xeon, against 0.20 and 0.25 ms
-(0.96 and 1.13 ms) for the same entries as CSC.  This is the fixed-pivot
+0.88 ms at 1024) on one core of an Intel Xeon.  This is the fixed-pivot
 pair splitting of Kumar & Ramkrishna, Chem. Eng. Sci. 51 (1996).
 """
 from __future__ import annotations

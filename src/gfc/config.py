@@ -7,6 +7,7 @@ verification run.
 from __future__ import annotations
 
 import copy
+import functools
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -120,9 +121,22 @@ def _check_keys(node: Any, schema: Any, path: str) -> None:
         _check_keys(sub, allowed, f"{path}{key}.")
 
 
+def _built_once(build):
+    """A builder method that builds once per argument and returns that object after."""
+    @functools.wraps(build)
+    def built(self, *args):
+        parts = self.__dict__.setdefault("_parts", {})   # not a field: outside eq and repr
+        if (build.__name__, *args) not in parts:
+            parts[build.__name__, *args] = build(self, *args)
+        return parts[build.__name__, *args]
+    return built
+
+
 @dataclass
 class ScenarioConfig:
-    """Parsed and cross-validated scenario."""
+    """A scenario's raw mapping and the parts built from it, each parsed on
+    first use and the same object after, so one set-up parses every section
+    once; consumers derive variants with dataclasses.replace."""
 
     raw: dict
     source: str = "<dict>"
@@ -132,18 +146,21 @@ class ScenarioConfig:
         return list(self.raw.get("checks", {}).get("suites", []) or [])
 
     # -- builders -------------------------------------------------------
+    @_built_once
     def kernel_set(self) -> KernelSet:
         ker = self.raw["kernels"]
         a, b, r, k = (cls(**_fields(cls, ker.get(name, {}), f"kernels.{name}."))
                       for name, cls in KERNELS.items())
         return KernelSet(a, b, r, k, AbsorptionRate.for_ball(k, self.solver_config().ball_radius))
 
+    @_built_once
     def grid(self) -> SizeGrid:
         try:
             return SizeGrid.geometric(**_fields(SizeGrid, self.raw["grid"], "grid."))
         except GridError as exc:
             raise ConfigFileError(f"bad 'grid' section: {exc}") from exc
 
+    @_built_once
     def solver_config(self) -> SolverConfig:
         ker = self.raw["kernels"]
         radius = {"ball_radius": ker["ball_radius"]} if "ball_radius" in ker else {}
@@ -151,12 +168,20 @@ class ScenarioConfig:
                             **_fields(SolverConfig, self.raw.get("time", {}), "time."),
                             **_fields(SolverConfig, self.raw.get("solver", {}), "solver."))
 
+    @_built_once
     def initial_profile(self) -> InitialProfile:
         return InitialProfile(**_fields(InitialProfile, self.raw.get("initial", {}), "initial."))
 
+    @_built_once
     def initial_field(self, grid: SizeGrid) -> DensityField:
+        """The initial profile projected on grid, read-only; refused where not finite."""
         p = self.initial_profile()
-        return project(lambda x: PROFILES[p.profile](x, p), grid)
+        with np.errstate(over="ignore", invalid="ignore"):
+            f0 = project(lambda x: PROFILES[p.profile](x, p), grid)
+        if not np.isfinite(f0.values).all():
+            raise ConfigFileError(f"'initial' is not finite on [{grid.xmin:g}, {grid.xmax:g}]: {p}")
+        f0.values.flags.writeable = False
+        return f0
 
     def echo(self) -> dict:
         return copy.deepcopy(self.raw)
@@ -170,38 +195,33 @@ class ScenarioConfig:
             if key not in self.raw["grid"]:
                 raise ConfigFileError(f"missing required key 'grid.{key}'")
         # cross-field constraints fail early, before any run
-        ks = self.kernel_set()
-        grid = self.grid()
-        self.solver_config().validate(ks, grid)
-        self.initial_field(SizeGrid.geometric(grid.xmin, grid.xmax, 16))
+        self.solver_config().validate(self.kernel_set(), self.grid())
+        self.initial_field(self.grid())
 
 
 def load_scenario(config: str | Path | dict, overrides: Optional[dict] = None) -> ScenarioConfig:
     """Load a scenario from a YAML path, a preset name, or a raw dict, merge
     in `overrides` (a partial scenario such as {"grid": {"cells": 64}}) key
-    by key, and validate the result once."""
+    by key before anything is parsed, and validate the result once."""
+    text = str(config)
     if isinstance(config, dict):
-        sc = ScenarioConfig(copy.deepcopy(config))
+        raw, source = copy.deepcopy(config), "<dict>"
+    elif text in preset_names():
+        raw, source = get_preset(text), f"preset:{text}"
+    elif not Path(text).exists():
+        raise ConfigFileError(f"'{text}' is neither a config file nor a preset "
+                              f"(presets: {', '.join(preset_names())})")
     else:
-        text = str(config)
-        if text in preset_names():
-            sc = ScenarioConfig(get_preset(text), source=f"preset:{text}")
-        else:
-            path = Path(text)
-            if not path.exists():
-                raise ConfigFileError(
-                    f"'{text}' is neither a config file nor a preset "
-                    f"(presets: {', '.join(preset_names())})")
-            with open(path) as fh:
-                try:
-                    raw = yaml.load(fh, Loader=_YAML_LOADER)
-                except yaml.YAMLError as exc:
-                    raise ConfigFileError(f"YAML parse error in {path}: {exc}") from exc
-            if not isinstance(raw, dict):
-                raise ConfigFileError(f"{path} does not contain a mapping")
-            sc = ScenarioConfig(raw, source=str(path))
-    _check_keys(sc.raw, SCHEMA, "")    # the sections are mappings before the merge
+        source = str(Path(text))
+        try:
+            raw = yaml.load(Path(text).read_text(), Loader=_YAML_LOADER)
+        except yaml.YAMLError as exc:
+            raise ConfigFileError(f"YAML parse error in {source}: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise ConfigFileError(f"{source} does not contain a mapping")
+    _check_keys(raw, SCHEMA, "")    # the sections are mappings before the merge
     for key, value in (overrides or {}).items():
-        sc.raw[key] = {**sc.raw.get(key, {}), **value} if isinstance(value, dict) else value
+        raw[key] = {**raw.get(key, {}), **value} if isinstance(value, dict) else value
+    sc = ScenarioConfig(raw, source)
     sc.validate()
     return sc

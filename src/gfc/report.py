@@ -100,7 +100,8 @@ def write_trajectory_csv(path: Path, traj: Trajectory,
 
 
 class ScenarioContext:
-    """Shared lazily-built objects for one scenario's verification run."""
+    """One scenario's verification run: the very parts `sc` built at load, and
+    the objects the suites share, built on first use."""
 
     def __init__(self, sc: ScenarioConfig):
         self.sc = sc

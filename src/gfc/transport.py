@@ -563,6 +563,8 @@ def resolvent_residual(f: DensityField, g: DensityField, sp: SpectralParams,
 # ---------------------------------------------------------------------------
 # integral inequalities for the resolvent bound
 
+RESOLVENT_PANEL_V = 4.0   # the width in v of the I and J panels: e^(-v) falls 55-fold over one
+
 
 def resolvent_integral_bounds(alpha: float, lam: float, m: float, ks: KernelSet,
                               antid: Antiderivatives) -> list[ReportRow]:
@@ -573,42 +575,43 @@ def resolvent_integral_bounds(alpha: float, lam: float, m: float, ks: KernelSet,
     lambda; one 'integral-bounds' row each, named I and J.  Both sides are
     divided by I's exp(-lambda R(alpha)) or J's exp(-lambda R(alpha) - Q(alpha)),
     so no exponential read past alpha exceeds 1 (at alpha = 1 both are 1).
-    The infinite upper limit is truncated where the integrand falls below
-    1e-14 of its value at alpha; the exponential tail estimate of the
-    truncated part is added so the check stays conservative.
+    Both integrals are taken in v = lambda (R(s) - R(alpha)), where ds/r =
+    dv/lambda cancels the 1/r: I = int_0^inf e^(-v) w(s) dv / lambda, so a
+    rate that is small at alpha, whose integrand in s is a spike r/lambda
+    wide, is resolved by the same fixed panels as any other.  J is taken by
+    parts, J = w(alpha) + int_0^inf e^(-v - (Q(s) - Q(alpha))) w'(s) r(s) dv
+    / lambda: its integrand is at most omega times I's (w' r <= omega w),
+    and Q enters only as a falling factor, so a fast absorption q >> lambda,
+    whose factor lambda + q is a spike in v, adds none.  Along the
+    characteristic w(s) grows at most like e^(v omega / lambda), as
+    r <= rtilde (1 + s), so the integrals are truncated at
+    V = ln(1e14) lambda / (lambda - omega), where that bound puts I's
+    integrand below 1e-14 of its value at alpha, and the tail estimate
+    e^(-V) w(s(V)) / (lambda - omega) (times lambda e^(-(Q(s(V)) - Q(alpha)))
+    for J) is added so the check stays conservative.
     """
     if alpha <= 0:
         raise ParameterDomainError("lower limit alpha must be positive")
     sp = SpectralParams.for_kernels(ks, m, lam)
     w = WeightSpec(m, "shifted")
-    R_a, Q_a = float(antid.R(alpha)), float(antid.Q(alpha))
-
-    def f_I(s):
-        return np.exp(-sp.lam * (antid.R(s) - R_a)) * w(s) / ks.r(s)
-
-    def f_IJ(s):   # the scaled integrands of I and J, stacked, from one R
-        lam_R, wr = sp.lam * (antid.R(s) - R_a), w(s) / ks.r(s)
-        return np.stack([np.exp(-lam_R) * wr,
-                         (sp.lam + ks.q(s)) * np.exp(-lam_R - (antid.Q(s) - Q_a)) * wr])
-
-    peak = float(f_I(alpha))
-    hi = alpha
-    for _ in range(400):
-        hi *= 1.6
-        if float(f_I(hi)) < 1e-14 * peak:
-            break
-
-    # one panel per octave
-    cuts = np.unique(np.concatenate([
-        np.geomspace(alpha, hi, max(8, int(np.log2(hi / alpha)) + 2)), [alpha, hi]]))
+    R_a, Q_a, w_a = float(antid.R(alpha)), float(antid.Q(alpha)), float(w(alpha))
     gap = sp.lam - sp.omega
-    lam_dR, dQ = sp.lam * (float(antid.R(hi)) - R_a), float(antid.Q(hi)) - Q_a
-    w_a, w_hi = (float(w(np.asarray(z))) for z in (alpha, hi))
 
-    I_panels, J_panels = _quad_intervals(f_IJ, cuts[:-1], cuts[1:], geometric=True,
-                                         epsabs=1e-13, epsrel=1e-10)
-    I_val = float(np.sum(I_panels)) + math.exp(-lam_dR) * w_hi / gap
-    J_val = float(np.sum(J_panels)) + sp.lam * math.exp(-lam_dR - dQ) * w_hi / gap
+    def size(v):   # the characteristic from alpha, at v = lambda (R(s) - R(alpha))
+        return antid.R_inverse(R_a + v / sp.lam)
+
+    def f_IJ(v):   # the scaled integrands of I and J in v, stacked, from one s
+        s, e = size(v), np.exp(-v) / sp.lam
+        dw_r = sp.m * s ** (sp.m - 1.0) * ks.r(s)   # w'(s) r(s)
+        return np.stack([e * w(s), e * np.exp(-(antid.Q(s) - Q_a)) * dw_r])
+
+    V = math.log(1e14) * sp.lam / gap
+    cuts = np.linspace(0.0, V, math.ceil(V / RESOLVENT_PANEL_V) + 1)
+    I_panels, J_panels = _quad_intervals(f_IJ, cuts[:-1], cuts[1:], epsabs=1e-13, epsrel=1e-10)
+    s_V = size(V)
+    tail = math.exp(-V) * float(w(s_V)) / gap
+    I_val = float(np.sum(I_panels)) + tail
+    J_val = w_a + float(np.sum(J_panels)) + sp.lam * math.exp(-(float(antid.Q(s_V)) - Q_a)) * tail
     scaled = "both sides times exp(lambda R(alpha)"
     return [ReportRow("integral-bounds", name, val, "<=", bnd, 1e-9 * bnd, detail=detail)
             for name, val, bnd, detail in (

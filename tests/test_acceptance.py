@@ -12,10 +12,10 @@ from scipy.integrate import quad
 from conftest import make_kernels
 from gfc.cli import main
 from gfc.config import load_scenario
-from gfc.coagulation import apply_coag, build_coag_tables, coag_moment_identity
+from gfc.coagulation import apply_coag, build_coag_tables
 from gfc.evolution import ConfigError, SolverConfig, SplitStepper, duhamel_solve, solve
 from gfc.fragmentation import build_daughter_matrix
-from gfc.grid import DensityField, SizeGrid, WeightSpec, moment, project, weighted_integral
+from gfc.grid import DensityField, SizeGrid, WeightSpec, project, weighted_integral
 from gfc.kernels import (CoagulationKernel, DaughterDistribution,
                          moment_deficit)
 from gfc.report import SUITES, ScenarioContext, run_suites
@@ -151,14 +151,16 @@ def test_c06_laplace_consistency():
     _ok("6", f"discrepancy {vals[1]:.2e} <= 1e-3, decaying under refinement")
 
 
+def _oracle_rows(ctx) -> dict:
+    """The scenario's `oracle/*` rows, each of which must pass (not n/a)."""
+    rows = {r.name: r for r in SUITES["oracle"](ctx)}
+    assert sorted(rows) == ["closed-form-number", "closed-form-profile", "mass-conserved"]
+    assert all(r.status == "pass" for r in rows.values()), rows
+    return rows
+
+
 def test_c07_coagulation_oracles(contexts):
-    traj = contexts["constant-coag"].trajectory
-    m00 = traj.M0[0]
-    pred = m00 / (1.0 + 2.0 * m00 * traj.times / 2.0)
-    rel = float(np.max(np.abs(traj.M0 - pred) / pred))
-    assert rel <= 0.01
-    drift = float(np.max(np.abs(traj.M1 + traj.escaped_mass - traj.M1[0]))) / traj.M1[0]
-    assert drift <= 1e-10
+    rows = _oracle_rows(contexts["constant-coag"])
 
     errs = []
     for cells in (224, 448):
@@ -172,16 +174,14 @@ def test_c07_coagulation_oracles(contexts):
         errs.append(float(np.max(np.abs(kf.values - exact)[body])))
     assert errs[1] <= 0.025
     assert errs[0] / errs[1] >= 1.5     # first order in the cell width
-    _ok("7", f"number decay {rel:.2e} <= 1e-2; mass drift {drift:.1e} <= 1e-10; "
+    _ok("7", f"oracle rows pass: number {rows['closed-form-number'].measured:.2e}, "
+             f"mass {rows['mass-conserved'].measured:.1e}; "
              f"pointwise O(h): {errs[0]:.3f} -> {errs[1]:.3f}")
 
 
 def test_c08_fragmentation_oracle(contexts):
     ctx = contexts["aizenman-bak-frag"]
-    traj = ctx.trajectory
-    grid = ctx.grid
-    t = float(traj.times[-1])
-    ref = project(lambda x: (1.0 + t) ** 2 * np.exp(-x * (1.0 + t)), grid)
+    t = float(ctx.trajectory.times[-1])
     # oracle sanity: the profile solves the equation (time derivative equals
     # the fragmentation action) at a probe point, via quadrature
     x_probe = 1.3
@@ -190,14 +190,9 @@ def test_c08_fragmentation_oracle(contexts):
     rhs = -x_probe * (1 + t) ** 2 * np.exp(-x_probe * (1 + t)) + gain
     assert lhs == pytest.approx(rhs, rel=1e-8)
 
-    mask = grid.centers <= 20.0
-    w = 1.0 + grid.centers
-    rel = float(np.sum(np.abs(traj.fields[-1].values - ref.values)[mask] * w[mask] * grid.widths[mask])
-                / np.sum(ref.values[mask] * w[mask] * grid.widths[mask]))
-    assert rel <= 0.02
-    drift = float(np.max(np.abs(traj.M1 - traj.M1[0]))) / traj.M1[0]
-    assert drift <= 1e-8
-    _ok("8", f"profile error {rel:.2e} <= 2e-2 on [xmin, 20]; mass drift {drift:.1e} <= 1e-8")
+    rows = _oracle_rows(ctx)
+    _ok("8", f"oracle rows pass: profile {rows['closed-form-profile'].measured:.2e}, "
+             f"mass {rows['mass-conserved'].measured:.1e}")
 
 
 def test_c09_positivity_and_negative_control(contexts):

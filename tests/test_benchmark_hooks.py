@@ -30,6 +30,40 @@ def test_workload_passes_its_gates_under_the_tracer(name, tmp_path):
     assert all(gates.values()), sorted(g for g, ok in gates.items() if not ok)
 
 
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_set_up_builds_each_part_once(name, monkeypatch):
+    """One set-up (load, `ScenarioContext`, `SplitStepper`) parses each
+    scenario section once, builds one `SizeGrid`, and evaluates the
+    coagulation kernel on the grid once; a table kernel's class bound is
+    read once too, and none is read for the closed forms."""
+    from collections import Counter
+
+    from gfc import config
+    from gfc.grid import SizeGrid
+    from gfc.kernels import CoagulationKernel
+
+    calls = Counter()
+
+    def counted(key, fn):
+        def call(*args, **kwargs):
+            calls[key(*args)] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(config, "_fields", counted(lambda cls, section, path: path,
+                                                   config._fields))
+    for cls, attr in ((SizeGrid, "__init__"), (CoagulationKernel, "_evaluate_on"),
+                      (CoagulationKernel, "class_bound")):
+        monkeypatch.setattr(cls, attr, counted(lambda *args, attr=attr: attr,
+                                               getattr(cls, attr)))
+    workloads.set_up(workloads.WORKLOADS[name].raw(0))
+    sections = ["kernels.fragmentation.", "kernels.daughter.", "kernels.growth.",
+                "kernels.coagulation.", "kernels.", "grid.", "time.", "solver.", "initial."]
+    table = name == "setup-table"
+    assert calls == Counter({**dict.fromkeys(sections, 1), "__init__": 1, "_evaluate_on": 1,
+                             **({"class_bound": 1} if table else {})})
+
+
 def test_sweep_calls_each_layer_function(monkeypatch):
     """`sweep.sweep_cells` with one call per timed function: this pins the
     calls it makes, such as the positional `transport_apply(f, t, ks, m,

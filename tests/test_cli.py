@@ -621,6 +621,42 @@ class TestCommands:
         assert "PASS  moment-domination/M2 " in out and "FAIL" not in out
 
 
+class TestOneSetUpPerScenario:
+    """A scenario's parts are built once, at load, and shared."""
+
+    def test_context_holds_the_parts_sc_built(self):
+        from gfc.report import ScenarioContext
+        sc = load_scenario("gfc-global-ii", {"grid": {"cells": 32}})
+        ctx = ScenarioContext(sc)
+        assert ctx.ks is sc.kernel_set() and ctx.grid is sc.grid()
+        assert ctx.cfg is sc.solver_config() and ctx.f0 is sc.initial_field(sc.grid())
+        assert ScenarioContext(sc).f0 is ctx.f0
+        assert not ctx.f0.values.flags.writeable
+
+    def test_initial_field_on_another_grid(self):
+        import numpy as np
+        from gfc.grid import SizeGrid, project
+        sc = load_scenario(MINI)
+        grid = SizeGrid.geometric(1e-2, 20.0, 16)
+        f = sc.initial_field(grid)
+        assert f.grid == grid and f is sc.initial_field(grid)
+        np.testing.assert_array_equal(f.values, project(lambda x: np.exp(-x), grid).values)
+
+    def test_overflowing_initial_profile_is_a_load_error(self, tmp_path, capsys):
+        """e^(20 x) overflows past x = 35 on gfc-global-ii's grid: refused at
+        load, naming 'initial', not as a non-finite field in the first step."""
+        raw = get_preset("gfc-global-ii")
+        raw["grid"]["cells"] = 64
+        raw["initial"] = {"profile": "exponential", "amplitude": 1, "decay": -20}
+        with pytest.raises(ConfigFileError, match="^'initial' is not finite"):
+            load_scenario(raw)
+        assert main(["run", "--config", write_cfg(tmp_path, raw),
+                     "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: 'initial' is not finite") and "Traceback" not in err
+        assert len(err.splitlines()) == 1
+
+
 class TestOneSolvePerScenario:
     @staticmethod
     def counting(monkeypatch, module, name):

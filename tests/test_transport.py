@@ -769,6 +769,27 @@ class TestLemmaBounds:
         assert [row.name for row in rows] == ["I", "J"]
         assert all(np.isfinite([row.measured, row.bound]).all() and row.passed for row in rows)
 
+    def test_rate_small_at_alpha(self):
+        """r = 0.01 at alpha = 3 and lambda = 1800, so the integrand of I in s
+        is a spike 6e-6 wide at alpha; I = w(3)/lambda and J = lambda I, to the
+        growth of w over that spike."""
+        r = GrowthRate("table", table_x=10.0 ** np.arange(1, 9),
+                       table_r=[0.01, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 100.0])
+        ks = dataclasses.replace(make_kernels(), r=r)   # q = 0
+        rows = {row.name: row for row in
+                resolvent_integral_bounds(3.0, 1800.0, 3.0, ks, Antiderivatives(ks))}
+        assert rows["I"].measured == pytest.approx(28.0 / 1800.0, rel=1e-5)
+        assert rows["J"].measured == pytest.approx(28.0, rel=1e-5)
+
+    @pytest.mark.parametrize("a0", [1e2, 1e6])
+    def test_fast_absorption(self, a0):
+        """r = 1, q = a0 and w = 1 + s: J = w(1) + 1/(lambda + a0).  At a0 = 1e6
+        the integrand of J in s or v is a spike 3e-6 wide at alpha, which the
+        form by parts turns into the boundary term w(alpha)."""
+        ks = make_kernels(a0=a0, gamma0=0.0)
+        J = resolvent_integral_bounds(1.0, 3.0, 1.0, ks, Antiderivatives(ks))[1]
+        assert J.name == "J" and J.measured == pytest.approx(2.0 + 1.0 / (3.0 + a0), rel=1e-6)
+
     def test_zero_absorption_ties_J_to_I(self):
         ks = make_kernels()   # q = 0
         reps = {r.name: r for r in
@@ -1081,6 +1102,10 @@ class TestVectorQuadrature:
     @example(GrowthRate("table", table_x=[1e-5, 2.55065442e-4, 5.48695459e-4, 1.10198616e-3,
                                           3.22620601e-3, 9.94567915e-3],
                         table_r=[1.0, 1.0, 1.0, 1.0, 1.0, 10.0]), 1.0, 2.0, 1.0, 0.0)
+    # the rate is 0.01 at alpha, so the integrand of I in s is a spike 6e-6 wide
+    # there; the octave panels in s read I = 1.3e-17 where it is 28/1800
+    @example(GrowthRate("table", table_x=10.0 ** np.arange(1, 9),
+                        table_r=[0.01, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 100.0]), 3.0, 3.0, 3.0, 0.0)
     @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
     def test_growth_checks_match_scalar_quadrature(self, r, alpha, lam_factor, m, a0):
         ks = dataclasses.replace(make_kernels(a0=a0), r=r)
@@ -1096,7 +1121,7 @@ class TestVectorQuadrature:
         R = antid.R
         assert ratio == pytest.approx((R(hi[-1]) - R(lo[0])) / (R(hi[-1]) - R(lo[-1])), rel=1e-8)
         for fun, lo, hi, options, value in resolvent:
-            # I and J over their octave panels, or v_lambda over each cutoff's panels
+            # I and J over their panels in v, or v_lambda over each cutoff's panels
             oracle = quad_per_interval(fun, lo, hi, **options, rel=1e-12, tiled=True)
             np.testing.assert_allclose(value.sum(axis=-1), oracle, rtol=1e-8,
                                        atol=lo.shape[-1] * options["epsabs"])
