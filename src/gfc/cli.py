@@ -111,25 +111,18 @@ def build_parser() -> argparse.ArgumentParser:
         description="growth-fragmentation-coagulation solver and verification harness")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    for name, func, text in (
+            ("run", cmd_run, "run the scenario and emit the trajectory CSV"),
+            ("verify", cmd_verify, "execute every enabled invariant suite"),
+            ("probe-regularization", cmd_probe, "run the moment-regularization probe"),
+            ("bounds", cmd_bounds, "integrate the a priori moment bounds and check domination")):
+        p = sub.add_parser(name, help=text)
         p.add_argument("--config", required=True,
                        help="YAML scenario file or built-in preset name")
         p.add_argument("--out", default="out", help="output directory for CSV files")
         p.add_argument("--cells", type=int, default=None, help="override grid cells")
         p.add_argument("--dt", type=float, default=None, help="override time step")
-
-    p = sub.add_parser("run", help="run the scenario and emit the trajectory CSV")
-    common(p)
-    p.set_defaults(func=cmd_run)
-    p = sub.add_parser("verify", help="execute every enabled invariant suite")
-    common(p)
-    p.set_defaults(func=cmd_verify)
-    p = sub.add_parser("probe-regularization", help="run the moment-regularization probe")
-    common(p)
-    p.set_defaults(func=cmd_probe)
-    p = sub.add_parser("bounds", help="integrate the a priori moment bounds and check domination")
-    common(p)
-    p.set_defaults(func=cmd_bounds)
+        p.set_defaults(func=func)
     p = sub.add_parser("list-presets", help="list built-in scenario presets")
     p.set_defaults(func=cmd_list_presets)
     return ap

@@ -7,7 +7,6 @@ verification run.
 from __future__ import annotations
 
 import copy
-import functools
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -19,7 +18,7 @@ import yaml
 from .evolution import SolverConfig
 from .grid import DensityField, GridError, SizeGrid, project
 from .kernels import (AbsorptionRate, CoagulationKernel, DaughterDistribution,
-                      FragmentationRate, GrowthRate, KernelSet)
+                      FragmentationRate, GrowthRate, KernelSet, built_once)
 from .presets import get_preset, preset_names
 
 __all__ = ["ScenarioConfig", "ConfigFileError", "load_scenario", "SCHEMA"]
@@ -121,17 +120,6 @@ def _check_keys(node: Any, schema: Any, path: str) -> None:
         _check_keys(sub, allowed, f"{path}{key}.")
 
 
-def _built_once(build):
-    """A builder method that builds once per argument and returns that object after."""
-    @functools.wraps(build)
-    def built(self, *args):
-        parts = self.__dict__.setdefault("_parts", {})   # not a field: outside eq and repr
-        if (build.__name__, *args) not in parts:
-            parts[build.__name__, *args] = build(self, *args)
-        return parts[build.__name__, *args]
-    return built
-
-
 @dataclass
 class ScenarioConfig:
     """A scenario's raw mapping and the parts built from it, each parsed on
@@ -146,21 +134,21 @@ class ScenarioConfig:
         return list(self.raw.get("checks", {}).get("suites", []) or [])
 
     # -- builders -------------------------------------------------------
-    @_built_once
+    @built_once
     def kernel_set(self) -> KernelSet:
         ker = self.raw["kernels"]
         a, b, r, k = (cls(**_fields(cls, ker.get(name, {}), f"kernels.{name}."))
                       for name, cls in KERNELS.items())
         return KernelSet(a, b, r, k, AbsorptionRate.for_ball(k, self.solver_config().ball_radius))
 
-    @_built_once
+    @built_once
     def grid(self) -> SizeGrid:
         try:
             return SizeGrid.geometric(**_fields(SizeGrid, self.raw["grid"], "grid."))
         except GridError as exc:
             raise ConfigFileError(f"bad 'grid' section: {exc}") from exc
 
-    @_built_once
+    @built_once
     def solver_config(self) -> SolverConfig:
         ker = self.raw["kernels"]
         radius = {"ball_radius": ker["ball_radius"]} if "ball_radius" in ker else {}
@@ -168,11 +156,11 @@ class ScenarioConfig:
                             **_fields(SolverConfig, self.raw.get("time", {}), "time."),
                             **_fields(SolverConfig, self.raw.get("solver", {}), "solver."))
 
-    @_built_once
+    @built_once
     def initial_profile(self) -> InitialProfile:
         return InitialProfile(**_fields(InitialProfile, self.raw.get("initial", {}), "initial."))
 
-    @_built_once
+    @built_once
     def initial_field(self, grid: SizeGrid) -> DensityField:
         """The initial profile projected on grid, read-only; refused where not finite."""
         p = self.initial_profile()

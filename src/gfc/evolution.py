@@ -147,27 +147,32 @@ class Trajectory:
 
     The trajectory keeps the snapshots it is given and computes every column
     from them; growth_mass is the solver's running growth ledger at the
-    snapshot times (zero for a Duhamel solve, which keeps none).
+    snapshot times, or None for a Duhamel solve, which keeps none: the mild
+    form conserves mass only to the accuracy of its time quadrature.
     """
 
     def __init__(self, grid: SizeGrid, m_order: float, times, snapshots: list,
-                 growth_mass, outcome: str = "completed"):
+                 growth_mass: Optional[list], outcome: str = "completed"):
         self.grid, self.m_order, self.outcome = grid, m_order, outcome
         self.times = np.asarray(times, dtype=float)
         self.fields = snapshots
-        self.growth_mass = np.asarray(growth_mass, dtype=float)
+        self.growth_mass = None if growth_mass is None else np.asarray(growth_mass, dtype=float)
         wm = WeightSpec(m_order, "shifted")
 
         def column(observable) -> np.ndarray:
             return np.array([observable(f) for f in snapshots])
 
-        self.M0 = column(lambda f: moment(f, 0.0))
-        self.M1 = column(lambda f: moment(f, 1.0))
-        self.M2 = column(lambda f: moment(f, 2.0))
-        self.Mm = column(lambda f: moment(f, m_order))
+        self.M0, self.M1, self.M2, self.Mm = map(self.moments_at, (0.0, 1.0, 2.0, m_order))
         self.norm0m = column(lambda f: weighted_integral(f, wm))
         self.min_density = column(DensityField.min_value)
         self.escaped_mass = column(lambda f: f.escaped_mass)
+
+    def mass_residual(self, scale: float) -> Optional[np.ndarray]:
+        """The mass ledger's residual |M1 + escaped - growth ledger - M1(0)| /
+        scale at each output, or None when the solve kept no ledger."""
+        if self.growth_mass is None:
+            return None
+        return np.abs(self.M1 + self.escaped_mass - self.growth_mass - self.M1[0]) / scale
 
     def moments_at(self, order: float) -> np.ndarray:
         return np.array([moment(f, order) for f in self.fields])
@@ -374,6 +379,8 @@ def duhamel_solve(f0: DensityField, cfg: SolverConfig, ks: KernelSet,
     G_k = S(dt_out)[G_{k-1} + (dt_out/2) K f_{k-1}] + (dt_out/2) K f_k with
     the propagator resolved by fine substeps, and reports the last relative
     update, the contraction factors and the largest window where they held.
+    A solve stopped by PICARD_MAX_ITER short of PICARD_TOL has outcome
+    'not-converged'.
     A daughter matrix dm and coagulation tables ct built for (ks, f0.grid)
     are used as given instead of being rebuilt.
 
@@ -463,8 +470,9 @@ def duhamel_solve(f0: DensityField, cfg: SolverConfig, ks: KernelSet,
         idx = np.nonzero(np.maximum.accumulate(node_factors) < 1.0)[0]
         window = float(times[idx[-1]]) if idx.size else 0.0
 
-    traj = Trajectory(grid, cfg.m, times, iterates, np.zeros(n_out + 1))
-    return traj, DuhamelReport(update, it, factors, window)
+    rep = DuhamelReport(update, it, factors, window)
+    return Trajectory(grid, cfg.m, times, iterates, None,
+                      "completed" if rep.converged else "not-converged"), rep
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ row's numbers into its status.
 """
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass, field, replace
@@ -47,6 +48,19 @@ class QuadratureError(RuntimeError):
 
 class KernelConfigError(ValueError):
     """Inconsistent kernel parameters."""
+
+
+def built_once(build):
+    """A method that builds once per argument and returns that object after,
+    kept in the instance __dict__ (frozen or not), outside eq and repr."""
+    @functools.wraps(build)
+    def built(self, *args):
+        parts = self.__dict__.setdefault("_built", {})
+        key = (build.__name__, *args)
+        if key not in parts:
+            parts[key] = build(self, *args)
+        return parts[key]
+    return built
 
 
 def _quad(fun, lo, hi, points=None, epsabs=1e-10, epsrel=1e-8) -> float:
@@ -392,19 +406,20 @@ class CoagulationKernel:
         premise (`class_excess`) and the coagulation tables both read it, so
         its n^2 bilinear reads are made once per (kernel, grid), not at
         every solve."""
-        if self.kind != "table":
-            return self._evaluate_on(grid)
-        return self._memo("on_grid", grid, self._evaluate_on)
+        return self._table_on(grid) if self.kind == "table" else self._evaluate_on(grid)
 
+    @built_once
     def class_excess(self, grid) -> tuple[float, int, int]:
         """The largest excess of k over `class_bound` on pairs of the grid's
         centers, and the pair (i, j) where it occurs, kept per grid."""
-        def excess(grid):
-            x = grid.centers
-            over = self.on_grid(grid) - self.class_bound(x[:, None], x[None, :])
-            i, j = np.unravel_index(np.argmax(over), over.shape)
-            return float(over[i, j]), int(i), int(j)
-        return self._memo("class_excess", grid, excess)
+        x = grid.centers
+        over = self.on_grid(grid) - self.class_bound(x[:, None], x[None, :])
+        i, j = np.unravel_index(np.argmax(over), over.shape)
+        return float(over[i, j]), int(i), int(j)
+
+    @built_once
+    def _table_on(self, grid) -> np.ndarray:
+        return self._evaluate_on(grid)
 
     def _evaluate_on(self, grid) -> np.ndarray:
         # evaluated as the transpose of k(x_j, x_i) over (j, i), so that the
@@ -413,12 +428,6 @@ class CoagulationKernel:
         kxy = np.asarray(self(x[None, :], x[:, None]), dtype=float).T
         kxy.flags.writeable = False
         return kxy
-
-    def _memo(self, name: str, grid, make):
-        memo = self.__dict__.setdefault("_grid_memo", {})   # not a field: outside eq and repr
-        if (name, grid) not in memo:
-            memo[name, grid] = make(grid)
-        return memo[name, grid]
 
     def loss_factors(self, x: np.ndarray):
         """(U, W) with k(x_i, x_j) = (U @ W)[i, j], the kernel factored:
