@@ -36,7 +36,7 @@ from .coagulation import CoagTables, apply_coag, apply_coag_beta, build_coag_tab
 from .fragmentation import (DaughterMatrix, apply_frag, build_daughter_matrix, daughter_gain,
                             fold_sink)
 from .grid import DensityField, SizeGrid, WeightSpec, moment, project, weighted_integral
-from .kernels import AbsorptionRate, CoagulationKernel, KernelSet, ReportRow
+from .kernels import AbsorptionRate, CoagulationKernel, KernelSet, ReportRow, built_once
 from .transport import make_antiderivatives, transport_apply
 
 __all__ = [
@@ -209,7 +209,6 @@ class SplitStepper:
         self.ct = ct if ct is not None else (build_coag_tables(ks.k, grid) if self.has_coag else None)
         self.a1 = ks.a1(x)
         self.c = self.a + self.a1        # the total linear sink
-        self._sink = None                # (dt, keep_shift, folded sink) of the last call
         self.antid = None if ks.r.is_zero else make_antiderivatives(ks, grid)
         self.growth_mass = 0.0
 
@@ -230,6 +229,16 @@ class SplitStepper:
         self.growth_mass += self._mass(out) - before
         return out
 
+    @built_once
+    def _folded_sink(self, dt: float, keep_shift: bool):
+        """The map of `_linear_sink` as one daughter matrix, or a factor per cell."""
+        decay = np.exp(-self.c * dt)
+        loss = 1.0 - decay
+        share = np.divide(self.a, self.c, out=np.zeros_like(self.c), where=self.c > 0)
+        kept = decay + loss * (1.0 - share) if keep_shift else decay
+        w = self.grid.widths
+        return fold_sink(self.dm, loss * share * w, kept * w) if self.has_frag else kept
+
     def _linear_sink(self, g: np.ndarray, dt: float, keep_shift: bool) -> np.ndarray:
         """Exact per-cell decay of the total linear sink a + a1 over dt.
 
@@ -238,18 +247,10 @@ class SplitStepper:
         when keep_shift (the mass-neutral split reaction) and removed
         otherwise (the absorption semigroup the Duhamel formula is built on).
         The map is linear and fixed per (dt, keep_shift), so it is folded
-        once into a daughter matrix (`fold_sink`) and each call is one
-        `daughter_gain`; without fragmentation it is one product.
+        (`fold_sink`) once per pair and each call is one `daughter_gain`;
+        without fragmentation it is one product.
         """
-        if self._sink is None or self._sink[:2] != (dt, keep_shift):
-            decay = np.exp(-self.c * dt)
-            loss = 1.0 - decay
-            share = np.divide(self.a, self.c, out=np.zeros_like(self.c), where=self.c > 0)
-            kept = decay + loss * (1.0 - share) if keep_shift else decay
-            w = self.grid.widths
-            sink = fold_sink(self.dm, loss * share * w, kept * w) if self.has_frag else kept
-            self._sink = (dt, keep_shift, sink)
-        sink = self._sink[2]
+        sink = self._folded_sink(dt, keep_shift)
         return daughter_gain(sink, g) if self.has_frag else sink * g
 
     def _reaction(self, f: DensityField, dt: float) -> DensityField:

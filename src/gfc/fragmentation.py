@@ -18,12 +18,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from .grid import DensityField, SizeGrid, moment
-from .kernels import DaughterDistribution, KernelConfigError, KernelSet, ReportRow
+from .kernels import (DaughterDistribution, KernelConfigError, KernelSet, ReportRow,
+                      moment_deficit)
 
 __all__ = [
     "DaughterMatrix",
@@ -44,23 +46,23 @@ class DaughterMatrix:
     Column j satisfies sum_i x_i w[i, j] = x_j exactly after renormalization.
     A power-law daughter keeps `factors` (d, u, v, lump), with
     w = diag(d) + strictly-upper(u v^T) + e_0 lump^T (u has n - 1 entries);
-    `w` is then materialised only when read, into `dense`.  A table daughter
-    has no factors and `dense` is its matrix.
+    `w` is then materialised only when read.  A table daughter has no
+    factors and `dense` is its matrix.
     """
 
     grid: SizeGrid
     factors: Optional[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = None
     dense: Optional[np.ndarray] = field(default=None, repr=False)
 
-    @property
+    @cached_property
     def w(self) -> np.ndarray:
-        if self.dense is None:
-            d, u, v, lump = self.factors
-            w = np.triu(np.outer(np.append(u, 0.0), v), k=1)
-            w[np.diag_indices(self.grid.cells)] = d
-            w[0] += lump
-            self.dense = w
-        return self.dense
+        if self.factors is None:
+            return self.dense
+        d, u, v, lump = self.factors
+        w = np.triu(np.outer(np.append(u, 0.0), v), k=1)
+        w[np.diag_indices(self.grid.cells)] = d
+        w[0] += lump
+        return w
 
     def column_moment(self, m: float) -> np.ndarray:
         """Discrete n_m at each parent size: sum_i x_i^m w[i, j]."""
@@ -179,12 +181,12 @@ def below_x0(ks: KernelSet) -> np.ndarray:
 def fragmentation_constants(ks: KernelSet, i: float) -> tuple[float, float, float]:
     """Surrogates (delta'_i, delta_i, nu_i) for the fragmentation sink estimate.
 
-    delta'_i = N_i(y)/y^i = 1 - Phi_i(1) at every parent size y, the daughter
-    law being homogeneous; delta_i scales it by the lower-bound amplitude a0,
-    and nu_i = delta_i * sup a on [0, x0], sampled at `below_x0`, mirrors the
+    delta'_i = N_i(y)/y^i = N_i(1) (`moment_deficit`) at every parent size
+    y, the daughter law being homogeneous; delta_i scales it by a0, and
+    nu_i = delta_i * sup a on [0, x0], sampled at `below_x0`, mirrors the
     constant produced by splitting the sink integral at x0.
     """
-    delta_p = 1.0 - float(ks.b.shape_integral(i, 1.0))
+    delta_p = moment_deficit(ks.b, i, 1.0)
     delta = delta_p * ks.a.a0
     nu = delta * float(np.max(ks.a(below_x0(ks))))
     return delta_p, delta, nu

@@ -400,13 +400,13 @@ class CoagulationKernel:
         return (xl * (K[i, j] * yl + K[i, j + 1] * yh)
                 + xh * (K[i + 1, j] * yl + K[i + 1, j + 1] * yh))
 
+    @built_once
     def on_grid(self, grid) -> np.ndarray:
-        """k(x_i, x_j) over pairs of the grid's centers, (n, n), read-only.
-        A table's is kept on the kernel per grid: the solver's class-bound
-        premise (`class_excess`) and the coagulation tables both read it, so
-        its n^2 bilinear reads are made once per (kernel, grid), not at
-        every solve."""
-        return self._table_on(grid) if self.kind == "table" else self._evaluate_on(grid)
+        """k(x_i, x_j) over pairs of the grid's centers, (n, n), read-only,
+        kept on the kernel per grid: the coagulation tables and a table's
+        class-bound premise (`class_excess`) read it, so its n^2 reads are
+        made once per (kernel, grid), not at every solve."""
+        return self._evaluate_on(grid)
 
     @built_once
     def class_excess(self, grid) -> tuple[float, int, int]:
@@ -416,10 +416,6 @@ class CoagulationKernel:
         over = self.on_grid(grid) - self.class_bound(x[:, None], x[None, :])
         i, j = np.unravel_index(np.argmax(over), over.shape)
         return float(over[i, j]), int(i), int(j)
-
-    @built_once
-    def _table_on(self, grid) -> np.ndarray:
-        return self._evaluate_on(grid)
 
     def _evaluate_on(self, grid) -> np.ndarray:
         # evaluated as the transpose of k(x_j, x_i) over (j, i), so that the
@@ -630,7 +626,7 @@ def validate_kernel_set(ks: KernelSet, xmin: float, xmax: float,
         detail=f"relative residual of int b(x,y) dx = n0 = {n0:g} at 3 sizes; "
                "inf if quadrature fails")
 
-    add("daughter-liminf", 1.0 - float(ks.b.shape_integral(LIMINF_M0, 1.0)), ">=",
+    add("daughter-liminf", moment_deficit(ks.b, LIMINF_M0, 1.0), ">=",
         LIMINF_THRESHOLD, detail=f"N_m0(y)/y^m0 = 1 - Phi_m0(1) at every y, m0 = {LIMINF_M0}")
 
     if ks.r.is_zero:
@@ -646,16 +642,17 @@ def validate_kernel_set(ks: KernelSet, xmin: float, xmax: float,
             f"relative excess in r <= {ks.r.r0} + {ks.r.r1}*x <= rtilde*(1+x)")
         # 1/r integrability at the origin, probed on a shrinking bracket: the
         # tail stays bounded exactly when the origin is reachable.  Each tail
-        # int_eps^1 sums the panels between consecutive cutoffs, so a kink of
-        # a table rate lies in one panel, not in every interval.  Each panel
-        # is held to 1e-10 relative with no absolute floor: at 1e-7 relative
-        # and 1e-9 absolute, a rate rising tenfold inside one panel left the
+        # int_eps^1 sums the panels above eps; a table's knots are panel
+        # edges too, as a panel across a kink read 1e-6 off.  Each panel is
+        # held to 1e-10 relative with no absolute floor: at 1e-7 relative and
+        # 1e-9 absolute, a rate rising tenfold inside one panel left the
         # ratio 1.6e-8 off
         eps = np.geomspace(1e-2, 1e-8, 7)
-        edges = np.append(eps[::-1], 1.0)
+        knots = ks.r.table_x if ks.r.kind == "table" else np.empty(0)
+        edges = np.union1d(np.append(eps, 1.0), knots[(knots > eps[-1]) & (knots < 1.0)])
         panels = _quad_intervals(lambda s: 1.0 / ks.r(s), edges[:-1], edges[1:], geometric=True,
                                  epsabs=1e-300, epsrel=1e-10)
-        tails = np.cumsum(panels[::-1])
+        tails = np.cumsum(panels[::-1])[::-1][np.searchsorted(edges, eps)]
         add("growth-origin-class", float(tails[-1] / tails[0]),
             "<" if ks.r.origin_class == REACHABLE else ">=", 1.5,
             detail=f"declared {ks.r.origin_class}; "

@@ -175,21 +175,21 @@ def m01_envelope(condition: ConditionReport, ks: KernelSet, M0_0: float, M1_0: f
 
 def assemble_bound_params(ks: KernelSet, m: float, envelope: dict,
                           condition: ConditionReport) -> MomentBoundParams:
-    """Build the D-constants for orders 2 .. floor(m)+1 on the low-moment
+    """Build the D-constants for orders 2 .. max(ceil(m), 2) on the low-moment
     envelope of `m01_envelope`, whose M1 maximum is M1_max.
 
-    The Young parameter per order is the largest one balancing the
-    coagulation production against the fragmentation sink, shrunk by
-    EPS_MARGIN.  The sink is delta_i under condition (i) and delta_i/2 under
-    condition (ii), whose Phi functional spends the other half on M0.
+    One set of formulas serves every k0.  The Young parameter per order is
+    the largest one balancing the coagulation production against the
+    fragmentation sink, shrunk by EPS_MARGIN.  The sink is delta_i under
+    condition (i) and delta_i/2 under condition (ii), whose Phi functional
+    spends the other half on M0.  Without coagulation (K_i = 0) eps = inf and
+    the Young term is 0, so D0 = D3 = 0 and D2 = rtilde.
     """
     require_condition(condition)
     gamma0, alpha = ks.a.gamma0, ks.k.alpha
     if not ks.k.is_zero and alpha >= gamma0:
         raise InfeasibleParamsError("needs alpha < gamma0")
-    i_top = int(m) if float(m).is_integer() else int(math.floor(m)) + 1
-    i_top = max(i_top, 2)
-    orders = list(range(2, i_top + 1))
+    orders = list(range(2, max(math.ceil(m), 2) + 1))
     M1_max = float(np.max(envelope[1]))
 
     par = MomentBoundParams(
@@ -198,32 +198,24 @@ def assemble_bound_params(ks: KernelSet, m: float, envelope: dict,
         b0=ks.b.number_of_daughters(), envelope=envelope)
 
     k0 = ks.k.k0
+    if k0 > 0:
+        par.power = (2 * gamma0 - alpha) / (gamma0 - alpha)   # only D3 reads it
     sink_share = 0.5 if par.condition == "ii" else 1.0
     for i in orders:
         dp, d, nu = fragmentation_constants(ks, i)
-        par.delta_prime[i], par.delta[i], par.nu[i] = dp, d, nu
         Ki = binary_expansion_constant(float(i)) * k0 if k0 > 0 else 0.0
-        par.K[i] = Ki
-        if Ki == 0.0:
-            par.eps[i] = math.inf
-            par.D0[i] = 0.0
-            par.D1[i] = nu + par.rtilde
-            par.D2[i] = par.rtilde
-            par.D3[i] = 0.0
-            continue
         d_eff = sink_share * d
-        if d_eff <= 0:
+        if Ki > 0 and d_eff <= 0:
             raise InfeasibleParamsError(
                 f"order {i}: fragmentation sink surrogate is nonpositive (delta = {d})")
-        eps = (EPS_MARGIN * d_eff * gamma0 / (alpha * Ki * (M1_max + 1.0))) ** (alpha / gamma0)
-        par.eps[i] = eps
-        eps_rec = eps ** (-gamma0 / (gamma0 - alpha))  # epsilon^{gamma0/(alpha-gamma0)}
-        young = (gamma0 - alpha) / gamma0 * eps_rec
+        eps = ((EPS_MARGIN * d_eff * gamma0 / (alpha * Ki * (M1_max + 1.0))) ** (alpha / gamma0)
+               if Ki > 0 else math.inf)
+        young = (gamma0 - alpha) / gamma0 * eps ** (-gamma0 / (gamma0 - alpha)) if Ki > 0 else 0.0
+        par.delta_prime[i], par.delta[i], par.nu[i], par.K[i], par.eps[i] = dp, d, nu, Ki, eps
         par.D0[i] = Ki * C_ALPHA * M1_max**2
         par.D1[i] = nu + par.rtilde
         par.D2[i] = par.rtilde + Ki * M1_max * (1.0 + C_ALPHA + young)
         par.D3[i] = Ki * young
-        par.power = (2 * gamma0 - alpha) / (gamma0 - alpha)   # only D3 reads it
 
     # zeroth-moment machinery under condition (ii)
     xs = below_x0(ks)

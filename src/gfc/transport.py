@@ -150,8 +150,9 @@ class Antiderivatives:
             raise ParameterDomainError("antiderivatives need a positive growth rate")
         self.growth = r
         self._q = ks.q
+        # Q's table grows by blocks to reach the sizes queried, not per argument
         self._Q_blocks, self._Q_span = (0, 0), (math.inf, -math.inf)
-        self._transport_plan = None   # memo of transport_apply
+        self._transport_plan = None   # one slot: the laplace check reads 256 distinct t
 
         if r.kind == "table":
             # piece i lies between knots i-1 and i (pieces 0 and n are the

@@ -2,11 +2,17 @@ import contextlib
 
 import numpy as np
 import pytest
+from hypothesis import settings
 from scipy.integrate import quad
 
 from gfc.grid import SizeGrid
 from gfc.kernels import (AbsorptionRate, CoagulationKernel, DaughterDistribution,
                          FragmentationRate, GrowthRate, KernelSet)
+
+# a failing draw prints its @reproduce_failure blob: the falsifying example's
+# own repr rounds numpy arrays, so it does not pin the draw
+settings.register_profile("gfc", print_blob=True)
+settings.load_profile("gfc")
 
 
 def make_kernels(a0=0.0, gamma0=1.0, x0=1.0, daughter="uniform-binary", nu=0.0,

@@ -161,6 +161,9 @@ def _oracle_rows(ctx) -> dict:
 
 def test_c07_coagulation_oracles(contexts):
     rows = _oracle_rows(contexts["constant-coag"])
+    # 3.5e-4 against the number on [xmin, xmax]; against the number on
+    # (0, inf) it would read the share below xmin, 1 - e^(-xmin) = 1.0e-3
+    assert rows["closed-form-number"].measured < 5e-4
 
     errs = []
     for cells in (224, 448):
@@ -191,6 +194,8 @@ def test_c08_fragmentation_oracle(contexts):
     assert lhs == pytest.approx(rhs, rel=1e-8)
 
     rows = _oracle_rows(ctx)
+    # 3.2e-4 against the number on [xmin, xmax], 1.7e-3 against (0, inf)
+    assert rows["closed-form-number"].measured < 5e-4
     _ok("8", f"oracle rows pass: profile {rows['closed-form-profile'].measured:.2e}, "
              f"mass {rows['mass-conserved'].measured:.1e}")
 

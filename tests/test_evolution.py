@@ -318,6 +318,24 @@ def test_picard_stopped_short_of_tolerance_is_not_converged():
     assert np.min(traj.min_density) < 0.0
 
 
+def test_linear_sink_is_folded_once_per_step_and_mode(monkeypatch):
+    """The folded sink is kept per (dt, keep_shift): a split solve of 200
+    steps folds once, and alternating the two modes at one dt folds each
+    once."""
+    folds = []
+    real = gfc.evolution.fold_sink
+    monkeypatch.setattr(gfc.evolution, "fold_sink", lambda *args: folds.append(1) or real(*args))
+    sc = load_scenario("gfc-global-ii", {"grid": {"cells": 64}, "time": {"t_end": 0.2}})
+    ks, grid, cfg = sc.kernel_set(), sc.grid(), sc.solver_config()
+    solve(sc.initial_field(grid), cfg, ks)
+    assert len(folds) == 1
+    stepper = SplitStepper(ks, grid, cfg)
+    g = sc.initial_field(grid).values
+    outs = [stepper._linear_sink(g, cfg.dt, keep) for keep in (True, False, True, False)]
+    assert len(folds) == 3
+    assert np.array_equal(outs[0], outs[2]) and np.array_equal(outs[1], outs[3])
+
+
 def sequential_picard(f0, cfg, ks):
     """The Picard iteration one sweep at a time: each iteration propagates
     over the whole horizon, one field per call, before the next one starts.

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from conftest import GROWTH_SPELLINGS, make_kernels, quad_per_interval, recorded_intervals
+import gfc.fragmentation
 import gfc.kernels
 from gfc.fragmentation import build_daughter_matrix, fragmentation_constants
 from gfc.grid import SizeGrid
@@ -180,6 +181,14 @@ class TestDaughterMoments:
         rows = {r.name: r for r in validate_kernel_set(ks, 1e-3, 1e2, m=2.0)}
         assert rows["daughter-liminf"].measured == 1.0 - b.shape_integral(2.0, 1.0)
         assert rows["daughter-liminf"].passed
+        # both read the one daughter deficit N_m(1)
+        orders = []
+        for module in (gfc.kernels, gfc.fragmentation):
+            monkeypatch.setattr(module, "moment_deficit",
+                                lambda b, m, y: orders.append((m, y)) or moment_deficit(b, m, y))
+        fragmentation_constants(ks, 3.0)
+        validate_kernel_set(ks, 1e-3, 1e2, m=2.0)
+        assert orders == [(3.0, 1.0), (2.0, 1.0)]
         # the independent checks of b still integrate it numerically
         assert rows["daughter-mass-conservation"].measured == math.inf
         assert rows["daughter-number-bound"].measured == math.inf
@@ -359,6 +368,18 @@ class TestCoagulationKernel:
         prod = CoagulationKernel("product", k0=1.0, alpha=0.5, bound_class="local")
         assert np.all(np.abs(prod(x[:, None], x[None, :])
                              - prod.class_bound(x[:, None], x[None, :])) < 1e-12)
+
+    @pytest.mark.parametrize("kind", ["constant", "sum", "product", "table"])
+    def test_on_grid_is_kept_per_grid(self, kind):
+        """Every kind evaluates its pair values once per (kernel, grid): a
+        second on_grid, on the same or an equal grid, returns the same
+        read-only array; another grid gets its own."""
+        k = CoagulationKernel(kind, k0=1.0, alpha=0.5, table_x=[0.1, 10.0],
+                              table_k=[[1.0, 2.0], [2.0, 3.0]])
+        first = k.on_grid(SizeGrid.geometric(0.1, 10.0, 16))
+        assert first.shape == (16, 16) and not first.flags.writeable
+        assert k.on_grid(SizeGrid.geometric(0.1, 10.0, 16)) is first
+        assert k.on_grid(SizeGrid.geometric(0.1, 10.0, 8)).shape == (8, 8)
 
     def test_product_kernel_violates_global_class(self):
         ks = make_kernels(a0=1.0, k0=1.0, coag_kind="product", bound_class="global",

@@ -1,4 +1,5 @@
 import copy
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -95,6 +96,25 @@ def test_young_parameter_spends_the_sink_share(growth, r0, certified, share):
         closed = (0.9 * share * par.delta[i] * par.gamma0
                   / (par.alpha * par.K[i] * (par.M1_max + 1.0))) ** (par.alpha / par.gamma0)
         assert par.eps[i] == pytest.approx(closed, rel=1e-13)
+
+
+@pytest.mark.parametrize("growth,r0,a0", [("linear", 0.0, 1.0), ("affine", 0.1, 1.0),
+                                          ("affine", 0.1, 0.0)])
+@pytest.mark.parametrize("m,orders", [(1.5, [2]), (2.0, [2]), (2.5, [2, 3]), (3.0, [2, 3])])
+def test_without_coagulation_the_young_split_is_empty(growth, r0, a0, m, orders):
+    """k0 = 0 runs the one set of formulas with K_i = 0: eps = inf and no
+    Young term, so D0 = D3 = 0 and D2 = rtilde exactly, with no refusal even
+    where there is no fragmentation sink (a0 = 0).  Orders run to
+    max(ceil(m), 2)."""
+    ks = make_kernels(a0=a0, growth=growth, r0=r0, r1=0.3)
+    cond = mb.global_conditions(ks, 50.0)
+    env = mb.m01_envelope(cond, ks, 1.0, 1.0, np.linspace(0, 1, 11), 1e-3)
+    par = mb.assemble_bound_params(ks, m, env, cond)
+    assert par.orders == orders
+    for i in orders:
+        assert par.K[i] == 0.0 and par.eps[i] == math.inf
+        assert par.D0[i] == 0.0 and par.D3[i] == 0.0
+        assert par.D1[i] == par.nu[i] + par.rtilde and par.D2[i] == par.rtilde
 
 
 @pytest.mark.parametrize("x0,gamma0,nu", [(1.0, 1.0, 0.0), (0.37, 0.6, 1.5), (4.0, 2.0, 0.0)])

@@ -299,6 +299,42 @@ def test_positivity_row_states_its_direction():
     assert row.measured > 0.0 and row.status == "pass"
 
 
+def _capped_duhamel_run(monkeypatch):
+    """constant-coag as a converging Duhamel run at 128 cells, stopped by
+    PICARD_MAX_ITER patched to 3 at an update of about 1e-2."""
+    raw = get_preset("constant-coag")
+    raw["grid"]["cells"] = 128
+    raw["kernels"]["coagulation"]["k0"] = 0.1
+    raw["time"].update(t_end=0.2, output_every=0.01)
+    raw["solver"].update(scheme="duhamel", n=1.25, p=1.5)
+    monkeypatch.setattr(gfc.evolution, "PICARD_MAX_ITER", 3)
+    return ScenarioContext(load_scenario(raw)), ("not-converged", "PICARD_TOL")
+
+
+def _split_blowup_run(monkeypatch):
+    """constant-coag at 128 cells with the blow-up ceiling patched to 1 + 1e-4."""
+    raw = get_preset("constant-coag")
+    raw["grid"]["cells"] = 128
+    monkeypatch.setattr(gfc.evolution, "BLOWUP_CEILING", 1.0 + 1e-4)
+    return ScenarioContext(load_scenario(raw)), ("blowup",)
+
+
+@pytest.mark.parametrize("case", [_capped_duhamel_run, _split_blowup_run],
+                         ids=["duhamel-not-converged", "split-blowup"])
+def test_incomplete_run_fails_positivity(monkeypatch, case):
+    """A run that stops short certifies nothing: min-cell measures NaN and
+    fails although every cell stayed >= 0, and its detail names the outcome
+    (and, for Picard, the last update against PICARD_TOL)."""
+    ctx, words = case(monkeypatch)
+    report, _ = run_suites(ctx)
+    assert ctx.trajectory.outcome == words[0]
+    assert np.min(ctx.trajectory.min_density) >= 0.0
+    (row,) = [r for r in report.rows if r.suite == "positivity"]
+    assert math.isnan(row.measured) and row.status == "fail"
+    assert all(word in row.detail for word in words), row.detail
+    assert [r for r in report.rows if not r.passed] == [row]
+
+
 def test_table_daughter_quadrature_budget(monkeypatch):
     """On a table daughter law, numerical quadrature runs only in the
     independent checks: one vector quadrature over the 50 mass-conservation
