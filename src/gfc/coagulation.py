@@ -252,9 +252,6 @@ def apply_coag_beta(f: DensityField, ct: CoagTables, a1: np.ndarray) -> DensityF
     return base
 
 
-COAG_MOMENT2_TOL = 2e-3   # the order-2 identity carries the pair-splitting error
-
-
 def coag_moment_identity(f: DensityField, ct: Optional[CoagTables]) -> list[ReportRow]:
     """The 'coag-identities' rows: for i = 0, 1, 2 the moment rate of the
     discretized operator against the exact double sum.
@@ -262,9 +259,12 @@ def coag_moment_identity(f: DensityField, ct: Optional[CoagTables]) -> list[Repo
     For i = 1 the comparison includes the routed overflow so both sides are
     zero to rounding (tolerance 1e-11); for i = 0 the double sum collapses to
     minus half the total event rate (1e-11); order 2 picks up the
-    pair-splitting error, bounded by COAG_MOMENT2_TOL.  The double sum runs over
-    all ordered pairs from the kernel matrix alone, so it does not reuse the
-    gain operator it checks.  No tables (`ct` None) means no coagulation.
+    pair-splitting error, bounded by (rho - 1)^2 / 4, rho the grid ratio: a
+    pair of size s landing between centers x_lo and rho x_lo gains
+    (s - x_lo)(rho x_lo - s) <= (rho - 1)^2 s^2 / 4 in the second moment.
+    The double sum runs over all ordered pairs from the kernel matrix alone,
+    so it does not reuse the gain operator it checks.  No tables (`ct` None)
+    means no coagulation.
     """
     if ct is None:
         return [ReportRow("coag-identities", "mass", detail="coagulation disabled")]
@@ -274,7 +274,7 @@ def coag_moment_identity(f: DensityField, ct: Optional[CoagTables]) -> list[Repo
     ev = _event_rates(f, ct)
     s = (x[:, None] + x[None, :]).ravel()
     rows = []
-    for i, tol in ((0.0, 1e-11), (1.0, 1e-11), (2.0, COAG_MOMENT2_TOL)):
+    for i, tol in ((0.0, 1e-11), (1.0, 1e-11), (2.0, 0.25 * (grid.ratio - 1.0) ** 2)):
         xi = np.power(x, i)
         lhs = float(np.sum(xi * kf.values * grid.widths))
         if i == 1:

@@ -79,11 +79,13 @@ class NumericalFailureError(RuntimeError):
 class SolverConfig:
     """Time-stepping parameters and the weight-order bookkeeping.
 
-    The secondary orders satisfy 1 < n < p < m with p = m - alpha when the
-    Duhamel solver is used.  The one bound on dt is the positivity step
-    bound, which keeps the explicit coagulation loss dominated on the
-    configured ball, whose shift the kernel set carries; the transport is
-    exact along characteristics and needs none.
+    output_every divides t_end and, under lie-split, is a whole number of
+    steps (a Duhamel run picks its own substep).  The secondary orders
+    satisfy 1 < n < p < m with p = m - alpha when the Duhamel solver is
+    used.  The one bound on dt is the positivity step bound, which keeps
+    the explicit coagulation loss dominated on the configured ball, whose
+    shift the kernel set carries; the transport is exact along
+    characteristics and needs none.
     """
 
     dt: float = 1e-3
@@ -135,11 +137,23 @@ class SolverConfig:
             raise ConfigError(
                 "positivity cannot be guaranteed: dt * max(a + beta*(1+x^alpha)) = "
                 f"{self.dt * worst:.3f} exceeds 1; lower dt")
-        if abs(round(self.t_end / self.dt) * self.dt - self.t_end) > 1e-9 * max(1.0, self.t_end):
+        if not _whole_multiple(self.t_end, self.dt):
             raise ConfigError("t_end must be an integer number of steps")
         if not 0 < self.output_every <= self.t_end:
             raise ConfigError(f"output_every = {self.output_every} must lie in "
                               f"(0, t_end = {self.t_end}]")
+        if not _whole_multiple(self.t_end, self.output_every):
+            raise ConfigError(f"output_every = {self.output_every} must divide "
+                              f"t_end = {self.t_end}")
+        if self.scheme == "lie-split" and not _whole_multiple(self.output_every, self.dt):
+            raise ConfigError(f"output_every = {self.output_every} must be a whole number "
+                              f"of steps dt = {self.dt} under lie-split")
+
+
+def _whole_multiple(total: float, part: float) -> int:
+    """total / part if it is a whole number >= 1, to 1e-9 relative, else 0."""
+    k = round(total / part)
+    return k if k >= 1 and abs(k * part - total) <= 1e-9 * max(1.0, total) else 0
 
 
 class Trajectory:
@@ -295,8 +309,8 @@ def solve(f0: DensityField, cfg: SolverConfig, ks: KernelSet,
         raise ConfigError("solve marches the splitting schemes; "
                           "scheme 'duhamel' is solved by duhamel_solve")
     stepper = SplitStepper(ks, f0.grid, cfg, dm=dm, ct=ct)
-    n_steps = int(round(cfg.t_end / cfg.dt))
-    every = max(1, int(round(cfg.output_every / cfg.dt)))
+    n_steps = _whole_multiple(cfg.t_end, cfg.dt)
+    every = _whole_multiple(cfg.output_every, cfg.dt)
 
     times, snapshots, growth = [0.0], [f0.copy()], [stepper.growth_mass]
     wm = WeightSpec(cfg.m, "shifted")
@@ -313,7 +327,7 @@ def solve(f0: DensityField, cfg: SolverConfig, ks: KernelSet,
             raise NumericalFailureError(
                 f"non-finite density at t = {step * cfg.dt:.6g} (step {step}); "
                 f"min = {np.nanmin(f.values):.3e}, max = {np.nanmax(f.values):.3e}")
-        if step % every == 0 or step == n_steps:
+        if step % every == 0:
             times.append(step * cfg.dt)
             snapshots.append(f.copy())
             growth.append(stepper.growth_mass)
@@ -407,7 +421,7 @@ def duhamel_solve(f0: DensityField, cfg: SolverConfig, ks: KernelSet,
         raise ConfigError("duhamel solver needs the initial state inside the ball")
 
     prop = SplitStepper(ks, grid, cfg, dm=dm, ct=ct)
-    n_out = int(round(cfg.t_end / cfg.output_every))
+    n_out = _whole_multiple(cfg.t_end, cfg.output_every)
     d_out = cfg.t_end / n_out
     n_sub = max(1, int(round(d_out / cfg.dt)))
     times = np.arange(n_out + 1) * d_out
@@ -436,16 +450,10 @@ def duhamel_solve(f0: DensityField, cfg: SolverConfig, ks: KernelSet,
             sweeps.append(_Sweep(last, f0, source0))
             last = sweeps[-1].nodes
         rows = ([lin[-1]] if len(lin) <= n_out else []) + [s.carry(half) for s in sweeps]
-        if len(rows) == 1:
-            # a lone row goes as a plain field: broadcasting a stack against
-            # the per-cell arrays costs about a microsecond per array call
-            moved = [prop.advance_linear(rows[0], d_out, n_sub)]
-        else:
-            stack = prop.advance_linear(
-                DensityField(grid, np.array([r.values for r in rows]),
-                             np.array([r.escaped_mass for r in rows])), d_out, n_sub)
-            moved = [DensityField(grid, v, float(e))
-                     for v, e in zip(stack.values, stack.escaped_mass)]
+        stack = prop.advance_linear(
+            DensityField(grid, np.array([r.values for r in rows]),
+                         np.array([r.escaped_mass for r in rows])), d_out, n_sub)
+        moved = [DensityField(grid, v, float(e)) for v, e in zip(stack.values, stack.escaped_mass)]
         if len(lin) <= n_out:
             lin.append(moved.pop(0).copy())
         for s, g in zip(sweeps, moved):

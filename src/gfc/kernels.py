@@ -464,10 +464,7 @@ class AbsorptionRate:
         return cls(compute_beta(k.k0, ball_radius), k.alpha)
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.beta == 0.0:
-            return np.zeros_like(x)
-        return self.beta * (1.0 + np.power(x, self.alpha))
+        return self.beta * (1.0 + np.power(np.asarray(x, dtype=float), self.alpha))
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -55,20 +54,17 @@ class InfeasibleParamsError(ValueError):
     """No Young parameter can balance coagulation against fragmentation."""
 
 
-@lru_cache(maxsize=64)
-def binary_expansion_constant(i: float) -> float:
-    """C_i = sup ((x+y)^i - x^i - y^i) / (x y^(i-1) + x^(i-1) y).
+def binary_expansion_constant(i: int) -> float:
+    """C_i = sup ((x+y)^i - x^i - y^i) / (x y^(i-1) + x^(i-1) y) = 2^(i-1) - 1.
 
-    Scale invariant, so the supremum is taken over the unit simplex
-    direction.  C_2 = 1 exactly; values are cached per order.
+    For an integer i >= 2, with t = x/y the numerator over y^i is
+    (1/2) sum_{0<k<i} binom(i, k) (t^k + t^(i-k)), and each t^k + t^(i-k)
+    is at most t + t^(i-1), the denominator over y^i.  So the ratio is at
+    most (2^i - 2)/2, and x = y attains it.
     """
-    if i < 1:
-        raise ValueError("binary expansion constant needs i >= 1")
-    u = np.linspace(1e-7, 0.5, 200001)  # symmetric in u <-> 1-u
-    num = 1.0 - np.power(u, i) - np.power(1.0 - u, i)
-    den = u * np.power(1.0 - u, i - 1.0) + np.power(u, i - 1.0) * (1.0 - u)
-    sup = float(np.max(num / den))
-    return sup * (1.0 + 1e-9)
+    if not float(i).is_integer() or i < 2:
+        raise ValueError(f"binary expansion constant needs an integer order >= 2, got {i}")
+    return 2.0 ** (i - 1) - 1.0
 
 
 @dataclass
@@ -203,7 +199,7 @@ def assemble_bound_params(ks: KernelSet, m: float, envelope: dict,
     sink_share = 0.5 if par.condition == "ii" else 1.0
     for i in orders:
         dp, d, nu = fragmentation_constants(ks, i)
-        Ki = binary_expansion_constant(float(i)) * k0 if k0 > 0 else 0.0
+        Ki = binary_expansion_constant(i) * k0 if k0 > 0 else 0.0
         d_eff = sink_share * d
         if Ki > 0 and d_eff <= 0:
             raise InfeasibleParamsError(

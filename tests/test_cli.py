@@ -354,11 +354,20 @@ class TestConfigParsing:
     @pytest.mark.parametrize("time,match", [
         ({"output_every": 0.0}, "output_every"),
         ({"output_every": 0.5}, "output_every"),
-        ({"t_end": 0.201}, "integer number of steps")])
+        ({"t_end": 0.201}, "integer number of steps"),
+        ({"output_every": 0.03}, r"^output_every = 0\.03 must divide t_end = 0\.2$"),
+        ({"output_every": 0.05}, "output_every = 0.05 must be a whole number of steps")])
     def test_output_schedule_checked_at_load(self, time, match):
         raw = copy.deepcopy(MINI)
         raw["time"].update(time)
         with pytest.raises(ConfigError, match=match):
+            load_scenario(raw)
+
+    def test_duhamel_output_every_must_divide_t_end(self):
+        raw = copy.deepcopy(MINI)
+        raw["solver"].update(scheme="duhamel", n=1.25, p=1.5)
+        raw["time"]["output_every"] = 0.03
+        with pytest.raises(ConfigError, match="must divide t_end"):
             load_scenario(raw)
 
     def test_cross_field_validation_before_run(self, tmp_path):
@@ -430,6 +439,24 @@ class TestCommands:
         assert code == 1
         assert re.search(r"^error: output_every = 0\.05 must lie in \(0, t_end = 0\.02\]$",
                          capsys.readouterr().err, re.M)
+
+    def test_output_schedule_refusals_exit_one(self, tmp_path, capsys):
+        """A lie-split schedule that does not divide t_end exits 1 at load; a
+        Duhamel one of 12.5 steps loads, and the splitting solve its
+        cross-validation needs is refused by the same rule."""
+        raw = copy.deepcopy(MINI)
+        raw["time"]["output_every"] = 0.03
+        assert main(["run", "--config", write_cfg(tmp_path, raw),
+                     "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "error: output_every = 0.03 must divide t_end = 0.2\n"
+        raw["time"]["output_every"] = 0.05
+        raw["solver"].update(scheme="duhamel", n=1.25, p=1.5)
+        raw["checks"] = {"suites": ["solver-cross-validation"]}
+        assert main(["verify", "--config", write_cfg(tmp_path, raw),
+                     "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == ("error: output_every = 0.05 must be a whole number "
+                                           "of steps dt = 0.004 under lie-split\n")
+        assert not (tmp_path / "out").exists()
 
     def test_overrides_are_validated_with_the_file(self, tmp_path, capsys):
         """The step bound is checked on the run that executes: --dt mends a

@@ -4,7 +4,7 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_kernels
@@ -206,15 +206,22 @@ def exact_gain(nu, grid, amounts):
     return np.array(gain), np.array(moments)
 
 
+def grids(max_cells=1024):
+    return st.builds(lambda lo, hi, cells: SizeGrid.geometric(10.0**lo, 10.0**hi, cells),
+                     st.floats(-4.0, -1.0), st.floats(0.5, 3.0), st.integers(2, max_cells))
+
+
 def random_grid(data, max_cells=1024):
-    return SizeGrid.geometric(10.0 ** data.draw(st.floats(-4.0, -1.0)),
-                              10.0 ** data.draw(st.floats(0.5, 3.0)),
-                              data.draw(st.integers(2, max_cells)))
+    return data.draw(grids(max_cells))
+
+
+def seeded_amounts(seed, grid, rows=()):
+    rng = np.random.default_rng(seed)
+    return rng.random((*rows, grid.cells)) * np.exp(-grid.centers / grid.centers[-1] * 8.0)
 
 
 def random_amounts(data, grid, rows=()):
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    return rng.random((*rows, grid.cells)) * np.exp(-grid.centers / grid.centers[-1] * 8.0)
+    return seeded_amounts(data.draw(st.integers(0, 2**32 - 1)), grid, rows)
 
 
 class TestFactoredGain:
@@ -309,7 +316,7 @@ def unfolded_sink(stepper, g, dt, keep_shift):
     decay = np.exp(-c * dt)
     absorbed = g * (1.0 - decay)
     with np.errstate(divide="ignore", invalid="ignore"):
-        to_frag = np.where(c > 0, absorbed * a / c, 0.0)
+        to_frag = absorbed * np.where(c > 0, a / c, 0.0)   # the share a/c first
     out = decay * g
     if keep_shift:
         out = out + (absorbed - to_frag)
@@ -325,16 +332,21 @@ class TestFoldedSink:
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from([0.0, 0.3, 2.0]), st.sampled_from([0.0, 0.4]),
            st.one_of(st.floats(-0.5, 4.0), daughter_tables()), st.booleans(),
-           st.sampled_from([(), (3,)]), st.booleans(), st.data())
-    def test_matches_the_unfolded_sink(self, a0, beta, daughter, keep_shift, rows, signed, data):
-        grid = random_grid(data, max_cells=96)
-        ks = make_kernels(a0=a0, gamma0=data.draw(st.floats(0.0, 2.0)), beta=beta)
+           st.sampled_from([(), (3,)]), st.booleans(), grids(max_cells=96),
+           st.floats(0.0, 2.0), st.floats(-4.0, 0.0), st.integers(0, 2**32 - 1))
+    # a cell where a = c (no shift, gamma0 = 2) absorbs everything into fragments
+    @example(2.0, 0.0, DaughterDistribution("table", table_u=[0.0, 0.5, 1.0],
+                                            table_phi=[1.0, 0.0, 0.0]),
+             True, (), False, SizeGrid.geometric(0.1, 10.0, 21), 2.0, 0.0, 1)
+    def test_matches_the_unfolded_sink(self, a0, beta, daughter, keep_shift, rows, signed,
+                                       grid, gamma0, log_dt, seed):
+        ks = make_kernels(a0=a0, gamma0=gamma0, beta=beta)
         if isinstance(daughter, float):
             daughter = DaughterDistribution("power-law", nu=daughter)
         ks = dataclasses.replace(ks, b=daughter)
         stepper = SplitStepper(ks, grid, SolverConfig(m=2.0))
-        dt = 10.0 ** data.draw(st.floats(-4.0, 0.0))
-        g = random_amounts(data, grid, rows)
+        dt = 10.0**log_dt
+        g = seeded_amounts(seed, grid, rows)
         if signed:
             g = g - 0.5 * g.max(axis=-1, keepdims=True)
         out = stepper._linear_sink(g, dt, keep_shift)

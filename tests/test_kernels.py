@@ -141,7 +141,16 @@ class TestDaughterMoments:
                                   data.draw(st.integers(4, 96)))
         dm = build_daughter_matrix(b, grid)
         np.testing.assert_allclose(dm.column_moment(1.0), grid.centers, rtol=1e-12)
-        assert_shape_integrals_match_quadrature(b, data.draw(st.floats(0.0, 1.0)), u)
+        v = data.draw(st.floats(0.0, 1.0))
+        if v >= 2.0**-960:
+            assert_shape_integrals_match_quadrature(b, v, u)
+            return
+        # quad cannot resolve [0, v] near the subnormals (see the power-law
+        # test below); v lies below the first inner knot, where phi is linear
+        c0, c1 = b(0.0, 1.0), (b(u[1], 1.0) - b(0.0, 1.0)) / u[1]
+        for p in SHAPE_ORDERS:
+            assert b.shape_integral(p, v) == pytest.approx(
+                c0 * v**(p + 1) / (p + 1) + c1 * v**(p + 2) / (p + 2), rel=1e-9, abs=1e-300)
 
     @settings(max_examples=40, deadline=None)
     @given(st.floats(-0.9, 6.0), st.floats(0.0, 1.0))

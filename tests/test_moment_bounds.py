@@ -19,11 +19,23 @@ from gfc.presets import get_preset
 from gfc.report import SUITES, ScenarioContext
 
 
-def test_binary_expansion_constants():
-    # (x+y)^2 - x^2 - y^2 = 2xy gives C_2 = 1; for i = 3 the ratio is
-    # identically 3 on the simplex, so C_3 = 3
-    assert mb.binary_expansion_constant(2.0) == pytest.approx(1.0, rel=1e-6)
-    assert mb.binary_expansion_constant(3.0) == pytest.approx(3.0, rel=1e-6)
+@pytest.mark.parametrize("i", range(2, 9))
+def test_binary_expansion_constant_is_exact(i):
+    """C_i = 2^(i-1) - 1, and no smaller: it is at least the supremum of the
+    ratio sampled densely over u = x/(x+y) in (0, 1/2], which is scale free.
+    The sample's numerator is the binomial sum, free of the cancellation in
+    1 - u^i - (1-u)^i; its rounding is a few ulps (at i = 3 the ratio is flat)."""
+    u = np.linspace(1e-7, 0.5, 200001)
+    num = sum(math.comb(i, k) * u**k * (1.0 - u)**(i - k) for k in range(1, i))
+    sampled = np.max(num / (u * (1.0 - u)**(i - 1) + u**(i - 1) * (1.0 - u)))
+    assert mb.binary_expansion_constant(i) == 2**(i - 1) - 1
+    assert mb.binary_expansion_constant(i) >= sampled * (1.0 - 1e-14)
+
+
+@pytest.mark.parametrize("i", [2.5, 1])
+def test_binary_expansion_constant_needs_an_integer_order_from_2(i):
+    with pytest.raises(ValueError, match="integer order >= 2"):
+        mb.binary_expansion_constant(i)
 
 
 class TestGlobalConditions:

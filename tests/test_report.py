@@ -2,6 +2,7 @@
 suites, with one rule from (measured, relation, bound, tol) to status."""
 import math
 import operator
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,8 +17,9 @@ import gfc.transport
 from gfc import moment_bounds as mb
 from gfc.coagulation import coag_moment_identity
 from gfc.config import load_scenario
-from gfc.evolution import PICARD_TOL, pde_residual, regularization_probe
+from gfc.evolution import PICARD_TOL, duhamel_solve, pde_residual, regularization_probe
 from gfc.fragmentation import frag_moment_identity
+from gfc.grid import DensityField, WeightSpec, weighted_integral
 from gfc.kernels import ReportRow, validate_kernel_set, verdict
 from gfc.presets import get_preset, preset_names
 from gfc.report import NO_GROWTH_LEDGER, SUITES, ScenarioContext, _exact_family, run_suites
@@ -284,6 +286,20 @@ def test_picard_contraction_is_what_convergence_tests(monkeypatch):
     row = picard_row()
     assert row.status == "fail" and row.measured > PICARD_TOL
     assert "iteration 2;" in row.detail
+
+
+def test_cross_validation_compares_every_split_output(ctx):
+    """Split output k is Duhamel node 2k, at the same time: the row is the
+    worst distance over all of them."""
+    dcfg = replace(ctx.cfg, scheme="duhamel", output_every=0.5 * ctx.cfg.output_every)
+    dtraj, _ = duhamel_solve(ctx.f0, dcfg, ctx.ks, dm=ctx.dm, ct=ctx.ct)
+    traj, w = ctx.trajectory, WeightSpec(ctx.cfg.m, "shifted")
+    np.testing.assert_allclose(dtraj.times[::2], traj.times, rtol=0.0, atol=1e-12)
+    dist = [weighted_integral(DensityField(ctx.grid, np.abs(f.values - g.values)), w) / norm
+            for f, g, norm in zip(traj.fields, dtraj.fields[::2], traj.norm0m)]
+    row = SUITES["solver-cross-validation"](ctx)[0]
+    assert row.name == "split-vs-duhamel" and row.measured == max(dist) > 0.0
+    assert row.detail == f"worst of all {len(traj.fields)} split outputs"
 
 
 def test_positivity_row_states_its_direction():
