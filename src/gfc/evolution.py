@@ -80,11 +80,11 @@ class SolverConfig:
     """Time-stepping parameters and the weight-order bookkeeping.
 
     output_every divides t_end and, under lie-split, is a whole number of
-    steps (a Duhamel run picks its own substep).  The secondary orders
-    satisfy 1 < n < p < m with p = m - alpha when the Duhamel solver is
-    used.  The one bound on dt is the positivity step bound, which keeps
-    the explicit coagulation loss dominated on the configured ball, whose
-    shift the kernel set carries; the transport is exact along
+    steps (a Duhamel run picks its own substep).  The Duhamel scheme needs
+    `mild_premise`; n and p are the regularization probe's orders, read by
+    no solver.  The one bound on dt is the positivity step bound, which
+    keeps the explicit coagulation loss dominated on the configured ball,
+    whose shift the kernel set carries; the transport is exact along
     characteristics and needs none.
     """
 
@@ -106,15 +106,8 @@ class SolverConfig:
             raise ConfigError(f"weight order m = {self.m} must exceed 1")
         if not ks.k.is_zero and self.m <= ks.k.alpha + 1.0:
             raise ConfigError(f"coagulation needs m > alpha + 1 = {ks.k.alpha + 1.0}")
-        if self.scheme == "duhamel":
-            if self.p is None or self.n is None:
-                raise ConfigError("duhamel scheme needs the secondary orders n and p")
-            if not (1.0 < self.n < self.p < self.m):
-                raise ConfigError("orders must satisfy 1 < n < p < m")
-            if abs(self.p - (self.m - ks.k.alpha)) > 1e-12:
-                raise ConfigError("duhamel scheme requires p = m - alpha")
-            if self.m - self.n >= ks.a.gamma0:
-                raise ConfigError("(m - n)/gamma0 must be below 1 for the Duhamel integral")
+        if self.scheme == "duhamel" and (reason := mild_premise(ks, self.m)):
+            raise ConfigError(reason)
         # the step bound and the mild formulation both rest on the shift for this ball
         shift = AbsorptionRate.for_ball(ks.k, self.ball_radius)
         if ks.a1 != shift:
@@ -148,6 +141,18 @@ class SolverConfig:
         if self.scheme == "lie-split" and not _whole_multiple(self.output_every, self.dt):
             raise ConfigError(f"output_every = {self.output_every} must be a whole number "
                               f"of steps dt = {self.dt} under lie-split")
+
+
+def mild_premise(ks: KernelSet, m: float) -> Optional[str]:
+    """Why the mild formulation in X_[0,m] fails, or None.  K maps X_m to
+    X_(m - alpha), and the Duhamel integral needs an order n in
+    (max(1, m - gamma0), m - alpha): one exists iff m > alpha + 1 and alpha < gamma0."""
+    alpha, gamma0 = ks.k.alpha, ks.a.gamma0
+    if not alpha < gamma0:
+        return f"the mild formulation needs alpha = {alpha:g} < gamma0 = {gamma0:g}"
+    if not m > alpha + 1.0:
+        return f"the mild formulation needs m = {m:g} > alpha + 1 = {alpha + 1.0:g}"
+    return None
 
 
 def _whole_multiple(total: float, part: float) -> int:
@@ -592,9 +597,7 @@ def pde_residual(traj: Trajectory, ks: KernelSet, dm: Optional[DaughterMatrix],
         dt2 = traj.times[k + 1] - traj.times[k - 1]
         dfdt = (traj.fields[k + 1].values - traj.fields[k - 1].values) / dt2
         fk = traj.fields[k]
-        rhs = np.zeros_like(x)
-        if not ks.r.is_zero:
-            rhs = rhs - np.gradient(ks.r(x) * fk.values, x)
+        rhs = -np.gradient(ks.r(x) * fk.values, x)
         if dm is not None:
             rhs = rhs + apply_frag(fk, ks, dm).values
         if ct is not None:

@@ -33,7 +33,6 @@ __all__ = [
     "apply_frag",
     "daughter_gain",
     "fold_sink",
-    "below_x0",
     "frag_moment_identity",
     "fragmentation_constants",
 ]
@@ -172,23 +171,17 @@ def apply_frag(f: DensityField, ks: KernelSet, dm: DaughterMatrix) -> DensityFie
     return DensityField(f.grid, gain - a * f.values)
 
 
-def below_x0(ks: KernelSet) -> np.ndarray:
-    """The sizes at which a supremum over [0, x0] of the fragmentation rate
-    (times a weight) is sampled: 200 points from 1e-6*x0 to x0."""
-    return np.linspace(ks.a.x0 * 1e-6, ks.a.x0, 200)
-
-
 def fragmentation_constants(ks: KernelSet, i: float) -> tuple[float, float, float]:
     """Surrogates (delta'_i, delta_i, nu_i) for the fragmentation sink estimate.
 
     delta'_i = N_i(y)/y^i = N_i(1) (`moment_deficit`) at every parent size
     y, the daughter law being homogeneous; delta_i scales it by a0, and
-    nu_i = delta_i * sup a on [0, x0], sampled at `below_x0`, mirrors the
-    constant produced by splitting the sink integral at x0.
+    nu_i = delta_i * sup a on [0, x0] (`FragmentationRate.sup_below_x0`),
+    the constant produced by splitting the sink integral at x0.
     """
     delta_p = moment_deficit(ks.b, i, 1.0)
     delta = delta_p * ks.a.a0
-    nu = delta * float(np.max(ks.a(below_x0(ks))))
+    nu = delta * ks.a.sup_below_x0()
     return delta_p, delta, nu
 
 

@@ -162,7 +162,8 @@ class FragmentationRate:
     """Overall breakup rate a(x).
 
     kinds: 'power-law' a0*x^gamma0, 'linear' (a0*x), 'table'.
-    Hypotheses: a >= 0 locally bounded, and a(x) >= a0*x^gamma0 for x >= x0.
+    Hypotheses: a >= 0 locally bounded, and a(x) >= a0*x^gamma0 for x >= x0
+    > 0; a power law is locally bounded exactly when gamma0 >= 0.
     """
 
     kind: str = "power-law"
@@ -179,8 +180,13 @@ class FragmentationRate:
             object.__setattr__(self, "gamma0", 1.0)
         if self.a0 < 0:
             raise KernelConfigError("fragmentation amplitude a0 must be >= 0")
+        if not self.x0 > 0:
+            raise KernelConfigError(f"fragmentation threshold x0 must be > 0, got {self.x0}")
         if self.kind == "table":
             _set_table(self, "table_x", "table_a")
+        elif self.gamma0 < 0:
+            raise KernelConfigError(f"power-law fragmentation a0*x^gamma0 needs gamma0 >= 0 "
+                                    f"to be locally bounded, got {self.gamma0}")
 
     @property
     def is_zero(self) -> bool:
@@ -191,6 +197,13 @@ class FragmentationRate:
         if self.kind == "table":
             return _table_value(self.table_x, self.table_a, x)
         return self.a0 * np.power(x, self.gamma0)
+
+    def sup_below_x0(self) -> float:
+        """sup of a on [0, x0], exact: a(x0) for a power law, nondecreasing
+        as gamma0 >= 0; for a table, linear between knots and constant
+        beyond them, the largest of a(x0) and the values at the knots <= x0."""
+        knots = self.table_a[self.table_x <= self.x0] if self.kind == "table" else ()
+        return float(np.max([self(self.x0), *knots]))
 
 
 def _pl_integral(u: np.ndarray, phi: np.ndarray, up_to, p: float):

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
 from .evolution import Trajectory
-from .fragmentation import below_x0, fragmentation_constants
+from .fragmentation import fragmentation_constants
 from .grid import DensityField
 from .kernels import UNREACHABLE, KernelSet, ReportRow
 
@@ -80,38 +80,27 @@ class ConditionReport:
 
     @property
     def certified(self) -> str:
-        if self.cond_ii:
-            return "ii"
-        if self.cond_i:
-            return "i"
-        return "none"
+        return "ii" if self.cond_ii else "i" if self.cond_i else "none"
 
 
-N_FIT = 400   # condition (i) fits the production on this many sizes in [0, xmax]
+def global_conditions(ks: KernelSet) -> ConditionReport:
+    """The structural conditions for global existence, worked out from the laws.
 
-
-def global_conditions(ks: KernelSet, xmax: float) -> ConditionReport:
-    """Certify the structural conditions for global existence.
-
-    Condition (i): an affine majorant of (n0(x) - 1) a(x), least-squares
-    fitted on N_FIT sizes in [0, xmax] and lifted, must still majorize on the
-    extended range [0, 10 xmax]; superlinear production fails there.
-    Condition (ii), r(x) <= rtilde * x, holds exactly when r(0) = 0: when
-    the growth law's origin is unreachable (vacuously for zero growth).
-    """
-    xs_fit = np.linspace(xmax * 1e-4, xmax, N_FIT)
-    xs_ext = np.concatenate([xs_fit, np.geomspace(xmax, 10.0 * xmax, N_FIT // 2)])
+    (i) m0 + m1 x >= (n0 - 1) a(x) on (0, inf).  A table is constant past its
+    knots: m0 = (n0 - 1) max(table_a), m1 = 0.  A power law, c = (n0 - 1) a0:
+    iff c = 0 or gamma0 <= 1, on the tangent at 1 (x^g <= 1 - g + g x for
+    0 <= g <= 1), m0 = c (1 - gamma0), m1 = c gamma0; else m0 = m1 = inf.
+    (ii) r(x) <= rtilde x holds exactly when r(0) = 0: when the growth
+    law's origin is unreachable (vacuously for zero growth)."""
+    cond_ii = ks.r.origin_class == UNREACHABLE
     n0 = ks.b.number_of_daughters()
-    g_fit = (n0 - 1.0) * ks.a(xs_fit)
-    g_ext = (n0 - 1.0) * ks.a(xs_ext)
-
-    slope = float(np.polyfit(xs_fit, g_fit, 1)[0])
-    m1 = max(0.0, slope)
-    m0 = max(0.0, float(np.max(g_fit - m1 * xs_fit)))
-    resid = g_ext - (m0 + m1 * xs_ext)
-    scale = 1.0 + m0 + m1 * xs_ext
-    cond_i = bool(np.all(resid <= 1e-9 * scale))
-    return ConditionReport(cond_i, m0, m1, ks.r.origin_class == UNREACHABLE)
+    if ks.a.kind == "table":
+        return ConditionReport(True, (n0 - 1.0) * float(np.max(ks.a.table_a)), 0.0, cond_ii)
+    c, g = (n0 - 1.0) * ks.a.a0, ks.a.gamma0
+    if c == 0.0 or g <= 1.0:
+        g = min(g, 1.0)   # no production is majorized at any gamma0
+        return ConditionReport(True, c * (1.0 - g), c * g, cond_ii)
+    return ConditionReport(False, math.inf, math.inf, cond_ii)
 
 
 @dataclass
@@ -213,10 +202,8 @@ def assemble_bound_params(ks: KernelSet, m: float, envelope: dict,
         par.D2[i] = par.rtilde + Ki * M1_max * (1.0 + C_ALPHA + young)
         par.D3[i] = Ki * young
 
-    # zeroth-moment machinery under condition (ii)
-    xs = below_x0(ks)
-    wi = 1.0 + np.power(xs, PHI_ORDER)
-    par.a_tilde = 2.0 * par.b0 * float(np.max(ks.a(xs) * wi))
+    # condition (ii): a_tilde bounds 2 b0 a(x) (1 + x^PHI_ORDER) on [0, x0]
+    par.a_tilde = 2.0 * par.b0 * (ks.a.sup_below_x0() * (1.0 + par.x0 ** PHI_ORDER))
     return par
 
 

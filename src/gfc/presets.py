@@ -61,7 +61,7 @@ PRESETS: dict[str, dict] = {
         },
         "grid": {"xmin": 1.0e-3, "xmax": 50.0, "cells": 512},
         "time": {"dt": 1.0e-3, "t_end": 1.0, "output_every": 0.05},
-        "solver": {"scheme": "lie-split", "m": 2.0, "n": 1.25, "p": 1.5},
+        "solver": {"scheme": "lie-split", "m": 2.0},
         "initial": {"profile": "mass-exponential", "amplitude": 0.1, "decay": 1.0},
         "checks": {"suites": ["kernel-validation", "frag-identities", "coag-identities",
                               "mass-budget", "positivity", "quasi-contractivity",
@@ -82,7 +82,7 @@ PRESETS: dict[str, dict] = {
         },
         "grid": {"xmin": 0.02, "xmax": 50.0, "cells": 512},
         "time": {"dt": 1.0e-3, "t_end": 1.0, "output_every": 0.05},
-        "solver": {"scheme": "lie-split", "m": 2.0, "n": 1.25, "p": 1.5},
+        "solver": {"scheme": "lie-split", "m": 2.0},
         "initial": {"profile": "mass-exponential", "amplitude": 0.1, "decay": 1.0},
         "checks": {"suites": ["kernel-validation", "mass-budget", "positivity",
                               "moment-domination", "determinism"]},

@@ -27,7 +27,8 @@ from . import moment_bounds as mb
 from .coagulation import build_coag_tables, coag_loss_rate, coag_moment_identity
 from .config import ScenarioConfig
 from .evolution import (PICARD_TOL, ConfigError, DuhamelReport, SolverConfig, SplitStepper,
-                        Trajectory, duhamel_solve, pde_residual, regularization_probe, solve)
+                        Trajectory, duhamel_solve, mild_premise, pde_residual,
+                        regularization_probe, solve)
 from .fragmentation import build_daughter_matrix, frag_moment_identity, neglected_gain_estimate
 from .grid import DensityField, SizeGrid, WeightSpec, moment, project, weighted_integral
 from .kernels import FragmentationRate, GrowthRate, KernelSet, ReportRow, validate_kernel_set
@@ -101,9 +102,13 @@ def write_trajectory_csv(path: Path, traj: Trajectory,
 
 class ScenarioContext:
     """One scenario's verification run: the very parts `sc` built at load, and
-    the objects the suites share, built on first use."""
+    the objects the suites share, built on first use.  A suite name that is
+    not in SUITES is refused here, before anything is solved."""
 
     def __init__(self, sc: ScenarioConfig):
+        if unknown := [name for name in sc.check_suites if name not in SUITES]:
+            raise ConfigError(f"unknown check suite {unknown[0]!r}; "
+                              f"available: {', '.join(sorted(SUITES))}")
         self.sc = sc
         self.ks: KernelSet = sc.kernel_set()
         self.grid: SizeGrid = sc.grid()
@@ -146,7 +151,7 @@ class ScenarioContext:
 
     @cached_property
     def conditions(self) -> mb.ConditionReport:
-        return mb.global_conditions(self.ks, self.grid.xmax)
+        return mb.global_conditions(self.ks)
 
     @property
     def bounds(self) -> mb.BoundTrajectory:
@@ -344,9 +349,9 @@ CROSS_VALIDATION_TOL = 0.02   # splitting against Duhamel, weighted relative
 
 
 def _suite_cross_validation(ctx: ScenarioContext) -> list[ReportRow]:
-    if ctx.ks.k.is_zero or ctx.cfg.n is None or ctx.cfg.p is None:
-        return [ReportRow("solver-cross-validation", "split-vs-duhamel",
-                          detail="needs coagulation and the secondary orders")]
+    reason = "needs coagulation" if ctx.ks.k.is_zero else mild_premise(ctx.ks, ctx.cfg.m)
+    if reason:
+        return [ReportRow("solver-cross-validation", "split-vs-duhamel", detail=reason)]
     # convolution nodes at half the output cadence keep the product-trapezoid
     # error comfortably inside the agreement tolerance
     dcfg = replace(ctx.cfg, scheme="duhamel", output_every=0.5 * ctx.cfg.output_every)
@@ -449,9 +454,6 @@ def run_suites(ctx: ScenarioContext, suites: Optional[list[str]] = None) -> tupl
     report = RunReport()
     start = time.perf_counter()
     for name in names:
-        if name not in SUITES:
-            raise ConfigError(f"unknown check suite {name!r}; "
-                              f"available: {', '.join(sorted(SUITES))}")
         report.rows.extend(SUITES[name](ctx))
     report.elapsed = time.perf_counter() - start
     return report, ctx

@@ -250,7 +250,7 @@ def test_c11_regularization_probe(contexts):
 def test_c12_moment_domination(contexts):
     for name in ("gfc-global-i", "gfc-global-ii"):
         ctx = contexts[name]
-        cond = mb.global_conditions(ctx.ks, ctx.grid.xmax)
+        cond = mb.global_conditions(ctx.ks)
         assert cond.any_holds
         traj = ctx.trajectory
         env = mb.m01_envelope(cond, ctx.ks, traj.M0[0], traj.M1[0], traj.times, ctx.cfg.dt)

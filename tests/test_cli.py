@@ -8,6 +8,7 @@ import yaml
 
 from conftest import GROWTH_SPELLINGS
 import gfc.config
+import gfc.report
 from gfc.cli import main
 from gfc.config import SCHEMA, ConfigFileError, load_scenario
 from gfc.evolution import ConfigError, SolverConfig
@@ -197,6 +198,51 @@ class TestConfigParsing:
                                match=r"unknown key 'checks\.tolerances' \(allowed: suites\)"):
                 load_scenario(write_cfg(tmp_path, raw))
 
+    @pytest.mark.parametrize("law,message", [
+        ({"x0": 0.0}, "fragmentation threshold x0 must be > 0, got 0.0"),
+        ({"x0": -1.0}, "fragmentation threshold x0 must be > 0, got -1.0"),
+        ({"kind": "table", "table_x": [0.1, 1.0], "table_a": [1.0, 2.0], "x0": 0.0},
+         "fragmentation threshold x0 must be > 0"),
+        ({"gamma0": -0.5}, "needs gamma0 >= 0 to be locally bounded, got -0.5")])
+    def test_fragmentation_law_refused_at_load(self, tmp_path, capsys, law, message):
+        """x0 <= 0 and a power law that is not locally bounded fail at load,
+        as one error line and exit 1 before any run, not a traceback from
+        the bound cascade (x0 = 0) or certificates built on them."""
+        raw = get_preset("gfc-global-i")
+        raw["grid"]["cells"] = 32
+        raw["kernels"]["fragmentation"].update(law)
+        path = write_cfg(tmp_path, raw)
+        with pytest.raises(KernelConfigError, match=re.escape(message)):
+            load_scenario(path)
+        assert main(["verify", "--config", path, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    def test_unknown_suite_refused_before_any_solve(self, tmp_path, capsys, monkeypatch,
+                                                    command):
+        """A misspelt suite name is an error line and exit 1 before anything
+        is solved or written."""
+        monkeypatch.setattr(gfc.report, "solve", lambda *a, **k: pytest.fail("solved"))
+        raw = copy.deepcopy(MINI)
+        raw["checks"]["suites"] = ["mass-budjet"]
+        path = write_cfg(tmp_path, raw)
+        assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown check suite 'mass-budjet'; available: ")
+        assert not (tmp_path / "out").exists()
+
+    def test_readme_scenarios_load(self, tmp_path):
+        """Every yaml block in README.md is a scenario file that loads."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = re.findall(r"^```yaml\n(.*?)^```", readme, re.S | re.M)
+        assert blocks
+        for i, block in enumerate(blocks):
+            path = tmp_path / f"readme{i}.yaml"
+            path.write_text(block)
+            load_scenario(str(path))
+
     @pytest.mark.parametrize("key", ["xmin", "xmax", "cells"])
     def test_missing_grid_key_rejected(self, tmp_path, capsys, key):
         raw = copy.deepcopy(MINI)
@@ -365,7 +411,7 @@ class TestConfigParsing:
 
     def test_duhamel_output_every_must_divide_t_end(self):
         raw = copy.deepcopy(MINI)
-        raw["solver"].update(scheme="duhamel", n=1.25, p=1.5)
+        raw["solver"]["scheme"] = "duhamel"
         raw["time"]["output_every"] = 0.03
         with pytest.raises(ConfigError, match="must divide t_end"):
             load_scenario(raw)
@@ -450,7 +496,7 @@ class TestCommands:
                      "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == "error: output_every = 0.03 must divide t_end = 0.2\n"
         raw["time"]["output_every"] = 0.05
-        raw["solver"].update(scheme="duhamel", n=1.25, p=1.5)
+        raw["solver"]["scheme"] = "duhamel"
         raw["checks"] = {"suites": ["solver-cross-validation"]}
         assert main(["verify", "--config", write_cfg(tmp_path, raw),
                      "--out", str(tmp_path / "out")]) == 1
@@ -618,13 +664,14 @@ class TestCommands:
         assert refusal in capsys.readouterr().err
 
     @pytest.mark.parametrize("command,preset,scheme,message", [
-        ("run", "gfc-global-ii", "duhamel", "(m - n)/gamma0 must be below 1"),
+        ("run", "gfc-global-ii", "duhamel", "the mild formulation needs alpha = 0.5 < gamma0 = 0"),
         ("probe-regularization", "regularization-probe", "lie-split",
          "the probe's (m - n)/gamma0 needs gamma0 > 0, got 0")])
     def test_gamma0_zero_is_an_error_line(self, tmp_path, capsys, command, preset, scheme,
                                           message):
-        """gamma0 = 0 is an admissible rate, but the Duhamel integral and the
-        probe's exponent (m - n)/gamma0 need gamma0 > m - n > 0."""
+        """gamma0 = 0 is an admissible rate, but the mild formulation needs
+        alpha < gamma0, and the probe's exponent (m - n)/gamma0 needs
+        gamma0 > 0."""
         raw = get_preset(preset)
         raw["grid"]["cells"] = 64
         raw["solver"]["scheme"] = scheme

@@ -11,8 +11,8 @@ from gfc.cli import main
 from gfc.coagulation import apply_coag_beta, build_coag_tables
 from gfc.config import ScenarioConfig, load_scenario
 from gfc.evolution import (ConfigError, NumericalFailureError, SetupError,
-                           SolverConfig, SplitStepper, duhamel_solve, pde_residual,
-                           regularization_probe, solve)
+                           SolverConfig, SplitStepper, duhamel_solve, mild_premise,
+                           pde_residual, regularization_probe, solve)
 from gfc.fragmentation import build_daughter_matrix
 from gfc.grid import DensityField, SizeGrid, WeightSpec, moment, project, weighted_integral
 from gfc.presets import get_preset
@@ -46,17 +46,37 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="alpha"):
             mk_cfg(m=1.5, dt=1e-3).validate(ks, grid)
 
-    def test_duhamel_needs_p_equal_m_minus_alpha(self):
+    def test_duhamel_premise_is_law_level(self):
+        """The Duhamel scheme needs alpha < gamma0 and m > alpha + 1, read
+        from the laws and m alone: the secondary orders are not asked for,
+        and any given are not read."""
         ks = make_kernels(a0=1.0, k0=0.5, coag_kind="sum", alpha=0.5, growth="linear",
                           r0=0.0, r1=0.2)
         grid = SizeGrid.geometric(0.1, 10.0, 64)
-        with pytest.raises(ConfigError, match="p = m - alpha"):
-            mk_cfg(scheme="duhamel", m=2.0, n=1.25, p=1.4).validate(ks, grid)
-        with pytest.raises(ConfigError, match="gamma0"):
-            cfg = mk_cfg(scheme="duhamel", m=2.0, n=1.05, p=1.5)
-            ks2 = make_kernels(a0=1.0, gamma0=0.9, k0=0.5, coag_kind="sum", alpha=0.5,
-                               growth="linear", r0=0.0, r1=0.2)
-            cfg.validate(ks2, grid)
+        for orders in ({}, {"n": 1.25, "p": 1.4}, {"n": 1.05, "p": 1.5}):
+            mk_cfg(scheme="duhamel", m=2.0, **orders).validate(ks, grid)
+        for gamma0 in (0.5, 0.4):
+            with pytest.raises(ConfigError, match=f"alpha = 0.5 < gamma0 = {gamma0:g}"):
+                mk_cfg(scheme="duhamel", m=2.0).validate(replace(ks, a=replace(
+                    ks.a, gamma0=gamma0)), grid)
+        # without coagulation only the mild formulation asks for m > alpha + 1
+        ks0 = make_kernels(a0=1.0, alpha=0.5, growth="linear", r0=0.0, r1=0.2)
+        mk_cfg(m=1.5).validate(ks0, grid)
+        with pytest.raises(ConfigError, match=r"m = 1.5 > alpha \+ 1 = 1.5"):
+            mk_cfg(scheme="duhamel", m=1.5).validate(ks0, grid)
+
+    @settings(max_examples=300, deadline=None)
+    @given(*(st.integers(1, 64).map(lambda k: k / 16) for _ in range(3)))
+    def test_mild_premise_refuses_exactly_when_no_orders_exist(self, m, alpha, gamma0):
+        """The old rule asked for orders 1 < n < p < m with p = m - alpha and
+        m - n < gamma0.  On sixteenths, where every difference is exact,
+        `mild_premise` refuses exactly when no n on a 1/1024 lattice (as
+        fine as any gap between the bounds) meets them."""
+        ks = make_kernels(a0=1.0, gamma0=gamma0, alpha=alpha)
+        p = m - alpha
+        exists = any(1.0 < n < p < m and m - n < gamma0
+                     for n in np.arange(1, 1024 * (m + 1)) / 1024)
+        assert (mild_premise(ks, m) is None) == exists
 
     def test_positivity_step_bound_guard(self):
         ks = make_kernels(k0=50.0, coag_kind="constant", alpha=0.5, growth="constant", r0=0.0,
@@ -76,7 +96,7 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="ball radius 1.0"):
             mk_cfg(ball_radius=1.0).validate(ks, grid)
         with pytest.raises(ConfigError, match="ball radius 1.0"):
-            mk_cfg(ball_radius=1.0, scheme="duhamel", n=1.25, p=1.5).validate(ks, grid)
+            mk_cfg(ball_radius=1.0, scheme="duhamel").validate(ks, grid)
         # a stepper built directly takes the shift it is given
         stepper = SplitStepper(ks, grid, mk_cfg(ball_radius=1.0))
         assert np.array_equal(stepper.a1, ks.a1(grid.centers))
@@ -126,7 +146,7 @@ class TestStepSplit:
         grid = SizeGrid.geometric(1e-2, 30.0, 64)
         f = project(lambda x: 0.1 * x * np.exp(-x), grid)
         with pytest.raises(ConfigError, match="duhamel_solve"):
-            solve(f, mk_cfg(scheme="duhamel", n=1.25, p=1.5), ks)
+            solve(f, mk_cfg(scheme="duhamel"), ks)
 
     def test_zero_initial_state_stays_zero(self):
         ks = make_kernels(a0=1.0, k0=0.5, coag_kind="sum", growth="linear", r0=0.0, r1=0.2)
@@ -240,7 +260,7 @@ class TestDuhamel:
         ks = make_kernels(a0=1.0, growth="linear", r0=0.0, r1=0.2)
         grid = SizeGrid.geometric(1e-2, 30.0, 128)
         f = project(lambda x: 0.05 * x * np.exp(-x), grid)
-        cfg = mk_cfg(scheme="duhamel", t_end=0.2, n=1.25, p=1.5, output_every=0.05)
+        cfg = mk_cfg(scheme="duhamel", t_end=0.2, output_every=0.05)
         traj, rep = duhamel_solve(f, cfg, ks)
         assert rep.converged and rep.iterations <= 2
         assert np.all(traj.min_density >= 0)
@@ -250,23 +270,37 @@ class TestDuhamel:
                           r0=0.0, r1=0.2)
         grid = SizeGrid.geometric(1e-2, 30.0, 128)
         f = project(lambda x: 10.0 * x * np.exp(-x), grid)
-        cfg = mk_cfg(scheme="duhamel", n=1.25, p=1.5)
+        cfg = mk_cfg(scheme="duhamel")
         with pytest.raises(ConfigError, match="ball"):
             duhamel_solve(f, cfg, ks)
 
     def test_rejects_a_splitting_scheme(self):
-        """validate skips the Duhamel premises for a splitting scheme, so
-        duhamel_solve refuses one: here p is not m - alpha."""
-        ks = make_kernels(a0=1.0, k0=0.5, coag_kind="sum", growth="linear",
+        """validate skips the Duhamel premise for a splitting scheme, so
+        duhamel_solve refuses one: here alpha = gamma0."""
+        ks = make_kernels(a0=1.0, k0=0.5, coag_kind="sum", alpha=1.0, growth="linear",
                           r0=0.0, r1=0.2)
         grid = SizeGrid.geometric(1e-2, 30.0, 32)
         f = project(lambda x: 0.05 * x * np.exp(-x), grid)
-        cfg = mk_cfg(scheme="lie-split", n=1.25, p=1.4)
+        cfg = mk_cfg(scheme="lie-split", m=2.5)
         cfg.validate(ks, grid)
         with pytest.raises(ConfigError, match="duhamel_solve iterates scheme 'duhamel'"):
             duhamel_solve(f, cfg, ks)
-        with pytest.raises(ConfigError, match="p = m - alpha"):
+        with pytest.raises(ConfigError, match="alpha = 1 < gamma0 = 1"):
             duhamel_solve(f, replace(cfg, scheme="duhamel"), ks)
+
+    def test_secondary_orders_are_not_read(self):
+        """A Duhamel solve without n and p is bit for bit the one with them."""
+        ks = make_kernels(a0=1.0, k0=0.5, coag_kind="sum", growth="linear",
+                          r0=0.0, r1=0.25)
+        grid = SizeGrid.geometric(1e-2, 30.0, 48)
+        f = project(lambda x: 0.1 * x * np.exp(-x), grid)
+        cfg = mk_cfg(scheme="duhamel", t_end=0.1, output_every=0.025)
+        bare, rep = duhamel_solve(f, cfg, ks)
+        given, rep_n = duhamel_solve(f, replace(cfg, n=1.25, p=1.5), ks)
+        assert rep.converged and rep == rep_n
+        assert trajectory_csv_text(bare) == trajectory_csv_text(given)
+        for a, b in zip(bare.fields, given.fields):
+            assert np.array_equal(a.values, b.values)
 
     def test_agrees_with_split_solver(self):
         ks = make_kernels(a0=1.0, k0=0.5, coag_kind="sum", growth="linear",
@@ -275,8 +309,7 @@ class TestDuhamel:
         f = project(lambda x: 0.1 * x * np.exp(-x), grid)
         cfg = mk_cfg(dt=1e-3, t_end=0.25, output_every=0.025)
         traj = solve(f, cfg, ks)
-        dcfg = mk_cfg(dt=1e-3, t_end=0.25, output_every=0.0125, scheme="duhamel",
-                      n=1.25, p=1.5)
+        dcfg = mk_cfg(dt=1e-3, t_end=0.25, output_every=0.0125, scheme="duhamel")
         dtraj, rep = duhamel_solve(f, dcfg, ks)
         assert rep.converged
         w = WeightSpec(2.0, "shifted")
@@ -310,7 +343,7 @@ def test_picard_stopped_short_of_tolerance_is_not_converged():
     the trajectory must not read as a completed run."""
     raw = get_preset("constant-coag")
     raw["grid"]["cells"] = 128
-    raw["solver"].update(scheme="duhamel", n=1.25, p=1.5)
+    raw["solver"]["scheme"] = "duhamel"
     sc = load_scenario(raw)
     traj, rep = duhamel_solve(sc.initial_field(sc.grid()), sc.solver_config(), sc.kernel_set())
     assert not rep.converged and rep.iterations == gfc.evolution.PICARD_MAX_ITER
@@ -476,7 +509,7 @@ class TestTrajectoryColumns:
                           r0=0.0, r1=0.25)
         grid = SizeGrid.geometric(1e-2, 30.0, 64)
         f = project(lambda x: 0.1 * x * np.exp(-x), grid)
-        cfg = mk_cfg(t_end=0.05, output_every=0.025, scheme=scheme, n=1.25, p=1.5)
+        cfg = mk_cfg(t_end=0.05, output_every=0.025, scheme=scheme)
         traj = duhamel_solve(f, cfg, ks)[0] if scheme == "duhamel" else solve(f, cfg, ks)
         w = WeightSpec(cfg.m, "shifted")
         observables = {

@@ -12,9 +12,9 @@ from conftest import make_kernels
 from gfc import moment_bounds as mb
 from gfc.config import load_scenario
 from gfc.evolution import solve, SolverConfig
-from gfc.fragmentation import below_x0, fragmentation_constants
+from gfc.fragmentation import fragmentation_constants
 from gfc.grid import SizeGrid, moment, project
-from gfc.kernels import UNREACHABLE, GrowthRate
+from gfc.kernels import UNREACHABLE, FragmentationRate, GrowthRate
 from gfc.presets import get_preset
 from gfc.report import SUITES, ScenarioContext
 
@@ -42,7 +42,7 @@ class TestGlobalConditions:
     def test_linear_production_certifies_condition_i(self):
         ks = make_kernels(a0=1.0, growth="affine", r0=0.1, r1=0.1,
                           k0=0.5, coag_kind="sum")
-        cond = mb.global_conditions(ks, 50.0)
+        cond = mb.global_conditions(ks)
         assert cond.cond_i
         assert cond.m0 == pytest.approx(0.0, abs=1e-6)
         assert cond.m1 == pytest.approx(1.0, rel=1e-6)
@@ -52,13 +52,13 @@ class TestGlobalConditions:
     def test_linear_growth_certifies_condition_ii(self):
         ks = make_kernels(a0=1.0, growth="linear", r0=0.0, r1=0.3, k0=0.5,
                           coag_kind="sum")
-        cond = mb.global_conditions(ks, 50.0)
+        cond = mb.global_conditions(ks)
         assert cond.cond_ii and cond.certified == "ii"
 
     def test_superlinear_production_fails_both(self):
         ks = make_kernels(a0=1.0, gamma0=2.0, growth="affine", r0=1.0, r1=1.0,
                           k0=0.5, coag_kind="sum")
-        cond = mb.global_conditions(ks, 50.0)
+        cond = mb.global_conditions(ks)
         assert not cond.cond_i and not cond.cond_ii
         with pytest.raises(mb.InfeasibleParamsError):
             mb.m01_envelope(cond, ks, 1.0, 1.0, np.linspace(0, 1, 11), 1e-3)
@@ -71,7 +71,7 @@ class TestGlobalConditions:
         ks = replace(make_kernels(a0=1.0, k0=0.5, coag_kind="sum"),
                      r=GrowthRate("table", r0=1e-12, r1=0.25, table_x=[1e-9, 1.0, 400.0],
                                   table_r=[1e-12, 0.25, 100.0]))
-        cond = mb.global_conditions(ks, 50.0)
+        cond = mb.global_conditions(ks)
         assert ks.r.origin_class != UNREACHABLE
         assert not cond.cond_ii and cond.certified != "ii"
 
@@ -89,7 +89,7 @@ class TestGlobalConditions:
         """Condition (ii) is certified exactly when the growth law's origin
         is unreachable, over affine laws and growth tables."""
         ks = replace(make_kernels(a0=1.0, k0=0.5, coag_kind="sum"), r=growth)
-        cond = mb.global_conditions(ks, 50.0)
+        cond = mb.global_conditions(ks)
         assert (cond.certified == "ii") == (growth.origin_class == UNREACHABLE)
 
 
@@ -99,7 +99,7 @@ def test_young_parameter_spends_the_sink_share(growth, r0, certified, share):
     """Under condition (ii) half the fragmentation sink pays for the Phi
     functional, so the Young parameter balances coagulation against delta_i/2."""
     ks = make_kernels(a0=1.0, growth=growth, r0=r0, r1=0.3, k0=0.5, coag_kind="sum")
-    cond = mb.global_conditions(ks, 50.0)
+    cond = mb.global_conditions(ks)
     assert cond.certified == certified
     env = mb.m01_envelope(cond, ks, 1.0, 1.0, np.linspace(0, 1, 11), 1e-3)
     par = mb.assemble_bound_params(ks, 3.0, env, cond)
@@ -119,7 +119,7 @@ def test_without_coagulation_the_young_split_is_empty(growth, r0, a0, m, orders)
     where there is no fragmentation sink (a0 = 0).  Orders run to
     max(ceil(m), 2)."""
     ks = make_kernels(a0=a0, growth=growth, r0=r0, r1=0.3)
-    cond = mb.global_conditions(ks, 50.0)
+    cond = mb.global_conditions(ks)
     env = mb.m01_envelope(cond, ks, 1.0, 1.0, np.linspace(0, 1, 11), 1e-3)
     par = mb.assemble_bound_params(ks, m, env, cond)
     assert par.orders == orders
@@ -129,23 +129,98 @@ def test_without_coagulation_the_young_split_is_empty(growth, r0, a0, m, orders)
         assert par.D1[i] == par.nu[i] + par.rtilde and par.D2[i] == par.rtilde
 
 
-@pytest.mark.parametrize("x0,gamma0,nu", [(1.0, 1.0, 0.0), (0.37, 0.6, 1.5), (4.0, 2.0, 0.0)])
-def test_sup_of_a_below_x0_reads_one_sample(x0, gamma0, nu):
-    """nu_i and a_tilde both read a at `below_x0`, the 200 sizes from
-    1e-6*x0 to x0 that each used to sample for itself, bit for bit."""
+@pytest.mark.parametrize("x0,gamma0,nu", [(1.0, 1.0, 0.0), (0.37, 0.6, 1.5), (4.0, 2.0, 0.0),
+                                          (2.5, 0.0, 0.0)])
+def test_sup_of_a_below_x0_is_exact_and_shared(x0, gamma0, nu):
+    """nu_i and a_tilde both read one exact sup of a on [0, x0]: a(x0) for a
+    power law, nondecreasing as gamma0 >= 0, which no size in [0, x0]
+    exceeds; a_tilde is then the exact sup of 2 b0 a(x) (1 + x^2) there.
+    At gamma0 = 0 coagulation is off, as alpha < gamma0 is its premise."""
     ks = make_kernels(a0=1.0, gamma0=gamma0, x0=x0, daughter="power-law", nu=nu,
-                      growth="linear", r0=0.0, r1=0.3, k0=0.5, coag_kind="sum")
-    xs = np.linspace(x0 * 1e-6, x0, 200)
-    assert np.array_equal(below_x0(ks), xs)
-    cond = mb.global_conditions(ks, 50.0)
+                      growth="linear", r0=0.0, r1=0.3, k0=0.5 if gamma0 > 0.5 else 0.0,
+                      coag_kind="sum")
+    sup = ks.a.sup_below_x0()
+    xs = np.linspace(0.0, x0, 100001)
+    assert sup == float(ks.a(x0)) == float(np.max(ks.a(xs)))
+    cond = mb.global_conditions(ks)
     env = mb.m01_envelope(cond, ks, 1.0, 1.0, np.linspace(0, 1, 11), 1e-3)
     par = mb.assemble_bound_params(ks, 3.0, env, cond)
     for i in par.orders:
         delta = (1.0 - float(ks.b.shape_integral(i, 1.0))) * ks.a.a0
-        assert par.nu[i] == delta * float(np.max(ks.a(xs)))
+        assert par.nu[i] == delta * sup
         assert fragmentation_constants(ks, i)[2] == par.nu[i]
-    weight = 1.0 + np.power(xs, mb.PHI_ORDER)
-    assert par.a_tilde == 2.0 * par.b0 * float(np.max(ks.a(xs) * weight))
+    weighted = 2.0 * par.b0 * float(np.max(ks.a(xs) * (1.0 + xs**mb.PHI_ORDER)))
+    assert par.a_tilde == pytest.approx(weighted, rel=1e-15)
+
+
+# a table rate that peaks between two of any 200 evenly spaced sizes in
+# [0, 1], and between two of any 400 in [0, 50]: 1 outside [0.5, 0.502]
+PEAK = FragmentationRate("table", a0=1.0, x0=1.0, table_x=[0.5, 0.501, 0.502],
+                         table_a=[1.0, 50.0, 1.0])
+
+
+def test_table_peak_sets_the_sup_below_x0():
+    """A peak of 50 inside [0, x0] is the sup that nu_i and a_tilde read:
+    nu_2 = (1/3) 50 for the binary daughter, not the 1/3 a sample of
+    sizes that straddles the peak reads."""
+    ks = replace(make_kernels(growth="linear", r0=0.0, r1=0.3, k0=0.5, coag_kind="sum"),
+                 a=PEAK)
+    _, delta, nu = fragmentation_constants(ks, 2.0)
+    assert delta == pytest.approx(1.0 / 3.0, rel=1e-15)
+    assert nu == delta * 50.0
+    assert ks.a.sup_below_x0() == 50.0
+    cond = mb.global_conditions(ks)
+    env = mb.m01_envelope(cond, ks, 1.0, 1.0, np.linspace(0, 1, 11), 1e-3)
+    par = mb.assemble_bound_params(ks, 2.0, env, cond)
+    assert par.nu[2] == nu and par.a_tilde == 2.0 * par.b0 * (50.0 * 2.0)
+    # past x0 the peak is not read; below the first knot a is its value there
+    assert replace(PEAK, x0=0.4).sup_below_x0() == 1.0
+    at = replace(PEAK, x0=0.5005)
+    assert at.sup_below_x0() == float(at(0.5005)) == pytest.approx(25.5, rel=1e-12)
+
+
+def test_table_peak_sets_the_condition_i_majorant():
+    """The production (n0 - 1) a peaks at 500 between sizes any fit on the
+    grid would read; the majorant holds there: m0 = 500, m1 = 0."""
+    ks = replace(make_kernels(growth="affine", r0=0.1, r1=0.1, k0=0.5, coag_kind="sum"),
+                 a=replace(PEAK, table_a=[1.0, 500.0, 1.0]))
+    cond = mb.global_conditions(ks)
+    assert cond.certified == "i" and (cond.m0, cond.m1) == (500.0, 0.0)
+    assert cond.m0 + cond.m1 * 0.501 >= float(ks.a(0.501))
+
+
+SIZES = np.geomspace(1e-12, 1e12, 2401)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    st.builds(lambda a0, gamma0: FragmentationRate(a0=a0, gamma0=gamma0),
+              st.one_of(st.just(0.0), st.floats(1e-6, 1e3)), st.floats(0.0, 1.0)),
+    st.builds(lambda lo, values: FragmentationRate(
+                  "table", table_x=np.geomspace(lo, lo * 10.0 ** len(values), len(values)),
+                  table_a=values),
+              st.floats(1e-12, 1e3),
+              st.lists(st.floats(0.0, 1e3), min_size=2, max_size=8))),
+    st.one_of(st.just(0.0), st.floats(-0.9, 5.0)))
+def test_condition_i_majorizes_the_production(a, nu):
+    """Over random power laws with 0 <= gamma0 <= 1 and random tables,
+    m0 + m1 x majorizes (n0 - 1) a(x) from 1e-12 to 1e12 and at every knot,
+    to rounding."""
+    ks = replace(make_kernels(daughter="power-law", nu=nu), a=a)
+    cond = mb.global_conditions(ks)
+    assert cond.cond_i and cond.m0 >= 0.0 and cond.m1 >= 0.0
+    xs = SIZES if a.kind != "table" else np.union1d(SIZES, a.table_x)
+    production = (ks.b.number_of_daughters() - 1.0) * a(xs)
+    assert np.all(production <= (cond.m0 + cond.m1 * xs) * (1.0 + 1e-13))
+
+
+@pytest.mark.parametrize("gamma0", [1.0 + 1e-9, 1.5, 2.0])
+def test_superlinear_power_law_has_no_affine_majorant(gamma0):
+    """(n0 - 1) a0 x^gamma0 / x grows without bound for gamma0 > 1, unless
+    it is 0."""
+    cond = mb.global_conditions(make_kernels(a0=1.0, gamma0=gamma0))
+    assert not cond.cond_i and cond.m0 == cond.m1 == math.inf
+    assert mb.global_conditions(make_kernels(a0=0.0, gamma0=gamma0)).cond_i
 
 
 class TestBoundSystem:
@@ -157,7 +232,7 @@ class TestBoundSystem:
     def test_condition_ii_m1_is_exponential(self):
         ks = make_kernels(a0=1.0, growth="linear", r0=0.0, r1=0.3, k0=0.5,
                           coag_kind="sum")
-        cond = mb.global_conditions(ks, 50.0)
+        cond = mb.global_conditions(ks)
         times = np.linspace(0, 1, 21)
         par = self._params(ks, cond, times)
         # M1_max is the peak of the M1 column the bound system prints
@@ -169,14 +244,14 @@ class TestBoundSystem:
     def test_envelope_at_other_times_rejected(self):
         ks = make_kernels(a0=1.0, growth="linear", r0=0.0, r1=0.3, k0=0.5,
                           coag_kind="sum")
-        par = self._params(ks, mb.global_conditions(ks, 50.0), np.linspace(0, 1, 11))
+        par = self._params(ks, mb.global_conditions(ks), np.linspace(0, 1, 11))
         with pytest.raises(ValueError, match="other times"):
             mb.bound_system(par, {0: 1.0, 1: 1.0, 2: 2.0}, np.linspace(0, 1, 21), dt=1e-3)
 
     def test_condition_i_m1_max_is_the_printed_peak(self):
         ks = make_kernels(a0=1.0, growth="affine", r0=0.1, r1=0.1, k0=0.5,
                           coag_kind="sum")
-        cond = mb.global_conditions(ks, 50.0)
+        cond = mb.global_conditions(ks)
         assert cond.certified == "i"
         times = np.linspace(0, 1, 11)
         par = self._params(ks, cond, times)
@@ -187,7 +262,7 @@ class TestBoundSystem:
     def test_pure_fragmentation_bound_closed_form(self):
         # k = 0, r = 0: dM_i <= nu_i M_i integrates to M_i(0) e^(nu_i t)
         ks = make_kernels(a0=1.0, growth="constant", r0=0.0)
-        cond = mb.global_conditions(ks, 50.0)
+        cond = mb.global_conditions(ks)
         times = np.linspace(0, 1, 11)
         par = self._params(ks, cond, times)
         assert par.K[2] == 0.0
@@ -197,7 +272,7 @@ class TestBoundSystem:
     def test_zero_initial_moments_bounded_by_source_envelope(self):
         ks = make_kernels(a0=1.0, growth="linear", r0=0.0, r1=0.3, k0=0.5,
                           coag_kind="sum")
-        cond = mb.global_conditions(ks, 50.0)
+        cond = mb.global_conditions(ks)
         times = np.linspace(0, 1, 11)
         # constants assembled on an M1 envelope from M1(0) = 1.5, cascade
         # driven by a zero M1 column: only the source term D0 is left
@@ -216,9 +291,9 @@ class TestBoundSystem:
                            coag_kind="sum")
         ks2 = make_kernels(a0=1.0, growth="linear", r0=0.0, r1=0.3, k0=1.0,
                            coag_kind="sum")
-        cond = mb.global_conditions(ks1, 50.0)
+        cond = mb.global_conditions(ks1)
         p1 = self._params(ks1, cond, times)
-        p2 = self._params(ks2, mb.global_conditions(ks2, 50.0), times)
+        p2 = self._params(ks2, mb.global_conditions(ks2), times)
         b1 = mb.bound_system(p1, init, times, dt=1e-3)
         b2 = mb.bound_system(p2, init, times, dt=1e-3)
         assert np.all(b2.column(2) >= b1.column(2) * (1 - 1e-12))
@@ -238,7 +313,7 @@ class TestBoundSystem:
     def test_condition_ii_m1_column_ignores_m0(self):
         ks = make_kernels(a0=1.0, growth="linear", r0=0.0, r1=0.3, k0=0.5,
                           coag_kind="sum")
-        cond = mb.global_conditions(ks, 50.0)
+        cond = mb.global_conditions(ks)
         times = np.linspace(0, 1, 11)
         p_small = self._params(ks, cond, times, M0=0.1)
         p_large = self._params(ks, cond, times, M0=99.0)
@@ -257,7 +332,7 @@ def scenario():
     cfg = SolverConfig(dt=1e-3, t_end=0.5, m=2.0, output_every=0.05,
                        ball_radius=1.0)
     traj = solve(f0, cfg, ks)
-    cond = mb.global_conditions(ks, grid.xmax)
+    cond = mb.global_conditions(ks)
     env = mb.m01_envelope(cond, ks, traj.M0[0], traj.M1[0], traj.times, cfg.dt)
     par = mb.assemble_bound_params(ks, 2.0, env, cond)
     bounds = mb.bound_system(par, {0: traj.M0[0], 1: traj.M1[0], 2: traj.M2[0]},

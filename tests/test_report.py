@@ -28,9 +28,11 @@ from gfc.transport import resolvent_integral_bounds, v_lambda_diagnostics
 
 @pytest.fixture(scope="module")
 def ctx():
+    """gfc-global-ii at 64 cells, with the probe's orders n and p set."""
     raw = get_preset("gfc-global-ii")
     raw["grid"]["cells"] = 64
     raw["time"].update(t_end=0.05, output_every=0.025)
+    raw["solver"].update(n=1.25, p=1.5)
     return ScenarioContext(load_scenario(raw))
 
 
@@ -87,13 +89,34 @@ def test_resolvent_suite_ends_with_the_v_lambda_rows(ctx):
 
 def test_probe_without_secondary_orders_not_applicable():
     """The probe reads its weight orders from the solver section, so a
-    scenario without n and p gets one n/a row, as cross-validation does."""
+    scenario without n and p gets one n/a row."""
     raw = get_preset("regularization-probe")
     raw["grid"]["cells"] = 64
     del raw["solver"]["n"], raw["solver"]["p"]
     rows = SUITES["regularization-probe"](ScenarioContext(load_scenario(raw)))
     assert [(r.suite, r.name, r.status) for r in rows] == \
         [("regularization-probe", "bounded-product", "n/a")]
+
+
+@pytest.mark.parametrize("alpha,m,reason", [
+    (1.0, 2.5, "the mild formulation needs alpha = 1 < gamma0 = 1"),
+    (0.5, 2.0, None)])
+def test_cross_validation_checks_the_mild_premise_on_the_laws(alpha, m, reason):
+    """Cross-validation needs the mild formulation's premise, which the laws
+    and m decide, not typed orders: where it fails the suite prints one n/a
+    row with the reason instead of refusing the scenario."""
+    raw = get_preset("gfc-global-ii")
+    raw["grid"]["cells"] = 32
+    raw["time"].update(t_end=0.05, output_every=0.025)
+    raw["kernels"]["coagulation"]["alpha"] = alpha
+    raw["solver"]["m"] = m
+    assert "n" not in raw["solver"] and "p" not in raw["solver"]
+    rows = SUITES["solver-cross-validation"](ScenarioContext(load_scenario(raw)))
+    if reason is None:
+        assert [r.status for r in rows] == ["pass"] * 3
+    else:
+        assert [(r.name, r.status, r.detail) for r in rows] == \
+            [("split-vs-duhamel", "n/a", reason)]
 
 
 def test_moment_domination_suite_passes_the_rows_through(ctx):
@@ -322,7 +345,7 @@ def _capped_duhamel_run(monkeypatch):
     raw["grid"]["cells"] = 128
     raw["kernels"]["coagulation"]["k0"] = 0.1
     raw["time"].update(t_end=0.2, output_every=0.01)
-    raw["solver"].update(scheme="duhamel", n=1.25, p=1.5)
+    raw["solver"]["scheme"] = "duhamel"
     monkeypatch.setattr(gfc.evolution, "PICARD_MAX_ITER", 3)
     return ScenarioContext(load_scenario(raw)), ("not-converged", "PICARD_TOL")
 
@@ -494,7 +517,7 @@ def test_duhamel_without_growth_keeps_no_mass_ledger():
     raw["grid"]["cells"] = 128
     raw["kernels"]["coagulation"]["k0"] = 0.1
     raw["time"].update(t_end=0.2, output_every=0.01)
-    raw["solver"].update(scheme="duhamel", n=1.25, p=1.5)
+    raw["solver"]["scheme"] = "duhamel"
     ctx = ScenarioContext(load_scenario(raw))
     assert ctx.solution[1].converged and ctx.trajectory.outcome == "completed"
     rows = SUITES["oracle"](ctx) + SUITES["mass-budget"](ctx)
