@@ -223,7 +223,12 @@ def _event_rates(f: DensityField, ct: CoagTables) -> np.ndarray:
 
 def coag_loss_rate(f: DensityField, ct: CoagTables) -> np.ndarray:
     """Pointwise loss frequency Lambda(x_i) = sum_j k(x_i, x_j) f_j dx_j."""
-    return ct.loss_u @ (ct.loss_w @ (f.values * f.grid.widths))
+    return _loss_rate(f.values * f.grid.widths, ct)
+
+
+def _loss_rate(amounts: np.ndarray, ct: CoagTables) -> np.ndarray:
+    """`coag_loss_rate` from the amounts f dx."""
+    return ct.loss_u @ (ct.loss_w @ amounts)
 
 
 def apply_coag(f: DensityField, ct: CoagTables) -> DensityField:
@@ -235,7 +240,7 @@ def apply_coag(f: DensityField, ct: CoagTables) -> DensityField:
     z *= amounts.take(ct.row_partner)
     out = np.bincount(ct.row_target, weights=z, minlength=grid.cells + 1)
     vals = out[:-1] / grid.widths
-    vals -= f.values * coag_loss_rate(f, ct)
+    vals -= f.values * _loss_rate(amounts, ct)
     return DensityField(grid, vals, float(out[-1]))
 
 

@@ -151,8 +151,12 @@ class ScenarioConfig:
     @built_once
     def solver_config(self) -> SolverConfig:
         ker = self.raw["kernels"]
-        radius = {"ball_radius": ker["ball_radius"]} if "ball_radius" in ker else {}
-        return SolverConfig(**_fields(SolverConfig, radius, "kernels."),
+        radius = _fields(SolverConfig, {"ball_radius": ker["ball_radius"]}
+                         if "ball_radius" in ker else {}, "kernels.")
+        if not radius.get("ball_radius", 0.0) >= 0:
+            raise ConfigFileError(
+                f"'kernels.ball_radius' must be >= 0, got {radius['ball_radius']}")
+        return SolverConfig(**radius,
                             **_fields(SolverConfig, self.raw.get("time", {}), "time."),
                             **_fields(SolverConfig, self.raw.get("solver", {}), "solver."))
 

@@ -165,9 +165,10 @@ class Trajectory:
     """Snapshots of one run plus the scalar observables of each.
 
     The trajectory keeps the snapshots it is given and computes every column
-    from them; growth_mass is the solver's running growth ledger at the
-    snapshot times, or None for a Duhamel solve, which keeps none: the mild
-    form conserves mass only to the accuracy of its time quadrature.
+    from them; growth_mass is the split solver's growth ledger (a per-cell
+    running sum, summed exactly at each output) at the snapshot times, or
+    None for a Duhamel solve, which keeps none: the mild form conserves mass
+    only to the accuracy of its time quadrature.
     """
 
     def __init__(self, grid: SizeGrid, m_order: float, times, snapshots: list,
@@ -209,7 +210,11 @@ class SplitStepper:
     costs one `daughter_gain` per substep.  That
     substep is first order, so the step is too; a symmetric composition
     would not raise it.  Every circuit is mass-neutral to rounding; growth
-    is the only mass source and is accounted in a running ledger.
+    is the only mass source.  Its ledger is kept per cell: each remap adds
+    x_i dx_i (after_i - before_i) to cell i and the change of the escaped
+    mass to one float, and `growth_mass` sums the cells exactly only when it
+    is read (once per output).  Each add rounds once, so the ledger's error
+    is of order steps * eps * the mass the remaps moved.
     `linear_step` advances only the linear growth-fragmentation part on the
     same set-up and in the same order, with the absorbed shift share removed;
     it takes one field or a stack of them (see `DensityField`), and advances
@@ -229,23 +234,26 @@ class SplitStepper:
         self.a1 = ks.a1(x)
         self.c = self.a + self.a1        # the total linear sink
         self.antid = None if ks.r.is_zero else make_antiderivatives(ks, grid)
-        self.growth_mass = 0.0
+        self._mass_weight = x * grid.widths
+        self._growth_cells = np.zeros(grid.cells)   # the ledger, cell by cell
+        self._growth_escaped = 0.0
+
+    @property
+    def growth_mass(self) -> float:
+        """The mass the remaps have added so far: the per-cell ledger summed
+        exactly, plus the change of the escaped mass."""
+        return math.fsum(self._growth_cells.tolist()) + self._growth_escaped
 
     # -- substeps -------------------------------------------------------
-    def _mass(self, f: DensityField) -> float:
-        """M1 + escaped mass, with M1 summed as `grid.moment(f, 1.0)` sums it
-        (x^1 is x), without building its weight."""
-        terms = f.values * self.grid.centers
-        terms *= self.grid.widths
-        return math.fsum(terms.tolist()) + f.escaped_mass
-
     def _transport(self, f: DensityField, dt: float) -> DensityField:
         if self.ks.r.is_zero:
             return f
-        before = self._mass(f)
         out = transport_apply(f, dt, self.ks, self.cfg.m, antid=self.antid,
                               include_absorption=False)
-        self.growth_mass += self._mass(out) - before
+        moved = out.values - f.values
+        moved *= self._mass_weight
+        self._growth_cells += moved
+        self._growth_escaped += out.escaped_mass - f.escaped_mass
         return out
 
     @built_once

@@ -575,7 +575,9 @@ class ReportRow:
 def validate_kernel_set(ks: KernelSet, xmin: float, xmax: float,
                         m: Optional[float] = None) -> list[ReportRow]:
     """Probe every structural hypothesis of the coefficient bundle at N_SIZES
-    sizes geometrically spaced over [xmin, xmax].
+    sizes geometrically spaced over [xmin, xmax]; a table fragmentation
+    rate's lower bound is checked on all of [x0, inf), where the bound
+    cascade assumes it.
 
     The weight order m (and the coagulation solver requirement
     m > alpha + 1) is reported when m is given.  Failures are
@@ -593,11 +595,18 @@ def validate_kernel_set(ks: KernelSet, xmin: float, xmax: float,
     a_vals = ks.a(xs)
     add("frag-nonnegative", float(np.min(a_vals)), ">=", 0.0)
 
-    mask = xs >= ks.a.x0
-    if np.any(mask):
-        lower = ks.a.a0 * np.power(xs[mask], ks.a.gamma0)
-        add("frag-lower-bound", float(np.min(a_vals[mask] - lower)), ">=", 0.0,
-            1e-12 * max(1.0, ks.a.a0), f"a(x) >= a0*x^gamma0 for x >= {ks.a.x0}")
+    a = ks.a
+    sizes, tail = xs[xs >= a.x0], math.inf
+    if a.kind == "table":
+        # linear between knots and constant past the last, a table lies
+        # farthest below a0*x^gamma0 on [x0, inf) at x0, at a knot or in the
+        # tail, which falls without bound below a growing power
+        sizes = np.concatenate((sizes, [a.x0], a.table_x[a.table_x >= a.x0]))
+        tail = -math.inf if a.a0 * a.gamma0 > 0 else float(a.table_a[-1]) - a.a0
+    if sizes.size:
+        gap = a(sizes) - a.a0 * np.power(sizes, a.gamma0)
+        add("frag-lower-bound", min(float(np.min(gap)), tail), ">=", 0.0,
+            1e-12 * max(1.0, a.a0), f"a(x) >= a0*x^gamma0 for x >= {a.x0}")
 
     bvals = ks.b(xs[:, None], xs[None, :])
     add("daughter-nonnegative", float(np.min(bvals)), ">=", 0.0)

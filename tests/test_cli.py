@@ -541,6 +541,8 @@ class TestCommands:
          "bad 'grid' section: need 0 < xmin < xmax, got (5.0, 1.0)"),
         ("grid", {"cells": "many"}, "'grid.cells' must be a number, got 'many'"),
         ("initial", {"amplitude": -1}, "'initial.amplitude' must be >= 0, got -1.0"),
+        # refused under its own key, before the shift it feeds is computed
+        ("kernels", {"ball_radius": -1}, "'kernels.ball_radius' must be >= 0, got -1.0"),
     ])
     def test_bad_grid_and_initial_values_are_load_errors(self, tmp_path, capsys,
                                                          section, values, message):
@@ -548,10 +550,11 @@ class TestCommands:
         raw = copy.deepcopy(MINI)
         raw[section].update(values)
         path = write_cfg(tmp_path, raw)
-        with pytest.raises(ConfigFileError):
+        with pytest.raises(ConfigFileError, match=re.escape(message)):
             load_scenario(path)
-        assert main(["verify", "--config", path, "--out", str(tmp_path / "o")]) == 1
-        assert capsys.readouterr().err == f"error: {message}\n"
+        for command in ("run", "verify"):
+            assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("profile", ["indicator", "zero"])
     def test_removed_initial_profiles_rejected(self, profile):

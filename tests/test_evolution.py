@@ -1,4 +1,6 @@
+import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -476,9 +478,31 @@ class TestPicardWavefront:
         assert len(calls) == (rep.iterations + n_out) * n_sub
 
 
+def _ledger_case():
+    ks = make_kernels(a0=1.0, k0=0.5, coag_kind="sum", growth="affine", r0=0.2, r1=0.25)
+    grid = SizeGrid.geometric(1e-2, 5.0, 48)   # mass crosses xmax
+    f = project(lambda x: x * np.exp(-x), grid)
+    return f, mk_cfg(dt=2e-3, t_end=0.2, output_every=0.05), ks
+
+
 def test_growth_ledger_is_the_moment_ledger(monkeypatch):
-    """A solve's growth_mass, bit for bit, is the ledger summed step by step
-    from `grid.moment`: M1 + escaped mass after each remap less before it."""
+    """A solve's growth_mass is, bit for bit, the per-cell ledger: each remap
+    adds x_i dx_i (after_i - before_i) to cell i and the change of the
+    escaped mass to one float, and each output sums the cells with fsum.  It
+    agrees with the ledger summed step by step from `grid.moment` (M1 +
+    escaped mass after each remap less before it) to rounding.
+
+    The rounding bound, with u = eps/2, N remaps and s_k the remap's scale
+    sum_i x_i dx_i (|before_i| + |after_i|) + |escaped before| + |escaped
+    after|: a per-cell term rounds three times (the difference, x dx and
+    the product), at most 3u s_k per remap, and N recursive adds to one
+    cell err by at most (N - 1)u times the sum of its terms; a moment term
+    rounds each product twice and each fsum, the escaped add and the
+    difference once, at most 5u s_k, and N recursive adds err by (N - 1)u
+    times the sum of the terms; the final fsum and add round twice more.
+    Every term is at most s_k, so the two ledgers differ by at most
+    (2N + 8) u sum_k s_k.  fsum rounds once whatever the cell count, so the
+    cells enter only through s_k."""
     remaps = []
 
     def recorded(f, *args, **kwargs):
@@ -487,19 +511,49 @@ def test_growth_ledger_is_the_moment_ledger(monkeypatch):
         return out
 
     monkeypatch.setattr(gfc.evolution, "transport_apply", recorded)
-    ks = make_kernels(a0=1.0, k0=0.5, coag_kind="sum", growth="affine", r0=0.2, r1=0.25)
-    grid = SizeGrid.geometric(1e-2, 5.0, 48)   # mass crosses xmax
-    f = project(lambda x: x * np.exp(-x), grid)
-    cfg = mk_cfg(dt=2e-3, t_end=0.2, output_every=0.05)
+    f, cfg, ks = _ledger_case()
     traj = solve(f, cfg, ks)
-    ledger, expected = 0.0, [0.0]
+    grid = f.grid
+    weight = grid.centers * grid.widths
+    cells, escaped = np.zeros(grid.cells), 0.0
+    by_moment, per_cell, expected = 0.0, [0.0], [0.0]
+    scale = 0.0
     for step, (before, after) in enumerate(remaps, start=1):
-        ledger += (moment(after, 1.0) + after.escaped_mass
-                   - (moment(before, 1.0) + before.escaped_mass))
+        moved = after.values - before.values
+        moved *= weight
+        cells += moved
+        escaped += after.escaped_mass - before.escaped_mass
+        by_moment += (moment(after, 1.0) + after.escaped_mass
+                      - (moment(before, 1.0) + before.escaped_mass))
+        scale += float(np.sum(weight * (np.abs(before.values) + np.abs(after.values))))
+        scale += abs(before.escaped_mass) + abs(after.escaped_mass)
         if step % 25 == 0:
-            expected.append(ledger)
-    assert len(remaps) == 100 and remaps[-1][1].escaped_mass > 0.0
-    assert traj.growth_mass.tobytes() == np.array(expected).tobytes()
+            per_cell.append(math.fsum(cells.tolist()) + escaped)
+            expected.append(by_moment)
+    n_steps = len(remaps)
+    assert n_steps == 100 and remaps[-1][1].escaped_mass > 0.0
+    assert traj.growth_mass.tobytes() == np.array(per_cell).tobytes()
+    bound = (2 * n_steps + 8) * (np.finfo(float).eps / 2) * scale
+    assert np.max(np.abs(traj.growth_mass - np.array(expected))) <= bound
+    assert abs(traj.growth_mass[-1]) > 1e3 * bound   # the ledger reads growth, not rounding
+
+
+def test_growth_ledger_is_summed_once_per_output(monkeypatch):
+    """A solve of N steps with K outputs sums its ledger exactly K + 1 times
+    (the start and each output), not twice per step."""
+    sums = []
+
+    def counted(terms):
+        sums.append(1)
+        return math.fsum(terms)
+
+    monkeypatch.setattr(gfc.evolution, "math",
+                        SimpleNamespace(**{**vars(math), "fsum": counted}))
+    f, cfg, ks = _ledger_case()
+    traj = solve(f, cfg, ks)
+    n_out = len(traj.times) - 1
+    assert (n_out, round(cfg.t_end / cfg.dt)) == (4, 100)
+    assert len(sums) == n_out + 1
 
 
 class TestTrajectoryColumns:

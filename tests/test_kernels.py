@@ -11,6 +11,7 @@ from scipy.integrate import quad
 from conftest import GROWTH_SPELLINGS, make_kernels, quad_per_interval, recorded_intervals
 import gfc.fragmentation
 import gfc.kernels
+from gfc.config import load_scenario
 from gfc.fragmentation import build_daughter_matrix, fragmentation_constants
 from gfc.grid import SizeGrid
 from gfc.kernels import (REACHABLE, UNREACHABLE, CoagulationKernel,
@@ -415,6 +416,32 @@ class TestValidation:
         rows = validate_kernel_set(ks, 1e-3, 1e2, m=2.0)
         assert all(r.passed for r in rows), [r.name for r in rows if not r.passed]
         assert {r.name: r for r in rows}["growth-origin-class"].passed
+
+    def test_frag_lower_bound_reads_a_table_on_all_of_x0_to_inf(self):
+        """The cascade assumes a(x) >= a0 x^gamma0 on [x0, inf).  A table is
+        constant past its last knot, so with a0 gamma0 > 0 it breaks that
+        there, however well it fits the probes in [xmin, xmax]."""
+        knots = np.geomspace(1e-3, 60.0, 30).tolist()
+
+        def row(**frag):
+            sc = load_scenario("gfc-global-ii", {"grid": {"cells": 64},
+                                                 "kernels": {"fragmentation": frag}})
+            grid = sc.grid()
+            rows = validate_kernel_set(sc.kernel_set(), grid.xmin, grid.xmax)
+            return grid.xmax, {r.name: r for r in rows}["frag-lower-bound"]
+
+        xmax, identity = row(kind="table", table_x=knots, table_a=knots, a0=1.0, gamma0=1.0)
+        assert xmax < knots[-1]          # every probe lies where a(x) = x
+        assert identity.measured == -math.inf and not identity.passed
+        # gamma0 = 0: the bound is a0 everywhere, met at x0 and every knot past it
+        _, flat = row(kind="table", table_x=knots, table_a=knots, a0=1.0, gamma0=0.0)
+        assert flat.passed and flat.measured == 0.0   # a(x0) = x0 = 1 = a0
+        # ... and broken at a knot past xmax, which no probe reaches
+        _, row_dip = row(kind="table", table_x=[1e-3, 60.0, 100.0, 200.0],
+                         table_a=[1.0, 5.0, 0.5, 5.0], a0=1.0, gamma0=0.0)
+        assert row_dip.measured == pytest.approx(-0.5, rel=1e-15) and not row_dip.passed
+        # the power law meets its own bound exactly
+        assert row(kind="power-law", a0=1.0, gamma0=1.0, x0=1.0)[1].measured == 0.0
 
     def test_non_conserving_daughter_fails_mass_check(self):
         class Half(DaughterDistribution):
