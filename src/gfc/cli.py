@@ -59,7 +59,7 @@ def cmd_run(args) -> int:
     ctx = _context(args)
     traj, drep = ctx.solution
     if drep is not None:
-        print(f"duhamel: {drep.iterations} iterations, converged={drep.converged}, "
+        print(f"duhamel: {drep.schedule}, converged={drep.converged}, "
               f"contraction window {drep.contraction_window:g}")
     path = _write_csv(ctx, args)
     print(f"trajectory: {path}  (outcome: {traj.outcome})")

@@ -81,13 +81,13 @@ def _fields(cls, section: dict, path: str) -> dict:
     """A scenario section as keyword arguments of cls, one per field name,
     so every default is the dataclass's.  Numbers are cast by the field's
     annotation: PyYAML reads `1e-3` (no dot) as a string.  An int field
-    takes a whole number, written `64` or `64.0`, and every number is
-    finite."""
+    takes a whole number, written `64` or `64.0`, every number is finite,
+    and a null is refused unless the field is Optional."""
     types = {f.name: f.type for f in fields(cls)}
     out = {}
     for key, value in section.items():
         cast = _CASTS.get(types.get(key))
-        if cast is None or value is None:
+        if cast is None or value is None and types[key].startswith("Optional"):
             out[key] = value
             continue
         try:

@@ -11,12 +11,15 @@ Two solvers:
   linear growth-fragmentation propagator and K_beta the shifted coagulation
   operator, which keeps every iterate nonnegative on the configured ball.
   Interval k of iteration j needs only interval k-1 of iteration j and the
-  nodes k-1 and k of iteration j-1, so the sweeps run as a wavefront, one
-  interval apart: at each wave every chain in flight (the linear part
-  S(t_k) f0 and each started iteration) advances one output interval, all
-  as one stack through the linear propagator.  This is the pipelining of
-  waveform relaxation across time windows (Womble, SIAM J. Sci. Stat.
-  Comput. 11, 1990), used here to batch array calls.
+  nodes k-1 and k of iteration j-1, so a block of iterations advances in
+  lockstep: at each wave the linear part S(t_k) f0 (while it runs) and every
+  iteration of the block advance one output interval, all as one stack
+  through the linear propagator, and then land oldest first, each reading
+  the node its predecessor has just landed.  Blocks are sized by the
+  observed contraction, so that the last one usually holds the iteration
+  that converges.  This is waveform relaxation on one window with the
+  iterations pipelined in blocks (Womble, SIAM J. Sci. Stat. Comput. 11,
+  1990), used here to batch array calls.
 
 Both solvers share the spatial discretization: the grid, the exact
 characteristic transport (`transport_apply`), the daughter matrix, the
@@ -360,17 +363,26 @@ class DuhamelReport:
     iterations: int
     contraction_factors: list
     contraction_window: float
+    blocks: list               # the iterations started per block, in order
+    waves: int                 # stacked propagator calls, n_out per block
 
     @property
     def converged(self) -> bool:
         return self.update <= PICARD_TOL
 
+    @property
+    def schedule(self) -> str:
+        """The iterations, blocks and waves, as '11 iterations in blocks 4+8, 8 waves'."""
+        return (f"{self.iterations} iterations in blocks {'+'.join(map(str, self.blocks))}, "
+                f"{self.waves} waves")
+
 
 class _Sweep:
-    """One Picard iteration in flight, one output interval behind the
-    iteration whose nodes so far are `prev`.  It carries the convolution G at
-    its last node and the source K_beta f_prev there, and records each node
-    with the node's error against `prev`."""
+    """One Picard iteration in flight after the iteration whose nodes are
+    `prev`: a judged iteration, or its predecessor in the block, which lands
+    each node just before it.  It carries the convolution G at its last node
+    and the source K_beta f_prev there, and records each node with the
+    node's error against `prev`."""
 
     def __init__(self, prev: list, f0: DensityField, source0: DensityField):
         self.prev = prev
@@ -396,6 +408,15 @@ class _Sweep:
         self.left = right
 
 
+def _picard_horizon(update: float, factor: float) -> int:
+    """The iterations after one with this update and contraction factor until
+    an update falls to PICARD_TOL, ceil(log(PICARD_TOL / update) / log factor),
+    or 0 where that is undefined: factor outside (0, 1), PICARD_TOL <= 0."""
+    if not (0.0 < factor < 1.0 and 0.0 < PICARD_TOL < update < math.inf):
+        return 0
+    return math.ceil(math.log(PICARD_TOL / update) / math.log(factor))
+
+
 def duhamel_solve(f0: DensityField, cfg: SolverConfig, ks: KernelSet,
                   dm: Optional[DaughterMatrix] = None,
                   ct: Optional[CoagTables] = None) -> tuple[Trajectory, DuhamelReport]:
@@ -406,22 +427,25 @@ def duhamel_solve(f0: DensityField, cfg: SolverConfig, ks: KernelSet,
     there.  The time convolution uses the product-trapezoid recurrence
     G_k = S(dt_out)[G_{k-1} + (dt_out/2) K f_{k-1}] + (dt_out/2) K f_k with
     the propagator resolved by fine substeps, and reports the last relative
-    update, the contraction factors and the largest window where they held.
-    A solve stopped by PICARD_MAX_ITER short of PICARD_TOL has outcome
-    'not-converged'.
+    update, the contraction factors, the largest window where they held and
+    the block schedule.  A solve stopped by PICARD_MAX_ITER short of
+    PICARD_TOL has outcome 'not-converged'.
     A daughter matrix dm and coagulation tables ct built for (ks, f0.grid)
     are used as given instead of being rebuilt.
 
-    The iterations run as a wavefront (see the module docstring): iteration
-    j + 1 starts as soon as iteration j has its node 1, and each wave
-    advances the linear part and every started iteration one output interval
-    in one stacked call of the propagator, so a solve of J iterations takes
-    J + n_out waves of n_sub substeps.  Each row is advanced exactly as it
-    would be alone, so the result is the one of sweeping the iterations one
-    after another.  Iterations are judged in order as they complete; once one
-    meets PICARD_TOL, or is the PICARD_MAX_ITER-th, the later ones in flight
-    are dropped, and each completed iteration is released once its successor
-    is judged.
+    The iterations run in blocks (see the module docstring).  Each of a
+    block's n_out waves advances the linear part (in the first block) and
+    every iteration of the block one output interval in one stacked call of
+    the propagator, then lands them oldest first.  The first block has
+    min(n_out, PICARD_MAX_ITER) iterations; each later one has
+    max(n_out, k), capped by the iterations left, with k the iterations the
+    last judged update needs at the last factor to reach PICARD_TOL
+    (`_picard_horizon`).  Every block but the last has at least n_out
+    iterations, so a solve of J iterations takes at most J + n_out - 1
+    waves.  Each row is advanced exactly as it would be alone, so the result
+    is the one of sweeping the iterations one after another.  A block's
+    iterations are judged in order once it ends; once one meets PICARD_TOL,
+    or is the PICARD_MAX_ITER-th, the rest of the block is dropped.
     """
     grid = f0.grid
     if cfg.scheme != "duhamel":
@@ -447,43 +471,45 @@ def duhamel_solve(f0: DensityField, cfg: SolverConfig, ks: KernelSet,
 
     source0 = k_beta(f0)            # every iterate starts at f0
     lin = [f0.copy()]               # iteration 0, the linear part S(t_k) f0
-    last = lin                      # the nodes of the latest iteration started
-    sweeps: list[_Sweep] = []       # the iterations in flight, oldest first
-    iterates = lin
+    iterates = lin                  # the nodes of the last iteration judged
     scale = max(1.0, weighted_integral(f0, wm))
     prev_err: Optional[np.ndarray] = None
     node_factors: Optional[np.ndarray] = None
     factors: list[float] = []
+    blocks: list[int] = []
     update = math.inf
     it = 0
-    # iteration j completes at wave j + n_out
-    for _ in range(PICARD_MAX_ITER + n_out):
-        # the next iteration starts once the latest one has its node 1
-        if len(last) > 1 and it + len(sweeps) < PICARD_MAX_ITER:
-            sweeps.append(_Sweep(last, f0, source0))
-            last = sweeps[-1].nodes
-        rows = ([lin[-1]] if len(lin) <= n_out else []) + [s.carry(half) for s in sweeps]
-        stack = prop.advance_linear(
-            DensityField(grid, np.array([r.values for r in rows]),
-                         np.array([r.escaped_mass for r in rows])), d_out, n_sub)
-        moved = [DensityField(grid, v, float(e)) for v, e in zip(stack.values, stack.escaped_mass)]
-        if len(lin) <= n_out:
-            lin.append(moved.pop(0).copy())
-        for s, g in zip(sweeps, moved):
-            s.land(g, half, lin, k_beta, wm)
-        if not sweeps or len(sweeps[0].nodes) <= n_out:
-            continue
-        it += 1
-        err_nodes = np.array(sweeps[0].err)
-        iterates = sweeps.pop(0).nodes
-        update = float(np.max(err_nodes)) / scale
-        if prev_err is not None:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                node_factors = np.where(prev_err > 0, err_nodes / np.maximum(prev_err, 1e-300), 0.0)
-            factors.append(float(np.max(node_factors[1:])) if n_out else 0.0)
-        prev_err = err_nodes
-        if update <= PICARD_TOL:
-            break
+    # `not <=`, so that a NaN update runs on to PICARD_MAX_ITER
+    while it < PICARD_MAX_ITER and not update <= PICARD_TOL:
+        horizon = _picard_horizon(update, factors[-1]) if factors else 0
+        block: list[_Sweep] = []
+        for _ in range(min(max(n_out, horizon), PICARD_MAX_ITER - it)):
+            block.append(_Sweep(block[-1].nodes if block else iterates, f0, source0))
+        blocks.append(len(block))
+        for _ in range(n_out):
+            rows = ([lin[-1]] if len(lin) <= n_out else []) + [s.carry(half) for s in block]
+            stack = prop.advance_linear(
+                DensityField(grid, np.array([r.values for r in rows]),
+                             np.array([r.escaped_mass for r in rows])), d_out, n_sub)
+            moved = [DensityField(grid, v, float(e))
+                     for v, e in zip(stack.values, stack.escaped_mass)]
+            if len(lin) <= n_out:
+                lin.append(moved.pop(0).copy())
+            for s, g in zip(block, moved):
+                s.land(g, half, lin, k_beta, wm)
+        for s in block:
+            it += 1
+            err_nodes = np.array(s.err)
+            iterates = s.nodes
+            update = float(np.max(err_nodes)) / scale
+            if prev_err is not None:
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    node_factors = np.where(prev_err > 0,
+                                            err_nodes / np.maximum(prev_err, 1e-300), 0.0)
+                factors.append(float(np.max(node_factors[1:])) if n_out else 0.0)
+            prev_err = err_nodes
+            if update <= PICARD_TOL:
+                break
 
     window = cfg.t_end
     if factors and factors[-1] >= 1.0:
@@ -492,7 +518,7 @@ def duhamel_solve(f0: DensityField, cfg: SolverConfig, ks: KernelSet,
         idx = np.nonzero(np.maximum.accumulate(node_factors) < 1.0)[0]
         window = float(times[idx[-1]]) if idx.size else 0.0
 
-    rep = DuhamelReport(update, it, factors, window)
+    rep = DuhamelReport(update, it, factors, window, blocks, n_out * len(blocks))
     return Trajectory(grid, cfg.m, times, iterates, None,
                       "completed" if rep.converged else "not-converged"), rep
 

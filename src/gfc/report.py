@@ -377,7 +377,7 @@ def _suite_cross_validation(ctx: ScenarioContext) -> list[ReportRow]:
         # error floor and can exceed 1 after convergence
         ReportRow("solver-cross-validation", "picard-contraction", drep.update, "<=",
                   PICARD_TOL,
-                  detail=f"last relative update, iteration {drep.iterations}; "
+                  detail=f"last relative update; {drep.schedule}; "
                          f"last factor {factor}, window {drep.contraction_window:g}"),
     ]
 

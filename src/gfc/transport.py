@@ -42,7 +42,7 @@ Where characteristics converge (r(x0) > r(x), only under a falling growth
 table) the flux r*f is then capped by its larger value at the two centers
 around the foot; on a nondecreasing rate nothing is capped.
 A plan also transports a stack of fields in one call, values (rows, cells)
-and escaped mass (rows,), as the Picard wavefront advances its iterations:
+and escaped mass (rows,), as a block of Picard iterations advances together:
 the slopes, the sum and the cap work on the last axis, and the escaped
 mass is summed row by row, so every row comes out bit-identical to
 transporting that field alone.

@@ -556,6 +556,33 @@ class TestCommands:
             assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 1
             assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("section,key", [
+        ("time", "dt"), ("time", "t_end"), ("grid", "cells"), ("grid", "xmax"),
+        ("kernels", "ball_radius"), ("solver", "m"), ("initial", "decay")])
+    def test_null_number_is_a_load_error(self, tmp_path, capsys, section, key):
+        """A YAML null in a number field that is not Optional fails at load
+        with one line naming its key, not a TypeError traceback."""
+        raw = copy.deepcopy(MINI)
+        raw[section][key] = None
+        message = f"'{section}.{key}' must be a number, got None"
+        with pytest.raises(ConfigFileError, match=re.escape(message)):
+            load_scenario(raw)
+        path = write_cfg(tmp_path, raw)
+        assert f"{key}: null" in Path(path).read_text()
+        with pytest.raises(ConfigFileError, match=re.escape(message)):
+            load_scenario(path)
+        assert main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_null_number_in_a_kernel_law_is_a_load_error(self):
+        with pytest.raises(ConfigFileError,
+                           match=re.escape("'kernels.coagulation.k0' must be a number, got None")):
+            load_scenario("gfc-global-i", {"kernels": {"coagulation": {"kind": "sum", "k0": None}}})
+
+    def test_null_stays_legal_for_the_optional_orders(self):
+        sc = load_scenario("regularization-probe", {"solver": {"n": None, "p": None}})
+        assert (sc.solver_config().n, sc.solver_config().p) == (None, None)
+
     @pytest.mark.parametrize("profile", ["indicator", "zero"])
     def test_removed_initial_profiles_rejected(self, profile):
         raw = copy.deepcopy(MINI)

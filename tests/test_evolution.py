@@ -1,3 +1,4 @@
+import functools
 import math
 from dataclasses import replace
 from types import SimpleNamespace
@@ -433,8 +434,8 @@ def cross_validation_case(cells, t_end, output_every):
 
 
 class TestPicardWavefront:
-    """duhamel_solve runs the iterations as a wavefront of stacked linear
-    substeps and must give the one-sweep-at-a-time result bit for bit."""
+    """duhamel_solve runs the iterations in blocks of stacked linear substeps
+    and must give the one-sweep-at-a-time result bit for bit."""
 
     @pytest.mark.parametrize("t_end,output_every,patch", [
         (0.25, 0.025, {}),                      # n_out = 10: many iterations in flight
@@ -447,21 +448,16 @@ class TestPicardWavefront:
             monkeypatch.setattr(gfc.evolution, name, value)
         f0, cfg, ks = cross_validation_case(64, t_end, output_every)
         traj, rep = duhamel_solve(f0, cfg, ks)
-        nodes, (update, iterations, factors, window) = sequential_picard(f0, cfg, ks)
+        assert_same_as_sequential(traj, rep, f0, cfg, ks)
         if patch:
-            assert iterations == gfc.evolution.PICARD_MAX_ITER
+            assert rep.iterations == gfc.evolution.PICARD_MAX_ITER
         assert traj.outcome == ("not-converged" if patch else "completed")
-        assert len(traj.fields) == len(nodes)
-        for got, ref in zip(traj.fields, nodes):
-            assert got.values.tobytes() == ref.values.tobytes()
-            assert np.float64(got.escaped_mass).tobytes() == np.float64(ref.escaped_mass).tobytes()
-        assert (rep.update, rep.iterations, rep.contraction_window) == (update, iterations, window)
-        assert rep.contraction_factors == factors
 
     @pytest.mark.parametrize("t_end,output_every", [(0.1, 0.025), (0.06, 0.06)])
     def test_one_remap_per_wave_substep(self, monkeypatch, t_end, output_every):
-        """J iterations over n_out intervals take J + n_out waves of n_sub
-        stacked substeps, against (J + 1) * n_out * n_sub one sweep at a time."""
+        """Each block takes n_out waves of n_sub stacked substeps, one remap
+        each, against (J + 1) * n_out * n_sub one sweep at a time.  This pins
+        the schedule, not a result."""
         calls = []
         remap = gfc.evolution.transport_apply
 
@@ -475,7 +471,64 @@ class TestPicardWavefront:
         n_out = int(round(cfg.t_end / cfg.output_every))
         n_sub = int(round(cfg.t_end / n_out / cfg.dt))
         assert rep.converged and rep.iterations > 2
-        assert len(calls) == (rep.iterations + n_out) * n_sub
+        assert rep.waves == len(rep.blocks) * n_out
+        assert len(calls) == rep.waves * n_sub
+
+    def test_picard_xval_takes_blocks_of_four_and_eight(self):
+        """The picard-xval configuration: 11 iterations in blocks of 4 and 8,
+        so 8 waves, well within J + n_out - 1 = 14."""
+        f0, cfg, ks = cross_validation_case(128, 0.1, 0.025)
+        _, rep = duhamel_solve(f0, cfg, ks)
+        assert (rep.iterations, rep.blocks, rep.waves) == (11, [4, 8], 8)
+        assert rep.schedule == "11 iterations in blocks 4+8, 8 waves"
+
+    @settings(max_examples=60, deadline=None)
+    @given(cells=st.sampled_from([32, 64]), n_out=st.integers(1, 6),
+           tol=st.sampled_from([0.0, 1e-12, 1e-8, 1e-5]), max_iter=st.integers(1, 12),
+           horizon=st.sampled_from(["derived", "one", "max"]))
+    def test_any_schedule_is_sequential_picard(self, cells, n_out, tol, max_iter, horizon):
+        """Whatever the tolerance, the iteration cap and the block sizes (the
+        derived estimate, or one forced to 1 or to PICARD_MAX_ITER), the solve
+        is the sequential one bit for bit, and every block but the last has
+        at least n_out iterations, so it takes at most J + n_out - 1 waves."""
+        f0, cfg, ks = _short_case(cells)
+        cfg = replace(cfg, t_end=0.01 * n_out, output_every=0.01)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gfc.evolution, "PICARD_TOL", tol)
+            mp.setattr(gfc.evolution, "PICARD_MAX_ITER", max_iter)
+            if horizon != "derived":
+                k = 1 if horizon == "one" else max_iter
+                mp.setattr(gfc.evolution, "_picard_horizon", lambda update, factor: k)
+            waves = []
+            advance = SplitStepper.advance_linear
+
+            def counted(self, *args):
+                waves.append(1)
+                return advance(self, *args)
+
+            with pytest.MonkeyPatch.context() as counting:
+                counting.setattr(SplitStepper, "advance_linear", counted)
+                traj, rep = duhamel_solve(f0, cfg, ks)
+            assert_same_as_sequential(traj, rep, f0, cfg, ks)
+        assert 1 <= rep.iterations <= max_iter
+        assert len(waves) == rep.waves == n_out * len(rep.blocks)
+        assert len(waves) <= rep.iterations + n_out - 1
+        assert all(b >= n_out for b in rep.blocks[:-1])
+
+
+@functools.lru_cache(maxsize=None)
+def _short_case(cells):
+    return cross_validation_case(cells, 0.01, 0.01)
+
+
+def assert_same_as_sequential(traj, rep, f0, cfg, ks):
+    nodes, (update, iterations, factors, window) = sequential_picard(f0, cfg, ks)
+    assert len(traj.fields) == len(nodes)
+    for got, ref in zip(traj.fields, nodes):
+        assert got.values.tobytes() == ref.values.tobytes()
+        assert np.float64(got.escaped_mass).tobytes() == np.float64(ref.escaped_mass).tobytes()
+    assert (rep.update, rep.iterations, rep.contraction_window) == (update, iterations, window)
+    assert rep.contraction_factors == factors
 
 
 def _ledger_case():

@@ -308,7 +308,7 @@ def test_picard_contraction_is_what_convergence_tests(monkeypatch):
     monkeypatch.setattr(gfc.evolution, "PICARD_MAX_ITER", 2)
     row = picard_row()
     assert row.status == "fail" and row.measured > PICARD_TOL
-    assert "iteration 2;" in row.detail
+    assert "2 iterations in blocks 2, 4 waves;" in row.detail
 
 
 def test_cross_validation_compares_every_split_output(ctx):
